@@ -1,8 +1,8 @@
 """Deadlock and message-matching analysis over partitioned schedules.
 
 The multiprocess backend partitions the global step schedule by device
-ownership (:func:`~repro.core.backend.build_worker_entries`); every rank
-executes its slice sequentially, blocking on ``recv`` entries.  The
+ownership (:func:`~repro.core.backend.build_all_worker_entries`); every
+rank executes its slice sequentially, blocking on ``recv`` entries.  The
 original claim was that this is deadlock-free *by construction* because
 all ranks derive the same global order.  This module checks the theorem
 instead of assuming it, over the concrete per-rank entry lists:
@@ -45,7 +45,7 @@ def check_entries(entries_by_rank: Dict[int, Sequence[tuple]],
     """Run every matching/ordering/cycle check over per-rank entries.
 
     *entries_by_rank* maps a worker rank to its schedule slice in the
-    shapes :func:`~repro.core.backend.build_worker_entries` emits:
+    shapes :func:`~repro.core.backend.build_all_worker_entries` emits:
     ``("exec", op, send_to)`` or ``("recv", name, src)``.
     """
     findings: List[Finding] = []

@@ -9,9 +9,12 @@ profile the paper's Table 3 analyses.
 from repro.comm.transcript import Note, Transcript, Transfer, merge_transcripts
 from repro.comm.transport import (
     InMemoryTransport,
+    Mailbox,
     MultiprocTransport,
     ShmTransport,
     Transport,
+    make_transport,
+    transport_registry,
 )
 from repro.comm.allreduce import ring_allreduce, ring_allreduce_mean
 from repro.comm.allgatherv import ring_allgatherv
@@ -27,9 +30,12 @@ __all__ = [
     "Transfer",
     "merge_transcripts",
     "Transport",
+    "Mailbox",
     "InMemoryTransport",
     "MultiprocTransport",
     "ShmTransport",
+    "make_transport",
+    "transport_registry",
     "ring_allreduce",
     "ring_allreduce_mean",
     "ring_allgatherv",

@@ -41,19 +41,19 @@ Connections are created on demand, one duplex socket per rank pair in
 the dominant command/response pattern: the first sender connects and
 announces its endpoint index (a 4-byte hello), the acceptor registers
 the socket for its own replies.  Every connection gets a blocking
-reader thread that decodes frames into the endpoint's inbox queue
-continuously -- which is what keeps ``send`` effectively non-blocking
-(the peer always drains its socket, independent of application
-``recv`` calls) and the fleet deadlock-free.
+reader thread that decodes frames into the inbox of the endpoint's
+:class:`~repro.comm.transport.Mailbox` continuously -- which is what
+keeps ``send`` effectively non-blocking (the peer always drains its
+socket, independent of application ``recv`` calls) and the fleet
+deadlock-free.  Waiting for a message is the mailbox's business; this
+module is only the socket framing.
 
 Counter accounting: every frame adds its payload to ``wire_bytes`` /
 ``wire_msgs`` (physical socket traffic, what ``bench --network``
 calibrates against); pickle-path frames *also* count ``pickle_bytes``
 / ``pickle_msgs`` (serialization cost), and each bulk ``tobytes``
 freeze is one ``copy_count``.  Transcript records use payload bytes,
-same as the other planes.  The timeout contract is the shared one (one
-monotonic deadline per ``recv`` call; see
-:mod:`repro.comm.transport`).
+same as the other planes.
 """
 
 from __future__ import annotations
@@ -64,15 +64,14 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.comm.transport import (
     CONTROLLER,
+    Mailbox,
     Transport,
     TransportError,
     TransportTimeout,
-    _remaining,
     wire_parts,
 )
 
@@ -140,22 +139,22 @@ def _recv_obj(sock: socket.socket):
 
 
 class _Endpoint:
-    """One rank's socket machinery: listener, connections, inbox.
+    """One rank's socket machinery: listener, connections, mailbox.
 
     The accept thread learns each inbound peer from its hello and
     registers the socket for duplex reuse; one blocking reader thread
-    per connection decodes frames straight into :attr:`inbox`.  All
-    sends to one peer serialize on that connection's lock so frames
+    per connection decodes frames straight into the mailbox's inbox.
+    All sends to one peer serialize on that connection's lock so frames
     never interleave.
     """
 
-    def __init__(self, transport: "TcpTransport", idx: int,
+    def __init__(self, transport: "TcpTransport", rank: int,
                  listener: socket.socket):
         self.transport = transport
-        self.idx = idx
+        self.idx = transport._slot(rank)
         self.listener = listener
-        self.inbox: "queue_mod.Queue" = queue_mod.Queue()
-        self.pending: Dict[Tuple[int, Tuple], deque] = {}
+        # Reader threads decode; the mailbox is fed ready values.
+        self.mailbox = Mailbox(rank, queue_mod.Queue())
         # peer idx -> (socket, send lock); guarded by conn_lock.
         self.conns: Dict[int, Tuple[socket.socket, threading.Lock]] = {}
         self.conn_lock = threading.Lock()
@@ -163,7 +162,7 @@ class _Endpoint:
         self._readers: List[threading.Thread] = []
         self._accepter = threading.Thread(
             target=self._accept_loop, daemon=True,
-            name=f"tcp-accept-{idx}",
+            name=f"tcp-accept-{self.idx}",
         )
         self._accepter.start()
 
@@ -234,8 +233,8 @@ class _Endpoint:
                 meta = pickle.loads(bytes(_read_exact(sock, meta_len)))
                 payload = (_read_exact(sock, payload_len)
                            if payload_len else bytearray())
-                src, key, value = self.transport._decode(meta, payload)
-                self.inbox.put((src, key, value))
+                self.mailbox.inbox.put(
+                    self.transport._decode(meta, payload))
         except (OSError, EOFError):
             return  # peer gone or endpoint closing
         except Exception:
@@ -279,7 +278,6 @@ class TcpTransport(Transport):
         self.connect_timeout = float(connect_timeout)
         self._endpoints: Dict[int, _Endpoint] = {}
         self._ep_lock = threading.Lock()
-        self._closed = False
         if addrs is None:
             # Fork mode: bind every endpoint's listener now, pre-fork;
             # children inherit the bound sockets and their addresses.
@@ -318,11 +316,8 @@ class TcpTransport(Transport):
                    connect_timeout=connect_timeout)
 
     # -- endpoint plumbing -----------------------------------------------
-    def _idx(self, rank: int) -> int:
-        return self.num_workers if rank == CONTROLLER else rank
-
     def _endpoint(self, rank: int) -> _Endpoint:
-        idx = self._idx(rank)
+        idx = self._slot(rank)
         with self._ep_lock:
             if self._closed:
                 raise TransportError("transport is closed")
@@ -334,13 +329,13 @@ class TcpTransport(Transport):
                         f"no local listener for rank {rank}; this "
                         f"process only hosts {sorted(self._listeners)}"
                     )
-                endpoint = _Endpoint(self, idx, listener)
+                endpoint = _Endpoint(self, rank, listener)
                 self._endpoints[idx] = endpoint
             return endpoint
 
     # -- encode / decode -------------------------------------------------
-    def _encode(self, src: int, key: Tuple, value) -> Tuple[bytes, List]:
-        """``(header+meta, payload_chunks)`` for one frame, counted."""
+    def _encode(self, src: int, dst: int, key: Tuple, value):
+        """``((header+meta, payload_chunks), payload_len)``, counted."""
         t0 = time.perf_counter()
         c = self.counters
         parts = wire_parts(value)
@@ -369,7 +364,7 @@ class TcpTransport(Transport):
         c["wire_msgs"] += 1
         c["serialize_s"] += time.perf_counter() - t0
         header = _HEADER.pack(len(meta_bytes), payload_len)
-        return header + meta_bytes, chunks
+        return (header + meta_bytes, chunks), payload_len
 
     def _decode(self, meta, payload: bytearray):
         """``(src, key, value)`` from one frame's meta + payload."""
@@ -398,19 +393,12 @@ class TcpTransport(Transport):
         return src, key, value
 
     # -- transport interface ---------------------------------------------
-    def send(self, src: int, dst: int, key: Tuple, value) -> None:
-        if self._closed:
-            raise TransportError("transport is closed")
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        endpoint = self._endpoint(src)
-        frame, chunks = self._encode(src, key, value)
-        self._record(src, dst, key,
-                     sum(len(chunk) for chunk in chunks))
-        sock, lock = endpoint._connection(self._idx(dst))
+    def _put(self, src: int, dst: int, key: Tuple, frame) -> None:
+        head, chunks = frame
+        sock, lock = self._endpoint(src)._connection(self._slot(dst))
         try:
             with lock:
-                sock.sendall(frame)
+                sock.sendall(head)
                 for chunk in chunks:
                     sock.sendall(chunk)
         except OSError as exc:
@@ -418,54 +406,11 @@ class TcpTransport(Transport):
                 f"send {src}->{dst} {key!r} failed: {exc}"
             ) from exc
 
-    def recv(self, dst: int, src: int, key: Tuple,
-             timeout: Optional[float] = None):
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        endpoint = self._endpoint(dst)
-        want = (src, key)
-        box = endpoint.pending.get(want)
-        if box:
-            return box.popleft()
-        # Shared timeout contract: one deadline, buffered non-matching
-        # arrivals never restart the clock.
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        while True:
-            remaining = _remaining(deadline)
-            if remaining is not None and remaining <= 0:
-                raise TransportTimeout(
-                    f"no message {src}->{dst} {key!r} within {timeout}s"
-                )
-            try:
-                got_src, got_key, value = endpoint.inbox.get(
-                    timeout=remaining)
-            except queue_mod.Empty:
-                raise TransportTimeout(
-                    f"no message {src}->{dst} {key!r} within {timeout}s"
-                ) from None
-            if (got_src, got_key) == want:
-                return value
-            endpoint.pending.setdefault((got_src, got_key),
-                                        deque()).append(value)
+    def _mailbox(self, dst: int) -> Mailbox:
+        return self._endpoint(dst).mailbox
 
-    def drain(self, dst: int) -> int:
-        """Discard every buffered message for *dst* (error paths)."""
-        endpoint = self._endpoint(dst)
-        dropped = sum(len(box) for box in endpoint.pending.values())
-        endpoint.pending.clear()
-        while True:
-            try:
-                endpoint.inbox.get_nowait()
-                dropped += 1
-            except queue_mod.Empty:
-                return dropped
-
-    def close(self) -> None:
+    def _release(self) -> None:
         with self._ep_lock:
-            if self._closed:
-                return
-            self._closed = True
             endpoints = list(self._endpoints.values())
             self._endpoints.clear()
             listeners = list(self._listeners.values())

@@ -8,39 +8,52 @@ result traffic.  Execution backends (:mod:`repro.core.backend`) never
 talk to pipes or queues directly -- they address peers by *rank* and let
 the transport move the bytes.
 
-Four implementations ship (see :func:`transport_registry`):
+One plane, two parts
+--------------------
+* :class:`Transport` is the whole send/receive contract, concrete on the
+  base class: closed and rank checks, transcript recording and the cost
+  counters on ``send``; ``recv`` and ``drain`` hand straight to the
+  destination's :class:`Mailbox`.
+* :class:`Mailbox` -- one per destination endpoint -- is the only place
+  that knows how a rank *waits* for a message: the ``(src, key)`` boxes
+  of buffered arrivals, the single-deadline wait (the timeout contract
+  is stated once, on :meth:`Mailbox.recv`), decode-at-dequeue in arrival
+  order, and ``drain``.
 
-* :class:`InMemoryTransport` -- a thread-safe mailbox for same-process
-  use (tests, the in-process backend's plumbing checks).  Messages are
-  deep-frozen through pickle exactly like the real thing, so a value
-  mutated after ``send`` cannot corrupt the receiver.
-* :class:`MultiprocTransport` -- one :class:`multiprocessing.Queue`
-  (OS pipe + feeder thread) per destination rank.  Payloads are pickled
-  *eagerly* in ``send`` -- the queue's background feeder would otherwise
-  serialize a live numpy buffer that an in-place update kernel may
-  already have mutated.
-* :class:`ShmTransport` -- bulk arrays ride shared-memory rings, only
-  headers travel through the queues.
-* :class:`~repro.comm.tcp.TcpTransport` -- length-prefixed frames over
-  sockets, the cross-host plane (``repro.cli launch`` bootstraps it via
-  a ``tcp://host:port`` rendezvous).
+What is left to a concrete plane is its *framing*: how one message
+becomes a frame (``_encode``, which is also where the value is frozen),
+how the frame reaches the destination's inbox (``_put``), and how a
+dequeued frame becomes a value again (the ``decode`` its mailboxes are
+built with).  Four framings ship (see :func:`transport_registry`):
+
+* :class:`InMemoryTransport` (``inmem``) -- the queue framing
+  (:class:`QueueFraming`: eagerly pickled bytes, one FIFO per
+  destination) over ``queue.Queue``, for same-process use (tests,
+  threaded workers, the serving shard hosts).  Messages are deep-frozen
+  through pickle exactly like the real thing, so a value mutated after
+  ``send`` cannot corrupt the receiver.
+* :class:`MultiprocTransport` (``multiproc``; the backend calls it
+  ``queue``) -- the same framing over :class:`multiprocessing.Queue`
+  (OS pipe + feeder thread).
+* :class:`ShmTransport` (``shm``) -- bulk arrays ride shared-memory
+  rings and only a header tuple is queued; everything else falls back
+  to the queue framing, which it composes.
+* :class:`~repro.comm.tcp.TcpTransport` (``tcp``) -- length-prefixed
+  frames over sockets, decoded by per-connection reader threads into
+  the endpoint's inbox; the cross-host plane (``repro.cli launch``
+  bootstraps it via a ``tcp://host:port`` rendezvous).
 
 :class:`SimulatedLatencyTransport` wraps any of them with a
 deterministic, seeded per-message delay schedule -- wall-clock changes,
 values and ordering do not, so the differential/bit-identity suites
 stay exact under injected latency.
 
-Timeout contract (shared by every implementation): ``recv(timeout=T)``
-computes one ``time.monotonic()`` deadline on entry and waits only on
-the *remainder* after every wakeup -- unrelated arrivals (other keys,
-other senders) never restart the clock, so a recv gives up within ``T``
-of the call no matter how much background traffic the endpoint sees.
-
-Both record every send into a :class:`~repro.comm.transcript.Transcript`
-(tag ``transport/<kind>``), the same recording plane the logical byte
-accounting uses -- so the physical message flow of a run is inspectable
-with the familiar filter/aggregate helpers.  The physical plane is kept
-in a transport-owned transcript, separate from the runner's logical one:
+Every plane records every send into a
+:class:`~repro.comm.transcript.Transcript` (tag ``transport/<kind>``),
+the same recording plane the logical byte accounting uses -- so the
+physical message flow of a run is inspectable with the familiar
+filter/aggregate helpers.  The physical plane is kept in a
+transport-owned transcript, separate from the runner's logical one:
 paper-facing byte accounting (Table 3 closed forms) must not change when
 the same graph executes on a different backend.
 
@@ -50,17 +63,20 @@ the driving process.
 
 from __future__ import annotations
 
-import os
 import pickle
-import threading
+import queue as queue_mod
 import time
 from collections import deque
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.comm.transcript import Transcript
 
 # The driving (parent) process' rank.
 CONTROLLER = -1
+
+# Payloads below this many bytes take the shm plane's pickle path: the
+# ring header would dominate.
+MIN_SHM_BYTES = 1024
 
 
 class TransportError(RuntimeError):
@@ -69,10 +85,6 @@ class TransportError(RuntimeError):
 
 class TransportTimeout(TransportError):
     """``recv`` gave up waiting for a message."""
-
-
-def _freeze(value) -> bytes:
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 # Serialization-cost counters every transport endpoint tracks.
@@ -98,6 +110,13 @@ def counter_delta(now: Dict[str, float],
                   before: Dict[str, float]) -> Dict[str, float]:
     """``now - before`` per key (counters are monotonic accumulators)."""
     return {k: now.get(k, 0) - before.get(k, 0) for k in _COUNTER_ZERO}
+
+
+def merge_counters(total: Dict[str, float],
+                   delta: Dict[str, float]) -> Dict[str, float]:
+    for k in _COUNTER_ZERO:
+        total[k] = total.get(k, 0) + delta.get(k, 0)
+    return total
 
 
 def wire_parts(value):
@@ -128,18 +147,86 @@ def wire_parts(value):
     return None
 
 
-def _remaining(deadline: Optional[float]) -> Optional[float]:
-    """Seconds left until *deadline* (None = wait forever)."""
-    if deadline is None:
-        return None
-    return deadline - time.monotonic()
+class Mailbox:
+    """One destination endpoint's receive side: how a rank waits for mail.
 
+    Frames arrive on *inbox* -- any FIFO with ``queue.Queue``'s
+    ``get(timeout=)`` / ``get_nowait()`` -- as ``(src, key, frame)``.
+    Every dequeued frame is decoded on the spot, in arrival order,
+    whether or not it is the message being waited for: the copy out of
+    a shm ring is what frees the slot, so release order equals write
+    order (the ring's one protocol requirement), and the ``(src, key)``
+    boxes of buffered arrivals hold ready values.  *decode* is
+    ``decode(src, dst, frame) -> value``, or None for an inbox that is
+    fed decoded values already (tcp's reader threads).
 
-def merge_counters(total: Dict[str, float],
-                   delta: Dict[str, float]) -> Dict[str, float]:
-    for k in _COUNTER_ZERO:
-        total[k] = total.get(k, 0) + delta.get(k, 0)
-    return total
+    A mailbox belongs to exactly one destination.  A process hosting
+    several endpoints (the conformance suite, the serving shard hosts)
+    holds one mailbox per endpoint, so mail buffered for one rank is
+    never handed to -- or drained by -- another.  It is single-consumer:
+    one thread at a time receives for a given destination.
+    """
+
+    def __init__(self, dst: int, inbox,
+                 decode: Optional[Callable] = None):
+        self.dst = dst
+        self.inbox = inbox
+        self._decode = decode
+        self._pending: Dict[Tuple[int, Tuple], deque] = {}
+
+    def recv(self, src: int, key: Tuple, timeout: Optional[float] = None):
+        """Next message ``(src, key)``; non-matching arrivals are boxed.
+
+        Timeout contract (every plane, this is its only implementation):
+        ``timeout=T`` computes one ``time.monotonic()`` deadline on
+        entry and each inbox wait gets only the *remainder* -- buffering
+        an unrelated arrival (other keys, other senders) never restarts
+        the clock, so the call gives up within ``T`` of its start no
+        matter how much background traffic the endpoint sees.  Waiting
+        the full timeout again after every wakeup would never expire
+        under steady unrelated traffic.  ``None`` waits forever.
+        """
+        want = (src, key)
+        box = self._pending.get(want)
+        if box:
+            return box.popleft()
+        deadline = (None if timeout is None
+                    else time.monotonic() + timeout)
+        while True:
+            remaining = (None if deadline is None
+                         else deadline - time.monotonic())
+            try:
+                if remaining is not None and remaining <= 0:
+                    raise queue_mod.Empty  # deadline passed while boxing
+                got_src, got_key, frame = self.inbox.get(timeout=remaining)
+            except queue_mod.Empty:
+                raise TransportTimeout(
+                    f"no message {src}->{self.dst} {key!r} within "
+                    f"{timeout}s"
+                ) from None
+            value = (frame if self._decode is None
+                     else self._decode(got_src, self.dst, frame))
+            if (got_src, got_key) == want:
+                return value
+            self._pending.setdefault((got_src, got_key),
+                                     deque()).append(value)
+
+    def drain(self) -> int:
+        """Discard every boxed and queued message (error paths).
+
+        Queued frames are still decoded before they are dropped: that
+        keeps ring accounting sane even for discarded messages.
+        """
+        dropped = sum(len(box) for box in self._pending.values())
+        self._pending.clear()
+        while True:
+            try:
+                got_src, _, frame = self.inbox.get_nowait()
+            except queue_mod.Empty:
+                return dropped
+            if self._decode is not None:
+                self._decode(got_src, self.dst, frame)
+            dropped += 1
 
 
 class Transport:
@@ -152,8 +239,12 @@ class Transport:
     for dataflow values, ``("cmd",)``/``("res",)`` for control traffic.
 
     Per-rank message order is preserved; messages with different keys
-    from the same sender may be consumed in any order (the receiver
-    buffers non-matching arrivals).
+    from the same sender may be consumed in any order (the receiver's
+    :class:`Mailbox` buffers non-matching arrivals).
+
+    A concrete plane supplies only its framing: :meth:`_encode`,
+    :meth:`_put`, :meth:`_mailbox` and, when it owns OS resources,
+    :meth:`_release`.
     """
 
     name: str = "transport"
@@ -168,19 +259,56 @@ class Transport:
         # ships worker deltas back with every step result so the
         # controller can price where the bytes of a step actually went.
         self.counters: Dict[str, float] = dict(_COUNTER_ZERO)
+        self._closed = False
 
     # -- interface -------------------------------------------------------
     def send(self, src: int, dst: int, key: Tuple, value) -> None:
         """Deliver *value* to *dst*'s mailbox; returns immediately."""
-        raise NotImplementedError
+        if self._closed:
+            raise TransportError("transport is closed")
+        self._check_rank(src, "source")
+        self._check_rank(dst, "destination")
+        frame, nbytes = self._encode(src, dst, key, value)
+        self._record(src, dst, key, nbytes)
+        self._put(src, dst, key, frame)
 
     def recv(self, dst: int, src: int, key: Tuple,
              timeout: Optional[float] = None):
-        """Next message ``(src -> dst, key)``; blocks until it arrives."""
-        raise NotImplementedError
+        """Next message ``(src -> dst, key)``; blocks until it arrives
+        or raises :class:`TransportTimeout` (see :meth:`Mailbox.recv`)."""
+        self._check_rank(src, "source")
+        self._check_rank(dst, "destination")
+        return self._mailbox(dst).recv(src, key, timeout)
+
+    def drain(self, dst: int) -> int:
+        """Discard every undelivered message addressed to *dst* (error
+        paths); returns how many were dropped."""
+        self._check_rank(dst, "destination")
+        return self._mailbox(dst).drain()
 
     def close(self) -> None:
-        """Release OS resources (queues, pipes); idempotent."""
+        """Release OS resources (queues, rings, sockets); idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        self._release()
+
+    # -- framing back-end ------------------------------------------------
+    def _encode(self, src: int, dst: int, key: Tuple, value):
+        """``(frame, nbytes)``: *value* frozen as of now, plus the
+        payload size to record.  Counts its own serialization cost."""
+        raise NotImplementedError
+
+    def _put(self, src: int, dst: int, key: Tuple, frame) -> None:
+        """Move *frame* toward *dst*'s inbox without blocking on it."""
+        raise NotImplementedError
+
+    def _mailbox(self, dst: int) -> Mailbox:
+        """The :class:`Mailbox` of local endpoint *dst*."""
+        raise NotImplementedError
+
+    def _release(self) -> None:
+        """Free what the plane allocated; called once, by ``close``."""
 
     # -- shared helpers --------------------------------------------------
     def _check_rank(self, rank: int, role: str) -> None:
@@ -190,14 +318,19 @@ class Transport:
                 f"[{CONTROLLER}, {self.num_workers})"
             )
 
+    def _slot(self, rank: int) -> int:
+        """Dense endpoint index: workers keep their rank, the
+        controller gets the slot past the last worker."""
+        return self.num_workers if rank == CONTROLLER else rank
+
     def _record(self, src: int, dst: int, key: Tuple, nbytes: int) -> None:
-        # Rank -> synthetic "machine" for the transcript's (src, dst)
-        # pair; the controller gets the slot past the last worker.
+        # The endpoint slot doubles as the synthetic "machine" of the
+        # transcript's (src, dst) pair.
         kind = key[0] if key else "msg"
         self.transcript.record(
             tag=f"transport/{kind}",
-            src_machine=self.num_workers if src == CONTROLLER else src,
-            dst_machine=self.num_workers if dst == CONTROLLER else dst,
+            src_machine=self._slot(src),
+            dst_machine=self._slot(dst),
             nbytes=nbytes,
         )
 
@@ -211,8 +344,79 @@ class Transport:
         }
 
 
-class InMemoryTransport(Transport):
-    """Same-process mailbox transport (threads or plain sequential use).
+class QueueFraming:
+    """The queue framing: eagerly pickled bytes, one FIFO per destination.
+
+    *make_queue* picks the FIFO: ``queue.Queue`` inside one process, a
+    ``multiprocessing`` context's ``Queue`` (OS pipe + feeder thread)
+    between forked ones.  The feeder thread gives non-blocking sends
+    (no pipe-buffer deadlock between two ranks exchanging large
+    buffers); the eager ``pickle.dumps`` in :meth:`freeze` is what makes
+    that safe -- the feeder would otherwise serialize a live numpy
+    buffer that an in-place update kernel may already have mutated.
+    """
+
+    def __init__(self, num_workers: int, make_queue: Callable,
+                 counters: Dict[str, float]):
+        # Index 0..n-1: worker inboxes; index n: controller inbox
+        # (``Transport._slot`` order).
+        self.inboxes = [make_queue() for _ in range(num_workers + 1)]
+        self._counters = counters
+
+    def freeze(self, value) -> bytes:
+        t0 = time.perf_counter()
+        frozen = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        c = self._counters
+        c["serialize_s"] += time.perf_counter() - t0
+        c["pickle_bytes"] += len(frozen)
+        c["pickle_msgs"] += 1
+        return frozen
+
+    def thaw(self, frozen: bytes):
+        t0 = time.perf_counter()
+        value = pickle.loads(frozen)
+        self._counters["deserialize_s"] += time.perf_counter() - t0
+        return value
+
+    def mailboxes(self, decode: Callable) -> List[Mailbox]:
+        """One :class:`Mailbox` per inbox, in slot order."""
+        last = len(self.inboxes) - 1
+        return [Mailbox(CONTROLLER if slot == last else slot, inbox, decode)
+                for slot, inbox in enumerate(self.inboxes)]
+
+    def close(self) -> None:
+        """Close ``multiprocessing`` queues (a ``queue.Queue`` plane
+        holds nothing to release and never calls this)."""
+        for q in self.inboxes:
+            q.close()
+            # Don't block interpreter exit on unflushed feeder threads.
+            q.cancel_join_thread()
+
+
+class _QueueTransport(Transport):
+    """A plane whose whole framing is :class:`QueueFraming`."""
+
+    def __init__(self, num_workers: int, make_queue: Callable):
+        super().__init__(num_workers)
+        self._queues = QueueFraming(num_workers, make_queue, self.counters)
+        self._mailboxes = self._queues.mailboxes(self._decode)
+
+    def _encode(self, src: int, dst: int, key: Tuple, value):
+        frozen = self._queues.freeze(value)
+        return frozen, len(frozen)
+
+    def _put(self, src: int, dst: int, key: Tuple, frame) -> None:
+        self._queues.inboxes[self._slot(dst)].put((src, key, frame))
+
+    def _decode(self, src: int, dst: int, frame: bytes):
+        return self._queues.thaw(frame)
+
+    def _mailbox(self, dst: int) -> Mailbox:
+        return self._mailboxes[self._slot(dst)]
+
+
+class InMemoryTransport(_QueueTransport):
+    """Same-process transport (threads or plain sequential use).
 
     Values round-trip through pickle on ``send`` so the in-memory plane
     has exactly the multiprocess plane's value semantics (no aliasing of
@@ -222,183 +426,44 @@ class InMemoryTransport(Transport):
     name = "inmem"
 
     def __init__(self, num_workers: int):
-        super().__init__(num_workers)
-        self._lock = threading.Condition()
-        self._boxes: Dict[Tuple[int, int, Tuple], deque] = {}
-        self._closed = False
-
-    def send(self, src: int, dst: int, key: Tuple, value) -> None:
-        if self._closed:
-            raise TransportError("transport is closed")
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        frozen = _freeze(value)
-        self._record(src, dst, key, len(frozen))
-        with self._lock:
-            self._boxes.setdefault((src, dst, key), deque()).append(frozen)
-            self._lock.notify_all()
-
-    def recv(self, dst: int, src: int, key: Tuple,
-             timeout: Optional[float] = None):
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        box_key = (src, dst, key)
-        # One deadline for the whole call: every notify_all (any arrival
-        # on any channel) wakes this waiter, so waiting the full timeout
-        # again after each wakeup would never expire under steady
-        # unrelated traffic.  Wait only on the remainder.
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        with self._lock:
-            while True:
-                box = self._boxes.get(box_key)
-                if box:
-                    return pickle.loads(box.popleft())
-                remaining = _remaining(deadline)
-                if remaining is not None and remaining <= 0:
-                    raise TransportTimeout(
-                        f"no message {src}->{dst} {key!r} within "
-                        f"{timeout}s"
-                    )
-                self._lock.wait(timeout=remaining)
-
-    def drain(self, dst: int) -> int:
-        """Discard every buffered message addressed to *dst*."""
-        with self._lock:
-            mine = [k for k in self._boxes if k[1] == dst]
-            dropped = sum(len(self._boxes[k]) for k in mine)
-            for k in mine:
-                del self._boxes[k]
-        return dropped
-
-    def close(self) -> None:
-        self._closed = True
+        super().__init__(num_workers, queue_mod.Queue)
 
 
-class MultiprocTransport(Transport):
+class MultiprocTransport(_QueueTransport):
     """One ``multiprocessing.Queue`` per destination rank (plus one for
-    the controller).
-
-    The queue's feeder thread gives non-blocking sends (no pipe-buffer
-    deadlock between two ranks exchanging large buffers), and the eager
-    ``pickle.dumps`` in :meth:`send` freezes the payload before the
-    feeder runs.  Each receiving endpoint demultiplexes its queue into a
-    local mailbox keyed by ``(src, key)``.
-    """
+    the controller); the backend's ``queue`` plane."""
 
     name = "multiproc"
 
     def __init__(self, num_workers: int, context=None):
-        super().__init__(num_workers)
         if context is None:
-            import multiprocessing as mp
+            import multiprocessing as context
+        super().__init__(num_workers, context.Queue)
 
-            context = mp
-        # Index 0..n-1: worker inboxes; index n: controller inbox.
-        self._queues = [context.Queue() for _ in range(num_workers + 1)]
-        self._pending: Dict[Tuple[int, Tuple], deque] = {}
-        self._closed = False
-
-    def _inbox(self, rank: int):
-        return self._queues[self.num_workers if rank == CONTROLLER else rank]
-
-    def send(self, src: int, dst: int, key: Tuple, value) -> None:
-        if self._closed:
-            raise TransportError("transport is closed")
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        t0 = time.perf_counter()
-        frozen = _freeze(value)
-        c = self.counters
-        c["serialize_s"] += time.perf_counter() - t0
-        c["pickle_bytes"] += len(frozen)
-        c["pickle_msgs"] += 1
-        self._record(src, dst, key, len(frozen))
-        self._inbox(dst).put((src, key, frozen))
-
-    def _thaw(self, frozen: bytes):
-        t0 = time.perf_counter()
-        value = pickle.loads(frozen)
-        self.counters["deserialize_s"] += time.perf_counter() - t0
-        return value
-
-    def recv(self, dst: int, src: int, key: Tuple,
-             timeout: Optional[float] = None):
-        import queue as queue_mod
-
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        want = (src, key)
-        box = self._pending.get(want)
-        if box:
-            return self._thaw(box.popleft())
-        inbox = self._inbox(dst)
-        # One deadline for the whole call: buffering a non-matching
-        # arrival must not restart the clock, so each queue wait gets
-        # only the remaining slice of the original timeout.
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        while True:
-            remaining = _remaining(deadline)
-            if remaining is not None and remaining <= 0:
-                raise TransportTimeout(
-                    f"no message {src}->{dst} {key!r} within {timeout}s"
-                )
-            try:
-                got_src, got_key, frozen = inbox.get(timeout=remaining)
-            except queue_mod.Empty:
-                raise TransportTimeout(
-                    f"no message {src}->{dst} {key!r} within {timeout}s"
-                ) from None
-            if (got_src, got_key) == want:
-                return self._thaw(frozen)
-            self._pending.setdefault((got_src, got_key),
-                                     deque()).append(frozen)
-
-    def drain(self, dst: int) -> int:
-        """Discard every buffered/queued message for *dst* (error paths)."""
-        import queue as queue_mod
-
-        dropped = sum(len(box) for box in self._pending.values())
-        self._pending.clear()
-        inbox = self._inbox(dst)
-        while True:
-            try:
-                inbox.get_nowait()
-                dropped += 1
-            except queue_mod.Empty:
-                return dropped
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for q in self._queues:
-            q.close()
-            # Don't block interpreter exit on unflushed feeder threads.
-            q.cancel_join_thread()
+    def _release(self) -> None:
+        self._queues.close()
 
 
-class ShmTransport(MultiprocTransport):
+class ShmTransport(Transport):
     """Zero-copy transport: bulk arrays ride shared-memory rings.
 
     One SPSC :class:`~repro.comm.shm.ShmRing` per directed rank pair,
     all created by the controller *before* the workers fork (so every
     process inherits the mappings).  ``send`` copies an eligible payload
     into the ring once -- that copy is the freeze-at-send semantics the
-    queue transport got from eager pickling -- and ships only a small
-    header tuple through the queue.  ``recv`` copies the payload out the
-    moment the header is dequeued (release order therefore equals write
-    order, the ring's one protocol requirement) and buffers the decoded
-    value if it was not the message being waited for.
+    queue framing gets from eager pickling -- and ships only a small
+    header tuple through the queue.  The mailbox copies the payload out
+    the moment the header is dequeued (release order therefore equals
+    write order, the ring's one protocol requirement).
 
-    Fallback to the parent's pickle path, keeping the fleet
-    deadlock-free and fully general, happens when the payload is
+    Fallback to the composed queue framing's pickle path, keeping the
+    fleet deadlock-free and fully general, happens when the payload is
 
     * not a plain ``ndarray`` / ``IndexedSlices`` (commands, results,
       state dicts, scalars),
     * an object/non-native dtype,
-    * smaller than ``min_shm_bytes`` (header overhead would dominate),
+    * smaller than :data:`MIN_SHM_BYTES` (header overhead would
+      dominate),
     * larger than half the ring, or the ring is momentarily full.
 
     Byte accounting stays deterministic: shm messages record the exact
@@ -408,23 +473,19 @@ class ShmTransport(MultiprocTransport):
 
     name = "shm"
 
-    #: Payloads below this many bytes take the pickle path.
-    DEFAULT_MIN_SHM_BYTES = 1024
     #: Default per-ring capacity.
     DEFAULT_RING_BYTES = 1 << 22
 
     def __init__(self, num_workers: int, context=None,
-                 ring_bytes: int = DEFAULT_RING_BYTES,
-                 min_shm_bytes: int = DEFAULT_MIN_SHM_BYTES):
-        super().__init__(num_workers, context=context)
+                 ring_bytes: int = DEFAULT_RING_BYTES):
+        super().__init__(num_workers)
         from repro.comm.shm import ShmRing
 
         if context is None:
-            import multiprocessing as mp
-
-            context = mp
-        self.min_shm_bytes = int(min_shm_bytes)
-        self._creator_pid = os.getpid()
+            import multiprocessing as context
+        self._queues = QueueFraming(num_workers, context.Queue,
+                                    self.counters)
+        self._mailboxes = self._queues.mailboxes(self._decode)
         self._rings: Dict[Tuple[int, int], ShmRing] = {}
         ranks = [CONTROLLER] + list(range(num_workers))
         for a in ranks:
@@ -433,21 +494,12 @@ class ShmTransport(MultiprocTransport):
                     self._rings[(a, b)] = ShmRing(ring_bytes,
                                                   lock=context.Lock())
 
-    # -- encode / decode -------------------------------------------------
-    def _shm_parts(self, value):
-        """``(kind, arrays, extra)`` for shm-eligible values, else None."""
-        return wire_parts(value)
-
-    def send(self, src: int, dst: int, key: Tuple, value) -> None:
-        if self._closed:
-            raise TransportError("transport is closed")
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        parts = self._shm_parts(value)
+    def _encode(self, src: int, dst: int, key: Tuple, value):
+        parts = wire_parts(value)
         if parts is not None:
             kind, arrays, extra = parts
             nbytes = sum(int(a.nbytes) for a in arrays)
-            if nbytes >= self.min_shm_bytes:
+            if nbytes >= MIN_SHM_BYTES:
                 t0 = time.perf_counter()
                 written = self._rings[(src, dst)].try_write(arrays)
                 if written is not None:
@@ -457,26 +509,24 @@ class ShmTransport(MultiprocTransport):
                     c["shm_bytes"] += nbytes
                     c["shm_msgs"] += 1
                     c["copy_count"] += 1
-                    self._record(src, dst, key, nbytes)
                     header = ("shm", pos, advance, seq, kind, extra,
                               tuple((a.dtype.str, a.shape, off)
                                     for a, off in zip(arrays, offs)))
-                    self._inbox(dst).put((src, key, header))
-                    return
+                    return header, nbytes
                 self.counters["fallbacks"] += 1
-        super().send(src, dst, key, value)
+        frozen = self._queues.freeze(value)
+        return frozen, len(frozen)
 
-    def _decode(self, src: int, dst: int, payload):
-        """Materialize one queue arrival (header tuple or pickled bytes).
+    def _put(self, src: int, dst: int, key: Tuple, frame) -> None:
+        self._queues.inboxes[self._slot(dst)].put((src, key, frame))
 
-        Shm messages must be decoded immediately on dequeue -- the copy
-        out frees the ring slot in arrival order.
-        """
-        if isinstance(payload, (bytes, bytearray)):
-            return self._thaw(payload)
+    def _decode(self, src: int, dst: int, frame):
+        """Materialize one queue arrival (header tuple or pickled bytes)."""
+        if isinstance(frame, (bytes, bytearray)):
+            return self._queues.thaw(frame)
         from repro.tensor.sparse import IndexedSlices
 
-        _, pos, advance, seq, kind, extra, metas = payload
+        _, pos, advance, seq, kind, extra, metas = frame
         ring = self._rings[(src, dst)]
         t0 = time.perf_counter()
         try:
@@ -491,59 +541,11 @@ class ShmTransport(MultiprocTransport):
         values, indices = arrays
         return IndexedSlices._wrap(values, indices, tuple(extra))
 
-    def recv(self, dst: int, src: int, key: Tuple,
-             timeout: Optional[float] = None):
-        import queue as queue_mod
+    def _mailbox(self, dst: int) -> Mailbox:
+        return self._mailboxes[self._slot(dst)]
 
-        self._check_rank(src, "source")
-        self._check_rank(dst, "destination")
-        want = (src, key)
-        box = self._pending.get(want)
-        if box:
-            return box.popleft()  # already decoded at dequeue time
-        inbox = self._inbox(dst)
-        # Same deadline semantics as the queue transport: buffered
-        # non-matching arrivals consume the timeout, never restart it.
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        while True:
-            remaining = _remaining(deadline)
-            if remaining is not None and remaining <= 0:
-                raise TransportTimeout(
-                    f"no message {src}->{dst} {key!r} within {timeout}s"
-                )
-            try:
-                got_src, got_key, payload = inbox.get(timeout=remaining)
-            except queue_mod.Empty:
-                raise TransportTimeout(
-                    f"no message {src}->{dst} {key!r} within {timeout}s"
-                ) from None
-            value = self._decode(got_src, dst, payload)
-            if (got_src, got_key) == want:
-                return value
-            self._pending.setdefault((got_src, got_key),
-                                     deque()).append(value)
-
-    def drain(self, dst: int) -> int:
-        import queue as queue_mod
-
-        dropped = sum(len(box) for box in self._pending.values())
-        self._pending.clear()
-        inbox = self._inbox(dst)
-        while True:
-            try:
-                got_src, _got_key, payload = inbox.get_nowait()
-            except queue_mod.Empty:
-                return dropped
-            if isinstance(payload, tuple) and payload and payload[0] == "shm":
-                # Keep ring accounting sane even for discarded messages.
-                self._rings[(got_src, dst)].release(payload[2])
-            dropped += 1
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        super().close()
+    def _release(self) -> None:
+        self._queues.close()
         for ring in self._rings.values():
             ring.destroy()
 

@@ -47,12 +47,11 @@ import numpy as np
 
 from repro.comm.transport import (
     CONTROLLER,
-    MultiprocTransport,
-    ShmTransport,
     SimulatedLatencyTransport,
     Transport,
     TransportTimeout,
     counter_delta,
+    make_transport,
     merge_counters,
 )
 from repro.graph.executor import SPECIALIZE, _missing_kernel, plan_order
@@ -103,10 +102,8 @@ def build_all_worker_entries(transformed, fetch_ops: Sequence[Operation],
       ``("recv", name, src)`` -- block until rank *src* sends the value
       of op *name*.
 
-    Ownership/consumer maps are computed once and shared across ranks --
-    callers that need several ranks' slices (worker spawn, the deadlock
-    analysis) should use this instead of calling
-    :func:`build_worker_entries` per rank.
+    Ownership/consumer maps are computed once and shared across ranks;
+    a caller that wants one rank's slice indexes the result.
     """
     cluster = transformed.cluster
     num_ranks = cluster.total_gpus
@@ -145,16 +142,6 @@ def build_all_worker_entries(transformed, fetch_ops: Sequence[Operation],
         for rank in remote:
             entries[rank].append(("recv", op.name, own))
     return entries
-
-
-def build_worker_entries(transformed, fetch_ops: Sequence[Operation],
-                         rank: int) -> List[tuple]:
-    """Rank *rank*'s slice of the global step schedule.
-
-    See :func:`build_all_worker_entries` for the entry shapes and the
-    ordering guarantee.
-    """
-    return build_all_worker_entries(transformed, fetch_ops).get(rank, [])
 
 
 class _MutedCollectiveRuntime:
@@ -215,7 +202,8 @@ class _WorkerPlan:
         self.recv_timeout = recv_timeout
         edge_fn = session._compile_edge_fn()
         steps: List[tuple] = []
-        for entry in build_worker_entries(transformed, fetch_ops, rank):
+        for entry in build_all_worker_entries(transformed,
+                                              fetch_ops)[rank]:
             if entry[0] == "recv":
                 _, name, src = entry
                 steps.append(("recv", name, src, None, None, None))
@@ -472,7 +460,7 @@ class InprocBackend(ExecutionBackend):
 
 
 class MultiprocBackend(ExecutionBackend):
-    """One worker process per replica, wired by a MultiprocTransport.
+    """One worker process per replica, wired by a Transport.
 
     Workers are spawned in :meth:`start` from a pickled
     :class:`~repro.core.transform.transform.TransformedGraph` (plus their
@@ -531,21 +519,19 @@ class MultiprocBackend(ExecutionBackend):
                           latency_seed=self.latency_seed)
 
     def _make_transport(self, num_workers: int, context) -> Transport:
-        """The configured transport, latency-wrapped when requested."""
-        if self.transport_kind == "shm":
-            # Rings must exist before the fork: workers inherit the
-            # mappings, so there is no attach/name-lookup path.
-            transport: Transport = ShmTransport(num_workers,
-                                                context=context)
-        elif self.transport_kind == "tcp":
-            from repro.comm.tcp import TcpTransport
+        """The configured transport, latency-wrapped when requested.
 
-            # Listeners bind before the fork: children inherit the
-            # bound sockets, so every address exists before any
-            # process connects.
-            transport = TcpTransport(num_workers)
-        else:
-            transport = MultiprocTransport(num_workers, context=context)
+        Built before the fork: workers inherit the queues and ring
+        mappings (no attach/name-lookup path) and the bound tcp
+        listeners (every address exists before any process connects).
+        """
+        # The registry files the mp.Queue plane under its class' name.
+        kind = ("multiproc" if self.transport_kind == "queue"
+                else self.transport_kind)
+        # Queues and ring locks come from the workers' fork context;
+        # sockets take none.
+        kwargs = {} if kind == "tcp" else {"context": context}
+        transport = make_transport(kind, num_workers, **kwargs)
         if self.simulated_latency > 0 or self.latency_jitter > 0:
             transport = SimulatedLatencyTransport(
                 transport, delay_s=self.simulated_latency,
@@ -555,12 +541,7 @@ class MultiprocBackend(ExecutionBackend):
 
     # -- lifecycle -------------------------------------------------------
     def start(self, runner) -> None:
-        if runner.transformed.replica_train_ops is not None:
-            raise ValueError(
-                "the multiproc backend supports synchronous plans only: "
-                "asynchronous PS training is serial by definition"
-            )
-        super().start(runner)
+        self._bind(runner)
         import multiprocessing as mp
 
         try:
@@ -569,26 +550,42 @@ class MultiprocBackend(ExecutionBackend):
             context = mp.get_context()
         n = runner.num_replicas
         self.transport = self._make_transport(n, context)
-        self._var_owner = self._variable_owner_map(runner.transformed)
-        fetch_names = [t.op.name for t in runner._step_fetches[0]]
-        self.processes = []
         for rank in range(n):
-            spec = {
-                "transformed": runner.transformed,
-                "seed": runner.seed,
-                "fetch_names": fetch_names,
-                "shard": runner.shards[rank],
-                "batch_size": runner.model.batch_size,
-                "feed_names": runner._feed_names[rank],
-                "recv_timeout": self.step_timeout,
-            }
             process = context.Process(
-                target=_run_worker, args=(spec, self.transport, rank),
+                target=_run_worker,
+                args=(self._worker_spec(rank), self.transport, rank),
                 daemon=True, name=f"parallax-worker-{rank}",
             )
             process.start()
             self.processes.append(process)
-        for rank in range(n):
+        self._await_ready()
+
+    def _bind(self, runner) -> None:
+        """What every worker fleet does first, however it is launched."""
+        if runner.transformed.replica_train_ops is not None:
+            raise ValueError(
+                f"the {self.name} backend supports synchronous plans "
+                f"only: asynchronous PS training is serial by definition"
+            )
+        ExecutionBackend.start(self, runner)
+        self._var_owner = self._variable_owner_map(runner.transformed)
+        self.processes = []
+
+    def _worker_spec(self, rank: int) -> dict:
+        """Everything worker *rank* needs to build its session + plan."""
+        runner = self.runner
+        return {
+            "transformed": runner.transformed,
+            "seed": runner.seed,
+            "fetch_names": [t.op.name for t in runner._step_fetches[0]],
+            "shard": runner.shards[rank],
+            "batch_size": runner.model.batch_size,
+            "feed_names": runner._feed_names[rank],
+            "recv_timeout": self.step_timeout,
+        }
+
+    def _await_ready(self) -> None:
+        for rank in range(self.runner.num_replicas):
             tag, _, _ = self._result(rank, self.start_timeout)
             if tag != "ready":  # pragma: no cover - startup failure path
                 raise RuntimeError(f"worker {rank} failed to start")
@@ -793,12 +790,7 @@ class RemoteWorkerBackend(MultiprocBackend):
         )
 
     def start(self, runner) -> None:
-        if runner.transformed.replica_train_ops is not None:
-            raise ValueError(
-                "the remote backend supports synchronous plans only: "
-                "asynchronous PS training is serial by definition"
-            )
-        ExecutionBackend.start(self, runner)
+        self._bind(runner)
         from repro.comm.tcp import (
             RendezvousServer,
             TcpTransport,
@@ -816,24 +808,10 @@ class RemoteWorkerBackend(MultiprocBackend):
         self.transport = TcpTransport.for_rank(
             n, CONTROLLER, addr_map, listener,
         )
-        self._var_owner = self._variable_owner_map(runner.transformed)
-        fetch_names = [t.op.name for t in runner._step_fetches[0]]
-        self.processes = []
         for rank in range(n):
-            spec = {
-                "transformed": runner.transformed,
-                "seed": runner.seed,
-                "fetch_names": fetch_names,
-                "shard": runner.shards[rank],
-                "batch_size": runner.model.batch_size,
-                "feed_names": runner._feed_names[rank],
-                "recv_timeout": self.step_timeout,
-            }
-            self.transport.send(CONTROLLER, rank, ("spec",), spec)
-        for rank in range(n):
-            tag, _, _ = self._result(rank, self.start_timeout)
-            if tag != "ready":  # pragma: no cover - startup failure
-                raise RuntimeError(f"worker {rank} failed to start")
+            self.transport.send(CONTROLLER, rank, ("spec",),
+                                self._worker_spec(rank))
+        self._await_ready()
 
 
 def run_remote_worker(rendezvous: str, rank: int, world_size: int,

@@ -25,7 +25,7 @@ from repro.core.backend import (
     BACKENDS,
     InprocBackend,
     MultiprocBackend,
-    build_worker_entries,
+    build_all_worker_entries,
     make_backend,
     op_owner,
 )
@@ -215,8 +215,8 @@ class TestPartitioning:
         transformed = runner.transformed
         fetch_ops = [t.op for t in runner._step_fetches[0]]
         order = plan_order(transformed.graph, fetch_ops)
-        per_rank = [build_worker_entries(transformed, fetch_ops, r)
-                    for r in range(transformed.num_replicas)]
+        by_rank = build_all_worker_entries(transformed, fetch_ops)
+        per_rank = [by_rank[r] for r in range(transformed.num_replicas)]
 
         executed = {}
         sends = set()
@@ -245,11 +245,11 @@ class TestPartitioning:
         position = {op.name: i
                     for i, op in enumerate(plan_order(transformed.graph,
                                                       fetch_ops))}
+        by_rank = build_all_worker_entries(transformed, fetch_ops)
         for rank in range(transformed.num_replicas):
             names = [
                 (entry[1].name if entry[0] == "exec" else entry[1])
-                for entry in build_worker_entries(transformed, fetch_ops,
-                                                  rank)
+                for entry in by_rank[rank]
             ]
             positions = [position[n] for n in names]
             assert positions == sorted(positions)

@@ -2,8 +2,9 @@
 
 Every transport in the registry must satisfy one behavioural contract
 (module docstring of :mod:`repro.comm.transport`): per-channel FIFO,
-freeze-at-send value semantics, buffering of non-matching arrivals,
-deadline-correct timeouts, drain accounting, and idempotent close.
+freeze-at-send value semantics, buffering of non-matching arrivals
+per destination, deadline-correct timeouts, drain accounting, and an
+idempotent close that leaves no thread, process or segment behind.
 
 The suite is parameterized over every registered transport so a future
 transport inherits the whole contract by showing up in
@@ -27,10 +28,11 @@ KINDS = sorted(transport_registry())
 
 
 @pytest.fixture(params=KINDS)
-def transport(request):
+def transport(request, assert_no_leaks):
     t = transport_registry()[request.param](2)
     yield t
     t.close()
+    assert_no_leaks()
 
 
 class TestConformance:
@@ -64,6 +66,34 @@ class TestConformance:
         transport.send(0, 1, ("b",), "second")
         assert transport.recv(1, 0, ("b",), timeout=10.0) == "second"
         assert transport.recv(1, 0, ("a",), timeout=10.0) == "first"
+
+    def test_pending_is_per_destination(self, transport):
+        """Regression: one process hosting several endpoints.  Rank 0's
+        recv of key j buffers its earlier key-k arrival; that buffered
+        message must stay rank 0's -- a receive-side buffer shared by
+        all destinations handed it to the controller's recv of the same
+        ``(src, key)``."""
+        transport.send(1, 0, ("k",), "for-0-k")
+        transport.send(1, 0, ("j",), "for-0-j")
+        transport.send(1, CONTROLLER, ("k",), "for-controller")
+        assert transport.recv(0, 1, ("j",), timeout=10.0) == "for-0-j"
+        assert transport.recv(CONTROLLER, 1, ("k",),
+                              timeout=10.0) == "for-controller"
+        assert transport.recv(0, 1, ("k",), timeout=10.0) == "for-0-k"
+
+    def test_drain_only_touches_its_destination(self, transport):
+        transport.send(1, 0, ("k",), "keep")
+        transport.send(1, 0, ("j",), "flush")
+        transport.send(0, CONTROLLER, ("junk",), 1)
+        transport.send(0, CONTROLLER, ("flush",), "sentinel")
+        # Each sentinel recv boxes the message sent before it, so both
+        # endpoints hold exactly one buffered message.
+        assert transport.recv(0, 1, ("j",), timeout=10.0) == "flush"
+        assert transport.recv(CONTROLLER, 0, ("flush",),
+                              timeout=10.0) == "sentinel"
+        assert transport.drain(CONTROLLER) == 1
+        assert transport.recv(0, 1, ("k",), timeout=10.0) == "keep"
+        assert transport.drain(0) == 0
 
     def test_controller_addressable(self, transport):
         transport.send(CONTROLLER, 0, ("cmd",), "work")
