@@ -10,15 +10,18 @@ Usage::
     python -m repro.cli fig9              # normalized throughput
     python -m repro.cli all               # everything
     python -m repro.cli table2 --machines 4 --gpus 4   # custom cluster
-    python -m repro.cli bench             # engine steps/sec benchmark
-    python -m repro.cli bench --serve     # serving-plane QPS/latency bench
+    python -m repro.cli verify            # static plan verifier sweep
+    python -m repro.cli launch --rendezvous tcp://HOST:PORT --rank R \
+        --world-size N                    # one process of a TCP fleet
+
+Timing lives elsewhere: ``python -m bench`` (``BENCHMARK.json``) is the
+repo's one benchmark harness.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import time
 from typing import Callable, Dict
 
@@ -148,466 +151,7 @@ def _quickstart_model():
     return model
 
 
-def _quickstart_runner(cluster: ClusterSpec, seed: int,
-                       engine: str = "compiled", fusion: bool = False,
-                       fusion_buffer_mb: float = 4.0):
-    """The quickstart workload as a ready DistributedRunner."""
-    from repro.core.runner import DistributedRunner
-    from repro.core.transform.plan import hybrid_graph_plan
-
-    model = _quickstart_model()
-    plan = hybrid_graph_plan(model.graph, fusion=fusion,
-                             fusion_buffer_mb=fusion_buffer_mb)
-    return DistributedRunner(model, cluster, plan, seed=seed, engine=engine)
-
-
-def _quickstart_elastic(cluster: ClusterSpec, seed: int,
-                        checkpoint_every: int, fault_plan=None):
-    """The quickstart workload as an ElasticRunner."""
-    from repro.core.elastic import ElasticRunner
-    from repro.core.transform.plan import hybrid_graph_plan
-
-    model = _quickstart_model()
-    plan = hybrid_graph_plan(model.graph)
-    return ElasticRunner(model, cluster, plan,
-                         checkpoint_every=checkpoint_every,
-                         fault_plan=fault_plan, seed=seed)
-
-
-def _validate_bench_args(iters: int, warmup: int) -> None:
-    """Fail fast, before any runner (graph transform) is built."""
-    if iters < 1:
-        raise SystemExit("bench: --iters must be >= 1")
-    if warmup < 0:
-        raise SystemExit("bench: --warmup must be >= 0")
-
-
-def _git_sha() -> "str | None":
-    """The repo HEAD this bench run measured (None outside a checkout)."""
-    import subprocess
-
-    try:
-        proc = subprocess.run(["git", "rev-parse", "HEAD"],
-                              capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else None
-
-
-def _host_fingerprint() -> str:
-    """Coarse identity of the measuring host.
-
-    Steps/sec numbers are only comparable between runs of the same kind
-    of machine; ``bench --check`` uses this to keep a hosted CI runner
-    from being judged against a developer workstation's history (and
-    vice versa).
-    """
-    import os
-    import platform
-
-    return f"{platform.system()}-{platform.machine()}-{os.cpu_count()}c"
-
-
-def _write_report(output: str, report: dict) -> None:
-    """Write a bench report, folding any previous run into its history.
-
-    Each ``BENCH_*.json`` keeps the latest run's fields at top level
-    (stable for CI assertions and readers) plus a ``history`` list of
-    earlier runs, oldest first -- the per-family performance trajectory
-    ``bench --all`` accumulates across invocations.
-
-    History entries deduplicate by git SHA (the family is the file
-    itself): re-running a bench at the same commit -- a retried CI job,
-    a local loop -- *replaces* that commit's data point instead of
-    appending a duplicate, so the trajectory stays one point per commit.
-    Runs outside a git checkout (no SHA) always append.
-    """
-    report = {**report, "git_sha": _git_sha(), "host": _host_fingerprint()}
-    history = []
-    try:
-        with open(output) as f:
-            previous = json.load(f)
-        if isinstance(previous, dict):
-            history = previous.pop("history", [])
-            history.append(previous)
-    except (FileNotFoundError, json.JSONDecodeError, OSError):
-        pass
-    sha = report["git_sha"]
-    if sha is not None:
-        history = [h for h in history
-                   if not (isinstance(h, dict) and h.get("git_sha") == sha)]
-    with open(output, "w") as f:
-        json.dump({**report, "history": history}, f, indent=2)
-
-
-def _interleaved_measure(runners: Dict[str, object], iters: int,
-                         warmup: int):
-    """Time every runner in alternating blocks; returns (times, losses).
-
-    Measures in small interleaved blocks (rotating which runner leads):
-    each round times all runners back to back, so host noise hits them
-    alike.  Callers take each runner's best (minimum) block -- noise only
-    ever adds time, so the minimum is its closest approach to true cost.
-    """
-    names = list(runners)
-    losses: Dict[str, list] = {name: [] for name in names}
-    done: Dict[str, int] = {name: 0 for name in names}
-
-    def run_block(name: str, count: int) -> float:
-        runner = runners[name]
-        start = time.perf_counter()
-        for _ in range(count):
-            result = runner.step(done[name])
-            losses[name].append(result.replica_losses)
-            done[name] += 1
-        return (time.perf_counter() - start) / count
-
-    for name in names:
-        if warmup:
-            run_block(name, warmup)
-    block = max(1, min(5, iters // 8))
-    times: Dict[str, list] = {name: [] for name in names}
-    round_no = 0
-    while done[names[0]] < warmup + iters:
-        count = min(block, warmup + iters - done[names[0]])
-        order = names[round_no % len(names):] + names[:round_no % len(names)]
-        for name in order:
-            times[name].append(run_block(name, count))
-        round_no += 1
-    return times, losses
-
-
-def bench(cluster: ClusterSpec, iters: int = 40, warmup: int = 5,
-          seed: int = 0, output: str = "BENCH_engine.json") -> int:
-    """Compiled engine vs the seed interpreter on the quickstart workload.
-
-    Trains the quickstart hybrid LM with both executors, checks the
-    per-iteration losses are bit-identical, and reports steps/sec.  The
-    JSON written to *output* records the repo's perf trajectory.
-    """
-    _validate_bench_args(iters, warmup)
-    engines = ("interpreted", "compiled")
-    runners = {engine: _quickstart_runner(cluster, seed, engine=engine)
-               for engine in engines}
-    times, losses = _interleaved_measure(runners, iters, warmup)
-    steps_per_sec = {engine: 1.0 / min(times[engine]) for engine in engines}
-    speedup = min(times["interpreted"]) / min(times["compiled"])
-    median_ratio = statistics.median(
-        t_i / t_c for t_i, t_c
-        in zip(times["interpreted"], times["compiled"])
-    )
-
-    identical = losses["interpreted"] == losses["compiled"]
-
-    # Buffer-arena telemetry from the compiled runner's step plans: how
-    # many intermediate slots write into preallocated storage, what that
-    # storage cost once at compile time, and what fraction of the run's
-    # output bytes it served (steady-state steps allocate nothing, so
-    # the rate converges to 1 over the measured window).
-    from repro.graph.bufferplan import fusion_chains
-
-    measured_steps = warmup + iters
-    arena_bytes = arena_slot_bytes = arena_slots = 0
-    fused_chains = fused_ops = 0
-    for plan in runners["compiled"].step_plans:
-        bplan = plan._ensure_buffer_plan()
-        if bplan is None:
-            continue
-        arena_bytes += bplan.arena_bytes
-        arena_slot_bytes += bplan.arena_slot_bytes
-        arena_slots += bplan.arena_slots
-        chains = fusion_chains(plan, bplan)
-        fused_chains += len(chains)
-        fused_ops += sum(c.end - c.start + 1 for c in chains)
-    arena_reuse_rate = (
-        1.0 - arena_bytes / (measured_steps * arena_slot_bytes)
-        if arena_slot_bytes else 0.0
-    )
-
-    report = {
-        "workload": "quickstart_hybrid_lm",
-        "cluster": {"machines": cluster.num_machines,
-                    "gpus_per_machine": cluster.gpus_per_machine},
-        "iterations": iters,
-        "warmup": warmup,
-        "interpreted_steps_per_sec": steps_per_sec["interpreted"],
-        "compiled_steps_per_sec": steps_per_sec["compiled"],
-        "speedup": speedup,
-        "median_block_speedup": median_ratio,
-        "losses_bit_identical": identical,
-        "arena_bytes": arena_bytes,
-        "arena_slot_bytes_per_step": arena_slot_bytes,
-        "arena_slots": arena_slots,
-        "arena_reuse_rate": arena_reuse_rate,
-        "fused_chains": fused_chains,
-        "fused_ops": fused_ops,
-    }
-    _write_report(output, report)
-
-    print(f"\nEngine bench — quickstart hybrid LM "
-          f"({cluster.total_gpus} simulated GPUs, {iters} iterations)")
-    print(f"{'engine':<14}{'steps/sec':>12}")
-    for engine in ("interpreted", "compiled"):
-        print(f"{engine:<14}{steps_per_sec[engine]:>12.1f}")
-    print(f"speedup: {speedup:.2f}x   losses bit-identical: {identical}")
-    print(f"arena: {arena_slots} slots, {arena_bytes} bytes preallocated, "
-          f"reuse rate {arena_reuse_rate:.3f} over {measured_steps} steps; "
-          f"{fused_ops} ops fused into {fused_chains} mega-kernels")
-    print(f"wrote {output}")
-    if not identical:
-        print("ERROR: compiled and interpreted losses diverged")
-        return 1
-    return 0
-
-
-def bench_fusion(cluster: ClusterSpec, iters: int = 40, warmup: int = 5,
-                 seed: int = 0, output: str = "BENCH_fusion.json") -> int:
-    """Fused (bucketed) vs unfused dense AllReduce on the quickstart
-    workload, plus the simulator's fusion-buffer ablation.
-
-    The functional comparison checks losses stay bit-identical while the
-    Transcript carries fewer, larger AllReduce records; the ablation
-    prices ResNet-50 (pure-dense AllReduce) under a sweep of fusion
-    buffer caps, exposing the per-collective launch-latency term.
-    """
-    _validate_bench_args(iters, warmup)
-    runners = {
-        "unfused": _quickstart_runner(cluster, seed, fusion=False),
-        "fused": _quickstart_runner(cluster, seed, fusion=True),
-    }
-    times, losses = _interleaved_measure(runners, iters, warmup)
-    steps_per_sec = {name: 1.0 / min(times[name]) for name in runners}
-    speedup = min(times["unfused"]) / min(times["fused"])
-    identical = losses["unfused"] == losses["fused"]
-
-    # One extra iteration per runner with a clean transcript: the fused
-    # engine must move the same bytes in fewer, larger messages.
-    records = {}
-    for name, runner in runners.items():
-        runner.transcript.clear()
-        runner.step(warmup + iters)
-        # Count every collective message, intra-machine included, so the
-        # fused-vs-unfused comparison stays meaningful on one machine.
-        transfers = runner.transcript.filter("allreduce",
-                                             network_only=False)
-        records[name] = {
-            "messages": len(transfers),
-            "bytes": int(sum(t.nbytes for t in transfers)),
-        }
-
-    # Performance-plane ablation: iteration time vs fusion buffer cap.
-    # Overlap is disabled for the sweep so the per-collective launch term
-    # is visible in iteration_time (with the default ar_overlap, ResNet's
-    # compute hides the whole collective phase at this scale).
-    from repro.baselines import horovod_plan
-    from repro.cluster.costmodel import DEFAULT_COST_MODEL
-    from repro.cluster.simulator import simulate_iteration
-
-    from repro.nn.profiles import resnet50_profile
-
-    profile = resnet50_profile()
-    base_plan = horovod_plan(profile)
-    sweep_cost = DEFAULT_COST_MODEL.with_overrides(ar_overlap=0.0)
-    ablation = []
-    for buffer_mb in (0.0, 1.0, 4.0, 16.0, 64.0):
-        breakdown = simulate_iteration(
-            profile, base_plan.with_fusion(buffer_mb), cluster, sweep_cost)
-        ablation.append({
-            "fusion_buffer_mb": buffer_mb,
-            "num_buckets": breakdown.num_ar_buckets,
-            "allreduce_raw_time": breakdown.allreduce_raw_time,
-            "allreduce_time": breakdown.allreduce_time,
-            "iteration_time": breakdown.iteration_time,
-        })
-
-    report = {
-        "workload": "quickstart_hybrid_lm",
-        "cluster": {"machines": cluster.num_machines,
-                    "gpus_per_machine": cluster.gpus_per_machine},
-        "iterations": iters,
-        "warmup": warmup,
-        "unfused_steps_per_sec": steps_per_sec["unfused"],
-        "fused_steps_per_sec": steps_per_sec["fused"],
-        "speedup": speedup,
-        "losses_bit_identical": identical,
-        "allreduce_records": records,
-        "simulated_ablation": {
-            "model": profile.name,
-            "plan": base_plan.name,
-            "cost_overrides": {"ar_overlap": 0.0},
-            "sweep": ablation,
-        },
-    }
-    _write_report(output, report)
-
-    print(f"\nFusion bench — quickstart hybrid LM "
-          f"({cluster.total_gpus} simulated GPUs, {iters} iterations)")
-    print(f"{'engine':<14}{'steps/sec':>12}{'AR msgs/iter':>14}")
-    for name in ("unfused", "fused"):
-        print(f"{name:<14}{steps_per_sec[name]:>12.1f}"
-              f"{records[name]['messages']:>14}")
-    print(f"speedup: {speedup:.2f}x   losses bit-identical: {identical}")
-    print(f"\nSimulated {profile.name} AllReduce vs fusion buffer "
-          f"({cluster.num_machines}x{cluster.gpus_per_machine}):")
-    print(f"{'buffer MB':>10}{'buckets':>9}{'AR time':>10}{'iter time':>11}")
-    for row in ablation:
-        print(f"{row['fusion_buffer_mb']:>10}{row['num_buckets']:>9}"
-              f"{row['allreduce_time'] * 1e3:>9.2f}m"
-              f"{row['iteration_time'] * 1e3:>10.2f}m")
-    print(f"wrote {output}")
-    if not identical:
-        print("ERROR: fused and unfused losses diverged")
-        return 1
-    if records["fused"]["bytes"] != records["unfused"]["bytes"]:
-        print("ERROR: fused and unfused AllReduce byte totals diverged")
-        return 1
-    return 0
-
-
-def bench_elastic(cluster: ClusterSpec, iters: int = 40, warmup: int = 5,
-                  seed: int = 0,
-                  output: str = "BENCH_elastic.json") -> int:
-    """Goodput under a failure schedule vs a fault-free elastic run.
-
-    Trains the quickstart workload twice with the elastic runtime (same
-    checkpoint cadence): once fault-free and once under a deterministic
-    FaultPlan (a worker kill mid-run plus a NIC-degradation window).
-    Recovery restores the last checkpoint and replays, so the faulted
-    run's per-iteration losses must stay bit-identical to the fault-free
-    run -- the differential check -- while its goodput (distinct
-    iterations per second) drops by the replay + recovery overhead.  A
-    planned shrink rescale is timed as well, and the performance plane
-    prices the same schedule through ``simulate_goodput``.
-
-    ``warmup`` iterations train (and absorb plan-compile cost) before
-    the timed window; the fault schedule is anchored inside the window.
-    """
-    _validate_bench_args(iters, warmup)
-    from repro.cluster.faults import FaultPlan, NicDegradation, WorkerFailure
-    from repro.cluster.simulator import simulate_goodput, simulate_rescale
-    from repro.core.hybrid import hybrid_plan
-    from repro.nn.profiles import lm_profile
-
-    checkpoint_every = max(2, iters // 8)
-    kill_at = warmup + iters // 2
-    degrade_at = warmup + max(1, iters // 4)
-    fault_plan = FaultPlan(
-        failures=(WorkerFailure(kill_at, worker=1),),
-        degradations=(NicDegradation(degrade_at, machine=0, factor=0.25,
-                                     duration=3),),
-    )
-
-    def timed_run(runner):
-        for i in range(warmup):
-            runner.step(i)
-        start = time.perf_counter()
-        results = runner.run_elastic(iters, start_iteration=warmup)
-        return results, time.perf_counter() - start
-
-    clean = _quickstart_elastic(cluster, seed, checkpoint_every)
-    clean_results, clean_time = timed_run(clean)
-
-    faulted = _quickstart_elastic(cluster, seed, checkpoint_every,
-                                  fault_plan=fault_plan)
-    faulted_results, faulted_time = timed_run(faulted)
-
-    identical = ([r.replica_losses for r in clean_results]
-                 == [r.replica_losses for r in faulted_results])
-    goodput_clean = iters / clean_time
-    goodput_faulted = iters / faulted_time
-    recoveries = faulted.recovery_log
-
-    # Planned rescale downtime: shrink the fault-free runner by one
-    # machine (when it has one to give) and time the migration.
-    rescale_report = None
-    if cluster.num_machines > 1:
-        start = time.perf_counter()
-        clean.rescale(cluster.without_machine(cluster.num_machines - 1))
-        rescale_wall = time.perf_counter() - start
-        note = clean.transcript.events("elastic/rescale")[-1]
-        rescale_report = {
-            "old_replicas": note.get("old_replicas"),
-            "new_replicas": note.get("new_replicas"),
-            "plans_compiled": note.get("plans_compiled"),
-            "wall_time": rescale_wall,
-        }
-
-    # Performance-plane pricing of the same scenario shape on the paper's
-    # LM inventory.
-    profile = lm_profile()
-    sim_plan = hybrid_plan(profile, 64)
-    sim_total, sim_every = 200, 10
-    sim_faults = FaultPlan(
-        failures=(WorkerFailure(sim_total // 2, worker=1),),
-        degradations=(NicDegradation(sim_total // 4, machine=0,
-                                     factor=0.25, duration=10),),
-    )
-    sim = simulate_goodput(profile, sim_plan, cluster, sim_total,
-                           checkpoint_every=sim_every, faults=sim_faults)
-    sim_rescale = simulate_rescale(sim_plan, cluster,
-                                   cluster.scaled(max(1,
-                                                      cluster.num_machines
-                                                      - 1)))
-
-    report = {
-        "workload": "quickstart_hybrid_lm",
-        "cluster": {"machines": cluster.num_machines,
-                    "gpus_per_machine": cluster.gpus_per_machine},
-        "iterations": iters,
-        "warmup": warmup,
-        "checkpoint_every": checkpoint_every,
-        "fault_plan": {
-            "kill": {"iteration": kill_at, "worker": 1},
-            "nic_degradation": {"iteration": degrade_at, "machine": 0,
-                                "factor": 0.25, "duration": 3},
-        },
-        "goodput_iters_per_sec": {"fault_free": goodput_clean,
-                                  "faulted": goodput_faulted},
-        "goodput_fraction": goodput_faulted / goodput_clean,
-        "losses_bit_identical": identical,
-        "recoveries": recoveries,
-        "rescale": rescale_report,
-        "simulated": {
-            "model": profile.name,
-            "plan": sim_plan.name,
-            "iterations": sim_total,
-            "checkpoint_every": sim_every,
-            "goodput_units_per_sec": sim.units_per_second,
-            "fault_free_units_per_sec": sim.fault_free_units_per_second,
-            "goodput_fraction": sim.goodput_fraction,
-            "downtime_sec": sim.downtime,
-            "replayed_iterations": sim.replayed_iterations,
-            "num_degraded_iterations": sim.num_degraded_iterations,
-            "rescale_downtime_sec": sim_rescale.downtime,
-        },
-    }
-    _write_report(output, report)
-
-    print(f"\nElastic bench — quickstart hybrid LM "
-          f"({cluster.total_gpus} simulated GPUs, {iters} iterations, "
-          f"checkpoint every {checkpoint_every})")
-    print(f"{'run':<14}{'goodput it/s':>14}{'recoveries':>12}")
-    print(f"{'fault-free':<14}{goodput_clean:>14.1f}{0:>12}")
-    print(f"{'faulted':<14}{goodput_faulted:>14.1f}{len(recoveries):>12}")
-    print(f"goodput fraction: {goodput_faulted / goodput_clean:.2f}   "
-          f"losses bit-identical: {identical}")
-    if rescale_report is not None:
-        print(f"rescale {rescale_report['old_replicas']}->"
-              f"{rescale_report['new_replicas']} replicas: "
-              f"{rescale_report['wall_time'] * 1e3:.1f}ms, "
-              f"{rescale_report['plans_compiled']} plans recompiled")
-    print(f"simulated {profile.name} goodput fraction under faults: "
-          f"{sim.goodput_fraction:.3f} "
-          f"(downtime {sim.downtime:.1f}s over {sim_total} iters)")
-    print(f"wrote {output}")
-    if not identical:
-        print("ERROR: faulted and fault-free losses diverged")
-        return 1
-    return 0
-
-
-def _bench_matrix_models():
+def _matrix_models():
     """The four evaluation archs at test scale, ready for a runner."""
     from repro.graph.gradients import gradients
     from repro.nn.models import (
@@ -640,7 +184,7 @@ def _bench_matrix_models():
     }
 
 
-def _bench_plan_builders():
+def _matrix_plans():
     from repro.core.transform.plan import (
         ar_graph_plan,
         hybrid_graph_plan,
@@ -652,278 +196,6 @@ def _bench_plan_builders():
         "ps": lambda g: ps_graph_plan(g),
         "ar": lambda g: ar_graph_plan(g),
     }
-
-
-def _parallel_timing_runner(cluster: ClusterSpec, seed: int, backend: str):
-    """The timed workload: an LM big enough that per-replica compute
-    dominates the multiprocess backend's messaging overhead."""
-    from repro.core.runner import DistributedRunner
-    from repro.core.transform.plan import hybrid_graph_plan
-    from repro.graph.gradients import gradients
-    from repro.nn.models import build_lm
-    from repro.nn.optimizers import GradientDescentOptimizer
-
-    model = build_lm(batch_size=32, vocab_size=1500, seq_len=10, emb_dim=96,
-                     hidden=192, num_partitions=4, seed=0)
-    with model.graph.as_default():
-        gvs = gradients(model.loss)
-        GradientDescentOptimizer(0.5).update(gvs)
-    plan = hybrid_graph_plan(model.graph, fusion=True)
-    return DistributedRunner(model, cluster, plan, seed=seed,
-                             backend=backend)
-
-
-def bench_parallel(cluster: ClusterSpec, iters: int = 20, warmup: int = 3,
-                   seed: int = 0, transport: str = "shm",
-                   output: str = "BENCH_parallel.json") -> int:
-    """Multiprocess backend vs the in-process engine.
-
-    Two parts.  The *bit-identity matrix* trains every evaluation arch
-    (ResNet/Inception/NMT/LM) under every plan family (hybrid, PS, AR)
-    for a few iterations on both backends and asserts the per-step
-    losses are identical bit for bit -- the differential guarantee that
-    makes the backends interchangeable.  The *timing* part trains a
-    compute-heavy LM with both backends and reports wall-clock
-    steps/sec; on a machine with >= 4 cores the multiprocess backend
-    must reach at least 1.5x the in-process throughput (on smaller
-    hosts -- CI runners -- the speedup is reported informationally,
-    since there is no hardware parallelism to win).
-
-    *transport* picks the multiprocess message plane (``shm``,
-    ``queue``, or ``tcp`` on loopback -- the CI ``tcp-loopback`` job
-    runs the full matrix over sockets).  The speedup and
-    prediction gates are enforced for the shm transport only; other
-    planes report their numbers informationally, since their constants
-    are not what the headline goodput model calibrates.
-    """
-    import os
-
-    from repro.core.backend import MultiprocBackend
-    from repro.core.runner import DistributedRunner
-
-    _validate_bench_args(iters, warmup)
-    cpu_count = os.cpu_count() or 1
-
-    matrix = []
-    matrix_identical = True
-    matrix_iters = 3
-    for model_key, model_builder in _bench_matrix_models().items():
-        for plan_key, plan_builder in _bench_plan_builders().items():
-            losses = {}
-            for backend in ("inproc", "multiproc"):
-                model = model_builder()
-                runner = DistributedRunner(
-                    model, cluster, plan_builder(model.graph), seed=seed,
-                    backend=(backend if backend == "inproc"
-                             else MultiprocBackend(transport=transport)))
-                losses[backend] = [runner.step(i).replica_losses
-                                   for i in range(matrix_iters)]
-                runner.close()
-            identical = losses["inproc"] == losses["multiproc"]
-            matrix_identical = matrix_identical and identical
-            matrix.append({"model": model_key, "plan": plan_key,
-                           "losses_bit_identical": identical})
-
-    runners = {
-        "inproc": _parallel_timing_runner(cluster, seed, "inproc"),
-        "multiproc": _parallel_timing_runner(
-            cluster, seed, MultiprocBackend(transport=transport)),
-    }
-    times, losses = _interleaved_measure(runners, iters, warmup)
-    steps_per_sec = {name: 1.0 / min(times[name]) for name in runners}
-    speedup = min(times["inproc"]) / min(times["multiproc"])
-    timing_identical = losses["inproc"] == losses["multiproc"]
-    mp_backend = runners["multiproc"].backend
-    transport_stats = mp_backend.transport.stats
-    transport_kind = mp_backend.transport_kind
-    num_workers = mp_backend.transport.num_workers
-    serialization = dict(mp_backend.serialization_totals)
-    runners["multiproc"].close()
-    speedup_required = cpu_count >= 4 and transport == "shm"
-    speedup_ok = (not speedup_required) or speedup >= 1.5
-
-    # Calibrate the cost model's host-transport constants from the run's
-    # own telemetry and check the simulated multiprocess goodput against
-    # the measurement.  The prediction only means something when the
-    # replicas actually ran in parallel, so the 20% tracking band is
-    # asserted on >= 4-core hosts only (same gate as the speedup).
-    from repro.cluster.costmodel import (
-        fit_transport_constants,
-        predict_multiproc_goodput,
-    )
-
-    measured_steps = max(1, warmup + iters)
-    fitted = fit_transport_constants([serialization])
-    bulk_wire = max(0.0, (serialization.get("wire_bytes", 0)
-                          - serialization.get("pickle_bytes", 0)))
-    predicted = predict_multiproc_goodput(
-        steps_per_sec["inproc"], num_workers, cpu_count,
-        serialization.get("pickle_bytes", 0) / measured_steps,
-        serialization.get("shm_bytes", 0) / measured_steps,
-        bulk_wire / measured_steps,
-        fitted,
-    )
-    measured = steps_per_sec["multiproc"]
-    prediction_error = (abs(predicted - measured) / measured
-                        if measured > 0 else None)
-    prediction_enforced = speedup_required
-    prediction_ok = (not prediction_enforced
-                     or (prediction_error is not None
-                         and prediction_error <= 0.20))
-
-    report = {
-        "workload": "parallel_lm",
-        "cluster": {"machines": cluster.num_machines,
-                    "gpus_per_machine": cluster.gpus_per_machine},
-        "iterations": iters,
-        "warmup": warmup,
-        "cpu_count": cpu_count,
-        "inproc_steps_per_sec": steps_per_sec["inproc"],
-        "multiproc_steps_per_sec": steps_per_sec["multiproc"],
-        "speedup": speedup,
-        "speedup_enforced": speedup_required,
-        "losses_bit_identical": timing_identical and matrix_identical,
-        "timing_losses_bit_identical": timing_identical,
-        "matrix": matrix,
-        "controller_transport": transport_stats,
-        "transport_kind": transport_kind,
-        "serialization": serialization,
-        "fitted_c_serialize": fitted.c_serialize,
-        "fitted_shm_bw": fitted.shm_bw,
-        "fitted_tcp_bw": fitted.tcp_bw,
-        "predicted_multiproc_steps_per_sec": predicted,
-        "prediction_error": prediction_error,
-        "prediction_enforced": prediction_enforced,
-    }
-    _write_report(output, report)
-
-    print(f"\nParallel bench — {cluster.total_gpus} replicas, "
-          f"{iters} iterations, {cpu_count} cores")
-    print(f"{'backend':<14}{'steps/sec':>12}")
-    for name in ("inproc", "multiproc"):
-        print(f"{name:<14}{steps_per_sec[name]:>12.1f}")
-    print(f"speedup: {speedup:.2f}x "
-          f"({'enforced' if speedup_required else 'informational: < 4 cores'})"
-          f"   losses bit-identical: {timing_identical and matrix_identical}")
-    bad = [row for row in matrix if not row["losses_bit_identical"]]
-    print(f"bit-identity matrix: {len(matrix) - len(bad)}/{len(matrix)} "
-          "arch x plan combinations identical")
-    print(f"transport: {transport_kind} — "
-          f"shm {serialization.get('shm_bytes', 0):,.0f} B / "
-          f"wire {serialization.get('wire_bytes', 0):,.0f} B / "
-          f"pickle {serialization.get('pickle_bytes', 0):,.0f} B, "
-          f"{serialization.get('fallbacks', 0):.0f} ring fallbacks")
-    if prediction_error is not None:
-        print(f"cost model: predicted {predicted:.1f} steps/sec "
-              f"vs measured {measured:.1f} "
-              f"({prediction_error * 100:.0f}% off, "
-              f"{'enforced' if prediction_enforced else 'informational'})")
-    print(f"wrote {output}")
-    if not (timing_identical and matrix_identical):
-        print("ERROR: multiproc and inproc losses diverged")
-        return 1
-    if not speedup_ok:
-        print("ERROR: multiproc speedup below 1.5x on a >= 4-core machine")
-        return 1
-    if not prediction_ok:
-        print("ERROR: calibrated cost model tracks measured multiproc "
-              "goodput worse than 20% on a >= 4-core machine")
-        return 1
-    return 0
-
-
-def bench_network(iters: int = 50, payload_mb: float = 4.0,
-                  transfers: int = 8,
-                  output: str = "BENCH_network.json") -> int:
-    """Link microbench: measure the TcpTransport's loopback constants.
-
-    Two measurements through one real socket pair (controller endpoint
-    <-> worker-0 endpoint of a :class:`~repro.comm.tcp.TcpTransport`):
-
-    * **latency** -- *iters* small ping/pong round trips; the one-way
-      frame latency is half the mean round trip.
-    * **bandwidth** -- *transfers* payloads of *payload_mb* MB pushed
-      one way and received; bytes moved over elapsed wall clock,
-      including the freeze copy, so it prices exactly what a training
-      step pays per byte.
-
-    The measurements feed :func:`~repro.cluster.costmodel.
-    fit_network_constants`, turning the cost model's assumed ``tcp_bw``
-    / ``tcp_latency`` into measured ones -- the calibration loop the
-    ROADMAP asks for.  Run on a real NIC (not loopback) the same
-    numbers calibrate a cross-host deployment.
-    """
-    import numpy as np
-
-    from repro.cluster.costmodel import fit_network_constants
-    from repro.comm.tcp import TcpTransport
-    from repro.comm.transport import CONTROLLER
-
-    if iters < 1 or transfers < 1 or payload_mb <= 0:
-        raise SystemExit("bench --network: iters/transfers/payload must "
-                         "be positive")
-    transport = TcpTransport(1)
-    try:
-        # Warm both endpoints (connection setup, thread spin-up).
-        for _ in range(3):
-            transport.send(CONTROLLER, 0, ("ping",), 0)
-            transport.recv(0, CONTROLLER, ("ping",), timeout=30.0)
-            transport.send(0, CONTROLLER, ("pong",), 0)
-            transport.recv(CONTROLLER, 0, ("pong",), timeout=30.0)
-
-        start = time.perf_counter()
-        for i in range(iters):
-            transport.send(CONTROLLER, 0, ("ping",), i)
-            transport.recv(0, CONTROLLER, ("ping",), timeout=30.0)
-            transport.send(0, CONTROLLER, ("pong",), i)
-            transport.recv(CONTROLLER, 0, ("pong",), timeout=30.0)
-        latency = (time.perf_counter() - start) / iters / 2.0
-
-        payload = np.zeros(int(payload_mb * (1 << 20) // 8),
-                           dtype=np.float64)
-        nbytes = int(payload.nbytes)
-        start = time.perf_counter()
-        for i in range(transfers):
-            transport.send(CONTROLLER, 0, ("bulk", i), payload)
-            got = transport.recv(0, CONTROLLER, ("bulk", i), timeout=60.0)
-        elapsed = time.perf_counter() - start
-        bandwidth = transfers * nbytes / elapsed
-        assert got.nbytes == nbytes
-        counters = dict(transport.counters)
-    finally:
-        transport.close()
-
-    measurement = {
-        "measured_latency_s": latency,
-        "measured_bandwidth_bytes_per_s": bandwidth,
-    }
-    fitted = fit_network_constants(measurement)
-    report = {
-        "workload": "network_loopback",
-        "roundtrips": iters,
-        "transfers": transfers,
-        "payload_bytes": nbytes,
-        **measurement,
-        "fitted_tcp_latency": fitted.tcp_latency,
-        "fitted_tcp_bw": fitted.tcp_bw,
-        "wire_bytes": counters.get("wire_bytes", 0),
-        "wire_msgs": counters.get("wire_msgs", 0),
-    }
-    _write_report(output, report)
-
-    print(f"\nNetwork bench — {iters} round trips, "
-          f"{transfers} x {payload_mb:.0f} MB transfers")
-    print(f"latency:   {latency * 1e6:,.1f} us one-way")
-    print(f"bandwidth: {bandwidth / 1e9:.2f} GB/s "
-          f"({bandwidth * 8 / 1e9:.1f} Gb/s)")
-    from repro.cluster.costmodel import DEFAULT_COST_MODEL
-
-    print(f"cost model: tcp_latency {fitted.tcp_latency * 1e6:,.1f} us, "
-          f"tcp_bw {fitted.tcp_bw / 1e9:.2f} GB/s (assumed defaults: "
-          f"{DEFAULT_COST_MODEL.tcp_latency * 1e6:,.1f} us, "
-          f"{DEFAULT_COST_MODEL.tcp_bw / 1e9:.2f} GB/s)")
-    print(f"wrote {output}")
-    return 0
 
 
 def cli_launch(args, cluster: ClusterSpec) -> int:
@@ -945,8 +217,9 @@ def cli_launch(args, cluster: ClusterSpec) -> int:
                          "are required")
     if args.world_size < 1:
         raise SystemExit("launch: --world-size must be >= 1")
-    if args.rank >= args.world_size:
-        raise SystemExit("launch: --rank must be < --world-size")
+    if not -1 <= args.rank < args.world_size:
+        raise SystemExit("launch: --rank must be -1 (controller) or in "
+                         "[0, --world-size)")
 
     if args.rank >= 0:
         from repro.core.backend import run_remote_worker
@@ -967,33 +240,30 @@ def cli_launch(args, cluster: ClusterSpec) -> int:
     from repro.core.runner import DistributedRunner
     from repro.core.transform.plan import hybrid_graph_plan
 
-    iters = args.iters
-    reference = None
-    if args.check_identity:
-        runner = _quickstart_runner(cluster, args.seed)
-        reference = [runner.step(i).replica_losses for i in range(iters)]
-        runner.close()
+    def train(backend):
+        model = _quickstart_model()
+        runner = DistributedRunner(model, cluster,
+                                   hybrid_graph_plan(model.graph),
+                                   seed=args.seed, backend=backend)
+        try:
+            return [runner.step(i).replica_losses
+                    for i in range(args.iters)]
+        finally:
+            runner.close()
 
-    model = _quickstart_model()
-    plan = hybrid_graph_plan(model.graph)
+    reference = train("inproc") if args.check_identity else None
     backend = RemoteWorkerBackend(args.rendezvous,
                                   start_timeout=args.join_timeout,
                                   listen_host=args.listen_host)
-    runner = DistributedRunner(model, cluster, plan, seed=args.seed,
-                               backend=backend)
-    try:
-        remote_losses = [runner.step(i).replica_losses
-                         for i in range(iters)]
-        counters = dict(backend.serialization_totals)
-    finally:
-        runner.close()
+    remote_losses = train(backend)
+    counters = backend.serialization_totals
 
     identical = (reference == remote_losses
                  if reference is not None else None)
     report = {
         "workload": "launch_quickstart",
         "world_size": args.world_size,
-        "iterations": iters,
+        "iterations": args.iters,
         "final_mean_loss": (sum(remote_losses[-1])
                             / len(remote_losses[-1])),
         "losses_bit_identical": identical,
@@ -1007,635 +277,21 @@ def cli_launch(args, cluster: ClusterSpec) -> int:
     return 0
 
 
-def _compression_runner(cluster: ClusterSpec, seed: int,
-                        compression=None, ratio: float = 0.1):
-    """The quickstart LM under the pure-collective (AR) plan family --
-    sparse embedding shards on AllGatherv, dense LSTM/softmax on fused
-    AllReduce -- so both compressed collective paths are exercised."""
-    from repro.core.runner import DistributedRunner
-    from repro.core.transform.plan import ar_graph_plan
-
-    model = _quickstart_model()
-    plan = ar_graph_plan(model.graph, fusion=True, compression=compression,
-                         compression_ratio=ratio)
-    return DistributedRunner(model, cluster, plan, seed=seed)
-
-
-def _trajectory_checks(base: list, compressed: list):
-    """(monotone_improving, max_rise, final_gap) of a loss trajectory.
-
-    ``monotone_improving`` tolerates the sub-1e-3 wiggles stochastic
-    minibatches produce even without compression; the net trajectory
-    must improve and no single step may rise materially.
-    """
-    rises = [b - a for a, b in zip(compressed, compressed[1:])]
-    max_rise = max(rises) if rises else 0.0
-    scale = max(abs(compressed[0]), 1e-12)
-    monotone = (compressed[-1] < compressed[0]
-                and max_rise <= 2e-3 * scale)
-    final_gap = abs(compressed[-1] - base[-1]) / max(abs(base[-1]), 1e-12)
-    return monotone, max_rise, final_gap
-
-
-def bench_compression(cluster: ClusterSpec, iters: int = 40,
-                      warmup: int = 5, seed: int = 0, ratio: float = 0.1,
-                      output: str = "BENCH_compression.json") -> int:
-    """Gradient compression (top-k + fp16) vs exact collectives.
-
-    Trains the quickstart LM under the AR plan family uncompressed, with
-    top-k (error feedback) at *ratio*, and with fp16 quantization, then
-    checks the compression contract end to end: top-k must cut bytes on
-    the wire by at least 2x while the loss trajectory stays
-    monotone-improving (error feedback re-injects dropped mass) and
-    lands within tolerance of the exact run; fp16 losses must track the
-    exact run tightly, and an fp16 compress/decompress round trip of an
-    fp16-representable matrix must be bit-exact.  The performance plane
-    prices the same codecs on the paper's LM inventory and demonstrates
-    the bandwidth-budget plan picker.
-    """
-    import numpy as np
-
-    from repro.comm.compression import decompress, make_compressor
-
-    _validate_bench_args(iters, warmup)
-    runners = {
-        "uncompressed": _compression_runner(cluster, seed),
-        "topk": _compression_runner(cluster, seed, "topk", ratio),
-        "fp16": _compression_runner(cluster, seed, "fp16"),
-    }
-    times, losses = _interleaved_measure(runners, iters, warmup)
-    steps_per_sec = {name: 1.0 / min(times[name]) for name in runners}
-    mean_losses = {
-        name: [float(np.mean(step)) for step in losses[name]]
-        for name in runners
-    }
-
-    # Bytes on the wire: one extra iteration per runner with a clean
-    # transcript; every recorded transfer counts (collectives plus any
-    # cross-machine edges), intra-machine included so the comparison is
-    # meaningful on single-machine clusters too.
-    nbytes = {}
-    for name, runner in runners.items():
-        runner.transcript.clear()
-        runner.step(warmup + iters)
-        nbytes[name] = int(sum(
-            t.nbytes for t in runner.transcript.filter(None,
-                                                       network_only=False)))
-    reductions = {name: nbytes["uncompressed"] / nbytes[name]
-                  for name in ("topk", "fp16")}
-
-    topk_monotone, topk_max_rise, topk_gap = _trajectory_checks(
-        mean_losses["uncompressed"], mean_losses["topk"])
-    topk_within_tolerance = topk_gap <= 0.05
-    fp16_dev = max(
-        abs(a - b) / max(abs(a), 1e-12)
-        for a, b in zip(mean_losses["uncompressed"], mean_losses["fp16"])
-    )
-    fp16_within_tolerance = fp16_dev <= 1e-3
-
-    # The quantization contract: decompressing an fp16-representable
-    # payload reproduces it bit for bit.
-    rng = np.random.default_rng(seed)
-    representable = rng.standard_normal((64, 33)).astype(
-        np.float16).astype(np.float32)
-    roundtrip = decompress(make_compressor("fp16").encode_flat(representable))
-    fp16_bit_exact = bool(np.array_equal(roundtrip, representable))
-
-    # Performance plane: the paper's LM inventory under the same codecs,
-    # plus the bandwidth-budget plan picker the partition search can use.
-    from repro.baselines import horovod_plan
-    from repro.cluster.simulator import (
-        pick_plan_under_budget,
-        plan_wire_bytes,
-        simulate_iteration,
-    )
-    from repro.nn.profiles import lm_profile
-
-    profile = lm_profile()
-    base_plan = horovod_plan(profile).with_fusion(4.0)
-    candidates = {
-        "uncompressed": base_plan,
-        "topk": base_plan.with_compression("topk", ratio),
-        "fp16": base_plan.with_compression("fp16"),
-    }
-    simulated = {}
-    for name, plan in candidates.items():
-        b = simulate_iteration(profile, plan, cluster)
-        simulated[name] = {
-            "raw_bytes": b.collective_raw_bytes,
-            "wire_bytes": b.collective_wire_bytes,
-            "compress_time": b.compress_time,
-            "iteration_time": b.iteration_time,
-        }
-    budget = 0.5 * plan_wire_bytes(
-        simulate_iteration(profile, base_plan, cluster))
-    picked = pick_plan_under_budget(profile, candidates.values(), cluster,
-                                    budget)
-
-    report = {
-        "workload": "quickstart_hybrid_lm_ar_plan",
-        "cluster": {"machines": cluster.num_machines,
-                    "gpus_per_machine": cluster.gpus_per_machine},
-        "iterations": iters,
-        "warmup": warmup,
-        "compression_ratio": ratio,
-        "uncompressed_steps_per_sec": steps_per_sec["uncompressed"],
-        "topk_steps_per_sec": steps_per_sec["topk"],
-        "fp16_steps_per_sec": steps_per_sec["fp16"],
-        "bytes_per_iteration": nbytes,
-        "topk_bytes_reduction": reductions["topk"],
-        "fp16_bytes_reduction": reductions["fp16"],
-        "topk_monotone_improving": topk_monotone,
-        "topk_max_consecutive_rise": topk_max_rise,
-        "topk_final_loss_gap": topk_gap,
-        "topk_within_tolerance": topk_within_tolerance,
-        "fp16_max_rel_loss_dev": fp16_dev,
-        "fp16_within_tolerance": fp16_within_tolerance,
-        "fp16_roundtrip_bit_exact": fp16_bit_exact,
-        "simulated": {
-            "model": profile.name,
-            "plan": base_plan.name,
-            "codecs": simulated,
-            "budget_bytes": budget,
-            "picked_under_budget": (picked.compression or "uncompressed"
-                                    if picked is not None else None),
-        },
-    }
-    _write_report(output, report)
-
-    print(f"\nCompression bench — quickstart LM, AR plan "
-          f"({cluster.total_gpus} simulated GPUs, {iters} iterations, "
-          f"top-k ratio {ratio})")
-    print(f"{'codec':<14}{'steps/sec':>12}{'bytes/iter':>12}{'reduction':>11}")
-    for name in ("uncompressed", "topk", "fp16"):
-        red = ("" if name == "uncompressed"
-               else f"{reductions[name]:>10.2f}x")
-        print(f"{name:<14}{steps_per_sec[name]:>12.1f}"
-              f"{nbytes[name]:>12}{red:>11}")
-    print(f"top-k: monotone-improving={topk_monotone} "
-          f"final-loss gap {topk_gap:.2e}")
-    print(f"fp16: max rel loss dev {fp16_dev:.2e}   "
-          f"round trip bit-exact: {fp16_bit_exact}")
-    print(f"simulated {profile.name}: picked "
-          f"{report['simulated']['picked_under_budget']!r} under a "
-          f"{budget / 1e6:.1f} MB/iter budget")
-    print(f"wrote {output}")
-
-    failures = []
-    if reductions["topk"] < 2.0:
-        failures.append(
-            f"top-k bytes reduction {reductions['topk']:.2f}x < 2x")
-    if not (topk_monotone and topk_within_tolerance):
-        failures.append("top-k loss trajectory violates the convergence "
-                        "contract")
-    if not fp16_within_tolerance:
-        failures.append(f"fp16 losses deviate {fp16_dev:.2e} > 1e-3")
-    if not fp16_bit_exact:
-        failures.append("fp16 round trip is not bit-exact on "
-                        "representable values")
-    for failure in failures:
-        print(f"ERROR: {failure}")
-    return 1 if failures else 0
-
-
-def bench_serve(cluster: ClusterSpec, iters: int = 40, warmup: int = 5,
-                seed: int = 0, output: str = "BENCH_serve.json") -> int:
-    """The serving plane: batched QPS, request latency, hot reload.
-
-    Trains the quickstart LM briefly under an ElasticRunner, snapshots
-    it into an :class:`~repro.serve.InferenceServer`, and measures the
-    batch-size/throughput curve by replaying the compiled forward plan
-    at batch sizes 1/2/4/8 (``batched_speedup`` is QPS at batch 8 over
-    batch 1 -- the payoff of coalescing requests into one replay).
-    Request latency (p50/p99) is measured through the real front end:
-    single-example submissions coalesced by the batcher under its
-    ``max_delay_ms`` window.  Two exactness contracts ride along:
-    batched rows must be bit-identical to per-example execution, and a
-    hot reload from a further-trained runner must leave the server
-    bit-identical to a cold server restored from the same state.  The
-    performance plane prices the same batch sweep on the paper's LM
-    inventory via :func:`~repro.cluster.simulator.simulate_serving`.
-
-    On hosts with >= 4 cores the speedup contract is enforced: batched
-    QPS at batch 8 must be at least 1.5x unbatched.  Smaller hosts
-    record ``batched_speedup_ok: null`` and skip the gate.
-    """
-    import functools
-    import os
-
-    import numpy as np
-
-    from repro.cluster.simulator import simulate_serving
-    from repro.nn.profiles import lm_profile
-    from repro.serve import InferenceServer
-
-    _validate_bench_args(iters, warmup)
-    model = _quickstart_model()
-    runner = _quickstart_elastic(cluster, seed, checkpoint_every=4)
-    for i in range(4):
-        runner.step(i)
-    server = InferenceServer.from_runner(model, runner, max_batch=8,
-                                         max_delay_ms=2.0)
-
-    # Throughput curve: the stacked-batch bypass path, one compiled plan
-    # per batch size through the session LRU.  Best-of-N timing, like
-    # every other family.
-    batch_sizes = (1, 2, 4, 8)
-    qps_by_batch = {}
-    for size in batch_sizes:
-        columns = model.dataset.batch(size, 0)
-        for _ in range(max(2, warmup)):
-            server.run_batch(columns)
-        best = float("inf")
-        for _ in range(iters):
-            start = time.perf_counter()
-            server.run_batch(columns)
-            best = min(best, time.perf_counter() - start)
-        qps_by_batch[size] = size / best
-    batched_speedup = qps_by_batch[8] / qps_by_batch[1]
-    cores = os.cpu_count() or 1
-    batched_speedup_ok = batched_speedup >= 1.5 if cores >= 4 else None
-
-    # Latency through the real front end: single-example submissions,
-    # coalesced by the batcher.  Completion times come from done
-    # callbacks, so waiting on one future cannot inflate another's
-    # measurement.
-    latencies = []
-
-    def _record(future, t0):
-        latencies.append(time.monotonic() - t0)
-
-    futures = []
-    for round_index in range(max(8, iters)):
-        for offset in range(8):
-            example = model.dataset.example(
-                (round_index * 8 + offset) % len(model.dataset))
-            t0 = time.monotonic()
-            future = server.submit(example)
-            future.add_done_callback(functools.partial(_record, t0=t0))
-            futures.append(future)
-    for future in futures:
-        future.result(timeout=60)
-    p50_ms = float(np.percentile(latencies, 50) * 1e3)
-    p99_ms = float(np.percentile(latencies, 99) * 1e3)
-
-    # Exactness: a batch of 8 must serve the same bits as 8 singles.
-    columns8 = model.dataset.batch(8, 0)
-    batched_rows = np.array(server.run_batch(columns8))
-    single_rows = np.stack([
-        np.array(server.run_batch(tuple(col[i:i + 1] for col in columns8)))[0]
-        for i in range(8)
-    ])
-    batched_bit_identical = bool(np.array_equal(batched_rows, single_rows))
-
-    # Hot reload: train further, publish the live state into the running
-    # server, and compare against a cold server restored from the same
-    # runner -- bit-for-bit.
-    for i in range(4, 8):
-        runner.step(i)
-    start = time.perf_counter()
-    runner.publish_to(server)
-    reload_ms = (time.perf_counter() - start) * 1e3
-    cold = InferenceServer.from_runner(model, runner)
-    hot_rows = np.array(server.run_batch(columns8))
-    cold_rows = np.array(cold.run_batch(columns8))
-    hot_reload_bit_identical = bool(np.array_equal(hot_rows, cold_rows))
-    stale = bool(np.array_equal(hot_rows, batched_rows))
-    cold.close()
-
-    batch_log = list(server.batcher.batch_log)
-    served = server.requests_served
-    server.close()
-
-    simulated = {}
-    profile = lm_profile()
-    for size in (1, 2, 4, 8, 16, 32):
-        b = simulate_serving(profile, cluster, size)
-        simulated[size] = {
-            "p50_latency_ms": b.p50_latency * 1e3,
-            "p99_latency_ms": b.p99_latency * 1e3,
-            "qps": b.qps,
-        }
-
-    report = {
-        "workload": "quickstart_hybrid_lm_serving",
-        "cluster": {"machines": cluster.num_machines,
-                    "gpus_per_machine": cluster.gpus_per_machine},
-        "iterations": iters,
-        "warmup": warmup,
-        "qps_by_batch": {str(k): v for k, v in qps_by_batch.items()},
-        "unbatched_steps_per_sec": qps_by_batch[1],
-        "batched_steps_per_sec": qps_by_batch[8] / 8,
-        "batched_speedup": batched_speedup,
-        "batched_speedup_ok": batched_speedup_ok,
-        "p50_latency_ms": p50_ms,
-        "p99_latency_ms": p99_ms,
-        "requests_served": served,
-        "mean_coalesced_batch": (float(np.mean([s for s, _ in batch_log]))
-                                 if batch_log else 0.0),
-        "batched_bit_identical": batched_bit_identical,
-        "hot_reload_bit_identical": hot_reload_bit_identical,
-        "hot_reload_changed_output": not stale,
-        "hot_reload_ms": reload_ms,
-        "simulated": {"model": profile.name, "by_batch": simulated},
-    }
-    _write_report(output, report)
-
-    print(f"\nServing bench — quickstart LM, compiled forward plan "
-          f"({iters} iterations)")
-    print(f"{'batch':>6}{'QPS':>12}")
-    for size in batch_sizes:
-        print(f"{size:>6}{qps_by_batch[size]:>12.1f}")
-    print(f"batched speedup (8 vs 1): {batched_speedup:.2f}x   "
-          f"p50 {p50_ms:.2f}ms   p99 {p99_ms:.2f}ms")
-    print(f"batched bit-identical: {batched_bit_identical}   "
-          f"hot reload bit-identical: {hot_reload_bit_identical} "
-          f"({reload_ms:.2f}ms)")
-    print(f"wrote {output}")
-
-    failures = []
-    if batched_speedup_ok is False:
-        failures.append(
-            f"batched QPS speedup {batched_speedup:.2f}x < 1.5x at batch 8 "
-            f"on a {cores}-core host")
-    if not batched_bit_identical:
-        failures.append("batched rows differ from per-example execution")
-    if not hot_reload_bit_identical:
-        failures.append("hot reload differs from a cold restore")
-    if stale:
-        failures.append("hot reload left the old weight generation live")
-    for failure in failures:
-        print(f"ERROR: {failure}")
-    return 1 if failures else 0
-
-
-def bench_autopilot(cluster: ClusterSpec, iters: int = 40, warmup: int = 5,
-                    seed: int = 0,
-                    output: str = "BENCH_autopilot.json") -> int:
-    """Adaptive replanning vs a static plan under NIC degradation.
-
-    Trains the quickstart workload twice on an elastic runner whose
-    functional plane *pays* for a scripted NIC degradation
-    (``emulate_nic_bw`` calibrated from a probe run so a degraded step
-    costs a known multiple of a clean one): once with the static
-    incumbent plan, once with the autopilot controller attached.  The
-    controller must measure the degradation through its telemetry
-    windows, refit its models, and live-migrate to a cheaper
-    configuration (compressed collectives or a shrink that drops the
-    degraded machine) -- beating the static run's goodput despite
-    paying the migration downtime inside the timed region.
-
-    Contract keys gated by ``bench --check``: ``autopilot_beats_static``
-    (goodput strictly above the static incumbent) and
-    ``autopilot_no_flapping`` (no A->B->A flip inside the controller's
-    cooldown).  The full decision log lands in the report.
-    """
-    _validate_bench_args(iters, warmup)
-    from repro.cluster.faults import FaultPlan, NicDegradation
-    from repro.core.api import auto_parallelize
-    from repro.core.config import (
-        AutopilotConfig,
-        ElasticConfig,
-        ParallaxConfig,
-    )
-
-    # The decision loop needs room: a clean calibration window, a
-    # tainted window to trigger on, and a post-migration stretch for the
-    # payback to land in.
-    iters = max(16, iters)
-    warmup = max(2, warmup)
-    window_steps = max(2, min(4, warmup))
-    checkpoint_every = max(2, iters // 8)
-    factor = 0.25
-    degraded_machine = max(0, cluster.num_machines - 1)
-    fault_plan = FaultPlan(degradations=(
-        NicDegradation(warmup, machine=degraded_machine, factor=factor,
-                       duration=iters),
-    ))
-
-    def build(autopilot: bool, faults=None, nic_bw=None):
-        cfg = ParallaxConfig(
-            search_partitions=False, alpha_measure_batches=0, seed=seed,
-            elastic=ElasticConfig(enabled=True,
-                                  checkpoint_every=checkpoint_every,
-                                  fault_plan=faults,
-                                  emulate_nic_bw=nic_bw),
-            autopilot=AutopilotConfig(enabled=autopilot,
-                                      window_steps=window_steps),
-        )
-        return auto_parallelize(_quickstart_model, cluster, cfg)
-
-    # Probe: clean step time and wire bytes of the incumbent plan, to
-    # size the emulated degradation so one degraded step costs a fixed
-    # multiple of a clean one on this host.
-    probe = build(autopilot=False)
-    probe_iters = max(4, window_steps)
-    for i in range(warmup):
-        probe.step(i)
-    cursor = probe.transcript.cursor()
-    start = time.perf_counter()
-    for i in range(warmup, warmup + probe_iters):
-        probe.step(i)
-    clean_step_time = (time.perf_counter() - start) / probe_iters
-    transfers, _ = probe.transcript.since(cursor)
-    bytes_per_step = sum(t.nbytes for t in transfers
-                         if t.is_network) / probe_iters
-    # Extra wire time per degraded step: bytes * (1/factor - 1) / bw.
-    target_extra = max(0.12, 15.0 * clean_step_time)
-    emulate_nic_bw = (bytes_per_step * (1.0 / factor - 1.0)
-                      / target_extra) or 1.0
-
-    def timed(runner):
-        for i in range(warmup):
-            runner.step(i)
-        start = time.perf_counter()
-        results = runner.fit(iters, start_iteration=warmup)
-        return results, time.perf_counter() - start
-
-    static_runner = build(autopilot=False, faults=fault_plan,
-                          nic_bw=emulate_nic_bw)
-    static_results, static_time = timed(static_runner)
-
-    adaptive = build(autopilot=True, faults=fault_plan,
-                     nic_bw=emulate_nic_bw)
-    adaptive_results, adaptive_time = timed(adaptive)
-    controller = adaptive.autopilot()
-
-    static_goodput = iters / static_time
-    autopilot_goodput = iters / adaptive_time
-    migrations = controller.migrations
-    beats_static = autopilot_goodput > static_goodput
-    no_flapping = controller.no_flapping
-
-    report = {
-        "workload": "quickstart_hybrid_lm",
-        "cluster": {"machines": cluster.num_machines,
-                    "gpus_per_machine": cluster.gpus_per_machine},
-        "iterations": iters,
-        "warmup": warmup,
-        "window_steps": window_steps,
-        "checkpoint_every": checkpoint_every,
-        "degradation": {"iteration": warmup, "machine": degraded_machine,
-                        "factor": factor, "duration": iters},
-        "clean_step_time": clean_step_time,
-        "bytes_per_step": bytes_per_step,
-        "emulate_nic_bw": emulate_nic_bw,
-        "target_extra_delay": target_extra,
-        "static_steps_per_sec": static_goodput,
-        "autopilot_steps_per_sec": autopilot_goodput,
-        "speedup": (autopilot_goodput / static_goodput
-                    if static_goodput else 0.0),
-        "num_migrations": len(migrations),
-        "final_plan": controller.incumbent.label,
-        "autopilot_beats_static": beats_static,
-        "autopilot_no_flapping": no_flapping,
-        "decisions": controller.decision_summary(),
-        "completed_iterations": {"static": len(static_results),
-                                 "autopilot": len(adaptive_results)},
-    }
-    _write_report(output, report)
-
-    print(f"\nAutopilot bench — quickstart LM under a x{1 / factor:.0f} "
-          f"NIC degradation on machine {degraded_machine} "
-          f"({iters} iterations, windows of {window_steps})")
-    print(f"static incumbent: {static_goodput:.1f} steps/s   "
-          f"autopilot: {autopilot_goodput:.1f} steps/s   "
-          f"({report['speedup']:.2f}x)")
-    print(f"migrations: {len(migrations)}   final plan: "
-          f"{controller.incumbent.label}   no flapping: {no_flapping}")
-    for decision in controller.decision_log:
-        print(f"  window {decision.window:>3} iter {decision.iteration:>4} "
-              f"{decision.action:<8} {decision.candidate or '-':<28} "
-              f"{decision.reason}")
-    print(f"wrote {output}")
-
-    failures = []
-    if not beats_static:
-        failures.append(
-            f"autopilot goodput {autopilot_goodput:.1f} steps/s does not "
-            f"beat the static incumbent {static_goodput:.1f}")
-    if not no_flapping:
-        failures.append("controller flapped: A->B->A inside the cooldown")
-    for failure in failures:
-        print(f"ERROR: {failure}")
-    return 1 if failures else 0
-
-
-# Report keys whose False value marks a broken exactness/conservation
-# contract (not a performance number): any of these failing means the
-# bench itself detected wrong arithmetic, and ``bench --check`` treats
-# that as a hard violation.
-_CHECK_CONTRACT_KEYS = (
-    "losses_bit_identical",
-    "timing_losses_bit_identical",
-    "topk_monotone_improving",
-    "topk_within_tolerance",
-    "fp16_within_tolerance",
-    "fp16_roundtrip_bit_exact",
-    "verify_all_plans_clean",
-    "verify_within_compile_budget",
-    "batched_bit_identical",
-    "hot_reload_bit_identical",
-    "batched_speedup_ok",
-    "autopilot_beats_static",
-    "autopilot_no_flapping",
-)
-
-# Allowed steps/sec drop vs the history reference before --check fails.
-_CHECK_MAX_REGRESSION = 0.25
-
-
-def bench_check(pattern: str = "BENCH_*.json") -> int:
-    """The bench-regression gate: current run vs its recorded history.
-
-    For every ``BENCH_*.json`` present, the current (top-level) run is
-    held to two contracts.  *Correctness*: every bit-identity /
-    bytes-conservation / convergence flag the family records must hold.
-    *Performance*: each ``*_steps_per_sec`` number must stay within
-    ``_CHECK_MAX_REGRESSION`` of the median of the last five history
-    entries that carry the same key (median, so one noisy CI data point
-    cannot ratchet the reference).  Only history measured on the same
-    kind of host (:func:`_host_fingerprint`) counts as a reference --
-    absolute steps/sec from a developer workstation say nothing about a
-    hosted CI runner.  Families with no comparable history pass the
-    performance check vacuously -- the first run on a host class *is*
-    its reference.
-    """
-    import glob
-
-    paths = sorted(glob.glob(pattern))
-    if not paths:
-        print(f"bench --check: no reports match {pattern!r}; run "
-              "'bench --all' first")
-        return 1
-    violations = []
-    for path in paths:
-        try:
-            with open(path) as f:
-                data = json.load(f)
-        except (json.JSONDecodeError, OSError) as exc:
-            violations.append(f"{path}: unreadable ({exc})")
-            continue
-        host = data.get("host", _host_fingerprint())
-        history = [h for h in data.get("history", [])
-                   if isinstance(h, dict) and h.get("host") == host]
-        for key in _CHECK_CONTRACT_KEYS:
-            if data.get(key) is False:
-                violations.append(f"{path}: {key} is False")
-        records = data.get("allreduce_records")
-        if isinstance(records, dict) and len(records) == 2:
-            totals = {name: rec.get("bytes")
-                      for name, rec in records.items()}
-            if len(set(totals.values())) != 1:
-                violations.append(
-                    f"{path}: AllReduce bytes not conserved across "
-                    f"engines ({totals})")
-        checked = 0
-        for key, value in data.items():
-            if not key.endswith("steps_per_sec"):
-                continue
-            if not isinstance(value, (int, float)):
-                continue
-            refs = [h[key] for h in history[-5:]
-                    if isinstance(h.get(key), (int, float))]
-            if not refs:
-                continue
-            reference = statistics.median(refs)
-            checked += 1
-            if value < (1.0 - _CHECK_MAX_REGRESSION) * reference:
-                violations.append(
-                    f"{path}: {key} {value:.1f} is "
-                    f"{1 - value / reference:.0%} below the history "
-                    f"median {reference:.1f}")
-        print(f"bench --check: {path} — {len(history)} history entries, "
-              f"{checked} throughput keys compared")
-    if violations:
-        for violation in violations:
-            print(f"ERROR: {violation}")
-        print(f"bench --check: {len(violations)} violation(s)")
-        return 1
-    print(f"bench --check: {len(paths)} report(s) clean")
-    return 0
-
-
-def cli_verify(cluster: ClusterSpec, seed: int = 0,
-               output: str = "BENCH_verify.json") -> int:
+def cli_verify(cluster: ClusterSpec) -> int:
     """Statically verify every arch x plan x backend combo's schedule.
 
-    Runs the plan verifier (:mod:`repro.analysis`) over the full bench
+    Runs the plan verifier (:mod:`repro.analysis`) over the full
     matrix -- four evaluation archs, three plan families -- for both
     execution backends: the in-process engine gets the single-schedule
     analyses (congruence, alias, accounting), the multiprocess backend
     additionally gets the deadlock/matching analysis over its
-    partitioned per-rank schedules.  Prints one report per combo and
-    fails (exit 1) on any finding.
+    partitioned per-rank schedules.  Prints one line per combo plus any
+    findings.
 
-    Timings land in ``BENCH_verify.json`` so ``bench --check`` gates the
-    verifier itself: ``verify_steps_per_sec`` (plans verified per
-    second) rides the generic 25% throughput gate, and
-    ``verify_within_compile_budget`` asserts verification stays under
-    10% of compile time (transform + plan compilation + code
-    generation) summed over the matrix.
+    The exit code is the report: 1 on any finding; 2 when the plans are
+    clean but verification took 10% or more of compile time (transform
+    + plan compilation + code generation) summed over the matrix; 0
+    otherwise.
     """
     from repro.analysis import verify_plan
     from repro.analysis.verifier import default_fetch_ops
@@ -1650,12 +306,12 @@ def cli_verify(cluster: ClusterSpec, seed: int = 0,
         "inproc": ("congruence", "alias", "accounting"),
         "multiproc": ("deadlock", "congruence", "alias", "accounting"),
     }
-    combos = []
+    combos = 0
     findings_total = 0
     verify_seconds = 0.0
     compile_seconds = 0.0
-    for model_key, model_builder in _bench_matrix_models().items():
-        for plan_key, plan_builder in _bench_plan_builders().items():
+    for model_key, model_builder in _matrix_models().items():
+        for plan_key, plan_builder in _matrix_plans().items():
             model = model_builder()
             start = time.perf_counter()
             transformed = transform_graph(
@@ -1668,8 +324,7 @@ def cli_verify(cluster: ClusterSpec, seed: int = 0,
             compile_seconds += compile_s
             start = time.perf_counter()
             report = verify_plan(transformed, fetch_ops, plan=plan)
-            elapsed = time.perf_counter() - start
-            verify_seconds += elapsed
+            verify_seconds += time.perf_counter() - start
             findings_total += len(report.findings)
             for backend, analyses in backend_analyses.items():
                 findings = [f for f in report.findings
@@ -1683,80 +338,17 @@ def cli_verify(cluster: ClusterSpec, seed: int = 0,
                       f"{compile_s * 1e3:.1f}ms compile)")
                 for finding in findings:
                     print(finding.render())
-                combos.append({
-                    "model": model_key, "plan": plan_key,
-                    "backend": backend,
-                    "findings": len(findings),
-                    "analysis_ms": {name: report.timings[name] * 1e3
-                                    for name in analyses
-                                    if name in report.timings},
-                    "stats": {
-                        name: {k: v for k, v in report.stats[name].items()
-                               if isinstance(v, (int, float, str))}
-                        for name in analyses if name in report.stats
-                    },
-                })
+                combos += 1
 
     fraction = verify_seconds / compile_seconds if compile_seconds else 0.0
-    result = {
-        "benchmark": "verify",
-        "cluster": {"machines": cluster.num_machines,
-                    "gpus_per_machine": cluster.gpus_per_machine},
-        "combos": combos,
-        "plans_verified": len(combos),
-        "findings_total": findings_total,
-        "verify_all_plans_clean": findings_total == 0,
-        "verify_seconds_total": verify_seconds,
-        "compile_seconds_total": compile_seconds,
-        "verify_compile_fraction": fraction,
-        "verify_within_compile_budget": fraction < 0.10,
-        "verify_steps_per_sec": (len(combos) / verify_seconds
-                                 if verify_seconds else 0.0),
-    }
-    _write_report(output, result)
-    print(f"\nverify: {len(combos)} combos, {findings_total} finding(s), "
-          f"verification at {fraction:.1%} of compile time "
-          f"(report: {output})")
-    return 1 if findings_total else 0
-
-
-def bench_all(cluster: ClusterSpec, iters: int, warmup: int,
-              seed: int) -> int:
-    """Run every bench family, merging into the per-family reports.
-
-    One command produces/extends ``BENCH_engine.json``,
-    ``BENCH_fusion.json``, ``BENCH_elastic.json``,
-    ``BENCH_parallel.json``, ``BENCH_compression.json``,
-    ``BENCH_verify.json``, ``BENCH_serve.json`` and
-    ``BENCH_autopilot.json`` (each keeps its history of earlier runs)
-    -- the aggregation step the bench trajectory was missing.
-    """
-    families = (
-        ("engine", lambda: bench(cluster, iters=iters, warmup=warmup,
-                                 seed=seed)),
-        ("fusion", lambda: bench_fusion(cluster, iters=iters, warmup=warmup,
-                                        seed=seed)),
-        ("elastic", lambda: bench_elastic(cluster, iters=max(8, iters),
-                                          warmup=warmup, seed=seed)),
-        ("parallel", lambda: bench_parallel(cluster, iters=iters,
-                                            warmup=warmup, seed=seed)),
-        ("compression", lambda: bench_compression(cluster, iters=iters,
-                                                  warmup=warmup,
-                                                  seed=seed)),
-        ("verify", lambda: cli_verify(cluster, seed=seed)),
-        ("serve", lambda: bench_serve(cluster, iters=iters, warmup=warmup,
-                                      seed=seed)),
-        ("autopilot", lambda: bench_autopilot(cluster, iters=iters,
-                                              warmup=warmup, seed=seed)),
-    )
-    failures = []
-    for name, run in families:
-        if run() != 0:
-            failures.append(name)
-    print(f"\nbench --all: {len(families) - len(failures)}/{len(families)} "
-          f"families passed"
-          + (f" (failed: {', '.join(failures)})" if failures else ""))
-    return 1 if failures else 0
+    print(f"\nverify: {combos} combos, {findings_total} finding(s), "
+          f"verification at {fraction:.1%} of compile time")
+    if findings_total:
+        return 1
+    if fraction >= 0.10:
+        print("ERROR: verification took 10% or more of compile time")
+        return 2
+    return 0
 
 
 COMMANDS: Dict[str, Callable[[ClusterSpec], None]] = {
@@ -1771,63 +363,21 @@ def main(argv=None) -> int:
         description="Regenerate Parallax (EuroSys '19) experiments.",
     )
     parser.add_argument("experiment",
-                        choices=sorted(COMMANDS) + ["all", "bench",
-                                                    "launch", "verify"],
-                        help="which table/figure to regenerate, 'bench' "
-                             "for the execution-engine benchmark, "
-                             "'launch' for one process of a rendezvous-"
+                        choices=sorted(COMMANDS) + ["all", "launch",
+                                                    "verify"],
+                        help="which table/figure to regenerate, 'launch' "
+                             "for one process of a rendezvous-"
                              "bootstrapped TCP fleet, or 'verify' to "
                              "statically verify every arch x plan x "
                              "backend schedule")
-    # Analytic tables default to the paper's cluster; the functional bench
-    # defaults to a small one (it really executes every replica).
+    # Analytic tables default to the paper's cluster; verify defaults to
+    # a small one (it transforms and compiles every combo).
     parser.add_argument("--machines", type=int, default=None)
     parser.add_argument("--gpus", type=int, default=None)
     parser.add_argument("--iters", type=int, default=60,
-                        help="bench: measured iterations per engine")
-    parser.add_argument("--warmup", type=int, default=5,
-                        help="bench: discarded warmup iterations")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--fusion", action="store_true",
-                        help="bench: compare fused (bucketed) vs unfused "
-                             "dense AllReduce instead of the engines")
-    parser.add_argument("--elastic", action="store_true",
-                        help="bench: goodput under a deterministic failure "
-                             "schedule (worker kill + NIC degradation) vs "
-                             "a fault-free elastic run")
-    parser.add_argument("--parallel", action="store_true",
-                        help="bench: multiprocess worker backend vs the "
-                             "in-process engine (wall-clock steps/sec plus "
-                             "a bit-identity matrix over every arch/plan)")
-    parser.add_argument("--compression", action="store_true",
-                        help="bench: gradient compression (top-k with "
-                             "error feedback, fp16) vs exact collectives "
-                             "-- bytes-on-wire reduction, steps/sec, and "
-                             "the convergence contract")
-    parser.add_argument("--ratio", type=float, default=0.1,
-                        help="bench --compression: top-k keep fraction")
-    parser.add_argument("--autopilot", action="store_true",
-                        help="bench: online adaptive replanning -- "
-                             "autopilot-controlled goodput vs the static "
-                             "incumbent plan under a scripted, functionally "
-                             "emulated NIC degradation, plus the decision "
-                             "log and the no-flapping contract")
-    parser.add_argument("--serve", action="store_true",
-                        help="bench: serving plane -- batched QPS vs "
-                             "batch size through the compiled forward "
-                             "plan, p50/p99 request latency through the "
-                             "batcher, and the hot-reload/batched "
-                             "bit-identity contracts")
-    parser.add_argument("--network", action="store_true",
-                        help="bench: TCP link microbench -- measure "
-                             "loopback latency/bandwidth through one "
-                             "TcpTransport socket pair and calibrate "
-                             "the cost model's tcp_bw / tcp_latency")
-    parser.add_argument("--transport", default="shm",
-                        choices=("shm", "queue", "tcp"),
-                        help="bench --parallel: multiprocess transport "
-                             "kind (tcp runs the fleet over loopback "
-                             "sockets)")
+                        help="launch controller: training steps to run")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="launch controller: runner seed")
     parser.add_argument("--rendezvous", default=None, metavar="URL",
                         help="launch: tcp://host:port bootstrap address "
                              "(the controller binds it; workers join it)")
@@ -1846,37 +396,15 @@ def main(argv=None) -> int:
                         help="launch controller: also train in process "
                              "and assert the remote fleet's losses are "
                              "bit-identical")
-    parser.add_argument("--all", action="store_true", dest="all_families",
-                        help="bench: run every bench family (engine, "
-                             "fusion, elastic, parallel, compression, "
-                             "verify, serve, autopilot), merging results "
-                             "into the per-family BENCH_*.json files")
-    parser.add_argument("--check", action="store_true",
-                        help="bench: regression gate -- compare every "
-                             "BENCH_*.json's current run against its "
-                             "history; fail on a >25%% steps/sec "
-                             "regression or any bit-identity/"
-                             "bytes-conservation violation")
-    parser.add_argument("--bench-output", default=None,
-                        help="bench report path (default BENCH_engine.json, "
-                             "BENCH_fusion.json with --fusion, "
-                             "BENCH_elastic.json with --elastic, "
-                             "BENCH_parallel.json with --parallel, "
-                             "BENCH_compression.json with --compression, "
-                             "BENCH_serve.json with --serve, or "
-                             "BENCH_autopilot.json with --autopilot; ignored "
-                             "by --all, which writes every family's "
-                             "file)")
     args = parser.parse_args(argv)
     default_machines, default_gpus = (
-        (2, 2) if args.experiment in ("bench", "verify") else (8, 6))
+        (2, 2) if args.experiment == "verify" else (8, 6))
     cluster = ClusterSpec(
         default_machines if args.machines is None else args.machines,
         default_gpus if args.gpus is None else args.gpus,
     )
     if args.experiment == "verify":
-        return cli_verify(cluster, seed=args.seed,
-                          output=args.bench_output or "BENCH_verify.json")
+        return cli_verify(cluster)
     if args.experiment == "launch":
         # Default the cluster to one machine per worker when the shape
         # was not given explicitly.
@@ -1884,58 +412,6 @@ def main(argv=None) -> int:
                 and args.world_size is not None:
             cluster = ClusterSpec(args.world_size, 1)
         return cli_launch(args, cluster)
-    if args.experiment == "bench":
-        chosen = [name for name, flag in (
-            ("--fusion", args.fusion), ("--elastic", args.elastic),
-            ("--parallel", args.parallel), ("--all", args.all_families),
-            ("--compression", args.compression), ("--check", args.check),
-            ("--network", args.network), ("--serve", args.serve),
-            ("--autopilot", args.autopilot),
-        ) if flag]
-        if len(chosen) > 1:
-            raise SystemExit(f"bench: choose one of {' / '.join(chosen)}")
-        if args.check:
-            return bench_check()
-        if args.all_families:
-            return bench_all(cluster, iters=args.iters, warmup=args.warmup,
-                             seed=args.seed)
-        if args.autopilot:
-            return bench_autopilot(
-                cluster, iters=args.iters, warmup=args.warmup,
-                seed=args.seed,
-                output=args.bench_output or "BENCH_autopilot.json")
-        if args.serve:
-            return bench_serve(
-                cluster, iters=args.iters, warmup=args.warmup,
-                seed=args.seed,
-                output=args.bench_output or "BENCH_serve.json")
-        if args.network:
-            return bench_network(
-                iters=max(10, args.iters),
-                output=args.bench_output or "BENCH_network.json")
-        if args.compression:
-            return bench_compression(
-                cluster, iters=args.iters, warmup=args.warmup,
-                seed=args.seed, ratio=args.ratio,
-                output=args.bench_output or "BENCH_compression.json")
-        if args.parallel:
-            return bench_parallel(
-                cluster, iters=args.iters, warmup=args.warmup,
-                seed=args.seed, transport=args.transport,
-                output=args.bench_output or "BENCH_parallel.json")
-        if args.elastic:
-            return bench_elastic(
-                cluster, iters=args.iters, warmup=args.warmup,
-                seed=args.seed,
-                output=args.bench_output or "BENCH_elastic.json")
-        if args.fusion:
-            return bench_fusion(
-                cluster, iters=args.iters, warmup=args.warmup,
-                seed=args.seed,
-                output=args.bench_output or "BENCH_fusion.json")
-        return bench(cluster, iters=args.iters, warmup=args.warmup,
-                     seed=args.seed,
-                     output=args.bench_output or "BENCH_engine.json")
     if args.experiment == "all":
         for fn in COMMANDS.values():
             fn(cluster)

@@ -115,8 +115,8 @@ class CostModel:
     # in, one copy out of /dev/shm).
     shm_bw: float = 8.0e9
     # Bytes/sec one TcpTransport connection sustains (loopback or NIC;
-    # `bench --network` measures it and `fit_network_constants` writes
-    # it here) and the per-message frame latency of that link.  The
+    # `fit_network_constants` writes a measured value here) and the
+    # per-message frame latency of that link.  The
     # defaults model loopback so pre-calibration predictions stay sane.
     tcp_bw: float = 3.0e9
     tcp_latency: float = 5.0e-5
@@ -261,9 +261,11 @@ def fit_network_constants(measurement, base: "CostModel" = None,
                           ) -> "CostModel":
     """Calibrate ``tcp_bw`` / ``tcp_latency`` from a link microbench.
 
-    *measurement* is the dict ``bench --network`` produces: the keys
-    used are ``measured_bandwidth_bytes_per_s`` (large-payload transfer
-    rate through one TcpTransport connection) and ``measured_latency_s``
+    *measurement* is a link microbench result (``python -m bench``
+    probes the same two quantities as ``transport.bulk_mb_s`` and
+    ``transport.rtt_us``): the keys used are
+    ``measured_bandwidth_bytes_per_s`` (large-payload transfer rate
+    through one TcpTransport connection) and ``measured_latency_s``
     (small-frame round trip / 2).  Unlike :func:`fit_transport_constants`
     this calibrates the *physical link*, not serialization cost -- it is
     what turns the model's assumed link constants into measured ones.

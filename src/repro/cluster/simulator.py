@@ -707,9 +707,8 @@ def simulate_serving(
 
     Compute scales with the batch while the per-batch dispatch overhead
     does not, so QPS rises with batch size; the queue delay the batcher
-    spends coalescing rises alongside -- the knee ``bench --serve``
-    measures, priced here so capacity planning can sweep batch sizes
-    without hardware.  With *sharded* embeddings on a multi-machine
+    spends coalescing rises alongside -- the knee priced here so
+    capacity planning can sweep batch sizes without hardware.  With *sharded* embeddings on a multi-machine
     cluster, each sparse variable costs one routed lookup (the touched
     rows over the PS NIC plus an RPC) instead of replicating the full
     table into every serving process.

@@ -49,8 +49,8 @@ deadlock-free.  Waiting for a message is the mailbox's business; this
 module is only the socket framing.
 
 Counter accounting: every frame adds its payload to ``wire_bytes`` /
-``wire_msgs`` (physical socket traffic, what ``bench --network``
-calibrates against); pickle-path frames *also* count ``pickle_bytes``
+``wire_msgs`` (physical socket traffic, what ``tcp_bw`` in the cost
+model prices); pickle-path frames *also* count ``pickle_bytes``
 / ``pickle_msgs`` (serialization cost), and each bulk ``tobytes``
 freeze is one ``copy_count``.  Transcript records use payload bytes,
 same as the other planes.

@@ -224,8 +224,8 @@ class Session:
         fetch resolution and kernel dispatch.
 
         Kept as the reference semantics for ``run``: the engine
-        bit-equivalence tests and ``repro.cli bench`` compare the compiled
-        path against this one.
+        bit-equivalence tests compare the compiled path against this
+        one.
         """
         single = not isinstance(fetches, (list, tuple))
         fetch_list = [fetches] if single else list(fetches)

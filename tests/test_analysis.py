@@ -20,7 +20,7 @@ from repro.analysis.deadlock import analyze_deadlock, check_entries
 from repro.analysis.lint import lint_paths
 from repro.analysis.lint import main as lint_main
 from repro.analysis.verifier import default_fetch_ops
-from repro.cli import _bench_matrix_models, _bench_plan_builders
+from repro.cli import _matrix_models, _matrix_plans
 from repro.cluster.faults import WorkerFailureError
 from repro.cluster.spec import ClusterSpec
 from repro.comm.compression import wire_fraction
@@ -366,13 +366,13 @@ class TestAccounting:
 # verify_plan: matrix coverage and runtime wiring
 # ======================================================================
 class TestVerifyPlanMatrix:
-    @pytest.mark.parametrize("model_key", sorted(_bench_matrix_models()))
-    @pytest.mark.parametrize("plan_key", sorted(_bench_plan_builders()))
+    @pytest.mark.parametrize("model_key", sorted(_matrix_models()))
+    @pytest.mark.parametrize("plan_key", sorted(_matrix_plans()))
     def test_matrix_is_clean(self, model_key, plan_key):
-        model = _bench_matrix_models()[model_key]()
+        model = _matrix_models()[model_key]()
         transformed = transform_graph(
             model.graph, model.loss, C2x2,
-            _bench_plan_builders()[plan_key](model.graph), verify=False)
+            _matrix_plans()[plan_key](model.graph), verify=False)
         report = verify_plan(transformed)
         assert report.ok, report.render()
         assert set(report.timings) == {"deadlock", "congruence", "alias",

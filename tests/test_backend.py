@@ -2,9 +2,9 @@
 partitioning, and the multiprocess worker backend's differential
 guarantees against the in-process engine.
 
-The multiprocess smoke tests run with two workers (one per machine) so
-the suite stays fast on hosted runners; the heavier 4-replica
-comparisons live in ``repro.cli bench --parallel``.
+The multiprocess tests run with two workers (one per machine) so the
+suite stays fast on hosted runners: the single-model smoke cases, then
+the arch x plan x transport bit-identity matrix.
 """
 
 import time
@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cli import _matrix_models, _matrix_plans
 from repro.cluster.spec import ClusterSpec
 from repro.comm.transcript import Transcript, merge_transcripts
 from repro.comm.transport import (
@@ -519,6 +520,35 @@ class TestMultiprocSmoke:
         multiproc.close()
         assert all(not p.is_alive() for p in processes)
         multiproc.close()  # idempotent
+
+
+# ======================================================================
+# Multiprocess bit-identity matrix (every arch x plan family x transport)
+# ======================================================================
+class TestMultiprocMatrix:
+    """The differential guarantee that makes the backends (and the
+    message planes under the multiprocess one) interchangeable: same
+    per-step, per-replica losses, bit for bit."""
+
+    @pytest.mark.parametrize("transport", ["queue", "shm", "tcp"])
+    @pytest.mark.parametrize("plan_key", sorted(_matrix_plans()))
+    @pytest.mark.parametrize("model_key", sorted(_matrix_models()))
+    def test_losses_bit_identical_to_inproc(self, model_key, plan_key,
+                                            transport):
+        losses = {}
+        for name, backend in (
+                ("inproc", "inproc"),
+                ("multiproc", MultiprocBackend(transport=transport))):
+            model = _matrix_models()[model_key]()
+            runner = DistributedRunner(
+                model, C2x1, _matrix_plans()[plan_key](model.graph),
+                seed=SEED, backend=backend)
+            try:
+                losses[name] = [runner.step(i).replica_losses
+                                for i in range(3)]
+            finally:
+                runner.close()
+        assert losses["multiproc"] == losses["inproc"]
 
 
 class _SlicingStubTransport:

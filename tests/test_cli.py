@@ -28,331 +28,25 @@ def test_cli_table2_custom_cluster(capsys):
     assert "P=128" in out
 
 
-def test_cli_bench_fusion_writes_report(tmp_path, capsys):
-    out = tmp_path / "BENCH_fusion.json"
-    assert main(["bench", "--fusion", "--machines", "2", "--gpus", "2",
-                 "--iters", "4", "--warmup", "1",
-                 "--bench-output", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "Fusion bench" in printed
-    assert out.exists()
-
-    import json
-    report = json.loads(out.read_text())
-    assert report["losses_bit_identical"] is True
-    records = report["allreduce_records"]
-    assert records["fused"]["messages"] < records["unfused"]["messages"]
-    assert records["fused"]["bytes"] == records["unfused"]["bytes"]
-    sweep = report["simulated_ablation"]["sweep"]
-    buckets = [row["num_buckets"] for row in sweep]
-    assert buckets == sorted(buckets, reverse=True)
-
-
-def test_cli_bench_fusion_rejects_bad_iters():
+def test_cli_bench_experiment_is_gone():
+    """Timing lives in ``python -m bench``; the legacy families are not a
+    CLI experiment any more."""
     with pytest.raises(SystemExit):
-        main(["bench", "--fusion", "--iters", "0"])
-
-
-def test_cli_bench_elastic_writes_report(tmp_path, capsys):
-    out = tmp_path / "BENCH_elastic.json"
-    assert main(["bench", "--elastic", "--machines", "2", "--gpus", "2",
-                 "--iters", "8", "--bench-output", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "Elastic bench" in printed
-    assert out.exists()
-
-    import json
-    report = json.loads(out.read_text())
-    assert report["losses_bit_identical"] is True
-    assert len(report["recoveries"]) == 1
-    assert report["recoveries"][0]["action"] == "restore"
-    assert report["rescale"]["old_replicas"] == 4
-    assert report["rescale"]["new_replicas"] == 2
-    assert report["rescale"]["plans_compiled"] >= 1
-    sim = report["simulated"]
-    assert 0 < sim["goodput_fraction"] < 1
-    assert sim["downtime_sec"] > 0
-    assert sim["rescale_downtime_sec"] > 0
-    assert report["goodput_iters_per_sec"]["fault_free"] > 0
-    assert report["goodput_iters_per_sec"]["faulted"] > 0
-
-
-def test_cli_bench_elastic_and_fusion_mutually_exclusive():
-    with pytest.raises(SystemExit):
-        main(["bench", "--elastic", "--fusion"])
-
-
-def test_cli_bench_elastic_rejects_bad_iters():
-    with pytest.raises(SystemExit):
-        main(["bench", "--elastic", "--iters", "0"])
-
-
-def test_cli_bench_family_flags_mutually_exclusive():
-    with pytest.raises(SystemExit):
-        main(["bench", "--fusion", "--parallel"])
-    with pytest.raises(SystemExit):
-        main(["bench", "--all", "--elastic"])
-    with pytest.raises(SystemExit):
-        main(["bench", "--parallel", "--iters", "0"])
-    with pytest.raises(SystemExit):
-        main(["bench", "--serve", "--fusion"])
-
-
-def test_cli_bench_serve_writes_report(tmp_path, capsys):
-    out = tmp_path / "BENCH_serve.json"
-    assert main(["bench", "--serve", "--machines", "2", "--gpus", "1",
-                 "--iters", "3", "--warmup", "1",
-                 "--bench-output", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "Serving bench" in printed
-    assert out.exists()
-
-    import json
-    report = json.loads(out.read_text())
-    assert report["batched_bit_identical"] is True
-    assert report["hot_reload_bit_identical"] is True
-    assert report["hot_reload_changed_output"] is True
-    assert set(report["qps_by_batch"]) == {"1", "2", "4", "8"}
-    assert report["p99_latency_ms"] >= report["p50_latency_ms"]
-    assert report["batched_speedup"] > 0
-    assert report["requests_served"] > 0
-    sim = report["simulated"]["by_batch"]
-    qps = [sim[k]["qps"] for k in sorted(sim, key=int)]
-    assert qps == sorted(qps)
-
-
-def test_cli_bench_serve_rejects_bad_iters():
-    with pytest.raises(SystemExit):
-        main(["bench", "--serve", "--iters", "0"])
-
-
-def test_bench_report_history_merging(tmp_path, monkeypatch):
-    """_write_report keeps the latest run at top level and folds earlier
-    runs into a history list -- the per-family bench trajectory.  Each
-    write here happens at a distinct (fake) commit, so all of them make
-    the trajectory."""
-    import json
-
-    import repro.cli as cli
-
-    shas = iter(["sha1", "sha2", "sha3"])
-    monkeypatch.setattr(cli, "_git_sha", lambda: next(shas))
-
-    out = tmp_path / "BENCH_x.json"
-    cli._write_report(str(out), {"speedup": 1.0, "run": "first"})
-    cli._write_report(str(out), {"speedup": 2.0, "run": "second"})
-    cli._write_report(str(out), {"speedup": 3.0, "run": "third"})
-
-    report = json.loads(out.read_text())
-    assert report["run"] == "third"
-    assert report["git_sha"] == "sha3"
-    assert [r["run"] for r in report["history"]] == ["first", "second"]
-    assert "history" not in report["history"][0]
-
-
-def test_bench_report_history_dedups_by_sha(tmp_path, monkeypatch):
-    """A re-run at the same commit (a retried CI job) replaces that
-    commit's data point instead of double-counting it."""
-    import json
-
-    import repro.cli as cli
-
-    shas = iter(["sha1", "sha2", "sha2", "sha3"])
-    monkeypatch.setattr(cli, "_git_sha", lambda: next(shas))
-
-    out = tmp_path / "BENCH_x.json"
-    cli._write_report(str(out), {"run": "first"})
-    cli._write_report(str(out), {"run": "second"})
-    cli._write_report(str(out), {"run": "second-retry"})  # same sha2
-    cli._write_report(str(out), {"run": "third"})
-
-    report = json.loads(out.read_text())
-    assert report["run"] == "third"
-    history = report["history"]
-    # sha2 appears once, as the retry; the original run is gone.
-    assert [r["run"] for r in history] == ["first", "second-retry"]
-    assert [r["git_sha"] for r in history] == ["sha1", "sha2"]
-
-
-def test_bench_report_no_sha_always_appends(tmp_path, monkeypatch):
-    """Outside a git checkout (no SHA) the dedup is inert."""
-    import json
-
-    import repro.cli as cli
-
-    monkeypatch.setattr(cli, "_git_sha", lambda: None)
-    out = tmp_path / "BENCH_x.json"
-    cli._write_report(str(out), {"run": "first"})
-    cli._write_report(str(out), {"run": "second"})
-    report = json.loads(out.read_text())
-    assert [r["run"] for r in report["history"]] == ["first"]
-
-
-def test_bench_report_history_survives_corrupt_file(tmp_path):
-    import json
-
-    from repro.cli import _write_report
-
-    out = tmp_path / "BENCH_x.json"
-    out.write_text("not json{")
-    _write_report(str(out), {"run": "fresh"})
-    report = json.loads(out.read_text())
-    assert report["run"] == "fresh"
-    assert report["history"] == []
-
-
-def test_cli_bench_parallel_writes_report(tmp_path, capsys, monkeypatch):
-    """Smoke the parallel bench at matrix-free scale: patch the matrix
-    and timing workload down to the 2-worker quickstart so the CLI path
-    (report schema, bit-identity gating, history) stays covered without
-    the full 12-combination sweep."""
-    import json
-
-    import repro.cli as cli
-
-    lm_model_builder = cli._bench_matrix_models()["lm"]
-    hybrid_plan_builder = cli._bench_plan_builders()["hybrid"]
-    monkeypatch.setattr(cli, "_bench_matrix_models",
-                        lambda: {"lm": lm_model_builder})
-    monkeypatch.setattr(cli, "_bench_plan_builders",
-                        lambda: {"hybrid": hybrid_plan_builder})
-
-    def small_timing(cluster, seed, backend):
-        from repro.core.runner import DistributedRunner
-        from repro.core.transform.plan import hybrid_graph_plan
-
-        model = cli._quickstart_model()
-        plan = hybrid_graph_plan(model.graph, fusion=True)
-        return DistributedRunner(model, cluster, plan, seed=seed,
-                                 backend=backend)
-
-    monkeypatch.setattr(cli, "_parallel_timing_runner", small_timing)
-
-    out = tmp_path / "BENCH_parallel.json"
-    assert main(["bench", "--parallel", "--machines", "2", "--gpus", "1",
-                 "--iters", "4", "--warmup", "1",
-                 "--bench-output", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "Parallel bench" in printed
-    report = json.loads(out.read_text())
-    assert report["losses_bit_identical"] is True
-    assert report["matrix"] == [{"model": "lm", "plan": "hybrid",
-                                 "losses_bit_identical": True}]
-    assert report["inproc_steps_per_sec"] > 0
-    assert report["multiproc_steps_per_sec"] > 0
-    assert report["controller_transport"]["messages"] > 0
-    assert isinstance(report["speedup_enforced"], bool)
-
-
-def test_cli_bench_compression_writes_report(tmp_path, capsys):
-    out = tmp_path / "BENCH_compression.json"
-    assert main(["bench", "--compression", "--machines", "2", "--gpus", "2",
-                 "--iters", "8", "--warmup", "1",
-                 "--bench-output", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "Compression bench" in printed
-
-    import json
-    report = json.loads(out.read_text())
-    assert report["topk_bytes_reduction"] >= 2.0
-    assert report["topk_monotone_improving"] is True
-    assert report["topk_within_tolerance"] is True
-    assert report["fp16_within_tolerance"] is True
-    assert report["fp16_roundtrip_bit_exact"] is True
-    assert report["bytes_per_iteration"]["topk"] < \
-        report["bytes_per_iteration"]["uncompressed"]
-    simulated = report["simulated"]
-    codecs = simulated["codecs"]
-    assert codecs["topk"]["wire_bytes"] < codecs["topk"]["raw_bytes"]
-    assert codecs["uncompressed"]["wire_bytes"] == \
-        codecs["uncompressed"]["raw_bytes"]
-    assert simulated["picked_under_budget"] in ("topk", "fp16", "topk+fp16")
-
-
-def test_cli_bench_compression_flag_exclusive():
-    with pytest.raises(SystemExit):
-        main(["bench", "--compression", "--fusion"])
-    with pytest.raises(SystemExit):
-        main(["bench", "--check", "--compression"])
-
-
-def test_cli_bench_check_no_reports(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "--check"]) == 1
-    assert "no reports" in capsys.readouterr().out
-
-
-def test_cli_bench_check_passes_without_history(tmp_path, monkeypatch,
-                                                capsys):
-    import json
-
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "BENCH_engine.json").write_text(json.dumps({
-        "compiled_steps_per_sec": 100.0, "losses_bit_identical": True,
-        "history": [],
-    }))
-    assert main(["bench", "--check"]) == 0
-    assert "clean" in capsys.readouterr().out
-
-
-def test_cli_bench_check_flags_regression(tmp_path, monkeypatch, capsys):
-    """>25% below the history median fails; a smaller dip passes."""
-    import json
-
-    from repro.cli import _host_fingerprint
-
-    monkeypatch.chdir(tmp_path)
-    host = _host_fingerprint()
-    history = [{"compiled_steps_per_sec": v, "host": host} for v in
-               (90.0, 100.0, 110.0)]  # median 100
-    (tmp_path / "BENCH_engine.json").write_text(json.dumps({
-        "compiled_steps_per_sec": 70.0, "host": host, "history": history,
-    }))
-    assert main(["bench", "--check"]) == 1
-    assert "below the history median" in capsys.readouterr().out
-
-    (tmp_path / "BENCH_engine.json").write_text(json.dumps({
-        "compiled_steps_per_sec": 80.0, "host": host, "history": history,
-    }))
-    assert main(["bench", "--check"]) == 0
-
-
-def test_cli_bench_check_ignores_other_hosts(tmp_path, monkeypatch, capsys):
-    """History measured on a different kind of machine is not a
-    performance reference: a dev workstation's steps/sec must not fail a
-    hosted CI runner."""
-    import json
-
-    from repro.cli import _host_fingerprint
-
-    monkeypatch.chdir(tmp_path)
-    history = [{"compiled_steps_per_sec": 1000.0,
-                "host": "workstation-64c"}]
-    (tmp_path / "BENCH_engine.json").write_text(json.dumps({
-        "compiled_steps_per_sec": 10.0, "host": _host_fingerprint(),
-        "history": history,
-    }))
-    assert main(["bench", "--check"]) == 0
-    assert "0 throughput keys compared" in capsys.readouterr().out
-
-
-def test_cli_bench_check_flags_contract_violations(tmp_path, monkeypatch,
-                                                   capsys):
-    import json
-
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "BENCH_engine.json").write_text(json.dumps({
-        "losses_bit_identical": False, "history": [],
-    }))
-    assert main(["bench", "--check"]) == 1
-    assert "losses_bit_identical" in capsys.readouterr().out
-
-    # Bytes conservation: fused vs unfused AllReduce totals must agree.
-    (tmp_path / "BENCH_engine.json").write_text(json.dumps({
-        "losses_bit_identical": True,
-        "allreduce_records": {"fused": {"bytes": 10, "messages": 1},
-                              "unfused": {"bytes": 12, "messages": 3}},
-        "history": [],
-    }))
-    assert main(["bench", "--check"]) == 1
-    assert "not conserved" in capsys.readouterr().out
+        main(["bench"])
+
+
+def test_cli_verify_clean_matrix(capsys):
+    """Exit 1 means findings; 2 (verification over its compile-time
+    budget) is host timing, not a tier-1 contract."""
+    assert main(["verify", "--machines", "2", "--gpus", "1"]) != 1
+    out = capsys.readouterr().out
+    assert "24 combos, 0 finding(s)" in out
+
+
+@pytest.mark.parametrize("rank", ["-2", "2"])
+def test_cli_launch_rejects_out_of_range_rank(rank):
+    """Only -1 names the controller: any other negative rank must not
+    bind the rendezvous address."""
+    with pytest.raises(SystemExit, match="--rank"):
+        main(["launch", "--rendezvous", "tcp://127.0.0.1:1",
+              "--rank", rank, "--world-size", "2"])

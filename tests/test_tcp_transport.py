@@ -1,6 +1,6 @@
 """TCP transport specifics: wire accounting, simulated latency,
-rendezvous bootstrap, the ``launch`` entry point, and the network
-microbench.
+rendezvous bootstrap, the ``launch`` entry point, and the link-constant
+fitter.
 
 The behavioural contract shared with the other transports lives in
 ``test_transport_conformance.py``; this file covers what is unique to
@@ -206,22 +206,33 @@ class TestRegistry:
                                        transport="tcp"))
 
 
-class TestBenchNetwork:
-    def test_report_keys_and_calibration(self, tmp_path):
-        from repro.cli import bench_network
+class TestFitNetworkConstants:
+    MEASURED = {"measured_bandwidth_bytes_per_s": 1.25e9,
+                "measured_latency_s": 8.0e-5}
 
-        out = tmp_path / "BENCH_network.json"
-        assert bench_network(iters=10, payload_mb=0.25, transfers=2,
-                             output=str(out)) == 0
-        report = json.loads(out.read_text())
-        for key in ("measured_latency_s", "measured_bandwidth_bytes_per_s",
-                    "fitted_tcp_latency", "fitted_tcp_bw",
-                    "wire_bytes", "wire_msgs"):
-            assert key in report, key
-        assert report["measured_latency_s"] > 0
-        assert report["measured_bandwidth_bytes_per_s"] > 0
-        assert report["fitted_tcp_bw"] == pytest.approx(
-            report["measured_bandwidth_bytes_per_s"])
+    def test_measured_link_replaces_assumed_constants(self):
+        from repro.cluster.costmodel import (
+            DEFAULT_COST_MODEL,
+            fit_network_constants,
+        )
+
+        fitted = fit_network_constants(self.MEASURED)
+        assert fitted.tcp_bw == 1.25e9
+        assert fitted.tcp_latency == 8.0e-5
+        # Only the link constants move.
+        assert fitted.shm_bw == DEFAULT_COST_MODEL.shm_bw
+        assert fitted.c_serialize == DEFAULT_COST_MODEL.c_serialize
+
+    def test_non_positive_measurements_keep_the_base(self):
+        from repro.cluster.costmodel import CostModel, fit_network_constants
+
+        base = CostModel(tcp_bw=2.0e9, tcp_latency=1.0e-5)
+        assert fit_network_constants({}, base) is base
+        half = fit_network_constants(
+            {"measured_bandwidth_bytes_per_s": 0.0,
+             "measured_latency_s": 3.0e-5}, base)
+        assert half.tcp_bw == 2.0e9
+        assert half.tcp_latency == 3.0e-5
 
 
 def _free_port() -> int:
