@@ -29,6 +29,7 @@ of those silently double-counts bytes or breaks worker muting.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Tuple
 
 from repro.analysis.report import Finding
@@ -48,17 +49,20 @@ _INDEX_ITEMSIZE = 4
 _RING_ITEMSIZE = 4
 
 
-def _chunk_sizes(numel: int, n: int, bounds=None) -> List[int]:
-    """Chunk extents of a ring over *numel* elements (one per worker)."""
-    if bounds is not None:
-        bounds = [int(b) for b in bounds]
-        return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-    base, extra = divmod(numel, n)
-    return [base + (1 if c < extra else 0) for c in range(n)]
+def _chunk_sizes(segment_sizes: List[int], n: int) -> List[int]:
+    """Chunk extents of a ring over concatenated segments (one chunk per
+    worker): every segment is split on its own, remainder front-loaded,
+    and ring chunk ``c`` carries chunk ``c`` of each."""
+    sizes = [0] * n
+    for numel in segment_sizes:
+        base, extra = divmod(numel, n)
+        for c in range(n):
+            sizes[c] += base + (1 if c < extra else 0)
+    return sizes
 
 
-def _ring_bytes(numel: int, machines: List[int], itemsize: int,
-                bounds=None) -> Tuple[int, int]:
+def _ring_bytes(segment_sizes: List[int], machines: List[int],
+                itemsize: int) -> Tuple[int, int]:
     """(total, cross-machine) transcript bytes of one dense ring.
 
     Replays the index arithmetic of ``comm.allreduce.ring_allreduce``:
@@ -68,7 +72,7 @@ def _ring_bytes(numel: int, machines: List[int], itemsize: int,
     n = len(machines)
     if n <= 1:
         return 0, 0
-    sizes = _chunk_sizes(numel, n, bounds)
+    sizes = _chunk_sizes(segment_sizes, n)
     total = network = 0
     for phase_shift in (0, 1):
         for step in range(n - 1):
@@ -161,8 +165,10 @@ def analyze_accounting(transformed, fetch_ops, order=None,
         n = len(machines)
         numel = _numel(op.output.spec.shape)
         segments = op.attrs.get("segments")
+        segment_sizes = ([numel] if segments is None
+                         else [int(size) for _name, size in segments])
         if segments is not None:
-            seg_total = sum(int(size) for _name, size in segments)
+            seg_total = sum(segment_sizes)
             if seg_total != numel:
                 findings.append(Finding(
                     ANALYSIS,
@@ -184,9 +190,21 @@ def analyze_accounting(transformed, fetch_ops, order=None,
             collected_elements += numel
             raw_bytes += numel * _RING_ITEMSIZE
             wire_bytes += numel * _RING_ITEMSIZE
-            total, network = _ring_bytes(
-                numel, machines, _RING_ITEMSIZE,
-                bounds=op.attrs.get("bounds"))
+            bounds = op.attrs.get("bounds")
+            if bounds is not None and n:
+                # The kernel chunks by ``segments``; the attr is what the
+                # other analyses compare, so the two must tell one story.
+                derived = [0, *accumulate(_chunk_sizes(segment_sizes, n))]
+                if [int(b) for b in bounds] != derived:
+                    findings.append(Finding(
+                        ANALYSIS,
+                        f"chunk bounds of {op_type}/{group} disagree with "
+                        f"its segments: the op carries {list(bounds)} but "
+                        f"per-segment ring chunking gives {derived}",
+                        trace=(f"segments: {list(segments or ())}",),
+                    ))
+            total, network = _ring_bytes(segment_sizes, machines,
+                                         _RING_ITEMSIZE)
             entry.update(static=True, total_bytes=total,
                          network_bytes=network)
             static_total += total
@@ -215,7 +233,7 @@ def analyze_accounting(transformed, fetch_ops, order=None,
                 # Quantized-only payloads stay dense and ride the ring
                 # at the codec's wire itemsize.
                 itemsize = 2 if "fp16" in codecs else _RING_ITEMSIZE
-                total, network = _ring_bytes(numel, machines, itemsize)
+                total, network = _ring_bytes([numel], machines, itemsize)
                 entry.update(static=True, total_bytes=total,
                              network_bytes=network)
                 static_total += total

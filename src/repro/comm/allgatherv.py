@@ -26,48 +26,35 @@ def ring_allgatherv(
 ) -> List[IndexedSlices]:
     """Gather every worker's IndexedSlices to all workers (ring schedule).
 
-    Returns one concatenated IndexedSlices per worker; all copies are
-    identical, ordered by originating worker index.  Duplicate indices are
-    preserved (the consumer decides whether to combine), matching the
-    paper's description of AllGatherv as pure concatenation.
+    Returns one entry per worker, all the *same* concatenated
+    IndexedSlices, ordered by originating worker index: the ring only
+    forwards pieces, so every worker ends with that concatenation and it
+    is built once.  Duplicate indices are preserved (the consumer decides
+    whether to combine), matching the paper's description of AllGatherv
+    as pure concatenation.
     """
+    # Validates too: at least one worker, one shared dense_shape.
+    gathered = concat_slices(list(contributions))
     n = len(contributions)
-    if n == 0:
-        raise ValueError("ring_allgatherv needs at least one worker")
-    shape = contributions[0].dense_shape
-    for c in contributions[1:]:
-        if c.dense_shape != shape:
-            raise ValueError("all contributions must share dense_shape")
     if machines is None:
         machines = list(range(n))
     if len(machines) != n:
         raise ValueError("machines must have one entry per worker")
-    if n == 1:
-        return [contributions[0].copy()]
 
-    # held[i] maps origin-worker -> slices currently held by worker i.
-    held = [{i: contributions[i].copy()} for i in range(n)]
-
-    for step in range(n - 1):
-        sends = []
-        for i in range(n):
-            origin = (i - step) % n
-            sends.append((i, (i + 1) % n, origin, held[i][origin]))
-        for src, dst, origin, data in sends:
-            held[dst][origin] = data.copy()
-            if transcript is not None:
-                # Indices ride along with values; the paper's model treats
-                # the index payload as negligible but we record it under a
-                # separate tag so the approximation is checkable.
-                transcript.record(tag, machines[src], machines[dst],
-                                  data.value_nbytes,
+    if transcript is not None:
+        # At step s worker i forwards the piece that originated at
+        # worker (i - s) mod n.  Indices ride along with values; the
+        # paper's model treats the index payload as negligible but we
+        # record it under a separate tag so the approximation is
+        # checkable.
+        for step in range(n - 1):
+            for i in range(n):
+                piece = contributions[(i - step) % n]
+                src, dst = machines[i], machines[(i + 1) % n]
+                transcript.record(tag, src, dst, piece.value_nbytes,
                                   stage=stage_offset + step)
-                transcript.record(f"idx:{tag}", machines[src],
-                                  machines[dst], data.index_nbytes,
+                transcript.record(f"idx:{tag}", src, dst,
+                                  piece.index_nbytes,
                                   stage=stage_offset + step)
 
-    results = []
-    for i in range(n):
-        ordered = [held[i][origin] for origin in range(n)]
-        results.append(concat_slices(ordered))
-    return results
+    return [gathered] * n

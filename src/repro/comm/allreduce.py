@@ -7,9 +7,19 @@ the reduced chunks.  Each worker sends and receives ``size/N`` elements
 per step, giving the paper's ``4w(N-1)/N`` bytes per machine for one
 variable of ``w`` bytes (section 3.1, Figure 2(c)).
 
-This module executes the real algorithm over numpy buffers -- results are
-bit-identical across workers by construction -- and records every chunk
-movement into the transcript.
+The ring leaves every worker with the same bits, and those bits are fixed
+by the chunking alone: chunk ``c`` starts at worker ``c`` and picks up one
+contribution per hop, so its value is the left fold
+``x[c+N-1] + (... (x[c+1] + x[c]))`` in ring order.  This module computes
+that fold *once* into one buffer all N workers share -- no per-worker
+copies, no per-hop copies -- and records into the transcript exactly the
+chunk movements the N-worker ring performs, from the chunk sizes alone.
+
+A fused bucket (several gradients concatenated into one collective) is
+the same ring with per-*segment* chunking: chunk ``c`` of the bucket is
+chunk ``c`` of every segment, so each element is summed in the order its
+own per-variable ring would use and one fused message per ring step
+carries all of them.
 """
 
 from __future__ import annotations
@@ -30,16 +40,44 @@ def chunk_bounds(size: int, num_chunks: int) -> List[int]:
     return bounds
 
 
+def _chunk_slices(sizes: Sequence[int], num_chunks: int):
+    """``slices[c]``: the ``(lo, hi)`` ranges of ring chunk ``c`` in a
+    buffer of concatenated segments -- chunk ``c`` of every segment under
+    that segment's own :func:`chunk_bounds`, empty ranges dropped."""
+    if any(s < 0 for s in sizes):
+        raise ValueError("segment sizes must be >= 0")
+    slices: List[List[tuple]] = [[] for _ in range(num_chunks)]
+    offset = 0
+    for size in sizes:
+        bounds = chunk_bounds(size, num_chunks)
+        for c in range(num_chunks):
+            if bounds[c] < bounds[c + 1]:
+                slices[c].append((offset + bounds[c], offset + bounds[c + 1]))
+        offset += size
+    return slices
+
+
+def fused_chunk_bounds(sizes: Sequence[int], num_chunks: int) -> List[int]:
+    """Cumulative element counts of a fused bucket's ring chunks (what one
+    fused message per step carries); equals :func:`chunk_bounds` for a
+    single segment."""
+    bounds = [0]
+    for chunk in _chunk_slices([int(s) for s in sizes], num_chunks):
+        bounds.append(bounds[-1] + sum(hi - lo for lo, hi in chunk))
+    return bounds
+
+
 def ring_allreduce(
     arrays: Sequence[np.ndarray],
     machines: Optional[Sequence[int]] = None,
     transcript: Optional[Transcript] = None,
     tag: str = "allreduce",
     stage_offset: int = 0,
-    bounds: Optional[Sequence[int]] = None,
+    segments: Optional[Sequence[int]] = None,
     wire_itemsize: Optional[int] = None,
+    average: bool = False,
 ) -> List[np.ndarray]:
-    """Sum *arrays* across workers via the ring algorithm.
+    """Sum *arrays* across workers in ring order.
 
     Args:
         arrays: one gradient array per worker (all the same shape).
@@ -49,17 +87,19 @@ def ring_allreduce(
         tag: transcript tag.
         stage_offset: starting stage number (lets several collectives in
             one iteration keep distinct orderings).
-        bounds: custom chunk boundaries (one chunk per worker over the
-            flattened array).  Fused buckets pass the boundaries of their
-            packed layout; the default splits evenly.
+        segments: element counts of the gradients concatenated into each
+            (flat) array -- a fused bucket.  Every segment is chunked on
+            its own, so results are bit-identical to one ring per
+            segment; the default is one segment covering the array.
         wire_itemsize: bytes per element *on the wire* for transfer
             accounting (defaults to the in-memory fp32 itemsize).  The
             fp16-compressed collective sums quantized values in fp32 --
             the NCCL half-precision ring keeps fp32 accumulators -- but
             each chunk crosses the network at two bytes per element.
+        average: divide the sum by the worker count.
 
     Returns:
-        A list with each worker's copy of the reduced array.
+        One entry per worker, all the *same* read-only float32 array.
     """
     n = len(arrays)
     if n == 0:
@@ -72,102 +112,48 @@ def ring_allreduce(
         machines = list(range(n))
     if len(machines) != n:
         raise ValueError("machines must have one entry per worker")
-    if n == 1:
-        return [np.array(arrays[0], copy=True)]
 
-    flats = [np.asarray(a).reshape(-1).astype(np.float32, copy=True)
-             for a in arrays]
-    if bounds is None:
-        bounds = chunk_bounds(flats[0].size, n)
-    else:
-        bounds = [int(b) for b in bounds]
-        if (len(bounds) != n + 1 or bounds[0] != 0
-                or bounds[-1] != flats[0].size
-                or any(lo > hi for lo, hi in zip(bounds, bounds[1:]))):
-            raise ValueError(
-                "bounds must be monotone, cover the flattened array, and "
-                "define one chunk per worker"
-            )
+    # The ring accumulates in fp32 whatever the inputs are.
+    flats = [np.asarray(a, dtype=np.float32).reshape(-1) for a in arrays]
+    size = flats[0].size
+    sizes = [size] if segments is None else [int(s) for s in segments]
+    slices = _chunk_slices(sizes, n)
+    if sum(sizes) != size:
+        raise ValueError(
+            f"segments cover {sum(sizes)} elements but the arrays hold "
+            f"{size}"
+        )
 
-    itemsize = wire_itemsize if wire_itemsize is not None \
-        else flats[0].itemsize
+    out = np.empty(size, dtype=np.float32)
+    for c, chunk in enumerate(slices):
+        for lo, hi in chunk:
+            acc = out[lo:hi]
+            acc[...] = flats[c][lo:hi]
+            for hop in range(1, n):
+                # Reduce-scatter hop: the receiver adds what arrives to
+                # its own chunk, receiver's value as the first operand.
+                np.add(flats[(c + hop) % n][lo:hi], acc, out=acc)
+    if average:
+        out /= np.float32(n)
+    out.flags.writeable = False
 
-    def record(src: int, dst: int, lo: int, hi: int, stage: int) -> None:
-        if transcript is not None:
-            transcript.record(tag, machines[src], machines[dst],
-                              (hi - lo) * itemsize,
-                              stage=stage_offset + stage)
+    if transcript is not None:
+        itemsize = wire_itemsize if wire_itemsize is not None \
+            else out.itemsize
+        nbytes = [sum(hi - lo for lo, hi in chunk) * itemsize
+                  for chunk in slices]
+        # Reduce-scatter step s moves chunk (i - s) mod n from worker i to
+        # its successor; allgather step s then circulates the reduced
+        # chunk (i + 1 - s) mod n.
+        for phase in (0, 1):
+            for step in range(n - 1):
+                for i in range(n):
+                    transcript.record(
+                        tag, machines[i], machines[(i + 1) % n],
+                        nbytes[(i + phase - step) % n],
+                        stage=stage_offset + phase * (n - 1) + step)
 
-    # Phase 1: reduce-scatter.  At step s, worker i sends chunk (i - s) mod n
-    # to its ring successor, which accumulates it.
-    for step in range(n - 1):
-        sends = []
-        for i in range(n):
-            c = (i - step) % n
-            lo, hi = bounds[c], bounds[c + 1]
-            sends.append((i, (i + 1) % n, lo, hi, flats[i][lo:hi].copy()))
-        for src, dst, lo, hi, data in sends:
-            flats[dst][lo:hi] += data
-            record(src, dst, lo, hi, step)
-
-    # Phase 2: allgather.  Worker i now owns reduced chunk (i + 1) mod n and
-    # circulates it around the ring.
-    for step in range(n - 1):
-        sends = []
-        for i in range(n):
-            c = (i + 1 - step) % n
-            lo, hi = bounds[c], bounds[c + 1]
-            sends.append((i, (i + 1) % n, lo, hi, flats[i][lo:hi].copy()))
-        for src, dst, lo, hi, data in sends:
-            flats[dst][lo:hi] = data
-            record(src, dst, lo, hi, (n - 1) + step)
-
-    return [f.reshape(shape) for f in flats]
-
-
-def fused_segment_layout(sizes: Sequence[int], num_workers: int):
-    """Packed layout for a fusion bucket of several gradient segments.
-
-    Tensor fusion must not change training arithmetic: the sum order of
-    every element in a ring AllReduce is fixed by the chunk it falls in
-    (the chunk index picks the worker the accumulation starts from), so
-    naively chunking a concatenated buffer would move chunk boundaries
-    and produce results that differ bitwise from unfused collectives.
-
-    This layout instead permutes the concatenated buffer so that chunk
-    ``c`` of *every* segment (under that segment's own ``chunk_bounds``)
-    lands contiguously inside fused chunk ``c``.  One ring pass over the
-    permuted buffer then sends one fused message per step while
-    performing, element for element, exactly the additions the
-    per-segment rings would -- fused results are bit-identical to
-    unfused ones by construction.
-
-    Returns ``(perm, inv_perm, bounds)``: the packing permutation, its
-    inverse, and the fused chunk boundaries to pass to
-    :func:`ring_allreduce`.
-    """
-    n = num_workers
-    if n < 1:
-        raise ValueError("num_workers must be >= 1")
-    sizes = [int(s) for s in sizes]
-    if any(s < 0 for s in sizes):
-        raise ValueError("segment sizes must be >= 0")
-    seg_bounds = [chunk_bounds(s, n) for s in sizes]
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    pieces = []
-    bounds = [0]
-    for c in range(n):
-        for off, sb in zip(offsets[:-1], seg_bounds):
-            pieces.append(np.arange(off + sb[c], off + sb[c + 1],
-                                    dtype=np.int64))
-        bounds.append(bounds[-1]
-                      + sum(sb[c + 1] - sb[c] for sb in seg_bounds))
-    perm = (np.concatenate(pieces) if pieces
-            else np.zeros(0, dtype=np.int64))
-    inv_perm = np.empty_like(perm)
-    inv_perm[perm] = np.arange(perm.size, dtype=np.int64)
-    return perm, inv_perm, bounds
+    return [out.reshape(shape)] * n
 
 
 def ring_allreduce_mean(
@@ -178,6 +164,5 @@ def ring_allreduce_mean(
     stage_offset: int = 0,
 ) -> List[np.ndarray]:
     """Ring AllReduce followed by division by the worker count."""
-    reduced = ring_allreduce(arrays, machines, transcript, tag, stage_offset)
-    n = len(arrays)
-    return [r / np.float32(n) for r in reduced]
+    return ring_allreduce(arrays, machines, transcript, tag, stage_offset,
+                          average=True)

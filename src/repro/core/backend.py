@@ -147,9 +147,10 @@ def build_all_worker_entries(transformed, fetch_ops: Sequence[Operation],
 class _MutedCollectiveRuntime:
     """Runtime proxy handed to non-canonical collective kernels.
 
-    Every worker runs the full ring for its own replica's collective op
-    (bit-identical results by construction); only replica 0's op records
-    the ring's transfers, so the merged per-worker transcripts carry each
+    Every worker reduces the gathered contributions once for its own
+    replica's collective op (the ring-order fold is deterministic, so
+    all workers hold the same bits); only replica 0's op records the
+    ring's transfers, so the merged per-worker transcripts carry each
     chunk movement exactly once -- the same records the in-process
     engine's shared-cache execution produces.
     """
@@ -194,6 +195,11 @@ class _WorkerPlan:
     routing, SGD prebinding), then the SPECIALIZE registry, then the
     generic FORWARD table -- and cross-machine edge accounting uses the
     session's static edge table for the ops this rank owns.
+
+    Every step also carries the values whose last local consumer it is;
+    :meth:`execute` drops them there, so peers' buckets, activations and
+    gradients are released mid-step instead of living to its end.  Only
+    this rank's fetched losses survive the step.
     """
 
     def __init__(self, session, transformed, fetch_ops, rank: int,
@@ -206,7 +212,7 @@ class _WorkerPlan:
                                               fetch_ops)[rank]:
             if entry[0] == "recv":
                 _, name, src = entry
-                steps.append(("recv", name, src, None, None, None))
+                steps.append(("recv", name, src, None, (), None))
                 continue
             _, op, sends = entry
             kernel = session._specialize_kernel(op)
@@ -222,13 +228,25 @@ class _WorkerPlan:
             input_names = tuple(t.op.name for t in op.inputs)
             edges = edge_fn(op) if edge_fn is not None else None
             steps.append(("exec", op, sends, kernel, input_names, edges))
-        self.steps = steps
         # This rank's share of the step fetches (its replica's loss).
         loss_names = {t.op.name for t in transformed.replica_losses}
         self.loss_names = [
             op.name for kind, op, *_ in steps
             if kind == "exec" and op.name in loss_names
         ]
+        # A value dies at the last step that reads it (or, unread here,
+        # at the step that made it -- after its sends).
+        last_use: Dict[str, int] = {}
+        for position, (kind, op, _, _, input_names, _) in enumerate(steps):
+            last_use[op if kind == "recv" else op.name] = position
+            for name in input_names:
+                last_use[name] = position
+        frees: Dict[int, List[str]] = {}
+        for name, position in last_use.items():
+            if name not in loss_names:
+                frees.setdefault(position, []).append(name)
+        self.steps = [(*step, tuple(frees.get(position, ())))
+                      for position, step in enumerate(steps)]
 
     def execute(self, session, transport: Transport,
                 feeds: Dict[str, np.ndarray]) -> Dict[str, object]:
@@ -244,28 +262,31 @@ class _WorkerPlan:
         position = -1
         try:
             for position, (kind, op, extra, kernel, input_names,
-                           edges) in enumerate(self.steps):
+                           edges, frees) in enumerate(self.steps):
                 if kind == "recv":
                     values[op] = transport.recv(rank, extra, ("v", op),
                                                 timeout=self.recv_timeout)
-                    continue
-                name = op.name
-                value = values.get(name)
-                if value is None and name not in values:
-                    inputs = [values[n] for n in input_names]
-                    session._current_op = op
-                    if edges is not None:
-                        for pos, key, tag, src_m, dst_m in edges:
-                            v = inputs[pos]
-                            if v is None or key in seen:
-                                continue
-                            seen.add(key)
-                            record(tag=tag, src_machine=src_m,
-                                   dst_machine=dst_m, nbytes=nbytes_of(v))
-                    value = kernel(op, inputs, session)
-                    values[name] = value
-                for dst in extra:
-                    transport.send(rank, dst, ("v", name), value)
+                else:
+                    name = op.name
+                    value = values.get(name)
+                    if value is None and name not in values:
+                        inputs = [values[n] for n in input_names]
+                        session._current_op = op
+                        if edges is not None:
+                            for pos, key, tag, src_m, dst_m in edges:
+                                v = inputs[pos]
+                                if v is None or key in seen:
+                                    continue
+                                seen.add(key)
+                                record(tag=tag, src_machine=src_m,
+                                       dst_machine=dst_m,
+                                       nbytes=nbytes_of(v))
+                        value = kernel(op, inputs, session)
+                        values[name] = value
+                    for dst in extra:
+                        transport.send(rank, dst, ("v", name), value)
+                for dead in frees:
+                    del values[dead]
         except BaseException as exc:
             # Name exactly where this rank was in its schedule; the
             # controller folds this into the WorkerFailureError it

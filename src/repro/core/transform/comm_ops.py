@@ -1,15 +1,17 @@
 """Distributed op kernels inserted by the graph transformation.
 
-These ops execute *for real* in the functional plane: ``allreduce`` runs
-the chunked ring algorithm over every replica's gradient, ``global_agg``
-implements the server-side accumulator, ``shard_lookup``/``stitch``
-implement the partitioned embedding read (TF's dynamic_partition /
-per-shard gather / dynamic_stitch pattern the paper's theta2-cost comes
-from).
+These ops execute *for real* in the functional plane: ``allreduce`` and
+``fused_allreduce`` sum every replica's gradient (or fused bucket of
+gradients) in ring order, ``global_agg`` implements the server-side
+accumulator, ``shard_lookup``/``stitch`` implement the partitioned
+embedding read (TF's dynamic_partition / per-shard gather /
+dynamic_stitch pattern the paper's theta2-cost comes from).
 
 Collective kernels appear once per replica in the graph (so placement is
-explicit per GPU) but execute the underlying algorithm once per run,
-sharing results through the session's run cache.
+explicit per GPU) but reduce once per run per process: the first replica's
+op to execute computes the one result every replica holds -- the ring
+leaves all workers with the same bits -- and parks it in the session's run
+cache; the other replicas' ops return that same (read-only) value.
 """
 
 from __future__ import annotations
@@ -37,21 +39,30 @@ def _replica_machines(op, runtime) -> List[int]:
 
 
 @register_forward("allreduce")
+@register_forward("fused_allreduce")
 def _allreduce_fwd(op, inputs, runtime):
-    """Ring AllReduce across replicas; this op returns replica r's copy."""
+    """Ring AllReduce across replicas of one gradient or one fused bucket.
+
+    A fused op's inputs are each replica's concatenated bucket gradients
+    and its ``segments`` attr names the pieces; the ring chunks every
+    segment on its own, so one pass sends one fused message per step --
+    the Transcript records one transfer per (step, worker) for the whole
+    bucket -- while performing exactly the additions of per-variable
+    collectives.  Fused results are bit-identical to unfused ones.
+    """
     cache = runtime.run_cache.setdefault("collectives", {})
-    key = ("allreduce", op.attrs["group"])
+    key = (op.op_type, op.attrs["group"])
     if key not in cache:
-        transcript = getattr(runtime, "transcript", None)
-        reduced = ring_allreduce(
+        segments = op.attrs.get("segments")
+        cache[key] = ring_allreduce(
             [np.asarray(v) for v in inputs],
             machines=_replica_machines(op, runtime),
-            transcript=transcript,
+            transcript=getattr(runtime, "transcript", None),
             tag=f"allreduce/{op.attrs['group']}",
+            segments=(None if segments is None
+                      else [size for _name, size in segments]),
+            average=op.attrs.get("average", False),
         )
-        if op.attrs.get("average", False):
-            reduced = [r / np.float32(len(inputs)) for r in reduced]
-        cache[key] = reduced
     return cache[key][op.attrs["replica"]]
 
 
@@ -69,40 +80,9 @@ def _allgatherv_fwd(op, inputs, runtime):
             tag=f"allgatherv/{op.attrs['group']}",
         )
         if op.attrs.get("average", False):
-            gathered = [g.scale(1.0 / len(inputs)) for g in gathered]
+            gathered = ([gathered[0].scale(1.0 / len(inputs))]
+                        * len(inputs))
         cache[key] = gathered
-    return cache[key][op.attrs["replica"]]
-
-
-@register_forward("fused_allreduce")
-def _fused_allreduce_fwd(op, inputs, runtime):
-    """One ring pass over a packed (fused) dense-gradient bucket.
-
-    Inputs are each replica's concatenated bucket gradients.  The op's
-    compile-time permutation (``fused_segment_layout``) groups every
-    segment's ring chunk ``c`` contiguously, so a single ring pass sends
-    one fused message per step -- the Transcript records one transfer per
-    (step, worker) for the whole bucket -- while performing exactly the
-    per-segment additions of unfused AllReduce.  Results are therefore
-    bit-identical to per-variable collectives.
-    """
-    cache = runtime.run_cache.setdefault("collectives", {})
-    key = ("fused_allreduce", op.attrs["group"])
-    if key not in cache:
-        transcript = getattr(runtime, "transcript", None)
-        perm, inv_perm = op.attrs["perm"], op.attrs["inv_perm"]
-        packed = [np.asarray(v).reshape(-1)[perm] for v in inputs]
-        reduced = ring_allreduce(
-            packed,
-            machines=_replica_machines(op, runtime),
-            transcript=transcript,
-            tag=f"allreduce/{op.attrs['group']}",
-            bounds=op.attrs["bounds"],
-        )
-        results = [r[inv_perm] for r in reduced]
-        if op.attrs.get("average", False):
-            results = [r / np.float32(len(inputs)) for r in results]
-        cache[key] = results
     return cache[key][op.attrs["replica"]]
 
 
@@ -176,22 +156,20 @@ def _compressed_allreduce_fwd(op, inputs, runtime):
         tag = f"compressed_allreduce/{op.attrs['group']}"
         machines = _replica_machines(op, runtime)
         average = op.attrs.get("average", False)
-        n = np.float32(len(inputs))
         if all(p.kind == "dense" for p in inputs):
             reduced = ring_allreduce(
                 [decompress(p) for p in inputs],
                 machines=machines, transcript=transcript, tag=tag,
                 wire_itemsize=inputs[0].values.dtype.itemsize,
+                average=average,
             )
-            if average:
-                reduced = [r / n for r in reduced]
         else:
             exchange_payloads(inputs, machines, transcript, tag)
             total = decompress(inputs[0])
             for payload in inputs[1:]:
                 total = total + decompress(payload)
             if average:
-                total = total / n
+                total = total / np.float32(len(inputs))
             reduced = [total] * len(inputs)
         cache[key] = reduced
     return cache[key][op.attrs["replica"]]

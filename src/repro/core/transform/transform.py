@@ -608,11 +608,12 @@ def _build_fused_collective_updates(
     concatenates its bucket's gradients, one ``fused_allreduce`` per
     replica reduces the packed buffer in a single ring pass (one fused
     message per ring step), and ``bucket_slice`` ops unpack each
-    variable's reduced gradient for its per-replica update.  The packed
-    ring layout (:func:`~repro.comm.allreduce.fused_segment_layout`)
-    keeps results bit-identical to unfused per-variable collectives.
+    variable's reduced gradient for its per-replica update.  The ring
+    chunks every segment of the bucket on its own
+    (:func:`~repro.comm.allreduce.ring_allreduce`), which keeps results
+    bit-identical to unfused per-variable collectives.
     """
-    from repro.comm.allreduce import fused_segment_layout
+    from repro.comm.allreduce import fused_chunk_bounds
 
     num_replicas = len(builders)
     average = plan.average_for(False)
@@ -659,7 +660,7 @@ def _build_fused_collective_updates(
         if plan.compression is not None:
             # Compressed buckets exchange payloads all-to-all (a sum of
             # top-k sets is not top-k, so there is no ring reduction);
-            # the packed-ring permutation is irrelevant to them.
+            # per-segment chunking is irrelevant to them.
             buffers = _build_compress_stage(
                 new_graph, plan, group, buffers,
                 [builders[r].device for r in range(num_replicas)],
@@ -667,12 +668,11 @@ def _build_fused_collective_updates(
             collective_type = "compressed_allreduce"
             layout_attrs: Dict[str, object] = {}
         else:
-            perm, inv_perm, bounds = fused_segment_layout(seg_sizes,
-                                                          num_replicas)
             collective_type = "fused_allreduce"
-            # Shared read-only layout arrays (one copy per bucket).
-            layout_attrs = {"perm": perm, "inv_perm": inv_perm,
-                            "bounds": bounds}
+            # What each fused ring message carries, for the analyses;
+            # the kernel derives its chunking from ``segments``.
+            layout_attrs = {"bounds": fused_chunk_bounds(seg_sizes,
+                                                         num_replicas)}
         for r in range(num_replicas):
             device = builders[r].device
             collective = new_graph.add_op(

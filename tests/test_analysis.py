@@ -342,6 +342,26 @@ class TestAccounting:
         assert any("does not conserve elements" in f.message
                    for f in findings)
 
+    def test_shifted_chunk_bound_names_the_bucket(self):
+        """Verifier recall, first mutant: a good plan whose recorded
+        ring chunk bounds drift one element from what its segments
+        imply.  Conservation still holds (same total), so only the
+        bounds-vs-segments relation can catch it."""
+        transformed, fetch_ops = make_transformed()
+        assert analyze_accounting(transformed, fetch_ops)[0] == []
+        fused = [op for op in collective_ops(transformed, fetch_ops)
+                 if op.op_type == "fused_allreduce"]
+        group = fused[0].attrs["group"]
+        for op in fused:
+            if op.attrs["group"] == group:
+                bounds = list(op.attrs["bounds"])
+                bounds[1] += 1
+                op.attrs["bounds"] = bounds
+        findings, _ = analyze_accounting(transformed, fetch_ops)
+        assert len(findings) == 1
+        assert f"fused_allreduce/{group}" in findings[0].message
+        assert "disagree with its segments" in findings[0].message
+
     def test_dropped_plan_variable_breaks_element_conservation(self):
         transformed, fetch_ops = make_transformed()
         name = next(n for n, m in transformed.plan.methods.items()

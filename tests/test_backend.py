@@ -7,6 +7,7 @@ suite stays fast on hosted runners: the single-model smoke cases, then
 the arch x plan x transport bit-identity matrix.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -26,6 +27,8 @@ from repro.core.backend import (
     BACKENDS,
     InprocBackend,
     MultiprocBackend,
+    _WorkerPlan,
+    _make_worker_session,
     build_all_worker_entries,
     make_backend,
     op_owner,
@@ -549,6 +552,121 @@ class TestMultiprocMatrix:
             finally:
                 runner.close()
         assert losses["multiproc"] == losses["inproc"]
+
+
+    def test_three_workers_losses_and_state_bit_identical(self):
+        """Odd ring: /3 is inexact and a three-term float sum depends on
+        its association order, so the workers' separate reductions must
+        match the in-process one exactly -- losses and final state."""
+        cluster = ClusterSpec(num_machines=3, gpus_per_machine=1)
+        losses, state = {}, {}
+        for name, backend in (("inproc", "inproc"),
+                              ("multiproc", MultiprocBackend(transport="shm"))):
+            runner = make_runner("hybrid", backend, cluster=cluster)
+            try:
+                losses[name] = [runner.step(i).replica_losses
+                                for i in range(3)]
+                state[name] = runner.logical_state()
+            finally:
+                runner.close()
+        assert losses["multiproc"] == losses["inproc"]
+        assert set(state["multiproc"]) == set(state["inproc"])
+        for name, value in state["inproc"].items():
+            np.testing.assert_array_equal(state["multiproc"][name], value)
+
+
+# ======================================================================
+# Worker value liveness (a rank's slice of the schedule, in-process)
+# ======================================================================
+class TestWorkerValueLiveness:
+    """Two ranks' ``_WorkerPlan``s driven by threads over the in-memory
+    plane: same code path as a worker process, values inspectable."""
+
+    @staticmethod
+    def run_ranks(runner, iteration=0):
+        transformed = runner.transformed
+        fetch_ops = [t.op for t in runner._step_fetches[0]]
+        transport = InMemoryTransport(runner.num_replicas)
+        plans, outcomes = [], {}
+
+        def work(rank, plan, session):
+            feeds = dict(zip(
+                runner._feed_names[rank],
+                runner.shards[rank].batch(runner.model.batch_size,
+                                          iteration)))
+            try:
+                outcomes[rank] = plan.execute(session, transport, feeds)
+            except Exception as exc:
+                outcomes[rank] = exc
+
+        threads = []
+        for rank in range(runner.num_replicas):
+            session = _make_worker_session(transformed, SEED)
+            plan = _WorkerPlan(session, transformed, fetch_ops, rank,
+                               recv_timeout=5.0)
+            plans.append(plan)
+            threads.append(threading.Thread(target=work,
+                                            args=(rank, plan, session)))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        return plans, outcomes
+
+    def test_only_fetched_values_survive_the_step(self):
+        runner = make_runner("hybrid")
+        plans, outcomes = self.run_ranks(runner)
+        expected = runner.step(0).replica_losses
+        for rank, plan in enumerate(plans):
+            assert any(kind == "recv" for kind, *_ in plan.steps)
+            assert set(outcomes[rank]) == set(plan.loss_names)
+            assert [float(outcomes[rank][n])
+                    for n in plan.loss_names] == [expected[rank]]
+        # Every value is dropped exactly once, where it is last read.
+        for plan in plans:
+            freed = [name for *_, frees in plan.steps for name in frees]
+            assert len(freed) == len(set(freed))
+            position = {name: i for i, (*_, frees) in enumerate(plan.steps)
+                        for name in frees}
+            for i, (kind, _, _, _, input_names, _, _) in enumerate(
+                    plan.steps):
+                assert all(position.get(n, i) >= i for n in input_names)
+
+    def test_failing_kernel_still_names_its_schedule_position(
+            self, monkeypatch):
+        from repro.graph import ops as graph_ops
+
+        def exploding(op, inputs, runtime):
+            raise RuntimeError("injected kernel failure")
+
+        runner = make_runner("hybrid")
+        monkeypatch.setitem(graph_ops.FORWARD, "softmax_xent", exploding)
+        plans, outcomes = self.run_ranks(runner)
+        failures = {rank: exc for rank, exc in outcomes.items()
+                    if isinstance(exc, RuntimeError)}
+        assert failures
+        for rank, exc in failures.items():
+            context = exc._worker_context
+            kind, op, *_ = plans[rank].steps[context["schedule_index"]]
+            assert context["rank"] == rank
+            assert (kind, op.op_type) == ("exec", "softmax_xent")
+            assert context["op_name"] == op.name
+            # Values were already being dropped by then.
+            assert any(frees for *_, frees in
+                       plans[rank].steps[:context["schedule_index"]])
+
+    def test_reduced_bucket_is_shared_and_read_only(self):
+        runner = make_runner("hybrid", cluster=ClusterSpec(1, 3))
+        runner.step(0)
+        reduced = runner.session.run_cache["collectives"]
+        fused = [v for (op_type, _), v in reduced.items()
+                 if op_type == "fused_allreduce"]
+        assert fused
+        for copies in fused:
+            assert len(copies) == 3
+            assert all(c is copies[0] for c in copies)
+            assert not copies[0].flags.writeable
 
 
 class _SlicingStubTransport:

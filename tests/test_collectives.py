@@ -41,6 +41,27 @@ class TestRingAllReduce:
         for r in results[1:]:
             np.testing.assert_array_equal(r, results[0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32])
+    def test_result_is_float32_for_every_worker_count(self, n, dtype):
+        """Regression: one worker used to get its input's dtype back
+        while every larger ring returned float32."""
+        arrays = [np.arange(6).reshape(2, 3).astype(dtype)
+                  for _ in range(n)]
+        results = ring_allreduce(arrays)
+        assert len(results) == n
+        for r in results:
+            assert r.dtype == np.float32 and r.shape == (2, 3)
+            np.testing.assert_array_equal(r, n * np.arange(6).reshape(2, 3))
+        assert not np.shares_memory(results[0], arrays[0])
+
+    def test_mean_of_three_divides_rather_than_scales(self):
+        """x / 3 and x * (1/3) round differently; the mean is a division."""
+        arrays = [np.full(5, v, dtype=np.float32) for v in (0.1, 0.2, 0.4)]
+        total = ring_allreduce(arrays)[0]
+        np.testing.assert_array_equal(ring_allreduce_mean(arrays)[0],
+                                      total / np.float32(3))
+
     def test_small_array_fewer_elements_than_workers(self):
         arrays = [np.array([float(i)], dtype=np.float32) for i in range(6)]
         results = ring_allreduce(arrays)
@@ -121,6 +142,15 @@ class TestRingAllGatherv:
         results = ring_allgatherv(self.make_slices(4))
         for r in results[1:]:
             assert r == results[0]
+
+    def test_built_once_and_never_aliases_a_contribution(self):
+        for n in (1, 3):
+            contributions = self.make_slices(n)
+            results = ring_allgatherv(contributions)
+            assert len(results) == n
+            assert all(r is results[0] for r in results)
+            for c in contributions:
+                assert not np.shares_memory(results[0].values, c.values)
 
     def test_dense_equivalent_is_sum(self):
         contributions = self.make_slices(4)

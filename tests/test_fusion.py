@@ -2,20 +2,26 @@
 
 The load-bearing guarantee is bit-identity: packing several gradients
 into one collective must perform, element for element, exactly the
-additions the per-variable rings would (``fused_segment_layout``), so
-fused training losses match unfused ones bitwise while the Transcript
-carries fewer, larger AllReduce messages.
+additions the per-variable rings would (``ring_allreduce(segments=)``
+chunks every segment on its own), so fused training losses match unfused
+ones bitwise while the Transcript carries fewer, larger AllReduce
+messages.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.cluster.spec import ClusterSpec
 from repro.comm.allreduce import (
-    fused_segment_layout,
+    chunk_bounds,
+    fused_chunk_bounds,
     ring_allreduce,
 )
+from repro.core.backend import _COLLECTIVES
 from repro.core.runner import DistributedRunner
+from repro.core.transform import transform_graph
 from repro.cluster.plan import fusion_buckets
 from repro.core.transform.plan import (
     GraphSyncPlan,
@@ -27,8 +33,9 @@ from repro.graph import gradients
 from repro.graph.executor import overlap_schedule
 from repro.graph.graph import Graph, TensorSpec
 from repro.graph.ops import constant
-from repro.nn.models import build_lm
+from repro.nn.models import build_lm, build_resnet
 from repro.nn.optimizers import GradientDescentOptimizer
+from ring_oracle import fused_segment_layout
 
 CLUSTER = ClusterSpec(num_machines=2, gpus_per_machine=2)
 
@@ -76,24 +83,30 @@ class TestFusionBuckets:
 
 
 class TestFusedSegmentLayout:
+    """``ring_allreduce(segments=)``: a fused ring is per-segment chunking.
+    (The randomised comparison against the data-moving oracle is
+    ``test_properties.py::test_segmented_ring_matches_oracle``.)"""
+
     @pytest.mark.parametrize("sizes,workers", [
         ([7], 3), ([5, 3], 2), ([1, 2, 3, 4], 4), ([6, 6, 6], 1),
         ([0, 4], 2),
     ])
     def test_perm_is_a_permutation_with_monotone_bounds(self, sizes,
                                                         workers):
+        """The oracle's packing is a bijection, and its fused chunk
+        bounds are the ones the transform records on the op."""
         perm, inv_perm, bounds = fused_segment_layout(sizes, workers)
         total = sum(sizes)
         assert sorted(perm.tolist()) == list(range(total))
         np.testing.assert_array_equal(perm[inv_perm], np.arange(total))
         assert bounds[0] == 0 and bounds[-1] == total
         assert all(lo <= hi for lo, hi in zip(bounds, bounds[1:]))
-        assert len(bounds) == workers + 1
+        assert bounds == fused_chunk_bounds(sizes, workers)
 
     def test_fused_ring_bit_identical_to_per_segment_rings(self):
-        """One ring over the packed buffer == a ring per segment.
+        """One ring over the concatenated bucket == a ring per segment.
 
-        Exact float equality, not approx: the layout exists so fusion
+        Exact float equality, not approx: the segments exist so fusion
         cannot perturb summation order.
         """
         rng = np.random.default_rng(0)
@@ -102,47 +115,53 @@ class TestFusedSegmentLayout:
                      for s in sizes] for _ in range(workers)]
         unfused = [ring_allreduce([segments[w][i] for w in range(workers)])
                    for i in range(len(sizes))]
-        perm, inv_perm, bounds = fused_segment_layout(sizes, workers)
-        packed = [np.concatenate(segments[w])[perm]
-                  for w in range(workers)]
-        fused = ring_allreduce(packed, bounds=bounds)
+        fused = ring_allreduce([np.concatenate(segments[w])
+                                for w in range(workers)], segments=sizes)
         offsets = np.cumsum([0] + sizes)
         for w in range(workers):
-            unpacked = fused[w][inv_perm]
             for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-                np.testing.assert_array_equal(unpacked[lo:hi],
+                np.testing.assert_array_equal(fused[w][lo:hi],
                                               unfused[i][w])
+
+    def test_one_shared_read_only_result(self):
+        arrays = [np.ones(6, dtype=np.float32) for _ in range(3)]
+        results = ring_allreduce(arrays, segments=[4, 2])
+        assert all(r is results[0] for r in results)
+        with pytest.raises(ValueError, match="read-only"):
+            results[0][0] = 0.0
 
     def test_bad_workers_rejected(self):
         with pytest.raises(ValueError):
-            fused_segment_layout([4], 0)
+            ring_allreduce([], segments=[4])
 
     def test_negative_size_rejected(self):
+        arrays = [np.ones(3, dtype=np.float32) for _ in range(2)]
         with pytest.raises(ValueError):
-            fused_segment_layout([4, -1], 2)
+            ring_allreduce(arrays, segments=[4, -1])
 
 
 class TestRingBounds:
+    """Segment boundaries handed to the ring as ``segments=`` sizes."""
+
     def test_custom_bounds_match_default(self):
         rng = np.random.default_rng(1)
         arrays = [rng.standard_normal(8).astype(np.float32)
                   for _ in range(4)]
-        from repro.comm.allreduce import chunk_bounds
-        explicit = ring_allreduce(arrays, bounds=chunk_bounds(8, 4))
+        explicit = ring_allreduce(arrays, segments=[8])
         default = ring_allreduce(arrays)
-        for a, b in zip(explicit, default):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(explicit[0], default[0])
+        assert fused_chunk_bounds([8], 4) == chunk_bounds(8, 4)
 
     @pytest.mark.parametrize("bounds", [
-        [0, 4, 8],          # one chunk short
-        [1, 2, 4, 6, 8],    # does not start at 0
-        [0, 2, 4, 6, 7],    # does not cover the array
-        [0, 6, 4, 7, 8],    # not monotone
+        [0, 4, 7],          # does not cover the array
+        [1, 4, 8],          # does not start at 0
+        [0, 4, 9],          # runs past the array
+        [0, 6, 4, 8],       # not monotone: a negative segment
     ])
     def test_bad_bounds_rejected(self, bounds):
         arrays = [np.ones(8, dtype=np.float32) for _ in range(4)]
         with pytest.raises(ValueError):
-            ring_allreduce(arrays, bounds=bounds)
+            ring_allreduce(arrays, segments=np.diff(bounds).tolist())
 
 
 class TestFusedTraining:
@@ -196,6 +215,28 @@ class TestFusedTraining:
         assert "fused_allreduce" in op_types(fused)
         assert "fused_allreduce" not in op_types(unfused)
 
+    @pytest.mark.parametrize("arch", ["hybrid", "ar"])
+    def test_odd_replica_count_bit_identical(self, arch):
+        """Three replicas: /3 is inexact and a three-term float sum
+        depends on its association order, so any drift between the
+        fused and per-variable reduction order would show here."""
+        cluster = ClusterSpec(num_machines=3, gpus_per_machine=1)
+        runners = []
+        for fusion in (True, False):
+            model = make_model()
+            runners.append(DistributedRunner(
+                model, cluster, PLAN_BUILDERS[arch](model.graph,
+                                                    fusion=fusion),
+                seed=1))
+        fused, unfused = runners
+        for i in range(3):
+            assert (fused.step(i).replica_losses
+                    == unfused.step(i).replica_losses)
+        state_a, state_b = fused.logical_state(), unfused.logical_state()
+        assert set(state_a) == set(state_b)
+        for name in state_a:
+            np.testing.assert_array_equal(state_a[name], state_b[name])
+
     def test_plan_rejects_nonpositive_buffer(self):
         model = make_model()
         with pytest.raises(ValueError, match="fusion_buffer_mb"):
@@ -203,6 +244,32 @@ class TestFusedTraining:
                               fusion_buffer_mb=0.0)
         with pytest.raises(ValueError):
             GraphSyncPlan("p", {}, fusion_buffer_mb=-1.0)
+
+
+class TestFusedTransformIsSmall:
+    """The fused plan carries no per-element layout: what
+    ``repro.cli launch`` ships to every remote worker stays a few KB."""
+
+    @pytest.fixture(scope="class")
+    def transformed(self):
+        model = build_resnet(width=256, num_blocks=4, seed=0)
+        with model.graph.as_default():
+            gvs = gradients(model.loss)
+            GradientDescentOptimizer(0.1).update(gvs)
+        return transform_graph(model.graph, model.loss, CLUSTER,
+                               ar_graph_plan(model.graph, fusion=True))
+
+    def test_no_collective_op_carries_an_array_attr(self, transformed):
+        collectives = [op for op in transformed.graph.operations
+                       if op.op_type in _COLLECTIVES]
+        assert any(op.op_type == "fused_allreduce" for op in collectives)
+        for op in collectives:
+            arrays = [key for key, value in op.attrs.items()
+                      if isinstance(value, np.ndarray)]
+            assert arrays == [], (op.name, arrays)
+
+    def test_pickled_transform_under_256_kb(self, transformed):
+        assert len(pickle.dumps(transformed)) < 256 * 1024
 
 
 class TestOverlapSchedule:

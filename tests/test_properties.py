@@ -4,13 +4,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.allreduce import chunk_bounds, ring_allreduce
+from repro.comm.allreduce import (
+    chunk_bounds,
+    fused_chunk_bounds,
+    ring_allreduce,
+)
 from repro.comm.allgatherv import ring_allgatherv
+from repro.comm.transcript import Transcript
 from repro.comm.ps import place_variables
 from repro.cluster.network import Flow, maxmin_rates
 from repro.core.partitioner import PartitionCostModel, fit_cost_model
 from repro.graph.variables import partition_offsets
 from repro.tensor.sparse import IndexedSlices, concat_slices
+from ring_oracle import oracle_fused_allreduce, oracle_ring_allreduce
 
 
 # ----------------------------------------------------------------------
@@ -206,51 +212,77 @@ def test_best_partitions_within_range_and_optimal(theta1, theta2, lo, hi):
 
 
 # ----------------------------------------------------------------------
-# Fused AllReduce packing layout
+# Segmented (fused) ring AllReduce against the data-moving oracle
 # ----------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 40), min_size=1, max_size=8),
-       st.integers(1, 8))
-def test_fused_segment_layout_is_bijection(sizes, workers):
-    from repro.comm.allreduce import fused_segment_layout
+def _bits(array):
+    return np.asarray(array).view(np.uint32)
 
-    perm, inv_perm, bounds = fused_segment_layout(sizes, workers)
-    total = sum(sizes)
-    # The permutation is a bijection over the packed buffer...
-    assert perm.size == total
-    assert sorted(perm.tolist()) == list(range(total))
-    # ...its inverse really inverts it...
-    np.testing.assert_array_equal(perm[inv_perm], np.arange(total))
-    np.testing.assert_array_equal(inv_perm[perm], np.arange(total))
-    # ...and the fused chunk bounds cover the buffer monotonically.
-    assert bounds[0] == 0 and bounds[-1] == total
-    assert all(lo <= hi for lo, hi in zip(bounds, bounds[1:]))
-    assert len(bounds) == workers + 1
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=8),
+       st.integers(2, 6), st.integers(0, 2 ** 16), st.booleans())
+def test_segmented_ring_matches_oracle(sizes, workers, seed, colocated):
+    """``ring_allreduce(segments=)`` never moves a chunk, yet equals --
+    bit for bit, with equal Transcript records in equal order -- both the
+    oracle's permuted fused ring and one ring per segment.  Sizes include
+    0 and sizes below the worker count (empty chunks)."""
+    rng = np.random.default_rng(seed)
+    # Mixed magnitudes make the association order observable.
+    arrays = [(rng.standard_normal(sum(sizes))
+               * 10.0 ** rng.integers(-3, 4, sum(sizes))).astype(np.float32)
+              for _ in range(workers)]
+    machines = ([w // 2 for w in range(workers)] if colocated
+                else list(range(workers)))
+
+    got_log, oracle_log = Transcript(), Transcript()
+    got = ring_allreduce(arrays, machines, got_log, segments=sizes)
+    oracle = oracle_fused_allreduce(arrays, sizes, machines, oracle_log)
+    for copy in oracle:
+        np.testing.assert_array_equal(_bits(got[0]), _bits(copy))
+    assert got_log.transfers == oracle_log.transfers
+
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        piece = [a[lo:hi] for a in arrays]
+        got_log, oracle_log = Transcript(), Transcript()
+        unfused = ring_allreduce(piece, machines, got_log)[0]
+        np.testing.assert_array_equal(_bits(got[0][lo:hi]), _bits(unfused))
+        for copy in oracle_ring_allreduce(piece, machines, oracle_log):
+            np.testing.assert_array_equal(_bits(unfused), _bits(copy))
+        assert got_log.transfers == oracle_log.transfers
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=6),
        st.integers(2, 6), st.integers(0, 2 ** 16))
 def test_fused_layout_chunks_group_per_segment_chunks(sizes, workers, seed):
-    """Bytes are conserved chunk-for-chunk: fused chunk c holds exactly
-    the elements of every segment's own chunk c (the bit-identity basis)."""
-    from repro.comm.allreduce import chunk_bounds, fused_segment_layout
-
-    perm, _, bounds = fused_segment_layout(sizes, workers)
+    """Bytes are conserved chunk-for-chunk: every fused ring message is
+    exactly the per-segment rings' messages of the same (stage, sender)
+    put together (the bit-identity basis)."""
     rng = np.random.default_rng(seed)
-    segments = [rng.standard_normal(s).astype(np.float32) for s in sizes]
-    packed = np.concatenate(segments)[perm] if sum(sizes) else np.zeros(0)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for c in range(workers):
-        fused_chunk = packed[bounds[c]:bounds[c + 1]]
-        expected = np.concatenate([
-            seg[sb[c]:sb[c + 1]]
-            for seg, sb in zip(segments,
-                               [chunk_bounds(s, workers) for s in sizes])
-        ]) if sizes else np.zeros(0)
-        np.testing.assert_array_equal(fused_chunk, expected)
-    # Total bytes conserved under the permutation.
-    assert packed.nbytes == sum(s.nbytes for s in segments)
+    segments = [[rng.standard_normal(s).astype(np.float32) for s in sizes]
+                for _ in range(workers)]
+    fused_log, unfused_log = Transcript(), Transcript()
+    ring_allreduce([np.concatenate(segs) for segs in segments],
+                   transcript=fused_log, segments=sizes)
+    for i in range(len(sizes)):
+        ring_allreduce([segs[i] for segs in segments],
+                       transcript=unfused_log)
+
+    def per_message(log):
+        totals = {}
+        for t in log.transfers:
+            key = (t.stage, t.src_machine, t.dst_machine)
+            totals[key] = totals.get(key, 0) + t.nbytes
+        return totals
+
+    assert per_message(fused_log) == per_message(unfused_log)
+    # One message per (stage, sender) whatever the segment count, sized
+    # by the chunk bounds the transform records on the fused op.
+    assert len(fused_log) <= 2 * (workers - 1) * workers
+    chunks = np.diff(fused_chunk_bounds(sizes, workers))
+    assert (sorted(t.nbytes for t in fused_log.transfers if t.stage == 0)
+            == sorted(4 * int(c) for c in chunks if c))
 
 
 # ----------------------------------------------------------------------
