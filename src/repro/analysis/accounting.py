@@ -22,9 +22,9 @@ AllGatherv, top-k over sparse rows) are classified ``dynamic`` and
 excluded from exact byte claims.
 
 Registry completeness rides along: every collective op type found in the
-graph must be known to this table, to the runner's self-accounting set
-and to the backend's collective set -- a new collective that misses one
-of those silently double-counts bytes or breaks worker muting.
+graph must be known to this table and to ``comm_ops.COLLECTIVE_OP_TYPES``
+(the set edge accounting and worker muting read) -- a new collective
+that misses the latter silently double-counts bytes.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ def analyze_accounting(transformed, fetch_ops, order=None,
         order = plan_order(graph, fetch_ops)
 
     # ---- registry completeness ----------------------------------------
-    from repro.core.backend import _COLLECTIVES as backend_set
-    from repro.core.runner import _SELF_ACCOUNTING as runner_set
+    from repro.core.transform.comm_ops import COLLECTIVE_OP_TYPES
 
     groups: Dict[Tuple[str, str], object] = {}
     for op in order:
@@ -137,18 +136,12 @@ def analyze_accounting(transformed, fetch_ops, order=None,
             continue
         groups.setdefault((op.op_type, op.attrs.get("group")), op)
     seen_types = {op_type for op_type, _ in groups}
-    for op_type in sorted(seen_types - runner_set):
+    for op_type in sorted(seen_types - COLLECTIVE_OP_TYPES):
         findings.append(Finding(
             ANALYSIS,
-            f"collective op type {op_type!r} is missing from the "
-            "runner's _SELF_ACCOUNTING set -- its transfers would be "
-            "double-counted by static edge accounting",
-        ))
-    for op_type in sorted(seen_types - backend_set):
-        findings.append(Finding(
-            ANALYSIS,
-            f"collective op type {op_type!r} is missing from the "
-            "backend's _COLLECTIVES set -- non-canonical replicas would "
+            f"collective op type {op_type!r} is missing from "
+            "comm_ops.COLLECTIVE_OP_TYPES -- static edge accounting would "
+            "double-count its transfers and non-canonical replicas would "
             "record duplicate transcript entries under multiproc",
         ))
 

@@ -1,6 +1,6 @@
 """Repo-invariant lint: AST checks for rules no unit test can pin down.
 
-Four rules, each guarding an implicit contract between distant layers:
+Five rules, each guarding an implicit contract between distant layers:
 
 1. **mutating kernels vs the buffer arena** -- a forward kernel
    registered with ``@register_forward`` that mutates one of its input
@@ -9,11 +9,12 @@ Four rules, each guarding an implicit contract between distant layers:
    ``repro.graph.bufferplan``'s guard tables: the arena recycles input
    storage based on those tables, and an unregistered mutator silently
    corrupts whatever value shares the buffer.
-2. **collective registries stay congruent** -- the runner's
-   ``_SELF_ACCOUNTING`` set, the backend's ``_COLLECTIVES`` set and the
-   executor's overlap-hoist set must agree, and every collective op
-   type constructed anywhere in the source must be in them; a missing
-   entry double-counts transcript bytes or breaks worker muting.
+2. **the collective registry stays complete** -- every collective op
+   type constructed anywhere in the source must be in
+   ``comm_ops.COLLECTIVE_OP_TYPES`` (the one set edge accounting and
+   worker muting both read), and the executor's overlap-hoist set must
+   be a subset of it; a missing entry double-counts transcript bytes
+   and breaks worker muting.
 3. **seeded randomness only** -- ``np.random`` access outside the
    seeded-generator API (``default_rng``/``Generator``/``SeedSequence``)
    reaches process-global state and breaks the bit-identical-loss
@@ -58,12 +59,6 @@ def _arena_safe_types() -> frozenset:
 
     return frozenset(bp.ARENA_FWD | bp.VIEW_FWD | bp.KNOWN_SAFE
                      | bp.SPARSE_PASSTHROUGH)
-
-
-def _registered_collectives() -> frozenset:
-    from repro.core.runner import _SELF_ACCOUNTING
-
-    return frozenset(_SELF_ACCOUNTING)
 
 
 # ---- rule 1: mutating kernels ------------------------------------------
@@ -160,35 +155,25 @@ def _check_kernels(tree: ast.AST, path: str,
     return findings
 
 
-# ---- rule 2: collective registry congruence ----------------------------
-def _check_registries() -> List[Finding]:
-    from repro.core.backend import _COLLECTIVES
-    from repro.core.runner import _SELF_ACCOUNTING
+# ---- rule 2: collective registry completeness --------------------------
+def _check_registries(registered: frozenset) -> List[Finding]:
     from repro.graph.executor import COLLECTIVE_OPS
 
-    findings = []
-    if _SELF_ACCOUNTING != _COLLECTIVES:
-        findings.append(Finding(
-            ANALYSIS,
-            "runner._SELF_ACCOUNTING and backend._COLLECTIVES disagree: "
-            f"{sorted(_SELF_ACCOUNTING ^ _COLLECTIVES)} -- transcript "
-            "muting and edge accounting price different op sets",
-        ))
-    extra = COLLECTIVE_OPS - _SELF_ACCOUNTING
-    if extra:
-        findings.append(Finding(
-            ANALYSIS,
-            "executor.COLLECTIVE_OPS hoists op types the accounting "
-            f"registries do not know: {sorted(extra)}",
-        ))
-    return findings
+    extra = COLLECTIVE_OPS - registered
+    if not extra:
+        return []
+    return [Finding(
+        ANALYSIS,
+        "executor.COLLECTIVE_OPS hoists op types "
+        f"comm_ops.COLLECTIVE_OP_TYPES does not know: {sorted(extra)}",
+    )]
 
 
 def _check_collective_literals(tree: ast.AST, path: str,
                                registered: frozenset) -> List[Finding]:
-    """Every op-type literal that *names* a collective must be known to
-    the accounting registries (catches a new collective added to the
-    transform but not to runner/backend sets)."""
+    """Every op-type literal that *names* a collective must be in the
+    registry (catches a new collective added to the transform but not to
+    ``COLLECTIVE_OP_TYPES``)."""
     findings = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call)
@@ -208,7 +193,7 @@ def _check_collective_literals(tree: ast.AST, path: str,
                 ANALYSIS,
                 f"{path}:{node.lineno}: add_op creates collective op "
                 f"type {op_type!r} which is not registered in "
-                "runner._SELF_ACCOUNTING / backend._COLLECTIVES",
+                "comm_ops.COLLECTIVE_OP_TYPES",
             ))
     return findings
 
@@ -305,9 +290,12 @@ def _check_public_api() -> List[Finding]:
 
 # ---- driver ------------------------------------------------------------
 def lint_paths(paths) -> List[Finding]:
+    from repro.core.transform.comm_ops import (
+        COLLECTIVE_OP_TYPES as registered,
+    )
+
     arena_safe = _arena_safe_types()
-    registered = _registered_collectives()
-    findings = _check_registries()
+    findings = _check_registries(registered)
     findings.extend(_check_public_api())
     for root in paths:
         root = Path(root)

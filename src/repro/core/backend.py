@@ -47,23 +47,16 @@ import numpy as np
 
 from repro.comm.transport import (
     CONTROLLER,
-    SimulatedLatencyTransport,
     Transport,
     TransportTimeout,
     counter_delta,
     make_transport,
     merge_counters,
 )
-from repro.graph.executor import SPECIALIZE, _missing_kernel, plan_order
+from repro.core.transform.comm_ops import COLLECTIVE_OP_TYPES
+from repro.graph.executor import bind_kernel, plan_order
 from repro.graph.graph import Operation
 from repro.tensor.dense import as_array, nbytes_of
-
-# Op types whose kernels exchange data across every replica through the
-# session's run cache; the multiprocess plane ships their remote inputs
-# explicitly and mutes duplicate transcript recording (see
-# :class:`_WorkerSession`).
-_COLLECTIVES = frozenset({"allreduce", "fused_allreduce", "allgatherv",
-                          "compressed_allreduce", "compressed_allgatherv"})
 
 
 def op_owner(op: Operation, cluster) -> Optional[int]:
@@ -171,7 +164,7 @@ def _make_worker_session(transformed, seed: int):
 
     class WorkerSession(DistributedSession):
         def _specialize_kernel(self, op):
-            if (op.op_type in _COLLECTIVES
+            if (op.op_type in COLLECTIVE_OP_TYPES
                     and op.attrs.get("replica", 0) != 0):
                 from repro.graph.ops import FORWARD
 
@@ -190,11 +183,10 @@ def _make_worker_session(transformed, seed: int):
 class _WorkerPlan:
     """One rank's compiled slice of the step schedule.
 
-    Kernels are bound exactly as :class:`~repro.graph.executor.
-    CompiledPlan` binds them -- session specialization first (store
-    routing, SGD prebinding), then the SPECIALIZE registry, then the
-    generic FORWARD table -- and cross-machine edge accounting uses the
-    session's static edge table for the ops this rank owns.
+    Kernels come from :func:`~repro.graph.executor.bind_kernel`, the
+    binding ladder :class:`~repro.graph.executor.CompiledPlan` uses, and
+    cross-machine edge accounting uses the session's static edge table
+    for the ops this rank owns.
 
     Every step also carries the values whose last local consumer it is;
     :meth:`execute` drops them there, so peers' buckets, activations and
@@ -215,16 +207,7 @@ class _WorkerPlan:
                 steps.append(("recv", name, src, None, (), None))
                 continue
             _, op, sends = entry
-            kernel = session._specialize_kernel(op)
-            if kernel is None:
-                builder = SPECIALIZE.get(op.op_type)
-                if builder is not None:
-                    kernel = builder(op)
-            if kernel is None:
-                from repro.graph.ops import FORWARD
-
-                kernel = FORWARD.get(op.op_type) or _missing_kernel(
-                    op.op_type)
+            kernel, _ = bind_kernel(op, session._specialize_kernel)
             input_names = tuple(t.op.name for t in op.inputs)
             edges = edge_fn(op) if edge_fn is not None else None
             steps.append(("exec", op, sends, kernel, input_names, edges))
@@ -445,26 +428,13 @@ class InprocBackend(ExecutionBackend):
     def run_step(self, iteration: int) -> List[float]:
         runner = self.runner
         session = runner.session
-        if runner.engine == "compiled":
-            if runner.transformed.replica_train_ops is None:
-                results = session.run_plan(runner.step_plans[0],
-                                           runner.feeds_for(iteration))
-                return [float(v) for v in results[:-1]]
-            feeds = runner.feeds_for(iteration)
-            losses = []
-            for r in range(runner.num_replicas):
-                loss_r, _ = session.run_plan(runner.step_plans[r], feeds)
-                losses.append(float(loss_r))
-            return losses
-        if runner.transformed.replica_train_ops is None:
-            results = session.run_interpreted(runner._step_fetches[0],
-                                              runner.feeds_for(iteration))
-            return [float(v) for v in results[:-1]]
         feeds = runner.feeds_for(iteration)
+        if runner.transformed.replica_train_ops is None:
+            results = session.run_plan(runner.step_plans[0], feeds)
+            return [float(v) for v in results[:-1]]
         losses = []
         for r in range(runner.num_replicas):
-            loss_r, _ = session.run_interpreted(runner._step_fetches[r],
-                                                feeds)
+            loss_r, _ = session.run_plan(runner.step_plans[r], feeds)
             losses.append(float(loss_r))
         return losses
 
@@ -504,10 +474,7 @@ class MultiprocBackend(ExecutionBackend):
 
     def __init__(self, start_timeout: float = 120.0,
                  step_timeout: float = 600.0,
-                 transport: str = "shm",
-                 simulated_latency: float = 0.0,
-                 latency_jitter: float = 0.0,
-                 latency_seed: int = 0):
+                 transport: str = "shm"):
         super().__init__()
         if transport not in self.TRANSPORTS:
             raise ValueError(
@@ -517,12 +484,6 @@ class MultiprocBackend(ExecutionBackend):
         self.start_timeout = start_timeout
         self.step_timeout = step_timeout
         self.transport_kind = transport
-        # Deterministic injected latency (seconds) applied to every
-        # transport send; keeps losses bit-identical while stretching
-        # wall clock -- see SimulatedLatencyTransport.
-        self.simulated_latency = simulated_latency
-        self.latency_jitter = latency_jitter
-        self.latency_seed = latency_seed
         self.transport: Optional[Transport] = None
         self.processes: list = []
         self._var_owner: Dict[str, int] = {}
@@ -534,13 +495,10 @@ class MultiprocBackend(ExecutionBackend):
     def fresh(self) -> "MultiprocBackend":
         return type(self)(start_timeout=self.start_timeout,
                           step_timeout=self.step_timeout,
-                          transport=self.transport_kind,
-                          simulated_latency=self.simulated_latency,
-                          latency_jitter=self.latency_jitter,
-                          latency_seed=self.latency_seed)
+                          transport=self.transport_kind)
 
     def _make_transport(self, num_workers: int, context) -> Transport:
-        """The configured transport, latency-wrapped when requested.
+        """The configured transport -- the one overridable seam.
 
         Built before the fork: workers inherit the queues and ring
         mappings (no attach/name-lookup path) and the bound tcp
@@ -552,13 +510,7 @@ class MultiprocBackend(ExecutionBackend):
         # Queues and ring locks come from the workers' fork context;
         # sockets take none.
         kwargs = {} if kind == "tcp" else {"context": context}
-        transport = make_transport(kind, num_workers, **kwargs)
-        if self.simulated_latency > 0 or self.latency_jitter > 0:
-            transport = SimulatedLatencyTransport(
-                transport, delay_s=self.simulated_latency,
-                jitter_s=self.latency_jitter, seed=self.latency_seed,
-            )
-        return transport
+        return make_transport(kind, num_workers, **kwargs)
 
     # -- lifecycle -------------------------------------------------------
     def start(self, runner) -> None:

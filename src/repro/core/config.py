@@ -1,8 +1,8 @@
 """Grouped configuration for the public Parallax API.
 
-``ParallaxConfig`` began as a flat bag of ~20 knobs accreted across the
-engine, fusion, elastic, transport, and serving PRs.  This module
-regroups it into sub-configs that mirror the planes of the system:
+``ParallaxConfig`` keeps the search/placement knobs top-level and groups
+everything plane-specific into sub-configs that mirror the planes of the
+system:
 
 * :class:`CommConfig` -- the synchronization plane (fusion, gradient
   compression, execution backend, message transport).
@@ -12,18 +12,14 @@ regroups it into sub-configs that mirror the planes of the system:
 * :class:`AutopilotConfig` -- the online replanning controller
   (telemetry window, hysteresis, cooldown/backoff).
 
-The legacy flat constructor kwargs (``ParallaxConfig(fusion=False)``,
-``ParallaxConfig(elastic=True)`` and friends) keep working through
-deprecation shims: each one emits a ``DeprecationWarning`` whose message
-starts with ``ParallaxConfig`` (the test suite escalates exactly those
-to errors outside the explicit shim tests) and forwards to the grouped
-field, so a legacy construction builds a config equal to its grouped
-spelling.
+The grouped spelling is the only one: a pre-grouping flat kwarg
+(``ParallaxConfig(fusion=False)``) is an ordinary unexpected-keyword
+``TypeError``, and a group field given anything but its config class
+(``ParallaxConfig(elastic=True)``) a ``TypeError`` naming that class.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -120,9 +116,6 @@ class ElasticConfig:
             planner prices candidates with the identical formula, so
             predicted and measured step times agree.  None (default)
             disables the emulation.
-
-    Truthiness follows ``enabled`` so legacy ``if config.elastic:``
-    checks keep their meaning against the grouped field.
     """
 
     enabled: bool = False
@@ -130,16 +123,13 @@ class ElasticConfig:
     fault_plan: Optional[FaultPlan] = None
     emulate_nic_bw: Optional[float] = None
 
-    def __bool__(self) -> bool:
-        return self.enabled
-
     def __post_init__(self):
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.fault_plan is not None and not self.enabled:
             raise ValueError(
-                "fault_plan requires elastic=True: a plain runner cannot "
-                "recover from injected failures"
+                "fault_plan requires an elastic runner (enabled=True): a "
+                "plain runner cannot recover from injected failures"
             )
         if self.emulate_nic_bw is not None and self.emulate_nic_bw <= 0:
             raise ValueError("emulate_nic_bw must be > 0 bytes/second")
@@ -238,21 +228,6 @@ class AutopilotConfig:
             raise ValueError("min_machines must be >= 1")
 
 
-# Legacy flat kwarg -> (grouped field, sub-config attribute).
-_LEGACY_KWARGS: Dict[str, Tuple[str, str]] = {
-    "fusion": ("comm", "fusion"),
-    "fusion_buffer_mb": ("comm", "fusion_buffer_mb"),
-    "compression": ("comm", "compression"),
-    "compression_ratio": ("comm", "compression_ratio"),
-    "backend": ("comm", "backend"),
-    "transport": ("comm", "transport"),
-    "elastic": ("elastic", "enabled"),
-    "checkpoint_every": ("elastic", "checkpoint_every"),
-    "fault_plan": ("elastic", "fault_plan"),
-    "serve_max_batch": ("serve", "max_batch"),
-    "serve_max_delay_ms": ("serve", "max_delay_ms"),
-}
-
 _GROUP_TYPES = {
     "comm": CommConfig,
     "elastic": ElasticConfig,
@@ -261,7 +236,7 @@ _GROUP_TYPES = {
 }
 
 
-@dataclass(init=False)
+@dataclass
 class ParallaxConfig:
     """Optional knobs of ``get_runner`` (paper section 4.1), grouped.
 
@@ -271,7 +246,7 @@ class ParallaxConfig:
     * ``comm`` -- :class:`CommConfig` (fusion, compression, backend,
       transport).
     * ``elastic`` -- :class:`ElasticConfig` (checkpointing, fault
-      schedule, NIC-degradation emulation).  Truthy iff enabled.
+      schedule, NIC-degradation emulation).
     * ``serve`` -- :class:`ServeConfig` (request batching).
     * ``autopilot`` -- :class:`AutopilotConfig` (online replanning).
 
@@ -298,12 +273,6 @@ class ParallaxConfig:
         save_path: if set, ``runner.save()`` writes variables here by
             default.
         seed: variable-initialization seed.
-
-    The pre-grouping flat kwargs (``fusion=``, ``compression=``,
-    ``backend=``, ``elastic=True``, ``checkpoint_every=``,
-    ``serve_max_batch=``, ...) are accepted with a ``DeprecationWarning``
-    and forwarded to the grouped fields; matching read properties
-    (``config.fusion`` etc.) warn and forward likewise.
     """
 
     architecture: str = "hybrid"
@@ -326,102 +295,13 @@ class ParallaxConfig:
     serve: ServeConfig = field(default_factory=ServeConfig)
     autopilot: AutopilotConfig = field(default_factory=AutopilotConfig)
 
-    def __init__(
-        self,
-        architecture: str = "hybrid",
-        local_aggregation: bool = True,
-        smart_placement: bool = True,
-        average_dense: bool = True,
-        average_sparse: bool = True,
-        search_partitions: bool = True,
-        sample_iterations: int = 2,
-        sample_warmup: int = 1,
-        max_partitions: int = 512,
-        sparse_as_dense_threshold: float = 0.95,
-        alpha_measure_batches: int = 2,
-        plan_cache_size: int = 32,
-        verify_plans: bool = False,
-        save_path: Optional[str] = None,
-        seed: int = 0,
-        comm: Optional[CommConfig] = None,
-        elastic: Optional[ElasticConfig] = None,
-        serve: Optional[ServeConfig] = None,
-        autopilot: Optional[AutopilotConfig] = None,
-        **legacy,
-    ):
-        self.architecture = architecture
-        self.local_aggregation = local_aggregation
-        self.smart_placement = smart_placement
-        self.average_dense = average_dense
-        self.average_sparse = average_sparse
-        self.search_partitions = search_partitions
-        self.sample_iterations = sample_iterations
-        self.sample_warmup = sample_warmup
-        self.max_partitions = max_partitions
-        self.sparse_as_dense_threshold = sparse_as_dense_threshold
-        self.alpha_measure_batches = alpha_measure_batches
-        self.plan_cache_size = plan_cache_size
-        self.verify_plans = verify_plans
-        self.save_path = save_path
-        self.seed = seed
-
-        # ``elastic`` carried a bool before the grouping; route it
-        # through the shim path so both spellings stay valid.
-        if isinstance(elastic, bool):
-            legacy["elastic"] = elastic
-            elastic = None
-
-        shimmed: Dict[str, Dict[str, object]] = {
-            "comm": {}, "elastic": {}, "serve": {},
-        }
-        for key, value in legacy.items():
-            try:
-                group, name = _LEGACY_KWARGS[key]
-            except KeyError:
-                raise TypeError(
-                    "ParallaxConfig() got an unexpected keyword argument "
-                    f"{key!r}"
-                ) from None
-            warnings.warn(
-                f"ParallaxConfig({key}=...) is deprecated; use "
-                f"{group}={_GROUP_TYPES[group].__name__}({name}=...)",
-                DeprecationWarning, stacklevel=2,
-            )
-            shimmed[group][name] = value
-
-        provided = {"comm": comm, "elastic": elastic, "serve": serve}
-        for group, flat in shimmed.items():
-            if flat and provided[group] is not None:
-                raise TypeError(
-                    f"pass either the grouped {group}= config or the "
-                    f"legacy flat kwargs {sorted(flat)}, not both"
-                )
-        for group, value in provided.items():
-            if value is not None and not isinstance(value,
-                                                    _GROUP_TYPES[group]):
-                raise TypeError(
-                    f"{group}= expects {_GROUP_TYPES[group].__name__}, "
-                    f"got {value!r}"
-                )
-        if autopilot is not None and not isinstance(autopilot,
-                                                    AutopilotConfig):
-            raise TypeError(
-                f"autopilot= expects AutopilotConfig, got {autopilot!r}"
-            )
-
-        # ``is not None`` rather than truthiness: a disabled
-        # ElasticConfig is falsy but still an explicit grouped value.
-        self.comm = (comm if comm is not None
-                     else CommConfig(**shimmed["comm"]))
-        self.elastic = (elastic if elastic is not None
-                        else ElasticConfig(**shimmed["elastic"]))
-        self.serve = (serve if serve is not None
-                      else ServeConfig(**shimmed["serve"]))
-        self.autopilot = (autopilot if autopilot is not None
-                          else AutopilotConfig())
-        self.__post_init__()
-
     def __post_init__(self):
+        for group, expected in _GROUP_TYPES.items():
+            value = getattr(self, group)
+            if not isinstance(value, expected):
+                raise TypeError(
+                    f"{group}= expects {expected.__name__}, got {value!r}"
+                )
         if self.architecture not in ("hybrid", "ps", "opt_ps", "ar"):
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; expected "
@@ -452,30 +332,6 @@ class ParallaxConfig:
                 "autopilot requires an elastic runner: set "
                 "elastic=ElasticConfig(enabled=True)"
             )
-
-
-def _deprecated_read_alias(flat: str, group: str, name: str) -> property:
-    def getter(self):
-        warnings.warn(
-            f"ParallaxConfig.{flat} is deprecated; read "
-            f"config.{group}.{name}",
-            DeprecationWarning, stacklevel=2,
-        )
-        return getattr(getattr(self, group), name)
-
-    getter.__name__ = flat
-    getter.__doc__ = f"Deprecated alias for ``{group}.{name}``."
-    return property(getter)
-
-
-for _flat, (_group, _name) in _LEGACY_KWARGS.items():
-    if _flat == "elastic":
-        # The grouped field keeps the name; ElasticConfig.__bool__
-        # preserves legacy truthiness checks.
-        continue
-    setattr(ParallaxConfig, _flat,
-            _deprecated_read_alias(_flat, _group, _name))
-del _flat, _group, _name
 
 
 def graph_plan_builder(

@@ -236,7 +236,6 @@ class ElasticRunner(DistributedRunner):
         fault_plan: Optional[FaultPlan] = None,
         seed: int = 0,
         transcript: Optional[Transcript] = None,
-        engine: str = "compiled",
         backend: str = "inproc",
         plan_cache_size: int = 32,
         verify_plans: Optional[bool] = None,
@@ -249,9 +248,8 @@ class ElasticRunner(DistributedRunner):
                 "has new shard names and needs a fresh plan"
             )
         super().__init__(model, cluster, plan, seed=seed,
-                         transcript=transcript, engine=engine,
-                         fault_plan=fault_plan, backend=backend,
-                         plan_cache_size=plan_cache_size,
+                         transcript=transcript, fault_plan=fault_plan,
+                         backend=backend, plan_cache_size=plan_cache_size,
                          verify_plans=verify_plans)
         self.model_builder = model_builder
         self.plan_builder = plan_builder
@@ -403,10 +401,10 @@ class ElasticRunner(DistributedRunner):
             DistributedRunner.__init__(self, model, new_cluster, plan,
                                        seed=self.seed,
                                        transcript=transcript,
-                                       engine=self.engine,
                                        fault_plan=self.fault_plan,
                                        backend=old_guts["backend"].fresh(),
-                                       plan_cache_size=self.plan_cache_size)
+                                       plan_cache_size=self.plan_cache_size,
+                                       verify_plans=self.verify_plans)
             state = _reconcile_residual_state(
                 state, self.transformed.logical_variable_names,
                 self.transformed.graph)

@@ -29,6 +29,7 @@ from repro.cluster.faults import (
 from repro.cluster.spec import ClusterSpec
 from repro.comm.transcript import Transcript
 from repro.core.backend import make_backend
+from repro.core.transform.comm_ops import COLLECTIVE_OP_TYPES
 from repro.core.transform.plan import GraphSyncPlan
 from repro.core.transform.transform import TransformedGraph, transform_graph
 from repro.graph.executor import EdgeSpec
@@ -36,12 +37,6 @@ from repro.graph.graph import Graph, Operation
 from repro.graph.session import Session, VariableStore, split_replica_prefix
 from repro.nn.models.common import BuiltModel
 from repro.nn.optimizers import specialize_update
-from repro.tensor.dense import nbytes_of
-
-# Collectives record their own ring transfers; the generic edge recorder
-# must not double-count their input edges.
-_SELF_ACCOUNTING = {"allreduce", "fused_allreduce", "allgatherv",
-                    "compressed_allreduce", "compressed_allgatherv"}
 
 
 def apply_logical_state(session: "DistributedSession", graph: Graph,
@@ -145,16 +140,19 @@ class DistributedSession(Session):
     def _compile_edge_fn(self):
         """The cross-machine edge set is static graph structure, so
         compiled plans carry it per schedule entry; only byte counts (and
-        the per-run dedup against fed producers) stay dynamic."""
+        the per-run dedup against fed producers) stay dynamic.  One
+        transfer per (producer, consumer device) pair per iteration (a
+        worker process pulls a value once and reuses it); collectives
+        record their own ring transfers, so their edges are skipped."""
 
         def static_edges(op: Operation) -> Optional[List[EdgeSpec]]:
-            if op.op_type in _SELF_ACCOUNTING or op.device is None:
+            if op.op_type in COLLECTIVE_OP_TYPES or op.device is None:
                 return None
             edges: List[EdgeSpec] = []
             for pos, tensor in enumerate(op.inputs):
                 producer = tensor.op
                 if (producer.device is None
-                        or producer.op_type in _SELF_ACCOUNTING):
+                        or producer.op_type in COLLECTIVE_OP_TYPES):
                     continue
                 if producer.device.machine == op.device.machine:
                     continue
@@ -165,32 +163,6 @@ class DistributedSession(Session):
             return edges or None
 
         return static_edges
-
-    def _before_kernel(self, op: Operation, inputs) -> None:
-        """Interpreted-path twin of the compiled edge table: record
-        cross-machine edges, one transfer per (producer, consumer device)
-        pair per iteration (a worker process pulls a value once and reuses
-        it)."""
-        if op.op_type in _SELF_ACCOUNTING or op.device is None:
-            return
-        for tensor, value in zip(op.inputs, inputs):
-            producer = tensor.op
-            if (value is None or producer.device is None
-                    or producer.op_type in _SELF_ACCOUNTING):
-                continue
-            if producer.device.machine == op.device.machine:
-                continue
-            edge = (producer.name, op.device.machine, op.device.device_type,
-                    op.device.index)
-            if edge in self._seen_edges:
-                continue
-            self._seen_edges.add(edge)
-            self.transcript.record(
-                tag=f"edge/{producer.op_type}",
-                src_machine=producer.device.machine,
-                dst_machine=op.device.machine,
-                nbytes=nbytes_of(value),
-            )
 
 
 @dataclass
@@ -217,22 +189,15 @@ class DistributedRunner:
         plan: GraphSyncPlan,
         seed: int = 0,
         transcript: Optional[Transcript] = None,
-        engine: str = "compiled",
         fault_plan: Optional[FaultPlan] = None,
         backend: str = "inproc",
         plan_cache_size: int = 32,
         verify_plans: Optional[bool] = None,
     ):
-        if engine not in ("compiled", "interpreted"):
-            raise ValueError(
-                f"unknown engine {engine!r}; expected 'compiled' or "
-                "'interpreted'"
-            )
         self.model = model
         self.cluster = cluster
         self.plan = plan
         self.seed = seed
-        self.engine = engine
         self.fault_plan = fault_plan
         self.backend = make_backend(backend)
         self.backend_name = self.backend.name
@@ -272,7 +237,7 @@ class DistributedRunner:
                 for r in range(n)
             ]
         self.step_plans = []
-        if engine == "compiled" and self.backend_name == "inproc":
+        if self.backend_name == "inproc":
             # Multiproc workers compile their own partitioned schedules;
             # the controller's monolithic step plans would never replay.
             self.step_plans = [self.session.compile(fetches)

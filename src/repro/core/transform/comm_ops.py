@@ -33,6 +33,15 @@ from repro.graph.ops import register_forward
 from repro.tensor.sparse import IndexedSlices, concat_slices, to_dense
 
 
+#: Every collective op type, defined once next to the kernels below.  They
+#: exchange data across replicas through the run cache and record their own
+#: ring transfers, so static edge accounting skips their edges (runner) and
+#: multiproc workers mute every replica's copy but the first (backend).
+COLLECTIVE_OP_TYPES = frozenset({"allreduce", "fused_allreduce", "allgatherv",
+                                 "compressed_allreduce",
+                                 "compressed_allgatherv"})
+
+
 def _replica_machines(op, runtime) -> List[int]:
     """Machine of each collective participant, from the recorded devices."""
     return [int(m) for m in op.attrs["machines"]]

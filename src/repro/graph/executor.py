@@ -1,11 +1,11 @@
-"""Compile-once / execute-many engine for the graph layer.
+"""Compile-once / execute-many engine for the graph layer -- the only one.
 
-The interpreter in :meth:`Session.run_interpreted` re-resolves fetches,
-re-sorts the graph, and re-dispatches every kernel through a string-keyed
-registry on every call.  That overhead is multiplied by replicas ×
-iterations × sampled partition counts in the Equation-1 search, so the hot
-path instead compiles a :class:`CompiledPlan` once per (fetch set, graph
-version) and replays it:
+A memoized topological walk re-resolves fetches, re-sorts the graph, and
+re-dispatches every kernel through a string-keyed registry on every call
+(``tests/reference_interpreter.py`` keeps one as the test oracle).  That
+overhead is multiplied by replicas × iterations × sampled partition counts
+in the Equation-1 search, so every run compiles a :class:`CompiledPlan`
+once per (fetch set, graph version) and replays it:
 
 * the topological schedule is frozen at compile time;
 * each kernel is bound directly into its schedule entry (no ``FORWARD``
@@ -17,12 +17,17 @@ version) and replays it:
 * cross-machine transfer edges (static graph structure) are precomputed
   by the distributed session, leaving only byte counts dynamic.
 
+A plan has three replay forms -- the first-run loop, generated checked
+code, generated fast code -- and picks among them from what it observes
+(its replay count, which slots a run feeds), never from a user option.
+
 Sessions own a plan cache keyed by the fetch-name signature; plans
 self-invalidate when :attr:`Graph.version` moves.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -164,9 +169,10 @@ def register_direct_out(op_type: str):
     return deco
 
 
+@cache
 def _forward_registry():
-    # Imported lazily (compile time only) so kernel modules may import
-    # this one to register specializations without a cycle.
+    # Imported lazily (once, at first compile) so kernel modules may
+    # import this one to register specializations without a cycle.
     from repro.graph import ops as ops_mod
 
     return ops_mod.FORWARD
@@ -174,9 +180,9 @@ def _forward_registry():
 
 def _missing_kernel(op_type: str):
     """Deferred dispatch for op types with no kernel at compile time: the
-    registry is re-consulted at execute time (matching the interpreter, so
-    a kernel registered after compilation is still found), and only a
-    still-missing kernel raises."""
+    registry is re-consulted at execute time (so a kernel registered
+    after compilation is still found), and only a still-missing kernel
+    raises."""
 
     def raise_missing(op, inputs, runtime):
         kernel = _forward_registry().get(op_type)
@@ -188,6 +194,29 @@ def _missing_kernel(op_type: str):
         return kernel(op, inputs, runtime)
 
     return raise_missing
+
+
+def bind_kernel(op: Operation, specialize_fn: Optional[Callable] = None,
+                ) -> Tuple[Callable, bool]:
+    """The kernel a schedule entry calls for *op*: ``(kernel, specialized)``.
+
+    The one binding ladder, shared by :class:`CompiledPlan` and the
+    multiprocess workers' partitioned plans: the session's per-instance
+    specialization first (store routing, SGD prebinding), then the
+    :data:`SPECIALIZE` registry, then the generic ``FORWARD`` table, then
+    deferred dispatch.  *specialized* kernels have their op context
+    prebound and never read ``_current_op``.
+    """
+    kernel = specialize_fn(op) if specialize_fn is not None else None
+    if kernel is None:
+        builder = SPECIALIZE.get(op.op_type)
+        if builder is not None:
+            kernel = builder(op)
+    if kernel is not None:
+        return kernel, True
+    kernel = _forward_registry().get(op.op_type)
+    return (kernel if kernel is not None
+            else _missing_kernel(op.op_type)), False
 
 
 class CompiledPlan:
@@ -202,9 +231,8 @@ class CompiledPlan:
 
     __slots__ = ("graph", "version", "fetch_names", "num_slots", "schedule",
                  "target_slots", "slot_of_name", "placeholder_names",
-                 "placeholder_slots", "has_edges", "call_hook",
-                 "_specialized", "_codegen", "_exec_count",
-                 "_buffer_plan", "_arena")
+                 "placeholder_slots", "has_edges", "_specialized",
+                 "_codegen", "_exec_count", "_buffer_plan", "_arena")
 
     # Process-wide count of plan compilations.  Purely observational: the
     # elastic runtime asserts (and reports) that a rescale really paid the
@@ -212,14 +240,13 @@ class CompiledPlan:
     compiled_total = 0
 
     def __init__(self, graph: Graph, targets: Sequence[Operation],
-                 edge_fn: Optional[EdgeFn] = None, call_hook: bool = False,
+                 edge_fn: Optional[EdgeFn] = None,
                  specialize_fn: Optional[Callable] = None):
         CompiledPlan.compiled_total += 1
         self.graph = graph
         self.version = graph.version
         self.fetch_names: Tuple[str, ...] = tuple(op.name for op in targets)
 
-        forward = _forward_registry()
         order = plan_order(graph, targets)
         slot_of: Dict[str, int] = {}
         schedule = []
@@ -228,17 +255,9 @@ class CompiledPlan:
         has_edges = False
         for slot, op in enumerate(order):
             slot_of[op.name] = slot
-            kernel = specialize_fn(op) if specialize_fn is not None else None
-            if kernel is None:
-                builder = SPECIALIZE.get(op.op_type)
-                if builder is not None:
-                    kernel = builder(op)
-            if kernel is not None:
+            kernel, is_specialized = bind_kernel(op, specialize_fn)
+            if is_specialized:
                 specialized.add(slot)
-            if kernel is None:
-                kernel = forward.get(op.op_type)
-            if kernel is None:
-                kernel = _missing_kernel(op.op_type)
             input_slots = tuple(slot_of[t.op.name] for t in op.inputs)
             edges = edge_fn(op) if edge_fn is not None else None
             if edges:
@@ -254,7 +273,6 @@ class CompiledPlan:
         self.placeholder_names = tuple(placeholders)
         self.placeholder_slots = frozenset(slot_of[n] for n in placeholders)
         self.has_edges = has_edges
-        self.call_hook = call_hook
         self._specialized = specialized
         self._codegen = None
         self._exec_count = 0
@@ -312,7 +330,7 @@ class CompiledPlan:
                 pair = self._codegen = self._generate()
         if pair is not None:
             checked, fast = pair
-            if fast is not None and fed_slots == self.placeholder_slots:
+            if fed_slots == self.placeholder_slots:
                 # The steady-state iteration pattern: exactly the
                 # placeholders fed, so per-entry fed checks vanish.
                 fast(session, buf)
@@ -326,7 +344,6 @@ class CompiledPlan:
         session.run_cache = {}
         seen = session._seen_edges if self.has_edges else None
         record = session.transcript.record if self.has_edges else None
-        hook = session._before_kernel if self.call_hook else None
         for op, kernel, input_slots, slot, edges in self.schedule:
             if fed[slot]:
                 continue
@@ -340,8 +357,6 @@ class CompiledPlan:
                     seen.add(key)
                     record(tag=tag, src_machine=src, dst_machine=dst,
                            nbytes=nbytes_of(value))
-            elif hook is not None:
-                hook(op, inputs)
             buf[slot] = kernel(op, inputs, session)
         session._current_op = None
 
@@ -354,8 +369,7 @@ class CompiledPlan:
         machinery, no tuple unpacking, no kernel indirection for inlined
         op types.  *fast* additionally assumes the steady-state feed
         pattern (exactly the placeholders fed), dropping the per-entry fed
-        checks and resolving the shared-vjp cache to generated locals;
-        it is ``None`` when a ``_before_kernel`` hook must run.
+        checks and resolving the shared-vjp cache to generated locals.
 
         ``vjp`` nodes inline the shared-gradient cache protocol (same
         ``run_cache['vjp']`` structure and keys as the generic kernel),
@@ -371,17 +385,14 @@ class CompiledPlan:
         mega-kernels whose interior values never touch the value buffer.
         """
         bplan = self._ensure_buffer_plan()
-        checked = self._emit(checked=True, bplan=bplan)
-        fast = None if self.call_hook else self._emit(checked=False,
-                                                      bplan=bplan)
-        return checked, fast
+        return (self._emit(checked=True, bplan=bplan),
+                self._emit(checked=False, bplan=bplan))
 
     # -- buffer arena ----------------------------------------------------
     def _ensure_buffer_plan(self):
         """Compute (once) the liveness/alias buffer plan and allocate the
-        arena.  Plans with a ``_before_kernel`` hook stay on the generic
-        kernel convention and get no arena."""
-        if self._buffer_plan is None and not self.call_hook:
+        arena."""
+        if self._buffer_plan is None:
             from repro.graph.bufferplan import build_buffer_plan
 
             self._buffer_plan = build_buffer_plan(self)
@@ -391,19 +402,16 @@ class CompiledPlan:
 
     @property
     def arena_bytes(self) -> int:
-        bp = self._ensure_buffer_plan()
-        return bp.arena_bytes if bp is not None else 0
+        return self._ensure_buffer_plan().arena_bytes
 
     @property
     def arena_slots(self) -> int:
-        bp = self._ensure_buffer_plan()
-        return bp.arena_slots if bp is not None else 0
+        return self._ensure_buffer_plan().arena_slots
 
     def arena_reuse_rate(self, steps: int = 1) -> float:
-        bp = self._ensure_buffer_plan()
-        return bp.arena_reuse_rate(steps) if bp is not None else 0.0
+        return self._ensure_buffer_plan().arena_reuse_rate(steps)
 
-    def _emit(self, checked: bool, bplan=None):
+    def _emit(self, checked: bool, bplan):
         from repro.graph import ops as ops_mod
 
         ns: Dict[str, object] = {"NB": nbytes_of}
@@ -413,24 +421,19 @@ class CompiledPlan:
         lines: List[str] = [f"def _run{signature}:",
                             "    rc = {}",
                             "    session.run_cache = rc"]
-        inline_vjp = not self.call_hook and any(
-            op.op_type == "vjp" for op, *_ in self.schedule
-        )
-        if inline_vjp:
+        if any(op.op_type == "vjp" for op, *_ in self.schedule):
             lines.append("    vjp = {}")
             lines.append("    rc['vjp'] = vjp")
         if self.has_edges:
             lines.append("    seen = session._seen_edges")
             lines.append("    record = session.transcript.record")
-        if self.call_hook:
-            lines.append("    hook = session._before_kernel")
 
         # Mega-kernel fusion (fast variant only): adjacent arena calls
         # collapse into generated helper functions emitted ahead of _run.
         header: List[str] = []
         chain_by_start: Dict[int, tuple] = {}
         chain_members: set = set()
-        if bplan is not None and not checked:
+        if not checked:
             from repro.graph.bufferplan import fusion_chains
 
             for ch in fusion_chains(self, bplan):
@@ -478,15 +481,7 @@ class CompiledPlan:
                          f" dst_machine={dst}, nbytes=NB(v))")
 
             args = "[" + ", ".join(f"buf[{j}]" for j in input_slots) + "]"
-            if self.call_hook:
-                ns[f"O{i}"] = op
-                ns[f"K{i}"] = kernel
-                emit(f"{ind}_in = {args}")
-                emit(f"{ind}session._current_op = O{i}")
-                emit(f"{ind}hook(O{i}, _in)")
-                emit(f"{ind}buf[{i}] = K{i}(O{i}, _in, session)")
-                continue
-            if op.op_type == "vjp" and bplan is not None and not checked:
+            if op.op_type == "vjp" and not checked:
                 # Expanded nodes bypass the shared-rule cache entirely:
                 # alias nodes copy the gradient reference, call nodes run
                 # a guarded single-output kernel into their arena buffer.
@@ -501,7 +496,7 @@ class CompiledPlan:
                         emit(f"{ind}buf[{i}] = "
                              f"X{i}({a}, A{bplan.assignment[i]})")
                     continue
-            if op.op_type == "vjp" and inline_vjp:
+            if op.op_type == "vjp":
                 fwd_op = self.graph.get_op(op.attrs["forward_op"])
                 rule = ops_mod.VJP.get(fwd_op.op_type)
                 if rule is not None:
@@ -542,7 +537,7 @@ class CompiledPlan:
                 ns[f"C{i}"] = kernel(op, (), None)
                 emit(f"{ind}buf[{i}] = C{i}")
                 continue
-            if bplan is not None and i in bplan.out_fns:
+            if i in bplan.out_fns:
                 emit_edges()
                 ns[f"W{i}"] = bplan.out_fns[i]
                 call_args = ", ".join(f"buf[{j}]" for j in input_slots)

@@ -7,7 +7,9 @@ execute-many: ``run`` builds a :class:`~repro.graph.executor.CompiledPlan`
 per fetch set and replays it on subsequent calls.  Within a run, forward
 activations computed for the loss are reused by the ``vjp`` gradient ops
 (the value buffer plays the role the memo dict played in the seed
-interpreter, which survives as :meth:`Session.run_interpreted`).
+interpreter, which survives only as the test oracle
+``tests/reference_interpreter.py``).  There is no second way to run a
+graph.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import numpy as np
 
 from repro.graph.executor import CompiledPlan, EdgeFn
 from repro.graph.graph import Graph, Operation, Tensor
-from repro.graph import ops as ops_mod
-from repro.tensor.dense import as_array
 
 _REPLICA_PREFIX = re.compile(r"^rep(\d+)/")
 
@@ -177,13 +177,8 @@ class Session:
 
     def _plan_for(self, targets: List[Operation]) -> CompiledPlan:
         def build() -> CompiledPlan:
-            edge_fn = self._compile_edge_fn()
-            # A subclass with a _before_kernel override but no static edge
-            # table still gets its hook called on the compiled path.
-            call_hook = (edge_fn is None and
-                         type(self)._before_kernel is not Session._before_kernel)
-            return CompiledPlan(self.graph, targets, edge_fn=edge_fn,
-                                call_hook=call_hook,
+            return CompiledPlan(self.graph, targets,
+                                edge_fn=self._compile_edge_fn(),
                                 specialize_fn=self._specialize_kernel)
 
         return self.cache_plan(tuple(op.name for op in targets), build)
@@ -218,56 +213,16 @@ class Session:
         results = self._plan_for(targets).execute(self, feed_dict)
         return results[0] if single else results
 
-    def run_interpreted(self, fetches: Union[Fetch, Sequence[Fetch]],
-                        feed_dict: Optional[dict] = None):
-        """The seed executor: a memoized topological walk with per-run
-        fetch resolution and kernel dispatch.
-
-        Kept as the reference semantics for ``run``: the engine
-        bit-equivalence tests compare the compiled path against this
-        one.
-        """
-        single = not isinstance(fetches, (list, tuple))
-        fetch_list = [fetches] if single else list(fetches)
-        targets = [self._resolve(f) for f in fetch_list]
-
-        feeds: Dict[str, np.ndarray] = {}
-        for key, value in (feed_dict or {}).items():
-            name = key.name if isinstance(key, Tensor) else str(key)
-            feeds[name] = value if isinstance(value, np.ndarray) else as_array(value)
-
-        self._begin_run()
-        self.run_cache = {}
-        memo: Dict[str, object] = {}
-        for op in self.graph.topo_sort(targets):
-            if op.name in feeds:
-                memo[op.name] = feeds[op.name]
-                continue
-            kernel = ops_mod.FORWARD.get(op.op_type)
-            if kernel is None:
-                raise NotImplementedError(
-                    f"no kernel registered for op type {op.op_type!r} "
-                    f"(op {op.name!r})"
-                )
-            inputs = [memo[t.name] for t in op.inputs]
-            self._current_op = op
-            self._before_kernel(op, inputs)
-            memo[op.name] = kernel(op, inputs, self)
-        self._current_op = None
-
-        results = [memo[op.name] for op in targets]
-        return results[0] if single else results
-
     # Subclass hooks -----------------------------------------------------
     _current_op: Optional[Operation] = None
 
     def _begin_run(self) -> None:
-        """Called at the start of every run (compiled or interpreted)."""
+        """Called at the start of every run."""
 
     def _compile_edge_fn(self) -> Optional[EdgeFn]:
         """Static per-op transfer edges for compiled plans; distributed
-        sessions override this so edge discovery happens at compile time
-        and ``_before_kernel`` stays off the hot path."""
+        sessions override this so edge discovery happens at compile time,
+        off the hot path."""
         return None
 
     def _specialize_kernel(self, op: Operation):
@@ -283,7 +238,3 @@ class Session:
 
             return read_var_kernel
         return None
-
-    def _before_kernel(self, op: Operation, inputs) -> None:
-        """Called before each kernel on the interpreted path; distributed
-        sessions record cross-machine data movement here."""

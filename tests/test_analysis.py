@@ -372,14 +372,17 @@ class TestAccounting:
                    for f in findings)
 
     def test_unregistered_collective_is_reported(self, monkeypatch):
-        import repro.core.runner as runner_mod
+        from repro.core.transform import comm_ops
 
         transformed, fetch_ops = make_transformed()
         monkeypatch.setattr(
-            runner_mod, "_SELF_ACCOUNTING",
-            frozenset(runner_mod._SELF_ACCOUNTING - {"fused_allreduce"}))
+            comm_ops, "COLLECTIVE_OP_TYPES",
+            comm_ops.COLLECTIVE_OP_TYPES - {"fused_allreduce"})
         findings, _ = analyze_accounting(transformed, fetch_ops)
-        assert any("_SELF_ACCOUNTING" in f.message for f in findings)
+        registry = [f for f in findings
+                    if "COLLECTIVE_OP_TYPES" in f.message]
+        assert len(registry) == 1  # one set, so one finding
+        assert "'fused_allreduce'" in registry[0].message
 
 
 # ======================================================================
@@ -597,6 +600,17 @@ class TestLint:
         )
         findings = lint_paths([bad])
         assert any("hierarchical_allreduce" in f.message for f in findings)
+
+    def test_hoisted_op_type_outside_the_registry_is_flagged(
+            self, monkeypatch):
+        import repro.graph.executor as executor_mod
+
+        monkeypatch.setattr(
+            executor_mod, "COLLECTIVE_OPS",
+            executor_mod.COLLECTIVE_OPS | {"phantom_allreduce"})
+        findings = lint_paths([])
+        assert len(findings) == 1
+        assert "phantom_allreduce" in findings[0].message
 
     def test_main_exit_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

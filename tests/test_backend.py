@@ -409,6 +409,11 @@ class TestBackendRegistry:
         runner.close()
         runner.close()
 
+    def test_multiproc_backend_has_no_latency_knobs(self):
+        for knob in ("simulated_latency", "latency_jitter", "latency_seed"):
+            with pytest.raises(TypeError, match=knob):
+                MultiprocBackend(**{knob: 0})
+
 
 # ======================================================================
 # Multiprocess differential smoke (2 workers)
@@ -667,6 +672,51 @@ class TestWorkerValueLiveness:
             assert len(copies) == 3
             assert all(c is copies[0] for c in copies)
             assert not copies[0].flags.writeable
+
+
+class TestOneKernelBindingLadder:
+    def test_worker_and_compiled_plans_bind_through_bind_kernel(
+            self, monkeypatch):
+        """Over one DistributedSession, every op a rank owns gets its
+        kernel from the ``bind_kernel`` call that serves ``CompiledPlan``
+        -- same ops, same specialized-or-generic outcome."""
+        import repro.core.backend as backend_mod
+        import repro.graph.executor as executor_mod
+
+        runner = make_runner("hybrid")
+        session, transformed = runner.session, runner.transformed
+        fetch_ops = [t.op for t in runner._step_fetches[0]]
+        real = executor_mod.bind_kernel
+        bound = {"compiled": set(), "worker": set()}
+
+        def spy_into(side):
+            def spy(op, specialize_fn=None):
+                kernel, specialized = real(op, specialize_fn)
+                bound[side].add((op.name, specialized))
+                return kernel, specialized
+            return spy
+
+        monkeypatch.setattr(executor_mod, "bind_kernel",
+                            spy_into("compiled"))
+        monkeypatch.setattr(backend_mod, "bind_kernel", spy_into("worker"))
+        session._plans.clear()
+        plan = session.compile(fetch_ops)
+        worker_plans = [_WorkerPlan(session, transformed, fetch_ops, rank)
+                        for rank in range(runner.num_replicas)]
+
+        assert len(bound["compiled"]) == len(plan.schedule)
+        assert len(bound["worker"]) == sum(
+            kind == "exec" for wp in worker_plans for kind, *_ in wp.steps)
+        owned = {name for name, _ in bound["worker"]}
+        assert bound["worker"] == {(name, specialized)
+                                   for name, specialized in bound["compiled"]
+                                   if name in owned}
+        # Only the unplaced train-op grouping runs on no rank.
+        unowned = {name for name, _ in bound["compiled"]} - owned
+        assert {transformed.graph.get_op(n).op_type
+                for n in unowned} == {"group"}
+        assert {specialized for _, specialized in bound["worker"]} \
+            == {True, False}
 
 
 class _SlicingStubTransport:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_interpreter import interpret, interpreted_runner
 
 from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner
@@ -77,7 +78,7 @@ def compiled_plan(model_key="lm", plan_key="hybrid", steps=3):
     model = MODEL_BUILDERS[model_key]()
     runner = DistributedRunner(model, CLUSTER,
                                PLAN_BUILDERS[plan_key](model.graph),
-                               seed=SEED, engine="compiled")
+                               seed=SEED)
     for i in range(steps):
         runner.step(i)
     return runner.step_plans[0], runner
@@ -232,7 +233,7 @@ def test_random_graphs_are_bit_identical_under_the_arena(seed):
     rng = np.random.default_rng(seed)
     g, fetches, feed = _random_elementwise_graph(rng)
     sess = Session(g)
-    reference = sess.run_interpreted(fetches, feed)
+    reference = interpret(sess, fetches, feed)
     # Three replays: first-run checked loop, then the generated fast
     # path with arena writes and fused chains.
     for _ in range(3):
@@ -249,11 +250,12 @@ class TestFusedDifferential:
     @pytest.mark.parametrize("plan_key", sorted(PLAN_BUILDERS))
     def test_compiled_matches_interpreted(self, model_key, plan_key):
         losses = {}
-        for engine in ("compiled", "interpreted"):
+        for engine, runner_cls in (("compiled", DistributedRunner),
+                                   ("interpreted", interpreted_runner)):
             model = MODEL_BUILDERS[model_key]()
-            runner = DistributedRunner(model, CLUSTER,
-                                       PLAN_BUILDERS[plan_key](model.graph),
-                                       seed=SEED, engine=engine)
+            runner = runner_cls(model, CLUSTER,
+                                PLAN_BUILDERS[plan_key](model.graph),
+                                seed=SEED)
             losses[engine] = [runner.step(i).replica_losses
                               for i in range(3)]
             if engine == "compiled":
@@ -273,8 +275,7 @@ class TestFusedDifferential:
             model = MODEL_BUILDERS["lm"]()
             runner = DistributedRunner(model, CLUSTER,
                                        hybrid_graph_plan(model.graph),
-                                       seed=SEED, engine="compiled",
-                                       backend=backend)
+                                       seed=SEED, backend=backend)
             try:
                 losses[backend] = [runner.step(i).replica_losses
                                    for i in range(3)]

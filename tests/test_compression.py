@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_interpreter import interpreted_runner
 
 from repro.cluster.spec import ClusterSpec
 from repro.comm.compression import (
@@ -389,12 +390,12 @@ class TestEndToEnd:
     @pytest.mark.parametrize("mode", ["topk", "fp16", "topk+fp16"])
     def test_interpreted_matches_compiled(self, mode):
         losses = {}
-        for engine in ("compiled", "interpreted"):
+        for engine, runner_cls in (("compiled", DistributedRunner),
+                                   ("interpreted", interpreted_runner)):
             model = small_lm()
             plan = ar_graph_plan(model.graph, fusion=True, compression=mode,
                                  compression_ratio=0.2)
-            runner = DistributedRunner(model, ClusterSpec(2, 2), plan,
-                                       seed=0, engine=engine)
+            runner = runner_cls(model, ClusterSpec(2, 2), plan, seed=0)
             losses[engine] = [runner.step(i).replica_losses
                               for i in range(3)]
         assert losses["compiled"] == losses["interpreted"]

@@ -1,14 +1,14 @@
-"""Grouped-config API: legacy flat kwargs == grouped spellings.
+"""Grouped-config API: one spelling.
 
-The deprecation contract: every pre-grouping flat kwarg of
-``ParallaxConfig`` still works, warns with a message starting
-``ParallaxConfig`` (the suite-wide filter escalates those everywhere but
-inside these ``pytest.warns`` blocks), and constructs a config equal to
-its grouped spelling.  Mixing a grouped sub-config with that group's
-flat kwargs is an error, as is an unknown kwarg -- the shim must not
-swallow typos.
+``ParallaxConfig`` is a plain dataclass: search/placement knobs
+top-level, everything plane-specific inside ``comm`` / ``elastic`` /
+``serve`` / ``autopilot``.  The pre-grouping flat kwargs and their read
+aliases are gone -- a flat kwarg is an ordinary unexpected-keyword
+``TypeError`` (so a typo cannot hide behind a shim), and a group field
+given anything but its config class is a ``TypeError`` naming it.
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -24,7 +24,8 @@ from repro.core.config import (
 
 FAULTS = FaultPlan(failures=(WorkerFailure(iteration=1, worker=0),))
 
-# (flat kwargs, equivalent grouped config) -- one case per legacy kwarg.
+# (removed flat kwargs, the grouped spelling that replaced them) -- one
+# case per pre-grouping kwarg.
 LEGACY_EQUIVALENTS = [
     ({"fusion": False}, {"comm": CommConfig(fusion=False)}),
     ({"fusion_buffer_mb": 2.5}, {"comm": CommConfig(fusion_buffer_mb=2.5)}),
@@ -45,30 +46,46 @@ LEGACY_EQUIVALENTS = [
 
 
 class TestLegacyKwargParity:
+    # The id predates the shim's removal (the tier-1 floor pins it): the
+    # flat kwargs no longer build anything, only the grouped config does.
     @pytest.mark.parametrize("flat,grouped", LEGACY_EQUIVALENTS,
                              ids=lambda kw: "+".join(sorted(kw)))
     def test_flat_kwargs_build_the_grouped_config(self, flat, grouped):
-        with pytest.warns(DeprecationWarning, match="^ParallaxConfig"):
-            legacy = ParallaxConfig(**flat)
-        assert legacy == ParallaxConfig(**grouped)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a TypeError, not a warning
+            with pytest.raises(TypeError):
+                ParallaxConfig(**flat)
+            config = ParallaxConfig(**grouped)
+        (group, value), = grouped.items()
+        assert getattr(config, group) == value
+        assert dataclasses.replace(config, **{group: type(value)()}) \
+            == ParallaxConfig()
 
-    def test_elastic_false_matches_default(self):
-        with pytest.warns(DeprecationWarning, match="^ParallaxConfig"):
-            legacy = ParallaxConfig(elastic=False)
-        assert legacy == ParallaxConfig()
-        assert not legacy.elastic
+    def test_no_flat_read_attribute_exists(self):
+        config = ParallaxConfig()
+        top_level = {f.name for f in dataclasses.fields(ParallaxConfig)}
+        flat_names = {name for flat, _ in LEGACY_EQUIVALENTS
+                      for name in flat} - top_level
+        assert len(flat_names) == 10
+        for name in sorted(flat_names):
+            assert not hasattr(ParallaxConfig, name)
+            with pytest.raises(AttributeError):
+                getattr(config, name)
 
-    def test_warning_names_the_grouped_replacement(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"comm=CommConfig\(fusion=...\)"):
-            ParallaxConfig(fusion=False)
-
-    def test_flat_kwargs_do_not_disturb_other_groups(self):
-        with pytest.warns(DeprecationWarning):
-            config = ParallaxConfig(serve_max_batch=3)
-        assert config.comm == CommConfig()
-        assert config.elastic == ElasticConfig()
-        assert config.autopilot == AutopilotConfig()
+    def test_default_config_field_for_field(self):
+        assert dataclasses.asdict(ParallaxConfig()) == {
+            "architecture": "hybrid", "local_aggregation": True,
+            "smart_placement": True, "average_dense": True,
+            "average_sparse": True, "search_partitions": True,
+            "sample_iterations": 2, "sample_warmup": 1,
+            "max_partitions": 512, "sparse_as_dense_threshold": 0.95,
+            "alpha_measure_batches": 2, "plan_cache_size": 32,
+            "verify_plans": False, "save_path": None, "seed": 0,
+            "comm": dataclasses.asdict(CommConfig()),
+            "elastic": dataclasses.asdict(ElasticConfig()),
+            "serve": dataclasses.asdict(ServeConfig()),
+            "autopilot": dataclasses.asdict(AutopilotConfig()),
+        }
 
 
 class TestShimStrictness:
@@ -77,44 +94,23 @@ class TestShimStrictness:
             ParallaxConfig(fusio=False)
 
     def test_grouped_plus_flat_same_group_is_a_type_error(self):
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="fusion"):
             ParallaxConfig(comm=CommConfig(), fusion=False)
-
-    def test_grouped_plus_flat_other_group_is_fine(self):
-        with pytest.warns(DeprecationWarning):
-            config = ParallaxConfig(comm=CommConfig(fusion=False),
-                                    serve_max_batch=3)
-        assert config.comm.fusion is False
-        assert config.serve.max_batch == 3
 
     def test_wrong_grouped_type_is_a_type_error(self):
         with pytest.raises(TypeError, match="CommConfig"):
             ParallaxConfig(comm=ServeConfig())
         with pytest.raises(TypeError, match="AutopilotConfig"):
             ParallaxConfig(autopilot=True)
-
-    def test_flat_validation_still_fires_through_the_shim(self):
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(ValueError, match="fusion_buffer_mb"):
-            ParallaxConfig(fusion_buffer_mb=0)
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(ValueError, match="fault_plan requires"):
-            ParallaxConfig(fault_plan=FAULTS)
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="ElasticConfig"):
+                ParallaxConfig(elastic=flag)
+        with pytest.raises(TypeError, match="ServeConfig"):
+            ParallaxConfig(serve=None)
 
 
 class TestDeprecatedReadAliases:
-    def test_read_aliases_warn_and_forward(self):
-        config = ParallaxConfig(comm=CommConfig(fusion=False,
-                                                fusion_buffer_mb=2.0),
-                                serve=ServeConfig(max_batch=5))
-        for attr, expected in [("fusion", False), ("fusion_buffer_mb", 2.0),
-                               ("compression", None), ("backend", "inproc"),
-                               ("serve_max_batch", 5)]:
-            with pytest.warns(DeprecationWarning,
-                              match=f"^ParallaxConfig.{attr}"):
-                assert getattr(config, attr) == expected
-
+    # Nothing is deprecated any more; the id is pinned by the floor.
     def test_grouped_reads_do_not_warn(self):
         config = ParallaxConfig(elastic=ElasticConfig(enabled=True))
         with warnings.catch_warnings():
@@ -123,12 +119,6 @@ class TestDeprecatedReadAliases:
             assert config.elastic.enabled is True
             assert config.serve.max_batch == 8
             assert config.autopilot.enabled is False
-
-    def test_elastic_field_keeps_legacy_truthiness(self):
-        assert not ParallaxConfig().elastic
-        assert ParallaxConfig(
-            elastic=ElasticConfig(enabled=True)).elastic
-        assert bool(ElasticConfig(enabled=False)) is False
 
 
 class TestCrossGroupValidation:

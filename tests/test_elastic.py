@@ -327,6 +327,34 @@ class TestReshardingRescale:
             ElasticRunner(model, C4, hybrid_graph_plan(model.graph),
                           model_builder=lm_builder())
 
+    def test_rescale_keeps_verifying_plans(self, monkeypatch):
+        """``verify_plans=True`` survives the rescale's re-``__init__``,
+        committed or rolled back.  The suite-wide REPRO_VERIFY_PLANS
+        would mask a dropped argument, so it is unset here."""
+        import repro.analysis as analysis
+
+        monkeypatch.delenv("REPRO_VERIFY_PLANS", raising=False)
+        real, verified = analysis.verify_plan, []
+
+        def spy(transformed, *args, **kwargs):
+            verified.append(transformed.num_replicas)
+            return real(transformed, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "verify_plan", spy)
+        make_elastic().rescale(C2)  # nobody asked: nothing verified
+        assert verified == []
+        runner = make_elastic(verify_plans=True)
+        assert verified == [4]
+        runner.rescale(C2)
+        assert verified == [4, 2]
+        assert runner.verify_plans is True
+        bogus = {"not/a/real/variable": np.zeros(2, np.float32)}
+        with pytest.raises(ValueError, match="mismatched names"):
+            runner.rescale(C4, state=bogus)
+        assert verified == [4, 2, 4]
+        assert runner.verify_plans is True
+        assert runner.num_replicas == 2
+
 
 # ======================================================================
 # Fault injection and recovery

@@ -2,12 +2,16 @@
 
 Two guarantees are load-bearing: compiled execution is *bit-identical*
 to the seed interpreter (losses, variable state, and the byte-accounting
-transcript), and the per-session plan cache invalidates whenever the
-fetch set or the graph changes.
+transcript) -- which lives on only as the oracle in
+``tests/reference_interpreter.py`` -- and the per-session plan cache
+invalidates whenever the fetch set or the graph changes.
 """
+
+import inspect
 
 import numpy as np
 import pytest
+from reference_interpreter import interpret, interpreted_runner
 
 from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner
@@ -44,10 +48,10 @@ def make_model():
     return model
 
 
-def make_runner(arch, engine):
+def make_runner(arch, runner_cls=DistributedRunner):
     model = make_model()
-    return DistributedRunner(model, CLUSTER, PLAN_BUILDERS[arch](model.graph),
-                             seed=1, engine=engine)
+    return runner_cls(model, CLUSTER, PLAN_BUILDERS[arch](model.graph),
+                      seed=1)
 
 
 class TestBitEquivalence:
@@ -58,8 +62,9 @@ class TestBitEquivalence:
 
     @pytest.mark.parametrize("arch", sorted(PLAN_BUILDERS))
     def test_losses_state_and_transcript_match(self, arch):
-        compiled = make_runner(arch, "compiled")
-        interpreted = make_runner(arch, "interpreted")
+        compiled = make_runner(arch)
+        interpreted = make_runner(arch, interpreted_runner)
+        assert compiled.step_plans and not interpreted.step_plans
         for i in range(3):
             a = compiled.step(i)
             b = interpreted.step(i)
@@ -73,23 +78,37 @@ class TestBitEquivalence:
                 == interpreted.transcript.total_network_bytes())
 
     def test_async_plans_compile_one_plan_per_replica(self):
-        runner = make_runner("async_ps", "compiled")
+        runner = make_runner("async_ps")
         assert len(runner.step_plans) == runner.num_replicas
         assert len({p.fetch_names for p in runner.step_plans}) \
             == runner.num_replicas
 
     def test_sync_plans_compile_single_plan(self):
-        runner = make_runner("hybrid", "compiled")
+        runner = make_runner("hybrid")
         assert len(runner.step_plans) == 1
         fetches = runner.step_plans[0].fetch_names
         assert fetches[-1] == "train_op"
         assert len(fetches) == runner.num_replicas + 1
 
     def test_runner_rejects_unknown_engine(self):
+        """There is one engine, so there is no ``engine=`` to select."""
+        from repro.core.elastic import ElasticRunner
+
         model = make_model()
-        with pytest.raises(ValueError, match="engine"):
-            DistributedRunner(model, CLUSTER, hybrid_graph_plan(model.graph),
-                              engine="turbo")
+        plan = hybrid_graph_plan(model.graph)
+        for runner_cls in (DistributedRunner, ElasticRunner):
+            for engine in ("turbo", "compiled", "interpreted"):
+                with pytest.raises(TypeError, match="engine"):
+                    runner_cls(model, CLUSTER, plan, engine=engine)
+
+    def test_the_interpreter_and_its_hooks_are_gone_from_src(self):
+        from repro.core.runner import DistributedSession
+
+        for cls in (Session, DistributedSession):
+            assert not hasattr(cls, "run_interpreted")
+            assert not hasattr(cls, "_before_kernel")
+        assert "call_hook" not in inspect.signature(CompiledPlan).parameters
+        assert "call_hook" not in CompiledPlan.__slots__
 
 
 def small_session():
@@ -175,7 +194,7 @@ class TestFeedSemantics:
         feed = {"x": np.asarray([0.5, -1.5], dtype=np.float32)}
         for _ in range(3):
             np.testing.assert_array_equal(sess_a.run(z, feed),
-                                          sess_b.run_interpreted(z2, feed))
+                                          interpret(sess_b, z2, feed))
 
 
 class TestPlanIntrospection:

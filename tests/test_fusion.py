@@ -19,9 +19,9 @@ from repro.comm.allreduce import (
     fused_chunk_bounds,
     ring_allreduce,
 )
-from repro.core.backend import _COLLECTIVES
 from repro.core.runner import DistributedRunner
 from repro.core.transform import transform_graph
+from repro.core.transform.comm_ops import COLLECTIVE_OP_TYPES
 from repro.cluster.plan import fusion_buckets
 from repro.core.transform.plan import (
     GraphSyncPlan,
@@ -261,7 +261,7 @@ class TestFusedTransformIsSmall:
 
     def test_no_collective_op_carries_an_array_attr(self, transformed):
         collectives = [op for op in transformed.graph.operations
-                       if op.op_type in _COLLECTIVES]
+                       if op.op_type in COLLECTIVE_OP_TYPES]
         assert any(op.op_type == "fused_allreduce" for op in collectives)
         for op in collectives:
             arrays = [key for key, value in op.attrs.items()
