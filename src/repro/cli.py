@@ -291,7 +291,8 @@ def cli_verify(cluster: ClusterSpec) -> int:
     The exit code is the report: 1 on any finding; 2 when the plans are
     clean but verification took 10% or more of compile time (transform
     + plan compilation + code generation) summed over the matrix; 0
-    otherwise.
+    otherwise.  Both sides are this process's CPU time, not wall time,
+    so the verdict does not depend on what else the host is running.
     """
     from repro.analysis import verify_plan
     from repro.analysis.verifier import default_fetch_ops
@@ -313,18 +314,18 @@ def cli_verify(cluster: ClusterSpec) -> int:
     for model_key, model_builder in _matrix_models().items():
         for plan_key, plan_builder in _matrix_plans().items():
             model = model_builder()
-            start = time.perf_counter()
+            start = time.process_time()
             transformed = transform_graph(
                 model.graph, model.loss, cluster,
                 plan_builder(model.graph), verify=False)
             fetch_ops = default_fetch_ops(transformed)
             plan = CompiledPlan(transformed.graph, fetch_ops)
             plan._generate()
-            compile_s = time.perf_counter() - start
+            compile_s = time.process_time() - start
             compile_seconds += compile_s
-            start = time.perf_counter()
+            start = time.process_time()
             report = verify_plan(transformed, fetch_ops, plan=plan)
-            verify_seconds += time.perf_counter() - start
+            verify_seconds += time.process_time() - start
             findings_total += len(report.findings)
             for backend, analyses in backend_analyses.items():
                 findings = [f for f in report.findings

@@ -8,8 +8,19 @@ synthetic op types implement this:
 * ``vjp`` -- computes the gradient of one forward op w.r.t. one of its
   inputs, by invoking the registered VJP rule at runtime;
 * ``grad_add`` -- accumulates gradients from multiple consumers.  Dense
-  gradients are summed; IndexedSlices are concatenated (TF semantics --
-  duplicate indices are resolved later, by whoever applies the update).
+  gradients are a left fold in input order into one fresh copy of the
+  first input (``np.add(..., out=)`` while dtype and shape match); no
+  input is ever written.  IndexedSlices are concatenated (TF semantics
+  -- duplicate indices are resolved later, by whoever applies the update).
+
+The tiling rule: a ``slice`` consumer's contribution is held (slice op +
+gradient of its output) until its producer is reached.  When *all* of a
+producer's contributions are slices of one axis whose ``[lo, hi)`` ranges
+cover it exactly -- disjoint, gap-free, complete, as the LSTM gate split
+and ``split_steps`` are -- its gradient is one ``concat`` of the held
+gradients.  Otherwise each held slice gets its ordinary zero-padding
+``vjp`` node, as if never held.  The ``concat`` equals the padded sum
+except that it keeps a ``-0.0`` the sum would turn into ``+0.0``.
 
 After running, ``graph.gradient_info`` maps each variable name to its
 gradient tensor name -- the MetaGraphDef extension from paper section 5.
@@ -135,18 +146,27 @@ def _vjp_specialize(op):
     return vjp_kernel
 
 
+def _sum_gradients(name: str, values):
+    """The one ``grad_add`` body: left fold of *values* in input order."""
+    if any(isinstance(v, IndexedSlices) for v in values):
+        if not all(isinstance(v, IndexedSlices) for v in values):
+            raise TypeError(
+                f"grad_add {name!r} mixes dense and sparse gradients"
+            )
+        return concat_slices(list(values))
+    total = np.array(values[0])  # the only array the fold ever writes
+    for value in values[1:]:
+        if (isinstance(value, np.ndarray) and value.dtype == total.dtype
+                and value.shape == total.shape):
+            np.add(total, value, out=total)
+        else:
+            total = total + value
+    return total
+
+
 @register_forward("grad_add")
 def _grad_add_fwd(op, inputs, runtime):
-    if any(isinstance(v, IndexedSlices) for v in inputs):
-        if not all(isinstance(v, IndexedSlices) for v in inputs):
-            raise TypeError(
-                f"grad_add {op.name!r} mixes dense and sparse gradients"
-            )
-        return concat_slices(list(inputs))
-    total = np.array(inputs[0])
-    for value in inputs[1:]:
-        total = total + value
-    return total
+    return _sum_gradients(op.name, inputs)
 
 
 @register_direct("grad_add")
@@ -155,16 +175,7 @@ def _grad_add_direct(op):
     name = op.name
 
     def grad_add_direct(*values):
-        if any(isinstance(v, IndexedSlices) for v in values):
-            if not all(isinstance(v, IndexedSlices) for v in values):
-                raise TypeError(
-                    f"grad_add {name!r} mixes dense and sparse gradients"
-                )
-            return concat_slices(list(values))
-        total = np.array(values[0])
-        for value in values[1:]:
-            total = total + value
-        return total
+        return _sum_gradients(name, values)
 
     return grad_add_direct
 
@@ -184,18 +195,40 @@ def _ones_direct(op):
     return ones_direct
 
 
-def _accumulate(graph: Graph, grads: List[Tensor], spec: TensorSpec,
-                sparse: bool, name_hint: str) -> Tensor:
-    if len(grads) == 1:
-        return grads[0]
-    op = graph.add_op(
-        "grad_add",
-        grads,
-        spec,
-        name=f"grad_add/{name_hint}",
-        attrs={"is_sparse": sparse},
-    )
-    return op.output
+def _add_vjp(graph: Graph, op: Operation, index: int, upstream: Tensor,
+             sparse: bool) -> Tensor:
+    """The ``vjp`` node for input *index* of forward *op*."""
+    return graph.add_op(
+        "vjp",
+        list(op.inputs) + [op.output, upstream],
+        op.inputs[index].spec,
+        name=f"grad/{op.name}/in{index}",
+        attrs={
+            "forward_op": op.name,
+            "input_index": index,
+            "grad_source": upstream.name,
+            "is_sparse": sparse,
+        },
+    ).output
+
+
+def _concat_tiles(graph: Graph, op: Operation,
+                  contributions) -> Optional[Tensor]:
+    """One ``concat`` of the held upstream gradients when *contributions*
+    are slices tiling one axis of *op* exactly (module docstring)."""
+    if any(held is None for _, _, held in contributions):
+        return None
+    tiles = sorted(contributions,
+                   key=lambda c: (c[2].attrs["lo"], c[2].attrs["hi"]))
+    axis, edge = tiles[0][2].attrs["axis"], 0
+    for _, _, held in tiles:
+        if held.attrs["axis"] != axis or held.attrs["lo"] != edge:
+            return None
+        edge = held.attrs["hi"]
+    if edge != op.output.spec.shape[axis]:
+        return None
+    return ops_mod.concat([t for t, _, _ in tiles], axis,
+                          name=f"grad_concat/{op.name}", graph=graph)
 
 
 def gradients(
@@ -222,9 +255,12 @@ def gradients(
     seed = graph.add_op(
         "ones_like_scalar", [], TensorSpec(()), name=graph.unique_name("grad_seed")
     )
-    # op -> list of (grad tensor, is_sparse) contributions to its output
-    pending: Dict[Operation, List[Tuple[Tensor, bool]]] = {
-        loss.op: [(seed.output, False)]
+    # op -> contributions to its output gradient: (grad tensor, is_sparse,
+    # None), or for a held slice (gradient of the slice's output, False,
+    # the slice op) -- see the tiling rule in the module docstring.
+    pending: Dict[Operation,
+                  List[Tuple[Tensor, bool, Optional[Operation]]]] = {
+        loss.op: [(seed.output, False, None)]
     }
     # op -> final accumulated output-gradient tensor
     out_grad: Dict[Operation, Tensor] = {}
@@ -233,14 +269,14 @@ def gradients(
         contributions = pending.get(op)
         if not contributions:
             continue
-        sparse = any(flag for _, flag in contributions)
-        acc = _accumulate(
-            graph,
-            [t for t, _ in contributions],
-            op.output.spec,
-            sparse,
-            op.name,
-        )
+        acc = _concat_tiles(graph, op, contributions)
+        if acc is None:
+            grads = [t if held is None else _add_vjp(graph, held, 0, t, False)
+                     for t, _, held in contributions]
+            acc = grads[0] if len(grads) == 1 else graph.add_op(
+                "grad_add", grads, op.output.spec, name=f"grad_add/{op.name}",
+                attrs={"is_sparse": any(f for _, f, _ in contributions)},
+            ).output
         out_grad[op] = acc
         if op.op_type in ("placeholder", "constant", "read_var",
                           "ones_like_scalar"):
@@ -252,7 +288,7 @@ def gradients(
                 if inp.op not in reachable:
                     continue
                 pending.setdefault(inp.op, []).append(
-                    (grad_tensor, input_sparse)
+                    (grad_tensor, input_sparse, None)
                 )
             continue
         if op.op_type not in ops_mod.VJP:
@@ -264,21 +300,13 @@ def gradients(
                 continue
             if inp.op not in reachable:
                 continue
+            if op.op_type == "slice":
+                pending.setdefault(inp.op, []).append((acc, False, op))
+                continue
             input_sparse = _grad_is_sparse(op, index)
-            vjp_op = graph.add_op(
-                "vjp",
-                list(op.inputs) + [op.output, acc],
-                inp.spec,
-                name=f"grad/{op.name}/in{index}",
-                attrs={
-                    "forward_op": op.name,
-                    "input_index": index,
-                    "grad_source": acc.name,
-                    "is_sparse": input_sparse,
-                },
-            )
             pending.setdefault(inp.op, []).append(
-                (vjp_op.output, input_sparse)
+                (_add_vjp(graph, op, index, acc, input_sparse),
+                 input_sparse, None)
             )
 
     grads_and_vars: List[Tuple[Tensor, Variable]] = []

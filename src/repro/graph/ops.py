@@ -351,24 +351,24 @@ def slice_axis(x: Tensor, lo: int, hi: int, axis: int = -1,
         )
     shape = x.spec.shape[:axis] + (hi - lo,) + x.spec.shape[axis + 1:]
     spec = TensorSpec(shape, x.dtype)
+    # The basic-index tuple every slice kernel applies, built once here.
+    index = [slice(None)] * x.spec.rank
+    index[axis] = slice(lo, hi)
     return g.add_op(
-        "slice", [x], spec, name=name, attrs={"lo": lo, "hi": hi, "axis": axis}
+        "slice", [x], spec, name=name,
+        attrs={"lo": lo, "hi": hi, "axis": axis, "index": tuple(index)},
     ).output
 
 
 @register_forward("slice")
 def _slice_fwd(op, inputs, runtime):
-    sl = [slice(None)] * np.asarray(inputs[0]).ndim
-    sl[op.attrs["axis"]] = slice(op.attrs["lo"], op.attrs["hi"])
-    return np.asarray(inputs[0])[tuple(sl)]
+    return np.asarray(inputs[0])[op.attrs["index"]]
 
 
 @register_vjp("slice")
 def _slice_vjp(op, inputs, output, grad):
     full = np.zeros_like(np.asarray(inputs[0]))
-    sl = [slice(None)] * full.ndim
-    sl[op.attrs["axis"]] = slice(op.attrs["lo"], op.attrs["hi"])
-    full[tuple(sl)] = grad
+    full[op.attrs["index"]] = grad
     return [full]
 
 
@@ -571,12 +571,10 @@ def _concat_direct(op):
 
 @register_direct("slice")
 def _slice_direct(op):
-    axis, lo, hi = op.attrs["axis"], op.attrs["lo"], op.attrs["hi"]
+    index = op.attrs["index"]
 
     def slice_direct(x):
-        sl = [slice(None)] * np.asarray(x).ndim
-        sl[axis] = slice(lo, hi)
-        return np.asarray(x)[tuple(sl)]
+        return np.asarray(x)[index]
 
     return slice_direct
 

@@ -5,11 +5,14 @@ than a batch of 1 through the compiled executor -- so the single
 largest serving win is running fewer, fuller batches.  The batcher
 implements the classic knobs: a batch launches as soon as ``max_batch``
 requests are aboard, or when the oldest waiting request has been held
-``max_delay_ms`` (one monotonic deadline; each queue wait gets the
-remaining slice, the same discipline the transports use for ``recv``
-timeouts).  ``submit`` only enqueues, so the front end never blocks on
-execution; results are routed back to each requester's Future by
-position.
+``max_delay_ms`` counted from its *enqueue* stamp -- time spent sitting
+out the previous batch is time already waited (one monotonic deadline;
+each queue wait gets the remaining slice, the same discipline the
+transports use for ``recv`` timeouts).  Whatever is already queued
+boards without a look at the clock, so a backlog older than the delay
+still leaves in full batches.  ``submit`` only enqueues, so the front
+end never blocks on execution; results are routed back to each
+requester's Future by position.
 """
 
 from __future__ import annotations
@@ -31,12 +34,14 @@ _STOP = object()
 class RequestBatcher:
     """Coalesces single-example requests into bounded batches.
 
-    A daemon worker thread blocks for the first waiting request, then
-    keeps the batch open for at most ``max_delay_ms`` or until
+    A daemon worker thread blocks for the first waiting request, takes
+    everything already queued behind it, then keeps the batch open until
+    that first request is ``max_delay_ms`` past its enqueue time or
     ``max_batch`` requests are aboard, runs ``run_batch(examples)``, and
     resolves ``results[i]`` into the i-th requester's Future.  A full
-    batch launches immediately and a lone request waits at most the
-    delay bound, so no request starves; a ``run_batch`` failure fans out
+    batch launches immediately and the head of a batch waits at most the
+    delay bound plus the ``run_batch`` already in flight when it
+    arrived, so no request starves; a ``run_batch`` failure fans out
     to every Future in the batch.  ``batch_log`` records
     ``(size, first_wait_seconds)`` per executed batch for observability
     and the property tests.
@@ -87,16 +92,21 @@ class RequestBatcher:
                 self._drain()
                 return
             batch = [item]
-            deadline = time.monotonic() + self.max_delay_ms / 1000.0
+            deadline = item[2] + self.max_delay_ms / 1000.0
             stopping = False
             while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    extra = self._queue.get(timeout=remaining)
+                    extra = self._queue.get_nowait()
                 except queue.Empty:
-                    break
+                    # Only an empty queue is worth waiting on, and only
+                    # for what is left of the oldest request's delay.
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    try:
+                        extra = self._queue.get(timeout=remaining)
+                    except queue.Empty:
+                        break
                 if extra is _STOP:
                     stopping = True
                     break

@@ -5,6 +5,15 @@ kept next to their forward counterparts; the autodiff layer in
 ``repro.graph.gradients`` wires them together.  The ``gather`` backward is
 the one place a *sparse* gradient (IndexedSlices) is born -- exactly as in
 TensorFlow, where that type propagates to the variable and marks it sparse.
+
+Why the one-pass sigmoid is exact.  The numerically stable sigmoid is
+``1 / (1 + exp(-x))`` for ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+below zero.  Both branches exponentiate the same number, ``-|x|`` (a
+sign flip is exact), and divide by the same ``1 + exp(-|x|)``; they
+differ only in the numerator, ``1`` or ``exp(-|x|)``.  So
+``z = exp(-|x|); where(x >= 0, 1, z) / (1 + z)`` runs, per element, the
+very ufuncs the branch it belongs to would run -- the same bits with no
+boolean gather/scatter -- and ``z <= 1`` means nothing can overflow.
 """
 
 from __future__ import annotations
@@ -57,25 +66,7 @@ def tanh_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Numerically-stable two-branch sigmoid.  The ufunc chains reuse one
-    # scratch array per branch; each branch performs exactly the ops of
-    # 1/(1+exp(-x)) resp. exp(x)/(1+exp(x)), so values are bit-identical
-    # to the textbook form while allocating far fewer temporaries (this
-    # runs once per LSTM gate per replica per iteration).
-    out = np.empty_like(x)
-    pos = x >= 0
-    neg = ~pos
-    xp = x[pos]
-    np.negative(xp, out=xp)
-    np.exp(xp, out=xp)
-    xp += 1.0
-    np.divide(1.0, xp, out=xp)
-    out[pos] = xp
-    ex = np.exp(x[neg])
-    denom = ex + 1.0
-    np.divide(ex, denom, out=denom)
-    out[neg] = denom
-    return out
+    return sigmoid_out(x, np.empty_like(x))
 
 
 def sigmoid_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -95,19 +86,13 @@ def sigmoid_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 # plans) guard shape/dtype/type compatibility and fall back to the
 # allocating twin on mismatch.
 def sigmoid_out(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    pos = x >= 0
-    neg = ~pos
-    xp = x[pos]
-    np.negative(xp, out=xp)
-    np.exp(xp, out=xp)
-    xp += 1.0
-    np.divide(1.0, xp, out=xp)
-    out[pos] = xp
-    ex = np.exp(x[neg])
-    denom = ex + 1.0
-    np.divide(ex, denom, out=denom)
-    out[neg] = denom
-    return out
+    # z = exp(-|x|); the module docstring says why this is bit-exact.
+    z = np.abs(x, out=np.empty_like(out))
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    num = np.where(x >= 0, 1.0, z)
+    z += 1.0
+    return np.divide(num, z, out=out)
 
 
 def tanh_grad_out(y: np.ndarray, g: np.ndarray,
