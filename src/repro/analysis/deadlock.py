@@ -18,6 +18,11 @@ instead of assuming it, over the concrete per-rank entry lists:
   reported as a concrete counterexample trace naming every rank and
   schedule position on it.
 
+``early_recvs`` in the stats counts ``recv`` entries whose next ``exec``
+reads nothing just received -- a rank waiting for a value before it
+needs it.  Legal, but ``repro.cli verify`` treats non-zero as a finding,
+so a scheduler change cannot quietly re-serialise the bucket exchange.
+
 The checker is deliberately decoupled from how the entries were built so
 tests can hand it corrupted partitions, and so a future TCP transport
 can gate its schedules through the same analysis.
@@ -158,13 +163,19 @@ def check_entries(entries_by_rank: Dict[int, Sequence[tuple]],
             ))
 
     # ---- value availability at each exec ------------------------------
+    early_recvs = 0  # counted on the way; see the module docstring
     for rank in ranks:
         produced = set()
+        fresh = set()  # received since the previous exec
         for idx, entry in enumerate(entries_by_rank[rank]):
             if entry[0] == "recv":
                 produced.add(entry[1])
+                fresh.add(entry[1])
                 continue
             _, op, _sends = entry
+            if fresh and fresh.isdisjoint(t.op.name for t in op.inputs):
+                early_recvs += len(fresh)
+            fresh.clear()
             for tensor in op.inputs:
                 dep = tensor.op.name
                 if dep not in produced:
@@ -179,6 +190,7 @@ def check_entries(entries_by_rank: Dict[int, Sequence[tuple]],
                                f"missing producer: {dep!r}"),
                     ))
             produced.add(op.name)
+        early_recvs += len(fresh)  # received after the last exec
 
     # ---- wait-for cycle detection -------------------------------------
     # Nodes are (rank, index), flattened to dense ints so the Kahn pass
@@ -242,6 +254,7 @@ def check_entries(entries_by_rank: Dict[int, Sequence[tuple]],
         "ranks": len(ranks),
         "entries": sum(len(entries_by_rank[r]) for r in ranks),
         "messages": messages,
+        "early_recvs": early_recvs,
     }
     return findings, stats
 
@@ -278,6 +291,6 @@ def analyze_deadlock(transformed, fetch_ops, order=None,
 
     if transformed.replica_train_ops is not None:
         return [], {"ranks": 0, "entries": 0, "messages": 0,
-                    "skipped": "asynchronous plan"}
+                    "early_recvs": 0, "skipped": "asynchronous plan"}
     return check_entries(
         build_all_worker_entries(transformed, fetch_ops, order=order))

@@ -12,9 +12,9 @@ Five rules, each guarding an implicit contract between distant layers:
 2. **the collective registry stays complete** -- every collective op
    type constructed anywhere in the source must be in
    ``comm_ops.COLLECTIVE_OP_TYPES`` (the one set edge accounting and
-   worker muting both read), and the executor's overlap-hoist set must
-   be a subset of it; a missing entry double-counts transcript bytes
-   and breaks worker muting.
+   worker muting both read), and the set of op types the executor's
+   overlap schedule sinks must be a subset of it; a missing entry
+   double-counts transcript bytes and breaks worker muting.
 3. **seeded randomness only** -- ``np.random`` access outside the
    seeded-generator API (``default_rng``/``Generator``/``SeedSequence``)
    reaches process-global state and breaks the bit-identical-loss
@@ -164,7 +164,7 @@ def _check_registries(registered: frozenset) -> List[Finding]:
         return []
     return [Finding(
         ANALYSIS,
-        "executor.COLLECTIVE_OPS hoists op types "
+        "executor.COLLECTIVE_OPS sinks op types "
         f"comm_ops.COLLECTIVE_OP_TYPES does not know: {sorted(extra)}",
     )]
 

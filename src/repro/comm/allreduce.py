@@ -128,10 +128,14 @@ def ring_allreduce(
     for c, chunk in enumerate(slices):
         for lo, hi in chunk:
             acc = out[lo:hi]
-            acc[...] = flats[c][lo:hi]
-            for hop in range(1, n):
-                # Reduce-scatter hop: the receiver adds what arrives to
-                # its own chunk, receiver's value as the first operand.
+            if n == 1:
+                acc[...] = flats[c][lo:hi]
+                continue
+            # Reduce-scatter hop: the receiver adds what arrives to its
+            # own chunk, receiver's value as the first operand (hop 1
+            # reads both contributions; nothing is copied into ``out``).
+            np.add(flats[(c + 1) % n][lo:hi], flats[c][lo:hi], out=acc)
+            for hop in range(2, n):
                 np.add(flats[(c + hop) % n][lo:hi], acc, out=acc)
     if average:
         out /= np.float32(n)

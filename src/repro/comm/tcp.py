@@ -30,12 +30,14 @@ One frame per message::
 ``"a"``/``"s"`` (the :func:`~repro.comm.transport.wire_parts` bulk
 paths) carry raw C-order array bytes with dtype/shape/nbytes in
 ``array_metas``, so eligible ndarrays and IndexedSlices cross the
-socket without an intermediate pickle copy.  The ``a.tobytes()`` at
-``send`` time *is* the freeze-at-send semantics the other transports
-get from eager pickling or the ring copy: a sender mutating the array
-afterwards cannot corrupt the frame.  The receiver rebuilds arrays
-with ``np.frombuffer`` over the exclusively-owned read buffer -- no
-second copy.
+socket without a pickle or any other copy: a frame's chunks are flat
+``uint8`` views of the sender's arrays (only an array that is not
+C-contiguous is copied first).  The freeze-at-send the other transports
+get from eager pickling or the ring copy comes from the blocking
+``sendall``: ``send`` encodes and writes on the caller's thread and
+returns only once the kernel has taken every byte, so a later mutation
+cannot reach the frame.  The receiver rebuilds arrays with
+``np.frombuffer`` over the exclusively-owned read buffer -- no copy.
 
 Connections are created on demand, one duplex socket per rank pair in
 the dominant command/response pattern: the first sender connects and
@@ -51,9 +53,9 @@ module is only the socket framing.
 Counter accounting: every frame adds its payload to ``wire_bytes`` /
 ``wire_msgs`` (physical socket traffic, what ``tcp_bw`` in the cost
 model prices); pickle-path frames *also* count ``pickle_bytes``
-/ ``pickle_msgs`` (serialization cost), and each bulk ``tobytes``
-freeze is one ``copy_count``.  Transcript records use payload bytes,
-same as the other planes.
+/ ``pickle_msgs`` (serialization cost), and ``copy_count`` counts only
+the C-order copies of non-contiguous bulk arrays.  Transcript records
+use payload bytes, same as the other planes.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ import struct
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.comm.transport import (
     CONTROLLER,
@@ -348,15 +352,16 @@ class TcpTransport(Transport):
             c["pickle_msgs"] += 1
         else:
             kind, arrays, extra = parts
-            # The C-order copy is the freeze: later in-place mutation
-            # of the source array cannot reach the socket.
-            chunks = [a.tobytes() for a in arrays]
-            metas = tuple(
-                (a.dtype.str, a.shape, len(chunk))
-                for a, chunk in zip(arrays, chunks)
-            )
-            meta = (src, key, kind, metas, extra)
-            c["copy_count"] += 1
+            # No freeze copy: ``send`` hands these views to ``_put`` on
+            # this thread, whose blocking ``sendall`` takes every byte.
+            chunks, metas = [], []
+            for a in arrays:
+                if not a.flags.c_contiguous:
+                    a = np.ascontiguousarray(a)
+                    c["copy_count"] += 1
+                chunks.append(a.reshape(-1).view(np.uint8))
+                metas.append((a.dtype.str, a.shape, a.nbytes))
+            meta = (src, key, kind, tuple(metas), extra)
         meta_bytes = pickle.dumps(meta,
                                   protocol=pickle.HIGHEST_PROTOCOL)
         payload_len = sum(len(chunk) for chunk in chunks)
@@ -373,8 +378,6 @@ class TcpTransport(Transport):
         if kind == "p":
             value = pickle.loads(bytes(payload))
         else:
-            import numpy as np
-
             view = memoryview(payload)
             arrays, off = [], 0
             for dtype, shape, nbytes in metas:

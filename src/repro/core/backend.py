@@ -81,19 +81,31 @@ def build_all_worker_entries(transformed, fetch_ops: Sequence[Operation],
                              ) -> Dict[int, List[tuple]]:
     """Every rank's slice of the global step schedule, in one pass.
 
-    Entries appear in global :func:`~repro.graph.executor.plan_order`
-    order -- the same order every rank (and the in-process engine)
-    derives independently, which is what makes the partitioned execution
-    deadlock-free: a rank blocked waiting for a remote value only ever
-    waits on schedule positions strictly before its own.  The plan
-    verifier checks that theorem over these concrete entries instead of
-    assuming it (see :mod:`repro.analysis.deadlock`).
-
     Entry shapes:
       ``("exec", op, send_to)`` -- run *op* here, then send its value to
       each rank in *send_to* (they consume it remotely);
       ``("recv", name, src)`` -- block until rank *src* sends the value
       of op *name*.
+
+    ``exec`` entries appear in global
+    :func:`~repro.graph.executor.plan_order` order -- the same order
+    every rank (and the in-process engine) derives independently.  A
+    ``recv`` sits immediately before the first local ``exec`` that reads
+    its value, not where the producer ran, so a rank sends its own
+    bucket before it waits for a peer's.  Per directed channel receives
+    stay in send order (a consumer that needs the channel's *i*-th
+    outstanding value first receives the ``i`` before it).
+
+    Deadlock freedom: ``send`` never blocks on any plane (tcp reader
+    threads, queue feeder threads, shm's pickle fallback on a full
+    ring), so only a ``recv`` waits, and only for its producer's
+    ``exec``.  Give every ``recv`` the global position of the consumer
+    it was placed for: a rank's entries are then sorted by position and
+    a value's producer ``p(v)`` precedes its consumer ``p(c)``, so a
+    wait cycle A -> B -> A would need
+    ``p(v_A) >= p(c_A) > p(v_B) >= p(c_B) > p(v_A)``.  The plan verifier
+    checks this over the concrete entries instead of assuming it
+    (:mod:`repro.analysis.deadlock`).
 
     Ownership/consumer maps are computed once and shared across ranks;
     a caller that wants one rank's slice indexes the result.
@@ -126,14 +138,24 @@ def build_all_worker_entries(transformed, fetch_ops: Sequence[Operation],
                                       set()).add(owner[op.name])
 
     entries: Dict[int, List[tuple]] = {r: [] for r in range(num_ranks)}
+    # (src, dst) -> names sent on that channel and not yet received.
+    in_flight: Dict[tuple, List[str]] = {}
     for op in order:
         own = owner[op.name]
         if own is None:
             continue
+        for tensor in op.inputs:
+            name, src = tensor.op.name, owner[tensor.op.name]
+            pending = in_flight.get((src, own), ())
+            if name in pending:
+                upto = pending.index(name) + 1
+                entries[own].extend(("recv", sent, src)
+                                    for sent in pending[:upto])
+                del pending[:upto]
         remote = tuple(sorted(consumer_ranks.get(op.name, set()) - {own}))
         entries[own].append(("exec", op, remote))
         for rank in remote:
-            entries[rank].append(("recv", op.name, own))
+            in_flight.setdefault((own, rank), []).append(op.name)
     return entries
 
 
@@ -324,6 +346,10 @@ def _run_worker(spec: dict, transport: Transport, rank: int) -> None:
     transport.send(rank, CONTROLLER, ("res",), ("ready", rank, None))
 
     while True:
+        # Taken before the wait: a peer that got its step command first
+        # is already sending, and a frame decoded while this rank waits
+        # for the command belongs to the step it then reports.
+        counters_before = dict(transport.counters)
         cmd = transport.recv(rank, CONTROLLER, ("cmd",))
         try:
             if cmd[0] == "step":
@@ -335,7 +361,6 @@ def _run_worker(spec: dict, transport: Transport, rank: int) -> None:
                         f"{rank} feeds {len(feed_names)} placeholders"
                     )
                 feeds = dict(zip(feed_names, batch))
-                counters_before = dict(transport.counters)
                 values = plan.execute(session, transport, feeds)
                 losses = {name: float(values[name])
                           for name in plan.loss_names}

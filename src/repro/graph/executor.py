@@ -40,29 +40,36 @@ from repro.tensor.dense import as_array, nbytes_of
 EdgeSpec = Tuple[int, tuple, str, int, int]
 EdgeFn = Callable[[Operation], Optional[List[EdgeSpec]]]
 
-# Op types the scheduler hoists to run the moment their last dependency
-# completes (comm/compute overlap: a fused bucket's collective launches as
-# soon as its last contributing gradient is ready, instead of wherever the
-# depth-first topological order happens to leave it).
+# Op types whose finish the overlap schedule sinks to the end of the step.
+# A collective *starts* at the op that feeds it (the bucket ``concat``;
+# under ``multiproc`` that entry carries the sends), which stays at the
+# bucket's last gradient; the collective op and everything downstream of
+# it (``bucket_slice``, the updates, ``group``) run after all other compute.
 COLLECTIVE_OPS = frozenset({"fused_allreduce", "compressed_allreduce"})
 
 
 def overlap_schedule(order: Sequence[Operation]) -> List[Operation]:
     """Reorder a topological order for comm/compute overlap.
 
-    List scheduling over the dependency DAG: non-collective ops keep
-    their relative (FIFO) order, but whenever a :data:`COLLECTIVE_OPS` op
-    becomes ready -- its last contributing input has been scheduled -- it
-    preempts the queue and is emitted immediately.  Any valid topological
-    order executes to identical values (kernels are pure between variable
-    reads and the updates that transitively depend on every read), so
-    only the collective launch points move.
+    List scheduling over the dependency DAG.  An op is *lazy* when it is
+    a :data:`COLLECTIVE_OPS` op or has a lazy data/control input; all
+    other ops keep their relative (FIFO) order, so a bucket is packed at
+    its last gradient.  Lazy ops run only when nothing else is ready,
+    depth-first: collectives in the order they became ready, each one's
+    newly ready consumers ahead of the next (``fold b2, slice,
+    update..., fold b1, ...``), so a bucket's wire time hides behind the
+    rest of the backward pass and the folds and updates before its own.
+    Any valid topological order executes to identical values (kernels
+    are pure between variable reads and the updates that transitively
+    depend on every read), so only where a collective starts and
+    finishes moves.
     """
     from collections import deque
 
     in_schedule = {op.name for op in order}
     indegree: Dict[str, int] = {}
     consumers: Dict[str, List[Operation]] = {}
+    lazy = set()
     for op in order:
         deps = {t.op.name for t in op.inputs if t.op.name in in_schedule}
         deps.update(c.name for c in op.control_inputs
@@ -70,23 +77,28 @@ def overlap_schedule(order: Sequence[Operation]) -> List[Operation]:
         indegree[op.name] = len(deps)
         for dep in deps:
             consumers.setdefault(dep, []).append(op)
+        if op.op_type in COLLECTIVE_OPS or not lazy.isdisjoint(deps):
+            lazy.add(op.name)
 
     ready: deque = deque()
-    ready_collective: deque = deque()
+    ready_lazy: deque = deque()
     for op in order:
         if indegree[op.name] == 0:
-            (ready_collective if op.op_type in COLLECTIVE_OPS
-             else ready).append(op)
+            (ready_lazy if op.name in lazy else ready).append(op)
     scheduled: List[Operation] = []
-    while ready_collective or ready:
-        op = (ready_collective.popleft() if ready_collective
-              else ready.popleft())
+    while ready or ready_lazy:
+        op = ready.popleft() if ready else ready_lazy.popleft()
         scheduled.append(op)
+        woken_lazy = []
         for consumer in consumers.get(op.name, ()):
             indegree[consumer.name] -= 1
             if indegree[consumer.name] == 0:
-                (ready_collective if consumer.op_type in COLLECTIVE_OPS
+                (woken_lazy if consumer.name in lazy
                  else ready).append(consumer)
+        if op.name in lazy:
+            ready_lazy.extendleft(reversed(woken_lazy))
+        else:
+            ready_lazy.extend(woken_lazy)
     return scheduled
 
 def plan_order(graph: Graph, targets: Sequence[Operation]) -> List[Operation]:

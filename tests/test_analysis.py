@@ -166,6 +166,70 @@ class TestDeadlockMutations:
         # The cycle closes: the first node is repeated at the end.
         assert dead[0].trace[0].split("waits")[0] in dead[0].trace[-1]
 
+    @pytest.fixture()
+    def bucket_exchange(self):
+        """Two ranks, fused AllReduce: per rank, the index of the first
+        bucket ``pack`` (the exec that sends) and of the ``recv`` of the
+        peer's pack of the same bucket."""
+        transformed, fetch_ops = make_transformed(
+            lambda g: ar_graph_plan(g, fusion=True), cluster=C2x1)
+        entries = build_all_worker_entries(transformed, fetch_ops)
+        where = {}
+        for rank, peer in ((0, 1), (1, 0)):
+            pack = next(i for i, e in enumerate(entries[rank])
+                        if e[0] == "exec" and e[2]
+                        and "/pack/" in e[1].name)
+            wanted = entries[rank][pack][1].name.replace(
+                f"rep{rank}", f"rep{peer}")
+            recv = entries[rank].index(("recv", wanted, peer))
+            assert pack < recv
+            where[rank] = (pack, recv)
+        return entries, where
+
+    def test_recv_moved_after_its_consumer_is_reported(self,
+                                                       bucket_exchange):
+        entries, where = bucket_exchange
+        _, recv = where[0]
+        moved = entries[0].pop(recv)
+        at = next(i for i, e in enumerate(entries[0])
+                  if e[0] == "exec"
+                  and any(t.op.name == moved[1] for t in e[1].inputs))
+        consumer = entries[0][at]       # the fold that reads it
+        entries[0].insert(at + 1, moved)
+        findings, _ = check_entries(entries)
+        avail = [f for f in findings if "before its input" in f.message]
+        assert avail, [f.message for f in findings]
+        assert f"{moved[1]!r}" in avail[0].message
+        assert f"rank 0 pos {at}: exec {consumer[1].name!r}" \
+            in avail[0].trace[0]
+
+    def test_recvs_ahead_of_both_packs_are_a_reported_cycle(
+            self, bucket_exchange):
+        """The schedule this layout replaced, made one step worse: both
+        ranks wait for the peer's bucket before packing their own."""
+        entries, where = bucket_exchange
+        for rank, (pack, recv) in where.items():
+            entries[rank].insert(pack, entries[rank].pop(recv))
+        findings, stats = check_entries(entries)
+        dead = [f for f in findings if f.message.startswith("deadlock")]
+        assert dead, [f.message for f in findings]
+        trace = " ".join(dead[0].trace)
+        for rank, (pack, _) in where.items():
+            assert f"rank {rank} pos {pack}: recv" in trace
+            assert f"rank {rank} pos {pack + 1}: exec" in trace
+        assert stats["early_recvs"] == 2
+
+    def test_early_recv_is_counted_not_a_finding(self, bucket_exchange):
+        entries, where = bucket_exchange
+        findings, stats = check_entries(entries)
+        assert findings == [] and stats["early_recvs"] == 0
+        # Legal but serialising: rank 0 waits for the peer's bucket
+        # right after packing its own instead of where it is folded.
+        pack, recv = where[0]
+        entries[0].insert(pack + 1, entries[0].pop(recv))
+        findings, stats = check_entries(entries)
+        assert findings == [] and stats["early_recvs"] == 1
+
     def test_async_plans_pass_vacuously(self):
         from repro.core.transform.plan import ps_graph_plan
 

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis.deadlock import check_entries
 from repro.cli import _matrix_models, _matrix_plans
 from repro.cluster.spec import ClusterSpec
 from repro.comm.transcript import Transcript, merge_transcripts
@@ -243,6 +244,10 @@ class TestPartitioning:
             assert executed[name] != dst  # no self-sends
 
     def test_entries_follow_global_order(self):
+        """``exec`` entries alone strictly follow ``plan_order``; with
+        each ``recv`` given the position of the ``exec`` it was placed
+        for (the next one), a rank's whole list is sorted -- the premise
+        of the deadlock-freedom argument."""
         runner = make_runner("hybrid")
         transformed = runner.transformed
         fetch_ops = [t.op for t in runner._step_fetches[0]]
@@ -251,12 +256,49 @@ class TestPartitioning:
                                                       fetch_ops))}
         by_rank = build_all_worker_entries(transformed, fetch_ops)
         for rank in range(transformed.num_replicas):
-            names = [
-                (entry[1].name if entry[0] == "exec" else entry[1])
-                for entry in by_rank[rank]
-            ]
-            positions = [position[n] for n in names]
-            assert positions == sorted(positions)
+            execs = [position[entry[1].name] for entry in by_rank[rank]
+                     if entry[0] == "exec"]
+            assert all(a < b for a, b in zip(execs, execs[1:]))
+            positions, consumer = [], None
+            for entry in reversed(by_rank[rank]):
+                if entry[0] == "exec":
+                    consumer = position[entry[1].name]
+                positions.append(consumer)
+            assert positions == sorted(positions, reverse=True)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 1), (2, 2)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("plan_key", list(PLAN_BUILDERS))
+    def test_recvs_sit_at_their_consumer_in_send_order(self, plan_key,
+                                                       shape):
+        """Every ``recv`` is followed -- across nothing but other
+        ``recv``s -- by an ``exec`` that reads one of them, so no rank
+        waits for a value before it needs it; and per directed channel
+        the receive order is the send order."""
+        runner = make_runner(plan_key, cluster=ClusterSpec(*shape))
+        fetch_ops = [t.op for t in runner._step_fetches[0]]
+        by_rank = build_all_worker_entries(runner.transformed, fetch_ops)
+        sent, received, recvs = {}, {}, 0
+        for rank, entries in by_rank.items():
+            fresh = []
+            for entry in entries:
+                if entry[0] == "recv":
+                    _, name, src = entry
+                    fresh.append(name)
+                    received.setdefault((src, rank), []).append(name)
+                    continue
+                _, op, send_to = entry
+                if fresh:
+                    assert {t.op.name for t in op.inputs} & set(fresh)
+                    recvs += len(fresh)
+                    fresh = []
+                for dst in send_to:
+                    sent.setdefault((rank, dst), []).append(op.name)
+            assert not fresh
+        assert recvs > 0
+        assert received == sent
+        _, stats = check_entries(by_rank)
+        assert stats["early_recvs"] == 0
 
 
 # ======================================================================
@@ -461,6 +503,42 @@ class TestMultiprocSmoke:
                     == inproc.transcript.total_network_bytes("allreduce"))
         finally:
             multiproc.close()
+
+    def test_early_arrivals_are_attributed_to_their_step(self):
+        """A rank that gets its step command late decodes the peer's
+        frames while it still waits for the command.  Those decodes
+        belong to that step's report: with every bulk message costing
+        one copy per side, each step's ``copy_count`` is exactly twice
+        its ``shm_msgs`` however the commands are staggered."""
+
+        class LateLastRank(MultiprocBackend):
+            def _command(self, command):
+                *early, last = range(self.transport.num_workers)
+                for rank in early:
+                    self.transport.send(CONTROLLER, rank, ("cmd",), command)
+                time.sleep(0.05)    # the early ranks run and send
+                self.transport.send(CONTROLLER, last, ("cmd",), command)
+                return [self._result(rank, self.step_timeout)
+                        for rank in (*early, last)]
+
+        # Fused AllReduce only: the early rank sends its bucket without
+        # needing anything from the late one first.
+        model = make_model()
+        runner = DistributedRunner(
+            model, C2x1, ar_graph_plan(model.graph, fusion=True),
+            seed=SEED, backend=LateLastRank(transport="shm"))
+        try:
+            for i in range(4):
+                runner.step(i)
+            notes = runner.backend.transport.transcript.events(
+                "transport/step")
+        finally:
+            runner.close()
+        assert len(notes) == 4
+        for note in notes:
+            assert note.get("shm_msgs") > 0
+            assert note.get("fallbacks") == 0
+            assert note.get("copy_count") == 2 * note.get("shm_msgs")
 
     def test_adam_slots_and_inspection_helpers(self):
         inproc = make_runner("hybrid", optimizer=AdamOptimizer(0.01))

@@ -12,6 +12,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.spec import ClusterSpec
 from repro.comm.allreduce import (
@@ -273,7 +275,9 @@ class TestFusedTransformIsSmall:
 
 
 class TestOverlapSchedule:
-    """Collectives launch as soon as their last input is ready."""
+    """A collective starts (its input is packed) at its last gradient and
+    finishes (the collective op and what hangs off it) after everything
+    else."""
 
     def build_chain(self):
         """a -> b -> c (compute chain); collective depends only on a."""
@@ -294,9 +298,10 @@ class TestOverlapSchedule:
         order = g.topo_sort([sink])
         scheduled = overlap_schedule(order)
         names = [op.name for op in scheduled]
-        # Depth-first topo order would leave the collective last before
-        # the sink; the overlap scheduler fires it right after "a".
-        assert names.index("coll") == names.index("a") + 1
+        # The collective is ready right after "a" (where its input -- the
+        # value a worker would send -- exists), but its finish sinks past
+        # the whole compute chain, directly before the op that needs it.
+        assert names == ["a", "b", "c", "coll", "sink"]
 
     def test_schedule_is_a_valid_topological_order(self):
         g, sink = self.build_chain()
@@ -308,18 +313,80 @@ class TestOverlapSchedule:
             for t in op.inputs:
                 assert position[t.op.name] < position[op.name]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_dags_schedule_lazily_and_depth_first(self, data):
+        """Over random DAGs with 0-4 collectives: the schedule is a
+        permutation and a topological order of data and control edges,
+        every lazy op (a collective or anything downstream of one)
+        follows every other op, and whenever a collective that waits on
+        no other collective starts, nothing already unblocked by an
+        earlier collective is still pending."""
+        n = data.draw(st.integers(1, 14), label="ops")
+        collectives = data.draw(
+            st.sets(st.integers(0, n - 1), max_size=min(4, n)),
+            label="collectives")
+        g = Graph()
+        ops = []
+        deps = {}
+        for i in range(n):
+            earlier = st.sets(st.integers(0, i - 1), max_size=3) if i else \
+                st.just(set())
+            inputs = sorted(data.draw(earlier, label=f"inputs{i}"))
+            controls = sorted(data.draw(earlier, label=f"controls{i}"))
+            op_type = "fused_allreduce" if i in collectives else "relu"
+            op = g.add_op(op_type, [ops[j].output for j in inputs],
+                          TensorSpec((1,)), name=f"n{i}")
+            for j in controls:
+                op.add_control_input(ops[j])
+            ops.append(op)
+            deps[op.name] = {f"n{j}" for j in inputs + controls}
+
+        scheduled = [op.name for op in overlap_schedule(g.topo_sort(ops))]
+        assert sorted(scheduled) == sorted(deps)
+        position = {name: i for i, name in enumerate(scheduled)}
+        for name, before in deps.items():
+            assert all(position[d] < position[name] for d in before)
+
+        lazy = set()
+        for i in range(n):      # creation order is topological
+            if i in collectives or deps[f"n{i}"] & lazy:
+                lazy.add(f"n{i}")
+        assert all((name in lazy) == (i >= n - len(lazy))
+                   for i, name in enumerate(scheduled))
+
+        roots = {f"n{i}" for i in collectives if not deps[f"n{i}"] & lazy}
+        for q in range(n - len(lazy) + 1, n):
+            if scheduled[q] not in roots:
+                continue
+            done = set(scheduled[:q])
+            unblocked = {name for name in scheduled[q:]
+                         if deps[name] <= done}
+            assert unblocked <= roots
+
     def test_compiled_plan_hoists_fused_collectives(self):
-        """End to end: in the compiled step plan of a fused hybrid
-        runner, each bucket's collective runs before unrelated backward
-        compute that a plain topological order would schedule first."""
-        runner = make_runner("hybrid", fusion=True)
-        schedule = [entry[0].op_type
-                    for entry in runner.step_plans[0].schedule]
-        first_collective = schedule.index("fused_allreduce")
-        assert "sgd_update" in schedule[first_collective:]
-        # The collective does not sink to the end of the schedule: real
-        # compute still runs after it (overlap window exists).
-        after = schedule[first_collective + 1:]
-        assert any(t not in ("fused_allreduce", "bucket_slice",
-                             "sgd_update", "group")
-                   for t in after)
+        """End to end, in the compiled step plan of a fused hybrid runner
+        with several buckets: a bucket is packed while backward compute
+        of the buckets still to come remains (the overlap window), and
+        once the first collective finishes nothing but collectives and
+        their consumers is left."""
+        runner = make_runner("hybrid", fusion=True, fusion_buffer_mb=1e-4)
+        ops = [entry[0] for entry in runner.step_plans[0].schedule]
+        packs = [i for i, op in enumerate(ops)
+                 if op.op_type == "concat"
+                 and op.name.endswith("/pack/rep0")]
+        assert len(packs) >= 3
+        for this, later in zip(packs, packs[1:]):
+            assert any(op.op_type == "vjp" for op in ops[this:later])
+        first_collective = next(i for i, op in enumerate(ops)
+                                if op.op_type == "fused_allreduce")
+        assert packs[-1] < first_collective
+        assert {op.op_type for op in ops[first_collective:]} == {
+            "fused_allreduce", "bucket_slice", "sgd_update", "group"}
+        # Depth-first finish: a bucket is sliced and applied before the
+        # next collective of the same replica starts.
+        tail = [op for op in ops[first_collective:]
+                if op.attrs.get("replica", 0) == 0
+                and op.op_type in ("fused_allreduce", "bucket_slice")]
+        assert tail[0].op_type == "fused_allreduce"
+        assert tail[1].op_type == "bucket_slice"

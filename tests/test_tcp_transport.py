@@ -53,7 +53,34 @@ class TestWireAccounting:
         assert c["wire_msgs"] == 1
         assert c["wire_bytes"] >= a.nbytes
         assert c["pickle_msgs"] == 0
+        # A contiguous array is sent in place; only a layout that has to
+        # be made C-order first costs a copy.
+        assert c["copy_count"] == 0
+        t = np.arange(1024, dtype=np.float64).reshape(32, 32).T
+        assert not t.flags.c_contiguous
+        tcp.send(0, 1, ("v", "t"), t)
+        got = tcp.recv(1, 0, ("v", "t"), timeout=10.0)
+        np.testing.assert_array_equal(got, t)
         assert c["copy_count"] == 1
+        assert c["wire_msgs"] == 2
+
+    def test_send_freezes_without_a_copy(self, tcp):
+        """Freeze-at-send holds with no ``tobytes``: the blocking
+        ``sendall`` owns every byte by the time ``send`` returns, so a
+        sender that overwrites a 4 MB array straight afterwards cannot
+        reach the frame (the payload is far larger than a socket buffer,
+        so most of it is still in flight when the mutation happens)."""
+        # Endpoints start lazily; rank 1's reader must be draining the
+        # socket before a payload bigger than its buffer is sent.
+        tcp.send(0, 1, ("hello",), 0)
+        tcp.recv(1, 0, ("hello",), timeout=10.0)
+        a = np.arange(1 << 20, dtype=np.float32)
+        want = a.copy()
+        tcp.send(0, 1, ("v", "a"), a)
+        a[...] = -1.0
+        got = tcp.recv(1, 0, ("v", "a"), timeout=30.0)
+        np.testing.assert_array_equal(got, want)
+        assert tcp.counters["copy_count"] == 0
 
     def test_pickle_frames_count_both_planes(self, tcp):
         """Pickle-path frames land in wire_bytes AND pickle_bytes, so
