@@ -56,11 +56,13 @@ _FRESH_FWD = frozenset({
 
 #: Forward op types that neither alias their inputs nor retain them
 #: beyond the step (fresh arrays, scalars, IndexedSlices wrappers whose
-#: buffers are fresh, or None outputs).
+#: buffers are fresh, or None outputs).  A rank plan's ``send`` port
+#: freezes its value before returning and ``recv`` decodes a fresh one
+#: (``repro.comm.transport.Transport``).
 _NON_RETAINING_FWD = frozenset({
     "placeholder", "constant", "read_var", "concat", "gather", "mean",
     "softmax_xent", "mse", "grad_add", "ones_like_scalar", "group",
-    "assign", "assign_sub", "scatter_sub",
+    "assign", "assign_sub", "scatter_sub", "send", "recv",
 })
 
 #: vjp rules returning a fresh array for every output index.

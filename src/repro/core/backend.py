@@ -13,7 +13,11 @@ over the transformed graph.  An :class:`ExecutionBackend` decides *where*:
   machine, mirroring Parallax's server/worker colocation).  Values that
   cross process boundaries -- PS pushes and pulls, the all-to-all
   buffer exchange behind (fused) AllReduce and AllGatherv -- travel over
-  a :class:`~repro.comm.transport.Transport`.
+  a :class:`~repro.comm.transport.Transport`.  A worker runs its slice
+  through the same :class:`~repro.graph.executor.CompiledPlan` as the
+  in-process engine (:func:`compile_rank_plan`): the transfers are
+  ``send``/``recv`` schedule entries, so integer slots, generated code,
+  the buffer arena and the alias audit all cover what workers run.
 
 Both backends produce the same per-step losses bit for bit and the same
 logical Transcript records: the partitioned schedule preserves the
@@ -54,9 +58,9 @@ from repro.comm.transport import (
     merge_counters,
 )
 from repro.core.transform.comm_ops import COLLECTIVE_OP_TYPES
-from repro.graph.executor import bind_kernel, plan_order
+from repro.graph.executor import CompiledPlan, plan_order
 from repro.graph.graph import Operation
-from repro.tensor.dense import as_array, nbytes_of
+from repro.tensor.dense import TensorSpec
 
 
 def op_owner(op: Operation, cluster) -> Optional[int]:
@@ -81,7 +85,7 @@ def build_all_worker_entries(transformed, fetch_ops: Sequence[Operation],
                              ) -> Dict[int, List[tuple]]:
     """Every rank's slice of the global step schedule, in one pass.
 
-    Entry shapes:
+    Entry shapes (:func:`compile_rank_plan` compiles them):
       ``("exec", op, send_to)`` -- run *op* here, then send its value to
       each rank in *send_to* (they consume it remotely);
       ``("recv", name, src)`` -- block until rank *src* sends the value
@@ -181,11 +185,36 @@ class _MutedCollectiveRuntime:
         return self._session.run_cache
 
 
-def _make_worker_session(transformed, seed: int):
+def _make_worker_session(transformed, seed: int, rank: int,
+                         transport: Optional[Transport] = None,
+                         recv_timeout: Optional[float] = None):
+    """Worker *rank*'s :class:`~repro.core.runner.DistributedSession`.
+
+    Its one ``_specialize_kernel`` override binds the rank plan's ports
+    and mutes non-canonical collectives.  Port kernels reach the
+    transport through ``session.transport`` when they run, so a rank
+    plan compiles without one (the verifier builds them that way).
+    """
     from repro.core.runner import DistributedSession
 
     class WorkerSession(DistributedSession):
         def _specialize_kernel(self, op):
+            if op.op_type == "recv":
+                src, key = op.attrs["src"], ("v", op.name)
+
+                def recv(op, inputs, runtime):
+                    return self.transport.recv(rank, src, key,
+                                               timeout=recv_timeout)
+
+                return recv
+            if op.op_type == "send":
+                dsts, key = op.attrs["dst"], ("v", op.inputs[0].op.name)
+
+                def send(op, inputs, runtime):
+                    for dst in dsts:
+                        self.transport.send(rank, dst, key, inputs[0])
+
+                return send
             if (op.op_type in COLLECTIVE_OP_TYPES
                     and op.attrs.get("replica", 0) != 0):
                 from repro.graph.ops import FORWARD
@@ -199,114 +228,48 @@ def _make_worker_session(transformed, seed: int):
                 return muted_collective
             return super()._specialize_kernel(op)
 
-    return WorkerSession(transformed, seed=seed)
+    session = WorkerSession(transformed, seed=seed)
+    session.rank = rank
+    session.transport = transport
+    return session
 
 
-class _WorkerPlan:
-    """One rank's compiled slice of the step schedule.
+def compile_rank_plan(session, fetch_ops: Sequence[Operation],
+                      ) -> CompiledPlan:
+    """Worker ``session.rank``'s slice of the step as a
+    :class:`~repro.graph.executor.CompiledPlan`.
 
-    Kernels come from :func:`~repro.graph.executor.bind_kernel`, the
-    binding ladder :class:`~repro.graph.executor.CompiledPlan` uses, and
-    cross-machine edge accounting uses the session's static edge table
-    for the ops this rank owns.
-
-    Every step also carries the values whose last local consumer it is;
-    :meth:`execute` drops them there, so peers' buckets, activations and
-    gradients are released mid-step instead of living to its end.  Only
-    this rank's fetched losses survive the step.
+    Every :func:`build_all_worker_entries` entry becomes schedule
+    entries: an ``exec`` is its op, bound and generated exactly as in
+    the global plan, followed by a ``send`` port reading its value when
+    peers consume it; a ``recv`` is a port whose slot carries the
+    value's name, so consumers find it.  Ports are ops outside the
+    graph, bound by the worker session.  The plan fetches the
+    *fetch_ops* this rank executes -- its replica's loss.
     """
-
-    def __init__(self, session, transformed, fetch_ops, rank: int,
-                 recv_timeout: Optional[float] = None):
-        self.rank = rank
-        self.recv_timeout = recv_timeout
-        edge_fn = session._compile_edge_fn()
-        steps: List[tuple] = []
-        for entry in build_all_worker_entries(transformed,
-                                              fetch_ops)[rank]:
-            if entry[0] == "recv":
-                _, name, src = entry
-                steps.append(("recv", name, src, None, (), None))
-                continue
-            _, op, sends = entry
-            kernel, _ = bind_kernel(op, session._specialize_kernel)
-            input_names = tuple(t.op.name for t in op.inputs)
-            edges = edge_fn(op) if edge_fn is not None else None
-            steps.append(("exec", op, sends, kernel, input_names, edges))
-        # This rank's share of the step fetches (its replica's loss).
-        loss_names = {t.op.name for t in transformed.replica_losses}
-        self.loss_names = [
-            op.name for kind, op, *_ in steps
-            if kind == "exec" and op.name in loss_names
-        ]
-        # A value dies at the last step that reads it (or, unread here,
-        # at the step that made it -- after its sends).
-        last_use: Dict[str, int] = {}
-        for position, (kind, op, _, _, input_names, _) in enumerate(steps):
-            last_use[op if kind == "recv" else op.name] = position
-            for name in input_names:
-                last_use[name] = position
-        frees: Dict[int, List[str]] = {}
-        for name, position in last_use.items():
-            if name not in loss_names:
-                frees.setdefault(position, []).append(name)
-        self.steps = [(*step, tuple(frees.get(position, ())))
-                      for position, step in enumerate(steps)]
-
-    def execute(self, session, transport: Transport,
-                feeds: Dict[str, np.ndarray]) -> Dict[str, object]:
-        session._begin_run()
-        session.run_cache = {}
-        values: Dict[str, object] = {
-            name: (v if isinstance(v, np.ndarray) else as_array(v))
-            for name, v in feeds.items()
-        }
-        seen = session._seen_edges
-        record = session.transcript.record
-        rank = self.rank
-        position = -1
-        try:
-            for position, (kind, op, extra, kernel, input_names,
-                           edges, frees) in enumerate(self.steps):
-                if kind == "recv":
-                    values[op] = transport.recv(rank, extra, ("v", op),
-                                                timeout=self.recv_timeout)
-                else:
-                    name = op.name
-                    value = values.get(name)
-                    if value is None and name not in values:
-                        inputs = [values[n] for n in input_names]
-                        session._current_op = op
-                        if edges is not None:
-                            for pos, key, tag, src_m, dst_m in edges:
-                                v = inputs[pos]
-                                if v is None or key in seen:
-                                    continue
-                                seen.add(key)
-                                record(tag=tag, src_machine=src_m,
-                                       dst_machine=dst_m,
-                                       nbytes=nbytes_of(v))
-                        value = kernel(op, inputs, session)
-                        values[name] = value
-                    for dst in extra:
-                        transport.send(rank, dst, ("v", name), value)
-                for dead in frees:
-                    del values[dead]
-        except BaseException as exc:
-            # Name exactly where this rank was in its schedule; the
-            # controller folds this into the WorkerFailureError it
-            # raises (see MultiprocBackend._result).
-            step = self.steps[position] if position >= 0 else None
-            exc._worker_context = {
-                "rank": rank,
-                "schedule_index": position if position >= 0 else None,
-                "op_name": (None if step is None
-                            else step[1] if step[0] == "recv"
-                            else step[1].name),
-            }
-            raise
-        session._current_op = None
-        return values
+    transformed = session.transformed
+    graph = transformed.graph
+    order: List[Operation] = []
+    owned = set()
+    for entry in build_all_worker_entries(transformed,
+                                          fetch_ops)[session.rank]:
+        if entry[0] == "recv":
+            _, name, src = entry
+            order.append(Operation(graph, name, "recv", (),
+                                   graph.get_op(name).output.spec,
+                                   {"src": src}))
+            continue
+        _, op, send_to = entry
+        order.append(op)
+        owned.add(op.name)
+        if send_to:
+            order.append(Operation(graph, f"{op.name}->send", "send",
+                                   (op.output,), TensorSpec(()),
+                                   {"dst": send_to}))
+    return CompiledPlan(graph, [op for op in fetch_ops if op.name in owned],
+                        edge_fn=session._compile_edge_fn(),
+                        specialize_fn=session._specialize_kernel,
+                        order=order)
 
 
 def _read_graph_variable(session, name: str) -> np.ndarray:
@@ -331,11 +294,10 @@ def _run_worker(spec: dict, transport: Transport, rank: int) -> None:
 
     try:
         transformed = spec["transformed"]
-        session = _make_worker_session(transformed, spec["seed"])
-        fetch_ops = [transformed.graph.get_op(n)
-                     for n in spec["fetch_names"]]
-        plan = _WorkerPlan(session, transformed, fetch_ops, rank,
-                           recv_timeout=spec.get("recv_timeout"))
+        session = _make_worker_session(transformed, spec["seed"], rank,
+                                       transport, spec.get("recv_timeout"))
+        plan = compile_rank_plan(session, [transformed.graph.get_op(n)
+                                           for n in spec["fetch_names"]])
         shard = spec["shard"]
         batch_size = spec["batch_size"]
         feed_names = spec["feed_names"]
@@ -360,10 +322,9 @@ def _run_worker(spec: dict, transport: Transport, rank: int) -> None:
                         f"dataset yields {len(batch)} arrays but replica "
                         f"{rank} feeds {len(feed_names)} placeholders"
                     )
-                feeds = dict(zip(feed_names, batch))
-                values = plan.execute(session, transport, feeds)
-                losses = {name: float(values[name])
-                          for name in plan.loss_names}
+                results = session.run_plan(plan, dict(zip(feed_names, batch)))
+                losses = {name: float(value)
+                          for name, value in zip(plan.fetch_names, results)}
                 delta = (session.transcript.transfers,
                          session.transcript.events(),
                          counter_delta(transport.counters, counters_before))
@@ -386,10 +347,15 @@ def _run_worker(spec: dict, transport: Transport, rank: int) -> None:
             else:
                 raise ValueError(f"unknown worker command {cmd[0]!r}")
         except BaseException as exc:
-            context = getattr(exc, "_worker_context", None)
+            # A step failure names where this rank was in its schedule;
+            # the controller folds it into the WorkerFailureError it
+            # raises (see MultiprocBackend._result).
+            context = None
             if cmd[0] == "step":
-                context = dict(context or {"rank": rank},
-                               iteration=cmd[1])
+                context = {"rank": rank, "iteration": cmd[1],
+                           "schedule_index": getattr(exc, "schedule_index",
+                                                     None),
+                           "op_name": getattr(exc, "op_name", None)}
             transport.send(rank, CONTROLLER, ("res",),
                            ("err", traceback.format_exc(), context))
 

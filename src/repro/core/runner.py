@@ -82,12 +82,16 @@ class DistributedSession(Session):
         self.transformed = transformed
         self.cluster = transformed.cluster
         self.transcript = transcript if transcript is not None else Transcript()
-        # One store per replica plus one for all servers.  Stores hold the
-        # full variable set; routing decides which copy an op touches.
-        self.ps_store = VariableStore(transformed.graph, seed)
+        # One store per replica (its ``rep<r>/`` variables) plus one for
+        # the servers (the rest); per-name seeding makes the split exact.
+        routed: Dict[Optional[int], List[str]] = {}
+        for name in transformed.graph.variables:
+            routed.setdefault(split_replica_prefix(name)[0], []).append(name)
+        self.ps_store = VariableStore(transformed.graph, seed,
+                                      names=routed.get(None, ()))
         self.replica_stores = [
-            VariableStore(transformed.graph, seed)
-            for _ in range(transformed.num_replicas)
+            VariableStore(transformed.graph, seed, names=routed.get(r, ()))
+            for r in range(transformed.num_replicas)
         ]
         self._seen_edges: set = set()
         super().__init__(transformed.graph, seed=seed, store=self.ps_store,

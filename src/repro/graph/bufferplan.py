@@ -32,6 +32,13 @@ Sparse values (IndexedSlices) never enter the arena: slots reachable
 from a sparse gradient source are tagged ``maybe_sparse`` and skipped,
 which both avoids minting dense buffers that would go unused and keeps
 the runtime guards on the fast path cheap.
+
+A multiprocess worker's rank plan is planned like any other.  Its
+``send`` port is known-safe because a Transport freezes the value before
+``send`` returns (pickle, ring copy or blocking ``sendall``) and keeps no
+reference, so the arena may recycle a sent buffer; ``recv`` hands over a
+freshly decoded value nothing else holds (possibly IndexedSlices, so it
+is also a sparse source).
 """
 
 from __future__ import annotations
@@ -75,11 +82,11 @@ EXPAND_ALIAS_VJP = frozenset({"add", "identity"})
 KNOWN_SAFE = frozenset(
     {"placeholder", "constant", "read_var", "concat", "gather", "mean",
      "softmax_xent", "mse", "grad_add", "ones_like_scalar", "group",
-     "assign", "assign_sub", "scatter_sub"}
+     "assign", "assign_sub", "scatter_sub", "send", "recv"}
 )
 
 # Op types whose output is (or may wrap) an IndexedSlices.
-SPARSE_SOURCE = frozenset({"allgatherv", "compressed_allgatherv"})
+SPARSE_SOURCE = frozenset({"allgatherv", "compressed_allgatherv", "recv"})
 
 # Known op types that can pass an IndexedSlices input through to their
 # output.  Every other known kernel either densifies or only ever sees

@@ -17,9 +17,14 @@ once per (fetch set, graph version) and replays it:
 * cross-machine transfer edges (static graph structure) are precomputed
   by the distributed session, leaving only byte counts dynamic.
 
-A plan has three replay forms -- the first-run loop, generated checked
-code, generated fast code -- and picks among them from what it observes
-(its replay count, which slots a run feeds), never from a user option.
+A plan has two replay forms, picked from what it observes, never from
+a user option: the loop (the first run, and any run not feeding exactly
+the placeholders) and generated straight-line code (every other run).
+The schedule is :func:`plan_order` unless the caller passes a
+precomputed *order* -- a multiprocess worker's slice of the step, with
+``send``/``recv`` port ops outside the graph (:mod:`repro.core.backend`).
+An exception escaping a plan carries ``schedule_index`` and ``op_name``;
+generated code finds them through a line table built while emitting.
 
 Sessions own a plan cache keyed by the fetch-name signature; plans
 self-invalidate when :attr:`Graph.version` moves.
@@ -212,8 +217,8 @@ def bind_kernel(op: Operation, specialize_fn: Optional[Callable] = None,
                 ) -> Tuple[Callable, bool]:
     """The kernel a schedule entry calls for *op*: ``(kernel, specialized)``.
 
-    The one binding ladder, shared by :class:`CompiledPlan` and the
-    multiprocess workers' partitioned plans: the session's per-instance
+    The one binding ladder every :class:`CompiledPlan` uses, the
+    multiprocess workers' rank plans included: the session's per-instance
     specialization first (store routing, SGD prebinding), then the
     :data:`SPECIALIZE` registry, then the generic ``FORWARD`` table, then
     deferred dispatch.  *specialized* kernels have their op context
@@ -244,7 +249,8 @@ class CompiledPlan:
     __slots__ = ("graph", "version", "fetch_names", "num_slots", "schedule",
                  "target_slots", "slot_of_name", "placeholder_names",
                  "placeholder_slots", "has_edges", "_specialized",
-                 "_codegen", "_exec_count", "_buffer_plan", "_arena")
+                 "_codegen", "_line_slots", "_exec_count", "_buffer_plan",
+                 "_arena")
 
     # Process-wide count of plan compilations.  Purely observational: the
     # elastic runtime asserts (and reports) that a rescale really paid the
@@ -253,13 +259,15 @@ class CompiledPlan:
 
     def __init__(self, graph: Graph, targets: Sequence[Operation],
                  edge_fn: Optional[EdgeFn] = None,
-                 specialize_fn: Optional[Callable] = None):
+                 specialize_fn: Optional[Callable] = None,
+                 order: Optional[Sequence[Operation]] = None):
         CompiledPlan.compiled_total += 1
         self.graph = graph
         self.version = graph.version
         self.fetch_names: Tuple[str, ...] = tuple(op.name for op in targets)
 
-        order = plan_order(graph, targets)
+        if order is None:
+            order = plan_order(graph, targets)
         slot_of: Dict[str, int] = {}
         schedule = []
         placeholders: List[str] = []
@@ -287,6 +295,7 @@ class CompiledPlan:
         self.has_edges = has_edges
         self._specialized = specialized
         self._codegen = None
+        self._line_slots: Tuple[Optional[int], ...] = ()
         self._exec_count = 0
         self._buffer_plan = None
         self._arena: List[np.ndarray] = []
@@ -298,9 +307,9 @@ class CompiledPlan:
         pickle, but a plan is a pure function of ``(graph, fetches)``:
         recompiling on load yields a bit-identical executor.  Plans
         carrying *session* specializations (store routing, static edge
-        tables) are owned by their session, which recompiles them when it
-        is reattached -- the round trip here covers the plain-graph
-        contract the multiprocess backend and the plan caches rely on.
+        tables, a worker's rank order) are owned by their session, which
+        recompiles them when it is reattached -- the round trip here
+        covers the plain-graph contract the plan caches rely on.
         """
         return (_rebuild_plan, (self.graph, self.fetch_names))
 
@@ -333,23 +342,29 @@ class CompiledPlan:
                 fed[slot] = 1
                 fed_slots.add(slot)
 
-        pair = self._codegen
-        if pair is None:
+        fast = self._codegen
+        if fast is None:
             # Straight-line code is only worth generating for plans that
             # are actually replayed; a one-shot fetch uses the loop.
             self._exec_count += 1
             if self._exec_count >= 2:
-                pair = self._codegen = self._generate()
-        if pair is not None:
-            checked, fast = pair
-            if fed_slots == self.placeholder_slots:
-                # The steady-state iteration pattern: exactly the
-                # placeholders fed, so per-entry fed checks vanish.
+                fast = self._codegen = self._generate()
+        generated = fast is not None and fed_slots == self.placeholder_slots
+        try:
+            if generated:
+                # The steady-state pattern: exactly the placeholders fed.
                 fast(session, buf)
             else:
-                checked(session, buf, fed)
-        else:
-            self._execute_loop(session, buf, fed)
+                self._execute_loop(session, buf, fed)
+        except BaseException as exc:
+            # Name the entry that raised: the loop marks it as the
+            # session's current op, generated code by its line.
+            slot = (self._generated_slot(exc) if generated else
+                    self.slot_of_name.get(getattr(session._current_op,
+                                                  "name", None)))
+            exc.schedule_index = slot
+            exc.op_name = None if slot is None else self.schedule[slot][0].name
+            raise
         return [buf[s] for s in self.target_slots]
 
     def _execute_loop(self, session, buf: list, fed: bytearray) -> None:
@@ -372,33 +387,17 @@ class CompiledPlan:
             buf[slot] = kernel(op, inputs, session)
         session._current_op = None
 
-    # -- straight-line code generation ----------------------------------
-    def _generate(self):
-        """Compile the schedule to straight-line Python.
-
-        Returns ``(checked, fast)``: *checked* is semantically the loop
-        above with every per-op decision already taken -- no iteration
-        machinery, no tuple unpacking, no kernel indirection for inlined
-        op types.  *fast* additionally assumes the steady-state feed
-        pattern (exactly the placeholders fed), dropping the per-entry fed
-        checks and resolving the shared-vjp cache to generated locals.
-
-        ``vjp`` nodes inline the shared-gradient cache protocol (same
-        ``run_cache['vjp']`` structure and keys as the generic kernel),
-        constants become literals, DIRECT kernels are called positionally,
-        and specialized kernels skip the ``_current_op`` bookkeeping they
-        contractually ignore.
-
-        Both variants route arena-planned forward ops through guarded
-        out-parameter kernels writing into preallocated buffers (see
-        ``repro.graph.bufferplan``).  The fast variant additionally
-        expands shared vjp rules into per-node arena kernels and fuses
-        maximal runs of adjacent elementwise calls into generated
-        mega-kernels whose interior values never touch the value buffer.
-        """
-        bplan = self._ensure_buffer_plan()
-        return (self._emit(checked=True, bplan=bplan),
-                self._emit(checked=False, bplan=bplan))
+    def _generated_slot(self, exc: BaseException) -> Optional[int]:
+        """The slot whose generated line raised: the innermost traceback
+        frame running this plan's code (``_run`` or a fused chain)."""
+        code_globals = self._codegen.__globals__
+        slot = None
+        tb = exc.__traceback__
+        while tb is not None:
+            if tb.tb_frame.f_globals is code_globals:
+                slot = self._line_slots[tb.tb_lineno - 1]
+            tb = tb.tb_next
+        return slot
 
     # -- buffer arena ----------------------------------------------------
     def _ensure_buffer_plan(self):
@@ -423,14 +422,33 @@ class CompiledPlan:
     def arena_reuse_rate(self, steps: int = 1) -> float:
         return self._ensure_buffer_plan().arena_reuse_rate(steps)
 
-    def _emit(self, checked: bool, bplan):
-        from repro.graph import ops as ops_mod
+    # -- straight-line code generation ----------------------------------
+    def _generate(self):
+        """Compile the schedule to straight-line Python, assuming exactly
+        the placeholders are fed; ``_line_slots`` maps each line to its slot.
 
+        ``_run(session, buf)`` is the loop with every per-op decision
+        already taken: no iteration machinery, fed checks or kernel
+        indirection for inlined op types.  ``vjp`` nodes inline the
+        shared-gradient cache protocol (same ``run_cache['vjp']`` keys as
+        the generic kernel, resolved to generated locals), constants
+        become literals, DIRECT kernels are called positionally, and
+        specialized kernels skip the ``_current_op`` bookkeeping they
+        contractually ignore.  Arena-planned ops call guarded
+        out-parameter kernels writing into preallocated buffers (see
+        ``repro.graph.bufferplan``), shared vjp rules expand into
+        per-node arena kernels, and maximal runs of adjacent elementwise
+        calls fuse into mega-kernels whose interior values never touch
+        the value buffer.
+        """
+        from repro.graph import ops as ops_mod
+        from repro.graph.bufferplan import fusion_chains
+
+        bplan = self._ensure_buffer_plan()
         ns: Dict[str, object] = {"NB": nbytes_of}
         for b, arr in enumerate(self._arena):
             ns[f"A{b}"] = arr
-        signature = "(session, buf, fed)" if checked else "(session, buf)"
-        lines: List[str] = [f"def _run{signature}:",
+        lines: List[str] = ["def _run(session, buf):",
                             "    rc = {}",
                             "    session.run_cache = rc"]
         if any(op.op_type == "vjp" for op, *_ in self.schedule):
@@ -440,41 +458,41 @@ class CompiledPlan:
             lines.append("    seen = session._seen_edges")
             lines.append("    record = session.transcript.record")
 
-        # Mega-kernel fusion (fast variant only): adjacent arena calls
-        # collapse into generated helper functions emitted ahead of _run.
+        # Mega-kernel fusion: adjacent arena calls collapse into generated
+        # helper functions emitted ahead of _run.
         header: List[str] = []
+        header_slots: List[Optional[int]] = []
         chain_by_start: Dict[int, tuple] = {}
         chain_members: set = set()
-        if not checked:
-            from repro.graph.bufferplan import fusion_chains
-
-            for ch in fusion_chains(self, bplan):
-                escapes = [s for s in ch.members
-                           if bplan.slot_last_use.get(s, s) > ch.end]
-                if not escapes:
-                    continue
-                chain_by_start[ch.start] = (ch, escapes)
-                chain_members.update(ch.members)
+        for ch in fusion_chains(self, bplan):
+            escapes = [s for s in ch.members
+                       if bplan.slot_last_use.get(s, s) > ch.end]
+            if not escapes:
+                continue
+            chain_by_start[ch.start] = (ch, escapes)
+            chain_members.update(ch.members)
 
         vjp_ids: Dict[tuple, int] = {}
         edge_id = 0
-        emit = lines.append
+        ind = "    "
+        line_slots: List[Optional[int]] = [None] * len(lines)
+
+        def emit(text: str) -> None:
+            lines.append(text)
+            line_slots.append(i)  # the entry being emitted
+
         for op, kernel, input_slots, slot, edges in self.schedule:
             i = slot
-            if checked:
-                emit(f"    if not fed[{i}]:")
-                ind = "        "
-            else:
-                if op.op_type == "placeholder":
-                    continue  # fast path: every placeholder is fed
-                ind = "    "
+            if op.op_type == "placeholder":
+                continue  # every placeholder is fed
 
             if i in chain_members:
                 entry = chain_by_start.get(i)
                 if entry is None:
                     continue  # interior: emitted by its chain head
                 ch, escapes = entry
-                params = self._emit_chain(ns, header, bplan, ch, escapes)
+                params = self._emit_chain(ns, header, header_slots, bplan,
+                                          ch, escapes)
                 targets = ", ".join(f"buf[{s}]" for s in escapes)
                 call = ", ".join(f"buf[{p}]" for p in params)
                 emit(f"{ind}{targets} = _F{ch.start}({call})")
@@ -493,7 +511,7 @@ class CompiledPlan:
                          f" dst_machine={dst}, nbytes=NB(v))")
 
             args = "[" + ", ".join(f"buf[{j}]" for j in input_slots) + "]"
-            if op.op_type == "vjp" and not checked:
+            if op.op_type == "vjp":
                 # Expanded nodes bypass the shared-rule cache entirely:
                 # alias nodes copy the gradient reference, call nodes run
                 # a guarded single-output kernel into their arena buffer.
@@ -508,7 +526,6 @@ class CompiledPlan:
                         emit(f"{ind}buf[{i}] = "
                              f"X{i}({a}, A{bplan.assignment[i]})")
                     continue
-            if op.op_type == "vjp":
                 fwd_op = self.graph.get_op(op.attrs["forward_op"])
                 rule = ops_mod.VJP.get(fwd_op.op_type)
                 if rule is not None:
@@ -516,29 +533,21 @@ class CompiledPlan:
                     key = (op.attrs["forward_op"], op.attrs["grad_source"])
                     index = op.attrs["input_index"]
                     j = vjp_ids.get(key)
-                    first = j is None
-                    if first:
+                    if j is None:
+                        # The first node of each key computes; later
+                        # nodes read the generated local directly.
                         j = vjp_ids[key] = len(vjp_ids)
                         ns[f"VK{j}"] = key
                         ns[f"VR{j}"] = rule
                         ns[f"VF{j}"] = fwd_op
-                    n = len(fwd_op.inputs)
-                    fwd_args = ("[" + ", ".join(f"buf[{s}]"
-                                                for s in input_slots[:n]) + "]")
-                    rule_call = (f"VR{j}(VF{j}, {fwd_args}, "
-                                 f"buf[{input_slots[n]}], "
-                                 f"buf[{input_slots[n + 1]}])")
-                    if not checked:
-                        # Feed-free: the first node of each key computes,
-                        # later nodes read the generated local directly.
-                        if first:
-                            emit(f"{ind}g{j} = vjp[VK{j}] = {rule_call}")
-                        emit(f"{ind}buf[{i}] = g{j}[{index}]")
-                    else:
-                        emit(f"{ind}g = vjp.get(VK{j})")
-                        emit(f"{ind}if g is None:")
-                        emit(f"{ind}    g = vjp[VK{j}] = {rule_call}")
-                        emit(f"{ind}buf[{i}] = g[{index}]")
+                        n = len(fwd_op.inputs)
+                        fwd_args = ("[" + ", ".join(
+                            f"buf[{s}]" for s in input_slots[:n]) + "]")
+                        emit(f"{ind}g{j} = vjp[VK{j}] = "
+                             f"VR{j}(VF{j}, {fwd_args}, "
+                             f"buf[{input_slots[n]}], "
+                             f"buf[{input_slots[n + 1]}])")
+                    emit(f"{ind}buf[{i}] = g{j}[{index}]")
                     continue
             if op.op_type == "constant" and i in self._specialized:
                 # Inline the specialized kernel's prebound value: the
@@ -577,16 +586,19 @@ class CompiledPlan:
                 emit(f"{ind}session._current_op = O{i}")
                 emit(f"{ind}buf[{i}] = K{i}(O{i}, {args}, session)")
         lines.append("    session._current_op = None")
+        line_slots.append(None)
 
-        variant = "checked" if checked else "fast"
         code = compile("\n".join(header + lines),
-                       f"<plan/{variant} {self.fetch_names[:2]}...>", "exec")
+                       f"<plan/fast {self.fetch_names[:2]}...>", "exec")
         exec(code, ns)
+        self._line_slots = tuple(header_slots + line_slots)
         return ns["_run"]
 
     def _emit_chain(self, ns: Dict[str, object], header: List[str],
-                    bplan, chain, escapes: List[int]) -> List[int]:
-        """Emit one fused mega-kernel ``_F<start>`` into *header*.
+                    header_slots: List[Optional[int]], bplan, chain,
+                    escapes: List[int]) -> List[int]:
+        """Emit one fused mega-kernel ``_F<start>`` into *header*, and the
+        slot of each of its lines into *header_slots*.
 
         Interior values live in locals ``t<slot>``; only *escapes* (slots
         consumed outside the chain) are returned to the caller for
@@ -625,4 +637,5 @@ class CompiledPlan:
         header.extend(body)
         header.append("    return " + ", ".join(f"t{s}" for s in escapes))
         header.append("")
+        header_slots.extend([None, *chain.members, None, None])
         return params

@@ -28,9 +28,9 @@ from repro.core.backend import (
     BACKENDS,
     InprocBackend,
     MultiprocBackend,
-    _WorkerPlan,
     _make_worker_session,
     build_all_worker_entries,
+    compile_rank_plan,
     make_backend,
     op_owner,
 )
@@ -40,7 +40,7 @@ from repro.core.transform.plan import (
     hybrid_graph_plan,
     ps_graph_plan,
 )
-from repro.graph.executor import plan_order
+from repro.graph.executor import CompiledPlan, plan_order
 from repro.graph.gradients import gradients
 from repro.nn.models import build_lm
 from repro.nn.optimizers import AdamOptimizer, GradientDescentOptimizer
@@ -661,60 +661,58 @@ class TestMultiprocMatrix:
 # ======================================================================
 # Worker value liveness (a rank's slice of the schedule, in-process)
 # ======================================================================
+def rank_plans(runner, transport=None, recv_timeout=5.0):
+    """``[(session, plan)]`` per rank, compiled as a worker compiles."""
+    fetch_ops = [t.op for t in runner._step_fetches[0]]
+    pairs = []
+    for rank in range(runner.num_replicas):
+        session = _make_worker_session(runner.transformed, SEED, rank,
+                                       transport, recv_timeout)
+        pairs.append((session, compile_rank_plan(session, fetch_ops)))
+    return pairs
+
+
+def run_ranks(runner, pairs, iteration=0):
+    """One step of every rank's plan, each on its own thread; per rank
+    the fetched values or the exception it raised."""
+    outcomes = {}
+
+    def work(rank, session, plan):
+        feeds = dict(zip(
+            runner._feed_names[rank],
+            runner.shards[rank].batch(runner.model.batch_size, iteration)))
+        try:
+            outcomes[rank] = session.run_plan(plan, feeds)
+        except Exception as exc:
+            outcomes[rank] = exc
+
+    threads = [threading.Thread(target=work, args=(rank, *pair))
+               for rank, pair in enumerate(pairs)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+    return outcomes
+
+
 class TestWorkerValueLiveness:
-    """Two ranks' ``_WorkerPlan``s driven by threads over the in-memory
+    """Two ranks' compiled plans driven by threads over the in-memory
     plane: same code path as a worker process, values inspectable."""
-
-    @staticmethod
-    def run_ranks(runner, iteration=0):
-        transformed = runner.transformed
-        fetch_ops = [t.op for t in runner._step_fetches[0]]
-        transport = InMemoryTransport(runner.num_replicas)
-        plans, outcomes = [], {}
-
-        def work(rank, plan, session):
-            feeds = dict(zip(
-                runner._feed_names[rank],
-                runner.shards[rank].batch(runner.model.batch_size,
-                                          iteration)))
-            try:
-                outcomes[rank] = plan.execute(session, transport, feeds)
-            except Exception as exc:
-                outcomes[rank] = exc
-
-        threads = []
-        for rank in range(runner.num_replicas):
-            session = _make_worker_session(transformed, SEED)
-            plan = _WorkerPlan(session, transformed, fetch_ops, rank,
-                               recv_timeout=5.0)
-            plans.append(plan)
-            threads.append(threading.Thread(target=work,
-                                            args=(rank, plan, session)))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-            assert not thread.is_alive()
-        return plans, outcomes
 
     def test_only_fetched_values_survive_the_step(self):
         runner = make_runner("hybrid")
-        plans, outcomes = self.run_ranks(runner)
+        pairs = rank_plans(runner, InMemoryTransport(runner.num_replicas))
+        outcomes = run_ranks(runner, pairs)
         expected = runner.step(0).replica_losses
-        for rank, plan in enumerate(plans):
-            assert any(kind == "recv" for kind, *_ in plan.steps)
-            assert set(outcomes[rank]) == set(plan.loss_names)
-            assert [float(outcomes[rank][n])
-                    for n in plan.loss_names] == [expected[rank]]
-        # Every value is dropped exactly once, where it is last read.
-        for plan in plans:
-            freed = [name for *_, frees in plan.steps for name in frees]
-            assert len(freed) == len(set(freed))
-            position = {name: i for i, (*_, frees) in enumerate(plan.steps)
-                        for name in frees}
-            for i, (kind, _, _, _, input_names, _, _) in enumerate(
-                    plan.steps):
-                assert all(position.get(n, i) >= i for n in input_names)
+        loss_names = [t.op.name for t in runner.transformed.replica_losses]
+        for rank, (_, plan) in enumerate(pairs):
+            assert isinstance(plan, CompiledPlan)
+            assert any(op.op_type == "recv" for op, *_ in plan.schedule)
+            assert any(op.op_type == "send" for op, *_ in plan.schedule)
+            # The rank's loss is its one fetch and all the step returns.
+            assert plan.fetch_names == (loss_names[rank],)
+            assert [float(v) for v in outcomes[rank]] == [expected[rank]]
 
     def test_failing_kernel_still_names_its_schedule_position(
             self, monkeypatch):
@@ -725,19 +723,14 @@ class TestWorkerValueLiveness:
 
         runner = make_runner("hybrid")
         monkeypatch.setitem(graph_ops.FORWARD, "softmax_xent", exploding)
-        plans, outcomes = self.run_ranks(runner)
-        failures = {rank: exc for rank, exc in outcomes.items()
-                    if isinstance(exc, RuntimeError)}
-        assert failures
-        for rank, exc in failures.items():
-            context = exc._worker_context
-            kind, op, *_ = plans[rank].steps[context["schedule_index"]]
-            assert context["rank"] == rank
-            assert (kind, op.op_type) == ("exec", "softmax_xent")
-            assert context["op_name"] == op.name
-            # Values were already being dropped by then.
-            assert any(frees for *_, frees in
-                       plans[rank].steps[:context["schedule_index"]])
+        pairs = rank_plans(runner, InMemoryTransport(runner.num_replicas))
+        outcomes = run_ranks(runner, pairs)
+        assert set(outcomes) == set(range(len(pairs)))
+        for rank, exc in outcomes.items():
+            assert isinstance(exc, RuntimeError)
+            op = pairs[rank][1].schedule[exc.schedule_index][0]
+            assert op.op_type == "softmax_xent"
+            assert exc.op_name == op.name
 
     def test_reduced_bucket_is_shared_and_read_only(self):
         runner = make_runner("hybrid", cluster=ClusterSpec(1, 3))
@@ -752,49 +745,106 @@ class TestWorkerValueLiveness:
             assert not copies[0].flags.writeable
 
 
+class TestRankPlansReplayGeneratedCode:
+    def test_threaded_rank_plans_match_inproc_on_the_generated_path(self):
+        """Three steps: the first runs the loop, the rest the generated
+        code with its arena -- bit for bit what the in-process engine
+        computes."""
+        runner = make_runner("hybrid")
+        reference = make_runner("hybrid")
+        pairs = rank_plans(runner, InMemoryTransport(runner.num_replicas))
+        for iteration in range(3):
+            outcomes = run_ranks(runner, pairs, iteration)
+            want = reference.step(iteration).replica_losses
+            assert [float(outcomes[r][0]) for r in range(len(pairs))] \
+                == want, iteration
+        for _, plan in pairs:
+            assert plan._codegen is not None
+            assert plan.arena_slots > 0
+
+    def test_generated_path_failure_names_the_entry_on_a_worker(
+            self, monkeypatch):
+        """A collective kernel that raises on its third call -- on the
+        generated path -- is named by schedule position and op, through
+        the worker's WorkerFailureError."""
+        from repro.cluster.faults import WorkerFailureError
+        from repro.graph import ops as graph_ops
+
+        real = graph_ops.FORWARD["fused_allreduce"]
+        calls = {}
+
+        def third_call_fails(op, inputs, runtime):
+            calls[op.name] = calls.get(op.name, 0) + 1
+            if calls[op.name] == 3:
+                raise RuntimeError("injected third-call failure")
+            return real(op, inputs, runtime)
+
+        # Patched before the fork: the workers inherit it.
+        monkeypatch.setitem(graph_ops.FORWARD, "fused_allreduce",
+                            third_call_fails)
+        runner = make_runner("hybrid", backend="multiproc")
+        try:
+            runner.step(0)
+            runner.step(1)
+            with pytest.raises(WorkerFailureError) as excinfo:
+                runner.step(2)
+        finally:
+            runner.close()
+        err = excinfo.value
+        assert err.iteration == 2
+        _, plan = rank_plans(runner)[err.worker]
+        op = plan.schedule[err.schedule_index][0]
+        assert (op.op_type, op.name) == ("fused_allreduce", err.op_name)
+        assert "injected third-call failure" in str(err)
+
+
 class TestOneKernelBindingLadder:
     def test_worker_and_compiled_plans_bind_through_bind_kernel(
             self, monkeypatch):
-        """Over one DistributedSession, every op a rank owns gets its
-        kernel from the ``bind_kernel`` call that serves ``CompiledPlan``
-        -- same ops, same specialized-or-generic outcome."""
-        import repro.core.backend as backend_mod
+        """Over one worker session, every op a rank owns gets its kernel
+        from the ``bind_kernel`` call that serves the global plan -- same
+        ops, same specialized-or-generic outcome -- and the session binds
+        the rank plan's ports."""
         import repro.graph.executor as executor_mod
 
         runner = make_runner("hybrid")
-        session, transformed = runner.session, runner.transformed
+        transformed = runner.transformed
         fetch_ops = [t.op for t in runner._step_fetches[0]]
         real = executor_mod.bind_kernel
-        bound = {"compiled": set(), "worker": set()}
+        bound = {}
+        side = None
 
-        def spy_into(side):
-            def spy(op, specialize_fn=None):
-                kernel, specialized = real(op, specialize_fn)
-                bound[side].add((op.name, specialized))
-                return kernel, specialized
-            return spy
+        def spy(op, specialize_fn=None):
+            kernel, specialized = real(op, specialize_fn)
+            bound.setdefault(side, set()).add(
+                (op.name, op.op_type, specialized))
+            return kernel, specialized
 
-        monkeypatch.setattr(executor_mod, "bind_kernel",
-                            spy_into("compiled"))
-        monkeypatch.setattr(backend_mod, "bind_kernel", spy_into("worker"))
-        session._plans.clear()
-        plan = session.compile(fetch_ops)
-        worker_plans = [_WorkerPlan(session, transformed, fetch_ops, rank)
-                        for rank in range(runner.num_replicas)]
+        monkeypatch.setattr(executor_mod, "bind_kernel", spy)
+        owned_anywhere = set()
+        for rank in range(runner.num_replicas):
+            session = _make_worker_session(transformed, SEED, rank)
+            side = ("global", rank)
+            plan = session.compile(fetch_ops)
+            side = ("rank", rank)
+            compile_rank_plan(session, fetch_ops)
 
-        assert len(bound["compiled"]) == len(plan.schedule)
-        assert len(bound["worker"]) == sum(
-            kind == "exec" for wp in worker_plans for kind, *_ in wp.steps)
-        owned = {name for name, _ in bound["worker"]}
-        assert bound["worker"] == {(name, specialized)
-                                   for name, specialized in bound["compiled"]
-                                   if name in owned}
+            assert len(bound["global", rank]) == len(plan.schedule)
+            ports = {entry for entry in bound["rank", rank]
+                     if entry[1] in ("send", "recv")}
+            assert ports and all(specialized for *_, specialized in ports)
+            owned = bound["rank", rank] - ports
+            names = {name for name, *_ in owned}
+            assert owned == {entry for entry in bound["global", rank]
+                             if entry[0] in names}
+            assert {specialized for *_, specialized in owned} \
+                == {True, False}
+            owned_anywhere |= names
         # Only the unplaced train-op grouping runs on no rank.
-        unowned = {name for name, _ in bound["compiled"]} - owned
+        unowned = {op.name for op in plan_order(transformed.graph,
+                                                fetch_ops)} - owned_anywhere
         assert {transformed.graph.get_op(n).op_type
                 for n in unowned} == {"group"}
-        assert {specialized for _, specialized in bound["worker"]} \
-            == {True, False}
 
 
 class _SlicingStubTransport:

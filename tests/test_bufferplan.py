@@ -234,8 +234,8 @@ def test_random_graphs_are_bit_identical_under_the_arena(seed):
     g, fetches, feed = _random_elementwise_graph(rng)
     sess = Session(g)
     reference = interpret(sess, fetches, feed)
-    # Three replays: first-run checked loop, then the generated fast
-    # path with arena writes and fused chains.
+    # Three replays: the first-run loop, then the generated code with
+    # arena writes and fused chains.
     for _ in range(3):
         got = sess.run(fetches, feed)
         for r, v in zip(reference, got):

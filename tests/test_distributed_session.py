@@ -7,6 +7,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner, DistributedSession
 from repro.core.transform.plan import hybrid_graph_plan, ps_graph_plan
 from repro.graph import gradients
+from repro.graph.session import VariableStore, split_replica_prefix
 from repro.nn.models import build_lm
 from repro.nn.optimizers import GradientDescentOptimizer
 
@@ -31,6 +32,25 @@ class TestStoreRouting:
         for shard in runner.transformed.ps_placement:
             value = session.ps_store.read(shard)
             assert value is not None
+
+    def test_each_store_holds_only_its_routed_variables(self):
+        runner = make_runner()
+        session = runner.session
+        graph = runner.transformed.graph
+        routed = {}
+        for name in graph.variables:
+            routed.setdefault(split_replica_prefix(name)[0], set()).add(name)
+        assert set(session.ps_store.names()) == routed[None]
+        assert [set(store.names()) for store in session.replica_stores] \
+            == [routed[r] for r in range(runner.num_replicas)]
+        # Seeding is per variable name, so the split moves no value: the
+        # logical state is what one store of every variable would hold.
+        full = VariableStore(graph, seed=1)
+        state = runner.logical_state()
+        logical = runner.transformed.logical_variable_names
+        assert set(state) == set(logical)
+        for base, name in logical.items():
+            np.testing.assert_array_equal(state[base], full.read(name))
 
     def test_replica_variables_isolated_per_store(self):
         runner = make_runner()

@@ -302,3 +302,60 @@ class TestPlanCacheLRU:
                                    plan_cache_size=7)
         assert runner.session.plan_cache_size == 7
         assert runner.plan_cache_size == 7
+
+
+class TestFailureContext:
+    """An exception escaping a plan names the schedule entry that raised,
+    on the first-run loop and in generated code alike."""
+
+    @pytest.mark.parametrize("failing_call", [1, 3],
+                             ids=["loop", "generated"])
+    def test_kernel_failure_names_its_entry(self, monkeypatch,
+                                            failing_call):
+        real = ops.FORWARD["fused_allreduce"]
+        calls = {}
+
+        def fails_once(op, inputs, runtime):
+            calls[op.name] = calls.get(op.name, 0) + 1
+            if calls[op.name] == failing_call:
+                raise RuntimeError("injected failure")
+            return real(op, inputs, runtime)
+
+        monkeypatch.setitem(ops.FORWARD, "fused_allreduce", fails_once)
+        model = make_model()
+        runner = DistributedRunner(
+            model, CLUSTER, hybrid_graph_plan(model.graph, fusion=True),
+            seed=1)
+        with pytest.raises(RuntimeError, match="injected") as excinfo:
+            for i in range(3):
+                runner.step(i)
+        plan = runner.step_plans[0]
+        assert (plan._codegen is not None) == (failing_call == 3)
+        op = plan.schedule[excinfo.value.schedule_index][0]
+        assert (op.op_type, op.name) == ("fused_allreduce",
+                                          excinfo.value.op_name)
+
+    def test_failure_inside_a_fused_chain_names_the_member(self):
+        g = Graph()
+        with g.as_default():
+            x = ops.placeholder((4,), name="x")
+            a = ops.tanh(x, name="a")
+            b = ops.mul(a, a, name="b")
+            c = ops.add(b, a, name="c")
+            out = ops.mul(c, c, name="out")
+        sess = Session(g)
+        plan = sess.compile(out)
+        bplan = plan._ensure_buffer_plan()
+        slot = plan.slot_of_name["b"]
+
+        def broken(*args):
+            raise ValueError("broken out-kernel")
+
+        bplan.out_fns[slot] = broken
+        feed = {x: np.ones(4, dtype=np.float32)}
+        sess.run_plan(plan, feed)  # the loop never calls out-kernels
+        with pytest.raises(ValueError, match="broken") as excinfo:
+            sess.run_plan(plan, feed)
+        assert plan._codegen is not None
+        assert (excinfo.value.schedule_index, excinfo.value.op_name) \
+            == (slot, "b")
