@@ -26,6 +26,7 @@ from repro.core.transform.plan import (
 from repro.graph import gradients
 from repro.nn.models import build_nmt
 from repro.nn.optimizers import MomentumOptimizer
+from repro.serve import InferenceEngine, weights_from_state
 
 CLUSTER = ClusterSpec(num_machines=2, gpus_per_machine=2)
 ITERATIONS = 60
@@ -42,15 +43,14 @@ def build():
 
 
 def token_accuracy(runner, model, iteration):
-    """Fraction of target tokens replica 0 predicts correctly."""
-    session = runner.session
-    shard = runner.shards[0]
-    src, tgt = shard.batch(model.batch_size, iteration)
-    feeds = runner.feeds_for(iteration)
-    logits_name = f"rep0/{model.logits.name}"
-    logits = session.run(logits_name, feeds)
-    predicted = np.argmax(logits, axis=-1)
-    return float((predicted == tgt[:, -1]).mean())
+    """Fraction of last target tokens the trained weights predict on
+    replica 0's batch, served forward-only from the runner's state."""
+    batch = runner.shards[0].batch(model.batch_size, iteration)
+    engine = InferenceEngine(
+        model.graph, [model.logits],
+        weights_from_state(model.graph, runner.logical_state()))
+    predicted = np.argmax(engine.run(model.feed(batch))[0], axis=-1)
+    return float((predicted == batch[1][:, -1]).mean())
 
 
 def main():

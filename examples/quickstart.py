@@ -19,7 +19,7 @@ from repro.graph import gradients, ops
 from repro.graph.graph import Graph
 from repro.nn import layers
 from repro.nn.datasets import SyntheticTextDataset
-from repro.nn.models.common import BuiltModel, mean_of, split_steps
+from repro.nn.models.common import BuiltModel, sequence_loss
 from repro.nn.optimizers import GradientDescentOptimizer
 
 BATCH = 8
@@ -46,21 +46,12 @@ def build_model() -> BuiltModel:
             embedded, _ = layers.embedding(tokens, VOCAB, EMB_DIM,
                                            name="embedding")
 
-        steps = split_steps(embedded, SEQ_LEN, "steps")
-        hidden_states = layers.lstm(steps, HIDDEN, name="lstm")
+        hidden_states = layers.lstm(embedded, HIDDEN, name="lstm")
         softmax_w = layers.get_variable(
             "softmax/kernel", (HIDDEN, VOCAB),
             initializer=layers.glorot_initializer(),
         )
-        step_losses = []
-        for t, h in enumerate(hidden_states):
-            logits = ops.matmul(h, softmax_w.tensor, name=f"logits/{t}")
-            step_targets = ops.reshape(
-                ops.slice_axis(targets, t, t + 1, axis=1, name=f"tgt/{t}"),
-                (BATCH,), name=f"tgt/{t}/flat")
-            step_losses.append(
-                ops.softmax_xent(logits, step_targets, name=f"xent/{t}"))
-        loss = mean_of(step_losses, "loss")
+        loss, _ = sequence_loss(hidden_states, targets, [softmax_w])
 
         grads_and_vars = gradients(loss)
         optimizer = GradientDescentOptimizer(0.5)

@@ -61,7 +61,7 @@ _FRESH_FWD = frozenset({
 #: (``repro.comm.transport.Transport``).
 _NON_RETAINING_FWD = frozenset({
     "placeholder", "constant", "read_var", "concat", "gather", "mean",
-    "softmax_xent", "mse", "grad_add", "ones_like_scalar", "group",
+    "softmax", "softmax_xent", "mse", "grad_add", "ones_like_scalar", "group",
     "assign", "assign_sub", "scatter_sub", "send", "recv",
 })
 

@@ -81,7 +81,7 @@ EXPAND_ALIAS_VJP = frozenset({"add", "identity"})
 # arrays, scalars, or None).  Consuming an arena value is safe for them.
 KNOWN_SAFE = frozenset(
     {"placeholder", "constant", "read_var", "concat", "gather", "mean",
-     "softmax_xent", "mse", "grad_add", "ones_like_scalar", "group",
+     "softmax", "softmax_xent", "mse", "grad_add", "ones_like_scalar", "group",
      "assign", "assign_sub", "scatter_sub", "send", "recv"}
 )
 

@@ -44,7 +44,7 @@ from repro.tensor.sparse import IndexedSlices, concat_slices
 # every input differentiable.  Ids/labels inputs never do.
 NON_DIFFERENTIABLE_INPUTS: Dict[str, Tuple[int, ...]] = {
     "gather": (1,),
-    "softmax_xent": (1,),
+    "softmax_xent": (1, 2),  # labels; the shared softmax (ops.softmax_xent)
     "mse": (1,),
     "part_gather": (-1,),  # -1 means "last input" (the ids)
 }

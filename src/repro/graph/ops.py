@@ -419,22 +419,37 @@ def _mean_vjp(op, inputs, output, grad):
 
 def softmax_xent(logits: Tensor, labels: Tensor, name="softmax_xent",
                  graph=None) -> Tensor:
+    """Mean cross-entropy of rank-2 *logits* against integer *labels*.
+
+    Emits a forward ``softmax`` op and the ``softmax_xent`` op, which
+    takes its probabilities as a third, non-differentiable input: the
+    loss and its VJP both read that one array, so a step computes the
+    softmax once (``repro.tensor.math`` says why no bit changes).
+    """
     g = _graph(graph)
     if logits.spec.rank != 2:
         raise ValueError("softmax_xent expects rank-2 logits")
+    probs = g.add_op("softmax", [logits], logits.spec,
+                     name=f"{name}/softmax").output
     return g.add_op(
-        "softmax_xent", [logits, labels], TensorSpec((), logits.dtype), name=name
+        "softmax_xent", [logits, labels, probs], TensorSpec((), logits.dtype),
+        name=name,
     ).output
+
+
+@register_forward("softmax")
+def _softmax_fwd(op, inputs, runtime):
+    return k.softmax(inputs[0])
 
 
 @register_forward("softmax_xent")
 def _softmax_xent_fwd(op, inputs, runtime):
-    return np.float32(k.softmax_xent(inputs[0], inputs[1]))
+    return np.float32(k.xent_of_probs(inputs[2], inputs[1]))
 
 
 @register_vjp("softmax_xent")
 def _softmax_xent_vjp(op, inputs, output, grad):
-    return [k.softmax_xent_grad(inputs[0], inputs[1]) * float(grad), None]
+    return [k.xent_grad_of_probs(inputs[2], inputs[1], grad), None, None]
 
 
 def mse_loss(pred: Tensor, target: Tensor, name="mse", graph=None) -> Tensor:
@@ -599,10 +614,15 @@ def _mean_direct(op):
     return mean_direct
 
 
+@register_direct("softmax")
+def _softmax_direct(op):
+    return k.softmax
+
+
 @register_direct("softmax_xent")
 def _softmax_xent_direct(op):
-    def softmax_xent_direct(logits, labels):
-        return np.float32(k.softmax_xent(logits, labels))
+    def softmax_xent_direct(logits, labels, probs):
+        return np.float32(k.xent_of_probs(probs, labels))
 
     return softmax_xent_direct
 

@@ -8,7 +8,7 @@ transformation depends on.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -88,35 +88,62 @@ def embedding(ids: Tensor, vocab_size: int, dim: int, name: str,
     return ops.gather(var.tensor, ids, name=f"{name}/lookup"), var
 
 
-def lstm(x_steps: Sequence[Tensor], hidden: int, name: str,
-         ) -> List[Tensor]:
-    """Unrolled LSTM over a list of per-timestep inputs.
+def split_steps(x: Tensor, seq_len: int, name: str) -> List[Tensor]:
+    """Split a (batch, seq, dim) tensor into per-timestep (batch, dim)."""
+    steps = []
+    batch = x.spec.shape[0]
+    dim = x.spec.shape[2]
+    for t in range(seq_len):
+        s = ops.slice_axis(x, t, t + 1, axis=1, name=f"{name}/t{t}")
+        steps.append(ops.reshape(s, (batch, dim), name=f"{name}/t{t}/squeeze"))
+    return steps
 
-    Built from primitive ops (concat/matmul/slice/sigmoid/tanh/mul/add) so
+
+def lstm(x_seq: Tensor, hidden: int, name: str) -> List[Tensor]:
+    """Unrolled LSTM over a ``(batch, seq, dim)`` input sequence.
+
+    Built from primitive ops (matmul/slice/sigmoid/tanh/mul/add) so
     autodiff and the distributed transformation see an ordinary deep graph,
-    as they would with TF's unrolled ``tf.nn.dynamic_rnn``.
-    Returns the hidden state at every step.
+    as they would with TF's unrolled ``tf.nn.dynamic_rnn``.  Returns the
+    hidden state at every step.
+
+    The input projection is hoisted out of the recurrence (Appleyard et
+    al., arXiv:1604.01946): one ``lstm/kernel`` variable is sliced into
+    its input rows ``W_x`` and recurrent rows ``W_h``; every timestep's
+    ``x_t @ W_x + b`` comes from one ``(batch*seq, dim)`` matmul, and only
+    ``h @ W_h`` and one ``add`` stay per step.  The two kernel slices tile
+    the kernel, so its gradient is one ``concat`` (``repro.graph.gradients``)
+    and the variable set is the same as a per-step ``[x, h] @ W``.
     """
-    if not x_steps:
+    batch, steps, in_dim = x_seq.spec.shape
+    if not steps:
         raise ValueError("lstm needs at least one timestep")
-    batch = x_steps[0].spec.shape[0]
-    in_dim = x_steps[0].spec.shape[-1]
     w = get_variable(f"{name}/kernel", (in_dim + hidden, 4 * hidden),
                      initializer=glorot_initializer())
     b = get_variable(f"{name}/bias", (4 * hidden,),
                      initializer=zeros_initializer)
+    w_x = ops.slice_axis(w.tensor, 0, in_dim, axis=0, name=f"{name}/w_x")
+    w_h = ops.slice_axis(w.tensor, in_dim, in_dim + hidden, axis=0,
+                         name=f"{name}/w_h")
+    # Batch-major rows: row b*seq + t is x_seq[b, t].
+    zx = ops.add_bias(
+        ops.matmul(ops.reshape(x_seq, (batch * steps, in_dim),
+                               name=f"{name}/x_rows"),
+                   w_x, name=f"{name}/x_matmul"),
+        b.tensor, name=f"{name}/x_bias",
+    )
+    zx_steps = split_steps(
+        ops.reshape(zx, (batch, steps, 4 * hidden), name=f"{name}/zx"),
+        steps, f"{name}/zx")
     h = ops.constant(np.zeros((batch, hidden), dtype="float32"),
                      name=f"{name}/h0")
     c = ops.constant(np.zeros((batch, hidden), dtype="float32"),
                      name=f"{name}/c0")
     outputs: List[Tensor] = []
-    for t, x in enumerate(x_steps):
+    for t, zx_t in enumerate(zx_steps):
         prefix = f"{name}/step{t}"
-        z = ops.add_bias(
-            ops.matmul(ops.concat([x, h], axis=-1, name=f"{prefix}/xh"),
-                       w.tensor, name=f"{prefix}/matmul"),
-            b.tensor, name=f"{prefix}/bias",
-        )
+        z = ops.add(zx_t, ops.matmul(h, w_h, name=f"{prefix}/matmul"),
+                    name=f"{prefix}/z")
         i = ops.sigmoid(ops.slice_axis(z, 0, hidden, name=f"{prefix}/zi"),
                         name=f"{prefix}/i")
         f = ops.sigmoid(

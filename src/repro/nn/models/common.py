@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph import ops
 from repro.graph.graph import Graph, Tensor
+from repro.graph.variables import Variable
 from repro.nn.datasets import Dataset
 
 
@@ -46,22 +47,31 @@ class BuiltModel:
         return {self.placeholders[k]: arr for k, arr in zip(keys, batch)}
 
 
-def mean_of(tensors: Sequence[Tensor], name: str) -> Tensor:
-    """Average a list of scalar tensors (per-timestep losses)."""
-    if not tensors:
-        raise ValueError("mean_of needs at least one tensor")
-    total = tensors[0]
-    for i, t in enumerate(tensors[1:]):
-        total = ops.add(total, t, name=f"{name}/sum{i}")
-    return ops.scale(total, 1.0 / len(tensors), name=f"{name}/mean")
+def sequence_loss(h_steps: Sequence[Tensor], targets: Tensor,
+                  kernels: Sequence[Variable]) -> Tuple[Tensor, Tensor]:
+    """The batched output layer of a sequence model: ``(loss, logits)``.
 
+    Stacks the per-step ``(batch, hidden)`` states into ``batch*seq`` rows
+    -- ``concat`` along the feature axis, then a reshape, so row
+    ``b*seq + t`` is ``h_steps[t][b]`` and lines up with
+    ``reshape(targets, (batch*seq,))`` -- and runs the output head (a
+    chain of matmuls by *kernels*) and one ``softmax_xent`` over all of
+    them.  The mean over those rows equals the mean of per-step means.
 
-def split_steps(x: Tensor, seq_len: int, name: str) -> List[Tensor]:
-    """Split a (batch, seq, dim) tensor into per-timestep (batch, dim)."""
-    steps = []
-    batch = x.spec.shape[0]
-    dim = x.spec.shape[2]
-    for t in range(seq_len):
-        s = ops.slice_axis(x, t, t + 1, axis=1, name=f"{name}/t{t}")
-        steps.append(ops.reshape(s, (batch, dim), name=f"{name}/t{t}/squeeze"))
-    return steps
+    ``logits`` is the head applied to the last step only, for serving:
+    it shares the weights, a training plan prunes it, and a forward-only
+    plan never computes the ``seq`` times larger training logits.
+    """
+    batch, seq_len = targets.spec.shape
+    hidden = h_steps[-1].spec.shape[-1]
+
+    def head(x: Tensor, scope: str) -> Tensor:
+        for i, kernel in enumerate(kernels):
+            x = ops.matmul(x, kernel.tensor, name=f"{scope}/matmul{i}")
+        return x
+
+    rows = ops.reshape(ops.concat(list(h_steps), axis=1, name="h_stack"),
+                       (batch * seq_len, hidden), name="h_rows")
+    labels = ops.reshape(targets, (batch * seq_len,), name="label_rows")
+    loss = ops.softmax_xent(head(rows, "output"), labels, name="loss")
+    return loss, head(h_steps[-1], "logits")

@@ -1,10 +1,16 @@
 """Runnable LM: an LSTM language model with a sparse word embedding.
 
-A scaled-down Jozefowicz et al. big-LSTM: embedding lookup (sparse; the
-variable the paper's techniques exist for), a single unrolled LSTM,
-a projection, and a full softmax over the vocabulary.  At test scale the
-softmax weights are dense; the embedding gradient is IndexedSlices, which
-is what classifies the model as sparse.
+A scaled-down Jozefowicz et al. big-LSTM (arXiv:1602.02410): embedding
+lookup (sparse; the variable the paper's techniques exist for), a single
+unrolled LSTM, a projection, and a full softmax over the vocabulary.  At
+test scale the softmax weights are dense; the embedding gradient is
+IndexedSlices, which is what classifies the model as sparse.
+
+The graph is time-batched the way that model is: the LSTM's input
+projection is one matmul over every timestep (``layers.lstm``), and the
+projection, the logits matmul and the softmax cross-entropy each run
+once over all ``batch*seq_len`` rows (``common.sequence_loss``).  Only
+the recurrence itself is unrolled per timestep.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from repro.graph import ops
 from repro.graph.graph import Graph
 from repro.nn import layers
 from repro.nn.datasets import SyntheticTextDataset
-from repro.nn.models.common import BuiltModel, mean_of, split_steps
+from repro.nn.models.common import BuiltModel, sequence_loss
 
 
 def build_lm(
@@ -43,13 +49,7 @@ def build_lm(
             tokens, vocab_size, emb_dim, name="embedding",
             num_partitions=num_partitions,
         )
-        x_steps = split_steps(embedded, seq_len, "emb_steps")
-        h_steps = layers.lstm(x_steps, hidden, name="lstm")
-
-        step_losses = []
-        last_logits = None
-        # Projection and softmax weights are shared across timesteps, so
-        # create them once and reuse the variable tensors per step.
+        h_steps = layers.lstm(embedded, hidden, name="lstm")
         proj_w = layers.get_variable(
             "projection/kernel", (hidden, emb_dim),
             initializer=layers.glorot_initializer(),
@@ -58,20 +58,7 @@ def build_lm(
             "softmax/kernel", (emb_dim, vocab_size),
             initializer=layers.glorot_initializer(),
         )
-        for t, h in enumerate(h_steps):
-            projected = ops.matmul(h, proj_w.tensor, name=f"proj/t{t}")
-            logits = ops.matmul(projected, softmax_w.tensor,
-                                name=f"logits/t{t}")
-            step_targets = ops.reshape(
-                ops.slice_axis(targets, t, t + 1, axis=1,
-                               name=f"targets/t{t}"),
-                (batch_size,), name=f"targets/t{t}/squeeze",
-            )
-            step_losses.append(
-                ops.softmax_xent(logits, step_targets, name=f"xent/t{t}")
-            )
-            last_logits = logits
-        loss = mean_of(step_losses, name="loss")
+        loss, logits = sequence_loss(h_steps, targets, [proj_w, softmax_w])
 
     return BuiltModel(
         graph=graph,
@@ -79,7 +66,7 @@ def build_lm(
         placeholders={"tokens": tokens, "targets": targets},
         dataset=dataset,
         batch_size=batch_size,
-        logits=last_logits,
+        logits=logits,
         label_key="targets",
         name="lm",
     )

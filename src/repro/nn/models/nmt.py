@@ -15,7 +15,7 @@ from repro.graph import ops
 from repro.graph.graph import Graph
 from repro.nn import layers
 from repro.nn.datasets import TranslationDataset
-from repro.nn.models.common import BuiltModel, mean_of, split_steps
+from repro.nn.models.common import BuiltModel, sequence_loss
 
 
 def build_nmt(
@@ -50,38 +50,26 @@ def build_nmt(
             src, src_vocab, emb_dim, name="encoder/embedding",
             num_partitions=num_partitions,
         )
-        enc_steps = layers.lstm(
-            split_steps(src_emb, src_len, "enc_in"), hidden, name="encoder/lstm"
-        )
-        context = enc_steps[-1]  # final encoder state conditions decoding
+        # The final encoder state conditions every decoder step.
+        context = layers.lstm(src_emb, hidden, name="encoder/lstm")[-1]
 
         tgt_emb, _ = layers.embedding(
             tgt, tgt_vocab, emb_dim, name="decoder/embedding",
             num_partitions=num_partitions,
         )
-        dec_inputs = [
-            ops.add(step, context, name=f"dec_in/t{t}")
-            for t, step in enumerate(split_steps(tgt_emb, tgt_len, "dec_in_raw"))
-        ]
-        dec_steps = layers.lstm(dec_inputs, hidden, name="decoder/lstm")
+        context_seq = ops.concat(
+            [ops.reshape(context, (batch_size, 1, hidden),
+                         name="context/step")] * tgt_len,
+            axis=1, name="context/seq")
+        dec_steps = layers.lstm(
+            ops.add(tgt_emb, context_seq, name="dec_in"), hidden,
+            name="decoder/lstm")
 
         softmax_w = layers.get_variable(
             "softmax/kernel", (hidden, tgt_vocab),
             initializer=layers.glorot_initializer(),
         )
-        step_losses = []
-        last_logits = None
-        for t, h in enumerate(dec_steps):
-            logits = ops.matmul(h, softmax_w.tensor, name=f"logits/t{t}")
-            step_targets = ops.reshape(
-                ops.slice_axis(tgt, t, t + 1, axis=1, name=f"labels/t{t}"),
-                (batch_size,), name=f"labels/t{t}/squeeze",
-            )
-            step_losses.append(
-                ops.softmax_xent(logits, step_targets, name=f"xent/t{t}")
-            )
-            last_logits = logits
-        loss = mean_of(step_losses, name="loss")
+        loss, logits = sequence_loss(dec_steps, tgt, [softmax_w])
 
     return BuiltModel(
         graph=graph,
@@ -89,7 +77,7 @@ def build_nmt(
         placeholders={"src": src, "tgt": tgt},
         dataset=dataset,
         batch_size=batch_size,
-        logits=last_logits,
+        logits=logits,
         label_key="tgt",
         name="nmt",
     )

@@ -213,14 +213,18 @@ class InferenceEngine:
         if op.op_type == "reshape" and self.native_batch is not None:
             # Static reshape attrs bake the graph's native batch into the
             # leading dim; serving a different batch size through them
-            # would fail.  When the reshape is batch-leading (both the
-            # input spec and the target shape lead with the native
-            # batch), bind a -1 leading dim instead -- bit-identical at
-            # every batch size.
+            # would fail.  When one side leads with the native batch and
+            # the other with a multiple of it -- batch-leading, or a
+            # batch-major merge/split such as (B, T, D) <-> (B*T, D) --
+            # bind a -1 leading dim instead: a C-order merge or split
+            # then never straddles examples, so every batch size serves
+            # the same rows.
             shape = tuple(op.attrs["shape"])
             in_shape = tuple(op.inputs[0].spec.shape)
-            if (shape and in_shape and shape[0] == self.native_batch
-                    and in_shape[0] == self.native_batch):
+            nb = self.native_batch
+            if (shape and in_shape
+                    and nb in (shape[0], in_shape[0])
+                    and shape[0] % nb == 0 and in_shape[0] % nb == 0):
                 free_shape = (-1,) + shape[1:]
 
                 def reshape_any_batch(_op, inputs, _rt, _shape=free_shape):

@@ -14,6 +14,14 @@ differ only in the numerator, ``1`` or ``exp(-|x|)``.  So
 ``z = exp(-|x|); where(x >= 0, 1, z) / (1 + z)`` runs, per element, the
 very ufuncs the branch it belongs to would run -- the same bits with no
 boolean gather/scatter -- and ``z <= 1`` means nothing can overflow.
+
+Why the softmax is computed once.  The graph's ``softmax_xent`` reads the
+probabilities of a separate forward ``softmax`` op: its loss is
+:func:`xent_of_probs` and its gradient :func:`xent_grad_of_probs`, both
+of that one array.  Recomputing ``softmax(logits)`` in the backward pass
+would rerun the same function on the same input, so sharing it changes no
+bit: the gradient is the copy, the in-place ``-= 1``, ``/= n`` and
+``*= g`` that the recomputing form applied to its fresh softmax.
 """
 
 from __future__ import annotations
@@ -158,19 +166,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy over the batch, integer labels."""
-    probs = softmax(logits)
-    n = logits.shape[0]
+def xent_of_probs(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy over the batch from ``softmax(logits)``."""
+    n = probs.shape[0]
     picked = probs[np.arange(n), np.asarray(labels, dtype=np.int64)]
     return float(-np.log(np.clip(picked, 1e-12, None)).mean())
 
 
-def softmax_xent_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    probs = softmax(logits)
-    n = logits.shape[0]
-    probs[np.arange(n), np.asarray(labels, dtype=np.int64)] -= 1.0
-    return probs / n
+def xent_grad_of_probs(probs: np.ndarray, labels: np.ndarray,
+                       g: float) -> np.ndarray:
+    """``(probs - onehot(labels)) / n * g``: the gradient of
+    :func:`xent_of_probs` w.r.t. the logits, formed in place on one copy
+    of *probs*, which is only read (see the module docstring)."""
+    grad = np.array(probs)
+    n = grad.shape[0]
+    grad[np.arange(n), np.asarray(labels, dtype=np.int64)] -= 1.0
+    grad /= n
+    grad *= float(g)
+    return grad
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:

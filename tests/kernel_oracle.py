@@ -1,11 +1,13 @@
 """Reference kernels: the bodies `src/` had before the LM's non-BLAS half
-was put on a diet (ISSUE 21).
+was put on a diet, and before its softmax was shared.
 
 An oracle, not product code: the two-branch mask/gather/scatter sigmoid,
-the `grad_add` fold that allocates a new total per term, and the slice
-VJP that zero-pads every slice gradient to the full tensor.  The one-pass
-`sigmoid`, the in-place fold and the `concat` of tiling slice gradients
-must reproduce their bits (the last one up to the sign of zero).
+the `grad_add` fold that allocates a new total per term, the slice VJP
+that zero-pads every slice gradient to the full tensor, and the
+`softmax_xent` VJP that recomputes the softmax.  The one-pass `sigmoid`,
+the in-place fold, the `concat` of tiling slice gradients and the
+shared-softmax VJP must reproduce their bits (the `concat` up to the sign
+of zero).
 """
 
 import numpy as np
@@ -34,6 +36,17 @@ def oracle_grad_add(values):
     for value in values[1:]:
         total = total + value
     return total
+
+
+def oracle_softmax_xent_grad(logits, labels, g):
+    """The VJP before the softmax was shared: it recomputes
+    ``softmax(logits)`` and scales a second fresh array by ``g``."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    probs = shifted / shifted.sum(axis=-1, keepdims=True)
+    n = logits.shape[0]
+    probs[np.arange(n), np.asarray(labels, dtype=np.int64)] -= 1.0
+    return probs / n * float(g)
 
 
 def oracle_slice_vjp(x, lo, hi, axis, grad):

@@ -223,10 +223,18 @@ class TestDeadlockMutations:
         entries, where = bucket_exchange
         findings, stats = check_entries(entries)
         assert findings == [] and stats["early_recvs"] == 0
-        # Legal but serialising: rank 0 waits for the peer's bucket
-        # right after packing its own instead of where it is folded.
+        # Legal but serialising: rank 0 waits for the peer's bucket at
+        # the first exec after its own pack and after the messages the
+        # peer sent before the bucket (the channel is FIFO), instead of
+        # where it is folded.
         pack, recv = where[0]
-        entries[0].insert(pack + 1, entries[0].pop(recv))
+        peer = entries[0][recv][2]
+        last = max([pack] + [i for i in range(pack, recv)
+                             if entries[0][i][0] == "recv"
+                             and entries[0][i][2] == peer])
+        slot = next(i for i in range(last + 1, recv)
+                    if entries[0][i - 1][0] == "exec")
+        entries[0].insert(slot, entries[0].pop(recv))
         findings, stats = check_entries(entries)
         assert findings == [] and stats["early_recvs"] == 1
 

@@ -27,7 +27,7 @@ from repro.graph import ops
 from repro.nn import layers
 from repro.nn.datasets import SyntheticTextDataset
 from repro.nn.models import build_lm, build_resnet
-from repro.nn.models.common import BuiltModel, mean_of
+from repro.nn.models.common import BuiltModel
 from repro.nn.optimizers import GradientDescentOptimizer
 
 SMALL = {"machines": 2, "gpus_per_machine": 2}
@@ -63,7 +63,8 @@ def lm_builder(vocab=40, use_partitioner=True):
                                                  name=f"l{t}"), (4,),
                                   name=f"ls{t}")
                 losses.append(ops.softmax_xent(logits, lbl, name=f"x{t}"))
-            loss = mean_of(losses, "loss")
+            loss = ops.scale(ops.add(losses[0], losses[1], name="loss/sum0"),
+                             0.5, name="loss/mean")
             gvs = gradients(loss)
             GradientDescentOptimizer(0.2).update(gvs)
         return BuiltModel(graph=g, loss=loss,

@@ -20,7 +20,6 @@ from repro.graph.executor import DIRECT
 from repro.graph.variables import Variable
 from repro.nn import layers
 from repro.nn.models import build_lm
-from repro.nn.models.common import split_steps
 from repro.nn.optimizers import GradientDescentOptimizer
 from repro.tensor import math as k
 from repro.tensor.sparse import IndexedSlices
@@ -309,29 +308,35 @@ def test_rewrite_fires_on_the_lstm_gate_split_and_on_split_steps():
     g = Graph()
     with g.as_default():
         x = Variable("x", (batch, steps, dim))
-        outs = layers.lstm(split_steps(x.tensor, steps, "xs"), hidden, "rnn")
+        outs = layers.lstm(x.tensor, hidden, "rnn")
         total = outs[0]
         for h in outs[1:]:
             total = ops.add(total, h)
         gvs = gradients(ops.mean(total))
     by_var = {var.name: grad for grad, var in gvs}
-    # split_steps: the (batch, seq, dim) input's gradient is one concat
-    # along the time axis.
-    assert by_var["x"].op.op_type == "concat"
-    assert by_var["x"].op.attrs["axis"] == 1
-    assert len(by_var["x"].op.inputs) == steps
+    # The kernel's input rows and recurrent rows tile it: one concat
+    # along the row axis, W_x's gradient first.
+    kernel = by_var["rnn/kernel"].op
+    assert kernel.name == "grad_concat/rnn/kernel"
+    assert kernel.op_type == "concat" and kernel.attrs["axis"] == 0
+    assert [i.op.name for i in kernel.inputs] == \
+        ["grad/rnn/x_matmul/in1", "grad_add/rnn/w_h"]
+    # split_steps of the hoisted projection: its (batch, seq, 4*hidden)
+    # gradient is one concat along the time axis.
+    zx = g.get_op("grad_concat/rnn/zx")
+    assert zx.attrs["axis"] == 1 and len(zx.inputs) == steps
     # Gate split: each timestep's pre-activation gets its four gate
     # gradients as one concat along the feature axis, in i,f,g,o order.
     for t in range(steps):
-        bias_vjp = g.get_op(f"grad/rnn/step{t}/bias/in0")
-        upstream = bias_vjp.inputs[-1].op
+        add_vjp = g.get_op(f"grad/rnn/step{t}/z/in0")
+        upstream = add_vjp.inputs[-1].op
         assert upstream.op_type == "concat" and upstream.attrs["axis"] == 1
-        assert upstream.name == f"grad_concat/rnn/step{t}/bias"
+        assert upstream.name == f"grad_concat/rnn/step{t}/z"
         assert [i.op.attrs["forward_op"] for i in upstream.inputs] == \
             [f"rnn/step{t}/{gate}" for gate in "ifgo"]
     assert slice_vjps(g) == []
     assert sum(op.name.startswith("grad_concat/")
-               for op in g.operations) == steps + 1
+               for op in g.operations) == steps + 2
 
 
 def test_bench_lm_step_schedule_is_1165_entries_with_no_slice_vjp():
@@ -345,9 +350,13 @@ def test_bench_lm_step_schedule_is_1165_entries_with_no_slice_vjp():
         hybrid_graph_plan(model.graph, fusion=True))
     plan = DistributedSession(transformed, seed=0).compile(
         list(transformed.replica_losses) + [transformed.train_op])
-    assert len(plan.schedule) == 1165  # 1265 before the slice rewrite
+    # The test id keeps the per-timestep graph's count; see README.
+    assert len(plan.schedule) == 913
     graph = transformed.graph
     assert not [entry[0].name for entry in plan.schedule
                 if entry[0].op_type == "vjp"
                 and graph.get_op(entry[0].attrs["forward_op"]).op_type
                 == "slice"]
+    # One softmax per replica, shared by its loss and its gradient.
+    types = [entry[0].op_type for entry in plan.schedule]
+    assert types.count("softmax") == types.count("softmax_xent") == 2

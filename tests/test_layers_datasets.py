@@ -93,29 +93,28 @@ class TestLSTMLayer:
         g = Graph()
         batch, in_dim, hidden, steps = 2, 3, 4, 3
         rng = np.random.default_rng(1)
-        xs_values = [rng.standard_normal((batch, in_dim)).astype(np.float32)
-                     for _ in range(steps)]
+        x_value = rng.standard_normal((batch, steps, in_dim)).astype(
+            np.float32)
         with g.as_default():
-            xs = [ops.placeholder((batch, in_dim), name=f"x{t}")
-                  for t in range(steps)]
-            hs = layers.lstm(xs, hidden, name="lstm")
+            x = ops.placeholder((batch, steps, in_dim), name="x")
+            hs = layers.lstm(x, hidden, name="lstm")
         sess = Session(g)
-        feed = {f"x{t}": xs_values[t] for t in range(steps)}
-        got = sess.run(hs, feed)
+        got = sess.run(hs, {"x": x_value})
 
         w = sess.read_variable("lstm/kernel")
         b = sess.read_variable("lstm/bias")
         h = np.zeros((batch, hidden), np.float32)
         c = np.zeros((batch, hidden), np.float32)
         for t in range(steps):
-            h, c, _ = k.lstm_cell(xs_values[t], h, c, w, b)
+            h, c, _ = k.lstm_cell(x_value[:, t], h, c, w, b)
             np.testing.assert_allclose(got[t], h, rtol=1e-4, atol=1e-6)
 
     def test_empty_steps_rejected(self):
         g = Graph()
         with g.as_default():
+            x = ops.placeholder((2, 0, 3), name="x")
             with pytest.raises(ValueError):
-                layers.lstm([], 4, name="lstm")
+                layers.lstm(x, 4, name="lstm")
 
 
 class TestImageDataset:

@@ -194,11 +194,16 @@ class TestTranscriptAccounting:
         naive = self.iteration_bytes(lambda g: ps_graph_plan(g))
         opt = self.iteration_bytes(
             lambda g: ps_graph_plan(g, True, True, name="opt_ps"))
-        naive_push = naive.total_network_bytes("edge/shard_lookup_grad") + \
-            naive.total_network_bytes("edge/grad_add") + \
-            naive.total_network_bytes("edge/vjp")
-        opt_push = opt.total_network_bytes("edge/local_agg")
-        assert opt_push < naive_push
+
+        def push_bytes(transcript):
+            # Everything but the variable pulls, whichever op type a
+            # gradient's last producer has (a vjp, a grad_add, a concat).
+            pulls = ("edge/read_var", "edge/shard_lookup")
+            return sum(t.nbytes for t in transcript.filter(None)
+                       if t.tag not in pulls)
+
+        assert opt.total_network_bytes("edge/local_agg") > 0
+        assert push_bytes(opt) < push_bytes(naive)
 
     def test_hybrid_moves_fewer_bytes_than_gatherv(self):
         hybrid = self.iteration_bytes(hybrid_graph_plan)

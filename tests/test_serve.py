@@ -11,14 +11,18 @@ from the same state.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.spec import ClusterSpec
 from repro.comm.transport import make_transport
 from repro.core.api import ParallaxConfig, ServeConfig, make_server
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import hybrid_graph_plan
+from repro.graph import Graph, ops
 from repro.graph.gradients import gradients
 from repro.graph.session import Session
+from repro.graph.variables import Variable
 from repro.nn.models import build_inception, build_lm, build_nmt, build_resnet
 from repro.nn.optimizers import GradientDescentOptimizer
 from repro.serve import (
@@ -143,6 +147,47 @@ class TestInferenceEngine:
         assert engine.plan_for(4) is engine.plan_for(4)
         assert engine.plan_for(2) is not engine.plan_for(4)
         assert engine.native_batch == 4
+
+    @settings(max_examples=25, deadline=None)
+    @given(nb=st.integers(1, 4), steps=st.integers(1, 4),
+           width=st.integers(2, 5), seed=st.integers(0, 9))
+    def test_batch_major_merge_and_split_serve_every_batch(self, nb, steps,
+                                                            width, seed):
+        """(B, T, D) -> (B*T, D) -> matmul -> (B, T, Y), the LSTM's
+        hoisted input projection: batches 1..8 serve each example's rows
+        bit for bit.  (``width`` >= 2: one output column makes a single
+        row a BLAS dot product, which rounds unlike the batched gemv.)"""
+        dim = 3
+        g = Graph()
+        with g.as_default():
+            x = ops.placeholder((nb, steps, dim), name="x")
+            w = Variable("w", (dim, width))
+            rows = ops.matmul(ops.reshape(x, (nb * steps, dim), name="merge"),
+                              w.tensor)
+            out = ops.reshape(rows, (nb, steps, width), name="split")
+        engine = InferenceEngine(g, [out], seeded_weights(g, seed))
+        rng = np.random.default_rng(seed)
+        for size in range(1, 9):
+            xs = rng.standard_normal((size, steps, dim)).astype(np.float32)
+            batched = engine.run({"x": xs})[0]
+            assert batched.shape == (size, steps, width)
+            for i in range(size):
+                row = engine.run({"x": xs[i:i + 1]})[0]
+                np.testing.assert_array_equal(row[0], batched[i])
+
+    def test_reshape_not_led_by_the_batch_stays_static(self):
+        nb = 4
+        g = Graph()
+        with g.as_default():
+            x = ops.placeholder((nb, 2, 3), name="x")
+            merged = ops.reshape(x, (nb * 2, 3), name="merge")
+            w = Variable("w", (6, nb))  # leads with 6, not a multiple of 4
+            flipped = ops.reshape(w.tensor, (nb, 6), name="flip")
+            out = ops.add(ops.reshape(merged, (nb, 6), name="split"), flipped)
+        engine = InferenceEngine(g, [out], seeded_weights(g, 0))
+        assert engine._specialize(g.get_op("flip")) is None
+        for name in ("merge", "split"):
+            assert engine._specialize(g.get_op(name)) is not None
 
     def test_weights_from_state_drops_optimizer_slots(self):
         model = trained_model("lm")
