@@ -2,11 +2,12 @@
 
 Five rules, each guarding an implicit contract between distant layers:
 
-1. **mutating kernels vs the buffer arena** -- a forward kernel
-   registered with ``@register_forward`` that mutates one of its input
-   arrays (in-place ufunc ``.at`` calls, subscript stores, ``out=``
-   aliasing an input) must NOT be listed arena-safe in
-   ``repro.graph.bufferplan``'s guard tables: the arena recycles input
+1. **mutating kernels vs the buffer arena** -- a kernel that mutates
+   one of its input arrays (in-place ufunc ``.at`` calls, subscript
+   stores, ``out=`` aliasing an input) must NOT be listed arena-safe in
+   ``repro.graph.bufferplan``'s guard tables.  Kernels are the
+   ``@register_forward`` functions and the bodies ``@register_direct``
+   builders return -- what generated code runs.  The arena recycles input
    storage based on those tables, and an unregistered mutator silently
    corrupts whatever value shares the buffer.
 2. **the collective registry stays complete** -- every collective op
@@ -38,7 +39,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.report import Finding
 
@@ -62,17 +63,39 @@ def _arena_safe_types() -> frozenset:
 
 
 # ---- rule 1: mutating kernels ------------------------------------------
-def _forward_op_type(node: ast.FunctionDef) -> Optional[str]:
-    """The literal op type of an ``@register_forward("x")`` decorator."""
+def _registered_op_type(node: ast.FunctionDef) -> Tuple[Optional[str], str]:
+    """``(op type, registry)`` of an ``@register_forward("x")`` or
+    ``@register_direct("x")`` decorator; ``(None, "")`` for neither."""
     for deco in node.decorator_list:
         if (isinstance(deco, ast.Call)
                 and isinstance(deco.func, ast.Name)
-                and deco.func.id == "register_forward"
+                and deco.func.id in ("register_forward", "register_direct")
                 and deco.args
                 and isinstance(deco.args[0], ast.Constant)
                 and isinstance(deco.args[0].value, str)):
-            return deco.args[0].value
-    return None
+            return deco.args[0].value, deco.func.id
+    return None, ""
+
+
+def _kernel_bodies(node: ast.FunctionDef, registry: str):
+    """``(function, input parameter names)`` for the code a registered
+    kernel runs per call: a forward kernel itself (its ``inputs``
+    parameter), or each inner function a direct builder returns (every
+    positional parameter, ``*values`` included)."""
+    if registry == "register_forward":
+        params = [a.arg for a in node.args.args]
+        if params:
+            yield node, [params[1] if len(params) > 1 else params[0]]
+        return
+    returned = {ret.value.id for ret in ast.walk(node)
+                if isinstance(ret, ast.Return)
+                and isinstance(ret.value, ast.Name)}
+    for inner in node.body:
+        if isinstance(inner, ast.FunctionDef) and inner.name in returned:
+            params = [a.arg for a in inner.args.args]
+            if inner.args.vararg is not None:
+                params.append(inner.args.vararg.arg)
+            yield inner, params
 
 
 def _base_name(node: ast.AST) -> Optional[str]:
@@ -82,9 +105,9 @@ def _base_name(node: ast.AST) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _kernel_mutations(fn: ast.FunctionDef, inputs_param: str) -> List[str]:
+def _kernel_mutations(fn: ast.FunctionDef, inputs: List[str]) -> List[str]:
     """Descriptions of every statement mutating an input-aliased array."""
-    aliases: Set[str] = {inputs_param}
+    aliases: Set[str] = set(inputs)
 
     def is_input_expr(node: ast.AST) -> bool:
         return _base_name(node) in aliases
@@ -137,21 +160,21 @@ def _check_kernels(tree: ast.AST, path: str,
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        op_type = _forward_op_type(node)
-        if op_type is None or not node.args.args:
+        op_type, registry = _registered_op_type(node)
+        if op_type is None or op_type not in arena_safe:
             continue
-        params = [a.arg for a in node.args.args]
-        inputs_param = params[1] if len(params) > 1 else params[0]
-        mutations = _kernel_mutations(node, inputs_param)
-        if mutations and op_type in arena_safe:
-            findings.append(Finding(
-                ANALYSIS,
-                f"{path}:{node.lineno}: forward kernel for {op_type!r} "
-                "mutates its inputs but the op type is listed arena-safe "
-                "in repro.graph.bufferplan's guard tables -- the arena "
-                "would recycle storage this kernel scribbles on",
-                trace=tuple(mutations),
-            ))
+        for body, inputs in _kernel_bodies(node, registry):
+            mutations = _kernel_mutations(body, inputs)
+            if mutations:
+                findings.append(Finding(
+                    ANALYSIS,
+                    f"{path}:{body.lineno}: kernel for {op_type!r} "
+                    "mutates its inputs but the op type is listed "
+                    "arena-safe in repro.graph.bufferplan's guard tables "
+                    "-- the arena would recycle storage this kernel "
+                    "scribbles on",
+                    trace=tuple(mutations),
+                ))
     return findings
 
 

@@ -151,9 +151,9 @@ class ServeConfig:
 
     def __post_init__(self):
         if self.max_batch < 1:
-            raise ValueError("serve_max_batch must be >= 1")
+            raise ValueError("max_batch must be >= 1")
         if self.max_delay_ms < 0:
-            raise ValueError("serve_max_delay_ms must be >= 0")
+            raise ValueError("max_delay_ms must be >= 0")
 
 
 @dataclass

@@ -201,91 +201,15 @@ def _compressed_allgatherv_fwd(op, inputs, runtime):
     return cache[key]
 
 
-@register_forward("bucket_slice")
-def _bucket_slice_fwd(op, inputs, runtime):
-    """Unpack one variable's reduced gradient from a fused bucket."""
-    lo, hi = op.attrs["lo"], op.attrs["hi"]
-    return np.asarray(inputs[0])[lo:hi].reshape(op.attrs["shape"])
-
-
-@register_forward("densify")
-def _densify_fwd(op, inputs, runtime):
-    """IndexedSlices -> dense array (the sparse-as-dense AR path)."""
-    return to_dense(inputs[0])
-
-
-@register_forward("local_agg")
-def _local_agg_fwd(op, inputs, runtime):
-    """Per-machine aggregation before pushing to servers (paper sec. 4.3).
-
-    Sparse gradients are concatenated and duplicate indices combined --
-    this dedup is exactly the transfer saving local aggregation buys.
-    Dense gradients are summed.
-    """
-    if isinstance(inputs[0], IndexedSlices):
-        return concat_slices(list(inputs)).combine()
-    total = np.array(inputs[0], copy=True)
-    for value in inputs[1:]:
-        total = total + value
-    return total
-
-
-@register_forward("global_agg")
-def _global_agg_fwd(op, inputs, runtime):
-    """Server-side accumulator: aggregates per-machine (or per-worker)
-    contributions for one variable/shard."""
-    if isinstance(inputs[0], IndexedSlices):
-        combined = concat_slices(list(inputs)).combine()
-        if op.attrs.get("average", False):
-            combined = combined.scale(1.0 / op.attrs["num_workers"])
-        return combined
-    total = np.array(inputs[0], copy=True)
-    for value in inputs[1:]:
-        total = total + value
-    if op.attrs.get("average", False):
-        total = total / np.float32(op.attrs["num_workers"])
-    return total
-
-
-@register_forward("shard_lookup")
-def _shard_lookup_fwd(op, inputs, runtime):
-    """Server-side gather of the rows of one shard a batch needs.
-
-    Returns the shard's rows for the ids in ``[lo, hi)``, in order of
-    appearance; only these rows travel to the worker.
-    """
-    shard, ids = inputs
-    lo, hi = op.attrs["lo"], op.attrs["hi"]
-    flat = np.asarray(ids, dtype=np.int64).reshape(-1)
-    mask = (flat >= lo) & (flat < hi)
-    return np.asarray(shard)[flat[mask] - lo]
-
-
-@register_forward("stitch")
-def _stitch_fwd(op, inputs, runtime):
-    """Worker-side dynamic_stitch: reassemble per-shard rows in id order."""
-    ids = np.asarray(inputs[0], dtype=np.int64)
-    rows_per_shard = inputs[1:]
-    offsets = np.asarray(op.attrs["offsets"])
-    flat = ids.reshape(-1)
-    owner = np.searchsorted(offsets, flat, side="right") - 1
-    out = np.empty((flat.size,) + tuple(op.attrs["row_shape"]),
-                   dtype=np.float32)
-    for p, rows in enumerate(rows_per_shard):
-        positions = np.nonzero(owner == p)[0]
-        if positions.size:
-            out[positions] = rows
-    return out.reshape(tuple(ids.shape) + tuple(op.attrs["row_shape"]))
-
-
 # ----------------------------------------------------------------------
-# Direct kernels for generated plans: same computations as the generic
-# kernels above with the static attrs (bounds, offsets, row shapes)
-# converted once at compile time.  Collectives stay generic -- they share
-# state through the run cache.
+# Pure kernels: one body each, which the loop, generated plans and the
+# reference interpreter all call, with the static attrs (bounds, offsets,
+# row shapes) converted once when the op is bound.  Collectives above
+# stay runtime kernels -- they share state through the run cache.
 # ----------------------------------------------------------------------
 @register_direct("bucket_slice")
 def _bucket_slice_direct(op):
+    """Unpack one variable's reduced gradient from a fused bucket."""
     lo, hi = op.attrs["lo"], op.attrs["hi"]
     shape = tuple(op.attrs["shape"])
 
@@ -297,11 +221,19 @@ def _bucket_slice_direct(op):
 
 @register_direct("densify")
 def _densify_direct(op):
+    """IndexedSlices -> dense array (the sparse-as-dense AR path)."""
     return to_dense
 
 
 @register_direct("local_agg")
 def _local_agg_direct(op):
+    """Per-machine aggregation before pushing to servers (paper sec. 4.3).
+
+    Sparse gradients are concatenated and duplicate indices combined --
+    this dedup is exactly the transfer saving local aggregation buys.
+    Dense gradients are summed.
+    """
+
     def local_agg_direct(*values):
         if isinstance(values[0], IndexedSlices):
             return concat_slices(list(values)).combine()
@@ -315,6 +247,8 @@ def _local_agg_direct(op):
 
 @register_direct("global_agg")
 def _global_agg_direct(op):
+    """Server-side accumulator: aggregates per-machine (or per-worker)
+    contributions for one variable/shard."""
     average = bool(op.attrs.get("average", False))
     num_workers = op.attrs.get("num_workers")
 
@@ -336,6 +270,11 @@ def _global_agg_direct(op):
 
 @register_direct("shard_lookup")
 def _shard_lookup_direct(op):
+    """Server-side gather of the rows of one shard a batch needs.
+
+    Returns the shard's rows for the ids in ``[lo, hi)``, in order of
+    appearance; only these rows travel to the worker.
+    """
     lo, hi = op.attrs["lo"], op.attrs["hi"]
 
     def shard_lookup_direct(shard, ids):
@@ -348,6 +287,7 @@ def _shard_lookup_direct(op):
 
 @register_direct("stitch")
 def _stitch_direct(op):
+    """Worker-side dynamic_stitch: reassemble per-shard rows in id order."""
     offsets = np.asarray(op.attrs["offsets"])
     row_shape = tuple(op.attrs["row_shape"])
 
@@ -365,14 +305,22 @@ def _stitch_direct(op):
     return stitch_direct
 
 
+# ----------------------------------------------------------------------
+# Custom symbolic gradients.  The generic vjp node would take the full
+# shard tensor as an input, creating a bogus server->worker transfer of
+# the entire variable; these builders produce gradient ops that only read
+# the ids and the upstream gradient.
+# ----------------------------------------------------------------------
 @register_direct("shard_lookup_grad")
 def _shard_lookup_grad_direct(op):
+    """Gradient of shard_lookup w.r.t. its shard: shard-local slices."""
     lo, hi = op.attrs["lo"], op.attrs["hi"]
     shape = (hi - lo,) + tuple(op.attrs["row_shape"])
 
     def shard_lookup_grad_direct(ids, upstream):
         flat = np.asarray(ids, dtype=np.int64).reshape(-1)
         mask = (flat >= lo) & (flat < hi)
+        # Indices are in [0, hi-lo) by construction of the mask.
         return IndexedSlices._wrap(np.asarray(upstream), flat[mask] - lo,
                                    shape)
 
@@ -381,6 +329,7 @@ def _shard_lookup_grad_direct(op):
 
 @register_direct("stitch_grad")
 def _stitch_grad_direct(op):
+    """Gradient of stitch w.r.t. one shard's rows input."""
     offsets = np.asarray(op.attrs["offsets"])
     shard = op.attrs["shard"]
     row_shape = tuple(op.attrs["row_shape"])
@@ -393,39 +342,6 @@ def _stitch_grad_direct(op):
         return grad[positions]
 
     return stitch_grad_direct
-
-
-# ----------------------------------------------------------------------
-# Custom symbolic gradients.  The generic vjp node would take the full
-# shard tensor as an input, creating a bogus server->worker transfer of
-# the entire variable; these builders produce gradient ops that only read
-# the ids and the upstream gradient.
-# ----------------------------------------------------------------------
-@register_forward("shard_lookup_grad")
-def _shard_lookup_grad_fwd(op, inputs, runtime):
-    """Gradient of shard_lookup w.r.t. its shard: shard-local slices."""
-    ids, upstream = inputs
-    lo, hi = op.attrs["lo"], op.attrs["hi"]
-    flat = np.asarray(ids, dtype=np.int64).reshape(-1)
-    mask = (flat >= lo) & (flat < hi)
-    vals = np.asarray(upstream)
-    # Indices are in [0, hi-lo) by construction of the mask.
-    return IndexedSlices._wrap(vals, flat[mask] - lo,
-                               (hi - lo,) + tuple(op.attrs["row_shape"]))
-
-
-@register_forward("stitch_grad")
-def _stitch_grad_fwd(op, inputs, runtime):
-    """Gradient of stitch w.r.t. one shard's rows input."""
-    ids, upstream = inputs
-    offsets = np.asarray(op.attrs["offsets"])
-    flat = np.asarray(ids, dtype=np.int64).reshape(-1)
-    owner = np.searchsorted(offsets, flat, side="right") - 1
-    positions = np.nonzero(owner == op.attrs["shard"])[0]
-    grad = np.asarray(upstream).reshape(
-        (flat.size,) + tuple(op.attrs["row_shape"])
-    )
-    return grad[positions]
 
 
 @register_custom_grad("shard_lookup")

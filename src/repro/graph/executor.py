@@ -8,8 +8,10 @@ in the Equation-1 search, so every run compiles a :class:`CompiledPlan`
 once per (fetch set, graph version) and replays it:
 
 * the topological schedule is frozen at compile time;
-* each kernel is bound directly into its schedule entry (no ``FORWARD``
-  dict lookup per op per run);
+* each kernel is bound directly into its schedule entry (no registry
+  lookup per op per run).  An op type has one body: a pure op's
+  :data:`DIRECT` body, which the loop and generated code both call, or a
+  runtime kernel in ``ops.FORWARD``;
 * operand routing uses precomputed integer indices into a flat value
   buffer instead of per-op name-dict lookups;
 * placeholder slots are declared up front so a runner can validate its
@@ -124,39 +126,22 @@ def _rebuild_plan(graph: Graph, fetch_names: Sequence[str]) -> "CompiledPlan":
     return CompiledPlan(graph, [graph.get_op(n) for n in fetch_names])
 
 
-# Compile-time kernel specializers: op_type -> builder(op) returning a
-# kernel with the op's static state (attrs, dispatch lookups) prebound.
-# Registered next to the generic kernels they specialize (ops.py,
-# gradients.py); sessions can additionally specialize per instance via
-# ``Session._specialize_kernel``.
-SPECIALIZE: Dict[str, Callable[[Operation], Callable]] = {}
-
-
-def register_specialization(op_type: str):
-    def deco(fn):
-        if op_type in SPECIALIZE:
-            raise ValueError(
-                f"kernel specialization for {op_type!r} already registered"
-            )
-        SPECIALIZE[op_type] = fn
-        return fn
-
-    return deco
-
-
-# Direct-call builders for generated code: op_type -> builder(op) returning
-# a positional function over the op's input *values* that computes exactly
-# what the generic kernel computes.  Only thin, pure kernels qualify (no
-# runtime access, no _current_op); generated plans call these without the
-# (op, inputs-list, session) calling convention.
-DIRECT: Dict[str, Callable[[Operation], Optional[Callable]]] = {}
+# The bodies of pure ops: op_type -> builder(op) returning a positional
+# function over the op's input *values*, with its static attrs prebound.
+# Every op type has one body: a pure op (no runtime access, no
+# _current_op) registers it here, anything touching the session registers
+# a runtime kernel in ``ops.FORWARD``, and neither registry accepts an op
+# type the other holds.  The loop calls a pure op's body through
+# :func:`bind_kernel`'s adapter, generated code calls it positionally, and
+# the reference interpreter calls ``DIRECT[op_type](op)(*inputs)``.
+DIRECT: Dict[str, Callable[[Operation], Callable]] = {}
 
 
 def register_direct(op_type: str):
     def deco(fn):
-        if op_type in DIRECT:
+        if op_type in DIRECT or op_type in _forward_registry():
             raise ValueError(
-                f"direct kernel for {op_type!r} already registered"
+                f"a kernel for {op_type!r} is already registered"
             )
         DIRECT[op_type] = fn
         return fn
@@ -166,11 +151,11 @@ def register_direct(op_type: str):
 
 # Out-parameter builders for the buffer arena: op_type -> builder(op)
 # returning a positional function ``fn(*input_values, out)`` that computes
-# exactly what the DIRECT kernel computes, writing the result into ``out``
-# (a preallocated arena buffer) when the runtime values match the compile
-# time specs, and falling back to the allocating expression otherwise.
-# The returned array is stored into the value buffer either way, so a
-# fallback changes allocation behaviour only -- never values.
+# exactly what the op's DIRECT body computes, writing the result into
+# ``out`` (a preallocated arena buffer) when the runtime values match the
+# compile time specs, and calling the body otherwise.  The returned array
+# is stored into the value buffer either way, so a fallback changes
+# allocation behaviour only -- never values.
 DIRECT_OUT: Dict[str, Callable[[Operation], Optional[Callable]]] = {}
 
 
@@ -188,8 +173,8 @@ def register_direct_out(op_type: str):
 
 @cache
 def _forward_registry():
-    # Imported lazily (once, at first compile) so kernel modules may
-    # import this one to register specializations without a cycle.
+    # Imported lazily (once) so kernel modules may import this one to
+    # register direct kernels without a cycle.
     from repro.graph import ops as ops_mod
 
     return ops_mod.FORWARD
@@ -219,18 +204,24 @@ def bind_kernel(op: Operation, specialize_fn: Optional[Callable] = None,
 
     The one binding ladder every :class:`CompiledPlan` uses, the
     multiprocess workers' rank plans included: the session's per-instance
-    specialization first (store routing, SGD prebinding), then the
-    :data:`SPECIALIZE` registry, then the generic ``FORWARD`` table, then
-    deferred dispatch.  *specialized* kernels have their op context
-    prebound and never read ``_current_op``.
+    specialization first (store routing, SGD prebinding, ports), then the
+    op type's one body -- a pure op's :data:`DIRECT` body adapted to the
+    ``(op, inputs, runtime)`` convention, or its ``FORWARD`` kernel --
+    then deferred dispatch.  *specialized* kernels have their op context
+    prebound and never read ``_current_op``; an adapted body is not
+    specialized, so generated code calls the body itself.
     """
     kernel = specialize_fn(op) if specialize_fn is not None else None
-    if kernel is None:
-        builder = SPECIALIZE.get(op.op_type)
-        if builder is not None:
-            kernel = builder(op)
     if kernel is not None:
         return kernel, True
+    builder = DIRECT.get(op.op_type)
+    if builder is not None:
+        body = builder(op)
+
+        def direct_kernel(op, inputs, runtime):
+            return body(*inputs)
+
+        return direct_kernel, False
     kernel = _forward_registry().get(op.op_type)
     return (kernel if kernel is not None
             else _missing_kernel(op.op_type)), False
@@ -431,9 +422,9 @@ class CompiledPlan:
         already taken: no iteration machinery, fed checks or kernel
         indirection for inlined op types.  ``vjp`` nodes inline the
         shared-gradient cache protocol (same ``run_cache['vjp']`` keys as
-        the generic kernel, resolved to generated locals), constants
-        become literals, DIRECT kernels are called positionally, and
-        specialized kernels skip the ``_current_op`` bookkeeping they
+        the ``vjp`` kernel, resolved to generated locals), constants
+        become literals, pure ops' DIRECT bodies are called positionally,
+        and specialized kernels skip the ``_current_op`` bookkeeping they
         contractually ignore.  Arena-planned ops call guarded
         out-parameter kernels writing into preallocated buffers (see
         ``repro.graph.bufferplan``), shared vjp rules expand into
@@ -549,12 +540,12 @@ class CompiledPlan:
                              f"buf[{input_slots[n + 1]}])")
                     emit(f"{ind}buf[{i}] = g{j}[{index}]")
                     continue
-            if op.op_type == "constant" and i in self._specialized:
-                # Inline the specialized kernel's prebound value: the
-                # registry kernel returns attrs["value"] verbatim, but a
-                # session-level specialization may prebind a different
-                # constant (e.g. the serving engine resizes batch-shaped
-                # constants per request batch size).
+            if op.op_type == "constant":
+                # Inline the bound kernel's value: the body returns
+                # attrs["value"] verbatim, but a session-level
+                # specialization may prebind a different constant (e.g.
+                # the serving engine resizes batch-shaped constants per
+                # request batch size).
                 ns[f"C{i}"] = kernel(op, (), None)
                 emit(f"{ind}buf[{i}] = C{i}")
                 continue
@@ -565,16 +556,12 @@ class CompiledPlan:
                 emit(f"{ind}buf[{i}] = "
                      f"W{i}({call_args}, A{bplan.assignment[i]})")
                 continue
-            if i not in self._specialized:
-                direct_builder = DIRECT.get(op.op_type)
-                direct = (direct_builder(op) if direct_builder is not None
-                          else None)
-                if direct is not None:
-                    emit_edges()
-                    ns[f"D{i}"] = direct
-                    call_args = ", ".join(f"buf[{j}]" for j in input_slots)
-                    emit(f"{ind}buf[{i}] = D{i}({call_args})")
-                    continue
+            if i not in self._specialized and op.op_type in DIRECT:
+                emit_edges()
+                ns[f"D{i}"] = DIRECT[op.op_type](op)
+                call_args = ", ".join(f"buf[{j}]" for j in input_slots)
+                emit(f"{ind}buf[{i}] = D{i}({call_args})")
+                continue
             emit_edges()
             ns[f"O{i}"] = op
             ns[f"K{i}"] = kernel

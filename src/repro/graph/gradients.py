@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.executor import register_direct, register_specialization
+from repro.graph.executor import register_direct
 from repro.graph.graph import Graph, Operation, Tensor
 from repro.graph import ops as ops_mod
 from repro.graph.ops import register_forward
@@ -115,37 +115,6 @@ def _vjp_fwd(op, inputs, runtime):
     return cache[key][op.attrs["input_index"]]
 
 
-_VJP_PENDING = object()
-
-
-@register_specialization("vjp")
-def _vjp_specialize(op):
-    """Compiled twin of :func:`_vjp_fwd`: the forward-op resolution, attr
-    reads, and VJP-rule dispatch are all static per node, so prebind them
-    and keep only the per-run shared-gradient cache dynamic."""
-    fwd_op = op.graph.get_op(op.attrs["forward_op"])
-    n = len(fwd_op.inputs)
-    key = (op.attrs["forward_op"], op.attrs["grad_source"])
-    index = op.attrs["input_index"]
-    rule = ops_mod.VJP.get(fwd_op.op_type)
-
-    def vjp_kernel(op, inputs, runtime):
-        cache = runtime.run_cache.setdefault("vjp", {})
-        grads = cache.get(key, _VJP_PENDING)
-        if grads is _VJP_PENDING:
-            # Late re-dispatch covers rules registered after compilation.
-            r = rule if rule is not None else ops_mod.VJP.get(fwd_op.op_type)
-            if r is None:
-                raise NotImplementedError(
-                    f"no VJP registered for op type {fwd_op.op_type!r}"
-                )
-            grads = cache[key] = r(fwd_op, inputs[:n], inputs[n],
-                                   inputs[n + 1])
-        return grads[index]
-
-    return vjp_kernel
-
-
 def _sum_gradients(name: str, values):
     """The one ``grad_add`` body: left fold of *values* in input order."""
     if any(isinstance(v, IndexedSlices) for v in values):
@@ -164,25 +133,14 @@ def _sum_gradients(name: str, values):
     return total
 
 
-@register_forward("grad_add")
-def _grad_add_fwd(op, inputs, runtime):
-    return _sum_gradients(op.name, inputs)
-
-
 @register_direct("grad_add")
 def _grad_add_direct(op):
-    """Positional twin of :func:`_grad_add_fwd` for generated plans."""
     name = op.name
 
     def grad_add_direct(*values):
         return _sum_gradients(name, values)
 
     return grad_add_direct
-
-
-@register_forward("ones_like_scalar")
-def _ones_fwd(op, inputs, runtime):
-    return np.float32(1.0)
 
 
 @register_direct("ones_like_scalar")

@@ -1,17 +1,24 @@
 """Op builders and kernel registries.
 
-Each op type has up to three pieces:
+Each op type has:
 
 * a **builder** (public function below) that adds the op to the default
   graph with shape inference;
-* a **forward kernel** registered in :data:`FORWARD`, called by the
-  executor with the op and its input values;
+* exactly one **body**.  A pure op registers ``@register_direct``: a
+  builder returning a positional function over the input values, which
+  the loop, generated code and the reference interpreter all call (see
+  :data:`repro.graph.executor.DIRECT`).  An op that touches the runtime
+  (variables, the run cache) registers a **forward kernel**
+  ``kernel(op, inputs, runtime)`` in :data:`FORWARD` instead.  Neither
+  registry accepts an op type the other holds;
 * a **VJP rule** registered in :data:`VJP`, called by autodiff with the
   upstream gradient; it returns one gradient (or ``None``) per input.
 
-Other packages (the distributed transforms, the PS runtime) register
-additional op types through :func:`register_forward`, keeping the executor
-open for extension without modification.
+Generated plans may add arena forms on top: ``DIRECT_OUT`` out-parameter
+kernels, which fall back to the op's body, and ``VJP_OUT`` per-input
+expansions of shared VJP rules.  Other packages (the distributed
+transforms, the optimizers) register additional op types the same way,
+keeping the executor open for extension without modification.
 """
 
 from __future__ import annotations
@@ -22,11 +29,7 @@ import numpy as np
 
 import operator
 
-from repro.graph.executor import (
-    register_direct,
-    register_direct_out,
-    register_specialization,
-)
+from repro.graph.executor import DIRECT, register_direct, register_direct_out
 from repro.graph.graph import Graph, Tensor, get_default_graph
 from repro.tensor import math as k
 from repro.tensor.dense import TensorSpec, as_array
@@ -38,8 +41,8 @@ VJP: Dict[str, Callable] = {}
 
 def register_forward(op_type: str):
     def deco(fn):
-        if op_type in FORWARD:
-            raise ValueError(f"forward kernel for {op_type!r} already registered")
+        if op_type in FORWARD or op_type in DIRECT:
+            raise ValueError(f"a kernel for {op_type!r} is already registered")
         FORWARD[op_type] = fn
         return fn
 
@@ -85,19 +88,14 @@ def constant(value, name="constant", graph=None) -> Tensor:
     return op.output
 
 
-@register_forward("constant")
-def _constant_fwd(op, inputs, runtime):
-    return op.attrs["value"]
-
-
-@register_specialization("constant")
-def _constant_specialize(op):
+@register_direct("constant")
+def _constant_direct(op):
     value = op.attrs["value"]
 
-    def constant_kernel(op, inputs, runtime):
+    def constant_direct():
         return value
 
-    return constant_kernel
+    return constant_direct
 
 
 @register_forward("read_var")
@@ -117,9 +115,12 @@ def identity(x: Tensor, name="identity", graph=None) -> Tensor:
     return g.add_op("identity", [x], x.spec, name=name).output
 
 
-@register_forward("identity")
-def _identity_fwd(op, inputs, runtime):
-    return inputs[0]
+@register_direct("identity")
+def _identity_direct(op):
+    def identity_direct(x):
+        return x
+
+    return identity_direct
 
 
 @register_vjp("identity")
@@ -140,9 +141,9 @@ def matmul(a: Tensor, b: Tensor, name="matmul", graph=None) -> Tensor:
     return g.add_op("matmul", [a, b], spec, name=name).output
 
 
-@register_forward("matmul")
-def _matmul_fwd(op, inputs, runtime):
-    return k.matmul(inputs[0], inputs[1])
+@register_direct("matmul")
+def _matmul_direct(op):
+    return k.matmul
 
 
 @register_vjp("matmul")
@@ -158,9 +159,9 @@ def add(a: Tensor, b: Tensor, name="add", graph=None) -> Tensor:
     return g.add_op("add", [a, b], a.spec, name=name).output
 
 
-@register_forward("add")
-def _add_fwd(op, inputs, runtime):
-    return inputs[0] + inputs[1]
+@register_direct("add")
+def _add_direct(op):
+    return operator.add
 
 
 @register_vjp("add")
@@ -175,9 +176,9 @@ def mul(a: Tensor, b: Tensor, name="mul", graph=None) -> Tensor:
     return g.add_op("mul", [a, b], a.spec, name=name).output
 
 
-@register_forward("mul")
-def _mul_fwd(op, inputs, runtime):
-    return inputs[0] * inputs[1]
+@register_direct("mul")
+def _mul_direct(op):
+    return operator.mul
 
 
 @register_vjp("mul")
@@ -192,12 +193,16 @@ def scale(x: Tensor, factor: float, name="scale", graph=None) -> Tensor:
     ).output
 
 
-@register_forward("scale")
-def _scale_fwd(op, inputs, runtime):
-    value = inputs[0]
-    if isinstance(value, IndexedSlices):
-        return value.scale(op.attrs["factor"])
-    return value * op.attrs["factor"]
+@register_direct("scale")
+def _scale_direct(op):
+    factor = op.attrs["factor"]
+
+    def scale_direct(value):
+        if isinstance(value, IndexedSlices):
+            return value.scale(factor)
+        return value * factor
+
+    return scale_direct
 
 
 @register_vjp("scale")
@@ -214,9 +219,9 @@ def add_bias(x: Tensor, b: Tensor, name="add_bias", graph=None) -> Tensor:
     return g.add_op("add_bias", [x, b], x.spec, name=name).output
 
 
-@register_forward("add_bias")
-def _add_bias_fwd(op, inputs, runtime):
-    return k.add_bias(inputs[0], inputs[1])
+@register_direct("add_bias")
+def _add_bias_direct(op):
+    return k.add_bias
 
 
 @register_vjp("add_bias")
@@ -245,9 +250,9 @@ def tanh(x: Tensor, name="tanh", graph=None) -> Tensor:
     return g.add_op("tanh", [x], x.spec, name=name).output
 
 
-@register_forward("tanh")
-def _tanh_fwd(op, inputs, runtime):
-    return k.tanh(inputs[0])
+@register_direct("tanh")
+def _tanh_direct(op):
+    return k.tanh
 
 
 @register_vjp("tanh")
@@ -260,9 +265,9 @@ def sigmoid(x: Tensor, name="sigmoid", graph=None) -> Tensor:
     return g.add_op("sigmoid", [x], x.spec, name=name).output
 
 
-@register_forward("sigmoid")
-def _sigmoid_fwd(op, inputs, runtime):
-    return k.sigmoid(inputs[0])
+@register_direct("sigmoid")
+def _sigmoid_direct(op):
+    return k.sigmoid
 
 
 @register_vjp("sigmoid")
@@ -294,9 +299,14 @@ def reshape(x: Tensor, shape, name="reshape", graph=None) -> Tensor:
     ).output
 
 
-@register_forward("reshape")
-def _reshape_fwd(op, inputs, runtime):
-    return np.reshape(inputs[0], op.attrs["shape"])
+@register_direct("reshape")
+def _reshape_direct(op):
+    shape = op.attrs["shape"]
+
+    def reshape_direct(x):
+        return np.reshape(x, shape)
+
+    return reshape_direct
 
 
 @register_vjp("reshape")
@@ -327,9 +337,14 @@ def concat(tensors: Sequence[Tensor], axis: int, name="concat", graph=None) -> T
     ).output
 
 
-@register_forward("concat")
-def _concat_fwd(op, inputs, runtime):
-    return np.concatenate(inputs, axis=op.attrs["axis"])
+@register_direct("concat")
+def _concat_direct(op):
+    axis = op.attrs["axis"]
+
+    def concat_direct(*values):
+        return np.concatenate(values, axis=axis)
+
+    return concat_direct
 
 
 @register_vjp("concat")
@@ -360,9 +375,14 @@ def slice_axis(x: Tensor, lo: int, hi: int, axis: int = -1,
     ).output
 
 
-@register_forward("slice")
-def _slice_fwd(op, inputs, runtime):
-    return np.asarray(inputs[0])[op.attrs["index"]]
+@register_direct("slice")
+def _slice_direct(op):
+    index = op.attrs["index"]
+
+    def slice_direct(x):
+        return np.asarray(x)[index]
+
+    return slice_direct
 
 
 @register_vjp("slice")
@@ -388,9 +408,9 @@ def gather(params: Tensor, indices: Tensor, name="gather", graph=None) -> Tensor
     return g.add_op("gather", [params, indices], spec, name=name).output
 
 
-@register_forward("gather")
-def _gather_fwd(op, inputs, runtime):
-    return k.gather(inputs[0], inputs[1])
+@register_direct("gather")
+def _gather_direct(op):
+    return k.gather
 
 
 @register_vjp("gather")
@@ -407,9 +427,12 @@ def mean(x: Tensor, name="mean", graph=None) -> Tensor:
     return g.add_op("mean", [x], TensorSpec((), x.dtype), name=name).output
 
 
-@register_forward("mean")
-def _mean_fwd(op, inputs, runtime):
-    return np.float32(k.mean_all(inputs[0]))
+@register_direct("mean")
+def _mean_direct(op):
+    def mean_direct(x):
+        return np.float32(k.mean_all(x))
+
+    return mean_direct
 
 
 @register_vjp("mean")
@@ -437,14 +460,17 @@ def softmax_xent(logits: Tensor, labels: Tensor, name="softmax_xent",
     ).output
 
 
-@register_forward("softmax")
-def _softmax_fwd(op, inputs, runtime):
-    return k.softmax(inputs[0])
+@register_direct("softmax")
+def _softmax_direct(op):
+    return k.softmax
 
 
-@register_forward("softmax_xent")
-def _softmax_xent_fwd(op, inputs, runtime):
-    return np.float32(k.xent_of_probs(inputs[2], inputs[1]))
+@register_direct("softmax_xent")
+def _softmax_xent_direct(op):
+    def softmax_xent_direct(logits, labels, probs):
+        return np.float32(k.xent_of_probs(probs, labels))
+
+    return softmax_xent_direct
 
 
 @register_vjp("softmax_xent")
@@ -514,130 +540,16 @@ def _scatter_sub_fwd(op, inputs, runtime):
 
 
 # ======================================================================
-# Direct kernels for generated plans
-# ======================================================================
-# Each builder returns a positional function computing exactly what the
-# generic kernel above computes; generated execution plans call these
-# without the (op, inputs, runtime) convention.  Only thin pure kernels
-# belong here -- anything touching the runtime stays generic.
-
-@register_direct("matmul")
-def _matmul_direct(op):
-    return k.matmul
-
-
-@register_direct("add")
-def _add_direct(op):
-    return operator.add
-
-
-@register_direct("mul")
-def _mul_direct(op):
-    return operator.mul
-
-
-@register_direct("add_bias")
-def _add_bias_direct(op):
-    return k.add_bias
-
-
-@register_direct("tanh")
-def _tanh_direct(op):
-    return k.tanh
-
-
-@register_direct("sigmoid")
-def _sigmoid_direct(op):
-    return k.sigmoid
-
-
-@register_direct("gather")
-def _gather_direct(op):
-    return k.gather
-
-
-@register_direct("identity")
-def _identity_direct(op):
-    def identity_direct(x):
-        return x
-
-    return identity_direct
-
-
-@register_direct("reshape")
-def _reshape_direct(op):
-    shape = op.attrs["shape"]
-
-    def reshape_direct(x):
-        return np.reshape(x, shape)
-
-    return reshape_direct
-
-
-@register_direct("concat")
-def _concat_direct(op):
-    axis = op.attrs["axis"]
-
-    def concat_direct(*values):
-        return np.concatenate(values, axis=axis)
-
-    return concat_direct
-
-
-@register_direct("slice")
-def _slice_direct(op):
-    index = op.attrs["index"]
-
-    def slice_direct(x):
-        return np.asarray(x)[index]
-
-    return slice_direct
-
-
-@register_direct("scale")
-def _scale_direct(op):
-    factor = op.attrs["factor"]
-
-    def scale_direct(value):
-        if isinstance(value, IndexedSlices):
-            return value.scale(factor)
-        return value * factor
-
-    return scale_direct
-
-
-@register_direct("mean")
-def _mean_direct(op):
-    def mean_direct(x):
-        return np.float32(k.mean_all(x))
-
-    return mean_direct
-
-
-@register_direct("softmax")
-def _softmax_direct(op):
-    return k.softmax
-
-
-@register_direct("softmax_xent")
-def _softmax_xent_direct(op):
-    def softmax_xent_direct(logits, labels, probs):
-        return np.float32(k.xent_of_probs(probs, labels))
-
-    return softmax_xent_direct
-
-
-# ======================================================================
 # Out-parameter kernels for the buffer arena
 # ======================================================================
 # Each builder returns ``fn(*inputs, out)`` writing into a preallocated
 # arena buffer.  Every fn guards the runtime values against the compile
-# time assumptions (exact ndarray type, matching dtype/shape) and falls
-# back to the allocating DIRECT expression on any mismatch, so a stale
-# spec or a sparse value degrades to extra allocation -- never to a
-# wrong or silently-cast result.  The ``out=`` forms invoke the same
-# ufunc / BLAS routine as their allocating twins with an output of the
-# same dtype, so results are bitwise identical.
+# time assumptions (exact ndarray type, matching dtype/shape) and calls
+# the op's one body on any mismatch, so a stale spec or a sparse value
+# degrades to extra allocation -- never to a wrong or silently-cast
+# result.  The ``out=`` forms invoke the same ufunc / BLAS routine as the
+# allocating body with an output of the same dtype, so results are
+# bitwise identical.
 
 def _is_dense(a, out):
     return type(a) is np.ndarray and a.dtype == out.dtype
@@ -645,34 +557,40 @@ def _is_dense(a, out):
 
 @register_direct_out("matmul")
 def _matmul_out(op):
+    body = DIRECT["matmul"](op)
+
     def matmul_out(a, b, out):
         if (_is_dense(a, out) and _is_dense(b, out)
                 and a.ndim == 2 and b.ndim == 2 and out.ndim == 2
                 and out.shape == (a.shape[0], b.shape[1])):
             return np.matmul(a, b, out=out)
-        return a @ b
+        return body(a, b)
 
     return matmul_out
 
 
 @register_direct_out("add")
 def _add_out(op):
+    body = DIRECT["add"](op)
+
     def add_out(a, b, out):
         if (_is_dense(a, out) and _is_dense(b, out)
                 and a.shape == out.shape and b.shape == out.shape):
             return np.add(a, b, out=out)
-        return a + b
+        return body(a, b)
 
     return add_out
 
 
 @register_direct_out("mul")
 def _mul_out(op):
+    body = DIRECT["mul"](op)
+
     def mul_out(a, b, out):
         if (_is_dense(a, out) and _is_dense(b, out)
                 and a.shape == out.shape and b.shape == out.shape):
             return np.multiply(a, b, out=out)
-        return a * b
+        return body(a, b)
 
     return mul_out
 
@@ -722,13 +640,12 @@ def _sigmoid_out(op):
 @register_direct_out("scale")
 def _scale_out(op):
     factor = op.attrs["factor"]
+    body = DIRECT["scale"](op)
 
     def scale_out(value, out):
         if _is_dense(value, out) and value.shape == out.shape:
             return np.multiply(value, factor, out=out)
-        if isinstance(value, IndexedSlices):
-            return value.scale(factor)
-        return value * factor
+        return body(value)
 
     return scale_out
 

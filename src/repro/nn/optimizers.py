@@ -176,58 +176,55 @@ def _as_combined_slices(op, value) -> IndexedSlices:
     return value.combine()
 
 
+def _sgd_dense(read, write, name, lr, grad):
+    write(name, read(name) - lr * grad)
+
+
+def _sgd_sparse(read, write, name, lr, grad):
+    if not isinstance(grad, IndexedSlices):
+        raise TypeError(
+            f"sparse update expects IndexedSlices, got {type(grad)}")
+    delta = grad.combine()
+    current = read(name)
+    np.subtract.at(current, delta.indices, lr * delta.values)
+    write(name, current)
+
+
+_SGD_BODIES = {"sgd_update": _sgd_dense, "sgd_update_sparse": _sgd_sparse}
+
+
 def specialize_update(op, read, write):
     """Compile-time form of the SGD update kernels for executor plans.
 
-    ``read``/``write`` are the routed store accessors for *op*'s device,
-    so the per-call runtime routing and attr lookups disappear.  Returns
-    None for op types or configurations (e.g. clipping) that have no
-    specialized form; those stay on the generic kernels.
+    ``read``/``write`` are the routed store accessors for *op*'s device;
+    they, the variable name and ``lr`` are prebound to the same body the
+    runtime kernel calls, so the per-call routing and attr lookups
+    disappear.  Returns None for op types or configurations (clipping)
+    that have no specialized form; those stay on the runtime kernels.
     """
-    if op.attrs.get("clip_norm") is not None:
+    body = _SGD_BODIES.get(op.op_type)
+    if body is None or op.attrs.get("clip_norm") is not None:
         return None
-    name = op.attrs.get("variable")
-    lr = op.attrs.get("lr")
-    if op.op_type == "sgd_update":
+    name, lr = op.attrs["variable"], op.attrs["lr"]
 
-        def sgd_update_kernel(op, inputs, runtime):
-            write(name, read(name) - lr * inputs[0])
+    def sgd_update_kernel(op, inputs, runtime):
+        body(read, write, name, lr, inputs[0])
 
-        return sgd_update_kernel
-    if op.op_type == "sgd_update_sparse":
-
-        def sgd_update_sparse_kernel(op, inputs, runtime):
-            value = inputs[0]
-            if not isinstance(value, IndexedSlices):
-                raise TypeError(
-                    f"sparse update expects IndexedSlices, got {type(value)}"
-                )
-            delta = value.combine()
-            current = read(name)
-            np.subtract.at(current, delta.indices, lr * delta.values)
-            write(name, current)
-
-        return sgd_update_sparse_kernel
-    return None
+    return sgd_update_kernel
 
 
 @register_forward("sgd_update")
 def _sgd_update(op, inputs, runtime):
-    name = op.attrs["variable"]
-    grad = _maybe_clip(op, inputs[0])
-    current = runtime.read_variable(name)
-    runtime.write_variable(name, current - op.attrs["lr"] * grad)
-    return None
+    _sgd_dense(runtime.read_variable, runtime.write_variable,
+               op.attrs["variable"], op.attrs["lr"],
+               _maybe_clip(op, inputs[0]))
 
 
 @register_forward("sgd_update_sparse")
 def _sgd_update_sparse(op, inputs, runtime):
-    name = op.attrs["variable"]
-    delta = _as_combined_slices(op, inputs[0])
-    current = runtime.read_variable(name)
-    np.subtract.at(current, delta.indices, op.attrs["lr"] * delta.values)
-    runtime.write_variable(name, current)
-    return None
+    _sgd_sparse(runtime.read_variable, runtime.write_variable,
+                op.attrs["variable"], op.attrs["lr"],
+                _maybe_clip(op, inputs[0]))
 
 
 @register_forward("momentum_update")

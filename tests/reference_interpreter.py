@@ -3,11 +3,13 @@ compiled engine became the only way to run a graph (ISSUE 19).
 
 An oracle, not product code: a memoized topological walk that resolves
 fetches, sorts the graph and dispatches every kernel through the
-``FORWARD`` registry on every call.  It shares nothing with
-``repro.graph.executor`` -- no plan, no kernel specialization, no static
-edge table, no arena, no generated code -- so ``Session.run`` agreeing
-with it bit for bit (values, variable state, Transcript bytes) is
-evidence about the engine, not about shared helpers.
+registries on every call -- a pure op's one body as
+``DIRECT[op_type](op)(*inputs)``, any other op's ``FORWARD`` kernel.  It
+shares nothing with ``repro.graph.executor`` but those kernel tables --
+no plan, no kernel binding or specialization, no static edge table, no
+arena, no generated code -- so ``Session.run`` agreeing with it bit for
+bit (values, variable state, Transcript bytes) is evidence about the
+engine, not about shared helpers.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import numpy as np
 from repro.core.backend import InprocBackend
 from repro.core.runner import DistributedRunner
 from repro.core.transform.comm_ops import COLLECTIVE_OP_TYPES
+from repro.graph.executor import DIRECT
 from repro.graph.graph import Tensor
 from repro.graph.ops import FORWARD
 from repro.tensor.dense import as_array, nbytes_of
@@ -61,8 +64,9 @@ def interpret(session, fetches, feed_dict=None):
         if op.name in feeds:
             memo[op.name] = feeds[op.name]
             continue
+        builder = DIRECT.get(op.op_type)
         kernel = FORWARD.get(op.op_type)
-        if kernel is None:
+        if builder is None and kernel is None:
             raise NotImplementedError(
                 f"no kernel registered for op type {op.op_type!r} "
                 f"(op {op.name!r})")
@@ -70,7 +74,8 @@ def interpret(session, fetches, feed_dict=None):
         session._current_op = op
         if distributed:
             _record_edges(session, op, inputs)
-        memo[op.name] = kernel(op, inputs, session)
+        memo[op.name] = (builder(op)(*inputs) if builder is not None
+                         else kernel(op, inputs, session))
     session._current_op = None
     results = [memo[op.name] for op in targets]
     return results[0] if single else results

@@ -572,14 +572,14 @@ class TestTransportInvariance:
 # ======================================================================
 class TestWorkerFailureContext:
     def test_mid_step_failure_names_rank_position_and_op(self, monkeypatch):
-        from repro.graph import ops as graph_ops
+        from repro.graph.executor import DIRECT
 
-        def exploding_tanh(op, inputs, runtime):
+        def exploding_tanh(x):
             raise RuntimeError("injected kernel failure")
 
         # Patch before the runner forks its workers: the children inherit
         # the poisoned kernel table and die mid-execute on the first step.
-        monkeypatch.setitem(graph_ops.FORWARD, "tanh", exploding_tanh)
+        monkeypatch.setitem(DIRECT, "tanh", lambda op: exploding_tanh)
         model = make_model()
         runner = DistributedRunner(
             model, C2x1, hybrid_graph_plan(model.graph, fusion=True),
@@ -634,6 +634,24 @@ class TestLint:
         assert any("mutates its inputs" in f.message for f in findings)
         assert any("subscript store" in line
                    for f in findings for line in f.trace)
+
+    def test_mutating_arena_safe_direct_kernel_is_flagged(self, tmp_path):
+        bad = tmp_path / "bad_direct.py"
+        bad.write_text(
+            "@register_direct(\"add\")\n"
+            "def _add_direct(op):\n"
+            "    def add_direct(a, b):\n"
+            "        a[0] = 1.0\n"
+            "        return a + b\n"
+            "\n"
+            "    return add_direct\n"
+        )
+        findings = lint_paths([bad])
+        assert len(findings) == 1
+        assert "kernel for 'add' mutates its inputs" in findings[0].message
+        assert f"{bad}:3:" in findings[0].message  # the inner function
+        assert findings[0].trace == (
+            "line 4: subscript store into input alias 'a'",)
 
     def test_mutating_unlisted_kernel_is_allowed(self, tmp_path):
         ok = tmp_path / "custom_kernel.py"

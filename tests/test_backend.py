@@ -716,13 +716,13 @@ class TestWorkerValueLiveness:
 
     def test_failing_kernel_still_names_its_schedule_position(
             self, monkeypatch):
-        from repro.graph import ops as graph_ops
+        from repro.graph.executor import DIRECT
 
-        def exploding(op, inputs, runtime):
+        def exploding(*values):
             raise RuntimeError("injected kernel failure")
 
         runner = make_runner("hybrid")
-        monkeypatch.setitem(graph_ops.FORWARD, "softmax_xent", exploding)
+        monkeypatch.setitem(DIRECT, "softmax_xent", lambda op: exploding)
         pairs = rank_plans(runner, InMemoryTransport(runner.num_replicas))
         outcomes = run_ranks(runner, pairs)
         assert set(outcomes) == set(range(len(pairs)))

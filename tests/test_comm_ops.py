@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core.transform import comm_ops  # noqa: F401 (registers kernels)
+from repro.graph.executor import DIRECT
 from repro.graph.ops import FORWARD
 from repro.tensor.sparse import IndexedSlices
 
@@ -16,7 +17,12 @@ class FakeRuntime:
 
 
 def kernel(op_type):
-    return FORWARD[op_type]
+    """The op type's one body as ``kernel(op, inputs, runtime)``: a pure
+    op's DIRECT body -- what generated plans run -- or its FORWARD kernel."""
+    builder = DIRECT.get(op_type)
+    if builder is None:
+        return FORWARD[op_type]
+    return lambda op, inputs, runtime: builder(op)(*inputs)
 
 
 class FakeOp:

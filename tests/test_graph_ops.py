@@ -176,6 +176,21 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register_forward("matmul")(lambda op, i, r: None)
 
+    def test_every_op_type_has_one_body(self):
+        import repro.graph.executor as executor_mod
+        from repro.graph.executor import DIRECT, register_direct
+        from repro.graph.ops import FORWARD, register_forward
+
+        assert set(FORWARD) & set(DIRECT) == set()
+        assert not hasattr(executor_mod, "SPECIALIZE")
+        assert not hasattr(executor_mod, "register_specialization")
+        # Each registry refuses an op type the other one holds.
+        with pytest.raises(ValueError, match="'matmul'"):
+            register_forward("matmul")(lambda op, i, r: None)
+        with pytest.raises(ValueError, match="'read_var'"):
+            register_direct("read_var")(lambda op: None)
+        assert "matmul" not in FORWARD and "read_var" not in DIRECT
+
     def test_unknown_kernel_reported(self, graph):
         op = graph.add_op("no_such_kernel", [], TensorSpec(()))
         with pytest.raises(NotImplementedError, match="no_such_kernel"):

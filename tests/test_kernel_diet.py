@@ -16,7 +16,7 @@ from repro.core.runner import DistributedSession
 from repro.core.transform.plan import hybrid_graph_plan
 from repro.core.transform.transform import transform_graph
 from repro.graph import Graph, Session, gradients, ops
-from repro.graph.executor import DIRECT
+from repro.graph.executor import DIRECT, bind_kernel
 from repro.graph.variables import Variable
 from repro.nn import layers
 from repro.nn.models import build_lm
@@ -98,14 +98,17 @@ def test_sigmoid_takes_rank_zero_and_empty():
 # ----------------------------------------------------------------------
 # (b) grad_add: one body, in-place fold into a fresh copy
 # ----------------------------------------------------------------------
-_GRAD_ADD = types.SimpleNamespace(name="grad_add/x")
+_GRAD_ADD = types.SimpleNamespace(name="grad_add/x", op_type="grad_add")
 
 
-def grad_add_twins(values):
-    """The FORWARD and DIRECT kernels' results for *values*."""
-    forward = ops.FORWARD["grad_add"](_GRAD_ADD, list(values), None)
-    direct = DIRECT["grad_add"](_GRAD_ADD)(*values)
-    return forward, direct
+def grad_add_paths(values):
+    """grad_add's one body on *values*, as the loop calls it (through
+    ``bind_kernel``) and as generated code calls it (positionally)."""
+    kernel, specialized = bind_kernel(_GRAD_ADD)
+    assert not specialized
+    loop = kernel(_GRAD_ADD, list(values), None)
+    generated = DIRECT["grad_add"](_GRAD_ADD)(*values)
+    return loop, generated
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,7 +119,7 @@ def test_grad_add_is_the_oracle_fold_and_writes_no_input(n, rows, seed):
               .astype(np.float32) for _ in range(n)]
     before = [v.copy() for v in values]
     expected = oracle_grad_add(values)
-    for got in grad_add_twins(values):
+    for got in grad_add_paths(values):
         assert_same_bits(got, expected)
         assert not any(np.shares_memory(got, v) for v in values)
     for v, b in zip(values, before):
@@ -134,7 +137,7 @@ def test_grad_add_mixed_dtype_shape_and_scalars_take_the_allocating_path():
     ]
     for values in cases:
         expected = oracle_grad_add(values)
-        for got in grad_add_twins(values):
+        for got in grad_add_paths(values):
             assert type(got) is type(expected)
             assert_same_bits(np.asarray(got), np.asarray(expected))
     assert_same_bits(a, np.arange(12, dtype=np.float32).reshape(3, 4))
@@ -143,16 +146,15 @@ def test_grad_add_mixed_dtype_shape_and_scalars_take_the_allocating_path():
 def test_grad_add_sparse_concatenates_and_mixed_raises():
     s1 = IndexedSlices(np.ones((2, 3), np.float32), np.array([0, 4]), (6, 3))
     s2 = IndexedSlices(np.full((1, 3), 2, np.float32), np.array([4]), (6, 3))
-    for got in grad_add_twins([s1, s2]):
+    for got in grad_add_paths([s1, s2]):
         assert isinstance(got, IndexedSlices)
         np.testing.assert_array_equal(got.indices, [0, 4, 4])
         np.testing.assert_array_equal(got.to_dense(),
                                       s1.to_dense() + s2.to_dense())
     dense = np.zeros((6, 3), np.float32)
-    for call in (lambda: ops.FORWARD["grad_add"](_GRAD_ADD, [dense, s1], None),
-                 lambda: DIRECT["grad_add"](_GRAD_ADD)(s1, dense)):
+    for values in ([dense, s1], [s1, dense]):
         with pytest.raises(TypeError, match="mixes dense and sparse"):
-            call()
+            DIRECT["grad_add"](_GRAD_ADD)(*values)
 
 
 def test_grad_add_twins_share_one_body(monkeypatch):
@@ -161,7 +163,7 @@ def test_grad_add_twins_share_one_body(monkeypatch):
     monkeypatch.setattr(importlib.import_module("repro.graph.gradients"),
                         "_sum_gradients",
                         lambda name, values: calls.append((name, len(values))))
-    grad_add_twins([np.zeros(2), np.ones(2)])
+    grad_add_paths([np.zeros(2), np.ones(2)])
     assert calls == [("grad_add/x", 2), ("grad_add/x", 2)]
 
 

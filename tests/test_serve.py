@@ -368,9 +368,9 @@ class TestMakeServer:
             server.close()
 
     def test_config_rejects_bad_serving_knobs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^max_batch must be >= 1$"):
             ServeConfig(max_batch=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^max_delay_ms must be >= 0$"):
             ServeConfig(max_delay_ms=-1.0)
 
 
