@@ -15,23 +15,10 @@ from typing import Iterable, Sequence
 
 import pytest
 
-from repro.baselines import horovod_plan, opt_ps_plan, tf_ps_plan
+# The paper's plan table is defined once, in the CLI that prints it.
+from repro.cli import PAPER_PARTITIONS, plan_for  # noqa: F401
 from repro.cluster.spec import PAPER_CLUSTER
-from repro.core.hybrid import hybrid_plan
 from repro.nn.profiles import PAPER_PROFILES
-
-# Partition counts the paper uses for the sparse models at 48 GPUs.
-PAPER_PARTITIONS = {"lm": 128, "nmt": 64}
-
-
-def plan_for(kind: str, profile, partitions: int = 1):
-    builders = {
-        "tf_ps": lambda: tf_ps_plan(profile, partitions),
-        "horovod": lambda: horovod_plan(profile),
-        "opt_ps": lambda: opt_ps_plan(profile, partitions),
-        "parallax": lambda: hybrid_plan(profile, partitions),
-    }
-    return builders[kind]()
 
 
 def print_table(title: str, header: Sequence[str],

@@ -35,10 +35,13 @@ from repro.nn.profiles import (
     constructed_lm_profile,
 )
 
-PARTITIONS = {"lm": 128, "nmt": 64}
+# Partition counts the paper uses for the sparse models at 48 GPUs.
+PAPER_PARTITIONS = {"lm": 128, "nmt": 64}
 
 
-def _plan(kind: str, profile, partitions: int):
+def plan_for(kind: str, profile, partitions: int = 1):
+    """The performance-plane plan of one evaluated architecture -- the
+    one table the CLI and the ``benchmarks/`` shape assertions share."""
     return {
         "tf_ps": lambda: tf_ps_plan(profile, partitions),
         "horovod": lambda: horovod_plan(profile),
@@ -57,9 +60,9 @@ def table1(cluster: ClusterSpec) -> None:
     print(f"{'model':<14}{'dense':>9}{'sparse':>9}{'alpha':>7}"
           f"{'PS':>10}{'AR':>10}")
     for name, profile in PAPER_PROFILES().items():
-        p = PARTITIONS.get(name, 1)
-        ps = throughput(profile, _plan("tf_ps", profile, p), cluster)
-        ar = throughput(profile, _plan("horovod", profile, p), cluster)
+        p = PAPER_PARTITIONS.get(name, 1)
+        ps = throughput(profile, plan_for("tf_ps", profile, p), cluster)
+        ar = throughput(profile, plan_for("horovod", profile, p), cluster)
         print(f"{name:<14}{profile.dense_elements / 1e6:>8.1f}M"
               f"{profile.sparse_elements / 1e6:>8.1f}M"
               f"{profile.alpha_model:>7.2f}{_fmt(ps):>10}{_fmt(ar):>10}")
@@ -72,7 +75,7 @@ def table2(cluster: ClusterSpec) -> None:
     for name in ("lm", "nmt"):
         profile = PAPER_PROFILES()[name]
         row = [
-            _fmt(throughput(profile, _plan("tf_ps", profile, p), cluster))
+            _fmt(throughput(profile, plan_for("tf_ps", profile, p), cluster))
             for p in partitions
         ]
         print(f"{name:<8}" + "".join(f"{v:<11}" for v in row))
@@ -85,9 +88,9 @@ def table4(cluster: ClusterSpec) -> None:
     print(f"{'model':<8}" + "".join(f"{label:<12}" for label in labels))
     for name in ("lm", "nmt"):
         profile = PAPER_PROFILES()[name]
-        p = PARTITIONS[name]
+        p = PAPER_PARTITIONS[name]
         row = [
-            _fmt(throughput(profile, _plan(a, profile, p), cluster))
+            _fmt(throughput(profile, plan_for(a, profile, p), cluster))
             for a in archs
         ]
         print(f"{name:<8}" + "".join(f"{v:<12}" for v in row))
@@ -99,8 +102,8 @@ def table6(cluster: ClusterSpec) -> None:
           f"{'speedup':>9}")
     for length in sorted(TABLE6_ALPHA, reverse=True):
         profile = constructed_lm_profile(length)
-        px = throughput(profile, _plan("parallax", profile, 64), cluster)
-        ps = throughput(profile, _plan("tf_ps", profile, 64), cluster)
+        px = throughput(profile, plan_for("parallax", profile, 64), cluster)
+        ps = throughput(profile, plan_for("tf_ps", profile, 64), cluster)
         print(f"{length:>7}{TABLE6_ALPHA[length]:>7.2f}{_fmt(px):>12}"
               f"{_fmt(ps):>12}{px / ps:>8.2f}x")
 
@@ -109,11 +112,11 @@ def fig8(cluster: ClusterSpec) -> None:
     print(f"\nFigure 8 — throughput vs machines (1/2/4/8, "
           f"{cluster.gpus_per_machine} GPUs each)")
     for name, profile in PAPER_PROFILES().items():
-        p = PARTITIONS.get(name, 1)
+        p = PAPER_PARTITIONS.get(name, 1)
         for arch in ("tf_ps", "horovod", "parallax"):
             values = [
                 _fmt(throughput(
-                    profile, _plan(arch, profile, p),
+                    profile, plan_for(arch, profile, p),
                     ClusterSpec(n, cluster.gpus_per_machine)))
                 for n in (1, 2, 4, 8)
             ]
@@ -127,10 +130,10 @@ def fig9(cluster: ClusterSpec) -> None:
     for machines in (1, 2, 4, 8):
         row = [machines * cluster.gpus_per_machine]
         for name, profile in profiles.items():
-            p = PARTITIONS.get(name, 1)
-            base = throughput(profile, _plan("parallax", profile, p),
+            p = PAPER_PARTITIONS.get(name, 1)
+            base = throughput(profile, plan_for("parallax", profile, p),
                               ClusterSpec(1, 1))
-            t = throughput(profile, _plan("parallax", profile, p),
+            t = throughput(profile, plan_for("parallax", profile, p),
                            ClusterSpec(machines, cluster.gpus_per_machine))
             row.append(f"{t / base:.1f}x")
         print(f"{row[0]:<6}" + "".join(f"{v:<14}" for v in row[1:]))

@@ -168,16 +168,3 @@ def simulate_flows(
             active = still_active
         total += elapsed
     return total
-
-
-def flows_from_matrix(
-    matrix: Mapping[Tuple[int, int], float],
-    tag: str = "",
-    stage: int = 0,
-) -> List[Flow]:
-    """Build one flow per (src, dst) pair from an aggregated byte matrix."""
-    return [
-        Flow(src, dst, nbytes, tag=tag, stage=stage)
-        for (src, dst), nbytes in sorted(matrix.items())
-        if nbytes > 0
-    ]

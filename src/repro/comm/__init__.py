@@ -1,4 +1,4 @@
-"""Communication substrate: collectives, PS runtime, byte accounting.
+"""Communication substrate: collectives, PS placement, byte accounting.
 
 Every primitive both *moves data* (numpy arrays / IndexedSlices between
 logical workers) and *records transfers* into a :class:`Transcript`, so the
@@ -16,13 +16,9 @@ from repro.comm.transport import (
     make_transport,
     transport_registry,
 )
-from repro.comm.allreduce import ring_allreduce, ring_allreduce_mean
+from repro.comm.allreduce import ring_allreduce
 from repro.comm.allgatherv import ring_allgatherv
-from repro.comm.ps import (
-    DenseAccumulator,
-    SparseAccumulator,
-    place_variables,
-)
+from repro.comm.ps import place_variables
 
 __all__ = [
     "Note",
@@ -37,9 +33,6 @@ __all__ = [
     "make_transport",
     "transport_registry",
     "ring_allreduce",
-    "ring_allreduce_mean",
     "ring_allgatherv",
-    "DenseAccumulator",
-    "SparseAccumulator",
     "place_variables",
 ]

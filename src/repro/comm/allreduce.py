@@ -158,15 +158,3 @@ def ring_allreduce(
                         stage=stage_offset + phase * (n - 1) + step)
 
     return [out.reshape(shape)] * n
-
-
-def ring_allreduce_mean(
-    arrays: Sequence[np.ndarray],
-    machines: Optional[Sequence[int]] = None,
-    transcript: Optional[Transcript] = None,
-    tag: str = "allreduce",
-    stage_offset: int = 0,
-) -> List[np.ndarray]:
-    """Ring AllReduce followed by division by the worker count."""
-    return ring_allreduce(arrays, machines, transcript, tag, stage_offset,
-                          average=True)

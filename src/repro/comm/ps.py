@@ -1,110 +1,20 @@
-"""Parameter-server runtime pieces: accumulators and variable placement.
+"""Parameter-server placement and re-sharding.
 
-TensorFlow's synchronous PS training aggregates gradients in *conditional
-accumulators* on the servers: each worker pushes its gradient, and once
-``num_required`` gradients have arrived, the chief worker takes the
-aggregate and applies the update (paper section 5, "we first place
-accumulators on servers ... each accumulator handles gradients of a single
-sparse variable").  These classes implement that protocol in-process.
+:func:`place_variables` spreads PS variables evenly across the server
+machines (paper section 4.3); :func:`split_rows` and
+:func:`merge_shards` cut a partitioned variable into row-range shards
+and join them back bit-for-bit, which is how the elastic runtime
+re-shards state when a rescale changes the partition count.  Gradient
+aggregation on the servers -- the role TensorFlow's conditional
+accumulators play -- is the ``local_agg``/``global_agg`` kernels the
+graph transformation inserts (``repro.core.transform.comm_ops``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-from repro.tensor.sparse import IndexedSlices, concat_slices
-
-
-class DenseAccumulator:
-    """Sums dense gradients from ``num_required`` workers."""
-
-    def __init__(self, num_required: int, average: bool = False):
-        if num_required < 1:
-            raise ValueError("num_required must be >= 1")
-        self.num_required = num_required
-        self.average = average
-        self._sum: Optional[np.ndarray] = None
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def ready(self) -> bool:
-        return self._count >= self.num_required
-
-    def apply_grad(self, grad: np.ndarray) -> None:
-        grad = np.asarray(grad)
-        if self._sum is None:
-            self._sum = grad.astype(np.float32, copy=True)
-        else:
-            if grad.shape != self._sum.shape:
-                raise ValueError(
-                    f"gradient shape {grad.shape} != accumulator shape "
-                    f"{self._sum.shape}"
-                )
-            self._sum = self._sum + grad
-        self._count += 1
-
-    def take(self) -> np.ndarray:
-        """Return the aggregate and reset (the chief's take_grad)."""
-        if not self.ready:
-            raise RuntimeError(
-                f"accumulator has {self._count}/{self.num_required} gradients"
-            )
-        result = self._sum
-        if self.average:
-            result = result / np.float32(self._count)
-        self._sum = None
-        self._count = 0
-        return result
-
-
-class SparseAccumulator:
-    """Aggregates IndexedSlices gradients from ``num_required`` workers.
-
-    ``take`` concatenates all contributions and sums duplicate indices --
-    the per-element aggregation work that sparse-variable partitioning
-    parallelizes (paper section 3.2).
-    """
-
-    def __init__(self, num_required: int, average: bool = False):
-        if num_required < 1:
-            raise ValueError("num_required must be >= 1")
-        self.num_required = num_required
-        self.average = average
-        self._grads: List[IndexedSlices] = []
-
-    @property
-    def count(self) -> int:
-        return len(self._grads)
-
-    @property
-    def ready(self) -> bool:
-        return len(self._grads) >= self.num_required
-
-    def apply_grad(self, grad: IndexedSlices) -> None:
-        if not isinstance(grad, IndexedSlices):
-            raise TypeError(
-                f"SparseAccumulator expects IndexedSlices, got {type(grad)}"
-            )
-        if self._grads and grad.dense_shape != self._grads[0].dense_shape:
-            raise ValueError("all gradients must share dense_shape")
-        self._grads.append(grad.copy())
-
-    def take(self) -> IndexedSlices:
-        if not self.ready:
-            raise RuntimeError(
-                f"accumulator has {self.count}/{self.num_required} gradients"
-            )
-        combined = concat_slices(self._grads).combine()
-        if self.average:
-            combined = combined.scale(1.0 / len(self._grads))
-        self._grads = []
-        return combined
 
 
 def merge_shards(shards: Sequence[np.ndarray]) -> np.ndarray:

@@ -276,22 +276,18 @@ def _build_distributed(
             fault_plan=cfg.elastic.fault_plan,
             seed=cfg.seed,
             backend=backend,
-            plan_cache_size=cfg.plan_cache_size,
             verify_plans=True if cfg.verify_plans else None,
         )
     else:
         runner = DistributedRunner(
             final_model, cluster, plan,
             seed=cfg.seed, backend=backend,
-            plan_cache_size=cfg.plan_cache_size,
             verify_plans=True if cfg.verify_plans else None)
     runner.partition_search = search_result
     runner.config = cfg
     runner.measured_alphas = alphas
     runner.plan_overrides_for = overrides_for
     runner.emulate_nic_bw = cfg.elastic.emulate_nic_bw
-    if cfg.save_path:
-        runner.default_save_path = cfg.save_path
     return runner
 
 
@@ -451,5 +447,4 @@ def make_server(model, config: Optional[ParallaxConfig] = None, *,
         max_batch=cfg.serve.max_batch,
         max_delay_ms=cfg.serve.max_delay_ms,
         router=router,
-        plan_cache_size=cfg.plan_cache_size,
     )

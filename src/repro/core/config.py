@@ -1,6 +1,6 @@
 """Grouped configuration for the public Parallax API.
 
-``ParallaxConfig`` keeps the search/placement knobs top-level and groups
+``ParallaxConfig`` keeps the architecture/search knobs top-level and groups
 everything plane-specific into sub-configs that mirror the planes of the
 system:
 
@@ -240,8 +240,8 @@ _GROUP_TYPES = {
 class ParallaxConfig:
     """Optional knobs of ``get_runner`` (paper section 4.1), grouped.
 
-    Search/placement knobs stay top-level; everything plane-specific
-    lives in a sub-config:
+    Architecture and search knobs stay top-level; everything
+    plane-specific lives in a sub-config:
 
     * ``comm`` -- :class:`CommConfig` (fusion, compression, backend,
       transport).
@@ -253,11 +253,11 @@ class ParallaxConfig:
     Top-level attributes:
         architecture: "hybrid" (Parallax), "ps", "opt_ps", or "ar" --
             mostly for ablations; the paper's Parallax is "hybrid".
-        local_aggregation: aggregate gradients per machine before pushing.
-        smart_placement: colocate aggregation/update ops with their
-            variable's server.
-        average_dense / average_sparse: aggregation method per variable
-            type (mean when True, sum when False).
+            Section 4.1's other optimizations are fixed: "hybrid" always
+            aggregates locally and places aggregation/update ops on the
+            variable's server ("ps" and "opt_ps" are the ablations
+            without and with both), and every architecture averages
+            gradients.
         search_partitions: run the Equation-1 partition search.
         sample_iterations / sample_warmup: iterations measured (after
             discarding warmup) per sampled partition count.
@@ -267,28 +267,19 @@ class ParallaxConfig:
             (section 3.1's near-1 refinement).  Set > 1 to disable.
         alpha_measure_batches: batches used to measure per-variable alpha
             (0 disables measurement and the threshold rule).
-        plan_cache_size: LRU cap on compiled plans per session.
         verify_plans: run the static plan verifier on the transformed
             graph and refuse to train on a plan with a finding.
-        save_path: if set, ``runner.save()`` writes variables here by
-            default.
         seed: variable-initialization seed.
     """
 
     architecture: str = "hybrid"
-    local_aggregation: bool = True
-    smart_placement: bool = True
-    average_dense: bool = True
-    average_sparse: bool = True
     search_partitions: bool = True
     sample_iterations: int = 2
     sample_warmup: int = 1
     max_partitions: int = 512
     sparse_as_dense_threshold: float = 0.95
     alpha_measure_batches: int = 2
-    plan_cache_size: int = 32
     verify_plans: bool = False
-    save_path: Optional[str] = None
     seed: int = 0
     comm: CommConfig = field(default_factory=CommConfig)
     elastic: ElasticConfig = field(default_factory=ElasticConfig)
@@ -315,8 +306,6 @@ class ParallaxConfig:
             raise ValueError("max_partitions must be >= 1")
         if self.alpha_measure_batches < 0:
             raise ValueError("alpha_measure_batches must be >= 0")
-        if self.plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be >= 1")
         # Cross-group checks: each sub-config validates itself on
         # construction, but these couple a sub-config to a top-level
         # field or to another group.
@@ -360,10 +349,6 @@ def graph_plan_builder(
             overrides = overrides_for(graph) if overrides_for else {}
             return hybrid_graph_plan(
                 graph,
-                local_aggregation=config.local_aggregation,
-                smart_placement=config.smart_placement,
-                average_dense=config.average_dense,
-                average_sparse=config.average_sparse,
                 sparse_as_dense=overrides,
                 fusion=comm.fusion,
                 fusion_buffer_mb=comm.fusion_buffer_mb,
@@ -372,18 +357,11 @@ def graph_plan_builder(
             )
         if config.architecture == "ps":
             return ps_graph_plan(graph, local_aggregation=False,
-                                 smart_placement=False,
-                                 average_dense=config.average_dense,
-                                 average_sparse=config.average_sparse)
+                                 smart_placement=False)
         if config.architecture == "opt_ps":
             return ps_graph_plan(graph, local_aggregation=True,
-                                 smart_placement=True,
-                                 average_dense=config.average_dense,
-                                 average_sparse=config.average_sparse,
-                                 name="opt_ps")
-        return ar_graph_plan(graph, average_dense=config.average_dense,
-                             average_sparse=config.average_sparse,
-                             fusion=comm.fusion,
+                                 smart_placement=True, name="opt_ps")
+        return ar_graph_plan(graph, fusion=comm.fusion,
                              fusion_buffer_mb=comm.fusion_buffer_mb,
                              compression=comm.compression,
                              compression_ratio=comm.compression_ratio)

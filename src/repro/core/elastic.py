@@ -237,7 +237,6 @@ class ElasticRunner(DistributedRunner):
         seed: int = 0,
         transcript: Optional[Transcript] = None,
         backend: str = "inproc",
-        plan_cache_size: int = 32,
         verify_plans: Optional[bool] = None,
     ):
         if checkpoint_every < 1:
@@ -249,8 +248,7 @@ class ElasticRunner(DistributedRunner):
             )
         super().__init__(model, cluster, plan, seed=seed,
                          transcript=transcript, fault_plan=fault_plan,
-                         backend=backend, plan_cache_size=plan_cache_size,
-                         verify_plans=verify_plans)
+                         backend=backend, verify_plans=verify_plans)
         self.model_builder = model_builder
         self.plan_builder = plan_builder
         self.checkpoint_every = checkpoint_every
@@ -403,7 +401,6 @@ class ElasticRunner(DistributedRunner):
                                        transcript=transcript,
                                        fault_plan=self.fault_plan,
                                        backend=old_guts["backend"].fresh(),
-                                       plan_cache_size=self.plan_cache_size,
                                        verify_plans=self.verify_plans)
             state = _reconcile_residual_state(
                 state, self.transformed.logical_variable_names,

@@ -77,8 +77,7 @@ class DistributedSession(Session):
     """Executes a transformed graph across logical machines and GPUs."""
 
     def __init__(self, transformed: TransformedGraph, seed: int = 0,
-                 transcript: Optional[Transcript] = None,
-                 plan_cache_size: int = 32):
+                 transcript: Optional[Transcript] = None):
         self.transformed = transformed
         self.cluster = transformed.cluster
         self.transcript = transcript if transcript is not None else Transcript()
@@ -94,8 +93,7 @@ class DistributedSession(Session):
             for r in range(transformed.num_replicas)
         ]
         self._seen_edges: set = set()
-        super().__init__(transformed.graph, seed=seed, store=self.ps_store,
-                         plan_cache_size=plan_cache_size)
+        super().__init__(transformed.graph, seed=seed, store=self.ps_store)
 
     # -- variable routing --------------------------------------------------
     def _store_for(self, op: Optional[Operation]) -> VariableStore:
@@ -195,7 +193,6 @@ class DistributedRunner:
         transcript: Optional[Transcript] = None,
         fault_plan: Optional[FaultPlan] = None,
         backend: str = "inproc",
-        plan_cache_size: int = 32,
         verify_plans: Optional[bool] = None,
     ):
         self.model = model
@@ -205,7 +202,6 @@ class DistributedRunner:
         self.fault_plan = fault_plan
         self.backend = make_backend(backend)
         self.backend_name = self.backend.name
-        self.plan_cache_size = plan_cache_size
         self.verify_plans = verify_plans
         # Events fire once each; the set survives a rescale's re-__init__
         # so a replayed iteration does not re-kill the same worker.
@@ -213,8 +209,7 @@ class DistributedRunner:
         self.transformed = transform_graph(model.graph, model.loss, cluster,
                                            plan, verify=verify_plans)
         self.session = DistributedSession(self.transformed, seed=seed,
-                                          transcript=transcript,
-                                          plan_cache_size=plan_cache_size)
+                                          transcript=transcript)
         n = self.transformed.num_replicas
         self.shards = [model.dataset.shard(n, r) for r in range(n)]
         # Placeholder routing is static: replica r's k-th dataset array
@@ -374,7 +369,6 @@ class DistributedRunner:
     # Filled in by get_runner when it drives this runner.
     partition_search = None
     config = None
-    default_save_path: Optional[str] = None
     # Bytes/second for functional NIC-degradation emulation (None = off);
     # an instance attribute survives elastic re-init like _faults_fired.
     emulate_nic_bw: Optional[float] = None
@@ -411,13 +405,10 @@ class DistributedRunner:
                 state[base] = values[name]
         return state
 
-    def save(self, path: Optional[str] = None) -> str:
+    def save(self, path: str) -> str:
         """Write all logical variable values to an ``.npz`` checkpoint."""
-        target = path or self.default_save_path
-        if not target:
-            raise ValueError("no checkpoint path given or configured")
-        np.savez(target, **self.logical_state())
-        return target if target.endswith(".npz") else target + ".npz"
+        np.savez(path, **self.logical_state())
+        return path if path.endswith(".npz") else path + ".npz"
 
     def restore(self, path: str, strict: bool = True) -> None:
         """Load a checkpoint into every store (servers and all replicas).

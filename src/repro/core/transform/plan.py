@@ -36,18 +36,16 @@ def classify_variables(graph: Graph) -> Dict[str, bool]:
 class GraphSyncPlan:
     """Synchronization decisions for the variables of one graph.
 
-    ``average_dense`` / ``average_sparse`` mirror ParallaxConfig's
-    per-type aggregation methods (paper section 4.1: "aggregation methods
-    for each type of variable indicating whether to compute the average
-    ... or to compute the sum instead").
+    Section 4.1's per-type aggregation method ("whether to compute the
+    average ... or to compute the sum instead") is fixed to the average,
+    the method every workload uses: every PS aggregation and collective
+    divides by the worker count.
     """
 
     name: str
     methods: Dict[str, SyncMethod]
     local_aggregation: bool = True
     smart_placement: bool = True
-    average_dense: bool = True
-    average_sparse: bool = True
     # Asynchronous PS training (paper section 2.1: "Parallax supports both
     # synchronous and asynchronous training").  Each worker applies its own
     # gradients to the servers without waiting for the others; only valid
@@ -92,9 +90,6 @@ class GraphSyncPlan:
                     f"variable; offending: {offenders[:3]}"
                 )
 
-    def average_for(self, is_sparse: bool) -> bool:
-        return self.average_sparse if is_sparse else self.average_dense
-
     def method_of(self, var_name: str) -> SyncMethod:
         try:
             return self.methods[var_name]
@@ -119,8 +114,6 @@ class GraphSyncPlan:
 
 def hybrid_graph_plan(graph: Graph, local_aggregation: bool = True,
                       smart_placement: bool = True,
-                      average_dense: bool = True,
-                      average_sparse: bool = True,
                       sparse_as_dense: Dict[str, bool] = None,
                       fusion: bool = False,
                       fusion_buffer_mb: float = 4.0,
@@ -143,28 +136,24 @@ def hybrid_graph_plan(graph: Graph, local_aggregation: bool = True,
         else:
             methods[name] = SyncMethod.ALLREDUCE
     return GraphSyncPlan("parallax", methods, local_aggregation,
-                         smart_placement, average_dense, average_sparse,
-                         fusion=fusion, fusion_buffer_mb=fusion_buffer_mb,
+                         smart_placement, fusion=fusion,
+                         fusion_buffer_mb=fusion_buffer_mb,
                          compression=compression,
                          compression_ratio=compression_ratio)
 
 
 def ps_graph_plan(graph: Graph, local_aggregation: bool = False,
                   smart_placement: bool = False,
-                  average_dense: bool = True,
-                  average_sparse: bool = True,
                   asynchronous: bool = False,
                   name: str = "ps") -> GraphSyncPlan:
     """Everything on parameter servers (TF-PS when both flags are off,
     OptPS when both are on; ``asynchronous=True`` for async SGD)."""
     methods = {name_: SyncMethod.PS for name_ in classify_variables(graph)}
     return GraphSyncPlan(name, methods, local_aggregation, smart_placement,
-                         average_dense, average_sparse, asynchronous)
+                         asynchronous)
 
 
-def ar_graph_plan(graph: Graph, average_dense: bool = True,
-                  average_sparse: bool = True,
-                  fusion: bool = False,
+def ar_graph_plan(graph: Graph, fusion: bool = False,
                   fusion_buffer_mb: float = 4.0,
                   compression: Optional[str] = None,
                   compression_ratio: float = 0.1) -> GraphSyncPlan:
@@ -174,8 +163,7 @@ def ar_graph_plan(graph: Graph, average_dense: bool = True,
         for name, sparse in classify_variables(graph).items()
     }
     return GraphSyncPlan("horovod", methods, local_aggregation=False,
-                         smart_placement=False, average_dense=average_dense,
-                         average_sparse=average_sparse, fusion=fusion,
+                         smart_placement=False, fusion=fusion,
                          fusion_buffer_mb=fusion_buffer_mb,
                          compression=compression,
                          compression_ratio=compression_ratio)

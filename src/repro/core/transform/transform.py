@@ -530,7 +530,7 @@ def _build_ps_update(
         name=f"global_agg/{var.name}",
         attrs={
             "is_sparse": sparse,
-            "average": plan.average_for(sparse),
+            "average": True,
             "num_workers": num_workers,
         },
         device=DeviceSpec.cpu(agg_machine),
@@ -616,7 +616,6 @@ def _build_fused_collective_updates(
     from repro.comm.allreduce import fused_chunk_bounds
 
     num_replicas = len(builders)
-    average = plan.average_for(False)
     sizes = [
         int(np.prod(builders[0].replica_vars[name].shape))
         for name in var_names
@@ -682,7 +681,7 @@ def _build_fused_collective_updates(
                     "group": group,
                     "replica": r,
                     "machines": machines,
-                    "average": average,
+                    "average": True,
                     "is_sparse": False,
                     "segments": list(zip(names, seg_sizes)),
                     **layout_attrs,
@@ -749,7 +748,7 @@ def _build_collective_updates(
                 "group": var_name,
                 "replica": r,
                 "machines": machines,
-                "average": plan.average_for(sparse),
+                "average": True,
                 "is_sparse": sparse,
             },
             device=builders[r].device,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 import zlib
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -101,13 +100,16 @@ class Session:
 
     A custom ``store`` may be injected so several sessions share state, or
     so a distributed runtime routes variable reads elsewhere.
+
+    Compiled plans are kept per signature for the session's lifetime.
+    The set is small by construction: a training session compiles one
+    step plan (one per replica when asynchronous), and a serving engine
+    one per request batch size; a rescale or a partition-search sample
+    builds a fresh session.
     """
 
     def __init__(self, graph: Graph, seed: int = 0,
-                 store: Optional[VariableStore] = None,
-                 plan_cache_size: int = 32):
-        if plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be >= 1")
+                 store: Optional[VariableStore] = None):
         self.graph = graph
         self.store = store if store is not None else VariableStore(graph, seed)
         # Scratch space cleared at the start of each run; kernels (e.g. the
@@ -115,15 +117,7 @@ class Session:
         self.run_cache: Dict[str, dict] = {}
         # Compile-once/execute-many: plans keyed by the fetch-name
         # signature, each validated against the graph version on reuse.
-        # The cache is a size-capped LRU: long elastic runs touch many
-        # distinct fetch signatures (probes, searches, inspection reads)
-        # and would otherwise grow a plan per signature forever.  Evicted
-        # plans just recompile on next use; ``plan_evictions`` counts how
-        # often that happened.
-        self.plan_cache_size = plan_cache_size
-        self.plan_evictions = 0
-        self._plans: "OrderedDict[Tuple[str, ...], CompiledPlan]" = \
-            OrderedDict()
+        self._plans: Dict[Tuple[str, ...], CompiledPlan] = {}
 
     # -- variable access used by kernels --------------------------------
     def read_variable(self, name: str) -> np.ndarray:
@@ -153,26 +147,17 @@ class Session:
         return self._plan_for([self._resolve(f) for f in fetch_list])
 
     def cache_plan(self, key: Tuple[str, ...], build) -> CompiledPlan:
-        """Fetch-or-build a compiled plan through the session's LRU.
+        """Fetch-or-build the session's compiled plan for *key*.
 
         *key* is any hashable signature: ``_plan_for`` uses the fetch-name
         tuple, and the serving plane appends the request batch size so
         each batch size warms its own straight-line replay state.  A hit
         is revalidated against the graph version and rebuilt through
-        *build* when stale; inserts evict least-recently-used plans past
-        ``plan_cache_size``.
+        *build* when stale.
         """
         plan = self._plans.get(key)
-        if plan is not None:
-            self._plans.move_to_end(key)
-            if plan.version == self.graph.version:
-                return plan
-        plan = build()
-        self._plans[key] = plan
-        self._plans.move_to_end(key)
-        while len(self._plans) > self.plan_cache_size:
-            self._plans.popitem(last=False)
-            self.plan_evictions += 1
+        if plan is None or plan.version != self.graph.version:
+            plan = self._plans[key] = build()
         return plan
 
     def _plan_for(self, targets: List[Operation]) -> CompiledPlan:

@@ -4,6 +4,14 @@ Layers are plain functions that create variables and wire ops; there is no
 layer object state beyond the variables registered in the graph, which
 keeps the single-GPU graph fully introspectable -- the property Parallax's
 transformation depends on.
+
+Why convolution is a proxy.  The dense image models (ResNet-50,
+Inception-v3) matter to the paper only through their *variable
+inventory* and FLOP cost; the distributed machinery never looks inside a
+conv kernel.  :func:`conv_block` therefore implements convolution as a
+patch-matmul over a channel-flattened input: it has real weights, real
+gradients, and the right asymptotic cost, while keeping the runnable
+models fast enough for tests.
 """
 
 from __future__ import annotations
@@ -42,8 +50,8 @@ def conv_block(x: Tensor, features_out: int, name: str,
                activation: Optional[str] = "relu") -> Tensor:
     """Convolution proxy: a dense projection standing in for a conv layer.
 
-    See ``repro.tensor.math.conv_proxy`` for why this is a faithful
-    substitution at the level the paper's experiments observe.
+    The module docstring says why this is a faithful substitution at the
+    level the paper's experiments observe.
     """
     in_dim = x.spec.shape[-1]
     w = get_variable(f"{name}/conv_kernel", (in_dim, features_out),

@@ -25,22 +25,16 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.transform.comm_ops import COLLECTIVE_OP_TYPES
 from repro.graph.executor import CompiledPlan
 from repro.graph.graph import Graph, Operation, Tensor
 from repro.graph.session import Session, variable_rng
 from repro.serve.shard import RemoteShard, ShardRouter, routed_gather_kernel
 
-# Collective op types, mirroring the runner/backend registries the
-# accounting analysis keeps congruent.
-_COLLECTIVE_TYPES = frozenset({
-    "allreduce", "fused_allreduce", "allgatherv",
-    "compressed_allreduce", "compressed_allgatherv",
-})
-
 # Op types that only ever appear in training schedules.  Optimizer
 # kernels are caught through their ``is_update`` attr rather than by
 # type, so new update ops stay covered without touching this set.
-_TRAINING_ONLY = _COLLECTIVE_TYPES | frozenset({
+_TRAINING_ONLY = COLLECTIVE_OP_TYPES | frozenset({
     "vjp", "grad_compress", "local_agg", "global_agg", "group",
     "assign", "assign_sub", "scatter_sub",
 })
@@ -127,10 +121,14 @@ class InferenceEngine:
     """Compile-once forward replay over frozen weights.
 
     Fetches resolve once at construction; each request batch size gets
-    its own plan through the session LRU (key = fetch names + batch
-    size), so the native batch size replays generated straight-line code
-    with a warm arena while occasional odd-size batches neither evict
-    nor perturb that steady state.  With a :class:`ShardRouter`, reads
+    its own plan, compiled once and kept by the session (key = fetch
+    names + batch size), so every batch size replays generated
+    straight-line code with a warm arena and odd-size batches never
+    perturb the native one.  A server with ``max_batch`` B holds at most
+    B + 1 plans: one per size in 1..B, plus the native-size plan
+    compiled at construction when the native batch exceeds B (a plan's
+    arena is only allocated at its second run, so an idle one holds no
+    buffers).  With a :class:`ShardRouter`, reads
     of router-owned shards compile to remote tokens and ``part_gather``
     to a routed kernel that fetches shard-local row sets from their
     owning workers.
@@ -138,14 +136,12 @@ class InferenceEngine:
 
     def __init__(self, graph: Graph, fetches: Sequence[Fetch],
                  weights: Union[FrozenWeights, Mapping[str, np.ndarray]],
-                 *, router: Optional[ShardRouter] = None,
-                 plan_cache_size: int = 8):
+                 *, router: Optional[ShardRouter] = None):
         self.graph = graph
         self.router = router
         self.weights = (weights if isinstance(weights, FrozenWeights)
                         else FrozenWeights(weights))
-        self._session = Session(graph, store=_FrozenStore(self.weights),
-                                plan_cache_size=plan_cache_size)
+        self._session = Session(graph, store=_FrozenStore(self.weights))
         fetch_list = (list(fetches) if isinstance(fetches, (list, tuple))
                       else [fetches])
         self.fetches = [self._session._resolve(f) for f in fetch_list]
@@ -163,7 +159,7 @@ class InferenceEngine:
         self._check_weights(self.weights.table, self._local_names)
         # The graph's built-in batch dimension (placeholder leading dim):
         # the batch size whose replay is the zero-allocation fast path.
-        # Other batch sizes recompile through ``plan_for`` with
+        # Other batch sizes compile their own plan through ``plan_for`` with
         # batch-agnostic reshape kernels; their replay stays correct (the
         # arena's ``out=`` kernels are shape-guarded and fall back to
         # allocating forms) without perturbing the native plan.

@@ -38,8 +38,7 @@ class InferenceServer:
                  fetches=None, max_batch: int = 8,
                  max_delay_ms: float = 2.0,
                  router: Optional[ShardRouter] = None,
-                 owns_router: bool = False,
-                 plan_cache_size: int = 8):
+                 owns_router: bool = False):
         if fetches is None:
             if model.logits is None:
                 raise ValueError(
@@ -50,8 +49,7 @@ class InferenceServer:
             fetches = [fetches]
         self.model = model
         self.engine = InferenceEngine(
-            model.graph, list(fetches), weights, router=router,
-            plan_cache_size=plan_cache_size)
+            model.graph, list(fetches), weights, router=router)
         self._placeholders = list(model.placeholders.values())
         self._single = len(fetches) == 1
         self._owns_router = owns_router

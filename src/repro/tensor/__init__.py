@@ -7,22 +7,15 @@ decide whether a variable is *dense* or *sparse* (paper section 5,
 "Identifying the sparsity of a variable").
 """
 
-from repro.tensor.sparse import IndexedSlices, to_dense, from_dense_rows
-from repro.tensor.dense import (
-    as_array,
-    nbytes_of,
-    zeros_like_spec,
-    TensorSpec,
-)
+from repro.tensor.sparse import IndexedSlices, to_dense
+from repro.tensor.dense import as_array, nbytes_of, TensorSpec
 from repro.tensor import math as kernels
 
 __all__ = [
     "IndexedSlices",
     "to_dense",
-    "from_dense_rows",
     "as_array",
     "nbytes_of",
-    "zeros_like_spec",
     "TensorSpec",
     "kernels",
 ]

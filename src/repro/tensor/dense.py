@@ -100,7 +100,3 @@ class TensorSpec:
         if not self.shape:
             raise ValueError("cannot replace leading dim of a scalar spec")
         return TensorSpec(shape=(int(dim),) + self.shape[1:], dtype=self.dtype)
-
-
-def zeros_like_spec(spec: TensorSpec) -> np.ndarray:
-    return np.zeros(spec.shape, dtype=spec.dtype)

@@ -146,12 +146,6 @@ def gather_grad(params_shape: Tuple[int, ...], indices: np.ndarray,
     return IndexedSlices(vals, idx, tuple(params_shape))
 
 
-def scatter_add(target: np.ndarray, slices: IndexedSlices) -> np.ndarray:
-    """In-place sparse accumulation (the PS-server update primitive)."""
-    np.add.at(target, slices.indices, slices.values)
-    return target
-
-
 def scatter_sub(target: np.ndarray, slices: IndexedSlices) -> np.ndarray:
     np.subtract.at(target, slices.indices, slices.values)
     return target
@@ -196,82 +190,7 @@ def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# LSTM cell (used by the LM / NMT models)
-# ----------------------------------------------------------------------
-def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray,
-              w: np.ndarray, b: np.ndarray):
-    """Single LSTM step.
-
-    ``w`` has shape ``(input+hidden, 4*hidden)`` with gate order i,f,g,o.
-    Returns ``(h_new, c_new, cache)`` where cache carries the activations
-    the backward pass needs.
-    """
-    hidden = h.shape[-1]
-    z = np.concatenate([x, h], axis=-1) @ w + b
-    i = sigmoid(z[..., 0 * hidden:1 * hidden])
-    f = sigmoid(z[..., 1 * hidden:2 * hidden])
-    g = tanh(z[..., 2 * hidden:3 * hidden])
-    o = sigmoid(z[..., 3 * hidden:4 * hidden])
-    c_new = f * c + i * g
-    tanh_c = tanh(c_new)
-    h_new = o * tanh_c
-    cache = (x, h, c, w, i, f, g, o, c_new, tanh_c)
-    return h_new, c_new, cache
-
-
-def lstm_cell_grad(dh: np.ndarray, dc: np.ndarray, cache):
-    """Backward of one LSTM step.
-
-    Returns gradients ``(dx, dh_prev, dc_prev, dw, db)``.
-    """
-    x, h, c, w, i, f, g, o, c_new, tanh_c = cache
-    hidden = h.shape[-1]
-
-    do = dh * tanh_c
-    dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
-    di = dc_total * g
-    df = dc_total * c
-    dg = dc_total * i
-    dc_prev = dc_total * f
-
-    dz = np.concatenate(
-        [
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ],
-        axis=-1,
-    )
-    xh = np.concatenate([x, h], axis=-1)
-    dw = xh.T @ dz
-    db = dz.sum(axis=0)
-    dxh = dz @ w.T
-    dx = dxh[..., : x.shape[-1]]
-    dh_prev = dxh[..., x.shape[-1]:]
-    return dx, dh_prev, dc_prev, dw, db
-
-
-# ----------------------------------------------------------------------
-# Convolution proxy
-# ----------------------------------------------------------------------
-# The dense image models (ResNet-50, Inception-v3) matter to the paper
-# only through their *variable inventory* and FLOP cost; the distributed
-# machinery never looks inside a conv kernel.  We therefore implement
-# convolution as a patch-matmul over a channel-flattened input ("conv
-# proxy"): it has real weights, real gradients, and the right asymptotic
-# cost, while keeping the runnable models fast enough for tests.
-def conv_proxy(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x``: (batch, features_in); ``w``: (features_in, features_out)."""
-    return x @ w
-
-
-def conv_proxy_grad(x: np.ndarray, w: np.ndarray, g: np.ndarray):
-    return matmul_grad(x, w, g)
-
-
-# ----------------------------------------------------------------------
-# Reductions / misc
+# Reductions
 # ----------------------------------------------------------------------
 def mean_all(x: np.ndarray) -> float:
     return float(np.mean(x))
@@ -280,12 +199,3 @@ def mean_all(x: np.ndarray) -> float:
 def mean_all_grad(shape: Tuple[int, ...], g: float) -> np.ndarray:
     n = int(np.prod(shape)) if shape else 1
     return np.full(shape, g / n, dtype=np.float32)
-
-
-def l2_norm(values) -> float:
-    """Global L2 norm over a list of arrays / IndexedSlices."""
-    total = 0.0
-    for v in values:
-        arr = v.values if isinstance(v, IndexedSlices) else np.asarray(v)
-        total += float((arr.astype(np.float64) ** 2).sum())
-    return float(np.sqrt(total))

@@ -15,7 +15,7 @@ AllGatherv reductions must do before applying an update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -167,23 +167,8 @@ def concat_slices(slices: Sequence[IndexedSlices]) -> IndexedSlices:
     return IndexedSlices._wrap(values, indices, shape)
 
 
-def add_slices(a: IndexedSlices, b: IndexedSlices) -> IndexedSlices:
-    """Sparse sum: concatenation followed by duplicate-index combine."""
-    return concat_slices([a, b]).combine()
-
-
 def to_dense(value) -> np.ndarray:
     """Densify either an IndexedSlices or an array (identity for arrays)."""
     if isinstance(value, IndexedSlices):
         return value.to_dense()
     return np.asarray(value)
-
-
-def from_dense_rows(
-    dense: np.ndarray, indices: Iterable[int], dense_shape: Optional[Tuple[int, ...]] = None
-) -> IndexedSlices:
-    """Build slices by reading rows of *dense* at *indices* (gather)."""
-    idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                     dtype=np.int64)
-    shape = tuple(dense.shape) if dense_shape is None else tuple(dense_shape)
-    return IndexedSlices(dense[idx], idx, shape)

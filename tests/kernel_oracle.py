@@ -8,9 +8,14 @@ that zero-pads every slice gradient to the full tensor, and the
 the in-place fold, the `concat` of tiling slice gradients and the
 shared-softmax VJP must reproduce their bits (the `concat` up to the sign
 of zero).
+
+`lstm_cell` is the fused single-step LSTM the primitive-op
+`repro.nn.layers.lstm` is checked against.
 """
 
 import numpy as np
+
+from repro.tensor.math import sigmoid
 
 
 def oracle_sigmoid(x):
@@ -56,3 +61,16 @@ def oracle_slice_vjp(x, lo, hi, axis, grad):
     index[axis] = slice(lo, hi)
     full[tuple(index)] = grad
     return full
+
+
+def lstm_cell(x, h, c, w, b):
+    """Single LSTM step: ``w`` is ``(input+hidden, 4*hidden)`` with gate
+    order i, f, g, o.  Returns ``(h_new, c_new)``."""
+    hidden = h.shape[-1]
+    z = np.concatenate([x, h], axis=-1) @ w + b
+    i = sigmoid(z[..., 0 * hidden:1 * hidden])
+    f = sigmoid(z[..., 1 * hidden:2 * hidden])
+    g = np.tanh(z[..., 2 * hidden:3 * hidden])
+    o = sigmoid(z[..., 3 * hidden:4 * hidden])
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new

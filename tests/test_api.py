@@ -516,26 +516,37 @@ class TestBackendConfig:
             CommConfig(backend="cloud")
 
     def test_plan_cache_size_validated(self):
-        with pytest.raises(ValueError, match="plan_cache_size"):
-            ParallaxConfig(plan_cache_size=0)
-        assert ParallaxConfig(plan_cache_size=1).plan_cache_size == 1
+        """No constructor on the way from the config to a session takes a
+        plan-cache cap any more (the id predates the cap's removal)."""
+        import inspect
+
+        from repro.core.api import make_server
+        from repro.core.elastic import ElasticRunner
+        from repro.core.runner import DistributedRunner, DistributedSession
+        from repro.graph.session import Session
+        from repro.serve import InferenceEngine, InferenceServer
+
+        with pytest.raises(TypeError, match="plan_cache_size"):
+            ParallaxConfig(plan_cache_size=1)
+        for api in (Session, DistributedSession, DistributedRunner,
+                    ElasticRunner, InferenceEngine, InferenceServer,
+                    make_server):
+            assert "plan_cache_size" not in \
+                inspect.signature(api).parameters, api
 
     def test_default_backend_is_inproc(self):
         cfg = ParallaxConfig()
         assert cfg.comm.backend == "inproc"
-        assert cfg.plan_cache_size == 32
 
     def test_get_runner_threads_backend_through(self):
         cfg = ParallaxConfig(comm=CommConfig(backend="multiproc",
                                              fusion=False),
                              search_partitions=False,
-                             alpha_measure_batches=0,
-                             plan_cache_size=8)
+                             alpha_measure_batches=0)
         runner = get_runner(lm_builder(), {"machines": 2,
                                            "gpus_per_machine": 1}, cfg)
         try:
             assert runner.backend_name == "multiproc"
-            assert runner.plan_cache_size == 8
             result = runner.step(0)
             assert len(result.replica_losses) == 2
         finally:

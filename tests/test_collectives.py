@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm import Transcript, ring_allgatherv, ring_allreduce
-from repro.comm.allreduce import chunk_bounds, ring_allreduce_mean
+from repro.comm.allreduce import chunk_bounds
 from repro.tensor.sparse import IndexedSlices
 
 
@@ -59,8 +59,8 @@ class TestRingAllReduce:
         """x / 3 and x * (1/3) round differently; the mean is a division."""
         arrays = [np.full(5, v, dtype=np.float32) for v in (0.1, 0.2, 0.4)]
         total = ring_allreduce(arrays)[0]
-        np.testing.assert_array_equal(ring_allreduce_mean(arrays)[0],
-                                      total / np.float32(3))
+        np.testing.assert_array_equal(
+            ring_allreduce(arrays, average=True)[0], total / np.float32(3))
 
     def test_small_array_fewer_elements_than_workers(self):
         arrays = [np.array([float(i)], dtype=np.float32) for i in range(6)]
@@ -70,7 +70,7 @@ class TestRingAllReduce:
 
     def test_mean_variant(self):
         arrays = [np.full(4, float(i), dtype=np.float32) for i in range(4)]
-        results = ring_allreduce_mean(arrays)
+        results = ring_allreduce(arrays, average=True)
         np.testing.assert_allclose(results[0], np.full(4, 1.5))
 
     def test_inputs_not_mutated(self):

@@ -74,18 +74,35 @@ class TestLegacyKwargParity:
 
     def test_default_config_field_for_field(self):
         assert dataclasses.asdict(ParallaxConfig()) == {
-            "architecture": "hybrid", "local_aggregation": True,
-            "smart_placement": True, "average_dense": True,
-            "average_sparse": True, "search_partitions": True,
+            "architecture": "hybrid", "search_partitions": True,
             "sample_iterations": 2, "sample_warmup": 1,
             "max_partitions": 512, "sparse_as_dense_threshold": 0.95,
-            "alpha_measure_batches": 2, "plan_cache_size": 32,
-            "verify_plans": False, "save_path": None, "seed": 0,
+            "alpha_measure_batches": 2, "verify_plans": False, "seed": 0,
             "comm": dataclasses.asdict(CommConfig()),
             "elastic": dataclasses.asdict(ElasticConfig()),
             "serve": dataclasses.asdict(ServeConfig()),
             "autopilot": dataclasses.asdict(AutopilotConfig()),
         }
+
+
+# Settings no caller turned: each default is now the one behaviour (local
+# aggregation and smart placement on the hybrid plan, averaged gradients,
+# a session keeping every plan it compiles, ``save(path)`` with a path).
+REMOVED_FIELDS = {
+    "local_aggregation": False,
+    "smart_placement": False,
+    "average_dense": False,
+    "average_sparse": False,
+    "plan_cache_size": 8,
+    "save_path": "ckpt.npz",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_FIELDS))
+def test_removed_field_is_a_type_error(name):
+    with pytest.raises(TypeError, match=name):
+        ParallaxConfig(**{name: REMOVED_FIELDS[name]})
+    assert not hasattr(ParallaxConfig(), name)
 
 
 class TestShimStrictness:

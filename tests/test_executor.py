@@ -254,54 +254,70 @@ class TestPlanSerialization:
 
 
 class TestPlanCacheLRU:
+    """The plan cache is a plain dict: every signature keeps its plan for
+    the session's lifetime, and only a graph-version bump recompiles.
+    (The class and test ids predate the removal of the LRU cap.)"""
+
     def _fetches(self, g):
         with g.as_default():
             c = ops.constant(np.ones(1, dtype=np.float32), name="base")
             return [ops.add(c, c, name=f"fetch{i}") for i in range(6)]
 
     def test_cache_is_bounded_with_eviction_counter(self):
+        """Distinct signatures keep their plans: a second pass over six
+        fetch sets compiles nothing."""
         g = Graph()
         fetches = self._fetches(g)
-        sess = Session(g, plan_cache_size=2)
-        for t in fetches:
-            sess.run(t)
-        assert len(sess._plans) == 2
-        assert sess.plan_evictions == len(fetches) - 2
+        sess = Session(g)
+        before = CompiledPlan.compiled_total
+        for _ in range(2):
+            for t in fetches:
+                sess.run(t)
+        assert CompiledPlan.compiled_total - before == len(fetches)
+        assert len(sess._plans) == len(fetches)
+        assert not hasattr(sess, "plan_evictions")
 
     def test_lru_order_keeps_recently_used_plans(self):
+        """Whatever the access order, each signature gets its first plan
+        back."""
         g = Graph()
         fetches = self._fetches(g)
-        sess = Session(g, plan_cache_size=2)
-        plan_a = sess.compile(fetches[0])
-        sess.compile(fetches[1])
-        assert sess.compile(fetches[0]) is plan_a  # refresh a
-        sess.compile(fetches[2])  # evicts fetches[1], not a
-        assert sess.compile(fetches[0]) is plan_a
-        assert sess.plan_evictions == 1
+        sess = Session(g)
+        plans = [sess.compile(t) for t in fetches]
+        for i in (0, 5, 1, 0, 3, 2, 4, 5):
+            assert sess.compile(fetches[i]) is plans[i]
 
     def test_evicted_plan_recompiles_transparently(self):
+        """A graph-version bump recompiles each held signature once, on
+        its next use, and the new plans compute the same values."""
         g = Graph()
         fetches = self._fetches(g)
-        sess = Session(g, plan_cache_size=1)
-        first = sess.compile(fetches[0])
-        sess.compile(fetches[1])
-        again = sess.compile(fetches[0])
-        assert again is not first
+        sess = Session(g)
+        first = [sess.compile(t) for t in fetches[:2]]
+        with g.as_default():
+            ops.add(fetches[0], fetches[1], name="later")
+        before = CompiledPlan.compiled_total
+        again = [sess.compile(t) for t in fetches[:2]]
+        assert all(a is not f for a, f in zip(again, first))
+        assert all(sess.compile(t) is a for t, a in zip(fetches[:2], again))
+        assert CompiledPlan.compiled_total - before == 2
         np.testing.assert_array_equal(sess.run(fetches[0]),
                                       np.asarray([2.0], dtype=np.float32))
 
     def test_cache_size_validated(self):
-        g = Graph()
-        with pytest.raises(ValueError, match="plan_cache_size"):
-            Session(g, plan_cache_size=0)
+        """There is no cap to validate: the keyword is gone."""
+        with pytest.raises(TypeError, match="plan_cache_size"):
+            Session(Graph(), plan_cache_size=1)
 
     def test_runner_threads_cache_size_to_session(self):
-        model = make_model()
-        runner = DistributedRunner(model, CLUSTER,
-                                   hybrid_graph_plan(model.graph),
-                                   plan_cache_size=7)
-        assert runner.session.plan_cache_size == 7
-        assert runner.plan_cache_size == 7
+        """A training session holds exactly its step plans: one when
+        synchronous, one per replica when asynchronous."""
+        for arch, expected in (("hybrid", 1),
+                               ("async_ps", CLUSTER.total_gpus)):
+            runner = make_runner(arch)
+            for i in range(3):
+                runner.step(i)
+            assert len(runner.session._plans) == expected
 
 
 class TestFailureContext:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from kernel_oracle import lstm_cell
 
+from repro.graph import Graph, Session, gradients, ops
+from repro.nn import layers
 from repro.tensor import math as k
 from repro.tensor.sparse import IndexedSlices
 
@@ -23,6 +26,11 @@ def finite_diff(f, x, eps=1e-4):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2 * eps)
     return grad
+
+
+class FakeOp:
+    def __init__(self, attrs):
+        self.attrs = attrs
 
 
 def xent(logits, labels):
@@ -108,12 +116,6 @@ class TestGather:
         grad = k.gather_grad((5, 3), np.array([[0, 1], [2, 3]]), g)
         assert grad.num_rows == 4
 
-    def test_scatter_add(self):
-        target = np.zeros((4, 2), dtype=np.float32)
-        sl = IndexedSlices(np.ones((2, 2), np.float32), [1, 1], (4, 2))
-        k.scatter_add(target, sl)
-        np.testing.assert_array_equal(target[1], [2.0, 2.0])
-
     def test_scatter_sub(self):
         target = np.ones((4, 2), dtype=np.float32)
         sl = IndexedSlices(np.ones((1, 2), np.float32), [0], (4, 2))
@@ -155,35 +157,50 @@ class TestLosses:
         np.testing.assert_allclose(k.mse_grad(pred, target), num, atol=1e-5)
 
 
+def one_step_lstm(batch, in_dim, hidden, gh):
+    """``mean(h_1 * gh)`` over one step of the primitive-op LSTM layer,
+    with the gradient of its kernel."""
+    g = Graph()
+    with g.as_default():
+        x = ops.placeholder((batch, 1, in_dim), name="x")
+        h1 = layers.lstm(x, hidden, name="lstm")[0]
+        loss = ops.mean(ops.mul(h1, ops.constant(gh, name="gh")))
+        grads = {var.name: grad for grad, var in gradients(loss)}
+    return g, h1, loss, grads["lstm/kernel"]
+
+
 class TestLSTM:
+    """The LSTM layer against the fused reference cell
+    (``tests/kernel_oracle.py``)."""
+
     def test_shapes(self):
         batch, in_dim, hidden = 3, 4, 5
-        x = RNG.standard_normal((batch, in_dim))
-        h = np.zeros((batch, hidden))
-        c = np.zeros((batch, hidden))
-        w = RNG.standard_normal((in_dim + hidden, 4 * hidden))
-        b = np.zeros(4 * hidden)
-        h2, c2, _ = k.lstm_cell(x, h, c, w, b)
-        assert h2.shape == (batch, hidden)
-        assert c2.shape == (batch, hidden)
+        g, h1, _, dw = one_step_lstm(batch, in_dim, hidden,
+                                     np.ones((batch, hidden), np.float32))
+        assert h1.spec.shape == (batch, hidden)
+        assert g.variables["lstm/kernel"].shape == (in_dim + hidden,
+                                                    4 * hidden)
+        assert dw.spec.shape == (in_dim + hidden, 4 * hidden)
 
     def test_grad_matches_finite_diff(self):
         batch, in_dim, hidden = 2, 3, 2
         x = RNG.standard_normal((batch, in_dim))
-        h = RNG.standard_normal((batch, hidden))
-        c = RNG.standard_normal((batch, hidden))
+        zeros = np.zeros((batch, hidden))
         w = RNG.standard_normal((in_dim + hidden, 4 * hidden)) * 0.5
         b = RNG.standard_normal(4 * hidden) * 0.1
-        gh = RNG.standard_normal((batch, hidden))
+        gh = RNG.standard_normal((batch, hidden)).astype(np.float32)
+        g, _, _, dw = one_step_lstm(batch, in_dim, hidden, gh)
+        sess = Session(g)
+        sess.write_variable("lstm/kernel", w.astype(np.float32))
+        sess.write_variable("lstm/bias", b.astype(np.float32))
+        got = sess.run(dw, {"x": x[:, None, :].astype(np.float32)})
 
         def scalar(wx):
-            h2, _, _ = k.lstm_cell(x, h, c, wx, b)
-            return float((h2 * gh).sum())
+            h1, _ = lstm_cell(x, zeros, zeros, wx, b)
+            return float((h1 * gh).mean())
 
-        _, _, cache = k.lstm_cell(x, h, c, w, b)
-        _, _, _, dw, _ = k.lstm_cell_grad(gh, np.zeros_like(c), cache)
-        num = finite_diff(scalar, w.copy())
-        np.testing.assert_allclose(dw, num, atol=1e-4)
+        num = finite_diff(scalar, w.astype(np.float32).astype(np.float64))
+        np.testing.assert_allclose(got, num, atol=1e-4)
 
 
 class TestMisc:
@@ -192,11 +209,24 @@ class TestMisc:
         np.testing.assert_allclose(grad, np.full((2, 5), 0.1), rtol=1e-6)
 
     def test_l2_norm_mixed(self):
+        """Gradient clipping measures the L2 norm of an IndexedSlices'
+        values and of a dense array alike."""
+        from repro.nn.optimizers import _maybe_clip
+
+        op = FakeOp({"clip_norm": 1.0})
         sl = IndexedSlices(np.array([[3.0]], dtype=np.float32), [0], (5, 1))
-        arr = np.array([4.0])
-        assert k.l2_norm([sl, arr]) == pytest.approx(5.0, rel=1e-6)
+        arr = np.array([4.0, 0.0], dtype=np.float32)
+        np.testing.assert_allclose(_maybe_clip(op, sl).values, [[1.0]])
+        np.testing.assert_allclose(_maybe_clip(op, arr), [1.0, 0.0])
 
     def test_conv_proxy_matches_matmul(self):
-        x = RNG.standard_normal((2, 3)).astype(np.float32)
-        w = RNG.standard_normal((3, 4)).astype(np.float32)
-        np.testing.assert_array_equal(k.conv_proxy(x, w), x @ w)
+        """The conv proxy layer is exactly a matmul by its kernel."""
+        g = Graph()
+        with g.as_default():
+            x = ops.placeholder((2, 3), name="x")
+            out = layers.conv_block(x, 4, name="conv", activation=None)
+        sess = Session(g)
+        xv = RNG.standard_normal((2, 3)).astype(np.float32)
+        np.testing.assert_array_equal(
+            sess.run(out, {"x": xv}), xv @ sess.read_variable(
+                "conv/conv_kernel"))

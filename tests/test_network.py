@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.cluster.network import (
-    Flow,
-    flows_from_matrix,
-    maxmin_rates,
-    simulate_flows,
-)
+from repro.cluster.network import Flow, maxmin_rates, simulate_flows
 
 BW = 100.0  # bytes/sec for readable arithmetic
 
@@ -204,21 +199,3 @@ class TestStalledFlows:
                 assert t != float("inf")
 
         check()
-
-
-class TestFlowsFromMatrix:
-    def test_builds_flows(self):
-        flows = flows_from_matrix({(0, 1): 10.0, (1, 0): 20.0}, tag="x")
-        assert len(flows) == 2
-        assert {(f.src, f.dst, f.nbytes) for f in flows} == {
-            (0, 1, 10.0), (1, 0, 20.0)
-        }
-
-    def test_zero_entries_dropped(self):
-        assert flows_from_matrix({(0, 1): 0.0}) == []
-
-    def test_deterministic_order(self):
-        m = {(1, 0): 5.0, (0, 1): 5.0}
-        assert [(f.src, f.dst) for f in flows_from_matrix(m)] == [
-            (0, 1), (1, 0)
-        ]

@@ -1,49 +1,62 @@
-"""PS accumulators and variable placement."""
+"""Server-side gradient aggregation and PS variable placement.
+
+Aggregation is the ``local_agg``/``global_agg`` kernel pair the graph
+transformation inserts (the role TensorFlow's conditional accumulators
+play); the class and test ids predate the in-process accumulators they
+used to exercise.
+"""
 
 import numpy as np
 import pytest
 
-from repro.comm.ps import DenseAccumulator, SparseAccumulator, place_variables
+from repro.comm.ps import place_variables
+from repro.core.transform import comm_ops  # noqa: F401 (registers kernels)
+from repro.graph.executor import DIRECT
 from repro.tensor.sparse import IndexedSlices
+
+
+class _Op:
+    def __init__(self, op_type, attrs):
+        self.op_type = op_type
+        self.attrs = attrs
+        self.name = op_type
+
+
+def aggregate(op_type, values, **attrs):
+    """Run one aggregation kernel's single body on *values*."""
+    return DIRECT[op_type](_Op(op_type, attrs))(*values)
+
+
+def server_mean(values, num_workers):
+    return aggregate("global_agg", values, average=True,
+                     num_workers=num_workers)
 
 
 class TestDenseAccumulator:
     def test_sums_contributions(self):
-        acc = DenseAccumulator(num_required=3)
-        for i in range(3):
-            acc.apply_grad(np.full(4, float(i), dtype=np.float32))
-        np.testing.assert_array_equal(acc.take(), np.full(4, 3.0))
+        grads = [np.full(4, float(i), dtype=np.float32) for i in range(3)]
+        np.testing.assert_array_equal(aggregate("local_agg", grads),
+                                      np.full(4, 3.0))
 
     def test_average_mode(self):
-        acc = DenseAccumulator(num_required=2, average=True)
-        acc.apply_grad(np.zeros(3))
-        acc.apply_grad(np.full(3, 4.0))
-        np.testing.assert_array_equal(acc.take(), np.full(3, 2.0))
-
-    def test_take_before_ready_rejected(self):
-        acc = DenseAccumulator(num_required=2)
-        acc.apply_grad(np.zeros(2))
-        assert not acc.ready
-        with pytest.raises(RuntimeError, match="1/2"):
-            acc.take()
+        """The mean is a division by the worker count, not a product
+        with its reciprocal (the two round differently)."""
+        grads = [np.full(5, v, dtype=np.float32) for v in (0.1, 0.2, 0.4)]
+        total = (grads[0] + grads[1]) + grads[2]
+        np.testing.assert_array_equal(server_mean(grads, 3),
+                                      total / np.float32(3))
 
     def test_take_resets(self):
-        acc = DenseAccumulator(num_required=1)
-        acc.apply_grad(np.ones(2))
-        acc.take()
-        assert acc.count == 0
-        acc.apply_grad(np.full(2, 7.0))
-        np.testing.assert_array_equal(acc.take(), np.full(2, 7.0))
+        """Each step aggregates from zero: nothing carries over."""
+        kernel = DIRECT["global_agg"](
+            _Op("global_agg", {"average": True, "num_workers": 1}))
+        kernel(np.ones(2, dtype=np.float32))
+        np.testing.assert_array_equal(kernel(np.full(2, 7.0, np.float32)),
+                                      np.full(2, 7.0))
 
     def test_shape_mismatch_rejected(self):
-        acc = DenseAccumulator(num_required=2)
-        acc.apply_grad(np.zeros(3))
         with pytest.raises(ValueError):
-            acc.apply_grad(np.zeros(4))
-
-    def test_num_required_validated(self):
-        with pytest.raises(ValueError):
-            DenseAccumulator(0)
+            aggregate("local_agg", [np.zeros(3), np.zeros(4)])
 
 
 class TestSparseAccumulator:
@@ -52,42 +65,31 @@ class TestSparseAccumulator:
         return IndexedSlices(vals, indices, shape)
 
     def test_combines_duplicate_indices_on_take(self):
-        acc = SparseAccumulator(num_required=2)
-        acc.apply_grad(self.slices([1, 3]))
-        acc.apply_grad(self.slices([3, 5]))
-        result = acc.take()
+        result = server_mean([self.slices([1, 3]), self.slices([3, 5])], 1)
         assert list(result.indices) == [1, 3, 5]
         np.testing.assert_array_equal(result.to_dense()[3], [2.0, 2.0])
 
     def test_average_divides_by_contributions(self):
-        acc = SparseAccumulator(num_required=2, average=True)
-        acc.apply_grad(self.slices([0], value=4.0))
-        acc.apply_grad(self.slices([0], value=0.0))
-        np.testing.assert_array_equal(acc.take().to_dense()[0], [2.0, 2.0])
-
-    def test_rejects_dense_input(self):
-        acc = SparseAccumulator(num_required=1)
-        with pytest.raises(TypeError):
-            acc.apply_grad(np.zeros((2, 2)))
+        result = server_mean([self.slices([0], value=4.0),
+                              self.slices([0], value=0.0)], 2)
+        np.testing.assert_array_equal(result.to_dense()[0], [2.0, 2.0])
 
     def test_rejects_shape_mismatch(self):
-        acc = SparseAccumulator(num_required=2)
-        acc.apply_grad(self.slices([0]))
-        with pytest.raises(ValueError):
-            acc.apply_grad(self.slices([0], shape=(20, 2)))
+        with pytest.raises(ValueError, match="dense_shape"):
+            aggregate("local_agg", [self.slices([0]),
+                                    self.slices([0], shape=(20, 2))])
 
     def test_contributions_copied(self):
-        acc = SparseAccumulator(num_required=1)
+        """The aggregate owns its rows: a contribution changed later (an
+        arena buffer reused next step) does not reach it."""
         grad = self.slices([0])
-        acc.apply_grad(grad)
-        grad.values[0, 0] = 99.0
-        np.testing.assert_array_equal(acc.take().values[0], [1.0, 1.0])
-
-    def test_take_before_ready_rejected(self):
-        acc = SparseAccumulator(num_required=3)
-        acc.apply_grad(self.slices([0]))
-        with pytest.raises(RuntimeError):
-            acc.take()
+        for op_type in ("local_agg", "global_agg"):
+            result = aggregate(op_type, [grad, self.slices([1])],
+                               average=True, num_workers=2)
+            before = result.values.copy()
+            grad.values[0, 0] = 99.0
+            np.testing.assert_array_equal(result.values, before)
+            grad.values[0, 0] = 1.0
 
 
 class TestPlacement:

@@ -281,8 +281,9 @@ class TestCheckpointing:
         model, _ = prepare(**lm_kwargs())
         runner = DistributedRunner(model, CLUSTER,
                                    hybrid_graph_plan(model.graph))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="path"):
             runner.save()
+        assert not hasattr(runner, "default_save_path")
 
     def test_variable_named_like_replica_prefix_roundtrips(self, tmp_path):
         """Regression: a user variable named e.g. ``report/w`` must not be

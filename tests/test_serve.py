@@ -20,6 +20,7 @@ from repro.core.api import ParallaxConfig, ServeConfig, make_server
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import hybrid_graph_plan
 from repro.graph import Graph, ops
+from repro.graph.executor import CompiledPlan
 from repro.graph.gradients import gradients
 from repro.graph.session import Session
 from repro.graph.variables import Variable
@@ -337,6 +338,25 @@ class TestInferenceServer:
             assert not np.array_equal(new_rows, old_rows)
         finally:
             server.close()
+
+
+def test_server_compiles_each_batch_size_once():
+    """Each request batch size compiles once, off the request path after
+    its first batch: a session keeps every plan it builds, so a server
+    whose ``max_batch`` exceeds any cache bound recompiles nothing."""
+    model = build_lm(batch_size=8, vocab_size=40, seq_len=3, emb_dim=8,
+                     hidden=10, num_partitions=3, seed=0)
+    server = InferenceServer(model, seeded_weights(model.graph, SEED),
+                             max_batch=12)
+    try:
+        before = CompiledPlan.compiled_total
+        for _ in range(3):
+            for size in range(1, 13):
+                server.run_batch(model.dataset.batch(size, 0))
+        # 1..12 minus the native size 8, compiled at construction.
+        assert CompiledPlan.compiled_total - before == 11
+    finally:
+        server.close()
 
 
 # ======================================================================

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor.dense import TensorSpec, as_array, nbytes_of, zeros_like_spec
+from repro.tensor.dense import TensorSpec, as_array, nbytes_of
 from repro.tensor.sparse import IndexedSlices
 
 
@@ -90,10 +90,3 @@ class TestNbytes:
 
     def test_scalar(self):
         assert nbytes_of(np.float32(1.0)) == 4
-
-
-def test_zeros_like_spec():
-    arr = zeros_like_spec(TensorSpec((2, 3), "float32"))
-    assert arr.shape == (2, 3)
-    assert arr.dtype == np.float32
-    assert not arr.any()

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor.sparse import (
-    IndexedSlices,
-    add_slices,
-    concat_slices,
-    from_dense_rows,
-    to_dense,
-)
+from repro.tensor.sparse import IndexedSlices, concat_slices, to_dense
 
 
 def make(values, indices, dense_shape=(10, 2)):
@@ -148,7 +142,8 @@ class TestConcatAndAdd:
         a = make(rng.standard_normal((4, 2)), rng.integers(0, 10, 4))
         b = make(rng.standard_normal((4, 2)), rng.integers(0, 10, 4))
         np.testing.assert_allclose(
-            add_slices(a, b).to_dense(), a.to_dense() + b.to_dense(),
+            concat_slices([a, b]).combine().to_dense(),
+            a.to_dense() + b.to_dense(),
             rtol=1e-5, atol=1e-6,
         )
 
@@ -167,10 +162,3 @@ class TestMisc:
     def test_equality(self):
         assert make([[1, 1]], [0]) == make([[1, 1]], [0])
         assert make([[1, 1]], [0]) != make([[1, 1]], [1])
-
-    def test_from_dense_rows(self):
-        dense = np.arange(20, dtype=np.float32).reshape(10, 2)
-        sl = from_dense_rows(dense, [3, 3, 7])
-        assert sl.num_rows == 3
-        np.testing.assert_array_equal(sl.values[0], dense[3])
-        np.testing.assert_array_equal(sl.values[2], dense[7])
