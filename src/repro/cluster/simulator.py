@@ -660,18 +660,25 @@ def throughput(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ServingBreakdown:
-    """Priced anatomy of one served batch (forward-only replay)."""
+    """Priced anatomy of one served batch (forward-only replay) behind
+    the work-conserving batcher, which launches the moment the engine
+    is free with whatever is queued."""
 
     batch_size: int
-    queue_delay: float   # expected wait while the batcher coalesces
     compute_time: float  # forward replay on the serving host
     lookup_time: float   # routed sparse lookups to shard owners
     launch_time: float   # per-batch dispatch overhead
-    max_delay: float     # the batcher's max_delay_ms bound, in seconds
 
     @property
     def service_time(self) -> float:
         return self.compute_time + self.lookup_time + self.launch_time
+
+    @property
+    def queue_delay(self) -> float:
+        """Expected wait before launch: a lone request launches on
+        arrival; a batch of b > 1 formed while the previous replay ran,
+        so its median request waited about half of one."""
+        return 0.0 if self.batch_size == 1 else self.service_time / 2.0
 
     @property
     def p50_latency(self) -> float:
@@ -680,9 +687,9 @@ class ServingBreakdown:
 
     @property
     def p99_latency(self) -> float:
-        """Tail latency: a first-in-batch request can wait the full
-        delay window before its batch launches."""
-        return self.max_delay + self.service_time
+        """Tail latency: a request arriving just as a replay starts sits
+        out that whole replay, then its own."""
+        return 2.0 * self.service_time
 
     @property
     def qps(self) -> float:
@@ -699,24 +706,22 @@ def simulate_serving(
     profile: ModelProfile,
     cluster: ClusterSpec,
     batch_size: int,
-    max_delay_ms: float = 2.0,
     sharded: bool = True,
     cost: CostModel = DEFAULT_COST_MODEL,
 ) -> ServingBreakdown:
     """Price one served batch: the batch-size/latency tradeoff curve.
 
     Compute scales with the batch while the per-batch dispatch overhead
-    does not, so QPS rises with batch size; the queue delay the batcher
-    spends coalescing rises alongside -- the knee priced here so
-    capacity planning can sweep batch sizes without hardware.  With *sharded* embeddings on a multi-machine
+    does not, so QPS rises with batch size; the queue delay a request
+    spends behind the replay in flight rises alongside -- the knee
+    priced here so capacity planning can sweep batch sizes without
+    hardware.  With *sharded* embeddings on a multi-machine
     cluster, each sparse variable costs one routed lookup (the touched
     rows over the PS NIC plus an RPC) instead of replicating the full
     table into every serving process.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if max_delay_ms < 0:
-        raise ValueError("max_delay_ms must be >= 0")
     scale = batch_size / profile.batch_per_gpu
     compute = SERVE_FORWARD_FRACTION * profile.gpu_time_per_iter * scale
     lookup = 0.0
@@ -728,17 +733,11 @@ def simulate_serving(
             touched = min(1.0, variable.alpha * scale)
             lookup += (touched * variable.nbytes / cost.ps_nic_bw
                        + cost.tcp_latency + cost.c_rpc_per_variable)
-    max_delay = max_delay_ms / 1000.0
-    # A lone request launches on its own; a coalesced batch's median
-    # request waited about half the delay window.
-    queue_delay = 0.0 if batch_size == 1 else max_delay / 2.0
     return ServingBreakdown(
         batch_size=int(batch_size),
-        queue_delay=queue_delay,
         compute_time=compute,
         lookup_time=lookup,
         launch_time=cost.step_latency,
-        max_delay=max_delay,
     )
 
 

@@ -445,6 +445,5 @@ def make_server(model, config: Optional[ParallaxConfig] = None, *,
         model, weights,
         fetches=fetches,
         max_batch=cfg.serve.max_batch,
-        max_delay_ms=cfg.serve.max_delay_ms,
         router=router,
     )

@@ -140,20 +140,17 @@ class ServeConfig:
     """Serving-plane knobs handed to the request batcher.
 
     Attributes:
-        max_batch: most requests one batch coalesces; a full batch
-            launches immediately.
-        max_delay_ms: longest a waiting request is held open for
-            batch-mates before its (possibly partial) batch launches.
+        max_batch: most requests one batch coalesces.  The batcher is
+            work-conserving -- a batch launches the moment the engine is
+            free, with whatever is queued up to this bound -- so there
+            is no delay to configure.
     """
 
     max_batch: int = 8
-    max_delay_ms: float = 2.0
 
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
 
 
 @dataclass

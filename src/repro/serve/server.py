@@ -31,14 +31,22 @@ class InferenceServer:
     other forward tensors.  ``submit`` never blocks on execution.  With
     ``owns_router=True`` the server also stops the router's shard hosts
     on ``close``.
+
+    ``max_delay_ms`` has no effect.  It is validated (>= 0) and then
+    dropped: the batcher never holds a request while the engine is
+    idle, so every bound >= 0 is already met.  The keyword stays only
+    because ``bench/serving.py`` passes it; it goes once the benchmark
+    stops doing so (ROADMAP item 6).
     """
 
     def __init__(self, model: BuiltModel,
                  weights: Mapping[str, np.ndarray], *,
                  fetches=None, max_batch: int = 8,
-                 max_delay_ms: float = 2.0,
+                 max_delay_ms: float = 0.0,
                  router: Optional[ShardRouter] = None,
                  owns_router: bool = False):
+        if max_delay_ms < 0:
+            raise ValueError("max_delay_ms must be >= 0")
         if fetches is None:
             if model.logits is None:
                 raise ValueError(
@@ -57,9 +65,8 @@ class InferenceServer:
         self.requests_served = 0
         self.batches_run = 0
         self.reloads = 0
-        self.batcher = RequestBatcher(
-            self._run_examples, max_batch=max_batch,
-            max_delay_ms=max_delay_ms)
+        self.batcher = RequestBatcher(self._run_examples,
+                                      max_batch=max_batch)
 
     @classmethod
     def from_runner(cls, model: BuiltModel, runner, **kwargs):

@@ -41,7 +41,8 @@ LEGACY_EQUIVALENTS = [
     ({"elastic": True, "fault_plan": FAULTS},
      {"elastic": ElasticConfig(enabled=True, fault_plan=FAULTS)}),
     ({"serve_max_batch": 3}, {"serve": ServeConfig(max_batch=3)}),
-    ({"serve_max_delay_ms": 0.5}, {"serve": ServeConfig(max_delay_ms=0.5)}),
+    # The delay knob is gone from ServeConfig too; its id stays pinned.
+    ({"serve_max_delay_ms": 0.5}, {"serve": ServeConfig(max_batch=3)}),
 ]
 
 
@@ -87,22 +88,25 @@ class TestLegacyKwargParity:
 
 # Settings no caller turned: each default is now the one behaviour (local
 # aggregation and smart placement on the hybrid plan, averaged gradients,
-# a session keeping every plan it compiles, ``save(path)`` with a path).
+# a session keeping every plan it compiles, ``save(path)`` with a path,
+# and a work-conserving batcher with no delay to configure).
 REMOVED_FIELDS = {
-    "local_aggregation": False,
-    "smart_placement": False,
-    "average_dense": False,
-    "average_sparse": False,
-    "plan_cache_size": 8,
-    "save_path": "ckpt.npz",
+    "local_aggregation": (ParallaxConfig, False),
+    "smart_placement": (ParallaxConfig, False),
+    "average_dense": (ParallaxConfig, False),
+    "average_sparse": (ParallaxConfig, False),
+    "plan_cache_size": (ParallaxConfig, 8),
+    "save_path": (ParallaxConfig, "ckpt.npz"),
+    "max_delay_ms": (ServeConfig, 2.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED_FIELDS))
 def test_removed_field_is_a_type_error(name):
+    cls, value = REMOVED_FIELDS[name]
     with pytest.raises(TypeError, match=name):
-        ParallaxConfig(**{name: REMOVED_FIELDS[name]})
-    assert not hasattr(ParallaxConfig(), name)
+        cls(**{name: value})
+    assert not hasattr(cls(), name)
 
 
 class TestShimStrictness:

@@ -6,8 +6,13 @@ bit-identical to the training graph's forward pass -- per example, at
 every request batch size, through the codegen'd replay path, and with
 embedding partitions routed to remote shard hosts -- and a hot reload
 must leave a running server bit-identical to a cold server restored
-from the same state.
+from the same state.  Batch-size identity is pinned on these small
+models; on larger shapes BLAS may pick another kernel per batch size
+(~5e-9 on the benchmark's LM, which ``bench/serving.py`` holds to a
+1e-6 row tolerance).
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -262,7 +267,7 @@ class TestInferenceServer:
     def test_results_routed_to_each_request(self):
         model = MODEL_BUILDERS["lm"]()
         server = InferenceServer(model, seeded_weights(model.graph, SEED),
-                                 max_batch=4, max_delay_ms=5.0)
+                                 max_batch=4)
         try:
             columns = model.dataset.batch(6, 0)
             expected = np.array(server.run_batch(columns))
@@ -323,7 +328,7 @@ class TestInferenceServer:
         model = MODEL_BUILDERS["lm"]()
         old = seeded_weights(model.graph, SEED)
         new = seeded_weights(model.graph, SEED + 1)
-        server = InferenceServer(model, old, max_batch=4, max_delay_ms=1.0)
+        server = InferenceServer(model, old, max_batch=4)
         try:
             columns = model.dataset.batch(4, 0)
             old_rows = np.array(server.run_batch(columns))
@@ -338,6 +343,27 @@ class TestInferenceServer:
             assert not np.array_equal(new_rows, old_rows)
         finally:
             server.close()
+
+
+def test_delay_keyword_holds_no_request():
+    """``InferenceServer(max_delay_ms=)`` is accepted and validated but
+    bounds nothing: a lone request on an idle engine is answered at
+    once however large the bound."""
+    model = MODEL_BUILDERS["lm"]()
+    weights = seeded_weights(model.graph, SEED)
+    with pytest.raises(ValueError, match=r"^max_delay_ms must be >= 0$"):
+        InferenceServer(model, weights, max_delay_ms=-1.0)
+    server = InferenceServer(model, weights, max_batch=8,
+                             max_delay_ms=10_000.0)
+    try:
+        example = model.dataset.example(0)
+        start = time.monotonic()
+        row = server.infer(example, timeout=30)
+        assert time.monotonic() - start < 1.0
+        np.testing.assert_array_equal(
+            row, server.run_batch(tuple(np.stack([f]) for f in example))[0])
+    finally:
+        server.close()
 
 
 def test_server_compiles_each_batch_size_once():
@@ -365,12 +391,10 @@ def test_server_compiles_each_batch_size_once():
 class TestMakeServer:
     def test_make_server_applies_config_knobs(self):
         model = MODEL_BUILDERS["lm"]()
-        config = ParallaxConfig(serve=ServeConfig(max_batch=3,
-                                                  max_delay_ms=1.5))
+        config = ParallaxConfig(serve=ServeConfig(max_batch=3))
         server = make_server(model, config)
         try:
             assert server.batcher.max_batch == 3
-            assert server.batcher.max_delay_ms == 1.5
             result = server.infer(model.dataset.example(0))
             assert result.shape[-1] == 40
         finally:
@@ -390,8 +414,6 @@ class TestMakeServer:
     def test_config_rejects_bad_serving_knobs(self):
         with pytest.raises(ValueError, match=r"^max_batch must be >= 1$"):
             ServeConfig(max_batch=0)
-        with pytest.raises(ValueError, match=r"^max_delay_ms must be >= 0$"):
-            ServeConfig(max_delay_ms=-1.0)
 
 
 # ======================================================================
@@ -457,9 +479,14 @@ class TestSimulateServing:
         qps = [b.qps for b in curve]
         assert qps == sorted(qps), "QPS must rise with batch size"
         for b in curve:
+            # A tail request sits out one whole replay, then its own.
+            assert b.p99_latency == 2.0 * b.service_time
             assert b.p99_latency >= b.p50_latency
+        # A lone request launches on arrival; a coalesced batch formed
+        # behind the previous replay, half of which its median waited.
         assert curve[0].queue_delay == 0.0
-        assert curve[1].queue_delay > 0.0
+        for b in curve[1:]:
+            assert b.queue_delay == b.service_time / 2.0
 
     def test_sharded_lookup_priced_only_across_machines(self):
         from repro.cluster.simulator import simulate_serving
@@ -480,6 +507,3 @@ class TestSimulateServing:
 
         with pytest.raises(ValueError):
             simulate_serving(lm_profile(), ClusterSpec(1, 1), 0)
-        with pytest.raises(ValueError):
-            simulate_serving(lm_profile(), ClusterSpec(1, 1), 4,
-                             max_delay_ms=-1.0)
