@@ -7,23 +7,35 @@ interpretation over storage tokens plus interval-overlap checking -- so
 a bug in the planner's bookkeeping cannot hide inside a shared helper.
 Nothing here imports the planner's alias tables or liveness maps; the
 kernel-semantics facts (which op types return views, which vjp rules
-alias the incoming gradient) are re-declared from ``repro.graph.ops``
+alias the incoming gradient, which collectives fold into a plan-owned
+buffer, which updates write in place) are re-declared from the kernels'
 ground truth.
 
-The audit proves three properties over the frozen schedule:
+The audit proves four properties over the frozen schedule:
 
 1. **No overwrite of live storage.**  Every arena buffer write at
    schedule position ``p`` requires that all storage tokens previously
    written into that buffer are dead strictly before ``p``.  Because an
    op's inputs are live at its own position, this subsumes "an output
-   never aliases any of its own inputs".
+   never aliases any of its own inputs".  A fused bucket is one write:
+   its buffer is taken where its first member gradient is born, and it
+   holds every member's tokens and the pack's.  Its member views must
+   be disjoint, inside the buffer, and exactly where the pack places
+   that member's input.
 2. **Fetched values never live in the arena.**  A target slot's storage
-   tokens must not reach any arena-assigned slot -- a recycled buffer
-   would be overwritten by the next ``execute()``.
+   tokens must not reach any arena-assigned slot or bucket view -- a
+   recycled buffer would be overwritten by the next ``execute()``.
 3. **Escaped storage never lives in the arena.**  Tokens consumed by
    op types whose kernels may retain references across steps
-   (collectives, compression, shard ops) are immortal to the audit, so
-   any arena assignment touching them is rejected.
+   (compression, shard ops, gathers) are immortal to the audit, so any
+   arena assignment touching them is rejected.  The folding collectives
+   are not among them: they read their inputs during the call only, and
+   every replica's op of one group returns the first one's result.
+4. **No reader after an in-place update.**  An update the plan runs in
+   place rewrites its variables' arrays, so a value read from one of
+   them before the update must not be used after it, and no value read
+   from one of them may be fetched (the caller would see it change at
+   the next step).
 
 It additionally re-derives per-slot liveness from scratch and diffs it
 against the planner's ``slot_last_use`` -- the two implementations must
@@ -35,17 +47,20 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from repro.analysis.report import Finding
 
 ANALYSIS = "alias"
 
 # ---- kernel-semantics tables (independent re-declaration) -------------
-# Derived from the kernels in repro/graph/ops.py and the vjp rules they
-# register -- NOT imported from bufferplan, which is the implementation
-# under audit.
+# Derived from the kernels in repro/graph/ops.py, the vjp rules they
+# register, repro/core/transform/comm_ops.py and repro/nn/optimizers.py
+# -- NOT imported from bufferplan, which is the implementation under
+# audit.
 
 #: Forward op types whose kernel may return a view of its first input.
-_VIEW_OF_INPUT0 = frozenset({"identity", "reshape", "slice"})
+_VIEW_OF_INPUT0 = frozenset({"identity", "reshape", "slice", "bucket_slice"})
 
 #: Forward op types whose kernel always returns a fresh dense array and
 #: retains no reference to it (ufunc/BLAS outputs).
@@ -65,6 +80,10 @@ _NON_RETAINING_FWD = frozenset({
     "assign", "assign_sub", "scatter_sub", "send", "recv",
 })
 
+#: Collectives that fold into one result every replica of the group
+#: returns, reading their inputs during the call only.
+_FOLDS = frozenset({"allreduce", "fused_allreduce"})
+
 #: vjp rules returning a fresh array for every output index.
 _FRESH_VJP = frozenset({
     "matmul", "mul", "tanh", "sigmoid", "relu", "scale", "slice",
@@ -72,10 +91,18 @@ _FRESH_VJP = frozenset({
 })
 
 #: vjp rules where some output index may alias (or view) the incoming
-#: gradient.
+#: gradient -- except the (rule, index) pairs in _FRESH_VJP_INDEX.
 _GRAD_ALIAS_VJP = frozenset({
     "add", "identity", "reshape", "concat", "add_bias", "gather",
 })
+_FRESH_VJP_INDEX = frozenset({("add_bias", 1)})  # the bias sum
+
+#: Dense update op types and the attrs naming the variables they write.
+_UPDATE_WRITES = {
+    "sgd_update": ("variable",),
+    "momentum_update": ("variable", "slot"),
+    "adam_update": ("variable", "m", "v"),
+}
 
 
 def audit_buffer_plan(plan, bplan=None,
@@ -123,6 +150,7 @@ def audit_buffer_plan(plan, bplan=None,
     # ---- storage-token propagation ------------------------------------
     tokens: List[Set[int]] = [set() for _ in range(n)]
     escaped: Set[int] = set()
+    fold_result: Dict[tuple, int] = {}  # (op type, group) -> first slot
     for entry in schedule:
         op, input_slots, slot = entry[0], entry[2], entry[3]
         op_type = op.op_type
@@ -130,7 +158,8 @@ def audit_buffer_plan(plan, bplan=None,
         if op_type == "vjp":
             fwd_op = plan.graph.get_op(op.attrs["forward_op"])
             ftype = fwd_op.op_type
-            if ftype in _FRESH_VJP:
+            if (ftype in _FRESH_VJP or (ftype, op.attrs["input_index"])
+                    in _FRESH_VJP_INDEX):
                 tokens[slot] = own
             elif ftype in _GRAD_ALIAS_VJP:
                 grad_slot = input_slots[len(fwd_op.inputs) + 1]
@@ -143,12 +172,16 @@ def audit_buffer_plan(plan, bplan=None,
         elif op_type in _VIEW_OF_INPUT0:
             tokens[slot] = own | (set(tokens[input_slots[0]])
                                   if input_slots else set())
+        elif op_type in _FOLDS:
+            first = fold_result.setdefault((op_type, op.attrs.get("group")),
+                                           slot)
+            tokens[slot] = own | tokens[first]
         elif (op_type in _FRESH_FWD or op_type in _NON_RETAINING_FWD
               or op.attrs.get("is_update")):
             tokens[slot] = own
         else:
-            # Unmodelled kernel (collectives, compression, shard ops):
-            # its output may alias any input and the kernel may retain
+            # Unmodelled kernel (compression, shard ops, gathers): its
+            # output may alias any input and the kernel may retain
             # references across steps.
             merged = set(own)
             for j in input_slots:
@@ -170,22 +203,32 @@ def audit_buffer_plan(plan, bplan=None,
     for tok in escaped:
         token_death[tok] = math.inf
 
+    # ---- bucket views --------------------------------------------------
+    members: Dict[int, List[int]] = {}  # bucket concat -> member slots
+    for slot, (concat, _lo, _hi) in bplan.views.items():
+        members.setdefault(concat, []).append(slot)
+    view_errors = _audit_views(plan, bplan, members, findings)
+
     # ---- arena checks --------------------------------------------------
-    by_buffer: Dict[int, List[int]] = {}
+    # One write per assignment: a bucket's at its first member.
+    writes: Dict[int, List[Tuple[int, int, Set[int]]]] = {}
     for slot, buf in bplan.assignment.items():
-        by_buffer.setdefault(buf, []).append(slot)
+        born = members.get(slot, [])
+        held = set(tokens[slot]).union(*(tokens[k] for k in born))
+        writes.setdefault(buf, []).append((min([slot, *born]), slot, held))
 
     overlap_errors = 0
-    for buf, slots in by_buffer.items():
-        slots.sort()
-        for i, writer in enumerate(slots):
-            for prev in slots[:i]:
-                live = [tok for tok in tokens[prev]
+    for buf, events in writes.items():
+        events.sort()
+        order = [slot for _, slot, _ in events]
+        for i, (writer, wslot, _) in enumerate(events):
+            for _, prev, held in events[:i]:
+                live = [tok for tok in held
                         if token_death.get(tok, -1.0) >= writer]
                 if not live:
                     continue
                 overlap_errors += 1
-                tok = live[0]
+                tok = min(live)
                 blocker = token_blocker.get(tok, prev)
                 death = token_death[tok]
                 until = "forever (pinned/fetched/escaped)" \
@@ -193,22 +236,22 @@ def audit_buffer_plan(plan, bplan=None,
                 findings.append(Finding(
                     ANALYSIS,
                     f"arena buffer {buf} is rewritten at schedule "
-                    f"position {writer} ({op_at(writer).name!r}) while "
+                    f"position {writer} ({op_at(wslot).name!r}) while "
                     f"the value written at position {prev} "
                     f"({op_at(prev).name!r}) is still live {until}",
                     trace=(
-                        f"buffer {buf} assignees in order: {slots}",
+                        f"buffer {buf} assignees in order: {order}",
                         f"storage token {tok} (origin "
                         f"{op_at(tok).name!r}) is carried by slot "
                         f"{blocker} ({op_at(blocker).name!r}), last used "
                         f"at {until}",
                         f"overwrite happens at position {writer} "
-                        f"({op_at(writer).name!r})",
+                        f"({op_at(wslot).name!r})",
                     ),
                 ))
 
     arena_target_errors = 0
-    for slot in sorted(bplan.assignment):
+    for slot in sorted(set(bplan.assignment) | set(bplan.views)):
         hot = [tok for tok in tokens[slot]
                if token_death.get(tok, -1.0) == math.inf]
         if not hot:
@@ -222,17 +265,139 @@ def audit_buffer_plan(plan, bplan=None,
         findings.append(Finding(
             ANALYSIS,
             f"arena slot {slot} ({op_at(slot).name!r}) holds storage "
-            f"that must outlive the step: token {tok} {why}; recycled "
-            "arena storage would be overwritten by the next execute()",
+            "that must outlive the step: token "
+            f"{tok} {why}; recycled arena storage would be overwritten by "
+            "the next execute()",
             trace=(f"slot {slot} tokens: {sorted(tokens[slot])}",),
         ))
+
+    in_place_errors = _audit_in_place(plan, bplan, tokens, last_use,
+                                      targets, findings)
 
     stats = {
         "slots": n,
         "arena_slots": len(bplan.assignment),
         "buffers": len(bplan.buffers),
+        "bucket_views": len(bplan.views),
+        "in_place_updates": len(bplan.in_place),
         "escaped_tokens": len(escaped),
         "overlap_errors": overlap_errors,
         "pinned_errors": arena_target_errors,
+        "view_errors": view_errors,
+        "in_place_errors": in_place_errors,
     }
     return findings, stats
+
+
+def _audit_views(plan, bplan, members: Dict[int, List[int]],
+                 findings: List[Finding]) -> int:
+    """Property 1 for bucket views: each lies inside its bucket's buffer,
+    exactly where the pack places that member's input, and no two
+    overlap."""
+    schedule = plan.schedule
+    errors = 0
+
+    def name(slot: int) -> str:
+        return repr(schedule[slot][0].name)
+
+    for concat, born in sorted(members.items()):
+        op, _kernel, input_slots, _slot, _edges = schedule[concat]
+        buf = bplan.assignment.get(concat)
+        if op.op_type != "concat" or buf is None:
+            errors += 1
+            findings.append(Finding(
+                ANALYSIS,
+                f"bucket views {sorted(born)} name slot {concat} "
+                f"({name(concat)}), which is not a concat holding an "
+                "arena buffer",
+            ))
+            continue
+        size = int(np.prod(bplan.buffers[buf][0], dtype=np.int64))
+        # Where the pack puts each input, and which slot produced it.
+        placed: Dict[int, Tuple[int, int]] = {}
+        lo = 0
+        for j in input_slots:
+            j_op = schedule[j][0]
+            hi = lo + int(np.prod(j_op.output.spec.shape, dtype=np.int64))
+            producer = (schedule[j][2][0] if j_op.op_type == "reshape"
+                        else j)
+            placed.setdefault(producer, (lo, hi))
+            lo = hi
+        spans = sorted((bplan.views[k][1], bplan.views[k][2], k)
+                       for k in born)
+        for lo, hi, k in spans:
+            want = placed.get(k)
+            if not 0 <= lo < hi <= size or want != (lo, hi):
+                errors += 1
+                findings.append(Finding(
+                    ANALYSIS,
+                    f"bucket view of slot {k} ({name(k)}) covers "
+                    f"elements [{lo}, {hi}) of the {size}-element buffer "
+                    f"of {name(concat)}, but the pack places that input "
+                    + (f"at [{want[0]}, {want[1]})" if want else
+                       "nowhere"),
+                ))
+        for (lo_a, hi_a, a), (lo_b, hi_b, b) in zip(spans, spans[1:]):
+            if lo_b < hi_a:
+                errors += 1
+                findings.append(Finding(
+                    ANALYSIS,
+                    f"bucket views overlap in the buffer of "
+                    f"{name(concat)}: slot {a} ({name(a)}) writes "
+                    f"[{lo_a}, {hi_a}) and slot {b} ({name(b)}) writes "
+                    f"[{lo_b}, {hi_b})",
+                    trace=(f"members of slot {concat} by offset: "
+                           + ", ".join(f"{k}@[{lo}, {hi})"
+                                       for lo, hi, k in spans),),
+                ))
+    return errors
+
+
+def _audit_in_place(plan, bplan, tokens: List[Set[int]],
+                    last_use: Dict[int, float], targets: Set[int],
+                    findings: List[Finding]) -> int:
+    """Property 4: no value read from a variable an in-place update
+    writes is used after that update, or fetched."""
+    schedule = plan.schedule
+    reads: Dict[str, List[int]] = {}
+    for op, _kernel, _inputs, slot, _edges in schedule:
+        if op.op_type == "read_var":
+            reads.setdefault(op.attrs["variable"], []).append(slot)
+    carriers: Dict[int, List[int]] = {}  # read slot -> slots holding it
+    for slot, held in enumerate(tokens):
+        for tok in held:
+            carriers.setdefault(tok, []).append(slot)
+
+    errors = 0
+    for p in sorted(bplan.in_place):
+        op = schedule[p][0]
+        keys = _UPDATE_WRITES.get(op.op_type)
+        if keys is None:
+            errors += 1
+            findings.append(Finding(
+                ANALYSIS,
+                f"slot {p} ({op.name!r}) runs in place, but "
+                f"{op.op_type!r} is not an in-place update kernel",
+            ))
+            continue
+        for var in sorted({op.attrs.get(key) for key in keys} - {None}):
+            for r in reads.get(var, ()):
+                for s in carriers.get(r, ()):
+                    if s in targets:
+                        use = "is fetched"
+                    elif r < p and last_use.get(s, s) > p:
+                        use = f"is used at position {int(last_use[s])}"
+                    else:
+                        continue
+                    errors += 1
+                    findings.append(Finding(
+                        ANALYSIS,
+                        f"in-place update at position {p} ({op.name!r}) "
+                        f"rewrites variable {var!r}, but its value read at "
+                        f"position {r} ({schedule[r][0].name!r}) {use}, "
+                        f"through slot {s} ({schedule[s][0].name!r})",
+                        trace=(f"readers of {var!r}: {reads[var]}",
+                               "the update must run out of place"),
+                    ))
+                    break
+    return errors

@@ -59,7 +59,7 @@ def _arena_safe_types() -> frozenset:
     from repro.graph import bufferplan as bp
 
     return frozenset(bp.ARENA_FWD | bp.VIEW_FWD | bp.KNOWN_SAFE
-                     | bp.SPARSE_PASSTHROUGH)
+                     | bp.SPARSE_PASSTHROUGH | bp.FOLD_OUT)
 
 
 # ---- rule 1: mutating kernels ------------------------------------------

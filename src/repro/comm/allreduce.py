@@ -76,6 +76,7 @@ def ring_allreduce(
     segments: Optional[Sequence[int]] = None,
     wire_itemsize: Optional[int] = None,
     average: bool = False,
+    out: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
     """Sum *arrays* across workers in ring order.
 
@@ -97,9 +98,14 @@ def ring_allreduce(
             the NCCL half-precision ring keeps fp32 accumulators -- but
             each chunk crosses the network at two bytes per element.
         average: divide the sum by the worker count.
+        out: where to fold -- a caller-owned writable C-contiguous
+            float32 buffer of the arrays' size that no input overlaps
+            (a compiled plan's arena buffer); allocated when absent or
+            unusable.
 
     Returns:
-        One entry per worker, all the *same* read-only float32 array.
+        One entry per worker, all the *same* read-only float32 array (a
+        read-only view of *out* when one was used).
     """
     n = len(arrays)
     if n == 0:
@@ -124,7 +130,12 @@ def ring_allreduce(
             f"{size}"
         )
 
-    out = np.empty(size, dtype=np.float32)
+    if (type(out) is np.ndarray and out.dtype == np.float32
+            and out.size == size and out.flags.c_contiguous
+            and out.flags.writeable):
+        out = out.reshape(-1)
+    else:
+        out = np.empty(size, dtype=np.float32)
     for c, chunk in enumerate(slices):
         for lo, hi in chunk:
             acc = out[lo:hi]
@@ -139,7 +150,8 @@ def ring_allreduce(
                 np.add(flats[(c + hop) % n][lo:hi], acc, out=acc)
     if average:
         out /= np.float32(n)
-    out.flags.writeable = False
+    result = out.reshape(shape)
+    result.flags.writeable = False
 
     if transcript is not None:
         itemsize = wire_itemsize if wire_itemsize is not None \
@@ -157,4 +169,4 @@ def ring_allreduce(
                         nbytes[(i + phase - step) % n],
                         stage=stage_offset + phase * (n - 1) + step)
 
-    return [out.reshape(shape)] * n
+    return [result] * n

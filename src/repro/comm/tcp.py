@@ -36,8 +36,10 @@ C-contiguous is copied first).  The freeze-at-send the other transports
 get from eager pickling or the ring copy comes from the blocking
 ``sendall``: ``send`` encodes and writes on the caller's thread and
 returns only once the kernel has taken every byte, so a later mutation
-cannot reach the frame.  The receiver rebuilds arrays with
-``np.frombuffer`` over the exclusively-owned read buffer -- no copy.
+cannot reach the frame.  The receiver reads each frame into a fresh,
+uninitialised ``uint8`` array that only that frame's values use
+(``recv_into`` fills every byte, so nothing is zero-filled first) and
+rebuilds arrays with ``np.frombuffer`` over it -- no copy.
 
 Connections are created on demand, one duplex socket per rank pair in
 the dominant command/response pattern: the first sender connects and
@@ -104,9 +106,12 @@ def bind_listener(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
     return sock
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytearray:
-    """Exactly *n* bytes from *sock* (blocking); EOFError on early close."""
-    buf = bytearray(n)
+def _read_exact(sock: socket.socket, n: int) -> np.ndarray:
+    """Exactly *n* bytes from *sock* (blocking); EOFError on early close.
+
+    The buffer is uninitialised (``bytearray(n)`` would zero-fill bytes
+    the socket overwrites anyway)."""
+    buf = np.empty(n, dtype=np.uint8)
     view = memoryview(buf)
     got = 0
     while got < n:
@@ -371,7 +376,7 @@ class TcpTransport(Transport):
         header = _HEADER.pack(len(meta_bytes), payload_len)
         return (header + meta_bytes, chunks), payload_len
 
-    def _decode(self, meta, payload: bytearray):
+    def _decode(self, meta, payload):
         """``(src, key, value)`` from one frame's meta + payload."""
         t0 = time.perf_counter()
         src, key, kind, metas, extra = meta

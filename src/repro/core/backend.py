@@ -431,7 +431,9 @@ class InprocBackend(ExecutionBackend):
 
     def read_variables(self, names: Sequence[str],
                        ) -> Dict[str, np.ndarray]:
-        return {name: _read_graph_variable(self.runner.session, name)
+        # Copies, as multiproc's pickled replies are: updates write the
+        # stores' arrays in place, so a live array is no snapshot.
+        return {name: _read_graph_variable(self.runner.session, name).copy()
                 for name in names}
 
     def load_state(self, values: Dict[str, np.ndarray]) -> None:

@@ -58,6 +58,12 @@ def _allreduce_fwd(op, inputs, runtime):
     the Transcript records one transfer per (step, worker) for the whole
     bucket -- while performing exactly the additions of per-variable
     collectives.  Fused results are bit-identical to unfused ones.
+
+    Generated code names a plan-owned buffer for the op in
+    ``run_cache["out"]`` (the buffer plan's fold slot, see
+    ``repro.graph.bufferplan.FOLD_OUT``): the fold lands there instead
+    of in a fresh array.  The kernel reads its inputs only during the
+    call.
     """
     cache = runtime.run_cache.setdefault("collectives", {})
     key = (op.op_type, op.attrs["group"])
@@ -71,6 +77,7 @@ def _allreduce_fwd(op, inputs, runtime):
             segments=(None if segments is None
                       else [size for _name, size in segments]),
             average=op.attrs.get("average", False),
+            out=runtime.run_cache.get("out", {}).get(op.name),
         )
     return cache[key][op.attrs["replica"]]
 

@@ -21,6 +21,30 @@ small *arena* of preallocated buffers that are recycled as values die:
    pos``), so an op's output buffer can never alias any of its own
    inputs.
 
+Three kinds of plan-owned storage ride on the same sweep:
+
+* **Bucket views.**  A dense axis-0 ``concat`` -- a fused bucket's pack
+  -- gets an arena buffer, and each input produced by an arena kernel
+  (directly or through a ``reshape``) gets a new slot kind, *view of
+  bucket B at offset o* (:attr:`BufferPlan.views`): the producer writes
+  its gradient straight into its region, the member's storage joins the
+  bucket's group, and the buffer is taken where the first member is
+  born.  The pack's out-kernel then finds its inputs in place and
+  copies nothing.
+* **Fold buffers.**  A :data:`FOLD_OUT` collective reads its inputs
+  only during the call, so it no longer pins them; the first replica's
+  op of a group gets an arena buffer to fold into, and the others,
+  which return that same result, join its group.
+* **In-place updates.**  A dense update (:data:`IN_PLACE_UPDATES`) may
+  write its variables' own arrays unless a value read from one of them
+  is used after the update or fetched -- decided here, at compile time
+  (the alias audit's property 4).
+
+Generated code hands the fold buffers and the in-place update names to
+the runtime kernels through the run cache (``run_cache["out"]``,
+``run_cache["in_place"]``); the first-run loop and the reference
+interpreter leave both empty, so they allocate exactly as before.
+
 The pass is conservative by construction: anything it cannot prove safe
 simply stays on the allocating path, and every out-parameter kernel
 re-guards shapes/dtypes at run time (see ``ops.py``), so planning errors
@@ -36,7 +60,8 @@ the runtime guards on the fast path cheap.
 A multiprocess worker's rank plan is planned like any other.  Its
 ``send`` port is known-safe because a Transport freezes the value before
 ``send`` returns (pickle, ring copy or blocking ``sendall``) and keeps no
-reference, so the arena may recycle a sent buffer; ``recv`` hands over a
+reference, so the arena may recycle a sent buffer -- a bucket included;
+``recv`` hands over a
 freshly decoded value nothing else holds (possibly IndexedSlices, so it
 is also a sparse source).
 """
@@ -45,7 +70,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,7 +82,7 @@ ARENA_FWD = frozenset(
 )
 
 # Forward op types whose output is (or may be) a view of input 0.
-VIEW_FWD = frozenset({"identity", "reshape", "slice"})
+VIEW_FWD = frozenset({"identity", "reshape", "slice", "bucket_slice"})
 
 # vjp rules that return only fresh arrays for every output index.
 FRESH_VJP = frozenset(
@@ -68,13 +93,39 @@ FRESH_VJP = frozenset(
 # vjp rules where some output index may alias (or view) the incoming
 # gradient: add -> [g, g], identity -> [g], add_bias -> [g, sum],
 # reshape/concat -> views of g, gather -> IndexedSlices over a view of g.
+# An index with a ``VJP_OUT`` expansion (add_bias's sum) is fresh.
 GRAD_ALIAS_VJP = frozenset(
     {"add", "identity", "reshape", "concat", "add_bias", "gather"}
 )
 
-# vjp nodes expandable to ``buf[i] = buf[grad_slot]`` (rule returns the
-# gradient unchanged for every index).
-EXPAND_ALIAS_VJP = frozenset({"add", "identity"})
+# (forward op type, input index) vjp nodes expandable to
+# ``buf[i] = buf[grad_slot]``: the rule returns the incoming gradient
+# unchanged for that index.
+EXPAND_ALIAS_VJP = frozenset(
+    {("add", 0), ("add", 1), ("identity", 0), ("add_bias", 0)}
+)
+
+# Forward op types whose vjp expansions are taken only for a gradient
+# born in a bucket and its sibling nodes of the same rule call (so the
+# shared rule never runs beside them).  Elsewhere an arena buffer would
+# pin memory the allocator otherwise shares -- the bench LM's 20
+# per-timestep recurrent-kernel gradients are all live until their
+# grad_add, and as arena buffers they raised its peak RSS by 8 %
+# (161 -> 174 MB).
+BUCKET_ONLY_VJP = frozenset({"matmul", "add_bias"})
+
+# Collectives whose kernel folds into a plan-owned ``out=`` buffer.  They
+# read their inputs only during the call and retain nothing, and every
+# replica's op of one (op type, group) returns the first one's result.
+FOLD_OUT = frozenset({"allreduce", "fused_allreduce"})
+
+# Dense update kernels that write in place when the run cache lists them
+# (``run_cache["in_place"]``), and the attrs naming those variables.
+IN_PLACE_UPDATES = {
+    "sgd_update": ("variable",),
+    "momentum_update": ("variable", "slot"),
+    "adam_update": ("variable", "m", "v"),
+}
 
 # Op types that are known not to retain references to their inputs
 # beyond the step and whose outputs need no storage modelling (fresh
@@ -129,6 +180,11 @@ class BufferPlan:
     group_last_use: Dict[int, float]  # root -> death position (inf = pinned)
     arena_bytes: int = 0  # bytes actually allocated for the arena
     arena_slot_bytes: int = 0  # bytes the same slots would allocate per step
+    # member slot -> (bucket concat slot, lo, hi): the member is born in
+    # elements [lo, hi) of the flattened buffer of that concat
+    views: Dict[int, Tuple[int, int, int]] = field(default_factory=dict)
+    folds: frozenset = frozenset()  # collective slots folding into a buffer
+    in_place: frozenset = frozenset()  # update slots writing in place
 
     @property
     def arena_slots(self) -> int:
@@ -222,6 +278,12 @@ def build_buffer_plan(plan) -> BufferPlan:
     fwd_candidates: List[Tuple[int, Tuple, Callable]] = []
     vjp_candidates: Dict[int, Tuple[Tuple, Tuple[int, ...], Callable]] = {}
     expansions: Dict[int, VjpExpansion] = {}
+    fold_first: Dict[Tuple[str, object], int] = {}  # (type, group) -> slot
+    fold_candidates: Dict[int, Tuple] = {}  # first fold slot -> spec
+    concats: List[int] = []
+    updates: List[int] = []
+    reads: Dict[str, List[int]] = {}  # variable -> read_var slots
+    rule_call: Dict[int, tuple] = {}  # BUCKET_ONLY_VJP node -> vjp key
 
     for op, _kernel, input_slots, slot, _edges in schedule:
         last_use.setdefault(slot, slot)
@@ -236,24 +298,30 @@ def build_buffer_plan(plan) -> BufferPlan:
         if op_type == "vjp":
             fwd_op = plan.graph.get_op(op.attrs["forward_op"])
             ftype = fwd_op.op_type
+            index = op.attrs["input_index"]
             nf = len(fwd_op.inputs)
             grad_slot = input_slots[nf + 1]
             if op.attrs.get("is_sparse") or ftype == "gather":
                 maybe_sparse[slot] = True
-            if ftype in FRESH_VJP:
-                if (ftype in ops_mod.VJP_OUT and ftype in ops_mod.VJP
-                        and not maybe_sparse[slot]):
-                    built = ops_mod.VJP_OUT[ftype](
-                        fwd_op, op.attrs["input_index"])
-                    if built is not None:
-                        rel_args, fn = built
-                        spec = _buffer_spec(op)
-                        if spec is not None:
-                            args = tuple(input_slots[r] for r in rel_args)
-                            vjp_candidates[slot] = (spec, args, fn)
+            if ftype in BUCKET_ONLY_VJP:
+                rule_call[slot] = (op.attrs["forward_op"],
+                                   op.attrs["grad_source"])
+            built = None
+            if (ftype in ops_mod.VJP_OUT and ftype in ops_mod.VJP
+                    and not maybe_sparse[slot]):
+                built = ops_mod.VJP_OUT[ftype](fwd_op, index)
+            if built is not None:
+                # An expandable index returns a fresh array.
+                rel_args, fn = built
+                spec = _buffer_spec(op)
+                if spec is not None:
+                    args = tuple(input_slots[r] for r in rel_args)
+                    vjp_candidates[slot] = (spec, args, fn)
+            elif ftype in FRESH_VJP:
+                pass  # fresh output from the shared rule
             elif ftype in GRAD_ALIAS_VJP:
                 uf.union(slot, grad_slot)
-                if ftype in EXPAND_ALIAS_VJP and ftype in ops_mod.VJP:
+                if (ftype, index) in EXPAND_ALIAS_VJP and ftype in ops_mod.VJP:
                     expansions[slot] = VjpExpansion("alias", (grad_slot,))
             else:
                 # Unmodelled rule: assume any output may alias anything.
@@ -269,8 +337,21 @@ def build_buffer_plan(plan) -> BufferPlan:
                 spec = _buffer_spec(op)
                 if out_fn is not None and spec is not None:
                     fwd_candidates.append((slot, spec, out_fn))
+        elif op_type in FOLD_OUT and _buffer_spec(op) is not None:
+            # Replicas of one group return the first one's result.
+            first = fold_first.setdefault((op_type, op.attrs.get("group")),
+                                          slot)
+            if first == slot:
+                fold_candidates[slot] = _buffer_spec(op)
+            else:
+                uf.union(slot, first)
         elif op_type in KNOWN_SAFE or op.attrs.get("is_update"):
-            pass
+            if op_type == "concat":
+                concats.append(slot)
+            elif op_type == "read_var":
+                reads.setdefault(op.attrs["variable"], []).append(slot)
+            elif op_type in IN_PLACE_UPDATES and op.attrs.get("is_update"):
+                updates.append(slot)
         else:
             # Unknown op type (collectives, shard ops, compression...):
             # its output may alias or retain any input, and it may keep
@@ -286,6 +367,18 @@ def build_buffer_plan(plan) -> BufferPlan:
     for t in plan.target_slots:
         uf.flag(t, no_arena=True, pinned=True)
 
+    # A BUCKET_ONLY_VJP rule call is expandable when none of its nodes
+    # would still run the shared rule.
+    blocked = {key for slot, key in rule_call.items()
+               if slot not in expansions and (
+                   slot not in vjp_candidates or uf.no_arena[uf.find(slot)])}
+    candidate_specs = {slot: spec for slot, spec, _ in fwd_candidates}
+    candidate_specs.update(
+        (slot, entry[0]) for slot, entry in vjp_candidates.items()
+        if rule_call.get(slot) not in blocked)
+    views = _bucket_views(schedule, concats, candidate_specs, uf,
+                          maybe_sparse)
+
     group_of = {s: uf.find(s) for s in range(n)}
     group_last_use: Dict[int, float] = {}
     for s in range(n):
@@ -293,6 +386,19 @@ def build_buffer_plan(plan) -> BufferPlan:
         death = math.inf if uf.pinned[root] else last_use.get(s, s)
         if group_last_use.get(root, -1) < death:
             group_last_use[root] = death
+
+    # ---- in-place updates (alias audit property 4) ---------------------
+    # An update may write its variables' arrays in place unless a value
+    # read from one of them is still used after it, or is fetched (the
+    # caller would see it change at the next step).
+    def death_of(r: int) -> float:
+        return group_last_use[group_of[r]]
+
+    in_place = frozenset(
+        p for p in updates
+        if not any(death_of(r) == math.inf or (r < p and death_of(r) > p)
+                   for key in IN_PLACE_UPDATES[schedule[p][0].op_type]
+                   for r in reads.get(schedule[p][0].attrs.get(key), ())))
 
     # ---- linear allocation sweep --------------------------------------
     assignment: Dict[int, int] = {}
@@ -304,40 +410,64 @@ def build_buffer_plan(plan) -> BufferPlan:
     deaths: List[Tuple[float, int]] = []
     arena_slot_bytes = 0
 
-    eligible: Dict[int, Tuple[Tuple, Optional[Tuple[int, ...]], Callable]] = {}
+    # slot -> (spec, vjp args or None, out fn; None for a fold).  A
+    # bucket's buffer is minted where its first member is born.
+    eligible: Dict[int, Tuple[Tuple, Optional[Tuple[int, ...]],
+                              Optional[Callable]]] = {}
     for slot, spec, out_fn in fwd_candidates:
-        if not uf.no_arena[group_of[slot]]:
-            eligible[slot] = (spec, None, out_fn)
+        eligible[slot] = (spec, None, out_fn)
+    in_buckets = {rule_call[k] for k in views if k in rule_call}
     for slot, (spec, args, fn) in vjp_candidates.items():
-        if not uf.no_arena[group_of[slot]]:
+        if slot not in rule_call or rule_call[slot] in in_buckets:
             eligible[slot] = (spec, args, fn)
+    for slot, spec in fold_candidates.items():
+        eligible[slot] = (spec, None, None)
+    eligible = {slot: entry for slot, entry in eligible.items()
+                if not uf.no_arena[group_of[slot]]}
+    first_member: Dict[int, int] = {}  # bucket concat -> first member
+    for k, (c, _lo, _hi) in views.items():
+        first_member[c] = min(k, first_member.get(c, k))
+    bucket_at = {k: c for c, k in first_member.items()}
 
+    def allocate(slot: int, spec: Tuple) -> int:
+        shape, dtype, nbytes = spec
+        free = free_lists.get((shape, dtype))
+        if free:
+            buf_id = free.pop()
+        else:
+            buf_id = len(buffers)
+            buffers.append((shape, dtype))
+            buffer_nbytes.append(nbytes)
+        root = group_of[slot]
+        if root not in owned:
+            owned[root] = []
+            heapq.heappush(deaths, (group_last_use[root], root))
+        owned[root].append(buf_id)
+        return buf_id
+
+    folds = set()
     for pos in range(n):
         while deaths and deaths[0][0] < pos:
             _, dead_root = heapq.heappop(deaths)
             for buf_id in owned.pop(dead_root, ()):  # recycle
                 shape, dtype = buffers[buf_id]
                 free_lists.setdefault((shape, dtype), []).append(buf_id)
+        c = bucket_at.get(pos)
+        if c is not None:
+            spec = _buffer_spec(schedule[c][0])
+            assignment[c] = allocate(c, spec)
+            arena_slot_bytes += spec[2]
+            out_fns[c] = DIRECT_OUT["concat"](schedule[c][0])
         entry = eligible.get(pos)
         if entry is None:
             continue
-        (shape, dtype, nbytes), args, fn = entry
-        key = (shape, dtype)
-        free = free_lists.get(key)
-        if free:
-            buf_id = free.pop()
-        else:
-            buf_id = len(buffers)
-            buffers.append(key)
-            buffer_nbytes.append(nbytes)
-        assignment[pos] = buf_id
-        arena_slot_bytes += nbytes
-        root = group_of[pos]
-        if root not in owned:
-            owned[root] = []
-            heapq.heappush(deaths, (group_last_use[root], root))
-        owned[root].append(buf_id)
-        if args is None:
+        spec, args, fn = entry
+        if pos not in views:
+            assignment[pos] = allocate(pos, spec)
+            arena_slot_bytes += spec[2]
+        if fn is None:
+            folds.add(pos)
+        elif args is None:
             out_fns[pos] = fn
         else:
             expansions[pos] = VjpExpansion("call", args, fn)
@@ -352,7 +482,51 @@ def build_buffer_plan(plan) -> BufferPlan:
         group_last_use=group_last_use,
         arena_bytes=sum(buffer_nbytes),
         arena_slot_bytes=arena_slot_bytes,
+        views=views,
+        folds=frozenset(folds),
+        in_place=in_place,
     )
+
+
+def _bucket_views(schedule, concats: List[int],
+                  candidate_specs: Dict[int, Tuple], uf: _UnionFind,
+                  maybe_sparse: List[bool]) -> Dict[int, Tuple[int, int, int]]:
+    """Which gradients are born in their fused bucket.
+
+    A dense axis-0 ``concat`` whose storage may take an arena buffer is a
+    bucket.  Its input at elements ``[lo, hi)`` -- an arena candidate's
+    output, directly or through a ``reshape`` view -- is a member: the
+    candidate writes straight into that region of the bucket's buffer,
+    and the pack's out-kernel finds it already in place.  A member's
+    storage joins the bucket's group, so the whole buffer lives until
+    the last reader of any member or of the pack.  A candidate feeds at
+    most one region; anything else stays a copy.
+    """
+    views: Dict[int, Tuple[int, int, int]] = {}
+    for c in concats:
+        op, _kernel, input_slots, _slot, _edges = schedule[c]
+        spec = _buffer_spec(op)
+        if (spec is None or op.attrs.get("axis") != 0 or maybe_sparse[c]
+                or uf.no_arena[uf.find(c)]):
+            continue
+        dtype = spec[1]
+        lo = 0
+        for j in input_slots:
+            entry = schedule[j]
+            member_spec = _buffer_spec(entry[0])
+            if member_spec is None:
+                break  # no static layout past this input
+            hi = lo + int(np.prod(member_spec[0], dtype=np.int64))
+            k = entry[2][0] if entry[0].op_type == "reshape" else j
+            k_spec = candidate_specs.get(k)
+            if (k_spec is not None and k not in views
+                    and k_spec[1:] == (dtype, member_spec[2])
+                    and not uf.no_arena[uf.find(k)]
+                    and uf.find(k) != uf.find(c)):
+                views[k] = (c, lo, hi)
+                uf.union(c, k)
+            lo = hi
+    return views
 
 
 def fusion_chains(plan, bplan: BufferPlan) -> List[Chain]:

@@ -402,6 +402,19 @@ class CompiledPlan:
                            for shape, dt in self._buffer_plan.buffers]
         return self._buffer_plan
 
+    def _out_ref(self, ns: Dict[str, object], slot: int) -> str:
+        """The generated-code name of *slot*'s arena storage: its buffer,
+        or for a bucket member the view of its region of the bucket's."""
+        bplan = self._buffer_plan
+        view = bplan.views.get(slot)
+        if view is None:
+            return f"A{bplan.assignment[slot]}"
+        concat, lo, hi = view
+        flat = self._arena[bplan.assignment[concat]].reshape(-1)
+        ns[f"V{slot}"] = flat[lo:hi].reshape(
+            self.schedule[slot][0].output.spec.shape)
+        return f"V{slot}"
+
     @property
     def arena_bytes(self) -> int:
         return self._ensure_buffer_plan().arena_bytes
@@ -426,8 +439,11 @@ class CompiledPlan:
         become literals, pure ops' DIRECT bodies are called positionally,
         and specialized kernels skip the ``_current_op`` bookkeeping they
         contractually ignore.  Arena-planned ops call guarded
-        out-parameter kernels writing into preallocated buffers (see
-        ``repro.graph.bufferplan``), shared vjp rules expand into
+        out-parameter kernels writing into preallocated buffers -- a
+        fused bucket's member into its region of the bucket's buffer
+        (see ``repro.graph.bufferplan``) -- the run cache names the fold
+        buffers and in-place updates runtime kernels may use, shared
+        vjp rules expand into
         per-node arena kernels, and maximal runs of adjacent elementwise
         calls fuse into mega-kernels whose interior values never touch
         the value buffer.
@@ -442,6 +458,17 @@ class CompiledPlan:
         lines: List[str] = ["def _run(session, buf):",
                             "    rc = {}",
                             "    session.run_cache = rc"]
+        # Plan-owned storage runtime kernels may write, through the run
+        # cache: a fold slot's buffer by op name, and the updates that
+        # may write their variables in place.
+        if bplan.folds:
+            ns["FOLD_OUT"] = {self.schedule[s][0].name: self._arena[
+                bplan.assignment[s]] for s in bplan.folds}
+            lines.append("    rc['out'] = FOLD_OUT")
+        if bplan.in_place:
+            ns["IN_PLACE"] = frozenset(self.schedule[s][0].name
+                                       for s in bplan.in_place)
+            lines.append("    rc['in_place'] = IN_PLACE")
         if any(op.op_type == "vjp" for op, *_ in self.schedule):
             lines.append("    vjp = {}")
             lines.append("    rc['vjp'] = vjp")
@@ -515,7 +542,7 @@ class CompiledPlan:
                         ns[f"X{i}"] = exp.fn
                         a = ", ".join(f"buf[{s}]" for s in exp.args)
                         emit(f"{ind}buf[{i}] = "
-                             f"X{i}({a}, A{bplan.assignment[i]})")
+                             f"X{i}({a}, {self._out_ref(ns, i)})")
                     continue
                 fwd_op = self.graph.get_op(op.attrs["forward_op"])
                 rule = ops_mod.VJP.get(fwd_op.op_type)
@@ -554,7 +581,7 @@ class CompiledPlan:
                 ns[f"W{i}"] = bplan.out_fns[i]
                 call_args = ", ".join(f"buf[{j}]" for j in input_slots)
                 emit(f"{ind}buf[{i}] = "
-                     f"W{i}({call_args}, A{bplan.assignment[i]})")
+                     f"W{i}({call_args}, {self._out_ref(ns, i)})")
                 continue
             if i not in self._specialized and op.op_type in DIRECT:
                 emit_edges()
@@ -614,11 +641,11 @@ class CompiledPlan:
             elif exp is not None:
                 ns[f"X{s}"] = exp.fn
                 args = ", ".join(ref(a) for a in exp.args)
-                body.append(f"    t{s} = X{s}({args}, A{bplan.assignment[s]})")
+                body.append(f"    t{s} = X{s}({args}, {self._out_ref(ns, s)})")
             else:
                 ns[f"W{s}"] = bplan.out_fns[s]
                 args = ", ".join(ref(j) for j in input_slots)
-                body.append(f"    t{s} = W{s}({args}, A{bplan.assignment[s]})")
+                body.append(f"    t{s} = W{s}({args}, {self._out_ref(ns, s)})")
         sig = ", ".join(param_ix[p] for p in params)
         header.append(f"def _F{chain.start}({sig}):")
         header.extend(body)

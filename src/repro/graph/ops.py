@@ -569,6 +569,36 @@ def _matmul_out(op):
     return matmul_out
 
 
+@register_direct_out("concat")
+def _concat_out(op):
+    """A fused bucket's pack: the buffer plan hands it the bucket and has
+    member gradients born in their regions, so an input that already is
+    its region is not copied; any other input is copied into its region.
+    Only axis-0 concats of same-dtype arrays take the buffer."""
+    body = DIRECT["concat"](op)
+
+    def concat_out(*args):
+        *values, out = args
+        if op.attrs["axis"] != 0 or not all(
+                _is_dense(v, out) and v.ndim == out.ndim
+                and v.shape[1:] == out.shape[1:] for v in values) or sum(
+                v.shape[0] for v in values) != out.shape[0]:
+            return body(*values)
+        lo = 0
+        for v in values:
+            region = out[lo:lo + v.shape[0]]
+            lo += v.shape[0]
+            if not (v.flags.c_contiguous and _data_ptr(v) == _data_ptr(region)):
+                region[...] = v
+        return out
+
+    return concat_out
+
+
+def _data_ptr(a) -> int:
+    return a.__array_interface__["data"][0]
+
+
 @register_direct_out("add")
 def _add_out(op):
     body = DIRECT["add"](op)
@@ -667,6 +697,42 @@ def _register_vjp_out(op_type: str):
         return fn
 
     return deco
+
+
+@_register_vjp_out("matmul")
+def _matmul_vjp_out(fwd_op, index):
+    if index == 0:
+        def grad_a(g, b, out):  # g @ b.T
+            if (_is_dense(g, out) and _is_dense(b, out)
+                    and g.ndim == 2 and b.ndim == 2 and out.ndim == 2
+                    and out.shape == (g.shape[0], b.shape[0])):
+                return np.matmul(g, b.T, out=out)
+            return g @ b.T
+
+        return (3, 1), grad_a  # (grad, b)
+
+    def grad_b(a, g, out):  # a.T @ g
+        if (_is_dense(a, out) and _is_dense(g, out)
+                and a.ndim == 2 and g.ndim == 2 and out.ndim == 2
+                and out.shape == (a.shape[1], g.shape[1])):
+            return np.matmul(a.T, g, out=out)
+        return a.T @ g
+
+    return (0, 3), grad_b  # (a, grad)
+
+
+@_register_vjp_out("add_bias")
+def _add_bias_vjp_out(fwd_op, index):
+    if index == 0:
+        return None  # the incoming gradient itself (EXPAND_ALIAS_VJP)
+
+    def grad_bias(g, out):
+        if (_is_dense(g, out) and g.ndim >= 1 and out.ndim == 1
+                and out.shape == g.shape[-1:]):
+            return np.sum(g.reshape(-1, g.shape[-1]), axis=0, out=out)
+        return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+    return (3,), grad_bias  # (grad,)
 
 
 @_register_vjp_out("tanh")

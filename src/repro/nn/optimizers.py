@@ -176,8 +176,21 @@ def _as_combined_slices(op, value) -> IndexedSlices:
     return value.combine()
 
 
-def _sgd_dense(read, write, name, lr, grad):
-    write(name, read(name) - lr * grad)
+def _writable_like(state, grad) -> bool:
+    """Whether *state* can take an update from *grad* in place with the
+    bits of the allocating write: both plain arrays of one dtype and
+    shape, and *state* writable."""
+    return (type(state) is np.ndarray and type(grad) is np.ndarray
+            and state.flags.writeable and state.dtype == grad.dtype
+            and state.shape == grad.shape)
+
+
+def _sgd_dense(read, write, name, lr, grad, in_place=False):
+    current = read(name)
+    if in_place and _writable_like(current, grad):
+        np.subtract(current, lr * grad, out=current)
+    else:
+        write(name, current - lr * grad)
 
 
 def _sgd_sparse(read, write, name, lr, grad):
@@ -190,9 +203,6 @@ def _sgd_sparse(read, write, name, lr, grad):
     write(name, current)
 
 
-_SGD_BODIES = {"sgd_update": _sgd_dense, "sgd_update_sparse": _sgd_sparse}
-
-
 def specialize_update(op, read, write):
     """Compile-time form of the SGD update kernels for executor plans.
 
@@ -202,22 +212,36 @@ def specialize_update(op, read, write):
     disappear.  Returns None for op types or configurations (clipping)
     that have no specialized form; those stay on the runtime kernels.
     """
-    body = _SGD_BODIES.get(op.op_type)
-    if body is None or op.attrs.get("clip_norm") is not None:
+    if (op.op_type not in ("sgd_update", "sgd_update_sparse")
+            or op.attrs.get("clip_norm") is not None):
         return None
     name, lr = op.attrs["variable"], op.attrs["lr"]
+    if op.op_type == "sgd_update_sparse":
+        def sgd_update_sparse_kernel(op, inputs, runtime):
+            _sgd_sparse(read, write, name, lr, inputs[0])
+
+        return sgd_update_sparse_kernel
 
     def sgd_update_kernel(op, inputs, runtime):
-        body(read, write, name, lr, inputs[0])
+        _sgd_dense(read, write, name, lr, inputs[0], _in_place(op, runtime))
 
     return sgd_update_kernel
+
+
+def _in_place(op, runtime) -> bool:
+    """Whether this run may write *op*'s variables in place: generated
+    code lists the updates its buffer plan proved no reader of those
+    variables follows in ``run_cache["in_place"]``
+    (``repro.graph.bufferplan.IN_PLACE_UPDATES``).  The same ufuncs then
+    write the variables' own arrays, so the bits do not change."""
+    return op.name in runtime.run_cache.get("in_place", ())
 
 
 @register_forward("sgd_update")
 def _sgd_update(op, inputs, runtime):
     _sgd_dense(runtime.read_variable, runtime.write_variable,
                op.attrs["variable"], op.attrs["lr"],
-               _maybe_clip(op, inputs[0]))
+               _maybe_clip(op, inputs[0]), _in_place(op, runtime))
 
 
 @register_forward("sgd_update_sparse")
@@ -230,10 +254,17 @@ def _sgd_update_sparse(op, inputs, runtime):
 @register_forward("momentum_update")
 def _momentum_update(op, inputs, runtime):
     name, slot = op.attrs["variable"], op.attrs["slot"]
+    grad = _maybe_clip(op, inputs[0])
     vel = runtime.read_variable(slot)
-    vel = op.attrs["momentum"] * vel + _maybe_clip(op, inputs[0])
-    runtime.write_variable(slot, vel)
     current = runtime.read_variable(name)
+    if (_in_place(op, runtime) and _writable_like(vel, grad)
+            and _writable_like(current, grad)):
+        np.multiply(vel, op.attrs["momentum"], out=vel)
+        np.add(vel, grad, out=vel)
+        np.subtract(current, op.attrs["lr"] * vel, out=current)
+        return None
+    vel = op.attrs["momentum"] * vel + grad
+    runtime.write_variable(slot, vel)
     runtime.write_variable(name, current - op.attrs["lr"] * vel)
     return None
 
@@ -262,14 +293,26 @@ def _adam_update(op, inputs, runtime):
     t = float(step[0])
     m = runtime.read_variable(op.attrs["m"])
     v = runtime.read_variable(op.attrs["v"])
-    m = b1 * m + (1 - b1) * grad
-    v = b2 * v + (1 - b2) * grad * grad
-    runtime.write_variable(op.attrs["m"], m)
-    runtime.write_variable(op.attrs["v"], v)
+    current = runtime.read_variable(name)
+    in_place = _in_place(op, runtime) and all(
+        _writable_like(state, grad) for state in (m, v, current))
+    if in_place:
+        m_term = (1 - b1) * grad
+        np.add(np.multiply(m, b1, out=m), m_term, out=m)
+        v_term = (1 - b2) * grad * grad
+        np.add(np.multiply(v, b2, out=v), v_term, out=v)
+    else:
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * grad * grad
+        runtime.write_variable(op.attrs["m"], m)
+        runtime.write_variable(op.attrs["v"], v)
     m_hat = m / (1 - b1 ** t)
     v_hat = v / (1 - b2 ** t)
-    current = runtime.read_variable(name)
-    runtime.write_variable(name, current - lr * m_hat / (np.sqrt(v_hat) + eps))
+    delta = lr * m_hat / (np.sqrt(v_hat) + eps)
+    if in_place:
+        np.subtract(current, delta, out=current)
+    else:
+        runtime.write_variable(name, current - delta)
     return None
 
 

@@ -10,6 +10,7 @@ back).
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.analysis import AnalysisReport, Finding, PlanVerificationError, verify_plan
@@ -28,8 +29,10 @@ from repro.core.backend import MultiprocBackend, build_all_worker_entries
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import ar_graph_plan, hybrid_graph_plan
 from repro.core.transform.transform import transform_graph
+from repro.graph import Graph, ops
 from repro.graph.executor import CompiledPlan
 from repro.graph.gradients import gradients
+from repro.graph.variables import Variable
 from repro.nn.models import build_lm
 from repro.nn.optimizers import GradientDescentOptimizer
 
@@ -346,6 +349,55 @@ class TestAliasAudit:
         findings, stats = audit_buffer_plan(plan, bplan=corrupted)
         assert stats["pinned_errors"] > 0
         assert any("must outlive the step" in f.message for f in findings)
+
+    def test_overlapping_bucket_views_are_flagged(self, plan):
+        """ROADMAP's bucket mutant: a member gradient born over part of
+        its neighbour's region of the fused bucket."""
+        bplan = plan._ensure_buffer_plan()
+        buckets = {}
+        for slot, (concat, lo, hi) in bplan.views.items():
+            buckets.setdefault(concat, []).append((lo, hi, slot))
+        concat, members = next((c, sorted(m)) for c, m in buckets.items()
+                               if len(m) >= 2)
+        (lo_a, hi_a, a), (lo_b, hi_b, b) = members[:2]
+        start = (lo_a + hi_a) // 2
+        corrupted = dataclasses.replace(bplan, views={
+            **bplan.views, b: (concat, start, start + hi_b - lo_b)})
+        findings, stats = audit_buffer_plan(plan, bplan=corrupted)
+        assert stats["view_errors"] >= 1
+        overlap = next(f for f in findings
+                       if "bucket views overlap" in f.message)
+        assert f"slot {a} " in overlap.message
+        assert f"slot {b} " in overlap.message
+        assert f"[{start}, " in overlap.message
+
+    def test_read_moved_after_its_update_is_flagged(self):
+        """A read of ``w`` whose consumer runs after ``w``'s update: the
+        planner keeps that update out of place, and a plan that runs it
+        in place anyway is rejected (property 4)."""
+        g = Graph()
+        with g.as_default():
+            w = Variable("w", (4, 3), initializer=np.ones((4, 3),
+                                                          np.float32))
+            loss = ops.mse_loss(w.tensor, ops.constant(
+                np.zeros((4, 3), np.float32)))
+            train = GradientDescentOptimizer(0.5).update(gradients(loss))
+            late = ops.scale(w.tensor, 2.0, name="late_reader")
+        plan = CompiledPlan(g, [train.op, late.op])
+        bplan = plan._ensure_buffer_plan()
+        slot = {op.name: s for op, _k, _i, s, _e in plan.schedule}
+        update, reader = slot["update/w"], slot["late_reader"]
+        assert slot["w"] < update < reader
+        assert update not in bplan.in_place
+        assert audit_buffer_plan(plan)[0] == []
+        corrupted = dataclasses.replace(bplan,
+                                        in_place=frozenset({update}))
+        findings, stats = audit_buffer_plan(plan, bplan=corrupted)
+        assert stats["in_place_errors"] == 1
+        [finding] = findings
+        assert f"in-place update at position {update}" in finding.message
+        assert "variable 'w'" in finding.message
+        assert f"is used at position {reader}" in finding.message
 
     def test_liveness_disagreement_is_reported(self, plan):
         bplan = plan._ensure_buffer_plan()
