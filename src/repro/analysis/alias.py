@@ -66,7 +66,7 @@ _VIEW_OF_INPUT0 = frozenset({"identity", "reshape", "slice", "bucket_slice"})
 #: retains no reference to it (ufunc/BLAS outputs).
 _FRESH_FWD = frozenset({
     "add", "mul", "tanh", "sigmoid", "relu", "scale", "add_bias",
-    "matmul",
+    "matmul", "lstm_seq",
 })
 
 #: Forward op types that neither alias their inputs nor retain them
@@ -87,7 +87,7 @@ _FOLDS = frozenset({"allreduce", "fused_allreduce"})
 #: vjp rules returning a fresh array for every output index.
 _FRESH_VJP = frozenset({
     "matmul", "mul", "tanh", "sigmoid", "relu", "scale", "slice",
-    "softmax_xent", "mse", "mean",
+    "softmax_xent", "mse", "mean", "lstm_seq",
 })
 
 #: vjp rules where some output index may alias (or view) the incoming

@@ -87,7 +87,7 @@ VIEW_FWD = frozenset({"identity", "reshape", "slice", "bucket_slice"})
 # vjp rules that return only fresh arrays for every output index.
 FRESH_VJP = frozenset(
     {"matmul", "mul", "tanh", "sigmoid", "relu", "scale", "slice",
-     "softmax_xent", "mse", "mean"}
+     "softmax_xent", "mse", "mean", "lstm_seq"}
 )
 
 # vjp rules where some output index may alias (or view) the incoming
@@ -104,15 +104,6 @@ GRAD_ALIAS_VJP = frozenset(
 EXPAND_ALIAS_VJP = frozenset(
     {("add", 0), ("add", 1), ("identity", 0), ("add_bias", 0)}
 )
-
-# Forward op types whose vjp expansions are taken only for a gradient
-# born in a bucket and its sibling nodes of the same rule call (so the
-# shared rule never runs beside them).  Elsewhere an arena buffer would
-# pin memory the allocator otherwise shares -- the bench LM's 20
-# per-timestep recurrent-kernel gradients are all live until their
-# grad_add, and as arena buffers they raised its peak RSS by 8 %
-# (161 -> 174 MB).
-BUCKET_ONLY_VJP = frozenset({"matmul", "add_bias"})
 
 # Collectives whose kernel folds into a plan-owned ``out=`` buffer.  They
 # read their inputs only during the call and retain nothing, and every
@@ -133,7 +124,7 @@ IN_PLACE_UPDATES = {
 KNOWN_SAFE = frozenset(
     {"placeholder", "constant", "read_var", "concat", "gather", "mean",
      "softmax", "softmax_xent", "mse", "grad_add", "ones_like_scalar", "group",
-     "assign", "assign_sub", "scatter_sub", "send", "recv"}
+     "assign", "assign_sub", "scatter_sub", "send", "recv", "lstm_seq"}
 )
 
 # Op types whose output is (or may wrap) an IndexedSlices.
@@ -283,7 +274,6 @@ def build_buffer_plan(plan) -> BufferPlan:
     concats: List[int] = []
     updates: List[int] = []
     reads: Dict[str, List[int]] = {}  # variable -> read_var slots
-    rule_call: Dict[int, tuple] = {}  # BUCKET_ONLY_VJP node -> vjp key
 
     for op, _kernel, input_slots, slot, _edges in schedule:
         last_use.setdefault(slot, slot)
@@ -303,9 +293,6 @@ def build_buffer_plan(plan) -> BufferPlan:
             grad_slot = input_slots[nf + 1]
             if op.attrs.get("is_sparse") or ftype == "gather":
                 maybe_sparse[slot] = True
-            if ftype in BUCKET_ONLY_VJP:
-                rule_call[slot] = (op.attrs["forward_op"],
-                                   op.attrs["grad_source"])
             built = None
             if (ftype in ops_mod.VJP_OUT and ftype in ops_mod.VJP
                     and not maybe_sparse[slot]):
@@ -367,15 +354,9 @@ def build_buffer_plan(plan) -> BufferPlan:
     for t in plan.target_slots:
         uf.flag(t, no_arena=True, pinned=True)
 
-    # A BUCKET_ONLY_VJP rule call is expandable when none of its nodes
-    # would still run the shared rule.
-    blocked = {key for slot, key in rule_call.items()
-               if slot not in expansions and (
-                   slot not in vjp_candidates or uf.no_arena[uf.find(slot)])}
     candidate_specs = {slot: spec for slot, spec, _ in fwd_candidates}
     candidate_specs.update(
-        (slot, entry[0]) for slot, entry in vjp_candidates.items()
-        if rule_call.get(slot) not in blocked)
+        (slot, entry[0]) for slot, entry in vjp_candidates.items())
     views = _bucket_views(schedule, concats, candidate_specs, uf,
                           maybe_sparse)
 
@@ -416,10 +397,8 @@ def build_buffer_plan(plan) -> BufferPlan:
                               Optional[Callable]]] = {}
     for slot, spec, out_fn in fwd_candidates:
         eligible[slot] = (spec, None, out_fn)
-    in_buckets = {rule_call[k] for k in views if k in rule_call}
     for slot, (spec, args, fn) in vjp_candidates.items():
-        if slot not in rule_call or rule_call[slot] in in_buckets:
-            eligible[slot] = (spec, args, fn)
+        eligible[slot] = (spec, args, fn)
     for slot, spec in fold_candidates.items():
         eligible[slot] = (spec, None, None)
     eligible = {slot: entry for slot, entry in eligible.items()

@@ -16,8 +16,8 @@ synthetic op types implement this:
 The tiling rule: a ``slice`` consumer's contribution is held (slice op +
 gradient of its output) until its producer is reached.  When *all* of a
 producer's contributions are slices of one axis whose ``[lo, hi)`` ranges
-cover it exactly -- disjoint, gap-free, complete, as the LSTM gate split
-and ``split_steps`` are -- its gradient is one ``concat`` of the held
+cover it exactly -- disjoint, gap-free, complete, as the LSTM kernel's
+input and recurrent rows are -- its gradient is one ``concat`` of the held
 gradients.  Otherwise each held slice gets its ordinary zero-padding
 ``vjp`` node, as if never held.  The ``concat`` equals the padded sum
 except that it keeps a ``-0.0`` the sum would turn into ``+0.0``.
@@ -46,6 +46,7 @@ NON_DIFFERENTIABLE_INPUTS: Dict[str, Tuple[int, ...]] = {
     "gather": (1,),
     "softmax_xent": (1, 2),  # labels; the shared softmax (ops.softmax_xent)
     "mse": (1,),
+    "lstm_seq": (2, 3),  # the initial state (ops.lstm_seq)
     "part_gather": (-1,),  # -1 means "last input" (the ids)
 }
 

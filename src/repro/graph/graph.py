@@ -5,9 +5,8 @@ The IR is deliberately close to TensorFlow 1.x's:
 * a :class:`Graph` owns a set of uniquely-named :class:`Operation` objects;
 * each op has a type, input :class:`Tensor` references, attributes, and a
   device placement;
-* each op produces exactly one output tensor (composite ops like LSTM are
-  built from primitives, which is also what makes the distributed
-  transformation realistic -- it must cope with deep graphs).
+* each op produces exactly one output tensor (a composite op such as the
+  fused LSTM recurrence returns one workspace its consumers slice).
 
 Graphs additionally carry the *gradient info* map (variable name ->
 gradient tensor name) that the paper adds to MetaGraphDef so that Parallax

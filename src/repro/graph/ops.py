@@ -275,6 +275,44 @@ def _sigmoid_vjp(op, inputs, output, grad):
     return [k.sigmoid_grad(output, grad)]
 
 
+def lstm_seq(zx: Tensor, w_h: Tensor, h0: Tensor, c0: Tensor,
+             name="lstm_seq", graph=None) -> Tensor:
+    """The whole LSTM recurrence as one op.
+
+    *zx* is ``(batch, steps, 4*hidden)``, every step's input projection
+    plus bias in gate order i, f, g, o; *w_h* the ``(hidden, 4*hidden)``
+    recurrent rows; *h0*, *c0* the ``(batch, hidden)`` initial state,
+    which takes no gradient.  The output is the ``(batch,
+    7*steps*hidden)`` workspace of :func:`repro.tensor.math.lstm_views`:
+    its first ``steps*hidden`` columns are the state sequence, which is
+    all a graph should consume -- the VJP reads the gates and cells the
+    forward left in the rest, and only the state columns' gradient.
+    """
+    g = _graph(graph)
+    batch, steps, width = zx.spec.shape
+    hidden = width // 4
+    if (width != 4 * hidden or w_h.spec.shape != (hidden, width)
+            or h0.spec.shape != (batch, hidden)
+            or c0.spec.shape != (batch, hidden)):
+        raise ValueError(
+            f"lstm_seq shape mismatch: zx {zx.spec.shape}, w_h "
+            f"{w_h.spec.shape}, h0 {h0.spec.shape}, c0 {c0.spec.shape}"
+        )
+    spec = TensorSpec((batch, 7 * steps * hidden), zx.dtype)
+    return g.add_op("lstm_seq", [zx, w_h, h0, c0], spec, name=name).output
+
+
+@register_direct("lstm_seq")
+def _lstm_seq_direct(op):
+    return k.lstm_seq
+
+
+@register_vjp("lstm_seq")
+def _lstm_seq_vjp(op, inputs, output, grad):
+    dzx, dw_h = k.lstm_seq_grad(*inputs, output, grad)
+    return [dzx, dw_h, None, None]
+
+
 # ======================================================================
 # Shape ops
 # ======================================================================

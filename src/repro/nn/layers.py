@@ -16,7 +16,7 @@ models fast enough for tests.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -96,32 +96,22 @@ def embedding(ids: Tensor, vocab_size: int, dim: int, name: str,
     return ops.gather(var.tensor, ids, name=f"{name}/lookup"), var
 
 
-def split_steps(x: Tensor, seq_len: int, name: str) -> List[Tensor]:
-    """Split a (batch, seq, dim) tensor into per-timestep (batch, dim)."""
-    steps = []
-    batch = x.spec.shape[0]
-    dim = x.spec.shape[2]
-    for t in range(seq_len):
-        s = ops.slice_axis(x, t, t + 1, axis=1, name=f"{name}/t{t}")
-        steps.append(ops.reshape(s, (batch, dim), name=f"{name}/t{t}/squeeze"))
-    return steps
+def lstm(x_seq: Tensor, hidden: int, name: str) -> Tensor:
+    """LSTM over a ``(batch, seq, dim)`` input sequence.
 
-
-def lstm(x_seq: Tensor, hidden: int, name: str) -> List[Tensor]:
-    """Unrolled LSTM over a ``(batch, seq, dim)`` input sequence.
-
-    Built from primitive ops (matmul/slice/sigmoid/tanh/mul/add) so
-    autodiff and the distributed transformation see an ordinary deep graph,
-    as they would with TF's unrolled ``tf.nn.dynamic_rnn``.  Returns the
-    hidden state at every step.
+    Returns the ``(batch, seq*hidden)`` state sequence: columns
+    ``[t*hidden, (t+1)*hidden)`` are the hidden state after step ``t``.
 
     The input projection is hoisted out of the recurrence (Appleyard et
     al., arXiv:1604.01946): one ``lstm/kernel`` variable is sliced into
-    its input rows ``W_x`` and recurrent rows ``W_h``; every timestep's
-    ``x_t @ W_x + b`` comes from one ``(batch*seq, dim)`` matmul, and only
-    ``h @ W_h`` and one ``add`` stay per step.  The two kernel slices tile
-    the kernel, so its gradient is one ``concat`` (``repro.graph.gradients``)
-    and the variable set is the same as a per-step ``[x, h] @ W``.
+    its input rows ``W_x`` and recurrent rows ``W_h``, and every
+    timestep's ``x_t @ W_x + b`` comes from one ``(batch*seq, dim)``
+    matmul.  The recurrence itself is one ``lstm_seq`` op whose VJP runs
+    backpropagation through time (``repro.tensor.math`` says why both
+    keep the bits of the cell built from primitive ops).  The two kernel
+    slices tile the kernel, so its gradient is one ``concat``
+    (``repro.graph.gradients``) and the variable set is the same as a
+    per-step ``[x, h] @ W``.
     """
     batch, steps, in_dim = x_seq.spec.shape
     if not steps:
@@ -140,39 +130,13 @@ def lstm(x_seq: Tensor, hidden: int, name: str) -> List[Tensor]:
                    w_x, name=f"{name}/x_matmul"),
         b.tensor, name=f"{name}/x_bias",
     )
-    zx_steps = split_steps(
+    h0, c0 = (ops.constant(np.zeros((batch, hidden), dtype="float32"),
+                           name=f"{name}/{state}") for state in ("h0", "c0"))
+    workspace = ops.lstm_seq(
         ops.reshape(zx, (batch, steps, 4 * hidden), name=f"{name}/zx"),
-        steps, f"{name}/zx")
-    h = ops.constant(np.zeros((batch, hidden), dtype="float32"),
-                     name=f"{name}/h0")
-    c = ops.constant(np.zeros((batch, hidden), dtype="float32"),
-                     name=f"{name}/c0")
-    outputs: List[Tensor] = []
-    for t, zx_t in enumerate(zx_steps):
-        prefix = f"{name}/step{t}"
-        z = ops.add(zx_t, ops.matmul(h, w_h, name=f"{prefix}/matmul"),
-                    name=f"{prefix}/z")
-        i = ops.sigmoid(ops.slice_axis(z, 0, hidden, name=f"{prefix}/zi"),
-                        name=f"{prefix}/i")
-        f = ops.sigmoid(
-            ops.slice_axis(z, hidden, 2 * hidden, name=f"{prefix}/zf"),
-            name=f"{prefix}/f",
-        )
-        gate = ops.tanh(
-            ops.slice_axis(z, 2 * hidden, 3 * hidden, name=f"{prefix}/zg"),
-            name=f"{prefix}/g",
-        )
-        o = ops.sigmoid(
-            ops.slice_axis(z, 3 * hidden, 4 * hidden, name=f"{prefix}/zo"),
-            name=f"{prefix}/o",
-        )
-        c = ops.add(ops.mul(f, c, name=f"{prefix}/fc"),
-                    ops.mul(i, gate, name=f"{prefix}/ig"),
-                    name=f"{prefix}/c")
-        h = ops.mul(o, ops.tanh(c, name=f"{prefix}/tanh_c"),
-                    name=f"{prefix}/h")
-        outputs.append(h)
-    return outputs
+        w_h, h0, c0, name=f"{name}/seq")
+    return ops.slice_axis(workspace, 0, steps * hidden, axis=1,
+                          name=f"{name}/states")
 
 
 def _activate(x: Tensor, activation: Optional[str], name: str) -> Tensor:

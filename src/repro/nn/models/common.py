@@ -47,31 +47,33 @@ class BuiltModel:
         return {self.placeholders[k]: arr for k, arr in zip(keys, batch)}
 
 
-def sequence_loss(h_steps: Sequence[Tensor], targets: Tensor,
+def sequence_loss(states: Tensor, targets: Tensor,
                   kernels: Sequence[Variable]) -> Tuple[Tensor, Tensor]:
     """The batched output layer of a sequence model: ``(loss, logits)``.
 
-    Stacks the per-step ``(batch, hidden)`` states into ``batch*seq`` rows
-    -- ``concat`` along the feature axis, then a reshape, so row
-    ``b*seq + t`` is ``h_steps[t][b]`` and lines up with
-    ``reshape(targets, (batch*seq,))`` -- and runs the output head (a
-    chain of matmuls by *kernels*) and one ``softmax_xent`` over all of
-    them.  The mean over those rows equals the mean of per-step means.
+    *states* is ``layers.lstm``'s ``(batch, seq*hidden)`` state sequence.
+    Reshaped to ``batch*seq`` rows, row ``b*seq + t`` is step ``t``'s
+    state of example ``b`` and lines up with ``reshape(targets,
+    (batch*seq,))``; the output head (a chain of matmuls by *kernels*)
+    and one ``softmax_xent`` run over all of them.  The mean over those
+    rows equals the mean of per-step means.
 
-    ``logits`` is the head applied to the last step only, for serving:
-    it shares the weights, a training plan prunes it, and a forward-only
-    plan never computes the ``seq`` times larger training logits.
+    ``logits`` is the head applied to a slice of the last step only, for
+    serving: it shares the weights, a training plan prunes it, and a
+    forward-only plan never computes the ``seq`` times larger training
+    logits.
     """
     batch, seq_len = targets.spec.shape
-    hidden = h_steps[-1].spec.shape[-1]
+    hidden = states.spec.shape[1] // seq_len
 
     def head(x: Tensor, scope: str) -> Tensor:
         for i, kernel in enumerate(kernels):
             x = ops.matmul(x, kernel.tensor, name=f"{scope}/matmul{i}")
         return x
 
-    rows = ops.reshape(ops.concat(list(h_steps), axis=1, name="h_stack"),
-                       (batch * seq_len, hidden), name="h_rows")
+    rows = ops.reshape(states, (batch * seq_len, hidden), name="h_rows")
     labels = ops.reshape(targets, (batch * seq_len,), name="label_rows")
     loss = ops.softmax_xent(head(rows, "output"), labels, name="loss")
-    return loss, head(h_steps[-1], "logits")
+    last = ops.slice_axis(states, (seq_len - 1) * hidden, seq_len * hidden,
+                          axis=1, name="h_last")
+    return loss, head(last, "logits")

@@ -2,15 +2,16 @@
 
 A scaled-down Jozefowicz et al. big-LSTM (arXiv:1602.02410): embedding
 lookup (sparse; the variable the paper's techniques exist for), a single
-unrolled LSTM, a projection, and a full softmax over the vocabulary.  At
-test scale the softmax weights are dense; the embedding gradient is
+LSTM, a projection, and a full softmax over the vocabulary.  At test
+scale the softmax weights are dense; the embedding gradient is
 IndexedSlices, which is what classifies the model as sparse.
 
 The graph is time-batched the way that model is: the LSTM's input
-projection is one matmul over every timestep (``layers.lstm``), and the
-projection, the logits matmul and the softmax cross-entropy each run
-once over all ``batch*seq_len`` rows (``common.sequence_loss``).  Only
-the recurrence itself is unrolled per timestep.
+projection is one matmul over every timestep, the recurrence is one
+``lstm_seq`` op (``layers.lstm``), and the projection, the logits matmul
+and the softmax cross-entropy each run once over all ``batch*seq_len``
+rows (``common.sequence_loss``).  No op is issued per timestep, so the
+step's schedule length does not depend on ``seq_len``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def build_lm(
             tokens, vocab_size, emb_dim, name="embedding",
             num_partitions=num_partitions,
         )
-        h_steps = layers.lstm(embedded, hidden, name="lstm")
+        states = layers.lstm(embedded, hidden, name="lstm")
         proj_w = layers.get_variable(
             "projection/kernel", (hidden, emb_dim),
             initializer=layers.glorot_initializer(),
@@ -58,7 +59,7 @@ def build_lm(
             "softmax/kernel", (emb_dim, vocab_size),
             initializer=layers.glorot_initializer(),
         )
-        loss, logits = sequence_loss(h_steps, targets, [proj_w, softmax_w])
+        loss, logits = sequence_loss(states, targets, [proj_w, softmax_w])
 
     return BuiltModel(
         graph=graph,

@@ -51,7 +51,10 @@ def build_nmt(
             num_partitions=num_partitions,
         )
         # The final encoder state conditions every decoder step.
-        context = layers.lstm(src_emb, hidden, name="encoder/lstm")[-1]
+        context = ops.slice_axis(
+            layers.lstm(src_emb, hidden, name="encoder/lstm"),
+            (src_len - 1) * hidden, src_len * hidden, axis=1,
+            name="encoder/last_state")
 
         tgt_emb, _ = layers.embedding(
             tgt, tgt_vocab, emb_dim, name="decoder/embedding",
@@ -61,7 +64,7 @@ def build_nmt(
             [ops.reshape(context, (batch_size, 1, hidden),
                          name="context/step")] * tgt_len,
             axis=1, name="context/seq")
-        dec_steps = layers.lstm(
+        dec_states = layers.lstm(
             ops.add(tgt_emb, context_seq, name="dec_in"), hidden,
             name="decoder/lstm")
 
@@ -69,7 +72,7 @@ def build_nmt(
             "softmax/kernel", (hidden, tgt_vocab),
             initializer=layers.glorot_initializer(),
         )
-        loss, logits = sequence_loss(dec_steps, tgt, [softmax_w])
+        loss, logits = sequence_loss(dec_states, tgt, [softmax_w])
 
     return BuiltModel(
         graph=graph,

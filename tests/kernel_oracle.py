@@ -1,16 +1,17 @@
 """Reference kernels: the bodies `src/` had before the LM's non-BLAS half
 was put on a diet, and before its softmax was shared.
 
-An oracle, not product code: the two-branch mask/gather/scatter sigmoid,
-the `grad_add` fold that allocates a new total per term, the slice VJP
-that zero-pads every slice gradient to the full tensor, and the
+An oracle, not product code: the two-branch mask/gather/scatter sigmoid
+and the one-pass form that selected its numerator with `np.where`, the
+`grad_add` fold that allocates a new total per term, the slice VJP that
+zero-pads every slice gradient to the full tensor, and the
 `softmax_xent` VJP that recomputes the softmax.  The one-pass `sigmoid`,
 the in-place fold, the `concat` of tiling slice gradients and the
 shared-softmax VJP must reproduce their bits (the `concat` up to the sign
 of zero).
 
-`lstm_cell` is the fused single-step LSTM the primitive-op
-`repro.nn.layers.lstm` is checked against.
+`lstm_cell` is the single-step LSTM cell `repro.nn.layers.lstm` is
+checked against.
 """
 
 import numpy as np
@@ -33,6 +34,14 @@ def oracle_sigmoid(x):
     np.divide(ex, denom, out=denom)
     out[neg] = denom
     return out
+
+
+def oracle_where_sigmoid(x):
+    """``z = exp(-|x|); where(x >= 0, 1, z) / (1 + z)``."""
+    z = np.exp(np.negative(np.abs(x)))
+    num = np.where(x >= 0, 1.0, z)
+    z += 1.0
+    return np.divide(num, z)
 
 
 def oracle_grad_add(values):

@@ -626,12 +626,12 @@ class TestWorkerFailureContext:
     def test_mid_step_failure_names_rank_position_and_op(self, monkeypatch):
         from repro.graph.executor import DIRECT
 
-        def exploding_tanh(x):
+        def exploding_lstm(*inputs):
             raise RuntimeError("injected kernel failure")
 
         # Patch before the runner forks its workers: the children inherit
         # the poisoned kernel table and die mid-execute on the first step.
-        monkeypatch.setitem(DIRECT, "tanh", lambda op: exploding_tanh)
+        monkeypatch.setitem(DIRECT, "lstm_seq", lambda op: exploding_lstm)
         model = make_model()
         runner = DistributedRunner(
             model, C2x1, hybrid_graph_plan(model.graph, fusion=True),
@@ -648,7 +648,7 @@ class TestWorkerFailureContext:
         assert err.schedule_index is not None and err.schedule_index >= 0
         assert err.op_name
         failed_op = runner.transformed.graph.get_op(err.op_name)
-        assert failed_op.op_type == "tanh"
+        assert failed_op.op_type == "lstm_seq"
         assert "injected kernel failure" in str(err)
         assert f"at schedule position {err.schedule_index}" in str(err)
 

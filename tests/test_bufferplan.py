@@ -269,6 +269,8 @@ class TestFusedDifferential:
         if model_key in ("lm", "nmt"):
             assert arena > 0
             assert fusion_chains(plan, bplan)
+            assert any(entry[0].op_type == "lstm_seq"
+                       for entry in plan.schedule)
 
     def test_compiled_inproc_matches_multiproc(self):
         losses = {}

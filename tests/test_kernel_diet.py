@@ -23,7 +23,9 @@ from repro.nn.models import build_lm
 from repro.nn.optimizers import GradientDescentOptimizer
 from repro.tensor import math as k
 from repro.tensor.sparse import IndexedSlices
-from kernel_oracle import oracle_grad_add, oracle_sigmoid, oracle_slice_vjp
+from kernel_oracle import (oracle_grad_add, oracle_sigmoid,
+                           oracle_slice_vjp, oracle_where_sigmoid)
+from lstm_oracle import split_steps
 
 
 def bits(a):
@@ -93,6 +95,31 @@ def test_sigmoid_takes_rank_zero_and_empty():
     assert_same_bits(k.sigmoid(np.array(-3.0, dtype=np.float32)),
                      oracle_sigmoid(np.array(-3.0, dtype=np.float32)))
     assert k.sigmoid(np.empty((0, 4), dtype=np.float32)).shape == (0, 4)
+
+
+# The numerator as ``maximum(z, x >= 0)`` instead of ``where``: every
+# float32 bit pattern class, and the values where exp under- or
+# overflows, the subnormals and the signed zeros and infinities.
+_SPECIAL32 = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45, 1e-38,
+     -1e-38, 88.7, -88.7, 103.9, -103.9, 1e30, -1e30], np.float32)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sigmoid_numerator_is_the_where_form_on_every_bit_pattern(seed):
+    patterns = np.random.default_rng(seed).integers(
+        0, 2 ** 32, 250_000, dtype=np.uint64).astype(np.uint32)
+    nan_payloads = np.array([0x7FC01234, 0xFFC01234, 0x7F800001],
+                            np.uint32).view(np.float32)
+    x = np.concatenate([patterns.view(np.float32), _SPECIAL32,
+                        nan_payloads])
+    with np.errstate(all="ignore"):
+        got = k.sigmoid(x)
+        where_form = oracle_where_sigmoid(x)
+        branches = oracle_sigmoid(x[~np.isnan(x)])
+    assert_same_bits(got, where_form)  # NaN payloads included
+    assert_same_bits(got[~np.isnan(x)], branches)
+    assert np.isnan(got[np.isnan(x)]).all()
 
 
 # ----------------------------------------------------------------------
@@ -310,11 +337,7 @@ def test_rewrite_fires_on_the_lstm_gate_split_and_on_split_steps():
     g = Graph()
     with g.as_default():
         x = Variable("x", (batch, steps, dim))
-        outs = layers.lstm(x.tensor, hidden, "rnn")
-        total = outs[0]
-        for h in outs[1:]:
-            total = ops.add(total, h)
-        gvs = gradients(ops.mean(total))
+        gvs = gradients(ops.mean(layers.lstm(x.tensor, hidden, "rnn")))
     by_var = {var.name: grad for grad, var in gvs}
     # The kernel's input rows and recurrent rows tile it: one concat
     # along the row axis, W_x's gradient first.
@@ -322,23 +345,40 @@ def test_rewrite_fires_on_the_lstm_gate_split_and_on_split_steps():
     assert kernel.name == "grad_concat/rnn/kernel"
     assert kernel.op_type == "concat" and kernel.attrs["axis"] == 0
     assert [i.op.name for i in kernel.inputs] == \
-        ["grad/rnn/x_matmul/in1", "grad_add/rnn/w_h"]
-    # split_steps of the hoisted projection: its (batch, seq, 4*hidden)
-    # gradient is one concat along the time axis.
-    zx = g.get_op("grad_concat/rnn/zx")
-    assert zx.attrs["axis"] == 1 and len(zx.inputs) == steps
-    # Gate split: each timestep's pre-activation gets its four gate
-    # gradients as one concat along the feature axis, in i,f,g,o order.
+        ["grad/rnn/x_matmul/in1", "grad/rnn/seq/in1"]
+
+    # The gate and time splits the recurrence used to make in the graph,
+    # as sibling slices: a (batch, seq, 4*hidden) value split into steps,
+    # each step into its four gates.
+    g = Graph()
+    with g.as_default():
+        zx = Variable("zx", (batch, steps, 4 * hidden))
+        total = None
+        for t, z in enumerate(split_steps(zx.tensor, steps, "zx")):
+            gates = [ops.slice_axis(z, j * hidden, (j + 1) * hidden,
+                                    name=f"step{t}/z{gate}")
+                     for j, gate in enumerate("ifgo")]
+            acts = [(ops.tanh if gate == "g" else ops.sigmoid)(
+                z_j, name=f"step{t}/{gate}")
+                for z_j, gate in zip(gates, "ifgo")]
+            step = ops.add(ops.mul(acts[0], acts[1]),
+                           ops.mul(acts[2], acts[3]))
+            total = step if total is None else ops.add(total, step)
+        (grad, _), = gradients(ops.mean(total))
+    # split_steps: the (batch, seq, 4*hidden) gradient is one concat
+    # along the time axis.
+    assert grad.op.op_type == "concat" and grad.op.attrs["axis"] == 1
+    assert len(grad.op.inputs) == steps
+    # Gate split: each timestep gets its four gate gradients as one
+    # concat along the feature axis, in i,f,g,o order.
     for t in range(steps):
-        add_vjp = g.get_op(f"grad/rnn/step{t}/z/in0")
-        upstream = add_vjp.inputs[-1].op
+        upstream = g.get_op(f"grad_concat/zx/t{t}/squeeze")
         assert upstream.op_type == "concat" and upstream.attrs["axis"] == 1
-        assert upstream.name == f"grad_concat/rnn/step{t}/z"
         assert [i.op.attrs["forward_op"] for i in upstream.inputs] == \
-            [f"rnn/step{t}/{gate}" for gate in "ifgo"]
+            [f"step{t}/{gate}" for gate in "ifgo"]
     assert slice_vjps(g) == []
     assert sum(op.name.startswith("grad_concat/")
-               for op in g.operations) == steps + 2
+               for op in g.operations) == steps + 1
 
 
 def test_bench_lm_step_schedule_is_1165_entries_with_no_slice_vjp():
@@ -353,12 +393,15 @@ def test_bench_lm_step_schedule_is_1165_entries_with_no_slice_vjp():
     plan = DistributedSession(transformed, seed=0).compile(
         list(transformed.replica_losses) + [transformed.train_op])
     # The test id keeps the per-timestep graph's count; see README.
-    assert len(plan.schedule) == 913
+    assert len(plan.schedule) == 145
     graph = transformed.graph
-    assert not [entry[0].name for entry in plan.schedule
-                if entry[0].op_type == "vjp"
-                and graph.get_op(entry[0].attrs["forward_op"]).op_type
-                == "slice"]
-    # One softmax per replica, shared by its loss and its gradient.
+    # No per-timestep or per-gate slice gradient is left: a replica's one
+    # slice VJP pads its state columns to the recurrence's workspace.
+    assert [entry[0].name for entry in plan.schedule
+            if entry[0].op_type == "vjp"
+            and graph.get_op(entry[0].attrs["forward_op"]).op_type
+            == "slice"] == [f"grad/rep{r}/lstm/states/in0" for r in (0, 1)]
     types = [entry[0].op_type for entry in plan.schedule]
+    assert types.count("lstm_seq") == 2
+    # One softmax per replica, shared by its loss and its gradient.
     assert types.count("softmax") == types.count("softmax_xent") == 2

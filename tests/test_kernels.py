@@ -158,12 +158,13 @@ class TestLosses:
 
 
 def one_step_lstm(batch, in_dim, hidden, gh):
-    """``mean(h_1 * gh)`` over one step of the primitive-op LSTM layer,
-    with the gradient of its kernel."""
+    """``mean(h_1 * gh)`` over one step of the LSTM layer, with the
+    gradient of its kernel."""
     g = Graph()
     with g.as_default():
         x = ops.placeholder((batch, 1, in_dim), name="x")
-        h1 = layers.lstm(x, hidden, name="lstm")[0]
+        # One step: the (batch, seq*hidden) state sequence is h_1.
+        h1 = layers.lstm(x, hidden, name="lstm")
         loss = ops.mean(ops.mul(h1, ops.constant(gh, name="gh")))
         grads = {var.name: grad for grad, var in gradients(loss)}
     return g, h1, loss, grads["lstm/kernel"]

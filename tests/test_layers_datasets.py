@@ -89,8 +89,8 @@ class TestEmbeddingLayer:
 
 class TestLSTMLayer:
     def test_matches_fused_kernel(self):
-        """The primitive-op LSTM must equal the fused reference cell
-        (``tests/kernel_oracle.py``)."""
+        """The LSTM layer's state sequence must equal the fused reference
+        cell (``tests/kernel_oracle.py``) step by step."""
         g = Graph()
         batch, in_dim, hidden, steps = 2, 3, 4, 3
         rng = np.random.default_rng(1)
@@ -108,7 +108,8 @@ class TestLSTMLayer:
         c = np.zeros((batch, hidden), np.float32)
         for t in range(steps):
             h, c = lstm_cell(x_value[:, t], h, c, w, b)
-            np.testing.assert_allclose(got[t], h, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(got[:, t * hidden:(t + 1) * hidden],
+                                       h, rtol=1e-4, atol=1e-6)
 
     def test_empty_steps_rejected(self):
         g = Graph()

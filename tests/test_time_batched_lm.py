@@ -68,8 +68,10 @@ def test_lm_runs_each_output_op_once_per_step():
     plan = Session(model.graph).compile([model.loss])
     types = [entry[0].op_type for entry in plan.schedule]
     assert types.count("softmax") == types.count("softmax_xent") == 1
-    # Input projection, projection and logits once; h @ W_h per step.
-    assert types.count("matmul") == 3 + 5
+    # Input projection, projection and logits once; h @ W_h runs inside
+    # the one recurrence op.
+    assert types.count("matmul") == 3
+    assert types.count("lstm_seq") == 1
     # Serving's logits are the last step's only.
     assert model.logits.spec.shape == (4, 120)
     assert model.logits.name not in plan.slot_of_name
