@@ -36,7 +36,6 @@ from repro.graph.executor import EdgeSpec
 from repro.graph.graph import Graph, Operation
 from repro.graph.session import Session, VariableStore, split_replica_prefix
 from repro.nn.models.common import BuiltModel
-from repro.nn.optimizers import specialize_update
 
 
 def apply_logical_state(session: "DistributedSession", graph: Graph,
@@ -118,26 +117,6 @@ class DistributedSession(Session):
     # -- execution ----------------------------------------------------------
     def _begin_run(self) -> None:
         self._seen_edges = set()
-
-    def _specialize_kernel(self, op: Operation):
-        """Variable access routes by the op's device placement -- static
-        graph structure, so compiled plans bind the store (and variable
-        name, and update hyperparameters) at compile time instead of
-        re-routing per call."""
-        if op.op_type == "read_var":
-            read = self._store_for(op).read
-            name = op.attrs["variable"]
-
-            def read_var_kernel(op, inputs, runtime):
-                return read(name)
-
-            return read_var_kernel
-        if op.op_type in ("sgd_update", "sgd_update_sparse"):
-            store = self._store_for(op)
-            kernel = specialize_update(op, store.read, store.write)
-            if kernel is not None:
-                return kernel
-        return super()._specialize_kernel(op)
 
     def _compile_edge_fn(self):
         """The cross-machine edge set is static graph structure, so

@@ -152,15 +152,6 @@ class VjpExpansion:
 
 
 @dataclass
-class Chain:
-    """A maximal run of adjacent fusable schedule positions."""
-
-    start: int
-    end: int
-    members: Tuple[int, ...]
-
-
-@dataclass
 class BufferPlan:
     assignment: Dict[int, int]  # slot -> arena buffer id
     buffers: List[Tuple[Tuple[int, ...], str]]  # buffer id -> (shape, dtype)
@@ -506,36 +497,3 @@ def _bucket_views(schedule, concats: List[int],
                 uf.union(c, k)
             lo = hi
     return views
-
-
-def fusion_chains(plan, bplan: BufferPlan) -> List[Chain]:
-    """Maximal runs of adjacent schedule positions whose emission is a
-    pure call into arena storage (elementwise forwards and expanded vjp
-    nodes, no transfer edges, not fetched).  Runs of length >= 2 are
-    emitted as single generated mega-kernels; interior values that never
-    escape the run stay in locals and are not stored to the value
-    buffer."""
-    targets = set(plan.target_slots)
-    fusable = []
-    for op, _kernel, input_slots, slot, edges in plan.schedule:
-        ok = edges is None and slot not in targets and (
-            (op.op_type in ARENA_FWD and slot in bplan.assignment
-             and slot not in plan._specialized)
-            or slot in bplan.expansions
-        )
-        fusable.append(ok)
-
-    chains: List[Chain] = []
-    pos = 0
-    n = len(fusable)
-    while pos < n:
-        if not fusable[pos]:
-            pos += 1
-            continue
-        end = pos
-        while end + 1 < n and fusable[end + 1]:
-            end += 1
-        if end > pos:
-            chains.append(Chain(pos, end, tuple(range(pos, end + 1))))
-        pos = end + 1
-    return chains

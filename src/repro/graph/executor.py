@@ -122,10 +122,6 @@ def plan_order(graph: Graph, targets: Sequence[Operation]) -> List[Operation]:
     return order
 
 
-def _rebuild_plan(graph: Graph, fetch_names: Sequence[str]) -> "CompiledPlan":
-    return CompiledPlan(graph, [graph.get_op(n) for n in fetch_names])
-
-
 # The bodies of pure ops: op_type -> builder(op) returning a positional
 # function over the op's input *values*, with its static attrs prebound.
 # Every op type has one body: a pure op (no runtime access, no
@@ -204,7 +200,7 @@ def bind_kernel(op: Operation, specialize_fn: Optional[Callable] = None,
 
     The one binding ladder every :class:`CompiledPlan` uses, the
     multiprocess workers' rank plans included: the session's per-instance
-    specialization first (store routing, SGD prebinding, ports), then the
+    specialization first (a worker's ports and muted collectives), then the
     op type's one body -- a pure op's :data:`DIRECT` body adapted to the
     ``(op, inputs, runtime)`` convention, or its ``FORWARD`` kernel --
     then deferred dispatch.  *specialized* kernels have their op context
@@ -291,19 +287,6 @@ class CompiledPlan:
         self._buffer_plan = None
         self._arena: List[np.ndarray] = []
 
-    def __reduce__(self):
-        """Serialize as (graph, fetch signature); loading re-compiles.
-
-        The schedule itself holds bound kernels (closures) that cannot
-        pickle, but a plan is a pure function of ``(graph, fetches)``:
-        recompiling on load yields a bit-identical executor.  Plans
-        carrying *session* specializations (store routing, static edge
-        tables, a worker's rank order) are owned by their session, which
-        recompiles them when it is reattached -- the round trip here
-        covers the plain-graph contract the plan caches rely on.
-        """
-        return (_rebuild_plan, (self.graph, self.fetch_names))
-
     def validate_placeholders(self, available: Sequence[str]) -> None:
         """One-time feed validation: every placeholder slot the schedule
         executes must be coverable by *available* feed names."""
@@ -380,7 +363,7 @@ class CompiledPlan:
 
     def _generated_slot(self, exc: BaseException) -> Optional[int]:
         """The slot whose generated line raised: the innermost traceback
-        frame running this plan's code (``_run`` or a fused chain)."""
+        frame running this plan's ``_run``."""
         code_globals = self._codegen.__globals__
         slot = None
         tb = exc.__traceback__
@@ -442,14 +425,11 @@ class CompiledPlan:
         out-parameter kernels writing into preallocated buffers -- a
         fused bucket's member into its region of the bucket's buffer
         (see ``repro.graph.bufferplan``) -- the run cache names the fold
-        buffers and in-place updates runtime kernels may use, shared
-        vjp rules expand into
-        per-node arena kernels, and maximal runs of adjacent elementwise
-        calls fuse into mega-kernels whose interior values never touch
-        the value buffer.
+        buffers and in-place updates runtime kernels may use, and shared
+        vjp rules expand into per-node arena kernels.  Each entry emits
+        its own lines, none shared with another entry.
         """
         from repro.graph import ops as ops_mod
-        from repro.graph.bufferplan import fusion_chains
 
         bplan = self._ensure_buffer_plan()
         ns: Dict[str, object] = {"NB": nbytes_of}
@@ -476,20 +456,6 @@ class CompiledPlan:
             lines.append("    seen = session._seen_edges")
             lines.append("    record = session.transcript.record")
 
-        # Mega-kernel fusion: adjacent arena calls collapse into generated
-        # helper functions emitted ahead of _run.
-        header: List[str] = []
-        header_slots: List[Optional[int]] = []
-        chain_by_start: Dict[int, tuple] = {}
-        chain_members: set = set()
-        for ch in fusion_chains(self, bplan):
-            escapes = [s for s in ch.members
-                       if bplan.slot_last_use.get(s, s) > ch.end]
-            if not escapes:
-                continue
-            chain_by_start[ch.start] = (ch, escapes)
-            chain_members.update(ch.members)
-
         vjp_ids: Dict[tuple, int] = {}
         edge_id = 0
         ind = "    "
@@ -503,18 +469,6 @@ class CompiledPlan:
             i = slot
             if op.op_type == "placeholder":
                 continue  # every placeholder is fed
-
-            if i in chain_members:
-                entry = chain_by_start.get(i)
-                if entry is None:
-                    continue  # interior: emitted by its chain head
-                ch, escapes = entry
-                params = self._emit_chain(ns, header, header_slots, bplan,
-                                          ch, escapes)
-                targets = ", ".join(f"buf[{s}]" for s in escapes)
-                call = ", ".join(f"buf[{p}]" for p in params)
-                emit(f"{ind}{targets} = _F{ch.start}({call})")
-                continue
 
             def emit_edges():
                 nonlocal edge_id
@@ -602,54 +556,8 @@ class CompiledPlan:
         lines.append("    session._current_op = None")
         line_slots.append(None)
 
-        code = compile("\n".join(header + lines),
+        code = compile("\n".join(lines),
                        f"<plan/fast {self.fetch_names[:2]}...>", "exec")
         exec(code, ns)
-        self._line_slots = tuple(header_slots + line_slots)
+        self._line_slots = tuple(line_slots)
         return ns["_run"]
-
-    def _emit_chain(self, ns: Dict[str, object], header: List[str],
-                    header_slots: List[Optional[int]], bplan, chain,
-                    escapes: List[int]) -> List[int]:
-        """Emit one fused mega-kernel ``_F<start>`` into *header*, and the
-        slot of each of its lines into *header_slots*.
-
-        Interior values live in locals ``t<slot>``; only *escapes* (slots
-        consumed outside the chain) are returned to the caller for
-        storing into the value buffer.  Returns the ordered external
-        input slots forming the call signature.
-        """
-        produced = set(chain.members)
-        params: List[int] = []
-        param_ix: Dict[int, str] = {}
-
-        def ref(j: int) -> str:
-            if j in produced:
-                return f"t{j}"
-            name = param_ix.get(j)
-            if name is None:
-                name = param_ix[j] = f"x{len(params)}"
-                params.append(j)
-            return name
-
-        body: List[str] = []
-        for s in chain.members:
-            op, _kernel, input_slots, _slot, _edges = self.schedule[s]
-            exp = bplan.expansions.get(s)
-            if exp is not None and exp.kind == "alias":
-                body.append(f"    t{s} = {ref(exp.args[0])}")
-            elif exp is not None:
-                ns[f"X{s}"] = exp.fn
-                args = ", ".join(ref(a) for a in exp.args)
-                body.append(f"    t{s} = X{s}({args}, {self._out_ref(ns, s)})")
-            else:
-                ns[f"W{s}"] = bplan.out_fns[s]
-                args = ", ".join(ref(j) for j in input_slots)
-                body.append(f"    t{s} = W{s}({args}, {self._out_ref(ns, s)})")
-        sig = ", ".join(param_ix[p] for p in params)
-        header.append(f"def _F{chain.start}({sig}):")
-        header.extend(body)
-        header.append("    return " + ", ".join(f"t{s}" for s in escapes))
-        header.append("")
-        header_slots.extend([None, *chain.members, None, None])
-        return params

@@ -211,15 +211,7 @@ class Session:
         return None
 
     def _specialize_kernel(self, op: Operation):
-        """Session-specific compile-time kernel binding (or None for the
-        registry default).  Variable reads bind the attr lookup here; the
-        distributed session additionally prebinds store routing."""
-        if op.op_type == "read_var":
-            read_variable = self.read_variable
-            name = op.attrs["variable"]
-
-            def read_var_kernel(op, inputs, runtime):
-                return read_variable(name)
-
-            return read_var_kernel
+        """Session-specific compile-time kernel binding, or None for the
+        op type's one registered kernel.  A multiprocess worker binds its
+        rank plan's ports and muted collectives here."""
         return None

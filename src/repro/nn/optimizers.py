@@ -150,7 +150,8 @@ class AdamOptimizer(Optimizer):
 
 # ======================================================================
 # Update kernels.  Each reads/writes variables through the runtime, which
-# resolves the correct store from the op's device placement.
+# resolves the correct store from the device placement of the op it is
+# running (``runtime._current_op``).
 # ======================================================================
 def _maybe_clip(op, value):
     """Rescale the gradient to at most attrs["clip_norm"] L2 norm."""
@@ -185,49 +186,6 @@ def _writable_like(state, grad) -> bool:
             and state.shape == grad.shape)
 
 
-def _sgd_dense(read, write, name, lr, grad, in_place=False):
-    current = read(name)
-    if in_place and _writable_like(current, grad):
-        np.subtract(current, lr * grad, out=current)
-    else:
-        write(name, current - lr * grad)
-
-
-def _sgd_sparse(read, write, name, lr, grad):
-    if not isinstance(grad, IndexedSlices):
-        raise TypeError(
-            f"sparse update expects IndexedSlices, got {type(grad)}")
-    delta = grad.combine()
-    current = read(name)
-    np.subtract.at(current, delta.indices, lr * delta.values)
-    write(name, current)
-
-
-def specialize_update(op, read, write):
-    """Compile-time form of the SGD update kernels for executor plans.
-
-    ``read``/``write`` are the routed store accessors for *op*'s device;
-    they, the variable name and ``lr`` are prebound to the same body the
-    runtime kernel calls, so the per-call routing and attr lookups
-    disappear.  Returns None for op types or configurations (clipping)
-    that have no specialized form; those stay on the runtime kernels.
-    """
-    if (op.op_type not in ("sgd_update", "sgd_update_sparse")
-            or op.attrs.get("clip_norm") is not None):
-        return None
-    name, lr = op.attrs["variable"], op.attrs["lr"]
-    if op.op_type == "sgd_update_sparse":
-        def sgd_update_sparse_kernel(op, inputs, runtime):
-            _sgd_sparse(read, write, name, lr, inputs[0])
-
-        return sgd_update_sparse_kernel
-
-    def sgd_update_kernel(op, inputs, runtime):
-        _sgd_dense(read, write, name, lr, inputs[0], _in_place(op, runtime))
-
-    return sgd_update_kernel
-
-
 def _in_place(op, runtime) -> bool:
     """Whether this run may write *op*'s variables in place: generated
     code lists the updates its buffer plan proved no reader of those
@@ -239,16 +197,22 @@ def _in_place(op, runtime) -> bool:
 
 @register_forward("sgd_update")
 def _sgd_update(op, inputs, runtime):
-    _sgd_dense(runtime.read_variable, runtime.write_variable,
-               op.attrs["variable"], op.attrs["lr"],
-               _maybe_clip(op, inputs[0]), _in_place(op, runtime))
+    name, lr = op.attrs["variable"], op.attrs["lr"]
+    grad = _maybe_clip(op, inputs[0])
+    current = runtime.read_variable(name)
+    if _in_place(op, runtime) and _writable_like(current, grad):
+        np.subtract(current, lr * grad, out=current)
+    else:
+        runtime.write_variable(name, current - lr * grad)
 
 
 @register_forward("sgd_update_sparse")
 def _sgd_update_sparse(op, inputs, runtime):
-    _sgd_sparse(runtime.read_variable, runtime.write_variable,
-                op.attrs["variable"], op.attrs["lr"],
-                _maybe_clip(op, inputs[0]))
+    name = op.attrs["variable"]
+    delta = _as_combined_slices(op, inputs[0])
+    current = runtime.read_variable(name)
+    np.subtract.at(current, delta.indices, op.attrs["lr"] * delta.values)
+    runtime.write_variable(name, current)
 
 
 @register_forward("momentum_update")

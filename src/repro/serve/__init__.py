@@ -1,8 +1,8 @@
 """Serving plane: forward-only compiled plans under heavy traffic.
 
 The training plane builds and trains a model; this package serves it.
-The same compiled-plan machinery (executor codegen, buffer arena, mega
-kernels) is specialized for inference: plans that fetch only forward
+The same compiled-plan machinery (executor codegen, buffer arena) is
+specialized for inference: plans that fetch only forward
 outputs schedule no gradients, optimizer updates, or collectives by
 construction -- and :class:`InferenceEngine` proves it at compile time.
 Variable reads bind to an immutable :class:`FrozenWeights` snapshot

@@ -36,7 +36,7 @@ class InferenceServer:
     dropped: the batcher never holds a request while the engine is
     idle, so every bound >= 0 is already met.  The keyword stays only
     because ``bench/serving.py`` passes it; it goes once the benchmark
-    stops doing so (ROADMAP item 6).
+    stops doing so (ROADMAP item 11).
     """
 
     def __init__(self, model: BuiltModel,

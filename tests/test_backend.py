@@ -35,6 +35,7 @@ from repro.core.backend import (
     op_owner,
 )
 from repro.core.runner import DistributedRunner
+from repro.core.transform.comm_ops import COLLECTIVE_OP_TYPES
 from repro.core.transform.plan import (
     ar_graph_plan,
     hybrid_graph_plan,
@@ -803,12 +804,15 @@ class TestOneKernelBindingLadder:
             self, monkeypatch):
         """Over one worker session, every op a rank owns gets its kernel
         from the ``bind_kernel`` call that serves the global plan -- same
-        ops, same specialized-or-generic outcome -- and the session binds
-        the rank plan's ports."""
+        ops, same specialized-or-generic outcome -- and the session
+        specializes exactly the rank plan's ports and its muted
+        collectives (``replica != 0``); every other op runs its one
+        registered kernel."""
         import repro.graph.executor as executor_mod
 
         runner = make_runner("hybrid")
         transformed = runner.transformed
+        graph = transformed.graph
         fetch_ops = [t.op for t in runner._step_fetches[0]]
         real = executor_mod.bind_kernel
         bound = {}
@@ -837,8 +841,13 @@ class TestOneKernelBindingLadder:
             names = {name for name, *_ in owned}
             assert owned == {entry for entry in bound["global", rank]
                              if entry[0] in names}
-            assert {specialized for *_, specialized in owned} \
-                == {True, False}
+            muted = {name for name, op_type, _ in owned
+                     if op_type in COLLECTIVE_OP_TYPES
+                     and graph.get_op(name).attrs.get("replica", 0) != 0}
+            assert {name for name, _, specialized in owned
+                    if specialized} == muted
+            assert {graph.get_op(name).op_type for name in muted} \
+                == ({"fused_allreduce"} if rank else set())
             owned_anywhere |= names
         # Only the unplaced train-op grouping runs on no rank.
         unowned = {op.name for op in plan_order(transformed.graph,

@@ -1,10 +1,9 @@
-"""The step-scoped buffer arena and mega-kernel fusion pass.
+"""The step-scoped buffer arena.
 
 Contract under test: the compile-time buffer plan only recycles storage
 whose whole alias group is provably dead (so an out-parameter kernel can
 never scribble over a live value, a fetched value, or one of its own
-inputs), fusion chains are well-formed runs of arena-backed positions,
-and -- the load-bearing guarantee -- arena + fusion execution stays
+inputs), and -- the load-bearing guarantee -- arena execution stays
 *bit-identical* to the seed interpreter on every architecture, plan,
 and backend, including on randomly generated elementwise graphs.
 """
@@ -29,7 +28,6 @@ from repro.graph.bufferplan import (
     ARENA_FWD,
     BufferPlan,
     build_buffer_plan,
-    fusion_chains,
 )
 from repro.graph.gradients import gradients
 from repro.graph.graph import Graph
@@ -158,22 +156,6 @@ class TestBufferPlanInvariants:
                 assert (slot in bplan.assignment) != (slot in bplan.views)
             assert all(0 <= a < plan.num_slots for a in exp.args)
 
-    def test_chains_are_maximal_consecutive_runs(self, plan_and_bplan):
-        plan, bplan = plan_and_bplan
-        chains = fusion_chains(plan, bplan)
-        assert chains, "expected fusable runs in an LSTM step"
-        targets = set(plan.target_slots)
-        covered = set()
-        for ch in chains:
-            assert ch.members == tuple(range(ch.start, ch.end + 1))
-            assert len(ch.members) >= 2
-            assert covered.isdisjoint(ch.members)
-            covered.update(ch.members)
-            for slot in ch.members:
-                assert slot not in targets
-                assert (slot in bplan.assignment
-                        or slot in bplan.expansions)
-
 
 class TestReuseRateFormula:
     def test_amortizes_over_the_replay_window(self):
@@ -236,7 +218,7 @@ def test_random_graphs_are_bit_identical_under_the_arena(seed):
     sess = Session(g)
     reference = interpret(sess, fetches, feed)
     # Three replays: the first-run loop, then the generated code with
-    # arena writes and fused chains.
+    # arena writes.
     for _ in range(3):
         got = sess.run(fetches, feed)
         for r, v in zip(reference, got):
@@ -268,7 +250,6 @@ class TestFusedDifferential:
         assert bplan is not None
         if model_key in ("lm", "nmt"):
             assert arena > 0
-            assert fusion_chains(plan, bplan)
             assert any(entry[0].op_type == "lstm_seq"
                        for entry in plan.schedule)
 

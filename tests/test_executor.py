@@ -8,6 +8,7 @@ invalidates whenever the fetch set or the graph changes.
 """
 
 import inspect
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.graph import gradients, ops
 from repro.graph.executor import CompiledPlan
 from repro.graph.graph import Graph
 from repro.graph.session import Session, split_replica_prefix
-from repro.nn.models import build_lm
+from repro.nn.models import build_lm, build_resnet
 from repro.nn.optimizers import GradientDescentOptimizer
 
 CLUSTER = ClusterSpec(num_machines=2, gpus_per_machine=2)
@@ -223,36 +224,6 @@ class TestReplicaPrefixParsing:
         assert split_replica_prefix("rep/w") == (None, "rep/w")
 
 
-class TestPlanSerialization:
-    """CompiledPlan pickles as (graph, fetch signature) and recompiles on
-    load -- the plain-graph serialization contract of the execution
-    backends."""
-
-    def test_round_trip_executes_bit_identically(self):
-        import pickle
-
-        _, sess, x, _, z = small_session()
-        feed = {"x": np.asarray([1.5, -2.0], dtype=np.float32)}
-        plan = sess.compile(z)
-        want = sess.run_plan(plan, feed)
-
-        restored = pickle.loads(pickle.dumps(plan))
-        assert restored.fetch_names == plan.fetch_names
-        assert restored.version == plan.version
-        got = sess.run_plan(restored, feed)
-        np.testing.assert_array_equal(got[0], want[0])
-
-    def test_round_trip_preserves_placeholder_contract(self):
-        import pickle
-
-        _, sess, _, y, z = small_session()
-        plan = sess.compile([y, z])
-        restored = pickle.loads(pickle.dumps(plan))
-        assert restored.placeholder_names == plan.placeholder_names
-        with pytest.raises(ValueError, match="never feeds"):
-            restored.validate_placeholders([])
-
-
 class TestPlanCacheLRU:
     """The plan cache is a plain dict: every signature keeps its plan for
     the session's lifetime, and only a graph-version bump recompiles.
@@ -352,6 +323,8 @@ class TestFailureContext:
                                           excinfo.value.op_name)
 
     def test_failure_inside_a_fused_chain_names_the_member(self):
+        """A failing entry inside a run of arena calls is named by its
+        own line.  (The id predates the removal of fused chains.)"""
         g = Graph()
         with g.as_default():
             x = ops.placeholder((4,), name="x")
@@ -375,3 +348,29 @@ class TestFailureContext:
         assert plan._codegen is not None
         assert (excinfo.value.schedule_index, excinfo.value.op_name) \
             == (slot, "b")
+
+
+class TestOneLinePerEntry:
+    def test_generated_code_runs_each_entry_in_one_place(self):
+        """The generated code is ``_run`` alone -- no helper functions --
+        and its line table holds every non-placeholder entry once, as
+        one run of lines in schedule order.  Checked on the benchmark's
+        ResNet step plan, whose elementwise runs are long."""
+        model = build_resnet(batch_size=32, num_features=128,
+                             num_classes=10, width=512, num_blocks=4,
+                             seed=1)
+        with model.graph.as_default():
+            GradientDescentOptimizer(0.02).update(gradients(model.loss))
+        runner = DistributedRunner(model, ClusterSpec(2, 1),
+                                   ar_graph_plan(model.graph, fusion=True),
+                                   seed=1)
+        for i in range(2):
+            runner.step(i)
+        plan = runner.step_plans[0]
+        assert plan._codegen is not None
+        assert not [name for name in plan._codegen.__globals__
+                    if name.startswith("_F")]
+        runs = [slot for slot, _ in groupby(plan._line_slots)
+                if slot is not None]
+        assert runs == [slot for op, _, _, slot, _ in plan.schedule
+                        if op.op_type != "placeholder"]
