@@ -19,14 +19,12 @@ Quick start (the paper's Figure 3 shape)::
                                                  "gpus_per_machine": 2})
     runner.fit(num_iters)                 # or runner.step(i) per step
 
-Knobs group by plane -- :class:`CommConfig` (fusion, compression,
-backend, transport), :class:`ElasticConfig` (checkpointing, faults,
-NIC-degradation emulation), :class:`ServeConfig` (request batching),
-and :class:`AutopilotConfig` (online adaptive replanning) -- inside one
+Knobs group by plane -- :class:`CommConfig` (fusion, backend,
+transport), :class:`ElasticConfig` (checkpointing, faults) and
+:class:`ServeConfig` (request batching) -- inside one
 :class:`ParallaxConfig`.
 """
 
-from repro.autopilot import AutopilotController
 from repro.cluster.faults import FaultPlan, NicDegradation, WorkerFailure
 from repro.cluster.spec import ClusterSpec
 from repro.core.api import (
@@ -37,7 +35,6 @@ from repro.core.api import (
     shard,
 )
 from repro.core.config import (
-    AutopilotConfig,
     CommConfig,
     ElasticConfig,
     ParallaxConfig,
@@ -55,7 +52,6 @@ __all__ = [
     "CommConfig",
     "ElasticConfig",
     "ServeConfig",
-    "AutopilotConfig",
     "auto_parallelize",
     "Runner",
     "get_runner",
@@ -64,7 +60,6 @@ __all__ = [
     "partitioner",
     "DistributedRunner",
     "ElasticRunner",
-    "AutopilotController",
     "InferenceServer",
     "FaultPlan",
     "WorkerFailure",

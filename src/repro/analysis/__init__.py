@@ -2,8 +2,8 @@
 
 The engine's correctness story used to rest on "by construction"
 arguments: the partitioned multiprocess schedule cannot deadlock, the
-buffer arena never lets an output overlap a live input, the compression
-plane conserves bytes.  This package turns each claim into a checked
+buffer arena never lets an output overlap a live input, the collectives
+conserve the plan's bytes.  This package turns each claim into a checked
 theorem that runs before any worker is launched:
 
 * :mod:`~repro.analysis.deadlock` -- cross-rank send/recv matching and

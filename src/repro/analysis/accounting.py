@@ -9,17 +9,14 @@ Two independent derivations of a plan's collective payload must agree:
   summed element counts of every variable synchronized by a collective
   method.
 
-A fusion or compression rewrite that drops, duplicates or misroutes a
-gradient breaks the equality and is reported with the offending groups.
-On top of conservation, the analysis prices each group's transcript
-traffic *exactly* -- replaying the ring/exchange index arithmetic of
-``repro.comm`` without moving data -- so tests can assert the measured
-Transcript equals the static prediction byte for byte, and the
-worker-view wire total (raw bytes x codec wire fraction, the quantity
-``repro.cluster.simulator.plan_wire_bytes`` prices) falls out of the
-same walk.  Groups whose payloads depend on runtime values (sparse
-AllGatherv, top-k over sparse rows) are classified ``dynamic`` and
-excluded from exact byte claims.
+A fusion rewrite that drops, duplicates or misroutes a gradient breaks
+the equality and is reported with the offending groups.  On top of
+conservation, the analysis prices each group's transcript traffic
+*exactly* -- replaying the ring index arithmetic of ``repro.comm``
+without moving data -- so tests can assert the measured Transcript
+equals the static prediction byte for byte.  Groups whose payloads
+depend on runtime values (sparse AllGatherv) are classified ``dynamic``
+and excluded from exact byte claims.
 
 Registry completeness rides along: every collective op type found in the
 graph must be known to this table and to ``comm_ops.COLLECTIVE_OP_TYPES``
@@ -38,13 +35,8 @@ from repro.graph.executor import plan_order
 ANALYSIS = "accounting"
 
 _DENSE_RING = frozenset({"allreduce", "fused_allreduce"})
-_KNOWN = frozenset({
-    "allreduce", "fused_allreduce", "allgatherv",
-    "compressed_allreduce", "compressed_allgatherv",
-})
+_KNOWN = frozenset({"allreduce", "fused_allreduce", "allgatherv"})
 
-#: int32 coordinates, as shipped by the top-k codec.
-_INDEX_ITEMSIZE = 4
 #: the ring reduces in fp32 regardless of input dtype.
 _RING_ITEMSIZE = 4
 
@@ -85,23 +77,6 @@ def _ring_bytes(segment_sizes: List[int], machines: List[int],
     return total, network
 
 
-def _exchange_bytes(payload_nbytes: int, machines: List[int],
-                    ) -> Tuple[int, int]:
-    """(total, cross-machine) bytes of one all-to-all payload exchange,
-    replaying ``comm.compression.exchange_payloads`` (every payload the
-    same static size)."""
-    n = len(machines)
-    if n <= 1:
-        return 0, 0
-    total = network = 0
-    for _step in range(n - 1):
-        for i in range(n):
-            total += payload_nbytes
-            if machines[i] != machines[(i + 1) % n]:
-                network += payload_nbytes
-    return total, network
-
-
 def _numel(shape) -> int:
     count = 1
     for dim in shape:
@@ -109,19 +84,8 @@ def _numel(shape) -> int:
     return count
 
 
-def _codec_of(op):
-    """(codec, ratio) from the producing grad_compress ops, or None."""
-    for tensor in op.inputs:
-        if tensor.op.op_type == "grad_compress":
-            return (tensor.op.attrs.get("codec"),
-                    float(tensor.op.attrs.get("ratio", 1.0)))
-    return None
-
-
 def analyze_accounting(transformed, fetch_ops, order=None,
                        ) -> Tuple[List[Finding], Dict[str, object]]:
-    from repro.comm.compression import parse_spec, wire_fraction
-
     findings: List[Finding] = []
     graph = transformed.graph
     if order is None:
@@ -149,7 +113,6 @@ def analyze_accounting(transformed, fetch_ops, order=None,
     per_group: List[Dict[str, object]] = []
     collected_elements = 0
     raw_bytes = 0.0
-    wire_bytes = 0.0
     static_total = 0
     static_network = 0
     dynamic_groups = 0
@@ -178,11 +141,9 @@ def analyze_accounting(transformed, fetch_ops, order=None,
             "workers": n,
             "numel": numel,
         }
-        codec = _codec_of(op)
         if op_type in _DENSE_RING:
             collected_elements += numel
             raw_bytes += numel * _RING_ITEMSIZE
-            wire_bytes += numel * _RING_ITEMSIZE
             bounds = op.attrs.get("bounds")
             if bounds is not None and n:
                 # The kernel chunks by ``segments``; the attr is what the
@@ -202,43 +163,11 @@ def analyze_accounting(transformed, fetch_ops, order=None,
                          network_bytes=network)
             static_total += total
             static_network += network
-        elif op_type == "compressed_allreduce":
-            collected_elements += numel
-            spec, ratio = codec if codec is not None else (None, 1.0)
-            group_raw = numel * _RING_ITEMSIZE
-            raw_bytes += group_raw
-            wire_bytes += (group_raw * wire_fraction(spec, ratio)
-                           if spec is not None else group_raw)
-            codecs = parse_spec(spec) if spec is not None else set()
-            if "topk" in codecs:
-                # Flat top-k payloads have a static keep count; every
-                # replica ships k values plus k int32 coordinates,
-                # all-to-all (a sum of top-k sets is not top-k).
-                k = max(1, int(round(ratio * numel)))
-                value_itemsize = 2 if "fp16" in codecs else 4
-                payload = k * (value_itemsize + _INDEX_ITEMSIZE)
-                total, network = _exchange_bytes(payload, machines)
-                entry.update(static=True, total_bytes=total,
-                             network_bytes=network, keep_count=k)
-                static_total += total
-                static_network += network
-            else:
-                # Quantized-only payloads stay dense and ride the ring
-                # at the codec's wire itemsize.
-                itemsize = 2 if "fp16" in codecs else _RING_ITEMSIZE
-                total, network = _ring_bytes([numel], machines, itemsize)
-                entry.update(static=True, total_bytes=total,
-                             network_bytes=network)
-                static_total += total
-                static_network += network
         else:
-            # AllGatherv payloads (and top-k over sparse rows) depend on
-            # the rows the batch touched -- no static byte claim.
+            # AllGatherv payloads depend on the rows the batch touched --
+            # no static byte claim.
             entry.update(static=False)
             dynamic_groups += 1
-        if codec is not None:
-            entry["codec"] = codec[0]
-            entry["ratio"] = codec[1]
         per_group.append(entry)
 
     # ---- conservation against the plan's variable inventory -----------
@@ -268,11 +197,7 @@ def analyze_accounting(transformed, fetch_ops, order=None,
                 ))
                 continue
             variable = graph.variables[replica_names[0]]
-            is_gatherv = any(
-                op_type in ("allgatherv", "compressed_allgatherv")
-                and group == var_name
-                for op_type, group in groups
-            )
+            is_gatherv = ("allgatherv", var_name) in groups
             if is_gatherv:
                 gatherv_vars += 1
             else:
@@ -289,8 +214,7 @@ def analyze_accounting(transformed, fetch_ops, order=None,
                 ),
             ))
         gatherv_groups = sum(
-            1 for op_type, _group in groups
-            if op_type in ("allgatherv", "compressed_allgatherv")
+            1 for op_type, _group in groups if op_type == "allgatherv"
         )
         if gatherv_groups != gatherv_vars:
             findings.append(Finding(
@@ -305,7 +229,6 @@ def analyze_accounting(transformed, fetch_ops, order=None,
         "dynamic_groups": dynamic_groups,
         "per_group": per_group,
         "collective_raw_bytes": raw_bytes,
-        "collective_wire_bytes": wire_bytes,
         "static_transcript_bytes": static_total,
         "static_network_bytes": static_network,
     }

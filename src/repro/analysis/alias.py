@@ -27,7 +27,7 @@ The audit proves four properties over the frozen schedule:
    recycled buffer would be overwritten by the next ``execute()``.
 3. **Escaped storage never lives in the arena.**  Tokens consumed by
    op types whose kernels may retain references across steps
-   (compression, shard ops, gathers) are immortal to the audit, so any
+   (shard ops, gathers) are immortal to the audit, so any
    arena assignment touching them is rejected.  The folding collectives
    are not among them: they read their inputs during the call only, and
    every replica's op of one group returns the first one's result.
@@ -180,7 +180,7 @@ def audit_buffer_plan(plan, bplan=None,
               or op.attrs.get("is_update")):
             tokens[slot] = own
         else:
-            # Unmodelled kernel (compression, shard ops, gathers): its
+            # Unmodelled kernel (shard ops, gathers): its
             # output may alias any input and the kernel may retain
             # references across steps.
             merged = set(own)

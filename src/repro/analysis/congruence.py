@@ -3,13 +3,12 @@
 MPI programs hang or corrupt reductions when ranks disagree on the
 collective sequence; the transformed graph can suffer the same class of
 bug if the transform (or a later graph edit) skews one replica's fusion
-bucket layout, compression codec, or collective ordering.  This analysis
-extracts each replica's collective sequence from the global schedule and
-verifies, position by position, that all replicas issue the same op type
-over the same group with the same payload shape/dtype, the same bucket
-``segments``/``bounds`` layout, the same averaging flag, the same
-machine list, and -- for compressed collectives -- the same codec and
-ratio on every producing ``grad_compress`` op.
+bucket layout or collective ordering.  This analysis extracts each
+replica's collective sequence from the global schedule and verifies,
+position by position, that all replicas issue the same op type over the
+same group with the same payload shape/dtype, the same bucket
+``segments``/``bounds`` layout, the same averaging flag and the same
+machine list.
 
 Group-level structure is checked too: every ``(op_type, group)`` must
 have exactly one member per replica, and all members must consume the
@@ -28,10 +27,7 @@ from repro.graph.executor import plan_order
 ANALYSIS = "congruence"
 
 #: Every collective op type the transform can emit.
-COLLECTIVE_TYPES = frozenset({
-    "allreduce", "fused_allreduce", "allgatherv",
-    "compressed_allreduce", "compressed_allgatherv",
-})
+COLLECTIVE_TYPES = frozenset({"allreduce", "fused_allreduce", "allgatherv"})
 
 
 def _signature(op) -> Dict[str, object]:
@@ -52,18 +48,6 @@ def _signature(op) -> Dict[str, object]:
                                 for name, size in attrs["segments"])
     if "bounds" in attrs:
         sig["bounds"] = tuple(int(b) for b in attrs["bounds"])
-    # Compressed collectives: the wire format is decided by the producing
-    # grad_compress ops; a codec/ratio skew on one replica desynchronizes
-    # payload sizes (and, for top-k, the kept coordinate sets).
-    codecs = set()
-    for tensor in op.inputs:
-        producer = tensor.op
-        if producer.op_type == "grad_compress":
-            codecs.add((producer.attrs.get("codec"),
-                        producer.attrs.get("ratio"),
-                        "residual" in producer.attrs))
-    if codecs:
-        sig["codecs"] = tuple(sorted(codecs))
     return sig
 
 
@@ -142,22 +126,6 @@ def analyze_congruence(transformed, fetch_ops, order=None,
                 f"replicas {replicas}, expected one per replica "
                 f"0..{num_replicas - 1}",
                 trace=tuple(op.name for op in members),
-            ))
-        # Within a group every producing grad_compress op must agree on
-        # the wire format: payloads of different codec/ratio cannot be
-        # summed (and, replicas sharing the payload inputs, this skew is
-        # invisible to the cross-replica comparison above).
-        codecs = {
-            (t.op.attrs.get("codec"), t.op.attrs.get("ratio"))
-            for op in members for t in op.inputs
-            if t.op.op_type == "grad_compress"
-        }
-        if len(codecs) > 1:
-            findings.append(Finding(
-                ANALYSIS,
-                f"collective group {op_type}/{group} mixes payload "
-                f"codecs: {sorted(codecs)} -- every replica's "
-                "grad_compress must ship the same wire format",
             ))
         payload_lists = {tuple(t.op.name for t in op.inputs)
                          for op in members}

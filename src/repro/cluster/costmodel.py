@@ -96,15 +96,6 @@ class CostModel:
     # Sparsity overlap across workers (0 = disjoint rows, 1 = identical)
     zipf_overlap: float = 0.9
 
-    # ---- gradient compression (comm/compression.py) ---------------------
-    # Elements/sec one worker compresses or decompresses (top-k selection
-    # or fp16 pack on the GPU; the decompress side scatters/casts).  Both
-    # directions are priced at this rate.
-    compress_throughput: float = 2.0e9
-    # Fixed cost of launching one compress/decompress kernel pair per
-    # collective (mirrors c_collective_launch on the compute side).
-    c_compress_launch: float = 2e-5
-
     # ---- host transport (multiprocess backend serialization) -----------
     # Seconds per byte to pickle a payload onto a queue-based transport
     # (the PR-4 worker path).  Default 0.0 keeps every pre-existing
@@ -135,13 +126,11 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("nccl_bw", "intra_bw", "mpi_bw", "ps_nic_bw",
-                     "worker_stream_bw", "ckpt_bw", "compress_throughput",
-                     "shm_bw", "tcp_bw"):
+                     "worker_stream_bw", "ckpt_bw", "shm_bw", "tcp_bw"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("c_failure_detect", "c_worker_respawn",
-                     "c_plan_compile", "c_compress_launch", "c_serialize",
-                     "tcp_latency"):
+                     "c_plan_compile", "c_serialize", "tcp_latency"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.dense_ps_overlap <= 1.0:
@@ -237,24 +226,6 @@ def fit_transport_constants(samples, base: "CostModel" = None) -> "CostModel":
     if wire_bytes > 0 and wire_s > 0:
         overrides["tcp_bw"] = wire_bytes / wire_s
     return base.with_overrides(**overrides) if overrides else base
-
-
-def fit_from_telemetry(windows, base: "CostModel" = None) -> "CostModel":
-    """Online refit from autopilot telemetry windows.
-
-    Feeds each window's accumulated transport counters through
-    :func:`fit_transport_constants` -- but only windows untainted by
-    fault-plane activity.  A window that overlapped a scheduled
-    ``NicDegradation`` (or a rescale, or a worker kill) measured wall
-    time and counters under transient conditions; folding it in would
-    poison every later refit with constants that describe the fault,
-    not the transport.  Windows without counters (the inproc backend
-    records none) are skipped, so an all-inproc history returns *base*
-    unchanged.
-    """
-    samples = [w.counters for w in windows
-               if not w.tainted and w.counters]
-    return fit_transport_constants(samples, base)
 
 
 def fit_network_constants(measurement, base: "CostModel" = None,

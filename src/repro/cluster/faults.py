@@ -146,35 +146,3 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.failures or self.degradations)
-
-    def cluster_nic_factor(self, iteration: int, num_machines: int) -> float:
-        """Combined factor over the machines actually in the fleet.
-
-        Like :meth:`nic_factor` with ``machine=None``, but degradations
-        scheduled on machines outside ``range(num_machines)`` do not
-        count: a fleet that rescaled away a degraded machine no longer
-        pays for its NIC.  Both the functional emulation
-        (:func:`emulated_degradation_delay` callers) and the autopilot's
-        planner use this form so they agree on who is degraded.
-        """
-        factor = 1.0
-        for d in self.degradations_at(iteration):
-            if d.machine < num_machines:
-                factor *= d.factor
-        return factor
-
-
-def emulated_degradation_delay(network_bytes: float, factor: float,
-                               emulate_nic_bw: Optional[float]) -> float:
-    """Extra seconds a degraded NIC adds to *network_bytes* of transfers.
-
-    The functional plane's degradation emulation and the autopilot's
-    candidate pricing share this one formula so predicted and measured
-    step times agree: at full bandwidth the bytes take
-    ``network_bytes / emulate_nic_bw`` seconds, at ``factor`` of it they
-    take ``1/factor`` as long, and the *delay* is the difference --
-    ``network_bytes * (1/factor - 1) / emulate_nic_bw``.
-    """
-    if emulate_nic_bw is None or factor >= 1.0 or network_bytes <= 0:
-        return 0.0
-    return network_bytes * (1.0 / factor - 1.0) / emulate_nic_bw

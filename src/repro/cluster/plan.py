@@ -95,25 +95,10 @@ class SyncPlan:
     #   0.0  -> unfused: one bucket (one collective) per variable;
     #   >0   -> greedy size-capped buckets in assignment order.
     fusion_buffer_mb: Optional[float] = None
-    # Gradient compression on the collective paths, mirroring the
-    # functional plane's GraphSyncPlan: None, "topk", "fp16", or
-    # "topk+fp16"; ``compression_ratio`` is top-k's keep fraction.  The
-    # simulator prices collective traffic at the compressed wire size
-    # (repro.comm.compression.wire_fraction -- the same arithmetic the
-    # graph transform sizes fusion buckets with) plus compression
-    # compute, and reports raw vs wire bytes side by side.
-    compression: Optional[str] = None
-    compression_ratio: float = 0.1
 
     def __post_init__(self):
         if self.fusion_buffer_mb is not None and self.fusion_buffer_mb < 0:
             raise ValueError("fusion_buffer_mb must be >= 0 (or None)")
-        if self.compression is not None:
-            from repro.comm.compression import parse_spec
-
-            parse_spec(self.compression)  # raises on unknown specs
-        if not 0.0 < self.compression_ratio <= 1.0:
-            raise ValueError("compression_ratio must be in (0, 1]")
 
     def by_method(self, method: SyncMethod) -> List[VariableAssignment]:
         return [a for a in self.assignments if a.method is method]
@@ -135,33 +120,15 @@ class SyncPlan:
         """Same plan under a different fusion-bucket cap (ablations)."""
         return replace(self, fusion_buffer_mb=fusion_buffer_mb)
 
-    def with_compression(self, compression: Optional[str],
-                         compression_ratio: float = 0.1) -> "SyncPlan":
-        """Same plan under a different compression codec (ablations)."""
-        return replace(self, compression=compression,
-                       compression_ratio=compression_ratio)
-
-    @property
-    def compressed_fraction(self) -> float:
-        """Wire bytes per raw collective byte under this plan's codec."""
-        if self.compression is None:
-            return 1.0
-        from repro.comm.compression import wire_fraction
-
-        return wire_fraction(self.compression, self.compression_ratio)
-
     def allreduce_buckets(self) -> List[float]:
-        """Per-bucket *on-wire* payload bytes for bucketed AR pricing.
+        """Per-bucket payload bytes for bucketed AR pricing.
 
         ``fusion_buffer_mb`` of 0 (or None) yields one bucket per
         AllReduce variable; a positive cap groups consecutive variables
         greedily, in assignment order, exactly as the functional plane's
-        graph transform buckets gradients -- including sizing by
-        compressed bytes when the plan compresses, so a given cap holds
-        proportionally more gradient per collective.
+        graph transform buckets gradients.
         """
-        fraction = self.compressed_fraction
-        sizes = [float(a.variable.nbytes) * fraction
+        sizes = [float(a.variable.nbytes)
                  for a in self.by_method(SyncMethod.ALLREDUCE)]
         cap = self.fusion_buffer_mb
         if not cap:

@@ -22,7 +22,7 @@ architecture pays its own full cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL, union_alpha
@@ -31,7 +31,7 @@ from repro.cluster.network import Flow, simulate_flows
 from repro.cluster.plan import SyncPlan, VariableAssignment
 from repro.cluster.spec import ClusterSpec
 from repro.comm.ps import place_variables
-from repro.nn.profiles import ModelProfile
+from repro.nn.profiles import ModelProfile, VariableProfile
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,6 @@ class IterationBreakdown:
     # aggregate pricing (SyncPlan.fusion_buffer_mb is None).
     allreduce_raw_time: float = 0.0
     num_ar_buckets: int = 0
-    # Gradient-compression accounting: one worker's per-iteration
-    # collective payload, uncompressed vs on the wire (equal when the
-    # plan does not compress), plus the compress/decompress compute time
-    # the codec costs.  The raw-vs-wire pair is what lets a caller (see
-    # :func:`pick_plan_under_budget`) hold plans to a bandwidth budget.
-    collective_raw_bytes: float = 0.0
-    collective_wire_bytes: float = 0.0
-    compress_time: float = 0.0
 
     @property
     def collective_time(self) -> float:
@@ -91,14 +83,13 @@ class IterationBreakdown:
         """Total seconds per iteration.
 
         Collectives and PS traffic use disjoint transports (NCCL/MPI vs
-        gRPC) and overlap; CPU-side aggregation, stitching, sync
-        bookkeeping, and gradient compress/decompress serialize with
-        communication.
+        gRPC) and overlap; CPU-side aggregation, stitching and sync
+        bookkeeping serialize with communication.
         """
         comm = max(self.collective_time, self.ps_time)
         return (self.compute_time + comm + self.server_cpu_time
                 + self.local_agg_time + self.stitch_time
-                + self.sync_overhead_time + self.compress_time)
+                + self.sync_overhead_time)
 
 
 def shard_assignments(plan: SyncPlan, cluster: ClusterSpec) -> List[Shard]:
@@ -129,10 +120,9 @@ def shard_assignments(plan: SyncPlan, cluster: ClusterSpec) -> List[Shard]:
 
 def _collective_times(plan: SyncPlan, cluster: ClusterSpec,
                       cost: CostModel, compute_time: float = 0.0,
-                      ) -> Tuple[float, float, float, float, int,
-                                 float, float, float]:
-    """(allreduce, gatherv, gatherv-apply, allreduce-raw, buckets,
-    raw-bytes, wire-bytes, compress) accounting for one iteration.
+                      ) -> Tuple[float, float, float, float, int]:
+    """(allreduce, gatherv, gatherv-apply, allreduce-raw, buckets)
+    accounting for one iteration.
 
     AllReduce pricing has two modes.  Legacy aggregate (the plan's
     ``fusion_buffer_mb`` is None): one ring over all dense bytes, as if
@@ -144,19 +134,9 @@ def _collective_times(plan: SyncPlan, cluster: ClusterSpec,
     it) hides the total -- collectives launch as each bucket's last
     gradient becomes ready, so fewer, larger buckets amortize launches
     while small ones expose them.
-
-    Compression scales every collective payload by the plan's wire
-    fraction and adds encode/decode compute.  Quantized (fp16) payloads
-    still ride the ring; sparsified (top-k) payloads exchange
-    allgather-style -- a sum of top-k sets is not top-k -- so each
-    machine ingests every other worker's payload, exactly like the
-    functional plane's compressed collectives.
     """
     n, g = cluster.num_machines, cluster.gpus_per_machine
     w = cluster.total_gpus
-    fraction = plan.compressed_fraction
-    sparsified = (plan.compression is not None
-                  and "topk" in plan.compression)
 
     def ring_time(nbytes: float) -> float:
         t = 0.0
@@ -169,28 +149,17 @@ def _collective_times(plan: SyncPlan, cluster: ClusterSpec,
                                 + cost.step_latency)
         return t
 
-    def exchange_time(nbytes: float) -> float:
-        # All-to-all payload exchange: each machine ingests every other
-        # worker's payload of *nbytes* (the same bound the AllGatherv
-        # pricing uses, on the NCCL transport).
-        bw = cost.nccl_bw if n > 1 else cost.intra_bw
-        return g * (w - 1) * nbytes / bw + (w - 1) * cost.step_latency
-
-    ar_collective_time = exchange_time if sparsified else ring_time
-
     ar_time = 0.0
     ar_raw = 0.0
     num_buckets = 0
-    num_collectives = 0
     dense_bytes = plan.allreduce_bytes
     if dense_bytes and w > 1:
         if plan.fusion_buffer_mb is None:
-            ar_time = ar_collective_time(dense_bytes * fraction)
-            num_collectives = 1
+            ar_time = ring_time(dense_bytes)
         else:
-            buckets = plan.allreduce_buckets()  # already wire-sized
-            num_buckets = num_collectives = len(buckets)
-            ar_raw = (sum(ar_collective_time(b) for b in buckets)
+            buckets = plan.allreduce_buckets()
+            num_buckets = len(buckets)
+            ar_raw = (sum(ring_time(b) for b in buckets)
                       + cost.c_collective_launch * num_buckets)
             ar_time = max(0.0, ar_raw - cost.ar_overlap * compute_time)
 
@@ -204,36 +173,17 @@ def _collective_times(plan: SyncPlan, cluster: ClusterSpec,
         # Every worker must receive every other worker's payload, so each
         # machine's NIC ingests G * (W-1) * payload bytes regardless of the
         # gather schedule -- the binding constraint at scale.
-        per_machine = g * (w - 1) * gatherv_payload * fraction
+        per_machine = g * (w - 1) * gatherv_payload
         gatherv_time = (per_machine / cost.mpi_bw
                         + (w - 1) * cost.step_latency)
         gathered_elements = w * sum(
             a.variable.alpha * a.variable.num_elements
             for a in plan.gatherv_assignments
         )
-        if sparsified:
-            gathered_elements *= plan.compression_ratio
         # Every replica applies the full gathered update locally.
         apply_time = gathered_elements * cost.c_apply_gathered
 
-    # ---- compression accounting (raw vs wire payload + codec compute) --
-    raw_bytes = float(dense_bytes + gatherv_payload) if w > 1 else 0.0
-    wire_bytes = raw_bytes * fraction
-    compress_time = 0.0
-    if plan.compression is not None and raw_bytes and w > 1:
-        elements = raw_bytes / 4.0
-        # Encode own contribution once; decode what arrives: top-k
-        # decodes every worker's kept coordinates, quantization decodes
-        # the one reduced buffer the ring delivers.
-        decode_elements = (w * plan.compression_ratio * elements
-                           if sparsified else elements)
-        launches = num_collectives + len(plan.gatherv_assignments)
-        compress_time = (launches * cost.c_compress_launch
-                         + (elements + decode_elements)
-                         / cost.compress_throughput)
-
-    return (ar_time, gatherv_time, apply_time, ar_raw, num_buckets,
-            raw_bytes, wire_bytes, compress_time)
+    return ar_time, gatherv_time, apply_time, ar_raw, num_buckets
 
 
 def _ps_times(plan: SyncPlan, cluster: ClusterSpec, cost: CostModel,
@@ -415,8 +365,7 @@ def simulate_iteration(
             ps_network_time=0.0, ps_rpc_time=0.0, server_cpu_time=0.0,
             local_agg_time=0.0, stitch_time=0.0, sync_overhead_time=0.0,
         )
-    (ar_time, gatherv_time, apply_time, ar_raw, num_buckets,
-     raw_bytes, wire_bytes, compress_time) = \
+    ar_time, gatherv_time, apply_time, ar_raw, num_buckets = \
         _collective_times(plan, cluster, cost, profile.gpu_time_per_iter)
     shards = shard_assignments(plan, cluster)
     (ps_network, rpc_time, server_cpu, local_agg, stitch, sync,
@@ -436,9 +385,71 @@ def simulate_iteration(
         ps_flow_bytes=matrix,
         allreduce_raw_time=ar_raw,
         num_ar_buckets=num_buckets,
-        collective_raw_bytes=raw_bytes,
-        collective_wire_bytes=wire_bytes,
-        compress_time=compress_time,
+    )
+
+
+def derive_profile(
+    model,
+    alphas: Optional[Dict[str, float]] = None,
+    gpu_time_per_iter: float = 1e-3,
+    name: str = "live",
+) -> ModelProfile:
+    """A :class:`ModelProfile` of a live graph, for the simulator.
+
+    Builds one :class:`VariableProfile` per synchronized variable,
+    merging partition shards back into their parent (the SyncPlan-level
+    plan builders re-partition from ``num_partitions``), with sparsity
+    from the static classifier and alpha from the measured values
+    *alphas* when available.  ``gpu_time_per_iter`` is a placeholder
+    the caller replaces with a measured or fitted compute time.
+    """
+    # Imported here: the graph transform imports this package.
+    from repro.core.transform.plan import classify_variables
+
+    graph = model.graph
+    alphas = alphas or {}
+    sparse_map = classify_variables(graph)
+    merged: Dict[str, Dict] = {}
+    order: List[str] = []
+    for var_name in graph.gradient_info:
+        var = graph.variables[var_name]
+        info = getattr(var, "partition_info", None)
+        parent = info["parent"] if info else var_name
+        entry = merged.get(parent)
+        if entry is None:
+            entry = merged[parent] = {
+                "elements": 0, "rows": 0,
+                "sparse": bool(sparse_map.get(var_name)),
+                "alpha": None,
+            }
+            order.append(parent)
+        entry["elements"] += int(var.num_elements)
+        entry["rows"] += int(var.shape[0]) if var.shape else 1
+        entry["sparse"] = entry["sparse"] or bool(sparse_map.get(var_name))
+        if var_name in alphas:
+            # measure_alpha already parent-merges, so any shard carries
+            # the parent's value.
+            entry["alpha"] = float(alphas[var_name])
+    variables = []
+    for parent in order:
+        entry = merged[parent]
+        alpha = entry["alpha"]
+        if alpha is None or not 0.0 < alpha <= 1.0:
+            alpha = 1.0
+        variables.append(VariableProfile(
+            name=parent,
+            num_elements=entry["elements"],
+            is_sparse=entry["sparse"],
+            alpha=alpha if entry["sparse"] else 1.0,
+            rows=entry["rows"] if entry["sparse"] else None,
+        ))
+    return ModelProfile(
+        name=name,
+        variables=variables,
+        batch_per_gpu=getattr(model, "batch_size", 1),
+        units_per_sample=1,
+        unit="samples",
+        gpu_time_per_iter=gpu_time_per_iter,
     )
 
 
@@ -741,86 +752,3 @@ def simulate_serving(
     )
 
 
-def plan_wire_bytes(breakdown: IterationBreakdown) -> float:
-    """One worker-side view of a plan's per-iteration bytes on the wire:
-    the compressed collective payload plus every PS flow.  This is the
-    quantity :func:`pick_plan_under_budget` holds to a budget."""
-    return (breakdown.collective_wire_bytes
-            + sum(breakdown.ps_flow_bytes.values()))
-
-
-def pick_plan_under_budget(
-    profile: ModelProfile,
-    plans,
-    cluster: ClusterSpec,
-    budget_bytes: float,
-    cost: CostModel = DEFAULT_COST_MODEL,
-) -> Optional[SyncPlan]:
-    """Highest-throughput plan whose wire bytes fit *budget_bytes*.
-
-    The compression counterpart of the partition search: candidates
-    typically sweep codecs/ratios of one base plan (see
-    ``SyncPlan.with_compression``), and the budget expresses a bandwidth
-    cap per iteration.  Returns None when no candidate fits -- the
-    caller decides whether to exceed the budget or compress harder.
-    """
-    if budget_bytes <= 0:
-        raise ValueError("budget_bytes must be positive")
-    best: Optional[SyncPlan] = None
-    best_throughput = -1.0
-    for plan in plans:
-        breakdown = simulate_iteration(profile, plan, cluster, cost)
-        if plan_wire_bytes(breakdown) > budget_bytes:
-            continue
-        tp = (profile.units_per_iteration(cluster.total_gpus)
-              / breakdown.iteration_time)
-        if tp > best_throughput:
-            best, best_throughput = plan, tp
-    return best
-
-
-def calibrate_gpu_time(
-    profile: ModelProfile,
-    plan: SyncPlan,
-    cluster: ClusterSpec,
-    measured_iteration_time: float,
-    cost: CostModel = DEFAULT_COST_MODEL,
-) -> ModelProfile:
-    """Refit ``gpu_time_per_iter`` so the simulator matches a measurement.
-
-    The autopilot's online refit: given the *measured* step time of the
-    incumbent plan (from a clean telemetry window -- degraded windows
-    must be excluded, see ``fit_from_telemetry``), solve for the compute
-    term that makes ``simulate_iteration`` reproduce it.  The predicted
-    iteration time is strictly increasing in ``gpu_time_per_iter``
-    (compute is an additive term), so a bisection converges; the
-    returned profile prices every *candidate* plan with calibrated
-    compute plus modeled communication.
-
-    If even zero compute predicts more than the measurement (the comm
-    terms alone exceed it), the floor profile is returned -- candidate
-    *ranking* stays meaningful because the compute term is shared.
-    """
-    if measured_iteration_time <= 0:
-        raise ValueError("measured_iteration_time must be > 0")
-    floor = 1e-9
-
-    def predicted(gpu_time: float) -> float:
-        probe = replace(profile, gpu_time_per_iter=gpu_time)
-        return simulate_iteration(probe, plan, cluster, cost).iteration_time
-
-    if predicted(floor) >= measured_iteration_time:
-        return replace(profile, gpu_time_per_iter=floor)
-    hi = max(measured_iteration_time, profile.gpu_time_per_iter, floor)
-    while predicted(hi) < measured_iteration_time:
-        hi *= 2.0
-        if hi > 1e6:  # pathological measurement; give up gracefully
-            break
-    lo = floor
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if predicted(mid) < measured_iteration_time:
-            lo = mid
-        else:
-            hi = mid
-    return replace(profile, gpu_time_per_iter=0.5 * (lo + hi))

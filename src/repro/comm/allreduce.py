@@ -74,7 +74,6 @@ def ring_allreduce(
     tag: str = "allreduce",
     stage_offset: int = 0,
     segments: Optional[Sequence[int]] = None,
-    wire_itemsize: Optional[int] = None,
     average: bool = False,
     out: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
@@ -92,11 +91,6 @@ def ring_allreduce(
             (flat) array -- a fused bucket.  Every segment is chunked on
             its own, so results are bit-identical to one ring per
             segment; the default is one segment covering the array.
-        wire_itemsize: bytes per element *on the wire* for transfer
-            accounting (defaults to the in-memory fp32 itemsize).  The
-            fp16-compressed collective sums quantized values in fp32 --
-            the NCCL half-precision ring keeps fp32 accumulators -- but
-            each chunk crosses the network at two bytes per element.
         average: divide the sum by the worker count.
         out: where to fold -- a caller-owned writable C-contiguous
             float32 buffer of the arrays' size that no input overlaps
@@ -154,9 +148,7 @@ def ring_allreduce(
     result.flags.writeable = False
 
     if transcript is not None:
-        itemsize = wire_itemsize if wire_itemsize is not None \
-            else out.itemsize
-        nbytes = [sum(hi - lo for lo, hi in chunk) * itemsize
+        nbytes = [sum(hi - lo for lo, hi in chunk) * out.itemsize
                   for chunk in slices]
         # Reduce-scatter step s moves chunk (i - s) mod n from worker i to
         # its successor; allgather step s then circulates the reduced

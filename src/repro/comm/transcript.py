@@ -56,14 +56,6 @@ class Note:
         return dict(self.info).get(key, default)
 
 
-@dataclass(frozen=True)
-class TranscriptCursor:
-    """Opaque position in a :class:`Transcript`'s two append-only streams."""
-
-    num_transfers: int
-    num_events: int
-
-
 class Transcript:
     """Append-only list of transfers plus aggregation helpers."""
 
@@ -99,22 +91,6 @@ class Transcript:
         """
         self._transfers.extend(transfers)
         self._events.extend(events)
-
-    def cursor(self) -> "TranscriptCursor":
-        """Position marker for :meth:`since` -- O(1), never invalidated.
-
-        The transcript is append-only (``clear`` aside), so a cursor is
-        just the current lengths of the two streams; ``since`` slices
-        everything recorded after it.  The autopilot's telemetry folds
-        per-step deltas this way without copying the whole history.
-        """
-        return TranscriptCursor(len(self._transfers), len(self._events))
-
-    def since(self, cursor: "TranscriptCursor",
-              ) -> "tuple[List[Transfer], List[Note]]":
-        """Transfers and events recorded after *cursor* was taken."""
-        return (self._transfers[cursor.num_transfers:],
-                self._events[cursor.num_events:])
 
     def events(self, tag_prefix: Optional[str] = None) -> List[Note]:
         if tag_prefix is None:

@@ -18,7 +18,6 @@ import numpy as np
 from repro.cluster.faults import FaultPlan
 from repro.cluster.spec import ClusterSpec
 from repro.core.config import (
-    AutopilotConfig,
     CommConfig,
     ElasticConfig,
     ParallaxConfig,
@@ -37,7 +36,7 @@ from repro.tensor.sparse import IndexedSlices
 
 __all__ = ["shard", "partitioner", "auto_parallelize", "Runner",
            "ParallaxConfig", "CommConfig", "ElasticConfig", "ServeConfig",
-           "AutopilotConfig", "get_runner", "make_server", "ElasticRunner",
+           "get_runner", "make_server", "ElasticRunner",
            "FaultPlan"]
 
 
@@ -198,7 +197,6 @@ def _build_distributed(
     probe = build(initial)
 
     # Sparse-as-dense refinement from measured alpha (section 3.1).
-    alphas: Dict[str, float] = {}
     sparse_as_dense: Dict[str, bool] = {}
     if (cfg.alpha_measure_batches > 0
             and cfg.sparse_as_dense_threshold <= 1.0
@@ -285,9 +283,6 @@ def _build_distributed(
             verify_plans=True if cfg.verify_plans else None)
     runner.partition_search = search_result
     runner.config = cfg
-    runner.measured_alphas = alphas
-    runner.plan_overrides_for = overrides_for
-    runner.emulate_nic_bw = cfg.elastic.emulate_nic_bw
     return runner
 
 
@@ -299,16 +294,14 @@ class Runner:
     :class:`~repro.core.runner.DistributedRunner` or
     :class:`~repro.core.elastic.ElasticRunner`); unknown attributes
     (``save``, ``restore``, ``close``, ``transcript``, ...) delegate to
-    it.  The handle adds routing: :meth:`fit` and :meth:`step` drive
-    training through the autopilot controller when the config enables
-    one, through the fault-recovering elastic loop when the runner is
-    elastic, and plainly otherwise; :meth:`serve` stands up an inference
-    server over the live weights.
+    it.  The handle adds routing: :meth:`fit` drives training through
+    the fault-recovering elastic loop when the runner is elastic, and
+    plainly otherwise; :meth:`serve` stands up an inference server over
+    the live weights.
     """
 
     def __init__(self, distributed: DistributedRunner):
         self.distributed = distributed
-        self._controller = None
 
     @property
     def config(self) -> ParallaxConfig:
@@ -320,43 +313,14 @@ class Runner:
         """Whether the underlying runner supports rescale/recovery."""
         return isinstance(self.distributed, ElasticRunner)
 
-    def autopilot(self):
-        """The runner's :class:`~repro.autopilot.AutopilotController`.
-
-        Created lazily on first use (requires an elastic runner); the
-        same controller instance is returned thereafter, so its decision
-        log spans the whole run.
-        """
-        if self._controller is None:
-            from repro.autopilot import AutopilotController
-
-            self._controller = AutopilotController(self.distributed)
-        return self._controller
-
-    def step(self, iteration: int) -> IterationResult:
-        """One synchronous training step.
-
-        Routes through the autopilot controller (which meters the step
-        and may live-migrate the plan at window boundaries) when the
-        config enables it.
-        """
-        if self.config.autopilot.enabled:
-            return self.autopilot().step(iteration)
-        return self.distributed.step(iteration)
-
     def fit(self, num_iterations: int, start_iteration: int = 0,
             shrink_on_failure: bool = False) -> List[IterationResult]:
-        """Train for *num_iterations*, with whatever loop the config asks.
+        """Train for *num_iterations*, with whatever loop the runner has.
 
-        Autopilot-enabled configs get the metered adaptive loop, elastic
-        runners the fault-recovering ``run_elastic`` loop, and plain
-        runners a straight step loop (*shrink_on_failure* applies to the
-        first two).
+        Elastic runners get the fault-recovering ``run_elastic`` loop
+        (*shrink_on_failure* applies there), plain runners a straight
+        step loop.
         """
-        if self.config.autopilot.enabled:
-            return self.autopilot().run(
-                num_iterations, start_iteration,
-                shrink_on_failure=shrink_on_failure)
         if self.elastic:
             return self.distributed.run_elastic(
                 num_iterations, start_iteration,
@@ -383,7 +347,7 @@ def auto_parallelize(
     The one-call public entry point: builds the model, measures alpha,
     runs the Equation-1 partition search, transforms the graph under
     ``config.architecture``, and returns a :class:`Runner` handle whose
-    ``fit``/``step``/``serve``/``autopilot`` methods drive the result.
+    ``fit``/``step``/``serve`` methods drive the result.
 
     Args:
         model_builder: zero-argument callable building the single-GPU

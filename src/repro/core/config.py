@@ -4,13 +4,11 @@
 everything plane-specific into sub-configs that mirror the planes of the
 system:
 
-* :class:`CommConfig` -- the synchronization plane (fusion, gradient
-  compression, execution backend, message transport).
+* :class:`CommConfig` -- the synchronization plane (fusion, execution
+  backend, message transport).
 * :class:`ElasticConfig` -- the elastic runtime (checkpoint cadence,
-  fault schedule, functional NIC-degradation emulation).
+  fault schedule).
 * :class:`ServeConfig` -- the serving plane (batch coalescing).
-* :class:`AutopilotConfig` -- the online replanning controller
-  (telemetry window, hysteresis, cooldown/backoff).
 
 The grouped spelling is the only one: a pre-grouping flat kwarg
 (``ParallaxConfig(fusion=False)``) is an ordinary unexpected-keyword
@@ -21,7 +19,7 @@ The grouped spelling is the only one: a pre-grouping flat kwarg
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.cluster.faults import FaultPlan
 
@@ -29,7 +27,6 @@ __all__ = [
     "CommConfig",
     "ElasticConfig",
     "ServeConfig",
-    "AutopilotConfig",
     "ParallaxConfig",
     "graph_plan_builder",
 ]
@@ -37,20 +34,13 @@ __all__ = [
 
 @dataclass
 class CommConfig:
-    """Synchronization-plane knobs: fusion, compression, backend, transport.
+    """Synchronization-plane knobs: fusion, backend, transport.
 
     Attributes:
         fusion: pack dense AllReduce gradients into size-capped buckets
             (Horovod-style tensor fusion); bit-identical to unfused
             training.
-        fusion_buffer_mb: fusion bucket size cap in megabytes (measured
-            in on-wire bytes, so compression fits more gradient per
-            bucket).
-        compression: gradient compression on the collective paths --
-            None (exact), "topk", "fp16", or "topk+fp16".  PS-synchronized
-            variables are unaffected; requires a collective architecture.
-        compression_ratio: fraction of elements (rows, for sparse
-            gradients) top-k keeps.
+        fusion_buffer_mb: fusion bucket size cap in megabytes.
         backend: execution backend -- "inproc" (sequential in-process
             engine) or "multiproc" (one OS worker process per replica).
         transport: message plane of the multiproc backend -- "shm"
@@ -59,20 +49,12 @@ class CommConfig:
 
     fusion: bool = True
     fusion_buffer_mb: float = 4.0
-    compression: Optional[str] = None
-    compression_ratio: float = 0.1
     backend: str = "inproc"
     transport: Optional[str] = None
 
     def __post_init__(self):
         if self.fusion_buffer_mb <= 0:
             raise ValueError("fusion_buffer_mb must be > 0")
-        if self.compression is not None:
-            from repro.comm.compression import parse_spec
-
-            parse_spec(self.compression)  # raises on unknown specs
-        if not 0.0 < self.compression_ratio <= 1.0:
-            raise ValueError("compression_ratio must be in (0, 1]")
         from repro.core.backend import BACKENDS
 
         if self.backend not in BACKENDS:
@@ -97,7 +79,7 @@ class CommConfig:
 
 @dataclass
 class ElasticConfig:
-    """Elastic-runtime knobs: checkpointing, fault schedule, emulation.
+    """Elastic-runtime knobs: checkpointing and fault schedule.
 
     Attributes:
         enabled: return an :class:`~repro.core.elastic.ElasticRunner`
@@ -107,21 +89,11 @@ class ElasticConfig:
             completed iterations.
         fault_plan: optional deterministic failure schedule injected into
             every ``step``.
-        emulate_nic_bw: when set (bytes/second), the functional plane
-            *pays* for scheduled :class:`~repro.cluster.faults.NicDegradation`
-            windows instead of merely noting them: each step inside a
-            degradation window sleeps for the extra wire time
-            ``bytes * (1/factor - 1) / emulate_nic_bw`` its network
-            transfers would take on the degraded link.  The autopilot's
-            planner prices candidates with the identical formula, so
-            predicted and measured step times agree.  None (default)
-            disables the emulation.
     """
 
     enabled: bool = False
     checkpoint_every: int = 1
     fault_plan: Optional[FaultPlan] = None
-    emulate_nic_bw: Optional[float] = None
 
     def __post_init__(self):
         if self.checkpoint_every < 1:
@@ -131,8 +103,6 @@ class ElasticConfig:
                 "fault_plan requires an elastic runner (enabled=True): a "
                 "plain runner cannot recover from injected failures"
             )
-        if self.emulate_nic_bw is not None and self.emulate_nic_bw <= 0:
-            raise ValueError("emulate_nic_bw must be > 0 bytes/second")
 
 
 @dataclass
@@ -153,83 +123,10 @@ class ServeConfig:
             raise ValueError("max_batch must be >= 1")
 
 
-@dataclass
-class AutopilotConfig:
-    """Online-replanning controller knobs (see :mod:`repro.autopilot`).
-
-    Attributes:
-        enabled: attach an :class:`~repro.autopilot.AutopilotController`
-            to the runner (requires an elastic runner).
-        window_steps: telemetry window length in steps; the controller
-            refits and reconsiders the plan once per closed window.
-        hysteresis: a candidate must beat the incumbent's predicted
-            step time by this fraction before a migration is proposed.
-        cooldown_windows: windows to hold after a migration before the
-            next one may be proposed; a switch back to the plan just
-            replaced is refused for twice this many windows (the
-            no-flapping contract).
-        backoff_factor: cooldown multiplier applied after a failed or
-            non-improving migration.
-        max_backoff_windows: cap on the grown cooldown.
-        plan_families: candidate architectures the planner enumerates.
-        fusion_buffers_mb: candidate fusion bucket caps.
-        codecs: candidate compression specs (None = exact) tried on
-            collective architectures.
-        compression_ratio: top-k keep fraction used by candidate codecs.
-        consider_rescale: also enumerate smaller replica counts that
-            drop degraded machines from the fleet.
-        min_machines: floor for replica-count candidates.
-    """
-
-    enabled: bool = False
-    window_steps: int = 8
-    hysteresis: float = 0.10
-    cooldown_windows: int = 2
-    backoff_factor: float = 2.0
-    max_backoff_windows: int = 16
-    plan_families: Tuple[str, ...] = ("hybrid", "ar")
-    fusion_buffers_mb: Tuple[float, ...] = (1.0, 4.0, 16.0)
-    codecs: Tuple[Optional[str], ...] = (None, "fp16", "topk", "topk+fp16")
-    compression_ratio: float = 0.1
-    consider_rescale: bool = True
-    min_machines: int = 1
-
-    def __post_init__(self):
-        if self.window_steps < 1:
-            raise ValueError("window_steps must be >= 1")
-        if self.hysteresis < 0:
-            raise ValueError("hysteresis must be >= 0")
-        if self.cooldown_windows < 0:
-            raise ValueError("cooldown_windows must be >= 0")
-        if self.backoff_factor < 1:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.max_backoff_windows < self.cooldown_windows:
-            raise ValueError(
-                "max_backoff_windows must be >= cooldown_windows"
-            )
-        for family in self.plan_families:
-            if family not in ("hybrid", "ps", "opt_ps", "ar"):
-                raise ValueError(f"unknown plan family {family!r}")
-        if not self.plan_families:
-            raise ValueError("plan_families must name at least one family")
-        if any(mb <= 0 for mb in self.fusion_buffers_mb):
-            raise ValueError("fusion_buffers_mb entries must be > 0")
-        for codec in self.codecs:
-            if codec is not None:
-                from repro.comm.compression import parse_spec
-
-                parse_spec(codec)
-        if not 0.0 < self.compression_ratio <= 1.0:
-            raise ValueError("compression_ratio must be in (0, 1]")
-        if self.min_machines < 1:
-            raise ValueError("min_machines must be >= 1")
-
-
 _GROUP_TYPES = {
     "comm": CommConfig,
     "elastic": ElasticConfig,
     "serve": ServeConfig,
-    "autopilot": AutopilotConfig,
 }
 
 
@@ -240,12 +137,10 @@ class ParallaxConfig:
     Architecture and search knobs stay top-level; everything
     plane-specific lives in a sub-config:
 
-    * ``comm`` -- :class:`CommConfig` (fusion, compression, backend,
-      transport).
+    * ``comm`` -- :class:`CommConfig` (fusion, backend, transport).
     * ``elastic`` -- :class:`ElasticConfig` (checkpointing, fault
-      schedule, NIC-degradation emulation).
+      schedule).
     * ``serve`` -- :class:`ServeConfig` (request batching).
-    * ``autopilot`` -- :class:`AutopilotConfig` (online replanning).
 
     Top-level attributes:
         architecture: "hybrid" (Parallax), "ps", "opt_ps", or "ar" --
@@ -281,7 +176,6 @@ class ParallaxConfig:
     comm: CommConfig = field(default_factory=CommConfig)
     elastic: ElasticConfig = field(default_factory=ElasticConfig)
     serve: ServeConfig = field(default_factory=ServeConfig)
-    autopilot: AutopilotConfig = field(default_factory=AutopilotConfig)
 
     def __post_init__(self):
         for group, expected in _GROUP_TYPES.items():
@@ -303,21 +197,6 @@ class ParallaxConfig:
             raise ValueError("max_partitions must be >= 1")
         if self.alpha_measure_batches < 0:
             raise ValueError("alpha_measure_batches must be >= 0")
-        # Cross-group checks: each sub-config validates itself on
-        # construction, but these couple a sub-config to a top-level
-        # field or to another group.
-        if (self.comm.compression is not None
-                and self.architecture in ("ps", "opt_ps")):
-            raise ValueError(
-                "compression applies to collective synchronization; "
-                f"the {self.architecture!r} architecture has no "
-                "collective path"
-            )
-        if self.autopilot.enabled and not self.elastic.enabled:
-            raise ValueError(
-                "autopilot requires an elastic runner: set "
-                "elastic=ElasticConfig(enabled=True)"
-            )
 
 
 def graph_plan_builder(
@@ -331,8 +210,7 @@ def graph_plan_builder(
     to its measured sparse-as-dense decisions (re-keyed onto that
     graph's own shard names).  ``get_runner`` hands the returned builder
     to :class:`~repro.core.elastic.ElasticRunner` so rescales rebuild
-    congruent plans, and the autopilot builds per-candidate variants of
-    it to migrate between plan families at a fixed partition count.
+    congruent plans.
     """
     from repro.core.transform.plan import (
         ar_graph_plan,
@@ -349,8 +227,6 @@ def graph_plan_builder(
                 sparse_as_dense=overrides,
                 fusion=comm.fusion,
                 fusion_buffer_mb=comm.fusion_buffer_mb,
-                compression=comm.compression,
-                compression_ratio=comm.compression_ratio,
             )
         if config.architecture == "ps":
             return ps_graph_plan(graph, local_aggregation=False,
@@ -359,8 +235,6 @@ def graph_plan_builder(
             return ps_graph_plan(graph, local_aggregation=True,
                                  smart_placement=True, name="opt_ps")
         return ar_graph_plan(graph, fusion=comm.fusion,
-                             fusion_buffer_mb=comm.fusion_buffer_mb,
-                             compression=comm.compression,
-                             compression_ratio=comm.compression_ratio)
+                             fusion_buffer_mb=comm.fusion_buffer_mb)
 
     return build

@@ -44,39 +44,6 @@ __all__ = ["ElasticRunner", "partition_layout", "reshard_logical_state",
            "replicated_slot_suffixes"]
 
 
-def _reconcile_residual_state(
-    state: Dict[str, np.ndarray],
-    expected_names: Dict[str, str],
-    graph: Graph,
-) -> Dict[str, np.ndarray]:
-    """Fit error-feedback residuals in *state* to the post-rescale graph.
-
-    Residuals are approximate state (unsent gradient mass): they migrate
-    exactly whenever names and shapes line up -- per-variable residuals
-    always do, and row-sharded ones re-shard through
-    :func:`reshard_logical_state` like optimizer slots -- but a
-    partition-count change can re-layout fusion buckets, changing bucket
-    residual shapes or counts.  Those reset to zeros (the error-feedback
-    contract allows dropping a residual: it only delays, never corrupts,
-    the dropped mass), and residuals the new plan no longer creates are
-    dropped so the strict state-match check stays meaningful for real
-    variables.
-    """
-    from repro.comm.compression import is_residual_name
-
-    out = dict(state)
-    for base, graph_name in expected_names.items():
-        if not is_residual_name(base):
-            continue
-        shape = tuple(graph.variables[graph_name].shape)
-        if base not in out or tuple(np.shape(out[base])) != shape:
-            out[base] = np.zeros(shape, dtype=np.float32)
-    for name in list(out):
-        if is_residual_name(name) and name not in expected_names:
-            del out[name]
-    return out
-
-
 def partition_layout(graph: Graph) -> Dict[str, List[int]]:
     """Parent variable name -> row-offset boundaries, for one graph."""
     return {
@@ -319,7 +286,6 @@ class ElasticRunner(DistributedRunner):
         new_cluster: ClusterSpec,
         num_partitions: Optional[int] = None,
         state: Optional[Dict[str, np.ndarray]] = None,
-        plan_builder: Optional[Callable] = None,
     ) -> "ElasticRunner":
         """Migrate training onto *new_cluster* without losing state.
 
@@ -331,24 +297,11 @@ class ElasticRunner(DistributedRunner):
         snapshot left off: the next ``step`` on M replicas is
         bit-identical to a fresh M-replica runner restored from the same
         checkpoint.
-
-        Passing *plan_builder* migrates onto a *different* plan (the
-        autopilot's plan-family / fusion / compression switches): the
-        new builder produces the plan for this rescale -- also when the
-        partition count is unchanged -- and replaces ``self.plan_builder``
-        once the migration commits, so later rescales stay on the new
-        plan family.  A rolled-back migration keeps the old builder.
         """
         start = time.perf_counter()
         if state is None:
             state = self._snapshot()
-        builder = plan_builder if plan_builder is not None \
-            else self.plan_builder
         model, plan = self.model, self.plan
-        if plan_builder is not None:
-            # Build before touching any runner state: a builder that
-            # raises leaves the runner untouched.
-            plan = plan_builder(model.graph)
         if (num_partitions is not None
                 and num_partitions != self.num_partitions):
             if self.model_builder is None:
@@ -372,7 +325,7 @@ class ElasticRunner(DistributedRunner):
                 state, old_layout, partition_layout(model.graph),
                 replicated=replicated_slot_suffixes(self.model.graph,
                                                     old_layout))
-            plan = builder(model.graph)
+            plan = self.plan_builder(model.graph)
 
         old_replicas = self.num_replicas
         compiled_before = CompiledPlan.compiled_total
@@ -402,9 +355,6 @@ class ElasticRunner(DistributedRunner):
                                        fault_plan=self.fault_plan,
                                        backend=old_guts["backend"].fresh(),
                                        verify_plans=self.verify_plans)
-            state = _reconcile_residual_state(
-                state, self.transformed.logical_variable_names,
-                self.transformed.graph)
             expected = set(self.transformed.logical_variable_names)
             mismatch = sorted(expected ^ set(state))
             if mismatch:
@@ -420,10 +370,8 @@ class ElasticRunner(DistributedRunner):
                 setattr(self, name, value)
             raise
         # The migration committed: release the pre-rescale backend's
-        # workers (a no-op for inproc) and adopt the new plan builder.
+        # workers (a no-op for inproc).
         old_guts["backend"].shutdown()
-        if plan_builder is not None:
-            self.plan_builder = plan_builder
         self.num_rescales += 1
         # The migrated state is the new recovery point: the old
         # checkpoint's names may no longer exist after a re-shard.

@@ -21,11 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.faults import (
-    FaultPlan,
-    WorkerFailureError,
-    emulated_degradation_delay,
-)
+from repro.cluster.faults import FaultPlan, WorkerFailureError
 from repro.cluster.spec import ClusterSpec
 from repro.comm.transcript import Transcript
 from repro.core.backend import make_backend
@@ -46,16 +42,7 @@ def apply_logical_state(session: "DistributedSession", graph: Graph,
     the multiprocess workers' ``load`` command: a base name loads into
     the PS store or into *all* replica copies; names absent from
     *values* keep their current state.
-
-    Error-feedback residuals (``.../ef_residual``) are the one
-    exception to the broadcast rule: their logical value is the *sum*
-    of genuinely-divergent per-replica accumulators, so the sum loads
-    into replica 0 and the other replicas reset to zero -- total unsent
-    gradient mass is preserved, and every backend (and every rescaled
-    replica count) loads the same state identically.
     """
-    from repro.comm.compression import is_residual_name
-
     for name in graph.variables:
         # Match the true rep<k>/ replica prefix, not any name that
         # merely starts with "rep" (a user variable named "report/w"
@@ -63,10 +50,8 @@ def apply_logical_state(session: "DistributedSession", graph: Graph,
         replica, base = split_replica_prefix(name)
         if replica is not None:
             if base in values:
-                value = np.asarray(values[base])
-                if is_residual_name(base) and replica != 0:
-                    value = np.zeros_like(value)
-                session.replica_stores[replica].write(name, value.copy())
+                session.replica_stores[replica].write(
+                    name, np.asarray(values[base]).copy())
             continue
         if name in values:
             session.ps_store.write(name, np.asarray(values[name]).copy())
@@ -277,41 +262,13 @@ class DistributedRunner:
         """
         self._inject_faults(iteration)
         start = time.perf_counter()
-        cursor = self.transcript.cursor()
         losses = self.backend.run_step(iteration)
-        delay = self._emulated_degradation_delay(iteration, cursor)
-        if delay > 0.0:
-            time.sleep(delay)
         return IterationResult(
             iteration=iteration,
             mean_loss=float(np.mean(losses)),
             replica_losses=losses,
             wall_time=time.perf_counter() - start,
         )
-
-    def _emulated_degradation_delay(self, iteration: int, cursor) -> float:
-        """Wall-clock price of this step's scheduled NIC degradation.
-
-        Off unless ``emulate_nic_bw`` is set (the default): scheduled
-        degradations are then only *noted*, never paid for.  When on,
-        the step's network transfers (the transcript delta since
-        *cursor*) are charged the extra wire time a ``factor``-degraded
-        NIC would add -- the exact formula the autopilot's planner
-        prices candidates with, so its predictions match what this
-        sleep costs.  Degradations on machines outside the current
-        fleet don't count: rescaling away a degraded machine escapes
-        its window.
-        """
-        if self.fault_plan is None or self.emulate_nic_bw is None:
-            return 0.0
-        factor = self.fault_plan.cluster_nic_factor(
-            iteration, self.cluster.num_machines)
-        if factor >= 1.0:
-            return 0.0
-        transfers, _ = self.transcript.since(cursor)
-        network_bytes = sum(t.nbytes for t in transfers if t.is_network)
-        return emulated_degradation_delay(network_bytes, factor,
-                                          self.emulate_nic_bw)
 
     def _inject_faults(self, iteration: int) -> None:
         """Fire this iteration's scheduled faults (each at most once)."""
@@ -348,9 +305,6 @@ class DistributedRunner:
     # Filled in by get_runner when it drives this runner.
     partition_search = None
     config = None
-    # Bytes/second for functional NIC-degradation emulation (None = off);
-    # an instance attribute survives elastic re-init like _faults_fired.
-    emulate_nic_bw: Optional[float] = None
 
     # -- checkpointing ------------------------------------------------------
     def logical_state(self) -> Dict[str, np.ndarray]:
@@ -360,29 +314,10 @@ class DistributedRunner:
         trip resumes training exactly.  Reads route through the
         execution backend -- under ``multiproc`` the authoritative values
         live in the worker processes, not this one.
-
-        Error-feedback residuals diverge across replicas (each replica
-        compresses its own gradient), so their logical value is the sum
-        over all replica copies -- the total unsent gradient mass, the
-        quantity the error-feedback convergence argument is about.
-        ``apply_logical_state`` loads it back mass-preservingly.
         """
         names = self.transformed.logical_variable_names
-        residuals = self.transformed.residual_variables
-        wanted = set(names.values())
-        for replica_names in residuals.values():
-            wanted.update(replica_names)
-        values = self.backend.read_variables(sorted(wanted))
-        state: Dict[str, np.ndarray] = {}
-        for base, name in names.items():
-            if base in residuals:
-                total = values[residuals[base][0]].copy()
-                for other in residuals[base][1:]:
-                    total += values[other]
-                state[base] = total
-            else:
-                state[base] = values[name]
-        return state
+        values = self.backend.read_variables(sorted(set(names.values())))
+        return {base: values[name] for base, name in names.items()}
 
     def save(self, path: str) -> str:
         """Write all logical variable values to an ``.npz`` checkpoint."""

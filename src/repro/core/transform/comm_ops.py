@@ -22,11 +22,6 @@ import numpy as np
 
 from repro.comm.allgatherv import ring_allgatherv
 from repro.comm.allreduce import ring_allreduce
-from repro.comm.compression import (
-    decompress,
-    exchange_payloads,
-    make_compressor,
-)
 from repro.graph.executor import register_direct
 from repro.graph.gradients import register_custom_grad
 from repro.graph.ops import register_forward
@@ -37,9 +32,7 @@ from repro.tensor.sparse import IndexedSlices, concat_slices, to_dense
 #: exchange data across replicas through the run cache and record their own
 #: ring transfers, so static edge accounting skips their edges (runner) and
 #: multiproc workers mute every replica's copy but the first (backend).
-COLLECTIVE_OP_TYPES = frozenset({"allreduce", "fused_allreduce", "allgatherv",
-                                 "compressed_allreduce",
-                                 "compressed_allgatherv"})
+COLLECTIVE_OP_TYPES = frozenset({"allreduce", "fused_allreduce", "allgatherv"})
 
 
 def _replica_machines(op, runtime) -> List[int]:
@@ -100,112 +93,6 @@ def _allgatherv_fwd(op, inputs, runtime):
                         * len(inputs))
         cache[key] = gathered
     return cache[key][op.attrs["replica"]]
-
-
-@register_forward("grad_compress")
-def _grad_compress_fwd(op, inputs, runtime):
-    """Compress one replica's gradient into its wire payload.
-
-    Dense gradients (plain arrays, including packed fusion buffers)
-    compress element-wise; sparse IndexedSlices gradients compress at row
-    granularity.  When the codec carries error feedback (top-k), the
-    residual variable named by ``attrs["residual"]`` -- per-replica state
-    in this replica's store -- is folded into the gradient before
-    selection and updated to exactly the unsent remainder, so
-    ``decompress(payload) + residual_after == gradient + residual_before``
-    holds bit-for-bit in fp32 (and to fp16 rounding under "+fp16").
-    """
-    compressor = make_compressor(op.attrs["codec"], op.attrs["ratio"])
-    value = inputs[0]
-    residual_name = op.attrs.get("residual")
-
-    if isinstance(value, IndexedSlices):
-        combined = value.combine()
-        if residual_name is None:
-            dense = combined.to_dense()
-            return compressor.encode_rows(dense, touched=combined.indices)
-        acc = runtime.read_variable(residual_name)
-        np.add.at(acc, combined.indices, combined.values)
-        payload = compressor.encode_rows(acc)
-        if payload.indices is not None and payload.indices.size:
-            acc[payload.indices] -= payload.values.astype(np.float32)
-        runtime.write_variable(residual_name, acc)
-        return payload
-
-    arr = np.asarray(value)
-    if residual_name is None:
-        return compressor.encode_flat(arr)
-    acc = runtime.read_variable(residual_name)
-    compensated = acc + arr
-    payload = compressor.encode_flat(compensated)
-    residual = compensated.reshape(-1)
-    residual[payload.indices] -= payload.values.astype(np.float32)
-    runtime.write_variable(residual_name, residual.reshape(arr.shape))
-    return payload
-
-
-@register_forward("compressed_allreduce")
-def _compressed_allreduce_fwd(op, inputs, runtime):
-    """Compressed dense collective.
-
-    Two wire schedules, picked by payload kind:
-
-    * ``"dense"`` payloads (pure fp16 quantization) ride the real ring:
-      values quantize once at the source, the ring sums the quantized
-      values in fp32 (the NCCL half-precision ring keeps fp32
-      accumulators), and every chunk crosses the wire at two bytes per
-      element.
-    * Sparsified payloads (top-k) cannot ride a ring reduction -- a sum
-      of top-k sets is not top-k -- so each payload travels the ring
-      allgather-style (``nbytes * (N-1)`` link crossings, recorded by
-      :func:`~repro.comm.compression.exchange_payloads`) and every
-      replica performs the identical decompress-and-sum in replica
-      order.
-
-    Either way all replicas hold the same reduced array bit for bit, on
-    every execution backend.
-    """
-    cache = runtime.run_cache.setdefault("collectives", {})
-    key = ("compressed_allreduce", op.attrs["group"])
-    if key not in cache:
-        transcript = getattr(runtime, "transcript", None)
-        tag = f"compressed_allreduce/{op.attrs['group']}"
-        machines = _replica_machines(op, runtime)
-        average = op.attrs.get("average", False)
-        if all(p.kind == "dense" for p in inputs):
-            reduced = ring_allreduce(
-                [decompress(p) for p in inputs],
-                machines=machines, transcript=transcript, tag=tag,
-                wire_itemsize=inputs[0].values.dtype.itemsize,
-                average=average,
-            )
-        else:
-            exchange_payloads(inputs, machines, transcript, tag)
-            total = decompress(inputs[0])
-            for payload in inputs[1:]:
-                total = total + decompress(payload)
-            if average:
-                total = total / np.float32(len(inputs))
-            reduced = [total] * len(inputs)
-        cache[key] = reduced
-    return cache[key][op.attrs["replica"]]
-
-
-@register_forward("compressed_allgatherv")
-def _compressed_allgatherv_fwd(op, inputs, runtime):
-    """Compressed sparse collective: gather row payloads, concatenate."""
-    cache = runtime.run_cache.setdefault("collectives", {})
-    key = ("compressed_allgatherv", op.attrs["group"])
-    if key not in cache:
-        transcript = getattr(runtime, "transcript", None)
-        exchange_payloads(inputs, _replica_machines(op, runtime),
-                          transcript,
-                          f"compressed_allgatherv/{op.attrs['group']}")
-        gathered = concat_slices([decompress(p) for p in inputs])
-        if op.attrs.get("average", False):
-            gathered = gathered.scale(1.0 / len(inputs))
-        cache[key] = gathered
-    return cache[key]
 
 
 # ----------------------------------------------------------------------

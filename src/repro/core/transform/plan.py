@@ -10,10 +10,9 @@ gradient tensor is IndexedSlices-typed (paper section 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cluster.plan import SyncMethod
-from repro.comm.compression import parse_spec
 from repro.graph.gradients import grad_tensor_is_sparse
 from repro.graph.graph import Graph
 
@@ -58,27 +57,10 @@ class GraphSyncPlan:
     # ring layout preserves every element's summation order).
     fusion: bool = False
     fusion_buffer_mb: float = 4.0
-    # Gradient compression on the collective paths (dense AllReduce
-    # buckets and sparse AllGatherv): None, "topk", "fp16", or
-    # "topk+fp16".  Top-k keeps ``compression_ratio`` of the elements
-    # (rows, for sparse gradients) and carries a per-replica
-    # error-feedback residual; fp16 is stateless round-trip quantization.
-    # PS variables are unaffected.
-    compression: Optional[str] = None
-    compression_ratio: float = 0.1
 
     def __post_init__(self):
         if self.fusion_buffer_mb <= 0:
             raise ValueError("fusion_buffer_mb must be > 0")
-        if self.compression is not None:
-            parse_spec(self.compression)  # raises on unknown specs
-            if self.asynchronous:
-                raise ValueError(
-                    "compression applies to collective synchronization; "
-                    "asynchronous PS training has no collective path"
-                )
-        if not 0.0 < self.compression_ratio <= 1.0:
-            raise ValueError("compression_ratio must be in (0, 1]")
         if self.asynchronous:
             offenders = [
                 name for name, m in self.methods.items()
@@ -116,17 +98,13 @@ def hybrid_graph_plan(graph: Graph, local_aggregation: bool = True,
                       smart_placement: bool = True,
                       sparse_as_dense: Dict[str, bool] = None,
                       fusion: bool = False,
-                      fusion_buffer_mb: float = 4.0,
-                      compression: Optional[str] = None,
-                      compression_ratio: float = 0.1) -> GraphSyncPlan:
+                      fusion_buffer_mb: float = 4.0) -> GraphSyncPlan:
     """Parallax's rule: sparse -> PS, dense -> AllReduce (section 3.1).
 
     ``sparse_as_dense`` optionally names sparse variables whose measured
     alpha is near 1 and which should be AllReduced despite their sparse
     gradient type (the section 3.1 refinement).  ``fusion`` packs the
     AllReduce variables into ``fusion_buffer_mb``-capped buckets.
-    ``compression`` compresses the collective (AllReduce) gradients; the
-    PS path is unaffected.
     """
     overrides = sparse_as_dense or {}
     methods = {}
@@ -137,9 +115,7 @@ def hybrid_graph_plan(graph: Graph, local_aggregation: bool = True,
             methods[name] = SyncMethod.ALLREDUCE
     return GraphSyncPlan("parallax", methods, local_aggregation,
                          smart_placement, fusion=fusion,
-                         fusion_buffer_mb=fusion_buffer_mb,
-                         compression=compression,
-                         compression_ratio=compression_ratio)
+                         fusion_buffer_mb=fusion_buffer_mb)
 
 
 def ps_graph_plan(graph: Graph, local_aggregation: bool = False,
@@ -154,9 +130,7 @@ def ps_graph_plan(graph: Graph, local_aggregation: bool = False,
 
 
 def ar_graph_plan(graph: Graph, fusion: bool = False,
-                  fusion_buffer_mb: float = 4.0,
-                  compression: Optional[str] = None,
-                  compression_ratio: float = 0.1) -> GraphSyncPlan:
+                  fusion_buffer_mb: float = 4.0) -> GraphSyncPlan:
     """Pure collective plan (Horovod): AllReduce dense, AllGatherv sparse."""
     methods = {
         name: SyncMethod.ALLGATHERV if sparse else SyncMethod.ALLREDUCE
@@ -164,6 +138,4 @@ def ar_graph_plan(graph: Graph, fusion: bool = False,
     }
     return GraphSyncPlan("horovod", methods, local_aggregation=False,
                          smart_placement=False, fusion=fusion,
-                         fusion_buffer_mb=fusion_buffer_mb,
-                         compression=compression,
-                         compression_ratio=compression_ratio)
+                         fusion_buffer_mb=fusion_buffer_mb)

@@ -26,19 +26,13 @@ by tests.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.cluster.plan import SyncMethod, fusion_buckets
 from repro.cluster.spec import ClusterSpec
-from repro.comm.compression import (
-    EF_RESIDUAL_SUFFIX,
-    is_residual_name,
-    spec_uses_error_feedback,
-    wire_fraction,
-)
 from repro.comm.ps import place_variables
 from repro.core.transform import comm_ops  # noqa: F401  (registers kernels)
 from repro.core.transform.plan import GraphSyncPlan
@@ -67,12 +61,6 @@ class TransformedGraph:
     replica_variables: Dict[str, List[str]]
     # asynchronous mode only: one train op per worker replica
     replica_train_ops: Optional[List[Tensor]] = None
-    # compression only: error-feedback residual base name (e.g.
-    # "softmax/kernel/ef_residual") -> per-replica variable names, in
-    # replica order.  Residuals are per-replica state -- every replica
-    # compresses its own gradient -- so their logical (checkpoint) value
-    # is the SUM across replicas, not replica 0's copy.
-    residual_variables: Dict[str, List[str]] = field(default_factory=dict)
 
     @property
     def num_replicas(self) -> int:
@@ -96,7 +84,6 @@ class TransformedGraph:
                 None if self.replica_train_ops is None
                 else [t.name for t in self.replica_train_ops]
             ),
-            "residual_variables": self.residual_variables,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -114,7 +101,6 @@ class TransformedGraph:
             None if state["replica_train_ops"] is None
             else [graph.get_op(n).output for n in state["replica_train_ops"]]
         )
-        self.residual_variables = state.get("residual_variables", {})
 
     @property
     def logical_variable_names(self) -> Dict[str, str]:
@@ -415,9 +401,9 @@ def transform_graph(
                 )
             else:
                 update_ops.extend(
-                    _build_collective_updates(new_graph, cluster, plan, opt,
-                                              var_name, method, grads,
-                                              machines, builders)
+                    _build_collective_updates(new_graph, opt, var_name,
+                                              method, grads, machines,
+                                              builders)
                 )
         if fused_ar_vars:
             update_ops.extend(
@@ -433,22 +419,6 @@ def transform_graph(
                 for r in range(num_replicas)
             ]
 
-    # Error-feedback residuals created by the compress stage, grouped by
-    # base name in replica order (the checkpoint/migration contract sums
-    # them; see TransformedGraph.residual_variables).
-    from repro.graph.session import split_replica_prefix
-
-    residual_variables: Dict[str, List[str]] = {}
-    for name in new_graph.variables:
-        if not is_residual_name(name):
-            continue
-        replica, base = split_replica_prefix(name)
-        residual_variables.setdefault(base, []).append((replica, name))
-    residual_variables = {
-        base: [n for _, n in sorted(entries)]
-        for base, entries in residual_variables.items()
-    }
-
     transformed = TransformedGraph(
         graph=new_graph,
         cluster=cluster,
@@ -459,7 +429,6 @@ def transform_graph(
         ps_placement=ps_placement,
         replica_variables=replica_variables,
         replica_train_ops=replica_train_ops,
-        residual_variables=residual_variables,
     )
 
     if verify is None:
@@ -552,45 +521,6 @@ def _densified_grad(new_graph: Graph, var_name: str, grad: Tensor,
     return dense.output
 
 
-def _build_compress_stage(
-    new_graph: Graph,
-    plan: GraphSyncPlan,
-    group: str,
-    inputs: List[Tensor],
-    devices: List[DeviceSpec],
-) -> List[Tensor]:
-    """Insert the compress leg of compress -> communicate -> decompress.
-
-    One ``grad_compress`` op per replica, placed on the replica's device
-    (so the multiprocess backend runs it in the owning worker).  Codecs
-    that drop mass (top-k) additionally get a per-replica error-feedback
-    residual variable, ``rep<r>/<group>/ef_residual`` -- a plain graph
-    variable, which is what makes the residual pickle to workers, ride
-    checkpoints, and re-shard through the elastic migration like any
-    optimizer slot.
-    """
-    from repro.graph.variables import zeros_initializer
-
-    needs_residual = spec_uses_error_feedback(plan.compression)
-    payloads: List[Tensor] = []
-    for r, grad in enumerate(inputs):
-        attrs = {"codec": plan.compression, "ratio": plan.compression_ratio}
-        if needs_residual:
-            residual = Variable(
-                f"rep{r}/{group}{EF_RESIDUAL_SUFFIX}", grad.spec.shape,
-                initializer=zeros_initializer, trainable=False,
-                graph=new_graph, device=devices[r],
-            )
-            attrs["residual"] = residual.name
-        cop = new_graph.add_op(
-            "grad_compress", [grad], grad.spec,
-            name=f"compress/{group}/rep{r}", attrs=attrs,
-            device=devices[r],
-        )
-        payloads.append(cop.output)
-    return payloads
-
-
 def _build_fused_collective_updates(
     new_graph: Graph,
     plan: GraphSyncPlan,
@@ -621,16 +551,9 @@ def _build_fused_collective_updates(
         for name in var_names
     ]
     cap_bytes = plan.fusion_buffer_mb * 1024 * 1024
-    # Buckets are capped by *on-wire* bytes: under compression a segment
-    # occupies wire_fraction of its raw size, so the same buffer cap
-    # holds proportionally more gradient elements per collective.
-    if plan.compression is None:
-        bucket_sizes = [s * 4.0 for s in sizes]
-    else:
-        fraction = wire_fraction(plan.compression, plan.compression_ratio)
-        bucket_sizes = [s * 4.0 * fraction for s in sizes]
     updates: List[Operation] = []
-    for b, bucket in enumerate(fusion_buckets(bucket_sizes, cap_bytes)):
+    for b, bucket in enumerate(fusion_buckets([s * 4.0 for s in sizes],
+                                              cap_bytes)):
         names = [var_names[i] for i in bucket]
         seg_sizes = [sizes[i] for i in bucket]
         total = sum(seg_sizes)
@@ -656,27 +579,14 @@ def _build_fused_collective_updates(
                 device=device,
             )
             buffers.append(pack.output)
-        if plan.compression is not None:
-            # Compressed buckets exchange payloads all-to-all (a sum of
-            # top-k sets is not top-k, so there is no ring reduction);
-            # per-segment chunking is irrelevant to them.
-            buffers = _build_compress_stage(
-                new_graph, plan, group, buffers,
-                [builders[r].device for r in range(num_replicas)],
-            )
-            collective_type = "compressed_allreduce"
-            layout_attrs: Dict[str, object] = {}
-        else:
-            collective_type = "fused_allreduce"
-            # What each fused ring message carries, for the analyses;
-            # the kernel derives its chunking from ``segments``.
-            layout_attrs = {"bounds": fused_chunk_bounds(seg_sizes,
-                                                         num_replicas)}
+        # What each fused ring message carries, for the analyses; the
+        # kernel derives its chunking from ``segments``.
+        bounds = fused_chunk_bounds(seg_sizes, num_replicas)
         for r in range(num_replicas):
             device = builders[r].device
             collective = new_graph.add_op(
-                collective_type, buffers, TensorSpec((total,)),
-                name=f"{collective_type}/{group}/rep{r}",
+                "fused_allreduce", buffers, TensorSpec((total,)),
+                name=f"fused_allreduce/{group}/rep{r}",
                 attrs={
                     "group": group,
                     "replica": r,
@@ -684,7 +594,7 @@ def _build_fused_collective_updates(
                     "average": True,
                     "is_sparse": False,
                     "segments": list(zip(names, seg_sizes)),
-                    **layout_attrs,
+                    "bounds": bounds,
                 },
                 device=device,
             )
@@ -709,8 +619,6 @@ def _build_fused_collective_updates(
 
 def _build_collective_updates(
     new_graph: Graph,
-    cluster: ClusterSpec,
-    plan: GraphSyncPlan,
     opt: Optimizer,
     var_name: str,
     method: SyncMethod,
@@ -732,17 +640,10 @@ def _build_collective_updates(
 
     op_type = ("allreduce" if method is SyncMethod.ALLREDUCE
                else "allgatherv")
-    specs = [t.spec for t in inputs]
-    if plan.compression is not None:
-        inputs = _build_compress_stage(
-            new_graph, plan, var_name, inputs,
-            [builders[r].device for r in range(len(grads))],
-        )
-        op_type = f"compressed_{op_type}"
     for r in range(len(grads)):
         replica_var = builders[r].replica_vars[var_name]
         collective = new_graph.add_op(
-            op_type, inputs, specs[r],
+            op_type, inputs, inputs[r].spec,
             name=f"{op_type}/{var_name}/rep{r}",
             attrs={
                 "group": var_name,

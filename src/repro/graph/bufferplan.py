@@ -128,7 +128,7 @@ KNOWN_SAFE = frozenset(
 )
 
 # Op types whose output is (or may wrap) an IndexedSlices.
-SPARSE_SOURCE = frozenset({"allgatherv", "compressed_allgatherv", "recv"})
+SPARSE_SOURCE = frozenset({"allgatherv", "recv"})
 
 # Known op types that can pass an IndexedSlices input through to their
 # output.  Every other known kernel either densifies or only ever sees
@@ -331,7 +331,7 @@ def build_buffer_plan(plan) -> BufferPlan:
             elif op_type in IN_PLACE_UPDATES and op.attrs.get("is_update"):
                 updates.append(slot)
         else:
-            # Unknown op type (collectives, shard ops, compression...):
+            # Unknown op type (collectives, shard ops, gathers...):
             # its output may alias or retain any input, and it may keep
             # references across steps -- fuse the storages, pin them,
             # and keep the arena away from all of it.

@@ -52,7 +52,7 @@ EdgeFn = Callable[[Operation], Optional[List[EdgeSpec]]]
 # under ``multiproc`` that entry carries the sends), which stays at the
 # bucket's last gradient; the collective op and everything downstream of
 # it (``bucket_slice``, the updates, ``group``) run after all other compute.
-COLLECTIVE_OPS = frozenset({"fused_allreduce", "compressed_allreduce"})
+COLLECTIVE_OPS = frozenset({"fused_allreduce"})
 
 
 def overlap_schedule(order: Sequence[Operation]) -> List[Operation]:

@@ -35,7 +35,7 @@ from repro.serve.shard import RemoteShard, ShardRouter, routed_gather_kernel
 # kernels are caught through their ``is_update`` attr rather than by
 # type, so new update ops stay covered without touching this set.
 _TRAINING_ONLY = COLLECTIVE_OP_TYPES | frozenset({
-    "vjp", "grad_compress", "local_agg", "global_agg", "group",
+    "vjp", "local_agg", "global_agg", "group",
     "assign", "assign_sub", "scatter_sub",
 })
 
@@ -99,9 +99,8 @@ def weights_from_state(graph: Graph,
                        state: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Restrict a runner's ``logical_state()`` to *graph*'s variables.
 
-    Training state carries optimizer slots and error-feedback residuals
-    no forward plan reads; they are dropped here so a server can be fed
-    a checkpoint verbatim.
+    Training state carries optimizer slots no forward plan reads; they
+    are dropped here so a server can be fed a checkpoint verbatim.
     """
     return {name: state[name] for name in graph.variables if name in state}
 

@@ -24,7 +24,6 @@ from repro.analysis.verifier import default_fetch_ops
 from repro.cli import _matrix_models, _matrix_plans
 from repro.cluster.faults import WorkerFailureError
 from repro.cluster.spec import ClusterSpec
-from repro.comm.compression import wire_fraction
 from repro.core.backend import MultiprocBackend, build_all_worker_entries
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import ar_graph_plan, hybrid_graph_plan
@@ -255,13 +254,12 @@ class TestDeadlockMutations:
 # Collective congruence: replica-skew mutations
 # ======================================================================
 class TestCongruenceMutations:
-    def _replica_collective(self, transformed, fetch_ops, replica=1,
-                            op_type="fused_allreduce"):
+    def _replica_collective(self, transformed, fetch_ops, replica=1):
         for op in collective_ops(transformed, fetch_ops):
-            if (op.op_type == op_type
+            if (op.op_type == "fused_allreduce"
                     and op.attrs.get("replica") == replica):
                 return op
-        pytest.fail(f"no {op_type} collective for replica {replica}")
+        pytest.fail(f"no fused_allreduce collective for replica {replica}")
 
     def test_clean_plan_is_congruent(self):
         transformed, fetch_ops = make_transformed()
@@ -297,18 +295,6 @@ class TestCongruenceMutations:
         findings, _ = analyze_congruence(transformed, fetch_ops)
         assert any("expected one per replica" in f.message
                    for f in findings)
-
-    def test_skewed_codec_on_one_replica_is_detected(self):
-        transformed, fetch_ops = make_transformed(
-            lambda g: ar_graph_plan(g, compression="topk+fp16",
-                                    compression_ratio=0.2))
-        op = self._replica_collective(transformed, fetch_ops,
-                                      op_type="compressed_allreduce")
-        producer = next(t.op for t in op.inputs
-                        if t.op.op_type == "grad_compress")
-        producer.attrs["ratio"] = 0.5
-        findings, _ = analyze_congruence(transformed, fetch_ops)
-        assert any("mixes payload codecs" in f.message for f in findings)
 
 
 # ======================================================================
@@ -433,28 +419,6 @@ class TestAccounting:
             checked += 1
         assert checked > 0
 
-    def test_static_bytes_equal_measured_transcript_compressed(self):
-        model = make_model()
-        runner = DistributedRunner(
-            model, C2x1,
-            ar_graph_plan(model.graph, compression="topk+fp16",
-                          compression_ratio=0.2),
-            seed=3)
-        runner.step(0)
-        fetch_ops = default_fetch_ops(runner.transformed)
-        findings, stats = analyze_accounting(runner.transformed, fetch_ops)
-        assert findings == []
-        statics = [e for e in stats["per_group"] if e.get("static")]
-        assert statics and all(e["op_type"] == "compressed_allreduce"
-                               for e in statics)
-        for entry in statics:
-            transfers = runner.transcript.filter(entry["tag"])
-            assert entry["total_bytes"] == sum(t.nbytes for t in transfers)
-        # Worker-view wire bytes follow the simulator's pricing formula.
-        assert stats["collective_wire_bytes"] == pytest.approx(
-            stats["collective_raw_bytes"]
-            * wire_fraction("topk+fp16", 0.2))
-
     def test_skewed_segments_break_conservation(self):
         transformed, fetch_ops = make_transformed()
         fused = next(op for op in collective_ops(transformed, fetch_ops)
@@ -525,12 +489,10 @@ class TestVerifyPlanMatrix:
         assert set(report.timings) == {"deadlock", "congruence", "alias",
                                        "accounting"}
 
+    # The id predates the codec removal; both plans are exact.
     @pytest.mark.parametrize("plan_builder", [
         lambda g: hybrid_graph_plan(g, fusion=False),
         lambda g: ar_graph_plan(g, fusion=True),
-        lambda g: ar_graph_plan(g, compression="topk+fp16",
-                                compression_ratio=0.05),
-        lambda g: ar_graph_plan(g, compression="fp16"),
     ])
     def test_fusion_and_compression_variants_are_clean(self, plan_builder):
         transformed, fetch_ops = make_transformed(plan_builder)

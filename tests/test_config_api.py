@@ -2,7 +2,7 @@
 
 ``ParallaxConfig`` is a plain dataclass: search/placement knobs
 top-level, everything plane-specific inside ``comm`` / ``elastic`` /
-``serve`` / ``autopilot``.  The pre-grouping flat kwargs and their read
+``serve``.  The pre-grouping flat kwargs and their read
 aliases are gone -- a flat kwarg is an ordinary unexpected-keyword
 ``TypeError`` (so a typo cannot hide behind a shim), and a group field
 given anything but its config class is a ``TypeError`` naming it.
@@ -15,7 +15,6 @@ import pytest
 
 from repro.cluster.faults import FaultPlan, WorkerFailure
 from repro.core.config import (
-    AutopilotConfig,
     CommConfig,
     ElasticConfig,
     ParallaxConfig,
@@ -29,9 +28,6 @@ FAULTS = FaultPlan(failures=(WorkerFailure(iteration=1, worker=0),))
 LEGACY_EQUIVALENTS = [
     ({"fusion": False}, {"comm": CommConfig(fusion=False)}),
     ({"fusion_buffer_mb": 2.5}, {"comm": CommConfig(fusion_buffer_mb=2.5)}),
-    ({"compression": "fp16"}, {"comm": CommConfig(compression="fp16")}),
-    ({"compression": "topk", "compression_ratio": 0.5},
-     {"comm": CommConfig(compression="topk", compression_ratio=0.5)}),
     ({"backend": "multiproc"}, {"comm": CommConfig(backend="multiproc")}),
     ({"backend": "multiproc", "transport": "tcp"},
      {"comm": CommConfig(backend="multiproc", transport="tcp")}),
@@ -67,7 +63,7 @@ class TestLegacyKwargParity:
         top_level = {f.name for f in dataclasses.fields(ParallaxConfig)}
         flat_names = {name for flat, _ in LEGACY_EQUIVALENTS
                       for name in flat} - top_level
-        assert len(flat_names) == 10
+        assert len(flat_names) == 8
         for name in sorted(flat_names):
             assert not hasattr(ParallaxConfig, name)
             with pytest.raises(AttributeError):
@@ -82,14 +78,15 @@ class TestLegacyKwargParity:
             "comm": dataclasses.asdict(CommConfig()),
             "elastic": dataclasses.asdict(ElasticConfig()),
             "serve": dataclasses.asdict(ServeConfig()),
-            "autopilot": dataclasses.asdict(AutopilotConfig()),
         }
 
 
 # Settings no caller turned: each default is now the one behaviour (local
 # aggregation and smart placement on the hybrid plan, averaged gradients,
 # a session keeping every plan it compiles, ``save(path)`` with a path,
-# and a work-conserving batcher with no delay to configure).
+# and a work-conserving batcher with no delay to configure), plus the
+# online replanner, the gradient codecs and the NIC-degradation sleep,
+# which no workload ran.
 REMOVED_FIELDS = {
     "local_aggregation": (ParallaxConfig, False),
     "smart_placement": (ParallaxConfig, False),
@@ -98,6 +95,10 @@ REMOVED_FIELDS = {
     "plan_cache_size": (ParallaxConfig, 8),
     "save_path": (ParallaxConfig, "ckpt.npz"),
     "max_delay_ms": (ServeConfig, 2.0),
+    "autopilot": (ParallaxConfig, True),
+    "compression": (CommConfig, "fp16"),
+    "compression_ratio": (CommConfig, 0.5),
+    "emulate_nic_bw": (ElasticConfig, 1e9),
 }
 
 
@@ -121,8 +122,6 @@ class TestShimStrictness:
     def test_wrong_grouped_type_is_a_type_error(self):
         with pytest.raises(TypeError, match="CommConfig"):
             ParallaxConfig(comm=ServeConfig())
-        with pytest.raises(TypeError, match="AutopilotConfig"):
-            ParallaxConfig(autopilot=True)
         for flag in (True, False):
             with pytest.raises(TypeError, match="ElasticConfig"):
                 ParallaxConfig(elastic=flag)
@@ -139,17 +138,4 @@ class TestDeprecatedReadAliases:
             assert config.comm.fusion is True
             assert config.elastic.enabled is True
             assert config.serve.max_batch == 8
-            assert config.autopilot.enabled is False
 
-
-class TestCrossGroupValidation:
-    def test_autopilot_requires_elastic(self):
-        with pytest.raises(ValueError, match="autopilot requires"):
-            ParallaxConfig(autopilot=AutopilotConfig(enabled=True))
-        ParallaxConfig(elastic=ElasticConfig(enabled=True),
-                       autopilot=AutopilotConfig(enabled=True))
-
-    def test_compression_requires_a_collective_architecture(self):
-        with pytest.raises(ValueError, match="collective"):
-            ParallaxConfig(architecture="ps",
-                           comm=CommConfig(compression="fp16"))

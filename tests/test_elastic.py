@@ -356,6 +356,52 @@ class TestReshardingRescale:
         assert runner.num_replicas == 2
 
 
+class TestRollbackBitIdentity:
+    """A rescale that fails after the new session and backend exist
+    leaves no trace: the runner's logical state and its subsequent
+    trajectory are identical to a twin that never tried."""
+
+    def twins(self):
+        return make_elastic(cluster=C4), make_elastic(cluster=C4)
+
+    def test_midflight_failure_rolls_back_bit_exactly(self):
+        runner, twin = self.twins()
+        for i in range(3):
+            runner.step(i)
+            twin.step(i)
+        backend_before = runner.backend
+        state_before = {k: v.copy()
+                        for k, v in runner.logical_state().items()}
+
+        def boom(state):
+            raise RuntimeError("synthetic load failure")
+
+        # Fail *after* the new session/backend exist, so the except
+        # path has real work to undo.
+        runner._load_state = boom
+        try:
+            with pytest.raises(RuntimeError, match="synthetic"):
+                runner.rescale(ClusterSpec(1, 2))
+        finally:
+            del runner.__dict__["_load_state"]
+        assert runner.backend is backend_before
+        assert runner.num_replicas == 4
+        after = runner.logical_state()
+        assert set(after) == set(state_before)
+        for name in after:
+            np.testing.assert_array_equal(after[name], state_before[name],
+                                          err_msg=name)
+        self.assert_trajectories_match(runner, twin)
+
+    def assert_trajectories_match(self, runner, twin):
+        for i in range(3, 6):
+            a = runner.step(i)
+            b = twin.step(i)
+            np.testing.assert_array_equal(
+                np.asarray(a.replica_losses), np.asarray(b.replica_losses),
+                err_msg=f"trajectories diverged at step {i}")
+
+
 # ======================================================================
 # Fault injection and recovery
 # ======================================================================

@@ -6,12 +6,17 @@ from repro.baselines import horovod_plan, opt_ps_plan, tf_ps_plan
 from repro.cluster.costmodel import CostModel, union_alpha
 from repro.cluster.plan import SyncPlan
 from repro.cluster.simulator import (
+    derive_profile,
     shard_assignments,
     simulate_iteration,
     throughput,
 )
 from repro.cluster.spec import PAPER_CLUSTER, ClusterSpec
 from repro.core.hybrid import hybrid_plan
+from repro.core.transform.plan import classify_variables
+from repro.graph.gradients import gradients
+from repro.nn.models import build_lm
+from repro.nn.optimizers import GradientDescentOptimizer
 from repro.nn.profiles import (
     PAPER_PROFILES,
     ModelProfile,
@@ -361,3 +366,32 @@ class TestBucketedAllReducePricing:
             CostModel(ar_overlap=1.5)
         with pytest.raises(ValueError, match="c_collective_launch"):
             CostModel(c_collective_launch=-1e-6)
+
+
+class TestDeriveProfile:
+    def test_partitioned_lm_merges_shards_into_their_parent(self):
+        model = build_lm(batch_size=4, vocab_size=40, seq_len=3, emb_dim=8,
+                         hidden=10, num_partitions=3, seed=0)
+        with model.graph.as_default():
+            GradientDescentOptimizer(0.4).update(gradients(model.loss))
+        sparse = classify_variables(model.graph)
+        profile = derive_profile(model, alphas={"embedding/part_1": 0.25},
+                                 gpu_time_per_iter=0.002)
+        by_name = {v.name: v for v in profile.variables}
+        # The three row shards (14 + 13 + 13 rows of 8) are one variable.
+        shards = [f"embedding/part_{p}" for p in range(3)]
+        assert not set(shards) & set(by_name)
+        embedding = by_name["embedding"]
+        assert embedding.num_elements == 40 * 8
+        assert embedding.rows == 40
+        assert all(sparse[s] for s in shards) and embedding.is_sparse
+        assert embedding.alpha == 0.25
+        # Unpartitioned variables pass through; dense ones carry alpha 1.
+        for name, var in by_name.items():
+            if name == "embedding":
+                continue
+            assert var.is_sparse is sparse[name]
+            assert var.num_elements == model.graph.variables[name].num_elements
+            assert (var.alpha, var.rows) == (1.0, None)
+        assert profile.batch_per_gpu == 4
+        assert profile.gpu_time_per_iter == 0.002

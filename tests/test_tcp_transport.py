@@ -262,6 +262,23 @@ class TestFitNetworkConstants:
         assert half.tcp_latency == 3.0e-5
 
 
+class TestFitTransportConstants:
+    """``fit_transport_constants`` folds every sample it is given: a
+    window whose wall time measured a fault, not the transport, skews
+    the fitted constants, so callers must keep such windows out."""
+
+    CLEAN = {"pickle_bytes": 1_000_000.0, "serialize_s": 0.01}
+    # A degraded window's wall time measures the fault, not the
+    # transport: folding it in would inflate c_serialize 1000x.
+    POISON = {"pickle_bytes": 1_000_000.0, "serialize_s": 10.0}
+
+    def test_the_poison_is_real(self):
+        from repro.cluster.costmodel import fit_transport_constants
+
+        poisoned = fit_transport_constants([self.CLEAN, self.POISON])
+        assert poisoned.c_serialize > 100 * (0.01 / 1_000_000.0)
+
+
 def _free_port() -> int:
     sock = socket.socket()
     sock.bind(("127.0.0.1", 0))
