@@ -677,12 +677,11 @@ class ServingBreakdown:
 
     batch_size: int
     compute_time: float  # forward replay on the serving host
-    lookup_time: float   # routed sparse lookups to shard owners
     launch_time: float   # per-batch dispatch overhead
 
     @property
     def service_time(self) -> float:
-        return self.compute_time + self.lookup_time + self.launch_time
+        return self.compute_time + self.launch_time
 
     @property
     def queue_delay(self) -> float:
@@ -715,9 +714,7 @@ SERVE_FORWARD_FRACTION = 1.0 / 3.0
 
 def simulate_serving(
     profile: ModelProfile,
-    cluster: ClusterSpec,
     batch_size: int,
-    sharded: bool = True,
     cost: CostModel = DEFAULT_COST_MODEL,
 ) -> ServingBreakdown:
     """Price one served batch: the batch-size/latency tradeoff curve.
@@ -726,28 +723,16 @@ def simulate_serving(
     does not, so QPS rises with batch size; the queue delay a request
     spends behind the replay in flight rises alongside -- the knee
     priced here so capacity planning can sweep batch sizes without
-    hardware.  With *sharded* embeddings on a multi-machine
-    cluster, each sparse variable costs one routed lookup (the touched
-    rows over the PS NIC plus an RPC) instead of replicating the full
-    table into every serving process.
+    hardware.  One serving host holds every weight, so no cluster
+    enters the price.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     scale = batch_size / profile.batch_per_gpu
     compute = SERVE_FORWARD_FRACTION * profile.gpu_time_per_iter * scale
-    lookup = 0.0
-    if sharded and cluster.num_machines > 1:
-        for variable in profile.sparse_variables:
-            # A bigger request batch touches proportionally more rows
-            # (alpha is measured at the training batch), saturating at
-            # the full table.
-            touched = min(1.0, variable.alpha * scale)
-            lookup += (touched * variable.nbytes / cost.ps_nic_bw
-                       + cost.tcp_latency + cost.c_rpc_per_variable)
     return ServingBreakdown(
         batch_size=int(batch_size),
         compute_time=compute,
-        lookup_time=lookup,
         launch_time=cost.step_latency,
     )
 

@@ -29,9 +29,9 @@ built with).  Four framings ship (see :func:`transport_registry`):
 * :class:`InMemoryTransport` (``inmem``) -- the queue framing
   (:class:`QueueFraming`: eagerly pickled bytes, one FIFO per
   destination) over ``queue.Queue``, for same-process use (tests,
-  threaded workers, the serving shard hosts).  Messages are deep-frozen
-  through pickle exactly like the real thing, so a value mutated after
-  ``send`` cannot corrupt the receiver.
+  threaded workers).  Messages are deep-frozen through pickle exactly
+  like the real thing, so a value mutated after ``send`` cannot corrupt
+  the receiver.
 * :class:`MultiprocTransport` (``multiproc``; the backend calls it
   ``queue``) -- the same framing over :class:`multiprocessing.Queue`
   (OS pipe + feeder thread).
@@ -161,10 +161,10 @@ class Mailbox:
     fed decoded values already (tcp's reader threads).
 
     A mailbox belongs to exactly one destination.  A process hosting
-    several endpoints (the conformance suite, the serving shard hosts)
-    holds one mailbox per endpoint, so mail buffered for one rank is
-    never handed to -- or drained by -- another.  It is single-consumer:
-    one thread at a time receives for a given destination.
+    several endpoints (the conformance suite) holds one mailbox per
+    endpoint, so mail buffered for one rank is never handed to -- or
+    drained by -- another.  It is single-consumer: one thread at a time
+    receives for a given destination.
     """
 
     def __init__(self, dst: int, inbox,

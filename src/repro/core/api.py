@@ -382,16 +382,15 @@ def get_runner(
 
 
 def make_server(model, config: Optional[ParallaxConfig] = None, *,
-                runner=None, state=None, router=None, fetches=None):
+                runner=None, state=None, fetches=None):
     """A ready :class:`~repro.serve.server.InferenceServer` for *model*
     under *config*'s serving knobs.
 
     Weights come from (in priority order) a live *runner*'s
     ``logical_state()``, an explicit *state* mapping, or a fresh
     seeded initialization from ``config.seed`` -- the same values a
-    ``Session(graph, seed)`` would start from.  Pass *router* to serve
-    row-partitioned embeddings from their owning workers instead of the
-    local table.
+    ``Session(graph, seed)`` would start from.  To follow *runner* later,
+    call ``server.reload(runner.logical_state())``.
     """
     from repro.serve import (
         InferenceServer,
@@ -409,5 +408,4 @@ def make_server(model, config: Optional[ParallaxConfig] = None, *,
         model, weights,
         fetches=fetches,
         max_batch=cfg.serve.max_batch,
-        router=router,
     )

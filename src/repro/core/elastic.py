@@ -256,13 +256,6 @@ class ElasticRunner(DistributedRunner):
     def detach_server(self, server) -> None:
         self._servers.remove(server)
 
-    def publish_to(self, server) -> None:
-        """One-shot hot reload of *server* from the current live state
-        (not the last checkpoint) -- snapshot-consistent because the
-        snapshot is cut before the handoff and the server swaps between
-        batches."""
-        server.reload(self._snapshot())
-
     @property
     def last_checkpoint_iteration(self) -> int:
         return self._checkpoint_iteration

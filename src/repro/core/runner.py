@@ -93,12 +93,6 @@ class DistributedSession(Session):
     def write_variable(self, name: str, value: np.ndarray) -> None:
         self._store_for(self._current_op).write(name, value)
 
-    def replica_value(self, replica: int, name: str) -> np.ndarray:
-        return self.replica_stores[replica].read(name)
-
-    def server_value(self, name: str) -> np.ndarray:
-        return self.ps_store.read(name)
-
     # -- execution ----------------------------------------------------------
     def _begin_run(self) -> None:
         self._seen_edges = set()

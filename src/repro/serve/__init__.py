@@ -5,13 +5,11 @@ The same compiled-plan machinery (executor codegen, buffer arena) is
 specialized for inference: plans that fetch only forward
 outputs schedule no gradients, optimizer updates, or collectives by
 construction -- and :class:`InferenceEngine` proves it at compile time.
-Variable reads bind to an immutable :class:`FrozenWeights` snapshot
-that hot reload swaps atomically between batches, the
-:class:`RequestBatcher` coalesces single-example requests -- launching
-the moment the engine is free with whatever is queued, up to
-``max_batch`` -- and row-partitioned embedding shards can stay on their
-owning workers behind a :class:`ShardRouter` instead of being
-replicated into every serving process.
+Every variable read binds to one immutable :class:`FrozenWeights`
+table, which hot reload swaps atomically between batches; the serving
+plane sends no messages.  The :class:`RequestBatcher` coalesces
+single-example requests -- launching the moment the engine is free with
+whatever is queued, up to ``max_batch``.
 """
 
 from repro.serve.batcher import BatcherClosed, RequestBatcher
@@ -23,12 +21,6 @@ from repro.serve.plan import (
     weights_from_state,
 )
 from repro.serve.server import InferenceServer
-from repro.serve.shard import (
-    RemoteShard,
-    ShardHost,
-    ShardRouter,
-    shard_hosts,
-)
 
 __all__ = [
     "BatcherClosed",
@@ -36,11 +28,7 @@ __all__ = [
     "InferenceEngine",
     "InferencePlanError",
     "InferenceServer",
-    "RemoteShard",
     "RequestBatcher",
-    "ShardHost",
-    "ShardRouter",
     "seeded_weights",
-    "shard_hosts",
     "weights_from_state",
 ]

@@ -29,7 +29,6 @@ from repro.core.transform.comm_ops import COLLECTIVE_OP_TYPES
 from repro.graph.executor import CompiledPlan
 from repro.graph.graph import Graph, Operation, Tensor
 from repro.graph.session import Session, variable_rng
-from repro.serve.shard import RemoteShard, ShardRouter, routed_gather_kernel
 
 # Op types that only ever appear in training schedules.  Optimizer
 # kernels are caught through their ``is_update`` attr rather than by
@@ -127,17 +126,12 @@ class InferenceEngine:
     B + 1 plans: one per size in 1..B, plus the native-size plan
     compiled at construction when the native batch exceeds B (a plan's
     arena is only allocated at its second run, so an idle one holds no
-    buffers).  With a :class:`ShardRouter`, reads
-    of router-owned shards compile to remote tokens and ``part_gather``
-    to a routed kernel that fetches shard-local row sets from their
-    owning workers.
+    buffers).
     """
 
     def __init__(self, graph: Graph, fetches: Sequence[Fetch],
-                 weights: Union[FrozenWeights, Mapping[str, np.ndarray]],
-                 *, router: Optional[ShardRouter] = None):
+                 weights: Union[FrozenWeights, Mapping[str, np.ndarray]]):
         self.graph = graph
-        self.router = router
         self.weights = (weights if isinstance(weights, FrozenWeights)
                         else FrozenWeights(weights))
         self._session = Session(graph, store=_FrozenStore(self.weights))
@@ -149,13 +143,10 @@ class InferenceEngine:
 
         self.native_batch: Optional[int] = None
         plan = self._compile()
-        read_names = sorted({op.attrs["variable"]
-                             for op, *_ in plan.schedule
-                             if op.op_type == "read_var"})
-        self._routed_names = tuple(n for n in read_names if self._routed(n))
-        self._local_names = tuple(n for n in read_names
-                                  if not self._routed(n))
-        self._check_weights(self.weights.table, self._local_names)
+        self._read_names = tuple(sorted({op.attrs["variable"]
+                                         for op, *_ in plan.schedule
+                                         if op.op_type == "read_var"}))
+        self._check_weights(self.weights.table, self._read_names)
         # The graph's built-in batch dimension (placeholder leading dim):
         # the batch size whose replay is the zero-allocation fast path.
         # Other batch sizes compile their own plan through ``plan_for`` with
@@ -181,30 +172,15 @@ class InferenceEngine:
         key = self.fetch_names + ("@serve", size)
         return self._session.cache_plan(key, lambda: self._compile(size))
 
-    def _routed(self, name: str) -> bool:
-        return self.router is not None and name in self.router.owners
-
     def _specialize(self, op: Operation, batch_size: Optional[int] = None):
         if op.op_type == "read_var":
             name = op.attrs["variable"]
-            if self._routed(name):
-                token = RemoteShard(name)
-
-                def remote_read(_op, _inputs, _rt, _token=token):
-                    return _token
-
-                return remote_read
             weights = self.weights
 
             def read(_op, _inputs, _rt, _name=name, _weights=weights):
                 return _weights.table[_name]
 
             return read
-        if op.op_type == "part_gather" and self.router is not None:
-            shard_names = tuple(t.op.attrs.get("variable")
-                                for t in op.inputs[:-1])
-            if any(self._routed(n) for n in shard_names if n):
-                return routed_gather_kernel(op, shard_names, self.router)
         if op.op_type == "reshape" and self.native_batch is not None:
             # Static reshape attrs bake the graph's native batch into the
             # leading dim; serving a different batch size through them
@@ -309,25 +285,12 @@ class InferenceEngine:
         """Swap in a new weight generation; returns its version.
 
         *weights* must cover every variable the plan reads; extra
-        entries are ignored.  Routed shard rows are pushed to their
-        owning workers (acknowledged) *before* the local swap, and the
-        server serializes reload against batch execution, so no batch
-        ever mixes generations across the route boundary.  No
-        recompilation happens -- the compiled plans read through the
-        swapped reference.
+        entries are ignored.  No recompilation happens -- the compiled
+        plans read through the swapped reference.
         """
         if isinstance(weights, FrozenWeights):
             weights = weights.table
-        self._check_weights(weights, self._local_names)
-        self._check_weights(weights, self._routed_names)
-        if self._routed_names:
-            self.router.load({name: weights[name]
-                              for name in self._routed_names})
+        self._check_weights(weights, self._read_names)
         self.weights.swap({name: weights[name]
-                           for name in self._local_names})
+                           for name in self._read_names})
         return self.weights.version
-
-    @property
-    def variable_names(self) -> Tuple[str, ...]:
-        """Every variable the forward schedule reads (local + routed)."""
-        return tuple(sorted(self._local_names + self._routed_names))

@@ -14,23 +14,23 @@ same state.
 from __future__ import annotations
 
 import threading
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 import numpy as np
 
 from repro.nn.models.common import BuiltModel
 from repro.serve.batcher import RequestBatcher
 from repro.serve.plan import InferenceEngine, weights_from_state
-from repro.serve.shard import ShardRouter
 
 
 class InferenceServer:
     """Batched forward serving over a built model's graph.
 
     The default fetch is ``model.logits``; pass ``fetches=`` to serve
-    other forward tensors.  ``submit`` never blocks on execution.  With
-    ``owns_router=True`` the server also stops the router's shard hosts
-    on ``close``.
+    other forward tensors.  ``submit`` never blocks on execution.  To
+    serve a live runner's weights use
+    :func:`~repro.core.api.make_server` (``runner=``), and to follow it
+    call ``reload(runner.logical_state())``.
 
     ``max_delay_ms`` has no effect.  It is validated (>= 0) and then
     dropped: the batcher never holds a request while the engine is
@@ -42,9 +42,7 @@ class InferenceServer:
     def __init__(self, model: BuiltModel,
                  weights: Mapping[str, np.ndarray], *,
                  fetches=None, max_batch: int = 8,
-                 max_delay_ms: float = 0.0,
-                 router: Optional[ShardRouter] = None,
-                 owns_router: bool = False):
+                 max_delay_ms: float = 0.0):
         if max_delay_ms < 0:
             raise ValueError("max_delay_ms must be >= 0")
         if fetches is None:
@@ -56,24 +54,15 @@ class InferenceServer:
         elif not isinstance(fetches, (list, tuple)):
             fetches = [fetches]
         self.model = model
-        self.engine = InferenceEngine(
-            model.graph, list(fetches), weights, router=router)
+        self.engine = InferenceEngine(model.graph, list(fetches), weights)
         self._placeholders = list(model.placeholders.values())
         self._single = len(fetches) == 1
-        self._owns_router = owns_router
         self._lock = threading.Lock()
         self.requests_served = 0
         self.batches_run = 0
         self.reloads = 0
         self.batcher = RequestBatcher(self._run_examples,
                                       max_batch=max_batch)
-
-    @classmethod
-    def from_runner(cls, model: BuiltModel, runner, **kwargs):
-        """A server snapshotting *runner*'s current logical state -- the
-        cold-restore construction hot reload is compared against."""
-        weights = weights_from_state(model.graph, runner.logical_state())
-        return cls(model, weights, **kwargs)
 
     # -- request path ----------------------------------------------------
     def submit(self, example: Sequence):
@@ -120,9 +109,7 @@ class InferenceServer:
         """Swap in new weights between batches; returns the generation.
 
         *state* is ``logical_state()``-shaped (optimizer-slot extras are
-        ignored).  Routed shards are pushed to their owners under the
-        same lock, so remote and local partitions always serve the same
-        generation within a batch.
+        ignored).
         """
         weights = weights_from_state(self.model.graph, dict(state))
         with self._lock:
@@ -130,13 +117,6 @@ class InferenceServer:
         self.reloads += 1
         return version
 
-    def reload_from(self, runner) -> int:
-        """Hot reload from a live runner's current logical state."""
-        return self.reload(runner.logical_state())
-
     def close(self) -> None:
-        """Flush queued requests, stop the batcher (and any owned shard
-        hosts)."""
+        """Flush queued requests and stop the batcher."""
         self.batcher.close()
-        if self._owns_router and self.engine.router is not None:
-            self.engine.router.stop()

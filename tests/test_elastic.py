@@ -30,7 +30,10 @@ from repro.core.elastic import (
     replicated_slot_suffixes,
     reshard_logical_state,
 )
-from repro.core.partition_context import installed_partitions
+from repro.core.partition_context import (
+    installed_partitions,
+    sampling_partitions,
+)
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import (
     ar_graph_plan,
@@ -211,6 +214,46 @@ class TestRescaleDifferential:
         expected = [reference.step(i).replica_losses for i in range(2, 5)]
         assert final == expected
 
+    @pytest.mark.parametrize("backend", ["inproc", "multiproc"])
+    def test_round_trip_2_3_2_matches_cold_restart(self, backend):
+        """2 -> 3 -> 2 workers while the embedding re-shards 2 -> 3 -> 2
+        partitions: the steps after the round trip equal a cold runner
+        at the final size loaded with the resharded snapshot, and each
+        rescale notes its wall time."""
+        c2, c3 = ClusterSpec(1, 2), ClusterSpec(1, 3)
+        builder = lm_builder()
+        with sampling_partitions(2):
+            model = builder()
+        runner = ElasticRunner(model, c2, hybrid_graph_plan(model.graph),
+                               seed=SEED, model_builder=builder,
+                               plan_builder=hybrid_graph_plan,
+                               backend=backend)
+        try:
+            for i in range(2):
+                runner.step(i)
+            runner.rescale(c3, num_partitions=3)
+            runner.step(2)
+            snapshot = {k: v.copy()
+                        for k, v in runner.logical_state().items()}
+            layout = partition_layout(runner.model.graph)
+            runner.rescale(c2, num_partitions=2)
+            got = [runner.step(i).replica_losses for i in range(3, 6)]
+            notes = runner.transcript.events("elastic/rescale")
+        finally:
+            runner.close()
+
+        with sampling_partitions(2):
+            cold_model = builder()
+        cold = DistributedRunner(cold_model, c2,
+                                 hybrid_graph_plan(cold_model.graph),
+                                 seed=SEED + 9)
+        cold._load_state(reshard_logical_state(
+            snapshot, layout, partition_layout(cold_model.graph)))
+        assert got == [cold.step(i).replica_losses for i in range(3, 6)]
+        assert [(n.get("new_replicas"), n.get("num_partitions"))
+                for n in notes] == [(3, 3), (2, 2)]
+        assert all(n.get("wall_time") > 0.0 for n in notes)
+
     def test_save_restore_interoperates_with_rescale(self, tmp_path):
         """A checkpoint written before a rescale restores into a runner
         built directly at the new size -- same bits either way."""
@@ -260,7 +303,6 @@ class TestReshardingRescale:
         state = {k: v.copy() for k, v in runner.logical_state().items()}
         runner.rescale(C2, num_partitions=4)
 
-        from repro.core.partition_context import sampling_partitions
         with sampling_partitions(4):
             model = lm_builder()()
         fresh = DistributedRunner(model, C2, hybrid_graph_plan(model.graph),

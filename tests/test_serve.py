@@ -1,12 +1,11 @@
 """The serving plane: forward-only compiled plans, batched bit-identity,
-sharded-lookup routing, and train-and-serve hot reload.
+and train-and-serve hot reload.
 
 The load-bearing contracts: a serving engine's output must be
 bit-identical to the training graph's forward pass -- per example, at
-every request batch size, through the codegen'd replay path, and with
-embedding partitions routed to remote shard hosts -- and a hot reload
-must leave a running server bit-identical to a cold server restored
-from the same state.  Batch-size identity is pinned on these small
+every request batch size, and through the codegen'd replay path -- and
+a hot reload must leave a running server bit-identical to a cold server
+restored from the same state.  Batch-size identity is pinned on these small
 models; on larger shapes BLAS may pick another kernel per batch size
 (~5e-9 on the benchmark's LM, which ``bench/serving.py`` holds to a
 1e-6 row tolerance).
@@ -20,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.spec import ClusterSpec
-from repro.comm.transport import make_transport
 from repro.core.api import ParallaxConfig, ServeConfig, make_server
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import hybrid_graph_plan
@@ -35,9 +33,7 @@ from repro.serve import (
     InferenceEngine,
     InferencePlanError,
     InferenceServer,
-    ShardRouter,
     seeded_weights,
-    shard_hosts,
     weights_from_state,
 )
 
@@ -205,62 +201,6 @@ class TestInferenceEngine:
 
 
 # ======================================================================
-# Sharded serving: routed lookups over real transports
-# ======================================================================
-EMB_PARTS = ("embedding/part_0", "embedding/part_1", "embedding/part_2")
-
-
-@pytest.mark.parametrize("kind", ("inmem", "tcp"))
-class TestShardedServing:
-    def _routed_setup(self, kind, weights):
-        transport = make_transport(kind, 2)
-        owners = {EMB_PARTS[0]: 0, EMB_PARTS[1]: 0, EMB_PARTS[2]: 1}
-        hosts = shard_hosts(transport, owners,
-                            {name: weights[name] for name in EMB_PARTS})
-        router = ShardRouter(transport, owners, timeout=30.0)
-        return transport, hosts, router
-
-    def test_routed_gather_bit_identical(self, kind):
-        model = MODEL_BUILDERS["lm"]()
-        weights = seeded_weights(model.graph, SEED)
-        transport, hosts, router = self._routed_setup(kind, weights)
-        try:
-            local = InferenceEngine(model.graph, [model.logits], weights)
-            routed = InferenceEngine(model.graph, [model.logits], weights,
-                                     router=router)
-            assert set(routed._routed_names) == set(EMB_PARTS)
-            for size in (1, 4):
-                feed = model.feed(model.dataset.batch(size, 0))
-                np.testing.assert_array_equal(routed.run(feed)[0],
-                                              local.run(feed)[0])
-            assert sum(h.lookups for h in hosts) > 0
-        finally:
-            router.stop()
-            if hasattr(transport, "close"):
-                transport.close()
-
-    def test_reload_pushes_remote_shards(self, kind):
-        model = MODEL_BUILDERS["lm"]()
-        weights = seeded_weights(model.graph, SEED)
-        transport, hosts, router = self._routed_setup(kind, weights)
-        try:
-            routed = InferenceEngine(model.graph, [model.logits], weights,
-                                     router=router)
-            new_weights = seeded_weights(model.graph, SEED + 1)
-            version = routed.reload(new_weights)
-            assert version == 1
-            assert sum(h.loads for h in hosts) > 0
-            fresh = InferenceEngine(model.graph, [model.logits], new_weights)
-            feed = model.feed(model.dataset.batch(4, 0))
-            np.testing.assert_array_equal(routed.run(feed)[0],
-                                          fresh.run(feed)[0])
-        finally:
-            router.stop()
-            if hasattr(transport, "close"):
-                transport.close()
-
-
-# ======================================================================
 # The server front end and hot reload
 # ======================================================================
 class TestInferenceServer:
@@ -304,13 +244,13 @@ class TestInferenceServer:
         try:
             for i in range(3):
                 runner.step(i)
-            server = InferenceServer.from_runner(model, runner)
+            server = make_server(model, runner=runner)
             columns = model.dataset.batch(4, 0)
             before = np.array(server.run_batch(columns))
             for i in range(3, 6):
                 runner.step(i)
-            server.reload_from(runner)
-            cold = InferenceServer.from_runner(model, runner)
+            server.reload(runner.logical_state())
+            cold = make_server(model, runner=runner)
             hot_rows = np.array(server.run_batch(columns))
             cold_rows = np.array(cold.run_batch(columns))
             np.testing.assert_array_equal(hot_rows, cold_rows)
@@ -416,6 +356,22 @@ class TestMakeServer:
             ServeConfig(max_batch=0)
 
 
+def test_weights_are_served_from_one_table():
+    """No serving constructor takes a shard router any more, and the
+    package exports no shard type: every variable is read from the
+    engine's one ``FrozenWeights`` table."""
+    import inspect
+
+    import repro.serve
+
+    for api in (InferenceEngine, InferenceServer, make_server):
+        params = inspect.signature(api).parameters
+        for name in ("router", "owns_router"):
+            assert name not in params, (api, name)
+    assert not [name for name in repro.serve.__all__
+                if name.startswith("Shard")]
+
+
 # ======================================================================
 # Elastic integration: the train-and-serve loop
 # ======================================================================
@@ -429,7 +385,7 @@ class TestElasticServing:
     def test_attached_server_follows_checkpoints(self):
         model = trained_model("lm")
         runner = self._elastic_runner(model, checkpoint_every=2)
-        server = InferenceServer.from_runner(model, runner)
+        server = make_server(model, runner=runner)
         try:
             runner.attach_server(server)
             runner.run_elastic(4)
@@ -443,26 +399,6 @@ class TestElasticServing:
             server.close()
             runner.close()
 
-    def test_publish_to_matches_cold_restore(self):
-        model = trained_model("lm")
-        runner = self._elastic_runner(model)
-        server = InferenceServer.from_runner(model, runner)
-        cold = None
-        try:
-            for i in range(3):
-                runner.step(i)
-            runner.publish_to(server)
-            cold = InferenceServer.from_runner(model, runner)
-            columns = model.dataset.batch(4, 0)
-            np.testing.assert_array_equal(
-                np.array(server.run_batch(columns)),
-                np.array(cold.run_batch(columns)))
-        finally:
-            for s in (server, cold):
-                if s is not None:
-                    s.close()
-            runner.close()
-
 
 # ======================================================================
 # The priced serving curve
@@ -473,9 +409,7 @@ class TestSimulateServing:
         from repro.nn.profiles import lm_profile
 
         profile = lm_profile()
-        cluster = ClusterSpec(4, 2)
-        curve = [simulate_serving(profile, cluster, b)
-                 for b in (1, 2, 4, 8, 16)]
+        curve = [simulate_serving(profile, b) for b in (1, 2, 4, 8, 16)]
         qps = [b.qps for b in curve]
         assert qps == sorted(qps), "QPS must rise with batch size"
         for b in curve:
@@ -488,22 +422,9 @@ class TestSimulateServing:
         for b in curve[1:]:
             assert b.queue_delay == b.service_time / 2.0
 
-    def test_sharded_lookup_priced_only_across_machines(self):
-        from repro.cluster.simulator import simulate_serving
-        from repro.nn.profiles import lm_profile
-
-        profile = lm_profile()
-        multi = simulate_serving(profile, ClusterSpec(4, 2), 8, sharded=True)
-        local = simulate_serving(profile, ClusterSpec(4, 2), 8, sharded=False)
-        single = simulate_serving(profile, ClusterSpec(1, 2), 8, sharded=True)
-        assert multi.lookup_time > 0.0
-        assert local.lookup_time == 0.0
-        assert single.lookup_time == 0.0
-        assert multi.service_time > local.service_time
-
     def test_rejects_bad_arguments(self):
         from repro.cluster.simulator import simulate_serving
         from repro.nn.profiles import lm_profile
 
         with pytest.raises(ValueError):
-            simulate_serving(lm_profile(), ClusterSpec(1, 1), 0)
+            simulate_serving(lm_profile(), 0)
