@@ -8,8 +8,8 @@ Paper values (words or images per second):
     LM            9.4M      813.3M    0.02     98.9k    45.5k
     NMT           94.1M     74.9M     0.65*    102k     68.3k
 
-(* our element-weighted alpha definition gives ~0.59 for NMT; see
-EXPERIMENTS.md.)
+(* our element-weighted alpha definition gives ~0.59 for NMT; see the
+NMT alpha comment in ``repro/nn/profiles.py``.)
 """
 
 import pytest

@@ -25,7 +25,7 @@ transport), :class:`ElasticConfig` (checkpointing, faults) and
 :class:`ParallaxConfig`.
 """
 
-from repro.cluster.faults import FaultPlan, NicDegradation, WorkerFailure
+from repro.cluster.faults import FaultPlan, WorkerFailure
 from repro.cluster.spec import ClusterSpec
 from repro.core.api import (
     Runner,
@@ -63,7 +63,6 @@ __all__ = [
     "InferenceServer",
     "FaultPlan",
     "WorkerFailure",
-    "NicDegradation",
     "ClusterSpec",
     "__version__",
 ]

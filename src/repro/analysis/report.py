@@ -45,13 +45,6 @@ class AnalysisReport:
     def ok(self) -> bool:
         return not self.findings
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.timings.values())
-
-    def findings_for(self, analysis: str) -> List[Finding]:
-        return [f for f in self.findings if f.analysis == analysis]
-
     def render(self) -> str:
         if self.ok:
             header = "plan verified: no findings"

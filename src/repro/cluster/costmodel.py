@@ -3,9 +3,9 @@
 The paper reports wall-clock throughput on a real testbed; we reproduce
 it on a simulator, so every constant below is a *substitution* for a piece
 of 2018-era systems reality.  The table maps each constant to what it
-stands in for; values are calibrated (see ``examples/calibrate.py`` and
-EXPERIMENTS.md) so that the paper's headline ratios hold, and the shapes
-of all tables/figures are reproduced.
+stands in for; values are calibrated (``examples/calibrate.py`` prints
+simulated next to published throughput) so that the paper's headline
+ratios hold, and the shapes of all tables/figures are reproduced.
 
 ===============================  =====================================
 Constant                         Stands in for
@@ -43,9 +43,20 @@ c_sync_per_worker                per-worker barrier/bookkeeping cost of
 c_apply_gathered                 per-element cost for every replica to
                                  apply an AllGatherv'd sparse update
 step_latency                     per ring-step launch latency
+c_collective_launch              fixed launch cost of one fused
+                                 AllReduce bucket (kernel launch + NCCL
+                                 group setup)
+ar_overlap                       fraction of compute time under which
+                                 bucketed AllReduce hides
+                                 (Horovod-style backward overlap)
 zipf_overlap                     cross-worker overlap of touched
                                  embedding rows (Zipf head sharing),
                                  controls local-aggregation dedup
+c_serialize                      host seconds/byte to pickle a payload
+                                 between worker processes
+shm_bw                           shared-memory ring copy bandwidth
+tcp_bw                           one TcpTransport connection's bulk
+                                 frame bandwidth
 ===============================  =====================================
 """
 
@@ -106,33 +117,17 @@ class CostModel:
     # in, one copy out of /dev/shm).
     shm_bw: float = 8.0e9
     # Bytes/sec one TcpTransport connection sustains (loopback or NIC;
-    # `fit_network_constants` writes a measured value here) and the
-    # per-message frame latency of that link.  The
-    # defaults model loopback so pre-calibration predictions stay sane.
+    # `fit_transport_constants` calibrates it from measured frames).  The
+    # default models loopback so pre-calibration predictions stay sane.
     tcp_bw: float = 3.0e9
-    tcp_latency: float = 5.0e-5
-
-    # ---- elastic runtime (recovery and rescale downtime pricing) -------
-    # Bandwidth at which one machine serializes/deserializes logical state
-    # for a checkpoint or restore (local NVMe-class storage).
-    ckpt_bw: float = 2.0e9
-    # Wall-clock to declare a worker dead (heartbeat/gRPC deadline).
-    c_failure_detect: float = 2.0
-    # Respawning a worker process and rebuilding its graph.
-    c_worker_respawn: float = 5.0
-    # Compiling one step plan for one replica (the PR-1 engine's
-    # compile-once cost, paid again after every rescale).
-    c_plan_compile: float = 0.05
 
     def __post_init__(self):
         for name in ("nccl_bw", "intra_bw", "mpi_bw", "ps_nic_bw",
-                     "worker_stream_bw", "ckpt_bw", "shm_bw", "tcp_bw"):
+                     "worker_stream_bw", "shm_bw", "tcp_bw"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("c_failure_detect", "c_worker_respawn",
-                     "c_plan_compile", "c_serialize", "tcp_latency"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.c_serialize < 0:
+            raise ValueError("c_serialize must be >= 0")
         if not 0.0 <= self.dense_ps_overlap <= 1.0:
             raise ValueError("dense_ps_overlap must be in [0, 1]")
         if not 0.0 <= self.ar_overlap <= 1.0:
@@ -146,22 +141,6 @@ class CostModel:
 
     def with_overrides(self, **kwargs) -> "CostModel":
         return replace(self, **kwargs)
-
-    def degraded(self, factor: float) -> "CostModel":
-        """The cost model under a NIC running at ``factor`` of line rate.
-
-        Only inter-machine transports slow down; intra-machine PCIe
-        bandwidth and every CPU-side constant are NIC-independent.
-        """
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("degradation factor must be in (0, 1]")
-        return replace(
-            self,
-            nccl_bw=self.nccl_bw * factor,
-            mpi_bw=self.mpi_bw * factor,
-            ps_nic_bw=self.ps_nic_bw * factor,
-            worker_stream_bw=self.worker_stream_bw * factor,
-        )
 
 
 def union_alpha(alpha: float, k: int, zipf_overlap: float) -> float:
@@ -225,31 +204,6 @@ def fit_transport_constants(samples, base: "CostModel" = None) -> "CostModel":
         overrides["shm_bw"] = shm_bytes / shm_s
     if wire_bytes > 0 and wire_s > 0:
         overrides["tcp_bw"] = wire_bytes / wire_s
-    return base.with_overrides(**overrides) if overrides else base
-
-
-def fit_network_constants(measurement, base: "CostModel" = None,
-                          ) -> "CostModel":
-    """Calibrate ``tcp_bw`` / ``tcp_latency`` from a link microbench.
-
-    *measurement* is a link microbench result (``python -m bench``
-    probes the same two quantities as ``transport.bulk_mb_s`` and
-    ``transport.rtt_us``): the keys used are
-    ``measured_bandwidth_bytes_per_s`` (large-payload transfer rate
-    through one TcpTransport connection) and ``measured_latency_s``
-    (small-frame round trip / 2).  Unlike :func:`fit_transport_constants`
-    this calibrates the *physical link*, not serialization cost -- it is
-    what turns the model's assumed link constants into measured ones.
-    Non-positive measurements leave the defaults untouched.
-    """
-    base = base if base is not None else DEFAULT_COST_MODEL
-    overrides = {}
-    bw = float(measurement.get("measured_bandwidth_bytes_per_s", 0.0))
-    lat = float(measurement.get("measured_latency_s", 0.0))
-    if bw > 0:
-        overrides["tcp_bw"] = bw
-    if lat > 0:
-        overrides["tcp_latency"] = lat
     return base.with_overrides(**overrides) if overrides else base
 
 

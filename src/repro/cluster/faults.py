@@ -1,15 +1,9 @@
-"""Deterministic fault-injection plane for the elastic runtime.
+"""Deterministic fault injection for the elastic runtime.
 
-A :class:`FaultPlan` is a reproducible failure schedule: worker kills and
-NIC degradations pinned to iteration numbers.  Both execution planes
-consume it -- the functional runner raises :class:`WorkerFailureError`
-when a scheduled kill fires (and notes every event into the Transcript),
-while the performance simulator prices the recovery downtime and the
-degraded-bandwidth windows the same schedule implies.
-
-Living in the cluster layer keeps the dependency direction intact: the
-core runtime and the simulator both import from here, never from each
-other.
+A :class:`FaultPlan` is a reproducible failure schedule: worker kills
+pinned to iteration numbers.  The functional runner raises
+:class:`WorkerFailureError` when a scheduled kill fires (and notes it into
+the Transcript); ``ElasticRunner`` recovers from the last checkpoint.
 """
 
 from __future__ import annotations
@@ -34,30 +28,6 @@ class WorkerFailure:
             raise ValueError("failure iteration must be >= 0")
         if self.worker < 0:
             raise ValueError("worker index must be >= 0")
-
-
-@dataclass(frozen=True)
-class NicDegradation:
-    """Machine ``machine``'s NIC runs at ``factor`` of its bandwidth for
-    ``duration`` iterations starting at ``iteration``."""
-
-    iteration: int
-    machine: int
-    factor: float
-    duration: int = 1
-
-    def __post_init__(self):
-        if self.iteration < 0:
-            raise ValueError("degradation iteration must be >= 0")
-        if self.machine < 0:
-            raise ValueError("machine index must be >= 0")
-        if not 0.0 < self.factor <= 1.0:
-            raise ValueError("degradation factor must be in (0, 1]")
-        if self.duration < 1:
-            raise ValueError("degradation duration must be >= 1")
-
-    def active_at(self, iteration: int) -> bool:
-        return self.iteration <= iteration < self.iteration + self.duration
 
 
 class WorkerFailureError(RuntimeError):
@@ -96,16 +66,14 @@ class WorkerFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A deterministic schedule of failures and NIC degradations."""
+    """A deterministic schedule of worker kills."""
 
     failures: Tuple[WorkerFailure, ...] = ()
-    degradations: Tuple[NicDegradation, ...] = ()
 
     def __post_init__(self):
         # Accept lists for convenience but store hashable tuples: the
         # runner tracks fired events by identity in a set.
         object.__setattr__(self, "failures", tuple(self.failures))
-        object.__setattr__(self, "degradations", tuple(self.degradations))
 
     @classmethod
     def kill(cls, worker: int, at_iteration: int) -> "FaultPlan":
@@ -115,34 +83,5 @@ class FaultPlan:
     def failures_at(self, iteration: int) -> List[WorkerFailure]:
         return [f for f in self.failures if f.iteration == iteration]
 
-    def degradations_at(self, iteration: int) -> List[NicDegradation]:
-        return [d for d in self.degradations if d.active_at(iteration)]
-
-    def nic_factor(self, iteration: int,
-                   machine: Optional[int] = None) -> float:
-        """Combined bandwidth factor active at *iteration*.
-
-        Overlapping degradations compound multiplicatively; ``machine``
-        restricts the product to one machine's events (the simulator's
-        iteration pricing is cluster-wide, so it passes None and takes the
-        worst case of any degraded NIC slowing the whole synchronous
-        step).
-        """
-        factor = 1.0
-        for d in self.degradations_at(iteration):
-            if machine is None or d.machine == machine:
-                factor *= d.factor
-        return factor
-
-    @property
-    def last_scheduled_iteration(self) -> int:
-        """The last iteration any event touches (-1 for an empty plan)."""
-        last = -1
-        for f in self.failures:
-            last = max(last, f.iteration)
-        for d in self.degradations:
-            last = max(last, d.iteration + d.duration - 1)
-        return last
-
     def __bool__(self) -> bool:
-        return bool(self.failures or self.degradations)
+        return bool(self.failures)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL, union_alpha
-from repro.cluster.faults import FaultPlan
 from repro.cluster.network import Flow, simulate_flows
 from repro.cluster.plan import SyncPlan, VariableAssignment
 from repro.cluster.spec import ClusterSpec
@@ -453,207 +452,6 @@ def derive_profile(
     )
 
 
-# ======================================================================
-# Elastic runtime pricing: checkpoints, recovery, rescale, goodput.
-# ======================================================================
-def plan_state_bytes(plan: SyncPlan) -> float:
-    """Bytes of logical state a checkpoint of *plan*'s model carries."""
-    return float(sum(a.variable.nbytes for a in plan.assignments))
-
-
-@dataclass(frozen=True)
-class RecoveryBreakdown:
-    """Where the downtime of one worker-failure recovery goes."""
-
-    detect_time: float
-    respawn_time: float
-    restore_time: float
-    recompile_time: float
-    lost_iterations: int
-    lost_time: float
-
-    @property
-    def downtime(self) -> float:
-        """Non-productive seconds: everything but the replayed compute."""
-        return (self.detect_time + self.respawn_time + self.restore_time
-                + self.recompile_time)
-
-    @property
-    def total_time(self) -> float:
-        return self.downtime + self.lost_time
-
-
-def simulate_recovery(
-    profile: ModelProfile,
-    plan: SyncPlan,
-    cluster: ClusterSpec,
-    iterations_since_checkpoint: int,
-    cost: CostModel = DEFAULT_COST_MODEL,
-) -> RecoveryBreakdown:
-    """Price one restore-from-checkpoint recovery after a worker kill.
-
-    The failed worker is detected (heartbeat deadline), respawned, every
-    machine reloads the last checkpoint from local storage and the
-    restored state fans out to the replicas over the PS transport, the
-    step plans recompile for every replica, and the iterations since the
-    last checkpoint are trained again at the fault-free rate.
-    """
-    if iterations_since_checkpoint < 0:
-        raise ValueError("iterations_since_checkpoint must be >= 0")
-    state = plan_state_bytes(plan)
-    iter_time = simulate_iteration(profile, plan, cluster, cost).iteration_time
-    return RecoveryBreakdown(
-        detect_time=cost.c_failure_detect,
-        respawn_time=cost.c_worker_respawn,
-        restore_time=state / cost.ckpt_bw + state / cost.ps_nic_bw,
-        recompile_time=cost.c_plan_compile * cluster.total_gpus,
-        lost_iterations=iterations_since_checkpoint,
-        lost_time=iterations_since_checkpoint * iter_time,
-    )
-
-
-@dataclass(frozen=True)
-class RescaleBreakdown:
-    """Downtime of one planned N->M rescale."""
-
-    snapshot_time: float
-    migrate_time: float
-    recompile_time: float
-
-    @property
-    def downtime(self) -> float:
-        return self.snapshot_time + self.migrate_time + self.recompile_time
-
-
-def simulate_rescale(
-    plan: SyncPlan,
-    old_cluster: ClusterSpec,
-    new_cluster: ClusterSpec,
-    cost: CostModel = DEFAULT_COST_MODEL,
-) -> RescaleBreakdown:
-    """Price migrating logical state from *old_cluster* to *new_cluster*.
-
-    Snapshot at checkpoint bandwidth, move the state across the NIC once
-    (dense replicas re-seed from the snapshot; sparse PS shards re-split
-    into the new placement), then recompile one step plan per new replica.
-    """
-    state = plan_state_bytes(plan)
-    return RescaleBreakdown(
-        snapshot_time=state / cost.ckpt_bw,
-        migrate_time=state / cost.ps_nic_bw,
-        recompile_time=cost.c_plan_compile * new_cluster.total_gpus,
-    )
-
-
-@dataclass(frozen=True)
-class GoodputReport:
-    """Effective training rate under a failure schedule."""
-
-    total_iterations: int
-    total_time: float
-    fault_free_time: float
-    downtime: float
-    replayed_iterations: int
-    checkpoint_time: float
-    num_failures: int
-    num_degraded_iterations: int
-    units_per_second: float
-    fault_free_units_per_second: float
-
-    @property
-    def goodput_fraction(self) -> float:
-        """Goodput relative to the fault-free run (1.0 = no loss)."""
-        if self.fault_free_units_per_second == 0:
-            return 0.0
-        return self.units_per_second / self.fault_free_units_per_second
-
-
-def simulate_goodput(
-    profile: ModelProfile,
-    plan: SyncPlan,
-    cluster: ClusterSpec,
-    total_iterations: int,
-    checkpoint_every: int = 1,
-    faults: FaultPlan = FaultPlan(),
-    cost: CostModel = DEFAULT_COST_MODEL,
-) -> GoodputReport:
-    """Walk a training timeline under *faults* and price the goodput.
-
-    Iterations advance at the (possibly NIC-degraded) simulated rate;
-    every ``checkpoint_every`` completed iterations pays a checkpoint
-    write; each scheduled worker kill fires once, costs a
-    :func:`simulate_recovery` downtime, and rolls the iteration pointer
-    back to the last checkpoint (the replayed work is real time with no
-    progress).  Goodput counts only the ``total_iterations`` distinct
-    iterations' worth of samples.
-    """
-    if total_iterations < 1:
-        raise ValueError("total_iterations must be >= 1")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
-
-    iter_time_cache: Dict[float, float] = {}
-
-    def iter_time(factor: float) -> float:
-        if factor not in iter_time_cache:
-            priced_cost = cost if factor == 1.0 else cost.degraded(factor)
-            iter_time_cache[factor] = simulate_iteration(
-                profile, plan, cluster, priced_cost).iteration_time
-        return iter_time_cache[factor]
-
-    ckpt_time = plan_state_bytes(plan) / cost.ckpt_bw
-    fired: set = set()
-    total_time = 0.0
-    downtime = 0.0
-    checkpoint_time = 0.0
-    replayed = 0
-    degraded_iters = 0
-    last_checkpoint = 0
-    i = 0
-    while i < total_iterations:
-        failure = next(
-            (f for f in faults.failures_at(i)
-             if f not in fired and f.worker < cluster.total_gpus), None)
-        if failure is not None:
-            fired.add(failure)
-            recovery = simulate_recovery(profile, plan, cluster,
-                                         i - last_checkpoint, cost)
-            # Replayed compute is walked again below (at its possibly
-            # degraded rate), so only the downtime is added here.
-            total_time += recovery.downtime
-            downtime += recovery.downtime
-            replayed += i - last_checkpoint
-            i = last_checkpoint
-            continue
-        factor = faults.nic_factor(i)
-        if factor < 1.0:
-            degraded_iters += 1
-        total_time += iter_time(factor)
-        i += 1
-        if i % checkpoint_every == 0 or i == total_iterations:
-            total_time += ckpt_time
-            checkpoint_time += ckpt_time
-            last_checkpoint = i
-
-    num_checkpoints = -(-total_iterations // checkpoint_every)
-    fault_free_time = (total_iterations * iter_time(1.0)
-                       + num_checkpoints * ckpt_time)
-    units = profile.units_per_iteration(cluster.total_gpus)
-    return GoodputReport(
-        total_iterations=total_iterations,
-        total_time=total_time,
-        fault_free_time=fault_free_time,
-        downtime=downtime,
-        replayed_iterations=replayed,
-        checkpoint_time=checkpoint_time,
-        num_failures=len(fired),
-        num_degraded_iterations=degraded_iters,
-        units_per_second=units * total_iterations / total_time,
-        fault_free_units_per_second=(units * total_iterations
-                                     / fault_free_time),
-    )
-
-
 def throughput(
     profile: ModelProfile,
     plan: SyncPlan,
@@ -664,76 +462,3 @@ def throughput(
     breakdown = simulate_iteration(profile, plan, cluster, cost)
     return (profile.units_per_iteration(cluster.total_gpus)
             / breakdown.iteration_time)
-
-
-# ----------------------------------------------------------------------
-# Serving plane
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ServingBreakdown:
-    """Priced anatomy of one served batch (forward-only replay) behind
-    the work-conserving batcher, which launches the moment the engine
-    is free with whatever is queued."""
-
-    batch_size: int
-    compute_time: float  # forward replay on the serving host
-    launch_time: float   # per-batch dispatch overhead
-
-    @property
-    def service_time(self) -> float:
-        return self.compute_time + self.launch_time
-
-    @property
-    def queue_delay(self) -> float:
-        """Expected wait before launch: a lone request launches on
-        arrival; a batch of b > 1 formed while the previous replay ran,
-        so its median request waited about half of one."""
-        return 0.0 if self.batch_size == 1 else self.service_time / 2.0
-
-    @property
-    def p50_latency(self) -> float:
-        """Median request latency: typical queue wait plus service."""
-        return self.queue_delay + self.service_time
-
-    @property
-    def p99_latency(self) -> float:
-        """Tail latency: a request arriving just as a replay starts sits
-        out that whole replay, then its own."""
-        return 2.0 * self.service_time
-
-    @property
-    def qps(self) -> float:
-        return self.batch_size / self.service_time
-
-
-# Fraction of a training iteration's GPU time a forward-only replay
-# costs: the backward pass runs roughly two matmuls per layer against
-# the forward's one, so inference pays about a third of fwd+bwd.
-SERVE_FORWARD_FRACTION = 1.0 / 3.0
-
-
-def simulate_serving(
-    profile: ModelProfile,
-    batch_size: int,
-    cost: CostModel = DEFAULT_COST_MODEL,
-) -> ServingBreakdown:
-    """Price one served batch: the batch-size/latency tradeoff curve.
-
-    Compute scales with the batch while the per-batch dispatch overhead
-    does not, so QPS rises with batch size; the queue delay a request
-    spends behind the replay in flight rises alongside -- the knee
-    priced here so capacity planning can sweep batch sizes without
-    hardware.  One serving host holds every weight, so no cluster
-    enters the price.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    scale = batch_size / profile.batch_per_gpu
-    compute = SERVE_FORWARD_FRACTION * profile.gpu_time_per_iter * scale
-    return ServingBreakdown(
-        batch_size=int(batch_size),
-        compute_time=compute,
-        launch_time=cost.step_latency,
-    )
-
-

@@ -256,10 +256,6 @@ class ElasticRunner(DistributedRunner):
     def detach_server(self, server) -> None:
         self._servers.remove(server)
 
-    @property
-    def last_checkpoint_iteration(self) -> int:
-        return self._checkpoint_iteration
-
     def step(self, iteration: int) -> IterationResult:
         result = super().step(iteration)
         self._progress = iteration + 1

@@ -241,12 +241,10 @@ class DistributedRunner:
         later workers see fresher (and earlier iterations' workers see
         staler) state -- the staleness the paper's section 2.1 discusses.
 
-        When a :class:`FaultPlan` is installed, scheduled events for this
-        iteration fire first: a worker kill notes itself into the
-        transcript and raises :class:`WorkerFailureError` (each event at
-        most once -- recovery replays the iteration without re-dying),
-        and newly active NIC degradations are noted so the byte record
-        carries the failure timeline it was produced under.
+        When a :class:`FaultPlan` is installed, this iteration's scheduled
+        worker kill fires first: it notes itself into the transcript and
+        raises :class:`WorkerFailureError` (each kill at most once --
+        recovery replays the iteration without re-dying).
 
         *Where* the step executes is the installed
         :class:`~repro.core.backend.ExecutionBackend`'s business: the
@@ -268,15 +266,6 @@ class DistributedRunner:
         """Fire this iteration's scheduled faults (each at most once)."""
         if self.fault_plan is None:
             return
-        for degradation in self.fault_plan.degradations_at(iteration):
-            if degradation in self._faults_fired:
-                continue
-            self._faults_fired.add(degradation)
-            self.transcript.note(
-                "fault/nic_degraded", iteration=iteration,
-                machine=degradation.machine, factor=degradation.factor,
-                duration=degradation.duration,
-            )
         for failure in self.fault_plan.failures_at(iteration):
             if (failure in self._faults_fired
                     or failure.worker >= self.num_replicas):

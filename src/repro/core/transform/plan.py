@@ -85,14 +85,6 @@ class GraphSyncPlan:
     def ps_variables(self):
         return [v for v, m in self.methods.items() if m is SyncMethod.PS]
 
-    @property
-    def has_ps(self) -> bool:
-        return any(m is SyncMethod.PS for m in self.methods.values())
-
-    @property
-    def has_collective(self) -> bool:
-        return any(m is not SyncMethod.PS for m in self.methods.values())
-
 
 def hybrid_graph_plan(graph: Graph, local_aggregation: bool = True,
                       smart_placement: bool = True,

@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+from repro.cluster.costmodel import CostModel
 from repro.cluster.faults import FaultPlan, WorkerFailure
 from repro.core.config import (
     CommConfig,
@@ -86,7 +87,8 @@ class TestLegacyKwargParity:
 # a session keeping every plan it compiles, ``save(path)`` with a path,
 # and a work-conserving batcher with no delay to configure), plus the
 # online replanner, the gradient codecs and the NIC-degradation sleep,
-# which no workload ran.
+# which no workload ran; and the cost constants and fault schedule that
+# only the deleted recovery, rescale and goodput prices read.
 REMOVED_FIELDS = {
     "local_aggregation": (ParallaxConfig, False),
     "smart_placement": (ParallaxConfig, False),
@@ -99,6 +101,12 @@ REMOVED_FIELDS = {
     "compression": (CommConfig, "fp16"),
     "compression_ratio": (CommConfig, 0.5),
     "emulate_nic_bw": (ElasticConfig, 1e9),
+    "ckpt_bw": (CostModel, 2.0e9),
+    "c_failure_detect": (CostModel, 2.0),
+    "c_worker_respawn": (CostModel, 5.0),
+    "c_plan_compile": (CostModel, 0.05),
+    "tcp_latency": (CostModel, 5.0e-5),
+    "degradations": (FaultPlan, ()),
 }
 
 

@@ -3,26 +3,15 @@
 The contract under test: rescaling N->M replicas migrates logical state
 bit-exactly (including re-sharding partitioned sparse variables), the
 post-rescale trajectory is bit-identical to a fresh M-replica runner
-restored from the same state, and a fault-injected run that recovers
-from its last checkpoint converges to exactly the fault-free losses.
+restored from the same state, and a run with scheduled worker kills that
+recovers from its last checkpoint converges to exactly the fault-free
+losses.  A :class:`FaultPlan` schedules worker kills only.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster.costmodel import DEFAULT_COST_MODEL
-from repro.cluster.faults import (
-    FaultPlan,
-    NicDegradation,
-    WorkerFailure,
-    WorkerFailureError,
-)
-from repro.cluster.simulator import (
-    simulate_goodput,
-    simulate_iteration,
-    simulate_recovery,
-    simulate_rescale,
-)
+from repro.cluster.faults import FaultPlan, WorkerFailure, WorkerFailureError
 from repro.cluster.spec import ClusterSpec
 from repro.core.elastic import (
     ElasticRunner,
@@ -475,17 +464,6 @@ class TestFaultInjection:
         runner.step(0)
         assert runner.transcript.events("fault/") == []
 
-    def test_nic_degradation_noted_once(self):
-        plan = FaultPlan(degradations=(
-            NicDegradation(1, machine=0, factor=0.5, duration=2),))
-        runner = make_elastic(fault_plan=plan)
-        for i in range(4):
-            runner.step(i)
-        notes = runner.transcript.events("fault/nic_degraded")
-        assert len(notes) == 1
-        assert notes[0].iteration == 1
-        assert notes[0].get("factor") == 0.5
-
 
 class TestRecovery:
     def run_pair(self, fault_plan, checkpoint_every=2, iters=6, **kwargs):
@@ -568,102 +546,9 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError):
             WorkerFailure(-1, 0)
 
-    def test_degradation_factor_bounds(self):
-        with pytest.raises(ValueError):
-            NicDegradation(0, 0, factor=0.0)
-        with pytest.raises(ValueError):
-            NicDegradation(0, 0, factor=1.5)
-
-    def test_nic_factor_compounds_overlapping_windows(self):
-        plan = FaultPlan(degradations=(
-            NicDegradation(0, machine=0, factor=0.5, duration=3),
-            NicDegradation(1, machine=1, factor=0.5, duration=1),
-        ))
-        assert plan.nic_factor(0) == 0.5
-        assert plan.nic_factor(1) == 0.25
-        assert plan.nic_factor(1, machine=0) == 0.5
-        assert plan.nic_factor(3) == 1.0
-
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan()
         assert FaultPlan.kill(0, 0)
-        assert FaultPlan().last_scheduled_iteration == -1
-        assert FaultPlan.kill(0, at_iteration=5).last_scheduled_iteration == 5
-
-
-# ======================================================================
-# Performance-plane pricing
-# ======================================================================
-class TestElasticSimulation:
-    def setup_method(self):
-        from repro.core.hybrid import hybrid_plan
-        from repro.nn.profiles import lm_profile
-
-        self.profile = lm_profile()
-        self.plan = hybrid_plan(self.profile, 64)
-        self.cluster = ClusterSpec(4, 2)
-
-    def test_recovery_downtime_positive_and_monotone_in_lost_work(self):
-        short = simulate_recovery(self.profile, self.plan, self.cluster, 1)
-        long = simulate_recovery(self.profile, self.plan, self.cluster, 9)
-        assert short.downtime > 0
-        assert long.total_time > short.total_time
-        assert long.lost_iterations == 9
-
-    def test_rescale_downtime_scales_with_target_replicas(self):
-        small = simulate_rescale(self.plan, self.cluster,
-                                 self.cluster.scaled(2))
-        large = simulate_rescale(self.plan, self.cluster,
-                                 self.cluster.scaled(8))
-        assert 0 < small.downtime < large.downtime
-
-    def test_goodput_with_failures_below_fault_free(self):
-        faults = FaultPlan(failures=(WorkerFailure(50, 1),))
-        report = simulate_goodput(self.profile, self.plan, self.cluster,
-                                  total_iterations=100, checkpoint_every=10,
-                                  faults=faults)
-        assert report.num_failures == 1
-        assert report.downtime > 0
-        assert report.units_per_second < report.fault_free_units_per_second
-        assert 0 < report.goodput_fraction < 1
-
-    def test_goodput_without_faults_matches_fault_free_baseline(self):
-        report = simulate_goodput(self.profile, self.plan, self.cluster,
-                                  total_iterations=50, checkpoint_every=5)
-        assert report.total_time == pytest.approx(report.fault_free_time)
-        assert report.goodput_fraction == pytest.approx(1.0)
-
-    def test_degraded_nic_slows_iterations(self):
-        base = simulate_iteration(self.profile, self.plan, self.cluster)
-        slow = simulate_iteration(self.profile, self.plan, self.cluster,
-                                  DEFAULT_COST_MODEL.degraded(0.25))
-        assert slow.iteration_time > base.iteration_time
-        faults = FaultPlan(degradations=(
-            NicDegradation(0, machine=0, factor=0.25, duration=20),))
-        degraded = simulate_goodput(self.profile, self.plan, self.cluster,
-                                    total_iterations=40, checkpoint_every=10,
-                                    faults=faults)
-        assert degraded.num_degraded_iterations == 20
-        assert (degraded.units_per_second
-                < degraded.fault_free_units_per_second)
-
-    def test_checkpoint_cadence_tradeoff(self):
-        """Frequent checkpoints cost writes but bound the replay loss."""
-        faults = FaultPlan(failures=(WorkerFailure(19, 0),))
-        tight = simulate_goodput(self.profile, self.plan, self.cluster,
-                                 total_iterations=40, checkpoint_every=2,
-                                 faults=faults)
-        loose = simulate_goodput(self.profile, self.plan, self.cluster,
-                                 total_iterations=40, checkpoint_every=20,
-                                 faults=faults)
-        assert tight.replayed_iterations < loose.replayed_iterations
-        assert tight.checkpoint_time > loose.checkpoint_time
-
-    def test_degraded_cost_model_validates_factor(self):
-        with pytest.raises(ValueError):
-            DEFAULT_COST_MODEL.degraded(0.0)
-        with pytest.raises(ValueError):
-            DEFAULT_COST_MODEL.degraded(2.0)
 
 
 # ======================================================================

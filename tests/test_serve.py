@@ -399,32 +399,3 @@ class TestElasticServing:
             server.close()
             runner.close()
 
-
-# ======================================================================
-# The priced serving curve
-# ======================================================================
-class TestSimulateServing:
-    def test_qps_rises_and_latency_orders(self):
-        from repro.cluster.simulator import simulate_serving
-        from repro.nn.profiles import lm_profile
-
-        profile = lm_profile()
-        curve = [simulate_serving(profile, b) for b in (1, 2, 4, 8, 16)]
-        qps = [b.qps for b in curve]
-        assert qps == sorted(qps), "QPS must rise with batch size"
-        for b in curve:
-            # A tail request sits out one whole replay, then its own.
-            assert b.p99_latency == 2.0 * b.service_time
-            assert b.p99_latency >= b.p50_latency
-        # A lone request launches on arrival; a coalesced batch formed
-        # behind the previous replay, half of which its median waited.
-        assert curve[0].queue_delay == 0.0
-        for b in curve[1:]:
-            assert b.queue_delay == b.service_time / 2.0
-
-    def test_rejects_bad_arguments(self):
-        from repro.cluster.simulator import simulate_serving
-        from repro.nn.profiles import lm_profile
-
-        with pytest.raises(ValueError):
-            simulate_serving(lm_profile(), 0)

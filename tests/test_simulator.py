@@ -1,6 +1,12 @@
 """Performance simulator: transfer-model consistency and paper orderings."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.baselines import horovod_plan, opt_ps_plan, tf_ps_plan
 from repro.cluster.costmodel import CostModel, union_alpha
@@ -395,3 +401,23 @@ class TestDeriveProfile:
             assert (var.alpha, var.rows) == (1.0, None)
         assert profile.batch_per_gpu == 4
         assert profile.gpu_time_per_iter == 0.002
+
+
+def test_every_cost_constant_is_read_by_a_price():
+    """A ``CostModel`` field exists only while some price reads it: a read
+    outside ``CostModel``'s own body, anywhere in the package."""
+    read = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "CostModel":
+                own.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in own):
+                read.add(node.attr)
+    unread = [f.name for f in dataclasses.fields(CostModel)
+              if f.name not in read]
+    assert unread == [], f"CostModel fields no price reads: {unread}"

@@ -233,35 +233,6 @@ class TestRegistry:
                                        transport="tcp"))
 
 
-class TestFitNetworkConstants:
-    MEASURED = {"measured_bandwidth_bytes_per_s": 1.25e9,
-                "measured_latency_s": 8.0e-5}
-
-    def test_measured_link_replaces_assumed_constants(self):
-        from repro.cluster.costmodel import (
-            DEFAULT_COST_MODEL,
-            fit_network_constants,
-        )
-
-        fitted = fit_network_constants(self.MEASURED)
-        assert fitted.tcp_bw == 1.25e9
-        assert fitted.tcp_latency == 8.0e-5
-        # Only the link constants move.
-        assert fitted.shm_bw == DEFAULT_COST_MODEL.shm_bw
-        assert fitted.c_serialize == DEFAULT_COST_MODEL.c_serialize
-
-    def test_non_positive_measurements_keep_the_base(self):
-        from repro.cluster.costmodel import CostModel, fit_network_constants
-
-        base = CostModel(tcp_bw=2.0e9, tcp_latency=1.0e-5)
-        assert fit_network_constants({}, base) is base
-        half = fit_network_constants(
-            {"measured_bandwidth_bytes_per_s": 0.0,
-             "measured_latency_s": 3.0e-5}, base)
-        assert half.tcp_bw == 2.0e9
-        assert half.tcp_latency == 3.0e-5
-
-
 class TestFitTransportConstants:
     """``fit_transport_constants`` folds every sample it is given: a
     window whose wall time measured a fault, not the transport, skews
