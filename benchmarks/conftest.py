@@ -15,8 +15,9 @@ from typing import Iterable, Sequence
 
 import pytest
 
-# The paper's plan table is defined once, in the CLI that prints it.
-from repro.cli import PAPER_PARTITIONS, plan_for  # noqa: F401
+# The architectures are defined once, in repro.cluster.plan.ARCHITECTURES;
+# the paper's partition counts are shared with the CLI that prints them.
+from repro.cli import PAPER_PARTITIONS  # noqa: F401
 from repro.cluster.spec import PAPER_CLUSTER
 from repro.nn.profiles import PAPER_PROFILES
 

@@ -5,13 +5,14 @@ results: local aggregation, smart placement, the sparse-as-dense alpha
 threshold, and the partition sampling policy.
 """
 
+from dataclasses import replace
 
 import pytest
 
-from conftest import _mark_benchmark, fmt, plan_for, print_table
+from conftest import _mark_benchmark, fmt, print_table
+from repro.cluster.plan import profile_plan
 from repro.cluster.simulator import simulate_iteration, throughput
 from repro.cluster.spec import ClusterSpec
-from repro.core.hybrid import hybrid_plan
 from repro.core.partitioner import PartitionSearch, fit_cost_model
 from repro.nn.profiles import ModelProfile, VariableProfile
 
@@ -25,8 +26,8 @@ class TestLocalAggregationAblation:
         gains = []
         for gpus in (2, 6):
             cluster = ClusterSpec(8, gpus)
-            base = hybrid_plan(profile, 128, local_aggregation=False)
-            opt = hybrid_plan(profile, 128, local_aggregation=True)
+            opt = profile_plan(profile, "hybrid", 128)
+            base = replace(opt, local_aggregation=False)
             t_base = throughput(profile, base, cluster)
             t_opt = throughput(profile, opt, cluster)
             gains.append(t_opt / t_base)
@@ -45,8 +46,9 @@ class TestSmartPlacementAblation:
         results = {}
         for local in (False, True):
             for smart in (False, True):
-                plan = hybrid_plan(profile, 64, local_aggregation=local,
-                                   smart_placement=smart)
+                plan = replace(profile_plan(profile, "hybrid", 64),
+                               local_aggregation=local,
+                               smart_placement=smart)
                 tp = throughput(profile, plan, paper_cluster)
                 results[(local, smart)] = tp
                 rows.append([local, smart, fmt(tp)])
@@ -74,8 +76,10 @@ class TestSparseAsDenseThreshold:
         wins = {}
         for alpha in (0.01, 0.1, 0.5, 0.99):
             profile = self.make_profile(alpha)
-            ps_plan = hybrid_plan(profile, 32, sparse_as_dense_threshold=1.1)
-            ar_plan = hybrid_plan(profile, 32, sparse_as_dense_threshold=0.0)
+            ps_plan = profile_plan(profile, "hybrid", 32,
+                                   sparse_as_dense_threshold=1.1)
+            ar_plan = profile_plan(profile, "hybrid", 32,
+                                   sparse_as_dense_threshold=0.0)
             ps = throughput(profile, ps_plan, paper_cluster)
             ar = throughput(profile, ar_plan, paper_cluster)
             wins[alpha] = "AR" if ar > ps else "PS"
@@ -99,7 +103,7 @@ class TestSamplingPolicyAblation:
 
         def measure(p):
             calls.append(p)
-            plan = plan_for("parallax", profile, p)
+            plan = profile_plan(profile, "hybrid", p)
             return simulate_iteration(profile, plan,
                                       paper_cluster).iteration_time
 
@@ -125,7 +129,7 @@ class TestSamplingPolicyAblation:
         profile = profiles["lm"]
 
         def measure(p):
-            plan = plan_for("parallax", profile, p)
+            plan = profile_plan(profile, "hybrid", p)
             return simulate_iteration(profile, plan,
                                       paper_cluster).iteration_time
 
@@ -143,7 +147,8 @@ def test_bench_ablation_grid(benchmark, profiles, paper_cluster):
     def grid():
         out = []
         for local in (False, True):
-            plan = hybrid_plan(profile, 64, local_aggregation=local)
+            plan = replace(profile_plan(profile, "hybrid", 64),
+                           local_aggregation=local)
             out.append(throughput(profile, plan, paper_cluster))
         return out
 
@@ -160,7 +165,6 @@ class TestFusionBufferAblation:
     def test_iteration_time_tracks_bucket_count(self, benchmark,
                                                 profiles, paper_cluster):
         _mark_benchmark(benchmark)
-        from repro.baselines import horovod_plan
         from repro.cluster.costmodel import CostModel
 
         profile = profiles["resnet50"]
@@ -168,7 +172,8 @@ class TestFusionBufferAblation:
         rows = []
         results = []
         for cap_mb in (0.0, 1.0, 4.0, 16.0, 64.0):
-            plan = horovod_plan(profile).with_fusion(cap_mb)
+            plan = replace(profile_plan(profile, "ar"),
+                           fusion_buffer_mb=cap_mb)
             b = simulate_iteration(profile, plan, paper_cluster, cost)
             results.append((b.num_ar_buckets, b.iteration_time))
             rows.append([cap_mb, b.num_ar_buckets,

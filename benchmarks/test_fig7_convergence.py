@@ -14,26 +14,21 @@ iteration counts to wall-clock with the paper-scale performance plane.
 import numpy as np
 import pytest
 
-from conftest import _mark_benchmark, PAPER_PARTITIONS, plan_for, print_table
+from conftest import _mark_benchmark, PAPER_PARTITIONS, print_table
+from repro.cluster.plan import ARCHITECTURES, profile_plan
 from repro.cluster.simulator import simulate_iteration
 from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner
-from repro.core.transform.plan import (
-    ar_graph_plan,
-    hybrid_graph_plan,
-    ps_graph_plan,
-)
+from repro.core.transform.plan import graph_plan
 from repro.graph import gradients
 from repro.nn.models import build_lm, build_nmt, build_resnet
 from repro.nn.optimizers import GradientDescentOptimizer
 
 FUNCTIONAL_CLUSTER = ClusterSpec(num_machines=2, gpus_per_machine=2)
 
-GRAPH_PLANS = {
-    "parallax": lambda g: hybrid_graph_plan(g),
-    "tf_ps": lambda g: ps_graph_plan(g),
-    "horovod": lambda g: ar_graph_plan(g),
-}
+# Framework name -> architecture, in the order the rows print.
+GRAPH_PLANS = {ARCHITECTURES[arch].label: arch
+               for arch in ("hybrid", "ps", "ar")}
 
 # Paper speedup factors at the vertical target lines of Figure 7.
 PAPER_SPEEDUP = {
@@ -55,10 +50,10 @@ def iterations_to_target(make_model, target_loss, max_iters=80):
     """Train each architecture until mean loss crosses the target."""
     iters = {}
     trajectories = {}
-    for arch, plan_fn in GRAPH_PLANS.items():
+    for arch, key in GRAPH_PLANS.items():
         model = make_model()
         runner = DistributedRunner(model, FUNCTIONAL_CLUSTER,
-                                   plan_fn(model.graph), seed=5)
+                                   graph_plan(model.graph, key), seed=5)
         losses = []
         hit = None
         for i in range(max_iters):
@@ -74,7 +69,7 @@ def iterations_to_target(make_model, target_loss, max_iters=80):
 def paper_scale_iteration_time(profile_name, arch, profiles):
     profile = profiles[profile_name]
     partitions = PAPER_PARTITIONS.get(profile_name, 1)
-    plan = plan_for(arch, profile, partitions)
+    plan = profile_plan(profile, arch, partitions)
     cluster = ClusterSpec(8, 6)
     return simulate_iteration(profile, plan, cluster).iteration_time
 
@@ -107,8 +102,8 @@ def test_fig7_case(benchmark, case, make_model, target, profile_name, profiles):
 
     # Wall-clock at paper scale = iterations x simulated iteration time.
     times = {
-        arch: iterations * paper_scale_iteration_time(profile_name, arch,
-                                                      profiles)
+        arch: iterations * paper_scale_iteration_time(
+            profile_name, GRAPH_PLANS[arch], profiles)
         for arch in GRAPH_PLANS
     }
     rows = [
@@ -132,10 +127,10 @@ def test_identical_loss_trajectories(benchmark):
         build_lm, 0.5, batch_size=4, vocab_size=30, seq_len=2, emb_dim=6,
         hidden=8, num_partitions=2, seed=0)
     trajectories = {}
-    for arch, plan_fn in GRAPH_PLANS.items():
+    for arch, key in GRAPH_PLANS.items():
         model = make_model()
         runner = DistributedRunner(model, FUNCTIONAL_CLUSTER,
-                                   plan_fn(model.graph), seed=5)
+                                   graph_plan(model.graph, key), seed=5)
         trajectories[arch] = [runner.step(i).mean_loss for i in range(5)]
     base = trajectories["parallax"]
     for arch, losses in trajectories.items():
@@ -146,7 +141,7 @@ def test_bench_functional_step(benchmark):
     model = prepare(build_lm, 0.5, batch_size=4, vocab_size=30, seq_len=2,
                     emb_dim=6, hidden=8, num_partitions=2, seed=0)
     runner = DistributedRunner(model, FUNCTIONAL_CLUSTER,
-                               hybrid_graph_plan(model.graph), seed=5)
+                               graph_plan(model.graph, "hybrid"), seed=5)
     counter = iter(range(10 ** 9))
 
     def step():

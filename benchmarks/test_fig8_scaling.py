@@ -15,12 +15,13 @@ words/s for LM and NMT):
 
 import pytest
 
-from conftest import _mark_benchmark, PAPER_PARTITIONS, fmt, plan_for, print_table
+from conftest import _mark_benchmark, PAPER_PARTITIONS, fmt, print_table
+from repro.cluster.plan import ARCHITECTURES, profile_plan
 from repro.cluster.simulator import throughput
 from repro.cluster.spec import ClusterSpec
 
 MACHINES = (1, 2, 4, 8)
-ARCHS = ("tf_ps", "horovod", "parallax")
+ARCHS = ("ps", "ar", "hybrid")
 
 PAPER = {
     "resnet50": {"tf_ps": [900, 1800, 3400, 5800],
@@ -40,7 +41,7 @@ PAPER = {
 
 def scaling_curve(profile, arch, partitions):
     return [
-        throughput(profile, plan_for(arch, profile, partitions),
+        throughput(profile, profile_plan(profile, arch, partitions),
                    ClusterSpec(n, 6))
         for n in MACHINES
     ]
@@ -52,7 +53,7 @@ def curves(profiles):
     for name, profile in profiles.items():
         partitions = PAPER_PARTITIONS.get(name, 1)
         out[name] = {
-            arch: scaling_curve(profile, arch, partitions)
+            ARCHITECTURES[arch].label: scaling_curve(profile, arch, partitions)
             for arch in ARCHS
         }
     return out
@@ -62,7 +63,7 @@ def test_fig8_rows(benchmark, curves):
     _mark_benchmark(benchmark)
     rows = []
     for name, by_arch in curves.items():
-        for arch in ARCHS:
+        for arch in by_arch:
             sim = "/".join(fmt(v) for v in by_arch[arch])
             paper = "/".join(fmt(v) for v in PAPER[name][arch])
             rows.append([name, arch, sim, paper])
@@ -118,7 +119,7 @@ def test_bench_scaling_sweep(benchmark, profiles):
     profile = profiles["lm"]
 
     def sweep():
-        return scaling_curve(profile, "parallax", 128)
+        return scaling_curve(profile, "hybrid", 128)
 
     values = benchmark(sweep)
     assert len(values) == len(MACHINES)

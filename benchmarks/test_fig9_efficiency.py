@@ -14,7 +14,8 @@ Horovod 39.8/44.4/1.6/6.1.
 
 import pytest
 
-from conftest import _mark_benchmark, PAPER_PARTITIONS, plan_for, print_table
+from conftest import _mark_benchmark, PAPER_PARTITIONS, print_table
+from repro.cluster.plan import ARCHITECTURES, profile_plan
 from repro.cluster.simulator import throughput
 from repro.cluster.spec import ClusterSpec
 
@@ -33,11 +34,11 @@ GPU_COUNTS = {6: (1, 6), 12: (2, 6), 24: (4, 6), 48: (8, 6)}
 
 
 def normalized(profile, arch, partitions):
-    base = throughput(profile, plan_for(arch, profile, partitions),
+    base = throughput(profile, profile_plan(profile, arch, partitions),
                       ClusterSpec(1, 1))
     out = {}
     for gpus, (machines, per) in GPU_COUNTS.items():
-        t = throughput(profile, plan_for(arch, profile, partitions),
+        t = throughput(profile, profile_plan(profile, arch, partitions),
                        ClusterSpec(machines, per))
         out[gpus] = t / base
     return out
@@ -46,7 +47,7 @@ def normalized(profile, arch, partitions):
 @pytest.fixture(scope="module")
 def parallax_eff(profiles):
     return {
-        name: normalized(profile, "parallax",
+        name: normalized(profile, "hybrid",
                          PAPER_PARTITIONS.get(name, 1))
         for name, profile in profiles.items()
     }
@@ -98,8 +99,9 @@ def test_parallax_beats_others_at_48(benchmark, profiles):
         profile = profiles[name]
         partitions = PAPER_PARTITIONS[name]
         values = {
-            arch: normalized(profile, arch, partitions)[48]
-            for arch in ("parallax", "tf_ps", "horovod")
+            ARCHITECTURES[arch].label: normalized(profile, arch,
+                                                  partitions)[48]
+            for arch in ("hybrid", "ps", "ar")
         }
         assert values["parallax"] > values["tf_ps"]
         assert values["parallax"] > values["horovod"]
@@ -107,5 +109,5 @@ def test_parallax_beats_others_at_48(benchmark, profiles):
 
 def test_bench_normalized_throughput(benchmark, profiles):
     profile = profiles["nmt"]
-    result = benchmark(normalized, profile, "parallax", 64)
+    result = benchmark(normalized, profile, "hybrid", 64)
     assert result[48] > 0

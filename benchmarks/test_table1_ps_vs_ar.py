@@ -14,7 +14,8 @@ NMT alpha comment in ``repro/nn/profiles.py``.)
 
 import pytest
 
-from conftest import _mark_benchmark, PAPER_PARTITIONS, fmt, plan_for, print_table
+from conftest import _mark_benchmark, PAPER_PARTITIONS, fmt, print_table
+from repro.cluster.plan import profile_plan
 from repro.cluster.simulator import simulate_iteration, throughput
 
 PAPER = {
@@ -31,9 +32,9 @@ def test_table1_rows(benchmark, profiles, paper_cluster):
     results = {}
     for name, profile in profiles.items():
         partitions = PAPER_PARTITIONS.get(name, 1)
-        ps = throughput(profile, plan_for("tf_ps", profile, partitions),
+        ps = throughput(profile, profile_plan(profile, "ps", partitions),
                         paper_cluster)
-        ar = throughput(profile, plan_for("horovod", profile), paper_cluster)
+        ar = throughput(profile, profile_plan(profile, "ar"), paper_cluster)
         results[name] = (ps, ar)
         rows.append([
             name,
@@ -69,6 +70,6 @@ def test_element_counts_match_paper(benchmark, profiles):
 def test_bench_simulate_iteration(benchmark, profiles, paper_cluster, model):
     """Time one full iteration simulation (flow network + cost model)."""
     profile = profiles[model]
-    plan = plan_for("tf_ps", profile, PAPER_PARTITIONS.get(model, 1))
+    plan = profile_plan(profile, "ps", PAPER_PARTITIONS.get(model, 1))
     breakdown = benchmark(simulate_iteration, profile, plan, paper_cluster)
     assert breakdown.iteration_time > 0

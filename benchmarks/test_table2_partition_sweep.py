@@ -8,7 +8,8 @@ Paper values (words/sec, 48 GPUs, PS architecture):
 """
 
 
-from conftest import _mark_benchmark, fmt, plan_for, print_table
+from conftest import _mark_benchmark, fmt, print_table
+from repro.cluster.plan import profile_plan
 from repro.cluster.simulator import throughput
 
 PARTITIONS = (8, 16, 32, 64, 128, 256)
@@ -23,7 +24,7 @@ PAPER = {
 
 def sweep(profile, cluster):
     return {
-        p: throughput(profile, plan_for("tf_ps", profile, p), cluster)
+        p: throughput(profile, profile_plan(profile, "ps", p), cluster)
         for p in PARTITIONS
     }
 
@@ -61,6 +62,6 @@ def test_table2_rows(benchmark, profiles, paper_cluster):
 def test_bench_partition_sweep_point(benchmark, profiles, paper_cluster):
     profile = profiles["lm"]
     result = benchmark(
-        throughput, profile, plan_for("tf_ps", profile, 128), paper_cluster
+        throughput, profile, profile_plan(profile, "ps", 128), paper_cluster
     )
     assert result > 0

@@ -8,7 +8,8 @@ Paper values (words/sec):
 """
 
 
-from conftest import _mark_benchmark, PAPER_PARTITIONS, fmt, plan_for, print_table
+from conftest import _mark_benchmark, PAPER_PARTITIONS, fmt, print_table
+from repro.cluster.plan import ARCHITECTURES, profile_plan
 from repro.cluster.simulator import throughput
 
 PAPER = {
@@ -17,7 +18,7 @@ PAPER = {
     "nmt": {"horovod": 68_300, "tf_ps": 102_000, "opt_ps": 116_000,
             "parallax": 204_000},
 }
-ARCHS = ("horovod", "tf_ps", "opt_ps", "parallax")
+ARCHS = ("ar", "ps", "opt_ps", "hybrid")
 LABELS = {"horovod": "AR", "tf_ps": "NaivePS", "opt_ps": "OptPS",
           "parallax": "HYB"}
 
@@ -30,17 +31,18 @@ def test_table4_rows(benchmark, profiles, paper_cluster):
         profile = profiles[name]
         partitions = PAPER_PARTITIONS[name]
         values = {
-            arch: throughput(profile, plan_for(arch, profile, partitions),
-                             paper_cluster)
+            ARCHITECTURES[arch].label: throughput(
+                profile, profile_plan(profile, arch, partitions),
+                paper_cluster)
             for arch in ARCHS
         }
         results[name] = values
         rows.append([name] + [
-            f"{fmt(values[a])} ({fmt(PAPER[name][a])})" for a in ARCHS
+            f"{fmt(values[a])} ({fmt(PAPER[name][a])})" for a in values
         ])
     print_table("Table 4: architecture ablation, words/sec @48 GPUs "
                 "(simulated (paper))",
-                ["model"] + [LABELS[a] for a in ARCHS], rows)
+                ["model"] + [LABELS[a] for a in values], rows)
 
     for name in ("lm", "nmt"):
         v = results[name]
@@ -58,11 +60,10 @@ def test_table4_rows(benchmark, profiles, paper_cluster):
 def test_optimization_attribution(benchmark, profiles, paper_cluster):
     _mark_benchmark(benchmark)
     """OptPS = local aggregation + smart placement; check both help."""
-    from repro.baselines.tf_ps import tf_ps_plan
     from dataclasses import replace
 
     profile = profiles["lm"]
-    base = tf_ps_plan(profile, 128)
+    base = profile_plan(profile, "ps", 128)
     with_local = replace(base, local_aggregation=True)
     with_both = replace(base, local_aggregation=True, smart_placement=True)
     t_base = throughput(profile, base, paper_cluster)
@@ -76,6 +77,6 @@ def test_optimization_attribution(benchmark, profiles, paper_cluster):
 
 def test_bench_hybrid_iteration(benchmark, profiles, paper_cluster):
     profile = profiles["nmt"]
-    plan = plan_for("parallax", profile, 64)
+    plan = profile_plan(profile, "hybrid", 64)
     result = benchmark(throughput, profile, plan, paper_cluster)
     assert result > 0

@@ -11,7 +11,8 @@ counts where brute force needs 50+ runs.
 """
 
 
-from conftest import _mark_benchmark, fmt, plan_for, print_table
+from conftest import _mark_benchmark, fmt, print_table
+from repro.cluster.plan import profile_plan
 from repro.cluster.simulator import simulate_iteration
 from repro.core.partitioner import PartitionSearch, brute_force_search
 
@@ -25,7 +26,7 @@ MIN_PARTITIONS = {"lm": 4, "nmt": 2}
 
 def make_measure(profile, cluster):
     def measure(p: int) -> float:
-        plan = plan_for("parallax", profile, p)
+        plan = profile_plan(profile, "hybrid", p)
         return simulate_iteration(profile, plan, cluster).iteration_time
 
     return measure

@@ -15,7 +15,8 @@ number of words per data instance (length), and reports (words/sec):
 
 import pytest
 
-from conftest import _mark_benchmark, fmt, plan_for, print_table
+from conftest import _mark_benchmark, fmt, print_table
+from repro.cluster.plan import profile_plan
 from repro.cluster.simulator import throughput
 from repro.nn.profiles import TABLE6_ALPHA, constructed_lm_profile
 
@@ -34,10 +35,10 @@ def test_table6_rows(benchmark, paper_cluster):
     for length in sorted(TABLE6_ALPHA, reverse=True):
         profile = constructed_lm_profile(length)
         parallax = throughput(
-            profile, plan_for("parallax", profile, PARTITIONS),
+            profile, profile_plan(profile, "hybrid", PARTITIONS),
             paper_cluster)
         tf_ps = throughput(
-            profile, plan_for("tf_ps", profile, PARTITIONS), paper_cluster)
+            profile, profile_plan(profile, "ps", PARTITIONS), paper_cluster)
         speedup = parallax / tf_ps
         speedups[length] = speedup
         paper_px, paper_ps = PAPER[length]
@@ -78,16 +79,16 @@ def test_absolute_throughput_rises_with_length(benchmark, paper_cluster):
     absolute words/sec peak at medium-to-long lengths, as in the paper."""
     profile_1 = constructed_lm_profile(1)
     profile_60 = constructed_lm_profile(60)
-    t1 = throughput(profile_1, plan_for("parallax", profile_1, PARTITIONS),
+    t1 = throughput(profile_1, profile_plan(profile_1, "hybrid", PARTITIONS),
                     paper_cluster)
     t60 = throughput(profile_60,
-                     plan_for("parallax", profile_60, PARTITIONS),
+                     profile_plan(profile_60, "hybrid", PARTITIONS),
                      paper_cluster)
     assert t60 > 3 * t1
 
 
 def test_bench_constructed_lm(benchmark, paper_cluster):
     profile = constructed_lm_profile(30)
-    plan = plan_for("parallax", profile, PARTITIONS)
+    plan = profile_plan(profile, "hybrid", PARTITIONS)
     result = benchmark(throughput, profile, plan, paper_cluster)
     assert result > 0

@@ -11,10 +11,11 @@ Usage::
     python examples/async_vs_sync.py
 """
 
+from dataclasses import replace
 
 from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner
-from repro.core.transform.plan import ps_graph_plan
+from repro.core.transform.plan import graph_plan
 from repro.graph import gradients
 from repro.nn.models import build_lm
 from repro.nn.optimizers import GradientDescentOptimizer
@@ -36,10 +37,11 @@ def main():
     trajectories = {}
     for mode, asynchronous in (("sync", False), ("async", True)):
         model = build()
-        plan = ps_graph_plan(model.graph, local_aggregation=not asynchronous,
-                             smart_placement=True,
-                             asynchronous=asynchronous,
-                             name=mode)
+        # OptPS; an asynchronous worker applies its own gradients, so
+        # there is no per-machine aggregate to build.
+        plan = replace(graph_plan(model.graph, "opt_ps"),
+                       local_aggregation=not asynchronous,
+                       asynchronous=asynchronous)
         runner = DistributedRunner(model, CLUSTER, plan, seed=9)
         losses = [runner.step(i).mean_loss for i in range(ITERATIONS)]
         trajectories[mode] = losses
@@ -56,7 +58,7 @@ def main():
     model = build()
     runner = DistributedRunner(
         model, CLUSTER,
-        ps_graph_plan(model.graph, asynchronous=True, name="probe"), seed=9)
+        replace(graph_plan(model.graph, "ps"), asynchronous=True), seed=9)
     result = runner.step(0)
     print(f"async replica losses (computed against evolving variables): "
           f"{['%.4f' % loss for loss in result.replica_losses]}")

@@ -14,11 +14,7 @@ import numpy as np
 
 from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner
-from repro.core.transform.plan import (
-    ar_graph_plan,
-    hybrid_graph_plan,
-    ps_graph_plan,
-)
+from repro.core.transform.plan import graph_plan
 from repro.graph import gradients
 from repro.nn.models import build_resnet
 from repro.nn.optimizers import MomentumOptimizer
@@ -45,12 +41,11 @@ def top1_error(runner, model, iteration):
 
 def main():
     results = {}
-    for arch, plan_fn in (("parallax", hybrid_graph_plan),
-                          ("horovod", ar_graph_plan),
-                          ("tf_ps", lambda g: ps_graph_plan(g))):
+    for key in ("hybrid", "ar", "ps"):
         model = build()
-        runner = DistributedRunner(model, CLUSTER, plan_fn(model.graph),
-                                   seed=3)
+        plan = graph_plan(model.graph, key)
+        arch = plan.name
+        runner = DistributedRunner(model, CLUSTER, plan, seed=3)
         losses = []
         for i in range(ITERATIONS):
             if i == ITERATIONS - 1:

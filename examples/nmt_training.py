@@ -18,11 +18,7 @@ import numpy as np
 
 from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner
-from repro.core.transform.plan import (
-    ar_graph_plan,
-    hybrid_graph_plan,
-    ps_graph_plan,
-)
+from repro.core.transform.plan import graph_plan
 from repro.graph import gradients
 from repro.nn.models import build_nmt
 from repro.nn.optimizers import MomentumOptimizer
@@ -54,19 +50,15 @@ def token_accuracy(runner, model, iteration):
 
 
 def main():
-    plans = {
-        "parallax": hybrid_graph_plan,
-        "tf_ps": lambda g: ps_graph_plan(g),
-        "horovod": ar_graph_plan,
-    }
     trajectories = {}
     per_iter_bytes = {}
     final_accuracy = {}
 
-    for arch, plan_fn in plans.items():
+    for key in ("hybrid", "ps", "ar"):
         model = build()
-        runner = DistributedRunner(model, CLUSTER, plan_fn(model.graph),
-                                   seed=42)
+        plan = graph_plan(model.graph, key)
+        arch = plan.name
+        runner = DistributedRunner(model, CLUSTER, plan, seed=42)
         losses = []
         for i in range(ITERATIONS):
             if i == ITERATIONS - 1:
@@ -86,7 +78,7 @@ def main():
     print("\nall architectures produced identical loss trajectories")
 
     print("\nper-iteration cross-machine bytes:")
-    for arch in plans:
+    for arch in per_iter_bytes:
         marker = " <- hybrid" if arch == "parallax" else ""
         print(f"  {arch:10s} {per_iter_bytes[arch]:>10,}{marker}")
 

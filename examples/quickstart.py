@@ -68,7 +68,7 @@ def main():
     resource_info = {"machines": 2, "gpus_per_machine": 2}
     runner = parallax.auto_parallelize(                        # line 19
         build_model, resource_info,
-        parallax.ParallaxConfig(sample_iterations=2, max_partitions=16),
+        parallax.ParallaxConfig(max_partitions=16),
     )
 
     print(f"replicas: {runner.num_replicas}")

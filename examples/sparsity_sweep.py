@@ -9,10 +9,9 @@ Usage::
     python examples/sparsity_sweep.py
 """
 
-from repro.baselines import tf_ps_plan
+from repro.cluster.plan import ARCHITECTURES, profile_plan
 from repro.cluster.simulator import simulate_iteration
 from repro.cluster.spec import PAPER_CLUSTER
-from repro.core.hybrid import hybrid_plan
 from repro.nn.profiles import TABLE6_ALPHA, constructed_lm_profile
 
 PARTITIONS = 64
@@ -30,19 +29,19 @@ def main():
     for length in sorted(TABLE6_ALPHA, reverse=True):
         profile = constructed_lm_profile(length)
         parallax_tp, px = throughput_of(
-            profile, hybrid_plan(profile, PARTITIONS))
+            profile, profile_plan(profile, "hybrid", PARTITIONS))
         tf_ps_tp, ps = throughput_of(
-            profile, tf_ps_plan(profile, PARTITIONS))
+            profile, profile_plan(profile, "ps", PARTITIONS))
         print(f"{length:>7} {TABLE6_ALPHA[length]:>6.2f} "
               f"{parallax_tp:>11,.0f} {tf_ps_tp:>11,.0f} "
               f"{parallax_tp / tf_ps_tp:>7.2f}x")
 
     print("\niteration breakdown at length=8 (seconds):")
     profile = constructed_lm_profile(8)
-    for name, plan in (("parallax", hybrid_plan(profile, PARTITIONS)),
-                       ("tf_ps", tf_ps_plan(profile, PARTITIONS))):
+    for arch in ("hybrid", "ps"):
+        plan = profile_plan(profile, arch, PARTITIONS)
         b = simulate_iteration(profile, plan, PAPER_CLUSTER)
-        print(f"  {name}: compute={b.compute_time:.3f} "
+        print(f"  {ARCHITECTURES[arch].label}: compute={b.compute_time:.3f} "
               f"collective={b.collective_time:.3f} ps_net={b.ps_time:.3f} "
               f"server_cpu={b.server_cpu_time:.3f} "
               f"stitch={b.stitch_time:.3f} sync={b.sync_overhead_time:.3f} "

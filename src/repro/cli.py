@@ -25,10 +25,9 @@ import json
 import time
 from typing import Callable, Dict
 
-from repro.baselines import horovod_plan, opt_ps_plan, tf_ps_plan
+from repro.cluster.plan import ARCHITECTURES, profile_plan
 from repro.cluster.simulator import throughput
 from repro.cluster.spec import ClusterSpec
-from repro.core.hybrid import hybrid_plan
 from repro.nn.profiles import (
     PAPER_PROFILES,
     TABLE6_ALPHA,
@@ -37,17 +36,6 @@ from repro.nn.profiles import (
 
 # Partition counts the paper uses for the sparse models at 48 GPUs.
 PAPER_PARTITIONS = {"lm": 128, "nmt": 64}
-
-
-def plan_for(kind: str, profile, partitions: int = 1):
-    """The performance-plane plan of one evaluated architecture -- the
-    one table the CLI and the ``benchmarks/`` shape assertions share."""
-    return {
-        "tf_ps": lambda: tf_ps_plan(profile, partitions),
-        "horovod": lambda: horovod_plan(profile),
-        "opt_ps": lambda: opt_ps_plan(profile, partitions),
-        "parallax": lambda: hybrid_plan(profile, partitions),
-    }[kind]()
 
 
 def _fmt(value: float) -> str:
@@ -61,8 +49,8 @@ def table1(cluster: ClusterSpec) -> None:
           f"{'PS':>10}{'AR':>10}")
     for name, profile in PAPER_PROFILES().items():
         p = PAPER_PARTITIONS.get(name, 1)
-        ps = throughput(profile, plan_for("tf_ps", profile, p), cluster)
-        ar = throughput(profile, plan_for("horovod", profile, p), cluster)
+        ps = throughput(profile, profile_plan(profile, "ps", p), cluster)
+        ar = throughput(profile, profile_plan(profile, "ar", p), cluster)
         print(f"{name:<14}{profile.dense_elements / 1e6:>8.1f}M"
               f"{profile.sparse_elements / 1e6:>8.1f}M"
               f"{profile.alpha_model:>7.2f}{_fmt(ps):>10}{_fmt(ar):>10}")
@@ -75,14 +63,14 @@ def table2(cluster: ClusterSpec) -> None:
     for name in ("lm", "nmt"):
         profile = PAPER_PROFILES()[name]
         row = [
-            _fmt(throughput(profile, plan_for("tf_ps", profile, p), cluster))
+            _fmt(throughput(profile, profile_plan(profile, "ps", p), cluster))
             for p in partitions
         ]
         print(f"{name:<8}" + "".join(f"{v:<11}" for v in row))
 
 
 def table4(cluster: ClusterSpec) -> None:
-    archs = ("horovod", "tf_ps", "opt_ps", "parallax")
+    archs = ("ar", "ps", "opt_ps", "hybrid")
     labels = ("AR", "NaivePS", "OptPS", "HYB")
     print("\nTable 4 — architecture ablation")
     print(f"{'model':<8}" + "".join(f"{label:<12}" for label in labels))
@@ -90,7 +78,7 @@ def table4(cluster: ClusterSpec) -> None:
         profile = PAPER_PROFILES()[name]
         p = PAPER_PARTITIONS[name]
         row = [
-            _fmt(throughput(profile, plan_for(a, profile, p), cluster))
+            _fmt(throughput(profile, profile_plan(profile, a, p), cluster))
             for a in archs
         ]
         print(f"{name:<8}" + "".join(f"{v:<12}" for v in row))
@@ -98,12 +86,12 @@ def table4(cluster: ClusterSpec) -> None:
 
 def table6(cluster: ClusterSpec) -> None:
     print("\nTable 6 — sparsity-degree sweep (constructed LM)")
-    print(f"{'length':>7}{'alpha':>7}{'parallax':>12}{'tf_ps':>12}"
-          f"{'speedup':>9}")
+    print(f"{'length':>7}{'alpha':>7}{ARCHITECTURES['hybrid'].label:>12}"
+          f"{ARCHITECTURES['ps'].label:>12}{'speedup':>9}")
     for length in sorted(TABLE6_ALPHA, reverse=True):
         profile = constructed_lm_profile(length)
-        px = throughput(profile, plan_for("parallax", profile, 64), cluster)
-        ps = throughput(profile, plan_for("tf_ps", profile, 64), cluster)
+        px = throughput(profile, profile_plan(profile, "hybrid", 64), cluster)
+        ps = throughput(profile, profile_plan(profile, "ps", 64), cluster)
         print(f"{length:>7}{TABLE6_ALPHA[length]:>7.2f}{_fmt(px):>12}"
               f"{_fmt(ps):>12}{px / ps:>8.2f}x")
 
@@ -113,14 +101,15 @@ def fig8(cluster: ClusterSpec) -> None:
           f"{cluster.gpus_per_machine} GPUs each)")
     for name, profile in PAPER_PROFILES().items():
         p = PAPER_PARTITIONS.get(name, 1)
-        for arch in ("tf_ps", "horovod", "parallax"):
+        for arch in ("ps", "ar", "hybrid"):
             values = [
                 _fmt(throughput(
-                    profile, plan_for(arch, profile, p),
+                    profile, profile_plan(profile, arch, p),
                     ClusterSpec(n, cluster.gpus_per_machine)))
                 for n in (1, 2, 4, 8)
             ]
-            print(f"{name:<14}{arch:<10}" + " / ".join(values))
+            print(f"{name:<14}{ARCHITECTURES[arch].label:<10}"
+                  + " / ".join(values))
 
 
 def fig9(cluster: ClusterSpec) -> None:
@@ -131,9 +120,9 @@ def fig9(cluster: ClusterSpec) -> None:
         row = [machines * cluster.gpus_per_machine]
         for name, profile in profiles.items():
             p = PAPER_PARTITIONS.get(name, 1)
-            base = throughput(profile, plan_for("parallax", profile, p),
+            base = throughput(profile, profile_plan(profile, "hybrid", p),
                               ClusterSpec(1, 1))
-            t = throughput(profile, plan_for("parallax", profile, p),
+            t = throughput(profile, profile_plan(profile, "hybrid", p),
                            ClusterSpec(machines, cluster.gpus_per_machine))
             row.append(f"{t / base:.1f}x")
         print(f"{row[0]:<6}" + "".join(f"{v:<14}" for v in row[1:]))
@@ -188,16 +177,12 @@ def _matrix_models():
 
 
 def _matrix_plans():
-    from repro.core.transform.plan import (
-        ar_graph_plan,
-        hybrid_graph_plan,
-        ps_graph_plan,
-    )
+    from repro.core.transform.plan import graph_plan
 
     return {
-        "hybrid": lambda g: hybrid_graph_plan(g, fusion=True),
-        "ps": lambda g: ps_graph_plan(g),
-        "ar": lambda g: ar_graph_plan(g),
+        "hybrid": lambda g: graph_plan(g, "hybrid", fusion=True),
+        "ps": lambda g: graph_plan(g, "ps"),
+        "ar": lambda g: graph_plan(g, "ar"),
     }
 
 

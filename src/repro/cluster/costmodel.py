@@ -165,10 +165,10 @@ def union_alpha(alpha: float, k: int, zipf_overlap: float) -> float:
 def fit_transport_constants(samples, base: "CostModel" = None) -> "CostModel":
     """Calibrate ``c_serialize`` / ``shm_bw`` / ``tcp_bw`` from telemetry.
 
-    *samples* is an iterable of per-step counter dicts as produced by the
-    multiprocess backend's ``transport/step`` transcript notes (and
-    accumulated in ``MultiprocBackend.serialization_totals``): the keys
-    used are ``pickle_bytes`` / ``serialize_s`` for the pickle path,
+    *samples* is an iterable of counter dicts, such as
+    ``MultiprocBackend.serialization_totals`` or the
+    :func:`~repro.comm.transport.counter_delta` of two reads of it
+    around a step.  The keys used are ``pickle_bytes`` / ``serialize_s`` for the pickle path,
     ``shm_bytes`` / ``deserialize_s`` + ``serialize_s`` for the ring
     path, and the bulk (non-pickle) share of ``wire_bytes`` for the TCP
     frame path.  On the TCP transport every frame counts ``wire_bytes``

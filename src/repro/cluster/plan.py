@@ -1,23 +1,27 @@
-"""Synchronization plans: which method synchronizes which variable.
+"""Synchronization architectures and the simulator's plans.
 
-A :class:`SyncPlan` is the shared contract between the strategy layer
-(baselines and Parallax's hybrid assignment) and the two execution planes:
-the functional engine transforms the graph according to it, and the
-performance simulator prices it.  It captures the paper's design space:
+:data:`ARCHITECTURES` is the paper's Table 4 design space, one entry per
+architecture: the method for sparse variables, the method for dense
+ones, and whether OptPS's local aggregation and smart placement are on
+(sections 3.1 and 6.4).  Both planes build their plans from it: the
+performance simulator prices a :class:`SyncPlan` from
+:func:`profile_plan`, and the functional engine transforms a graph
+under the ``GraphSyncPlan`` of
+:func:`repro.core.transform.plan.graph_plan`.  Ablations and async SGD
+change a built plan's flags with :func:`dataclasses.replace`.
 
-* per-variable method -- AllReduce, AllGatherv, or PS;
-* per-variable partition count for PS-managed sparse variables;
-* the OptPS optimizations: local (per-machine) gradient aggregation and
-  smart placement of aggregation/update ops on the variable's server.
+A :class:`SyncPlan` adds what only the simulator prices: per-variable
+partition counts for PS-managed sparse variables, and the dense
+AllReduce fusion-bucket cap.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from repro.nn.profiles import VariableProfile
+from repro.nn.profiles import ModelProfile, VariableProfile
 
 
 class SyncMethod(enum.Enum):
@@ -26,6 +30,42 @@ class SyncMethod(enum.Enum):
     ALLREDUCE = "allreduce"    # dense collective (NCCL-style ring)
     ALLGATHERV = "allgatherv"  # sparse collective (MPI-style ring)
     PS = "ps"                  # parameter server push/pull
+
+
+@dataclass(frozen=True)
+class Architecture:
+    """One synchronization architecture of the paper's Table 4."""
+
+    label: str             # the system's name in the paper's tables
+    sparse: SyncMethod     # method for IndexedSlices-gradient variables
+    dense: SyncMethod      # method for dense-gradient variables
+    optimized: bool        # OptPS: local aggregation + smart placement
+    # Section 3.1's refinement: a sparse variable whose alpha is near 1
+    # moves almost its full size anyway, so it is synchronized the dense
+    # way ("it may be helpful to handle the variable as a dense variable
+    # and use AllReduce").
+    near_dense_as_dense: bool = False
+
+
+ARCHITECTURES: Dict[str, Architecture] = {
+    # Parallax: sparse -> PS, dense -> AllReduce, OptPS optimizations on.
+    "hybrid": Architecture("parallax", SyncMethod.PS, SyncMethod.ALLREDUCE,
+                           True, near_dense_as_dense=True),
+    # TensorFlow 1.6's SyncReplicasOptimizer ("TF-PS"): everything on
+    # servers, every worker pushes its own gradient, default placement.
+    "ps": Architecture("tf_ps", SyncMethod.PS, SyncMethod.PS, False),
+    # The same placement with local aggregation and smart placement.
+    "opt_ps": Architecture("opt_ps", SyncMethod.PS, SyncMethod.PS, True),
+    # Horovod 0.11.2: NCCL ring AllReduce for dense gradients, the MPI
+    # AllGatherv fallback for IndexedSlices (paper Table 3).
+    "ar": Architecture("horovod", SyncMethod.ALLGATHERV,
+                       SyncMethod.ALLREDUCE, False),
+}
+
+# Above this alpha a near-dense sparse variable is synchronized as dense.
+# The paper states the principle without a number; the ablation bench
+# (benchmarks/test_ablations.py) sweeps it.
+DEFAULT_SPARSE_AS_DENSE_THRESHOLD = 0.95
 
 
 def fusion_buckets(sizes_bytes: List[float],
@@ -88,7 +128,6 @@ class SyncPlan:
     assignments: List[VariableAssignment]
     local_aggregation: bool = False
     smart_placement: bool = False
-    average_gradients: bool = True
     # Dense AllReduce fusion-bucket cap for the performance plane:
     #   None -> legacy aggregate pricing (one ring over all dense bytes,
     #           no per-collective launch cost, no AR/compute overlap);
@@ -116,10 +155,6 @@ class SyncPlan:
     def gatherv_assignments(self) -> List[VariableAssignment]:
         return self.by_method(SyncMethod.ALLGATHERV)
 
-    def with_fusion(self, fusion_buffer_mb: Optional[float]) -> "SyncPlan":
-        """Same plan under a different fusion-bucket cap (ablations)."""
-        return replace(self, fusion_buffer_mb=fusion_buffer_mb)
-
     def allreduce_buckets(self) -> List[float]:
         """Per-bucket payload bytes for bucketed AR pricing.
 
@@ -136,35 +171,33 @@ class SyncPlan:
         return [sum(sizes[i] for i in bucket)
                 for bucket in fusion_buckets(sizes, cap * 1024 * 1024)]
 
-    def with_partitions(self, num_partitions: int) -> "SyncPlan":
-        """Same plan with every PS *sparse* variable re-partitioned.
 
-        Mirrors the paper's ``partitioner`` scope: one partition count is
-        searched for all variables in the partitioner context.
-        """
-        updated = []
-        for a in self.assignments:
-            if a.method is SyncMethod.PS and a.variable.is_sparse:
-                bounded = num_partitions
-                if a.variable.rows is not None:
-                    bounded = min(bounded, a.variable.rows)
-                updated.append(replace(a, num_partitions=bounded))
-            else:
-                updated.append(a)
-        return replace(self, assignments=updated)
+def profile_plan(
+    profile: ModelProfile,
+    architecture: str,
+    num_partitions: int = 1,
+    sparse_as_dense_threshold: float = DEFAULT_SPARSE_AS_DENSE_THRESHOLD,
+) -> SyncPlan:
+    """The simulator's plan of *architecture* (an :data:`ARCHITECTURES`
+    key) for *profile*.
 
-    def max_partitions(self) -> int:
-        return max((a.num_partitions for a in self.assignments), default=1)
-
-    def describe(self) -> str:
-        lines = [f"SyncPlan {self.name!r} (local_agg={self.local_aggregation}, "
-                 f"smart_placement={self.smart_placement})"]
-        for a in self.assignments:
-            extra = (f" P={a.num_partitions}"
-                     if a.num_partitions > 1 else "")
-            lines.append(
-                f"  {a.variable.name}: {a.method.value}{extra} "
-                f"({a.variable.num_elements:,} elems"
-                f"{', sparse' if a.variable.is_sparse else ''})"
-            )
-        return "\n".join(lines)
+    PS-managed sparse variables are split into *num_partitions* (bounded
+    by their rows); under an architecture with the near-1 refinement, a
+    sparse variable whose alpha reaches *sparse_as_dense_threshold* takes
+    the dense method.
+    """
+    arch = ARCHITECTURES[architecture]
+    assignments = []
+    for v in profile.variables:
+        sparse = v.is_sparse and not (arch.near_dense_as_dense
+                                      and v.alpha >= sparse_as_dense_threshold)
+        method = arch.sparse if sparse else arch.dense
+        partitions = (min(num_partitions, v.rows)
+                      if sparse and method is SyncMethod.PS else 1)
+        assignments.append(VariableAssignment(v, method, partitions))
+    return SyncPlan(
+        name=f"{arch.label}({profile.name})",
+        assignments=assignments,
+        local_aggregation=arch.optimized,
+        smart_placement=arch.optimized,
+    )

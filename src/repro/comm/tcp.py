@@ -56,8 +56,7 @@ Counter accounting: every frame adds its payload to ``wire_bytes`` /
 ``wire_msgs`` (physical socket traffic, what ``tcp_bw`` in the cost
 model prices); pickle-path frames *also* count ``pickle_bytes``
 / ``pickle_msgs`` (serialization cost), and ``copy_count`` counts only
-the C-order copies of non-contiguous bulk arrays.  Transcript records
-use payload bytes, same as the other planes.
+the C-order copies of non-contiguous bulk arrays.
 """
 
 from __future__ import annotations
@@ -344,7 +343,7 @@ class TcpTransport(Transport):
 
     # -- encode / decode -------------------------------------------------
     def _encode(self, src: int, dst: int, key: Tuple, value):
-        """``((header+meta, payload_chunks), payload_len)``, counted."""
+        """``(header+meta, payload_chunks)``, counted."""
         t0 = time.perf_counter()
         c = self.counters
         parts = wire_parts(value)
@@ -374,7 +373,7 @@ class TcpTransport(Transport):
         c["wire_msgs"] += 1
         c["serialize_s"] += time.perf_counter() - t0
         header = _HEADER.pack(len(meta_bytes), payload_len)
-        return (header + meta_bytes, chunks), payload_len
+        return header + meta_bytes, chunks
 
     def _decode(self, meta, payload):
         """``(src, key, value)`` from one frame's meta + payload."""

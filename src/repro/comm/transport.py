@@ -11,9 +11,9 @@ the transport move the bytes.
 One plane, two parts
 --------------------
 * :class:`Transport` is the whole send/receive contract, concrete on the
-  base class: closed and rank checks, transcript recording and the cost
-  counters on ``send``; ``recv`` and ``drain`` hand straight to the
-  destination's :class:`Mailbox`.
+  base class: closed and rank checks and the cost counters on ``send``;
+  ``recv`` and ``drain`` hand straight to the destination's
+  :class:`Mailbox`.
 * :class:`Mailbox` -- one per destination endpoint -- is the only place
   that knows how a rank *waits* for a message: the ``(src, key)`` boxes
   of buffered arrivals, the single-deadline wait (the timeout contract
@@ -48,14 +48,13 @@ deterministic, seeded per-message delay schedule -- wall-clock changes,
 values and ordering do not, so the differential/bit-identity suites
 stay exact under injected latency.
 
-Every plane records every send into a
-:class:`~repro.comm.transcript.Transcript` (tag ``transport/<kind>``),
-the same recording plane the logical byte accounting uses -- so the
-physical message flow of a run is inspectable with the familiar
-filter/aggregate helpers.  The physical plane is kept in a
-transport-owned transcript, separate from the runner's logical one:
-paper-facing byte accounting (Table 3 closed forms) must not change when
-the same graph executes on a different backend.
+Every endpoint counts what it sends in its ``counters`` -- payload
+bytes and messages per path (pickle, shared-memory ring, raw socket
+frame), bulk copies, ring fallbacks and serialize/deserialize time.
+These physical counters stay apart from the runner's logical
+:class:`~repro.comm.transcript.Transcript`: paper-facing byte accounting
+(Table 3 closed forms) must not change when the same graph executes on a
+different backend.
 
 Ranks ``0..n-1`` are worker replicas; rank :data:`CONTROLLER` (-1) is
 the driving process.
@@ -68,8 +67,6 @@ import queue as queue_mod
 import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
-
-from repro.comm.transcript import Transcript
 
 # The driving (parent) process' rank.
 CONTROLLER = -1
@@ -253,7 +250,6 @@ class Transport:
         if num_workers < 1:
             raise ValueError("transport needs at least one worker rank")
         self.num_workers = num_workers
-        self.transcript = Transcript()
         # Per-endpoint serialization cost counters.  After a fork each
         # process accumulates its own copy; the multiprocess backend
         # ships worker deltas back with every step result so the
@@ -268,9 +264,7 @@ class Transport:
             raise TransportError("transport is closed")
         self._check_rank(src, "source")
         self._check_rank(dst, "destination")
-        frame, nbytes = self._encode(src, dst, key, value)
-        self._record(src, dst, key, nbytes)
-        self._put(src, dst, key, frame)
+        self._put(src, dst, key, self._encode(src, dst, key, value))
 
     def recv(self, dst: int, src: int, key: Tuple,
              timeout: Optional[float] = None):
@@ -295,8 +289,8 @@ class Transport:
 
     # -- framing back-end ------------------------------------------------
     def _encode(self, src: int, dst: int, key: Tuple, value):
-        """``(frame, nbytes)``: *value* frozen as of now, plus the
-        payload size to record.  Counts its own serialization cost."""
+        """The frame of *value*, frozen as of now.  Counts its own
+        serialization cost."""
         raise NotImplementedError
 
     def _put(self, src: int, dst: int, key: Tuple, frame) -> None:
@@ -322,26 +316,6 @@ class Transport:
         """Dense endpoint index: workers keep their rank, the
         controller gets the slot past the last worker."""
         return self.num_workers if rank == CONTROLLER else rank
-
-    def _record(self, src: int, dst: int, key: Tuple, nbytes: int) -> None:
-        # The endpoint slot doubles as the synthetic "machine" of the
-        # transcript's (src, dst) pair.
-        kind = key[0] if key else "msg"
-        self.transcript.record(
-            tag=f"transport/{kind}",
-            src_machine=self._slot(src),
-            dst_machine=self._slot(dst),
-            nbytes=nbytes,
-        )
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Physical message/byte totals recorded by this endpoint."""
-        transfers = self.transcript.filter(network_only=False)
-        return {
-            "messages": len(transfers),
-            "bytes": int(sum(t.nbytes for t in transfers)),
-        }
 
 
 class QueueFraming:
@@ -402,8 +376,7 @@ class _QueueTransport(Transport):
         self._mailboxes = self._queues.mailboxes(self._decode)
 
     def _encode(self, src: int, dst: int, key: Tuple, value):
-        frozen = self._queues.freeze(value)
-        return frozen, len(frozen)
+        return self._queues.freeze(value)
 
     def _put(self, src: int, dst: int, key: Tuple, frame) -> None:
         self._queues.inboxes[self._slot(dst)].put((src, key, frame))
@@ -466,9 +439,9 @@ class ShmTransport(Transport):
       dominate),
     * larger than half the ring, or the ring is momentarily full.
 
-    Byte accounting stays deterministic: shm messages record the exact
+    Byte accounting stays deterministic: shm messages count the exact
     payload ``nbytes`` (dtype x shape), pickle messages the frozen
-    length, so the transcript plane is a pure function of the traffic.
+    length, so the counters are a pure function of the traffic.
     """
 
     name = "shm"
@@ -512,10 +485,9 @@ class ShmTransport(Transport):
                     header = ("shm", pos, advance, seq, kind, extra,
                               tuple((a.dtype.str, a.shape, off)
                                     for a, off in zip(arrays, offs)))
-                    return header, nbytes
+                    return header
                 self.counters["fallbacks"] += 1
-        frozen = self._queues.freeze(value)
-        return frozen, len(frozen)
+        return self._queues.freeze(value)
 
     def _put(self, src: int, dst: int, key: Tuple, frame) -> None:
         self._queues.inboxes[self._slot(dst)].put((src, key, frame))
@@ -563,7 +535,7 @@ class SimulatedLatencyTransport:
     delegates to the wrapped transport.  Per-channel FIFO order is
     preserved (the delay happens before enqueue, in send order), values
     are untouched, and every other attribute (``recv``, ``counters``,
-    ``transcript``, ``close``, ...) proxies straight through.  Wall
+    ``close``, ...) proxies straight through.  Wall
     clock changes; bits do not -- which is what lets the differential
     and bit-identity suites run under injected latency and stay exact.
     """

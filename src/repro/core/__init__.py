@@ -1,8 +1,5 @@
 """Parallax core: the paper's primary contribution.
 
-* :mod:`repro.core.hybrid` -- sparsity-aware hybrid architecture
-  assignment over model profiles (PS for sparse variables, AllReduce for
-  dense; section 3.1).
 * :mod:`repro.core.partitioner` -- cost-model-driven search for the
   number of sparse-variable partitions (section 3.2, Equation 1).
 * :mod:`repro.core.transform` -- automatic graph transformation from a
@@ -12,7 +9,6 @@
 * :mod:`repro.core.runner` -- the functional distributed execution engine.
 """
 
-from repro.core.hybrid import hybrid_plan, parallax_plan
 from repro.core.partitioner import (
     PartitionCostModel,
     PartitionSearch,
@@ -44,13 +40,11 @@ from repro.core.transform import (
 )
 from repro.core.transform.plan import (
     ar_graph_plan,
+    graph_plan,
     hybrid_graph_plan,
-    ps_graph_plan,
 )
 
 __all__ = [
-    "hybrid_plan",
-    "parallax_plan",
     "PartitionCostModel",
     "PartitionSearch",
     "SearchResult",
@@ -74,6 +68,6 @@ __all__ = [
     "transform_graph",
     "TransformedGraph",
     "ar_graph_plan",
+    "graph_plan",
     "hybrid_graph_plan",
-    "ps_graph_plan",
 ]

@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 
 from repro.cluster.faults import FaultPlan
+from repro.cluster.plan import ARCHITECTURES, SyncMethod
 from repro.cluster.spec import ClusterSpec
 from repro.core.config import (
     CommConfig,
@@ -38,6 +39,11 @@ __all__ = ["shard", "partitioner", "auto_parallelize", "Runner",
            "ParallaxConfig", "CommConfig", "ElasticConfig", "ServeConfig",
            "get_runner", "make_server", "ElasticRunner",
            "FaultPlan"]
+
+# Iterations the Equation-1 search times per sampled partition count,
+# after discarding the warmup ones.
+SAMPLE_ITERATIONS = 2
+SAMPLE_WARMUP = 1
 
 
 def shard(dataset: Dataset) -> Dataset:
@@ -198,9 +204,10 @@ def _build_distributed(
 
     # Sparse-as-dense refinement from measured alpha (section 3.1).
     sparse_as_dense: Dict[str, bool] = {}
+    architecture = ARCHITECTURES[cfg.architecture]
     if (cfg.alpha_measure_batches > 0
             and cfg.sparse_as_dense_threshold <= 1.0
-            and cfg.architecture == "hybrid"):
+            and architecture.near_dense_as_dense):
         alphas = measure_alpha(probe, cfg.alpha_measure_batches,
                                seed=cfg.seed)
         sparse_as_dense = {
@@ -234,7 +241,7 @@ def _build_distributed(
     search_result: Optional[SearchResult] = None
     best_partitions = initial
     max_partitions = _partition_bounds(probe, cfg)
-    uses_ps = cfg.architecture in ("hybrid", "ps", "opt_ps")
+    uses_ps = architecture.sparse is SyncMethod.PS
     if cfg.search_partitions and uses_ps and max_partitions > 1:
 
         def measure(num_partitions: int) -> float:
@@ -245,9 +252,9 @@ def _build_distributed(
             # same CompiledPlan; the measurement sees steady-state
             # execution, not per-iteration graph interpretation.
             runner = DistributedRunner(model, cluster, plan, seed=cfg.seed)
-            total = cfg.sample_warmup + cfg.sample_iterations
+            total = SAMPLE_WARMUP + SAMPLE_ITERATIONS
             times = [runner.step(i).wall_time for i in range(total)]
-            return float(np.mean(times[cfg.sample_warmup:]))
+            return float(np.mean(times[SAMPLE_WARMUP:]))
 
         search = PartitionSearch(measure, initial=initial,
                                  max_partitions=max_partitions)

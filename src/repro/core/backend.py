@@ -481,8 +481,8 @@ class MultiprocBackend(ExecutionBackend):
         self.processes: list = []
         self._var_owner: Dict[str, int] = {}
         # Serialization-cost totals across every step this backend ran
-        # (controller + worker endpoints); per-step values also land as
-        # ``transport/step`` Notes on the transport transcript.
+        # (controller + worker endpoints); a step's share is the
+        # difference of two reads around it.
         self.serialization_totals: Dict[str, float] = {}
 
     def fresh(self) -> "MultiprocBackend":
@@ -667,9 +667,6 @@ class MultiprocBackend(ExecutionBackend):
         merge_counters(step_counters,
                        counter_delta(self.transport.counters,
                                      controller_before))
-        self.transport.transcript.note(
-            tag="transport/step", iteration=iteration, **step_counters
-        )
         merge_counters(self.serialization_totals, step_counters)
         return [losses_by_name[t.op.name]
                 for t in runner.transformed.replica_losses]

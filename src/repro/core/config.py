@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.cluster.faults import FaultPlan
+from repro.cluster.plan import ARCHITECTURES, DEFAULT_SPARSE_AS_DENSE_THRESHOLD
 
 __all__ = [
     "CommConfig",
@@ -143,20 +144,21 @@ class ParallaxConfig:
     * ``serve`` -- :class:`ServeConfig` (request batching).
 
     Top-level attributes:
-        architecture: "hybrid" (Parallax), "ps", "opt_ps", or "ar" --
-            mostly for ablations; the paper's Parallax is "hybrid".
+        architecture: a key of
+            :data:`repro.cluster.plan.ARCHITECTURES` -- "hybrid"
+            (Parallax), "ps", "opt_ps", or "ar"; all but "hybrid" are
+            for ablations.
             Section 4.1's other optimizations are fixed: "hybrid" always
             aggregates locally and places aggregation/update ops on the
             variable's server ("ps" and "opt_ps" are the ablations
             without and with both), and every architecture averages
             gradients.
         search_partitions: run the Equation-1 partition search.
-        sample_iterations / sample_warmup: iterations measured (after
-            discarding warmup) per sampled partition count.
         max_partitions: upper bound for the search.
         sparse_as_dense_threshold: sparse variables whose *measured*
             alpha reaches this are synchronized as dense via AllReduce
-            (section 3.1's near-1 refinement).  Set > 1 to disable.
+            (section 3.1's near-1 refinement; only "hybrid" applies
+            it).  Set > 1 to disable.
         alpha_measure_batches: batches used to measure per-variable alpha
             (0 disables measurement and the threshold rule).
         verify_plans: run the static plan verifier on the transformed
@@ -166,10 +168,8 @@ class ParallaxConfig:
 
     architecture: str = "hybrid"
     search_partitions: bool = True
-    sample_iterations: int = 2
-    sample_warmup: int = 1
     max_partitions: int = 512
-    sparse_as_dense_threshold: float = 0.95
+    sparse_as_dense_threshold: float = DEFAULT_SPARSE_AS_DENSE_THRESHOLD
     alpha_measure_batches: int = 2
     verify_plans: bool = False
     seed: int = 0
@@ -184,15 +184,11 @@ class ParallaxConfig:
                 raise TypeError(
                     f"{group}= expects {expected.__name__}, got {value!r}"
                 )
-        if self.architecture not in ("hybrid", "ps", "opt_ps", "ar"):
+        if self.architecture not in ARCHITECTURES:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; expected "
-                "hybrid, ps, opt_ps, or ar"
+                f"one of {', '.join(ARCHITECTURES)}"
             )
-        if self.sample_iterations < 1:
-            raise ValueError("sample_iterations must be >= 1")
-        if self.sample_warmup < 0:
-            raise ValueError("sample_warmup must be >= 0")
         if self.max_partitions < 1:
             raise ValueError("max_partitions must be >= 1")
         if self.alpha_measure_batches < 0:
@@ -212,29 +208,14 @@ def graph_plan_builder(
     to :class:`~repro.core.elastic.ElasticRunner` so rescales rebuild
     congruent plans.
     """
-    from repro.core.transform.plan import (
-        ar_graph_plan,
-        hybrid_graph_plan,
-        ps_graph_plan,
-    )
+    from repro.core.transform.plan import graph_plan
 
     def build(graph):
-        comm = config.comm
-        if config.architecture == "hybrid":
-            overrides = overrides_for(graph) if overrides_for else {}
-            return hybrid_graph_plan(
-                graph,
-                sparse_as_dense=overrides,
-                fusion=comm.fusion,
-                fusion_buffer_mb=comm.fusion_buffer_mb,
-            )
-        if config.architecture == "ps":
-            return ps_graph_plan(graph, local_aggregation=False,
-                                 smart_placement=False)
-        if config.architecture == "opt_ps":
-            return ps_graph_plan(graph, local_aggregation=True,
-                                 smart_placement=True, name="opt_ps")
-        return ar_graph_plan(graph, fusion=comm.fusion,
-                             fusion_buffer_mb=comm.fusion_buffer_mb)
+        return graph_plan(
+            graph, config.architecture,
+            sparse_as_dense=overrides_for(graph) if overrides_for else None,
+            fusion=config.comm.fusion,
+            fusion_buffer_mb=config.comm.fusion_buffer_mb,
+        )
 
     return build

@@ -2,17 +2,19 @@
 
 The performance plane plans over :class:`~repro.nn.profiles.ModelProfile`
 inventories; the functional plane plans over the variables of an actual
-graph.  This module provides the graph-side plan plus the classification
-step Parallax performs after autodiff: a variable is *sparse* iff its
-gradient tensor is IndexedSlices-typed (paper section 5).
+graph.  Both read the one architecture table,
+:data:`repro.cluster.plan.ARCHITECTURES`.  This module provides the
+graph-side plan plus the classification step Parallax performs after
+autodiff: a variable is *sparse* iff its gradient tensor is
+IndexedSlices-typed (paper section 5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
-from repro.cluster.plan import SyncMethod
+from repro.cluster.plan import ARCHITECTURES, SyncMethod
 from repro.graph.gradients import grad_tensor_is_sparse
 from repro.graph.graph import Graph
 
@@ -86,48 +88,35 @@ class GraphSyncPlan:
         return [v for v, m in self.methods.items() if m is SyncMethod.PS]
 
 
-def hybrid_graph_plan(graph: Graph, local_aggregation: bool = True,
-                      smart_placement: bool = True,
-                      sparse_as_dense: Dict[str, bool] = None,
-                      fusion: bool = False,
-                      fusion_buffer_mb: float = 4.0) -> GraphSyncPlan:
-    """Parallax's rule: sparse -> PS, dense -> AllReduce (section 3.1).
+def graph_plan(graph: Graph, architecture: str,
+               sparse_as_dense: Optional[Dict[str, bool]] = None,
+               fusion: bool = False,
+               fusion_buffer_mb: float = 4.0) -> GraphSyncPlan:
+    """The engine's plan of *architecture* (an
+    :data:`~repro.cluster.plan.ARCHITECTURES` key) for *graph*.
 
-    ``sparse_as_dense`` optionally names sparse variables whose measured
-    alpha is near 1 and which should be AllReduced despite their sparse
-    gradient type (the section 3.1 refinement).  ``fusion`` packs the
-    AllReduce variables into ``fusion_buffer_mb``-capped buckets.
+    ``sparse_as_dense`` names sparse variables whose measured alpha is
+    near 1; an architecture with the section 3.1 refinement gives them
+    the dense method despite their sparse gradient type.  ``fusion``
+    packs the AllReduce variables into ``fusion_buffer_mb``-capped
+    buckets.
     """
-    overrides = sparse_as_dense or {}
-    methods = {}
-    for name, sparse in classify_variables(graph).items():
-        if sparse and not overrides.get(name, False):
-            methods[name] = SyncMethod.PS
-        else:
-            methods[name] = SyncMethod.ALLREDUCE
-    return GraphSyncPlan("parallax", methods, local_aggregation,
-                         smart_placement, fusion=fusion,
-                         fusion_buffer_mb=fusion_buffer_mb)
-
-
-def ps_graph_plan(graph: Graph, local_aggregation: bool = False,
-                  smart_placement: bool = False,
-                  asynchronous: bool = False,
-                  name: str = "ps") -> GraphSyncPlan:
-    """Everything on parameter servers (TF-PS when both flags are off,
-    OptPS when both are on; ``asynchronous=True`` for async SGD)."""
-    methods = {name_: SyncMethod.PS for name_ in classify_variables(graph)}
-    return GraphSyncPlan(name, methods, local_aggregation, smart_placement,
-                         asynchronous)
-
-
-def ar_graph_plan(graph: Graph, fusion: bool = False,
-                  fusion_buffer_mb: float = 4.0) -> GraphSyncPlan:
-    """Pure collective plan (Horovod): AllReduce dense, AllGatherv sparse."""
+    arch = ARCHITECTURES[architecture]
+    overrides = (sparse_as_dense or {}) if arch.near_dense_as_dense else {}
     methods = {
-        name: SyncMethod.ALLGATHERV if sparse else SyncMethod.ALLREDUCE
+        name: (arch.sparse if sparse and not overrides.get(name, False)
+               else arch.dense)
         for name, sparse in classify_variables(graph).items()
     }
-    return GraphSyncPlan("horovod", methods, local_aggregation=False,
-                         smart_placement=False, fusion=fusion,
-                         fusion_buffer_mb=fusion_buffer_mb)
+    return GraphSyncPlan(arch.label, methods, arch.optimized, arch.optimized,
+                         fusion=fusion, fusion_buffer_mb=fusion_buffer_mb)
+
+
+def hybrid_graph_plan(graph: Graph, **kw) -> GraphSyncPlan:
+    """Parallax's rule: sparse -> PS, dense -> AllReduce (section 3.1)."""
+    return graph_plan(graph, "hybrid", **kw)
+
+
+def ar_graph_plan(graph: Graph, **kw) -> GraphSyncPlan:
+    """Pure collective plan (Horovod): AllReduce dense, AllGatherv sparse."""
+    return graph_plan(graph, "ar", **kw)

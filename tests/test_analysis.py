@@ -241,10 +241,10 @@ class TestDeadlockMutations:
         assert findings == [] and stats["early_recvs"] == 1
 
     def test_async_plans_pass_vacuously(self):
-        from repro.core.transform.plan import ps_graph_plan
+        from repro.core.transform.plan import graph_plan
 
         transformed, fetch_ops = make_transformed(
-            lambda g: ps_graph_plan(g, asynchronous=True), cluster=C2x1)
+            lambda g: dataclasses.replace(graph_plan(g, "ps"), asynchronous=True), cluster=C2x1)
         findings, stats = analyze_deadlock(transformed, fetch_ops)
         assert findings == []
         assert stats["skipped"] == "asynchronous plan"

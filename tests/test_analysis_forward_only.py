@@ -15,8 +15,8 @@ from repro.analysis.verifier import default_fetch_ops
 from repro.cluster.spec import ClusterSpec
 from repro.core.transform.plan import (
     ar_graph_plan,
+    graph_plan,
     hybrid_graph_plan,
-    ps_graph_plan,
 )
 from repro.core.transform.transform import transform_graph
 from repro.graph.executor import CompiledPlan, plan_order
@@ -28,7 +28,7 @@ C2x2 = ClusterSpec(num_machines=2, gpus_per_machine=2)
 
 PLAN_BUILDERS = {
     "hybrid": lambda g: hybrid_graph_plan(g, fusion=True),
-    "ps": lambda g: ps_graph_plan(g, True, True, name="opt_ps"),
+    "ps": lambda g: graph_plan(g, "opt_ps"),
     "ar": ar_graph_plan,
 }
 

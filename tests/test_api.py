@@ -124,10 +124,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ParallaxConfig(architecture="magic")
 
-    def test_bad_sampling_rejected(self):
-        with pytest.raises(ValueError):
-            ParallaxConfig(sample_iterations=0)
-
 
 class TestResolveCluster:
     def test_passthrough(self):
@@ -212,8 +208,7 @@ class TestGetRunner:
         assert losses[-1] < losses[0] + 0.05  # not diverging
 
     def test_partition_search_executes(self):
-        cfg = ParallaxConfig(sample_iterations=1, sample_warmup=0,
-                             max_partitions=8)
+        cfg = ParallaxConfig(max_partitions=8)
         runner = get_runner(lm_builder(), SMALL, cfg)
         assert runner.partition_search is not None
         assert runner.partition_search.num_samples >= 2
@@ -272,10 +267,6 @@ class TestGetRunner:
 class TestConfigValidation:
     """Every ParallaxConfig knob rejects out-of-range values eagerly."""
 
-    def test_negative_sample_warmup_rejected(self):
-        with pytest.raises(ValueError, match="sample_warmup"):
-            ParallaxConfig(sample_warmup=-1)
-
     def test_nonpositive_max_partitions_rejected(self):
         with pytest.raises(ValueError, match="max_partitions"):
             ParallaxConfig(max_partitions=0)
@@ -291,15 +282,9 @@ class TestConfigValidation:
             CommConfig(fusion_buffer_mb=-4.0)
 
     def test_boundary_values_accepted(self):
-        ParallaxConfig(sample_warmup=0, max_partitions=1,
+        ParallaxConfig(max_partitions=1,
                        alpha_measure_batches=0,
                        comm=CommConfig(fusion_buffer_mb=0.5))
-
-    def test_nonpositive_sample_iterations_rejected(self):
-        with pytest.raises(ValueError, match="sample_iterations"):
-            ParallaxConfig(sample_iterations=0)
-        with pytest.raises(ValueError, match="sample_iterations"):
-            ParallaxConfig(sample_iterations=-3)
 
     def test_unknown_architecture_message_lists_options(self):
         with pytest.raises(ValueError) as err:

@@ -6,6 +6,8 @@ aggregated gradients "to compute a global norm of gradients for
 clipping".
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import (
     GraphSyncPlan,
+    graph_plan,
     hybrid_graph_plan,
-    ps_graph_plan,
 )
 from repro.graph import Graph, Session, gradients, ops
 from repro.graph.variables import Variable
@@ -50,14 +52,14 @@ class TestAsyncPlanValidation:
 
     def test_async_ps_plan_builds(self):
         model = lm_model()
-        plan = ps_graph_plan(model.graph, asynchronous=True)
+        plan = replace(graph_plan(model.graph, "ps"), asynchronous=True)
         assert plan.asynchronous
 
 
 class TestAsyncTraining:
     def make_runner(self, **kwargs):
         model = lm_model(**kwargs)
-        plan = ps_graph_plan(model.graph, asynchronous=True)
+        plan = replace(graph_plan(model.graph, "ps"), asynchronous=True)
         return DistributedRunner(model, CLUSTER, plan, seed=7)
 
     def test_per_replica_train_ops_exist(self):
@@ -92,7 +94,7 @@ class TestAsyncTraining:
         async_runner = self.make_runner()
         sync_model = lm_model()
         sync_runner = DistributedRunner(
-            sync_model, CLUSTER, ps_graph_plan(sync_model.graph), seed=7)
+            sync_model, CLUSTER, graph_plan(sync_model.graph, "ps"), seed=7)
         async_losses = [async_runner.step(i).mean_loss for i in range(4)]
         sync_losses = [sync_runner.step(i).mean_loss for i in range(4)]
         # Iteration 0 replica 0 is identical; later ones are not.

@@ -9,6 +9,7 @@ the arch x plan x transport bit-identity matrix.
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.comm.transport import (
     MultiprocTransport,
     TransportError,
     TransportTimeout,
+    counter_delta,
 )
 from repro.core.backend import (
     BACKENDS,
@@ -38,8 +40,8 @@ from repro.core.runner import DistributedRunner
 from repro.core.transform.comm_ops import COLLECTIVE_OP_TYPES
 from repro.core.transform.plan import (
     ar_graph_plan,
+    graph_plan,
     hybrid_graph_plan,
-    ps_graph_plan,
 )
 from repro.graph.executor import CompiledPlan, plan_order
 from repro.graph.gradients import gradients
@@ -53,7 +55,7 @@ C2x1 = ClusterSpec(num_machines=2, gpus_per_machine=1)
 
 PLAN_BUILDERS = {
     "hybrid": lambda g: hybrid_graph_plan(g, fusion=True),
-    "ps": lambda g: ps_graph_plan(g, True, True, name="opt_ps"),
+    "ps": lambda g: graph_plan(g, "opt_ps"),
     "ar": ar_graph_plan,
 }
 
@@ -128,10 +130,9 @@ class TestInMemoryTransport:
     def test_sends_recorded_into_transcript(self):
         t = InMemoryTransport(2)
         t.send(0, 1, ("v", "x"), np.zeros(16))
-        transfers = t.transcript.filter("transport/", network_only=False)
-        assert len(transfers) == 1
-        assert transfers[0].nbytes > 0
-        assert t.stats["messages"] == 1
+        assert t.counters["pickle_msgs"] == 1
+        assert t.counters["pickle_bytes"] > 0
+        assert t.counters["shm_msgs"] == t.counters["wire_msgs"] == 0
 
 
 class TestMultiprocTransportLocal:
@@ -442,7 +443,7 @@ class TestBackendRegistry:
 
     def test_multiproc_rejects_async_plans(self):
         model = make_model()
-        plan = ps_graph_plan(model.graph, asynchronous=True)
+        plan = replace(graph_plan(model.graph, "ps"), asynchronous=True)
         with pytest.raises(ValueError, match="synchronous"):
             DistributedRunner(model, C2x1, plan, seed=SEED,
                               backend="multiproc")
@@ -528,18 +529,20 @@ class TestMultiprocSmoke:
         runner = DistributedRunner(
             model, C2x1, ar_graph_plan(model.graph, fusion=True),
             seed=SEED, backend=LateLastRank(transport="shm"))
+        steps = []
         try:
             for i in range(4):
+                before = dict(runner.backend.serialization_totals)
                 runner.step(i)
-            notes = runner.backend.transport.transcript.events(
-                "transport/step")
+                steps.append(counter_delta(
+                    runner.backend.serialization_totals, before))
         finally:
             runner.close()
-        assert len(notes) == 4
-        for note in notes:
-            assert note.get("shm_msgs") > 0
-            assert note.get("fallbacks") == 0
-            assert note.get("copy_count") == 2 * note.get("shm_msgs")
+        assert len(steps) == 4
+        for step in steps:
+            assert step["shm_msgs"] > 0
+            assert step["fallbacks"] == 0
+            assert step["copy_count"] == 2 * step["shm_msgs"]
 
     def test_adam_slots_and_inspection_helpers(self):
         inproc = make_runner("hybrid", optimizer=AdamOptimizer(0.01))

@@ -20,12 +20,11 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import (
     ar_graph_plan,
+    graph_plan,
     hybrid_graph_plan,
-    ps_graph_plan,
 )
 from repro.graph import ops
 from repro.graph.bufferplan import (
-    ARENA_FWD,
     BufferPlan,
     build_buffer_plan,
 )
@@ -40,8 +39,7 @@ CLUSTER = ClusterSpec(num_machines=2, gpus_per_machine=2)
 
 PLAN_BUILDERS = {
     "hybrid": hybrid_graph_plan,
-    "ps": lambda g: ps_graph_plan(g, local_aggregation=True,
-                                  smart_placement=True, name="opt_ps"),
+    "ps": lambda g: graph_plan(g, "opt_ps"),
     "ar": ar_graph_plan,
 }
 

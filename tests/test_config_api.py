@@ -73,7 +73,6 @@ class TestLegacyKwargParity:
     def test_default_config_field_for_field(self):
         assert dataclasses.asdict(ParallaxConfig()) == {
             "architecture": "hybrid", "search_partitions": True,
-            "sample_iterations": 2, "sample_warmup": 1,
             "max_partitions": 512, "sparse_as_dense_threshold": 0.95,
             "alpha_measure_batches": 2, "verify_plans": False, "seed": 0,
             "comm": dataclasses.asdict(CommConfig()),
@@ -87,8 +86,9 @@ class TestLegacyKwargParity:
 # a session keeping every plan it compiles, ``save(path)`` with a path,
 # and a work-conserving batcher with no delay to configure), plus the
 # online replanner, the gradient codecs and the NIC-degradation sleep,
-# which no workload ran; and the cost constants and fault schedule that
-# only the deleted recovery, rescale and goodput prices read.
+# which no workload ran; the cost constants and fault schedule that
+# only the deleted recovery, rescale and goodput prices read; and the
+# partition search's sample counts, now constants of ``core/api.py``.
 REMOVED_FIELDS = {
     "local_aggregation": (ParallaxConfig, False),
     "smart_placement": (ParallaxConfig, False),
@@ -107,6 +107,8 @@ REMOVED_FIELDS = {
     "c_plan_compile": (CostModel, 0.05),
     "tcp_latency": (CostModel, 5.0e-5),
     "degradations": (FaultPlan, ()),
+    "sample_iterations": (ParallaxConfig, 2),
+    "sample_warmup": (ParallaxConfig, 1),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner, DistributedSession
-from repro.core.transform.plan import hybrid_graph_plan, ps_graph_plan
+from repro.core.transform.plan import graph_plan, hybrid_graph_plan
 from repro.graph import gradients
 from repro.graph.session import VariableStore, split_replica_prefix
 from repro.nn.models import build_lm
@@ -91,7 +91,7 @@ class TestEdgeAccounting:
 
     def test_pull_deduped_per_consumer_device(self):
         """A dense PS variable read by many ops on one GPU counts once."""
-        runner = make_runner(plan_fn=lambda g: ps_graph_plan(g))
+        runner = make_runner(plan_fn=lambda g: graph_plan(g, "ps"))
         runner.step(0)
         runner.transcript.clear()
         runner.step(1)

@@ -26,8 +26,8 @@ from repro.core.partition_context import (
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import (
     ar_graph_plan,
+    graph_plan,
     hybrid_graph_plan,
-    ps_graph_plan,
 )
 from repro.graph.executor import CompiledPlan
 from repro.graph.gradients import gradients
@@ -45,7 +45,7 @@ C2 = ClusterSpec(num_machines=1, gpus_per_machine=2)
 
 PLAN_BUILDERS = {
     "hybrid": hybrid_graph_plan,
-    "ps": lambda g: ps_graph_plan(g, True, True, name="opt_ps"),
+    "ps": lambda g: graph_plan(g, "opt_ps"),
     "ar": ar_graph_plan,
 }
 

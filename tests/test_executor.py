@@ -8,6 +8,7 @@ invalidates whenever the fetch set or the graph changes.
 """
 
 import inspect
+from dataclasses import replace
 from itertools import groupby
 
 import numpy as np
@@ -18,8 +19,8 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import (
     ar_graph_plan,
+    graph_plan,
     hybrid_graph_plan,
-    ps_graph_plan,
 )
 from repro.graph import gradients, ops
 from repro.graph.executor import CompiledPlan
@@ -32,11 +33,10 @@ CLUSTER = ClusterSpec(num_machines=2, gpus_per_machine=2)
 
 PLAN_BUILDERS = {
     "hybrid": lambda g: hybrid_graph_plan(g),
-    "ps": lambda g: ps_graph_plan(g),
-    "opt_ps": lambda g: ps_graph_plan(g, local_aggregation=True,
-                                      smart_placement=True, name="opt_ps"),
+    "ps": lambda g: graph_plan(g, "ps"),
+    "opt_ps": lambda g: graph_plan(g, "opt_ps"),
     "ar": lambda g: ar_graph_plan(g),
-    "async_ps": lambda g: ps_graph_plan(g, asynchronous=True),
+    "async_ps": lambda g: replace(graph_plan(g, "ps"), asynchronous=True),
 }
 
 

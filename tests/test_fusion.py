@@ -28,8 +28,8 @@ from repro.cluster.plan import fusion_buckets
 from repro.core.transform.plan import (
     GraphSyncPlan,
     ar_graph_plan,
+    graph_plan,
     hybrid_graph_plan,
-    ps_graph_plan,
 )
 from repro.graph import gradients
 from repro.graph.executor import overlap_schedule
@@ -45,10 +45,8 @@ CLUSTER = ClusterSpec(num_machines=2, gpus_per_machine=2)
 # changes plans with AllReduce variables (ps is a pure-PS control).
 PLAN_BUILDERS = {
     "hybrid": lambda g, **kw: hybrid_graph_plan(g, **kw),
-    "ps": lambda g, **kw: ps_graph_plan(g),
-    "opt_ps": lambda g, **kw: ps_graph_plan(g, local_aggregation=True,
-                                            smart_placement=True,
-                                            name="opt_ps"),
+    "ps": lambda g, **kw: graph_plan(g, "ps"),
+    "opt_ps": lambda g, **kw: graph_plan(g, "opt_ps"),
     "ar": lambda g, **kw: ar_graph_plan(g, **kw),
 }
 

@@ -14,8 +14,8 @@ from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import (
     ar_graph_plan,
     classify_variables,
+    graph_plan,
     hybrid_graph_plan,
-    ps_graph_plan,
 )
 from repro.graph import Session, gradients
 from repro.nn.models import build_inception, build_lm, build_nmt, build_resnet
@@ -43,8 +43,8 @@ MODEL_BUILDERS = {
 
 PLANS = {
     "parallax": lambda g: hybrid_graph_plan(g),
-    "tf_ps": lambda g: ps_graph_plan(g),
-    "opt_ps": lambda g: ps_graph_plan(g, True, True, name="opt_ps"),
+    "tf_ps": lambda g: graph_plan(g, "ps"),
+    "opt_ps": lambda g: graph_plan(g, "opt_ps"),
     "horovod": lambda g: ar_graph_plan(g),
 }
 

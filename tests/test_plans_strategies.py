@@ -1,10 +1,22 @@
-"""SyncPlan validation and strategy (baseline/hybrid) plan builders."""
+"""SyncPlan validation and the architecture table's plan builders."""
+
+import dataclasses
+import importlib
+from dataclasses import replace
 
 import pytest
 
-from repro.baselines import horovod_plan, opt_ps_plan, tf_ps_plan
-from repro.cluster.plan import SyncMethod, SyncPlan, VariableAssignment
-from repro.core.hybrid import hybrid_plan
+from repro.cli import _matrix_models
+from repro.cluster.plan import (
+    ARCHITECTURES,
+    DEFAULT_SPARSE_AS_DENSE_THRESHOLD,
+    SyncMethod,
+    SyncPlan,
+    VariableAssignment,
+    profile_plan,
+)
+from repro.cluster.simulator import derive_profile
+from repro.core.transform.plan import classify_variables, graph_plan
 from repro.nn.profiles import (
     PAPER_PROFILES,
     VariableProfile,
@@ -62,23 +74,6 @@ class TestSyncPlan:
         assert len(plan.gatherv_assignments) == 1
         assert plan.allreduce_bytes == 4000
 
-    def test_with_partitions_only_touches_sparse_ps(self):
-        plan = self.make_plan().with_partitions(8)
-        by_name = {a.variable.name: a for a in plan.assignments}
-        assert by_name["b"].num_partitions == 8
-        assert by_name["a"].num_partitions == 1
-        assert by_name["c"].num_partitions == 1
-
-    def test_with_partitions_clamps_to_rows(self):
-        plan = self.make_plan().with_partitions(1000)
-        by_name = {a.variable.name: a for a in plan.assignments}
-        assert by_name["b"].num_partitions == 100
-
-    def test_describe_mentions_every_variable(self):
-        text = self.make_plan().describe()
-        for name in ("a", "b", "c"):
-            assert name in text
-
 
 class TestVariableProfile:
     def test_sparse_requires_rows(self):
@@ -101,13 +96,13 @@ class TestVariableProfile:
 
 class TestBaselinePlans:
     def test_tf_ps_everything_on_ps(self):
-        plan = tf_ps_plan(lm_profile(), num_partitions=16)
+        plan = profile_plan(lm_profile(), "ps", 16)
         assert all(a.method is SyncMethod.PS for a in plan.assignments)
         assert not plan.local_aggregation
         assert not plan.smart_placement
 
     def test_tf_ps_partitions_only_sparse(self):
-        plan = tf_ps_plan(lm_profile(), num_partitions=16)
+        plan = profile_plan(lm_profile(), "ps", 16)
         for a in plan.assignments:
             if a.variable.is_sparse:
                 assert a.num_partitions == 16
@@ -115,28 +110,28 @@ class TestBaselinePlans:
                 assert a.num_partitions == 1
 
     def test_horovod_split_by_sparsity(self):
-        plan = horovod_plan(lm_profile())
+        plan = profile_plan(lm_profile(), "ar")
         for a in plan.assignments:
             expected = (SyncMethod.ALLGATHERV if a.variable.is_sparse
                         else SyncMethod.ALLREDUCE)
             assert a.method is expected
 
     def test_opt_ps_enables_optimizations(self):
-        plan = opt_ps_plan(nmt_profile(), num_partitions=8)
+        plan = profile_plan(nmt_profile(), "opt_ps", 8)
         assert plan.local_aggregation and plan.smart_placement
         assert all(a.method is SyncMethod.PS for a in plan.assignments)
 
 
 class TestHybridPlan:
     def test_dense_to_ar_sparse_to_ps(self):
-        plan = hybrid_plan(nmt_profile(), num_partitions=4)
+        plan = profile_plan(nmt_profile(), "hybrid", 4)
         for a in plan.assignments:
             expected = (SyncMethod.PS if a.variable.is_sparse
                         else SyncMethod.ALLREDUCE)
             assert a.method is expected
 
     def test_dense_model_is_pure_ar(self):
-        plan = hybrid_plan(resnet50_profile())
+        plan = profile_plan(resnet50_profile(), "hybrid")
         assert all(a.method is SyncMethod.ALLREDUCE
                    for a in plan.assignments)
         assert not plan.ps_assignments
@@ -151,13 +146,13 @@ class TestHybridPlan:
             batch_per_gpu=8, units_per_sample=1, unit="words",
             gpu_time_per_iter=0.1,
         )
-        plan = hybrid_plan(profile, sparse_as_dense_threshold=0.95)
+        plan = profile_plan(profile, "hybrid", sparse_as_dense_threshold=0.95)
         by_name = {a.variable.name: a for a in plan.assignments}
         assert by_name["hot"].method is SyncMethod.ALLREDUCE
         assert by_name["encoder/embedding"].method is SyncMethod.PS
 
     def test_optimizations_default_on(self):
-        plan = hybrid_plan(lm_profile())
+        plan = profile_plan(lm_profile(), "hybrid")
         assert plan.local_aggregation and plan.smart_placement
 
 
@@ -238,7 +233,7 @@ class TestAllReduceBuckets:
 
     def test_with_fusion_rewrites_only_the_cap(self):
         plan = self.make_plan(None)
-        fused = plan.with_fusion(4.0)
+        fused = replace(plan, fusion_buffer_mb=4.0)
         assert fused.fusion_buffer_mb == 4.0
         assert fused.assignments == plan.assignments
         assert plan.fusion_buffer_mb is None  # original untouched
@@ -254,3 +249,77 @@ class TestAllReduceBuckets:
         ]
         plan = SyncPlan("p", assignments, fusion_buffer_mb=64.0)
         assert plan.allreduce_buckets() == [400.0]
+
+
+class TestOneArchitectureTable:
+    """Both planes build their plans from ``ARCHITECTURES``, so a graph
+    and its derived profile get the same method per variable (shards
+    count as their parent) and the same OptPS flags."""
+
+    @staticmethod
+    def parent(graph, name):
+        info = getattr(graph.variables[name], "partition_info", None)
+        return info["parent"] if info else name
+
+    def assert_congruent(self, model, arch, alphas, overrides=None):
+        graph = model.graph
+        partitions = max(
+            [p.num_partitions for p in
+             graph.get_collection("partitioned_variables")] or [1])
+        engine = graph_plan(graph, arch, sparse_as_dense=overrides)
+        simulator = profile_plan(derive_profile(model, alphas), arch,
+                                 partitions)
+        by_parent = {a.variable.name: a.method
+                     for a in simulator.assignments}
+        assert set(by_parent) == {self.parent(graph, name)
+                                  for name in engine.methods}
+        for name, method in engine.methods.items():
+            assert method is by_parent[self.parent(graph, name)], \
+                (arch, name)
+        assert engine.local_aggregation == simulator.local_aggregation
+        assert engine.smart_placement == simulator.smart_placement
+        return engine, simulator
+
+    @pytest.mark.parametrize("model_key", ["lm", "nmt"])
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_same_method_per_variable_on_both_planes(self, model_key,
+                                                     arch):
+        model = _matrix_models()[model_key]()
+        sparse = [n for n, s in classify_variables(model.graph).items()
+                  if s]
+        assert sparse
+        engine, _ = self.assert_congruent(model, arch,
+                                          {n: 0.1 for n in sparse})
+        assert ({engine.methods[n] for n in sparse}
+                == {ARCHITECTURES[arch].sparse})
+
+    def test_near_dense_variable_goes_dense_on_both_planes(self):
+        model = _matrix_models()["lm"]()
+        graph = model.graph
+        shards = [n for n, s in classify_variables(graph).items()
+                  if s and self.parent(graph, n) == "embedding"]
+        assert len(shards) == 3
+        threshold = DEFAULT_SPARSE_AS_DENSE_THRESHOLD
+        engine, simulator = self.assert_congruent(
+            model, "hybrid", {n: threshold for n in shards},
+            overrides={n: True for n in shards})
+        assert all(engine.methods[n] is SyncMethod.ALLREDUCE
+                   for n in shards)
+        assert not simulator.ps_assignments
+
+
+def test_each_architecture_is_defined_once():
+    """The per-architecture builders, their name maps and the unread
+    ``SyncPlan`` flag are gone: ``ARCHITECTURES`` is the one definition."""
+    for module in ("repro.baselines", "repro.core.hybrid"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    import repro.cli
+    import repro.core
+
+    for name in ("hybrid_plan", "parallax_plan", "ps_graph_plan"):
+        assert name not in repro.core.__all__
+        assert not hasattr(repro.core, name)
+    assert not hasattr(repro.cli, "plan_for")
+    assert "average_gradients" not in {
+        f.name for f in dataclasses.fields(SyncPlan)}

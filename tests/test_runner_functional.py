@@ -13,8 +13,8 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import (
     ar_graph_plan,
+    graph_plan,
     hybrid_graph_plan,
-    ps_graph_plan,
 )
 from repro.graph import Session, gradients
 from repro.nn.models import build_inception, build_lm, build_nmt, build_resnet
@@ -73,8 +73,8 @@ def distributed_state(runner):
 
 PLAN_BUILDERS = {
     "parallax": lambda g: hybrid_graph_plan(g),
-    "tf_ps": lambda g: ps_graph_plan(g),
-    "opt_ps": lambda g: ps_graph_plan(g, True, True, name="opt_ps"),
+    "tf_ps": lambda g: graph_plan(g, "ps"),
+    "opt_ps": lambda g: graph_plan(g, "opt_ps"),
     "horovod": lambda g: ar_graph_plan(g),
 }
 
@@ -191,9 +191,9 @@ class TestTranscriptAccounting:
         return runner.transcript
 
     def test_local_aggregation_reduces_push_bytes(self):
-        naive = self.iteration_bytes(lambda g: ps_graph_plan(g))
+        naive = self.iteration_bytes(lambda g: graph_plan(g, "ps"))
         opt = self.iteration_bytes(
-            lambda g: ps_graph_plan(g, True, True, name="opt_ps"))
+            lambda g: graph_plan(g, "opt_ps"))
 
         def push_bytes(transcript):
             # Everything but the variable pulls, whichever op type a
@@ -328,7 +328,7 @@ class TestCheckpointing:
 
         model = build()
         runner = DistributedRunner(model, CLUSTER,
-                                   ps_graph_plan(model.graph), seed=SEED)
+                                   graph_plan(model.graph, "ps"), seed=SEED)
         for i in range(2):
             runner.step(i)
         state = runner.logical_state()
@@ -338,7 +338,7 @@ class TestCheckpointing:
 
         model2 = build()
         restored = DistributedRunner(model2, CLUSTER,
-                                     ps_graph_plan(model2.graph),
+                                     graph_plan(model2.graph, "ps"),
                                      seed=SEED + 7)
         restored.restore(path)
         for name in ("w", "report/w"):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster.spec import ClusterSpec
 from repro.comm.shm import ShmRing, ShmRingError, live_segments
-from repro.comm.transport import CONTROLLER, ShmTransport
+from repro.comm.transport import CONTROLLER, ShmTransport, counter_delta
 from repro.core.elastic import ElasticRunner
 from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import hybrid_graph_plan
@@ -237,7 +237,7 @@ class TestShmTransport:
 
 
 # ======================================================================
-# Backend integration: telemetry notes and segment hygiene
+# Backend integration: per-step counters and segment hygiene
 # ======================================================================
 class TestBackendIntegration:
     def test_transport_step_notes_report_shm_traffic(self):
@@ -245,18 +245,19 @@ class TestBackendIntegration:
         runner = DistributedRunner(model, C2, hybrid_graph_plan(model.graph),
                                    seed=5, backend="multiproc")
         try:
+            steps = []
             for i in range(2):
+                before = dict(runner.backend.serialization_totals)
                 runner.step(i)
-            notes = runner.backend.transport.transcript.events(
-                "transport/step")
-            assert len(notes) == 2
-            for note in notes:
-                assert note.get("shm_bytes") > 0  # bulk grads ride shm
-                assert note.get("copy_count") > 0
-                assert note.get("serialize_s") >= 0.0
+                steps.append(counter_delta(
+                    runner.backend.serialization_totals, before))
+            for step in steps:
+                assert step["shm_bytes"] > 0  # bulk grads ride shm
+                assert step["copy_count"] > 0
+                assert step["serialize_s"] >= 0.0
             totals = runner.backend.serialization_totals
             assert totals["shm_bytes"] == sum(
-                n.get("shm_bytes") for n in notes)
+                s["shm_bytes"] for s in steps)
         finally:
             runner.close()
 

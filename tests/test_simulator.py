@@ -8,9 +8,8 @@ import pytest
 
 import repro
 
-from repro.baselines import horovod_plan, opt_ps_plan, tf_ps_plan
 from repro.cluster.costmodel import CostModel, union_alpha
-from repro.cluster.plan import SyncPlan
+from repro.cluster.plan import SyncPlan, profile_plan
 from repro.cluster.simulator import (
     derive_profile,
     shard_assignments,
@@ -18,7 +17,6 @@ from repro.cluster.simulator import (
     throughput,
 )
 from repro.cluster.spec import PAPER_CLUSTER, ClusterSpec
-from repro.core.hybrid import hybrid_plan
 from repro.core.transform.plan import classify_variables
 from repro.graph.gradients import gradients
 from repro.nn.models import build_lm
@@ -44,21 +42,21 @@ def single_var_profile(is_sparse: bool, elements=1_000_000, alpha=0.1):
 class TestShardAssignments:
     def test_partitions_expand_to_shards(self):
         profile = lm_profile()
-        plan = tf_ps_plan(profile, num_partitions=8)
+        plan = profile_plan(profile, "ps", 8)
         shards = shard_assignments(plan, PAPER_CLUSTER)
         sparse_shards = [s for s in shards if s.is_sparse]
         assert len(sparse_shards) == 3 * 8
 
     def test_shards_spread_across_servers(self):
         profile = lm_profile()
-        plan = tf_ps_plan(profile, num_partitions=16)
+        plan = profile_plan(profile, "ps", 16)
         shards = shard_assignments(plan, PAPER_CLUSTER)
         servers = {s.server for s in shards}
         assert servers == set(range(8))
 
     def test_shard_sizes_sum_to_variable(self):
         profile = lm_profile()
-        plan = tf_ps_plan(profile, num_partitions=8)
+        plan = profile_plan(profile, "ps", 8)
         shards = shard_assignments(plan, PAPER_CLUSTER)
         emb_bytes = sum(s.nbytes for s in shards
                         if s.name.startswith("embedding/"))
@@ -72,15 +70,15 @@ class TestArchitectureOrderings:
     def test_ar_beats_ps_on_dense_models(self):
         for name in ("resnet50", "inception_v3"):
             profile = PAPER_PROFILES()[name]
-            ar = throughput(profile, horovod_plan(profile), PAPER_CLUSTER)
-            ps = throughput(profile, tf_ps_plan(profile), PAPER_CLUSTER)
+            ar = throughput(profile, profile_plan(profile, "ar"), PAPER_CLUSTER)
+            ps = throughput(profile, profile_plan(profile, "ps"), PAPER_CLUSTER)
             assert ar > ps, name
 
     def test_ps_beats_ar_on_sparse_models(self):
         for name, partitions in (("lm", 128), ("nmt", 64)):
             profile = PAPER_PROFILES()[name]
-            ar = throughput(profile, horovod_plan(profile), PAPER_CLUSTER)
-            ps = throughput(profile, tf_ps_plan(profile, partitions),
+            ar = throughput(profile, profile_plan(profile, "ar"), PAPER_CLUSTER)
+            ps = throughput(profile, profile_plan(profile, "ps", partitions),
                             PAPER_CLUSTER)
             assert ps > ar, name
 
@@ -88,27 +86,27 @@ class TestArchitectureOrderings:
         """Table 4: HYB >= max(AR, OptPS) for the sparse models."""
         for name, partitions in (("lm", 128), ("nmt", 64)):
             profile = PAPER_PROFILES()[name]
-            hyb = throughput(profile, hybrid_plan(profile, partitions),
+            hyb = throughput(profile, profile_plan(profile, "hybrid", partitions),
                              PAPER_CLUSTER)
-            ar = throughput(profile, horovod_plan(profile), PAPER_CLUSTER)
-            opt = throughput(profile, opt_ps_plan(profile, partitions),
+            ar = throughput(profile, profile_plan(profile, "ar"), PAPER_CLUSTER)
+            opt = throughput(profile, profile_plan(profile, "opt_ps", partitions),
                              PAPER_CLUSTER)
             assert hyb >= 0.99 * max(ar, opt), name
 
     def test_opt_ps_beats_naive_ps_on_sparse(self):
         for name, partitions in (("lm", 128), ("nmt", 64)):
             profile = PAPER_PROFILES()[name]
-            naive = throughput(profile, tf_ps_plan(profile, partitions),
+            naive = throughput(profile, profile_plan(profile, "ps", partitions),
                                PAPER_CLUSTER)
-            opt = throughput(profile, opt_ps_plan(profile, partitions),
+            opt = throughput(profile, profile_plan(profile, "opt_ps", partitions),
                              PAPER_CLUSTER)
             assert opt > naive, name
 
     def test_hybrid_equals_horovod_on_dense(self):
         """Parallax uses pure AR for dense models (paper section 6.2)."""
         profile = resnet50_profile()
-        hyb = throughput(profile, hybrid_plan(profile), PAPER_CLUSTER)
-        ar = throughput(profile, horovod_plan(profile), PAPER_CLUSTER)
+        hyb = throughput(profile, profile_plan(profile, "hybrid"), PAPER_CLUSTER)
+        ar = throughput(profile, profile_plan(profile, "ar"), PAPER_CLUSTER)
         assert hyb == pytest.approx(ar, rel=1e-6)
 
 
@@ -118,7 +116,7 @@ class TestScalingShapes:
         for name, partitions in (("resnet50", 1), ("lm", 128), ("nmt", 64)):
             profile = PAPER_PROFILES()[name]
             values = [
-                throughput(profile, hybrid_plan(profile, partitions),
+                throughput(profile, profile_plan(profile, "hybrid", partitions),
                            ClusterSpec(n, 6))
                 for n in (1, 2, 4, 8)
             ]
@@ -128,8 +126,8 @@ class TestScalingShapes:
         """Fig 8(c): Horovod LM barely scales (gatherv volume grows with
         worker count as fast as compute capacity does)."""
         profile = lm_profile()
-        t1 = throughput(profile, horovod_plan(profile), ClusterSpec(1, 6))
-        t8 = throughput(profile, horovod_plan(profile), ClusterSpec(8, 6))
+        t1 = throughput(profile, profile_plan(profile, "ar"), ClusterSpec(1, 6))
+        t8 = throughput(profile, profile_plan(profile, "ar"), ClusterSpec(8, 6))
         assert t8 < 1.5 * t1
 
     def test_parallax_speedup_over_tfps_grows_with_scale(self):
@@ -138,14 +136,14 @@ class TestScalingShapes:
         ratios = []
         for n in (2, 8):
             cluster = ClusterSpec(n, 6)
-            hyb = throughput(profile, hybrid_plan(profile, 128), cluster)
-            ps = throughput(profile, tf_ps_plan(profile, 128), cluster)
+            hyb = throughput(profile, profile_plan(profile, "hybrid", 128), cluster)
+            ps = throughput(profile, profile_plan(profile, "ps", 128), cluster)
             ratios.append(hyb / ps)
         assert ratios[1] > ratios[0]
 
     def test_single_gpu_no_comm(self):
         profile = resnet50_profile()
-        b = simulate_iteration(profile, hybrid_plan(profile),
+        b = simulate_iteration(profile, profile_plan(profile, "hybrid"),
                                ClusterSpec(1, 1))
         assert b.iteration_time == pytest.approx(profile.gpu_time_per_iter)
 
@@ -155,7 +153,7 @@ class TestPartitionBehaviour:
         """Table 2: throughput rises then falls as P grows."""
         profile = lm_profile()
         values = {
-            p: throughput(profile, tf_ps_plan(profile, p), PAPER_CLUSTER)
+            p: throughput(profile, profile_plan(profile, "ps", p), PAPER_CLUSTER)
             for p in (1, 8, 64, 128, 1024)
         }
         assert values[8] > values[1]
@@ -167,7 +165,7 @@ class TestPartitionBehaviour:
         doubling P shrinks, and large P adds linear cost."""
         profile = lm_profile()
         times = {
-            p: simulate_iteration(profile, tf_ps_plan(profile, p),
+            p: simulate_iteration(profile, profile_plan(profile, "ps", p),
                                   PAPER_CLUSTER).iteration_time
             for p in (4, 8, 16, 512, 1024)
         }
@@ -183,7 +181,7 @@ class TestTransferModel:
     def test_dense_ps_pull_push_bytes(self):
         cluster = ClusterSpec(4, 1)  # one worker per machine, as in Table 3
         profile = single_var_profile(is_sparse=False)
-        plan = tf_ps_plan(profile)
+        plan = profile_plan(profile, "ps")
         b = simulate_iteration(profile, plan, cluster)
         w = profile.variables[0].nbytes
         n = cluster.num_machines
@@ -200,7 +198,7 @@ class TestTransferModel:
         cluster = ClusterSpec(4, 1)
         alpha = 0.2
         profile = single_var_profile(is_sparse=True, alpha=alpha)
-        plan = tf_ps_plan(profile)
+        plan = profile_plan(profile, "ps")
         b = simulate_iteration(profile, plan, cluster)
         w = profile.variables[0].nbytes
         n = cluster.num_machines
@@ -211,8 +209,8 @@ class TestTransferModel:
     def test_local_aggregation_reduces_push_bytes(self):
         cluster = ClusterSpec(4, 6)
         profile = single_var_profile(is_sparse=True, alpha=0.05)
-        naive = simulate_iteration(profile, tf_ps_plan(profile), cluster)
-        opt = simulate_iteration(profile, opt_ps_plan(profile), cluster)
+        naive = simulate_iteration(profile, profile_plan(profile, "ps"), cluster)
+        opt = simulate_iteration(profile, profile_plan(profile, "opt_ps"), cluster)
         assert sum(opt.ps_flow_bytes.values()) < \
             sum(naive.ps_flow_bytes.values())
 
@@ -228,7 +226,7 @@ class TestTransferModel:
         profile = ModelProfile(name="multi", variables=variables,
                                batch_per_gpu=8, units_per_sample=1,
                                unit="words", gpu_time_per_iter=0.05)
-        naive = tf_ps_plan(profile)
+        naive = profile_plan(profile, "ps")
         smart = SyncPlan(
             "smart", naive.assignments,
             local_aggregation=False, smart_placement=True,
@@ -297,10 +295,10 @@ class TestCalibration:
     def test_within_factor_two(self, model, arch, partitions, paper):
         profile = PAPER_PROFILES()[model]
         builders = {
-            "horovod": lambda: horovod_plan(profile),
-            "tf_ps": lambda: tf_ps_plan(profile, partitions),
-            "opt_ps": lambda: opt_ps_plan(profile, partitions),
-            "parallax": lambda: hybrid_plan(profile, partitions),
+            "horovod": lambda: profile_plan(profile, "ar"),
+            "tf_ps": lambda: profile_plan(profile, "ps", partitions),
+            "opt_ps": lambda: profile_plan(profile, "opt_ps", partitions),
+            "parallax": lambda: profile_plan(profile, "hybrid", partitions),
         }
         simulated = throughput(profile, builders[arch](), PAPER_CLUSTER)
         assert 0.5 < simulated / paper < 2.0
@@ -315,7 +313,8 @@ class TestBucketedAllReducePricing:
 
     def breakdown(self, buffer_mb, **cost_overrides):
         profile = resnet50_profile()
-        plan = horovod_plan(profile).with_fusion(buffer_mb)
+        plan = dataclasses.replace(profile_plan(profile, "ar"),
+                                   fusion_buffer_mb=buffer_mb)
         cost = CostModel().with_overrides(**cost_overrides)
         return simulate_iteration(profile, plan, self.CLUSTER, cost)
 

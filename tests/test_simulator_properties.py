@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import horovod_plan, opt_ps_plan, tf_ps_plan
 from repro.cluster.costmodel import CostModel
+from repro.cluster.plan import profile_plan
 from repro.cluster.simulator import simulate_iteration, throughput
 from repro.cluster.spec import ClusterSpec
-from repro.core.hybrid import hybrid_plan
 from repro.nn.profiles import ModelProfile, VariableProfile
 
 
@@ -38,9 +37,9 @@ def test_iteration_time_positive_and_at_least_compute(dense_m, sparse_m,
                                                       alpha):
     profile = profile_from(dense_m, sparse_m, alpha)
     cluster = ClusterSpec(4, 2)
-    for plan_fn in (tf_ps_plan, horovod_plan,
-                    lambda p: hybrid_plan(p, 8)):
-        b = simulate_iteration(profile, plan_fn(profile), cluster)
+    for arch, partitions in (("ps", 1), ("ar", 1), ("hybrid", 8)):
+        plan = profile_plan(profile, arch, partitions)
+        b = simulate_iteration(profile, plan, cluster)
         assert b.iteration_time >= profile.gpu_time_per_iter - 1e-12
 
 
@@ -55,10 +54,11 @@ def test_more_bandwidth_never_slower(dense_m, alpha):
         ps_nic_bw=slow.ps_nic_bw * 2,
         worker_stream_bw=slow.worker_stream_bw * 2,
     )
-    for plan_fn in (tf_ps_plan, horovod_plan):
-        t_slow = simulate_iteration(profile, plan_fn(profile), cluster,
+    for arch in ("ps", "ar"):
+        plan = profile_plan(profile, arch)
+        t_slow = simulate_iteration(profile, plan, cluster,
                                     slow).iteration_time
-        t_fast = simulate_iteration(profile, plan_fn(profile), cluster,
+        t_fast = simulate_iteration(profile, plan, cluster,
                                     fast).iteration_time
         assert t_fast <= t_slow + 1e-12
 
@@ -69,8 +69,8 @@ def test_gatherv_time_grows_with_alpha(sparse_m, alpha):
     cluster = ClusterSpec(4, 4)
     low = profile_from(1.0, sparse_m, alpha)
     high = profile_from(1.0, sparse_m, min(0.95, alpha * 2))
-    t_low = simulate_iteration(low, horovod_plan(low), cluster)
-    t_high = simulate_iteration(high, horovod_plan(high), cluster)
+    t_low = simulate_iteration(low, profile_plan(low, "ar"), cluster)
+    t_high = simulate_iteration(high, profile_plan(high, "ar"), cluster)
     assert t_high.gatherv_time >= t_low.gatherv_time
 
 
@@ -78,7 +78,8 @@ class TestMonotonicity:
     def test_total_throughput_grows_with_machines_hybrid(self):
         profile = profile_from(50.0, 400.0, 0.01)
         values = [
-            throughput(profile, hybrid_plan(profile, 64), ClusterSpec(n, 4))
+            throughput(profile, profile_plan(profile, "hybrid", 64),
+                       ClusterSpec(n, 4))
             for n in (2, 4, 8)
         ]
         assert values == sorted(values)
@@ -87,8 +88,8 @@ class TestMonotonicity:
         for alpha in (0.01, 0.1, 0.4):
             profile = profile_from(20.0, 200.0, alpha)
             cluster = ClusterSpec(8, 6)
-            naive = throughput(profile, tf_ps_plan(profile, 32), cluster)
-            opt = throughput(profile, opt_ps_plan(profile, 32), cluster)
+            naive = throughput(profile, profile_plan(profile, "ps", 32), cluster)
+            opt = throughput(profile, profile_plan(profile, "opt_ps", 32), cluster)
             assert opt >= naive
 
     def test_compute_dominated_regime_architecture_agnostic(self):
@@ -97,17 +98,16 @@ class TestMonotonicity:
         profile = profile_from(0.001, 0.001, 0.5, compute=10.0)
         cluster = ClusterSpec(4, 2)
         times = [
-            simulate_iteration(profile, plan_fn(profile),
+            simulate_iteration(profile, profile_plan(profile, arch),
                                cluster).iteration_time
-            for plan_fn in (tf_ps_plan, horovod_plan,
-                            lambda p: hybrid_plan(p))
+            for arch in ("ps", "ar", "hybrid")
         ]
         for t in times:
             assert t == pytest.approx(10.0, rel=0.05)
 
     def test_breakdown_components_sum_consistently(self):
         profile = profile_from(50.0, 400.0, 0.02)
-        b = simulate_iteration(profile, hybrid_plan(profile, 32),
+        b = simulate_iteration(profile, profile_plan(profile, "hybrid", 32),
                                ClusterSpec(8, 6))
         recomposed = (b.compute_time
                       + max(b.collective_time, b.ps_time)
@@ -120,8 +120,8 @@ class TestMonotonicity:
         partitions spread bytes across servers."""
         profile = profile_from(0.0, 400.0, 0.05)
         cluster = ClusterSpec(8, 6)
-        few = simulate_iteration(profile, tf_ps_plan(profile, 1), cluster)
-        many = simulate_iteration(profile, tf_ps_plan(profile, 64), cluster)
+        few = simulate_iteration(profile, profile_plan(profile, "ps", 1), cluster)
+        many = simulate_iteration(profile, profile_plan(profile, "ps", 64), cluster)
 
         def max_nic(breakdown):
             loads = {}

@@ -10,12 +10,14 @@ engine must match the closed forms:
     AR, sparse variable:  every machine moves 2 alpha w (N-1) bytes
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner
-from repro.core.transform.plan import ar_graph_plan, ps_graph_plan
+from repro.core.transform.plan import ar_graph_plan, graph_plan
 from repro.graph import gradients, ops
 from repro.graph.graph import Graph
 from repro.graph.variables import Variable
@@ -75,8 +77,7 @@ def batch_row_stats(runner, iteration):
 def ps_runner():
     model = build_model()
     # Smart placement so the only flows are pull/push to the owning server.
-    plan = ps_graph_plan(model.graph, local_aggregation=False,
-                         smart_placement=True)
+    plan = replace(graph_plan(model.graph, "ps"), smart_placement=True)
     return DistributedRunner(model, CLUSTER, plan, seed=0)
 
 

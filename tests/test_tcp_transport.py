@@ -130,7 +130,7 @@ class TestSimulatedLatency:
         inner = InMemoryTransport(3)
         t = SimulatedLatencyTransport(inner)
         assert t.num_workers == 3
-        assert t.transcript is inner.transcript
+        assert t.counters is inner.counters
         t.close()
         with pytest.raises(TransportError):
             t.send(0, 1, ("v",), 1)

@@ -8,8 +8,8 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.transform import classify_variables, transform_graph
 from repro.core.transform.plan import (
     ar_graph_plan,
+    graph_plan,
     hybrid_graph_plan,
-    ps_graph_plan,
 )
 from repro.graph import Graph, gradients, ops
 from repro.graph.device import DeviceSpec
@@ -146,7 +146,7 @@ class TestHybridStructure:
 class TestRuleVariants:
     def test_ps_plan_has_no_collectives(self):
         model = lm_model()
-        plan = ps_graph_plan(model.graph)
+        plan = graph_plan(model.graph, "ps")
         tg = transform_graph(model.graph, model.loss, CLUSTER, plan)
         kinds = {op.op_type for op in tg.graph.operations}
         assert "allreduce" not in kinds and "allgatherv" not in kinds
@@ -154,8 +154,7 @@ class TestRuleVariants:
 
     def test_naive_ps_has_no_local_agg_and_chief_agg(self):
         model = lm_model()
-        plan = ps_graph_plan(model.graph, local_aggregation=False,
-                             smart_placement=False)
+        plan = graph_plan(model.graph, "ps")
         tg = transform_graph(model.graph, model.loss, CLUSTER, plan)
         kinds = [op.op_type for op in tg.graph.operations]
         assert "local_agg" not in kinds
