@@ -3,9 +3,9 @@
 Mirrors the paper's Figure 3: build an ordinary single-GPU graph, mark
 the input data with ``parallax.shard``, wrap the embedding in
 ``parallax.partitioner()``, and hand everything to
-``parallax.auto_parallelize``.  Parallax classifies variable sparsity
-from gradient types, picks the hybrid architecture, searches the
-partition count, transforms the graph, and returns a runner handle.
+``parallax.get_runner``.  Parallax classifies variable sparsity from
+gradient types, picks the hybrid architecture, searches the partition
+count, transforms the graph, and returns the runner.
 
 Usage::
 
@@ -66,7 +66,7 @@ def build_model() -> BuiltModel:
 
 def main():
     resource_info = {"machines": 2, "gpus_per_machine": 2}
-    runner = parallax.auto_parallelize(                        # line 19
+    runner = parallax.get_runner(                              # line 19
         build_model, resource_info,
         parallax.ParallaxConfig(max_partitions=16),
     )

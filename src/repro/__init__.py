@@ -15,12 +15,12 @@ Quick start (the paper's Figure 3 shape)::
         model = build_my_model()          # single-GPU graph, uses
         return model                      # parallax.partitioner() inside
 
-    runner = parallax.auto_parallelize(builder, {"machines": 2,
-                                                 "gpus_per_machine": 2})
-    runner.fit(num_iters)                 # or runner.step(i) per step
+    runner = parallax.get_runner(builder, {"machines": 2,
+                                           "gpus_per_machine": 2})
+    runner.run(num_iters)                 # or runner.step(i) per step
 
-Knobs group by plane -- :class:`CommConfig` (fusion, backend,
-transport), :class:`ElasticConfig` (checkpointing, faults) and
+Knobs group by plane -- :class:`CommConfig` (fusion bucket cap,
+backend, transport), :class:`ElasticConfig` (checkpointing, faults) and
 :class:`ServeConfig` (request batching) -- inside one
 :class:`ParallaxConfig`.
 """
@@ -28,8 +28,6 @@ transport), :class:`ElasticConfig` (checkpointing, faults) and
 from repro.cluster.faults import FaultPlan, WorkerFailure
 from repro.cluster.spec import ClusterSpec
 from repro.core.api import (
-    Runner,
-    auto_parallelize,
     get_runner,
     make_server,
     shard,
@@ -52,8 +50,6 @@ __all__ = [
     "CommConfig",
     "ElasticConfig",
     "ServeConfig",
-    "auto_parallelize",
-    "Runner",
     "get_runner",
     "make_server",
     "shard",

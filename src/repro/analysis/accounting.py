@@ -34,8 +34,8 @@ from repro.graph.executor import plan_order
 
 ANALYSIS = "accounting"
 
-_DENSE_RING = frozenset({"allreduce", "fused_allreduce"})
-_KNOWN = frozenset({"allreduce", "fused_allreduce", "allgatherv"})
+_DENSE_RING = frozenset({"fused_allreduce"})
+_KNOWN = frozenset({"fused_allreduce", "allgatherv"})
 
 #: the ring reduces in fp32 regardless of input dtype.
 _RING_ITEMSIZE = 4

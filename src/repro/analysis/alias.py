@@ -82,7 +82,7 @@ _NON_RETAINING_FWD = frozenset({
 
 #: Collectives that fold into one result every replica of the group
 #: returns, reading their inputs during the call only.
-_FOLDS = frozenset({"allreduce", "fused_allreduce"})
+_FOLDS = frozenset({"fused_allreduce"})
 
 #: vjp rules returning a fresh array for every output index.
 _FRESH_VJP = frozenset({

@@ -27,7 +27,7 @@ from repro.graph.executor import plan_order
 ANALYSIS = "congruence"
 
 #: Every collective op type the transform can emit.
-COLLECTIVE_TYPES = frozenset({"allreduce", "fused_allreduce", "allgatherv"})
+COLLECTIVE_TYPES = frozenset({"fused_allreduce", "allgatherv"})
 
 
 def _signature(op) -> Dict[str, object]:

@@ -180,7 +180,7 @@ def _matrix_plans():
     from repro.core.transform.plan import graph_plan
 
     return {
-        "hybrid": lambda g: graph_plan(g, "hybrid", fusion=True),
+        "hybrid": lambda g: graph_plan(g, "hybrid"),
         "ps": lambda g: graph_plan(g, "ps"),
         "ar": lambda g: graph_plan(g, "ar"),
     }

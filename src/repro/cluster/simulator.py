@@ -399,8 +399,11 @@ def derive_profile(
     merging partition shards back into their parent (the SyncPlan-level
     plan builders re-partition from ``num_partitions``), with sparsity
     from the static classifier and alpha from the measured values
-    *alphas* when available.  ``gpu_time_per_iter`` is a placeholder
-    the caller replaces with a measured or fitted compute time.
+    *alphas*, which every sparse variable needs in (0, 1] (``ValueError``
+    otherwise: a guessed alpha could cross the hybrid's near-dense
+    threshold and price a plan the engine does not run).
+    ``gpu_time_per_iter`` is a placeholder the caller replaces with a
+    measured or fitted compute time.
     """
     # Imported here: the graph transform imports this package.
     from repro.core.transform.plan import classify_variables
@@ -433,8 +436,10 @@ def derive_profile(
     for parent in order:
         entry = merged[parent]
         alpha = entry["alpha"]
-        if alpha is None or not 0.0 < alpha <= 1.0:
-            alpha = 1.0
+        if entry["sparse"] and (alpha is None or not 0.0 < alpha <= 1.0):
+            raise ValueError(
+                f"sparse variable {parent!r} needs a measured alpha in "
+                f"(0, 1]; got {alpha!r}")
         variables.append(VariableProfile(
             name=parent,
             num_elements=entry["elements"],

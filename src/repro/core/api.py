@@ -28,14 +28,14 @@ from repro.core.config import (
 from repro.core.elastic import ElasticRunner
 from repro.core.partition_context import partitioner, sampling_partitions
 from repro.core.partitioner import PartitionSearch, SearchResult
-from repro.core.runner import DistributedRunner, IterationResult
+from repro.core.runner import DistributedRunner
 from repro.core.transform.plan import classify_variables
 from repro.graph.session import Session
 from repro.nn.datasets import Dataset
 from repro.nn.models.common import BuiltModel
 from repro.tensor.sparse import IndexedSlices
 
-__all__ = ["shard", "partitioner", "auto_parallelize", "Runner",
+__all__ = ["shard", "partitioner",
            "ParallaxConfig", "CommConfig", "ElasticConfig", "ServeConfig",
            "get_runner", "make_server", "ElasticRunner",
            "FaultPlan"]
@@ -174,17 +174,34 @@ def _partition_bounds(model: BuiltModel, config: ParallaxConfig) -> int:
     return max(1, min(config.max_partitions, max_rows))
 
 
-def _build_distributed(
+def get_runner(
     model_builder: Callable[[], BuiltModel],
     resource_info: Union[ClusterSpec, dict, str],
-    config: Optional[ParallaxConfig],
+    config: Optional[ParallaxConfig] = None,
 ) -> DistributedRunner:
-    """The full build pipeline behind :func:`auto_parallelize`.
+    """Automatically parallelize a single-GPU model (Figure 3, line 19).
 
     Probes the single-GPU graph, measures alpha for the sparse-as-dense
     refinement, runs the Equation-1 partition search, transforms the
-    winning graph under the config's architecture, and wires the chosen
-    backend -- returning a ready (possibly elastic) runner.
+    winning graph under ``config.architecture``, and wires the chosen
+    backend -- returning the ready runner itself, an
+    :class:`~repro.core.elastic.ElasticRunner` when
+    ``config.elastic.enabled``.
+
+    Args:
+        model_builder: zero-argument callable building the single-GPU
+            graph -- including ``gradients`` and ``opt.update`` -- and
+            returning a :class:`BuiltModel`.  Variables created inside a
+            ``parallax.partitioner()`` scope within the builder are
+            partitioned with the searched count.
+        resource_info: cluster description (ClusterSpec, dict, or a JSON
+            resource file path).
+        config: optional :class:`ParallaxConfig`.
+
+    Returns:
+        The runner; its ``partition_search`` attribute records the
+        Equation-1 search when one ran, and ``config`` the resolved
+        config.
     """
     cluster = resolve_cluster(resource_info)
     cfg = config if config is not None else ParallaxConfig()
@@ -291,101 +308,6 @@ def _build_distributed(
     runner.partition_search = search_result
     runner.config = cfg
     return runner
-
-
-class Runner:
-    """User-facing handle over an automatically parallelized model.
-
-    Returned by :func:`auto_parallelize`.  Training state, checkpoints,
-    and the Transcript live in :attr:`distributed` (the underlying
-    :class:`~repro.core.runner.DistributedRunner` or
-    :class:`~repro.core.elastic.ElasticRunner`); unknown attributes
-    (``save``, ``restore``, ``close``, ``transcript``, ...) delegate to
-    it.  The handle adds routing: :meth:`fit` drives training through
-    the fault-recovering elastic loop when the runner is elastic, and
-    plainly otherwise; :meth:`serve` stands up an inference server over
-    the live weights.
-    """
-
-    def __init__(self, distributed: DistributedRunner):
-        self.distributed = distributed
-
-    @property
-    def config(self) -> ParallaxConfig:
-        """The resolved config the runner was built under."""
-        return self.distributed.config
-
-    @property
-    def elastic(self) -> bool:
-        """Whether the underlying runner supports rescale/recovery."""
-        return isinstance(self.distributed, ElasticRunner)
-
-    def fit(self, num_iterations: int, start_iteration: int = 0,
-            shrink_on_failure: bool = False) -> List[IterationResult]:
-        """Train for *num_iterations*, with whatever loop the runner has.
-
-        Elastic runners get the fault-recovering ``run_elastic`` loop
-        (*shrink_on_failure* applies there), plain runners a straight
-        step loop.
-        """
-        if self.elastic:
-            return self.distributed.run_elastic(
-                num_iterations, start_iteration,
-                shrink_on_failure=shrink_on_failure)
-        return self.distributed.run(num_iterations, start_iteration)
-
-    def serve(self, **kwargs):
-        """An :class:`~repro.serve.server.InferenceServer` over the live
-        weights (``make_server`` with this runner's model and config)."""
-        return make_server(self.distributed.model, self.config,
-                           runner=self.distributed, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self.distributed, name)
-
-
-def auto_parallelize(
-    model_builder: Callable[[], BuiltModel],
-    resource_info: Union[ClusterSpec, dict, str],
-    config: Optional[ParallaxConfig] = None,
-) -> Runner:
-    """Automatically parallelize a single-GPU model (Figure 3, line 19).
-
-    The one-call public entry point: builds the model, measures alpha,
-    runs the Equation-1 partition search, transforms the graph under
-    ``config.architecture``, and returns a :class:`Runner` handle whose
-    ``fit``/``step``/``serve`` methods drive the result.
-
-    Args:
-        model_builder: zero-argument callable building the single-GPU
-            graph -- including ``gradients`` and ``opt.update`` -- and
-            returning a :class:`BuiltModel`.  Variables created inside a
-            ``parallax.partitioner()`` scope within the builder are
-            partitioned with the searched count.
-        resource_info: cluster description (ClusterSpec, dict, or a JSON
-            resource file path).
-        config: optional :class:`ParallaxConfig`.
-
-    Returns:
-        A :class:`Runner`; its ``partition_search`` attribute records
-        the Equation-1 search when one ran.
-    """
-    return Runner(_build_distributed(model_builder, resource_info, config))
-
-
-def get_runner(
-    model_builder: Callable[[], BuiltModel],
-    resource_info: Union[ClusterSpec, dict, str],
-    config: Optional[ParallaxConfig] = None,
-) -> DistributedRunner:
-    """The pre-facade entry point: the bare distributed runner.
-
-    Equivalent to ``auto_parallelize(...).distributed`` -- same build
-    pipeline, without the :class:`Runner` handle.  Kept for existing
-    callers; new code should prefer :func:`auto_parallelize`.
-    """
-    return auto_parallelize(model_builder, resource_info,
-                            config).distributed
 
 
 def make_server(model, config: Optional[ParallaxConfig] = None, *,

@@ -4,16 +4,17 @@
 everything plane-specific into sub-configs that mirror the planes of the
 system:
 
-* :class:`CommConfig` -- the synchronization plane (fusion, execution
-  backend, message transport).
+* :class:`CommConfig` -- the synchronization plane (fusion bucket cap,
+  execution backend, message transport).
 * :class:`ElasticConfig` -- the elastic runtime (checkpoint cadence,
   fault schedule).
 * :class:`ServeConfig` -- the serving plane (batch coalescing).
 
 The grouped spelling is the only one: a pre-grouping flat kwarg
-(``ParallaxConfig(fusion=False)``) is an ordinary unexpected-keyword
-``TypeError``, and a group field given anything but its config class
-(``ParallaxConfig(elastic=True)``) a ``TypeError`` naming that class.
+(``ParallaxConfig(backend="multiproc")``) is an ordinary
+unexpected-keyword ``TypeError``, and a group field given anything but
+its config class (``ParallaxConfig(elastic=True)``) a ``TypeError``
+naming that class.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Callable, Dict, Optional
 
 from repro.cluster.faults import FaultPlan
 from repro.cluster.plan import ARCHITECTURES, DEFAULT_SPARSE_AS_DENSE_THRESHOLD
+from repro.core.transform.plan import FUSION_BUFFER_MB, graph_plan
 
 __all__ = [
     "CommConfig",
@@ -35,21 +37,18 @@ __all__ = [
 
 @dataclass
 class CommConfig:
-    """Synchronization-plane knobs: fusion, backend, transport.
+    """Synchronization-plane knobs: fusion bucket cap, backend, transport.
 
     Attributes:
-        fusion: pack dense AllReduce gradients into size-capped buckets
-            (Horovod-style tensor fusion); bit-identical to unfused
-            training.
-        fusion_buffer_mb: fusion bucket size cap in megabytes.
+        fusion_buffer_mb: size cap in megabytes of the buckets dense
+            AllReduce gradients ride (Horovod-style tensor fusion).
         backend: execution backend -- "inproc" (sequential in-process
             engine) or "multiproc" (one OS worker process per replica).
         transport: message plane of the multiproc backend -- "shm"
             (default), "queue", or "tcp".  Requires ``backend="multiproc"``.
     """
 
-    fusion: bool = True
-    fusion_buffer_mb: float = 4.0
+    fusion_buffer_mb: float = FUSION_BUFFER_MB
     backend: str = "inproc"
     transport: Optional[str] = None
 
@@ -138,7 +137,8 @@ class ParallaxConfig:
     Architecture and search knobs stay top-level; everything
     plane-specific lives in a sub-config:
 
-    * ``comm`` -- :class:`CommConfig` (fusion, backend, transport).
+    * ``comm`` -- :class:`CommConfig` (fusion bucket cap, backend,
+      transport).
     * ``elastic`` -- :class:`ElasticConfig` (checkpointing, fault
       schedule).
     * ``serve`` -- :class:`ServeConfig` (request batching).
@@ -208,13 +208,10 @@ def graph_plan_builder(
     to :class:`~repro.core.elastic.ElasticRunner` so rescales rebuild
     congruent plans.
     """
-    from repro.core.transform.plan import graph_plan
-
     def build(graph):
         return graph_plan(
             graph, config.architecture,
             sparse_as_dense=overrides_for(graph) if overrides_for else None,
-            fusion=config.comm.fusion,
             fusion_buffer_mb=config.comm.fusion_buffer_mb,
         )
 

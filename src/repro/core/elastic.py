@@ -220,7 +220,6 @@ class ElasticRunner(DistributedRunner):
         self.plan_builder = plan_builder
         self.checkpoint_every = checkpoint_every
         self.num_rescales = 0
-        self.recovery_log: List[dict] = []
         self._progress = 0
         self._checkpoint_iteration = 0
         self._servers: List = []
@@ -422,15 +421,8 @@ class ElasticRunner(DistributedRunner):
         else:
             action = "restore"
             self._load_state(state)
-        self.recovery_log.append({
-            "iteration": failure.iteration,
-            "worker": failure.worker,
-            "machine": failure.machine,
-            "action": action,
-            "lost_iterations": lost,
-            "wall_time": time.perf_counter() - start,
-        })
         self.transcript.note(
             "elastic/recovery", iteration=failure.iteration,
             action=action, lost_iterations=lost, worker=failure.worker,
+            machine=failure.machine, wall_time=time.perf_counter() - start,
         )

@@ -3,9 +3,10 @@
 Takes a user's single-GPU graph and rewrites it for distributed execution
 according to a synchronization plan:
 
-* **AR rule** -- replicate main computation per GPU; insert ``allreduce``
-  (or ``allgatherv``) ops between gradient producers and per-replica
-  update ops (paper Figure 4).
+* **AR rule** -- replicate main computation per GPU; pack dense
+  gradients into size-capped buckets, one ``fused_allreduce`` per bucket
+  (``allgatherv`` for sparse ones), between gradient producers and
+  per-replica update ops (paper Figure 4).
 * **PS rule** -- replicate main computation per GPU; place variables and
   their update ops on servers; rewrite embedding lookups into server-side
   ``shard_lookup`` ops plus a worker-side ``stitch``; insert per-machine

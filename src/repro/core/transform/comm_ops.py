@@ -1,11 +1,11 @@
 """Distributed op kernels inserted by the graph transformation.
 
-These ops execute *for real* in the functional plane: ``allreduce`` and
-``fused_allreduce`` sum every replica's gradient (or fused bucket of
-gradients) in ring order, ``global_agg`` implements the server-side
-accumulator, ``shard_lookup``/``stitch`` implement the partitioned
-embedding read (TF's dynamic_partition / per-shard gather /
-dynamic_stitch pattern the paper's theta2-cost comes from).
+These ops execute *for real* in the functional plane:
+``fused_allreduce`` sums every replica's bucket of dense gradients in
+ring order, ``global_agg`` implements the server-side accumulator,
+``shard_lookup``/``stitch`` implement the partitioned embedding read
+(TF's dynamic_partition / per-shard gather / dynamic_stitch pattern the
+paper's theta2-cost comes from).
 
 Collective kernels appear once per replica in the graph (so placement is
 explicit per GPU) but reduce once per run per process: the first replica's
@@ -32,7 +32,7 @@ from repro.tensor.sparse import IndexedSlices, concat_slices, to_dense
 #: exchange data across replicas through the run cache and record their own
 #: ring transfers, so static edge accounting skips their edges (runner) and
 #: multiproc workers mute every replica's copy but the first (backend).
-COLLECTIVE_OP_TYPES = frozenset({"allreduce", "fused_allreduce", "allgatherv"})
+COLLECTIVE_OP_TYPES = frozenset({"fused_allreduce", "allgatherv"})
 
 
 def _replica_machines(op, runtime) -> List[int]:
@@ -40,17 +40,16 @@ def _replica_machines(op, runtime) -> List[int]:
     return [int(m) for m in op.attrs["machines"]]
 
 
-@register_forward("allreduce")
 @register_forward("fused_allreduce")
 def _allreduce_fwd(op, inputs, runtime):
-    """Ring AllReduce across replicas of one gradient or one fused bucket.
+    """Ring AllReduce across replicas of one fused bucket.
 
-    A fused op's inputs are each replica's concatenated bucket gradients
-    and its ``segments`` attr names the pieces; the ring chunks every
-    segment on its own, so one pass sends one fused message per step --
-    the Transcript records one transfer per (step, worker) for the whole
+    The inputs are each replica's concatenated bucket gradients and the
+    ``segments`` attr names the pieces; the ring chunks every segment on
+    its own, so one pass sends one fused message per step -- the
+    Transcript records one transfer per (step, worker) for the whole
     bucket -- while performing exactly the additions of per-variable
-    collectives.  Fused results are bit-identical to unfused ones.
+    rings.
 
     Generated code names a plan-owned buffer for the op in
     ``run_cache["out"]`` (the buffer plan's fold slot, see
@@ -61,14 +60,12 @@ def _allreduce_fwd(op, inputs, runtime):
     cache = runtime.run_cache.setdefault("collectives", {})
     key = (op.op_type, op.attrs["group"])
     if key not in cache:
-        segments = op.attrs.get("segments")
         cache[key] = ring_allreduce(
             [np.asarray(v) for v in inputs],
             machines=_replica_machines(op, runtime),
             transcript=getattr(runtime, "transcript", None),
             tag=f"allreduce/{op.attrs['group']}",
-            segments=(None if segments is None
-                      else [size for _name, size in segments]),
+            segments=[size for _name, size in op.attrs["segments"]],
             average=op.attrs.get("average", False),
             out=runtime.run_cache.get("out", {}).get(op.name),
         )

@@ -18,6 +18,10 @@ from repro.cluster.plan import ARCHITECTURES, SyncMethod
 from repro.graph.gradients import grad_tensor_is_sparse
 from repro.graph.graph import Graph
 
+#: Size cap of one fused AllReduce bucket, in megabytes (Horovod's
+#: tensor-fusion buffer).
+FUSION_BUFFER_MB = 4.0
+
 
 def classify_variables(graph: Graph) -> Dict[str, bool]:
     """Variable name -> is_sparse, from recorded gradient info.
@@ -53,12 +57,10 @@ class GraphSyncPlan:
     # when every variable uses the PS method (collectives are inherently
     # synchronous).
     asynchronous: bool = False
-    # Tensor fusion (Horovod-style): pack dense AllReduce gradients into
-    # size-capped buckets so each bucket rides one collective.  Fused
-    # buckets are bit-identical to per-variable collectives (the packed
-    # ring layout preserves every element's summation order).
-    fusion: bool = False
-    fusion_buffer_mb: float = 4.0
+    # Tensor fusion (Horovod-style): dense AllReduce gradients ride one
+    # collective per bucket of at most this size.  The packed ring keeps
+    # every element's summation order, so the cap moves messages, not bits.
+    fusion_buffer_mb: float = FUSION_BUFFER_MB
 
     def __post_init__(self):
         if self.fusion_buffer_mb <= 0:
@@ -90,16 +92,14 @@ class GraphSyncPlan:
 
 def graph_plan(graph: Graph, architecture: str,
                sparse_as_dense: Optional[Dict[str, bool]] = None,
-               fusion: bool = False,
-               fusion_buffer_mb: float = 4.0) -> GraphSyncPlan:
+               fusion_buffer_mb: float = FUSION_BUFFER_MB) -> GraphSyncPlan:
     """The engine's plan of *architecture* (an
     :data:`~repro.cluster.plan.ARCHITECTURES` key) for *graph*.
 
     ``sparse_as_dense`` names sparse variables whose measured alpha is
     near 1; an architecture with the section 3.1 refinement gives them
-    the dense method despite their sparse gradient type.  ``fusion``
-    packs the AllReduce variables into ``fusion_buffer_mb``-capped
-    buckets.
+    the dense method despite their sparse gradient type.  The AllReduce
+    variables are packed into ``fusion_buffer_mb``-capped buckets.
     """
     arch = ARCHITECTURES[architecture]
     overrides = (sparse_as_dense or {}) if arch.near_dense_as_dense else {}
@@ -109,14 +109,26 @@ def graph_plan(graph: Graph, architecture: str,
         for name, sparse in classify_variables(graph).items()
     }
     return GraphSyncPlan(arch.label, methods, arch.optimized, arch.optimized,
-                         fusion=fusion, fusion_buffer_mb=fusion_buffer_mb)
+                         fusion_buffer_mb=fusion_buffer_mb)
 
 
-def hybrid_graph_plan(graph: Graph, **kw) -> GraphSyncPlan:
+def _fused_only(fusion: bool) -> None:
+    # ``fusion`` stays a keyword only because ``bench/training.py`` passes
+    # ``fusion=True``; it goes once the benchmark stops (ROADMAP item 14).
+    if fusion is not True:
+        raise ValueError(f"fusion={fusion!r}: every dense AllReduce is a "
+                         "fused bucket; size it with fusion_buffer_mb")
+
+
+def hybrid_graph_plan(graph: Graph, fusion: bool = True,
+                      **kw) -> GraphSyncPlan:
     """Parallax's rule: sparse -> PS, dense -> AllReduce (section 3.1)."""
+    _fused_only(fusion)
     return graph_plan(graph, "hybrid", **kw)
 
 
-def ar_graph_plan(graph: Graph, **kw) -> GraphSyncPlan:
+def ar_graph_plan(graph: Graph, fusion: bool = True,
+                  **kw) -> GraphSyncPlan:
     """Pure collective plan (Horovod): AllReduce dense, AllGatherv sparse."""
+    _fused_only(fusion)
     return graph_plan(graph, "ar", **kw)

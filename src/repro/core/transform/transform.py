@@ -379,7 +379,7 @@ def transform_graph(
     with new_graph.as_default():
         for var_name, method in plan.methods.items():
             grads = [replica_grads[r][var_name] for r in range(num_replicas)]
-            if method is SyncMethod.ALLREDUCE and plan.fusion:
+            if method is SyncMethod.ALLREDUCE:
                 # Collected into size-capped buckets below; order is the
                 # deterministic plan order, so bucketing is reproducible.
                 fused_ar_vars.append(var_name)
@@ -401,9 +401,8 @@ def transform_graph(
                 )
             else:
                 update_ops.extend(
-                    _build_collective_updates(new_graph, opt, var_name,
-                                              method, grads, machines,
-                                              builders)
+                    _build_allgatherv_updates(new_graph, opt, var_name,
+                                              grads, machines, builders)
                 )
         if fused_ar_vars:
             update_ops.extend(
@@ -540,8 +539,8 @@ def _build_fused_collective_updates(
     message per ring step), and ``bucket_slice`` ops unpack each
     variable's reduced gradient for its per-replica update.  The ring
     chunks every segment of the bucket on its own
-    (:func:`~repro.comm.allreduce.ring_allreduce`), which keeps results
-    bit-identical to unfused per-variable collectives.
+    (:func:`~repro.comm.allreduce.ring_allreduce`), so each element sums
+    in the order a per-variable ring would give it, whatever the cap.
     """
     from repro.comm.allreduce import fused_chunk_bounds
 
@@ -617,34 +616,22 @@ def _build_fused_collective_updates(
     return updates
 
 
-def _build_collective_updates(
+def _build_allgatherv_updates(
     new_graph: Graph,
     opt: Optimizer,
     var_name: str,
-    method: SyncMethod,
     grads: List[Tensor],
     machines: List[int],
     builders: List["_ReplicaBuilder"],
 ) -> List[Operation]:
-    """AllReduce or AllGatherv per replica, then per-replica updates."""
+    """AllGatherv per replica, then per-replica updates."""
     sparse = _grad_is_sparse(grads[0])
     updates: List[Operation] = []
-    inputs = grads
-    if method is SyncMethod.ALLREDUCE and sparse:
-        # Sparse-as-dense: densify each replica's IndexedSlices first
-        # (the near-alpha-1 path of paper section 3.1).
-        inputs = [_densified_grad(new_graph, var_name, g, r,
-                                  builders[r].device)
-                  for r, g in enumerate(grads)]
-        sparse = False
-
-    op_type = ("allreduce" if method is SyncMethod.ALLREDUCE
-               else "allgatherv")
     for r in range(len(grads)):
         replica_var = builders[r].replica_vars[var_name]
         collective = new_graph.add_op(
-            op_type, inputs, inputs[r].spec,
-            name=f"{op_type}/{var_name}/rep{r}",
+            "allgatherv", grads, grads[r].spec,
+            name=f"allgatherv/{var_name}/rep{r}",
             attrs={
                 "group": var_name,
                 "replica": r,

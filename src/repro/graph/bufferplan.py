@@ -108,7 +108,7 @@ EXPAND_ALIAS_VJP = frozenset(
 # Collectives whose kernel folds into a plan-owned ``out=`` buffer.  They
 # read their inputs only during the call and retain nothing, and every
 # replica's op of one (op type, group) returns the first one's result.
-FOLD_OUT = frozenset({"allreduce", "fused_allreduce"})
+FOLD_OUT = frozenset({"fused_allreduce"})
 
 # Dense update kernels that write in place when the run cache lists them
 # (``run_cache["in_place"]``), and the attrs naming those variables.

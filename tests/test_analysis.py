@@ -49,8 +49,7 @@ def make_model():
 
 def make_transformed(plan_builder=None, cluster=C2x2):
     model = make_model()
-    plan = (plan_builder or (lambda g: hybrid_graph_plan(g, fusion=True)))(
-        model.graph)
+    plan = (plan_builder or hybrid_graph_plan)(model.graph)
     transformed = transform_graph(model.graph, model.loss, cluster, plan,
                                   verify=False)
     return transformed, default_fetch_ops(transformed)
@@ -173,8 +172,8 @@ class TestDeadlockMutations:
         """Two ranks, fused AllReduce: per rank, the index of the first
         bucket ``pack`` (the exec that sends) and of the ``recv`` of the
         peer's pack of the same bucket."""
-        transformed, fetch_ops = make_transformed(
-            lambda g: ar_graph_plan(g, fusion=True), cluster=C2x1)
+        transformed, fetch_ops = make_transformed(ar_graph_plan,
+                                                  cluster=C2x1)
         entries = build_all_worker_entries(transformed, fetch_ops)
         where = {}
         for rank, peer in ((0, 1), (1, 0)):
@@ -402,7 +401,7 @@ class TestAccounting:
     def test_static_bytes_equal_measured_transcript_dense(self):
         model = make_model()
         runner = DistributedRunner(
-            model, C2x1, hybrid_graph_plan(model.graph, fusion=True),
+            model, C2x1, hybrid_graph_plan(model.graph),
             seed=3)
         runner.step(0)
         fetch_ops = default_fetch_ops(runner.transformed)
@@ -489,10 +488,11 @@ class TestVerifyPlanMatrix:
         assert set(report.timings) == {"deadlock", "congruence", "alias",
                                        "accounting"}
 
-    # The id predates the codec removal; both plans are exact.
+    # The id predates the codec removal; both plans are exact, the
+    # first with one bucket per AllReduce variable.
     @pytest.mark.parametrize("plan_builder", [
-        lambda g: hybrid_graph_plan(g, fusion=False),
-        lambda g: ar_graph_plan(g, fusion=True),
+        lambda g: hybrid_graph_plan(g, fusion_buffer_mb=1e-6),
+        lambda g: ar_graph_plan(g),
     ])
     def test_fusion_and_compression_variants_are_clean(self, plan_builder):
         transformed, fetch_ops = make_transformed(plan_builder)
@@ -565,7 +565,7 @@ class TestTransportInvariance:
     def test_verification_is_transport_agnostic(self, transport):
         model = make_model()
         runner = DistributedRunner(
-            model, C2x1, hybrid_graph_plan(model.graph, fusion=True),
+            model, C2x1, hybrid_graph_plan(model.graph),
             seed=3, backend=MultiprocBackend(transport=transport))
         try:
             result = runner.step(0)
@@ -596,7 +596,7 @@ class TestWorkerFailureContext:
         monkeypatch.setitem(DIRECT, "lstm_seq", lambda op: exploding_lstm)
         model = make_model()
         runner = DistributedRunner(
-            model, C2x1, hybrid_graph_plan(model.graph, fusion=True),
+            model, C2x1, hybrid_graph_plan(model.graph),
             seed=3, backend="multiproc")
         try:
             with pytest.raises(WorkerFailureError) as excinfo:

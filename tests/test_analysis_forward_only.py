@@ -27,7 +27,7 @@ from repro.nn.optimizers import GradientDescentOptimizer
 C2x2 = ClusterSpec(num_machines=2, gpus_per_machine=2)
 
 PLAN_BUILDERS = {
-    "hybrid": lambda g: hybrid_graph_plan(g, fusion=True),
+    "hybrid": hybrid_graph_plan,
     "ps": lambda g: graph_plan(g, "opt_ps"),
     "ar": ar_graph_plan,
 }

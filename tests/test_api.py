@@ -524,8 +524,7 @@ class TestBackendConfig:
         assert cfg.comm.backend == "inproc"
 
     def test_get_runner_threads_backend_through(self):
-        cfg = ParallaxConfig(comm=CommConfig(backend="multiproc",
-                                             fusion=False),
+        cfg = ParallaxConfig(comm=CommConfig(backend="multiproc"),
                              search_partitions=False,
                              alpha_measure_batches=0)
         runner = get_runner(lm_builder(), {"machines": 2,

@@ -54,7 +54,7 @@ SEED = 3
 C2x1 = ClusterSpec(num_machines=2, gpus_per_machine=1)
 
 PLAN_BUILDERS = {
-    "hybrid": lambda g: hybrid_graph_plan(g, fusion=True),
+    "hybrid": hybrid_graph_plan,
     "ps": lambda g: graph_plan(g, "opt_ps"),
     "ar": ar_graph_plan,
 }
@@ -527,7 +527,7 @@ class TestMultiprocSmoke:
         # needing anything from the late one first.
         model = make_model()
         runner = DistributedRunner(
-            model, C2x1, ar_graph_plan(model.graph, fusion=True),
+            model, C2x1, ar_graph_plan(model.graph),
             seed=SEED, backend=LateLastRank(transport="shm"))
         steps = []
         try:

@@ -51,7 +51,7 @@ def resnet_runner(sizes=BENCH_RESNET, optimizer=None,
     with model.graph.as_default():
         (optimizer or GradientDescentOptimizer(0.02)).update(
             gradients(model.loss))
-    return runner_cls(model, C2x1, ar_graph_plan(model.graph, fusion=True),
+    return runner_cls(model, C2x1, ar_graph_plan(model.graph),
                       seed=SEED)
 
 
@@ -271,7 +271,7 @@ def test_logical_state_is_a_snapshot(backend):
     with model.graph.as_default():
         GradientDescentOptimizer(0.4).update(gradients(model.loss))
     runner = DistributedRunner(
-        model, C2x1, hybrid_graph_plan(model.graph, fusion=True),
+        model, C2x1, hybrid_graph_plan(model.graph),
         seed=SEED,
         backend=("inproc" if backend == "inproc"
                  else MultiprocBackend(transport=backend)))

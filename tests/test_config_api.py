@@ -27,7 +27,6 @@ FAULTS = FaultPlan(failures=(WorkerFailure(iteration=1, worker=0),))
 # (removed flat kwargs, the grouped spelling that replaced them) -- one
 # case per pre-grouping kwarg.
 LEGACY_EQUIVALENTS = [
-    ({"fusion": False}, {"comm": CommConfig(fusion=False)}),
     ({"fusion_buffer_mb": 2.5}, {"comm": CommConfig(fusion_buffer_mb=2.5)}),
     ({"backend": "multiproc"}, {"comm": CommConfig(backend="multiproc")}),
     ({"backend": "multiproc", "transport": "tcp"},
@@ -64,7 +63,7 @@ class TestLegacyKwargParity:
         top_level = {f.name for f in dataclasses.fields(ParallaxConfig)}
         flat_names = {name for flat, _ in LEGACY_EQUIVALENTS
                       for name in flat} - top_level
-        assert len(flat_names) == 8
+        assert len(flat_names) == 7
         for name in sorted(flat_names):
             assert not hasattr(ParallaxConfig, name)
             with pytest.raises(AttributeError):
@@ -75,7 +74,8 @@ class TestLegacyKwargParity:
             "architecture": "hybrid", "search_partitions": True,
             "max_partitions": 512, "sparse_as_dense_threshold": 0.95,
             "alpha_measure_batches": 2, "verify_plans": False, "seed": 0,
-            "comm": dataclasses.asdict(CommConfig()),
+            "comm": {"fusion_buffer_mb": 4.0, "backend": "inproc",
+                     "transport": None},
             "elastic": dataclasses.asdict(ElasticConfig()),
             "serve": dataclasses.asdict(ServeConfig()),
         }
@@ -87,8 +87,10 @@ class TestLegacyKwargParity:
 # and a work-conserving batcher with no delay to configure), plus the
 # online replanner, the gradient codecs and the NIC-degradation sleep,
 # which no workload ran; the cost constants and fault schedule that
-# only the deleted recovery, rescale and goodput prices read; and the
-# partition search's sample counts, now constants of ``core/api.py``.
+# only the deleted recovery, rescale and goodput prices read; the
+# partition search's sample counts, now constants of ``core/api.py``;
+# and the unfused AllReduce switch, now that every dense AllReduce is a
+# fused bucket.
 REMOVED_FIELDS = {
     "local_aggregation": (ParallaxConfig, False),
     "smart_placement": (ParallaxConfig, False),
@@ -109,6 +111,7 @@ REMOVED_FIELDS = {
     "degradations": (FaultPlan, ()),
     "sample_iterations": (ParallaxConfig, 2),
     "sample_warmup": (ParallaxConfig, 1),
+    "fusion": (CommConfig, False),
 }
 
 
@@ -145,7 +148,7 @@ class TestDeprecatedReadAliases:
         config = ParallaxConfig(elastic=ElasticConfig(enabled=True))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert config.comm.fusion is True
+            assert config.comm.backend == "inproc"
             assert config.elastic.enabled is True
             assert config.serve.max_batch == 8
 

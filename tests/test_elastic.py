@@ -477,23 +477,24 @@ class TestRecovery:
         clean, faulted, runner = self.run_pair(
             FaultPlan.kill(worker=1, at_iteration=3))
         assert losses(clean) == losses(faulted)
-        assert len(runner.recovery_log) == 1
-        entry = runner.recovery_log[0]
-        assert entry["action"] == "restore"
-        assert entry["lost_iterations"] == 1
-        assert runner.transcript.events("elastic/recovery")
+        recoveries = runner.transcript.events("elastic/recovery")
+        assert len(recoveries) == 1
+        entry = recoveries[0]
+        assert entry.get("action") == "restore"
+        assert entry.get("lost_iterations") == 1
 
     def test_multiple_failures_all_recovered(self):
         plan = FaultPlan(failures=(WorkerFailure(1, 0), WorkerFailure(4, 3)))
         clean, faulted, runner = self.run_pair(plan, iters=6)
         assert losses(clean) == losses(faulted)
-        assert len(runner.recovery_log) == 2
+        assert len(runner.transcript.events("elastic/recovery")) == 2
 
     def test_fault_at_checkpoint_boundary_loses_nothing(self):
         clean, faulted, runner = self.run_pair(
             FaultPlan.kill(worker=2, at_iteration=4), checkpoint_every=2)
         assert losses(clean) == losses(faulted)
-        assert runner.recovery_log[0]["lost_iterations"] == 0
+        recovery = runner.transcript.events("elastic/recovery")[0]
+        assert recovery.get("lost_iterations") == 0
 
     def test_recovery_is_deterministic(self):
         plan = FaultPlan.kill(worker=1, at_iteration=3)
@@ -509,7 +510,8 @@ class TestRecovery:
         assert runner.cluster.num_machines == 1
         assert len(results) == 6
         assert all(np.isfinite(r.mean_loss) for r in results)
-        assert runner.recovery_log[0]["action"] == "shrink"
+        recovery = runner.transcript.events("elastic/recovery")[0]
+        assert recovery.get("action") == "shrink"
         # Post-shrink iterations match a fresh shrunken runner restored
         # from the same checkpoint (the differential recovery contract):
         # the kill at iteration 3 rolls back to the iteration-2 snapshot.
@@ -690,7 +692,7 @@ class TestMultiprocRescale:
         finally:
             faulted.close()
         assert got == want
-        assert len(faulted.recovery_log) == 1
+        assert len(faulted.transcript.events("elastic/recovery")) == 1
 
     def test_rescale_preserves_configured_backend_instance(self):
         """A backend instance with custom configuration survives a

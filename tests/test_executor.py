@@ -311,7 +311,7 @@ class TestFailureContext:
         monkeypatch.setitem(ops.FORWARD, "fused_allreduce", fails_once)
         model = make_model()
         runner = DistributedRunner(
-            model, CLUSTER, hybrid_graph_plan(model.graph, fusion=True),
+            model, CLUSTER, hybrid_graph_plan(model.graph),
             seed=1)
         with pytest.raises(RuntimeError, match="injected") as excinfo:
             for i in range(3):
@@ -362,7 +362,7 @@ class TestOneLinePerEntry:
         with model.graph.as_default():
             GradientDescentOptimizer(0.02).update(gradients(model.loss))
         runner = DistributedRunner(model, ClusterSpec(2, 1),
-                                   ar_graph_plan(model.graph, fusion=True),
+                                   ar_graph_plan(model.graph),
                                    seed=1)
         for i in range(2):
             runner.step(i)

@@ -123,7 +123,7 @@ def lm_schedules(seq_len):
         GradientDescentOptimizer(0.5).update(gradients(model.loss))
     transformed = transform_graph(
         model.graph, model.loss, ClusterSpec(2, 1),
-        hybrid_graph_plan(model.graph, fusion=True))
+        hybrid_graph_plan(model.graph))
     plan = DistributedSession(transformed, seed=0).compile(
         list(transformed.replica_losses) + [transformed.train_op])
     serve = Session(model.graph, seed=0).compile([model.logits])

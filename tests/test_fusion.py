@@ -1,13 +1,17 @@
 """Bucketed (fused) dense-gradient AllReduce, on both planes.
 
-The load-bearing guarantee is bit-identity: packing several gradients
-into one collective must perform, element for element, exactly the
-additions the per-variable rings would (``ring_allreduce(segments=)``
-chunks every segment on its own), so fused training losses match unfused
-ones bitwise while the Transcript carries fewer, larger AllReduce
-messages.
+Every dense AllReduce is a fused bucket.  The load-bearing guarantee is
+bit-identity across bucket caps: packing several gradients into one
+collective must perform, element for element, exactly the additions the
+per-variable rings would (``ring_allreduce(segments=)`` chunks every
+segment on its own), so training under the default cap matches training
+with one bucket per variable bitwise while the Transcript carries fewer,
+larger AllReduce messages.  ``tests/ring_oracle.py`` is the independent
+per-segment reference.
 """
 
+import dataclasses
+import inspect
 import pickle
 
 import numpy as np
@@ -15,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.analysis import accounting, alias, congruence
 from repro.cluster.spec import ClusterSpec
 from repro.comm.allreduce import (
     chunk_bounds,
@@ -24,24 +30,24 @@ from repro.comm.allreduce import (
 from repro.core.runner import DistributedRunner
 from repro.core.transform import transform_graph
 from repro.core.transform.comm_ops import COLLECTIVE_OP_TYPES
-from repro.cluster.plan import fusion_buckets
+from repro.cluster.plan import SyncMethod, fusion_buckets
 from repro.core.transform.plan import (
     GraphSyncPlan,
     ar_graph_plan,
     graph_plan,
     hybrid_graph_plan,
 )
-from repro.graph import gradients
-from repro.graph.executor import overlap_schedule
+from repro.graph import bufferplan, gradients
+from repro.graph.executor import DIRECT, overlap_schedule
 from repro.graph.graph import Graph, TensorSpec
-from repro.graph.ops import constant
+from repro.graph.ops import FORWARD, constant
 from repro.nn.models import build_lm, build_resnet
 from repro.nn.optimizers import GradientDescentOptimizer
 from ring_oracle import fused_segment_layout
 
 CLUSTER = ClusterSpec(num_machines=2, gpus_per_machine=2)
 
-# The four architectures of the acceptance matrix.  ``fusion`` only
+# The four architectures of the acceptance matrix.  The bucket cap only
 # changes plans with AllReduce variables (ps is a pure-PS control).
 PLAN_BUILDERS = {
     "hybrid": lambda g, **kw: hybrid_graph_plan(g, **kw),
@@ -58,6 +64,10 @@ def make_model():
         gvs = gradients(model.loss)
         GradientDescentOptimizer(0.2).update(gvs)
     return model
+
+
+# A cap below every gradient: one bucket, so one ring, per variable.
+PER_VARIABLE_MB = 1e-6
 
 
 def make_runner(arch, **plan_kwargs):
@@ -165,55 +175,62 @@ class TestRingBounds:
 
 
 class TestFusedTraining:
-    """Fused == unfused, bitwise, for every architecture."""
+    """Default cap == one bucket per variable, bitwise, for every
+    architecture."""
 
     @pytest.mark.parametrize("arch", sorted(PLAN_BUILDERS))
     def test_losses_and_state_bit_identical(self, arch):
-        fused = make_runner(arch, fusion=True)
-        unfused = make_runner(arch, fusion=False)
+        fused = make_runner(arch)
+        per_var = make_runner(arch, fusion_buffer_mb=PER_VARIABLE_MB)
         for i in range(3):
             a = fused.step(i)
-            b = unfused.step(i)
+            b = per_var.step(i)
             assert a.replica_losses == b.replica_losses
         state_a = fused.logical_state()
-        state_b = unfused.logical_state()
+        state_b = per_var.logical_state()
         assert set(state_a) == set(state_b)
         for name in state_a:
             np.testing.assert_array_equal(state_a[name], state_b[name])
 
     @pytest.mark.parametrize("arch", ["hybrid", "ar"])
     def test_transcript_fewer_larger_messages_same_bytes(self, arch):
-        fused = make_runner(arch, fusion=True)
-        unfused = make_runner(arch, fusion=False)
+        fused = make_runner(arch)
+        per_var = make_runner(arch, fusion_buffer_mb=PER_VARIABLE_MB)
         fused.step(0)
-        unfused.step(0)
+        per_var.step(0)
         fused_ar = fused.transcript.filter("allreduce")
-        unfused_ar = unfused.transcript.filter("allreduce")
-        assert len(fused_ar) < len(unfused_ar)
+        per_var_ar = per_var.transcript.filter("allreduce")
+        assert len(fused_ar) < len(per_var_ar)
         assert (sum(t.nbytes for t in fused_ar)
-                == sum(t.nbytes for t in unfused_ar))
+                == sum(t.nbytes for t in per_var_ar))
         assert (max(t.nbytes for t in fused_ar)
-                > max(t.nbytes for t in unfused_ar))
+                > max(t.nbytes for t in per_var_ar))
 
     def test_tiny_buffer_forces_per_variable_buckets(self):
-        """A cap below every gradient degenerates to unfused message
-        counts -- and must still be bit-identical."""
-        tiny = make_runner("hybrid", fusion=True, fusion_buffer_mb=1e-6)
-        unfused = make_runner("hybrid", fusion=False)
-        for i in range(2):
-            assert (tiny.step(i).replica_losses
-                    == unfused.step(i).replica_losses)
-        assert (len(tiny.transcript.filter("allreduce"))
-                == len(unfused.transcript.filter("allreduce")))
+        """A cap below every gradient gives each AllReduce variable a
+        bucket of its own: one single-segment collective per replica."""
+        runner = make_runner("hybrid", fusion_buffer_mb=PER_VARIABLE_MB)
+        dense = {name for name, method in runner.plan.methods.items()
+                 if method is SyncMethod.ALLREDUCE}
+        assert dense
+        buckets = [op.attrs["segments"]
+                   for op in runner.transformed.graph.operations
+                   if op.op_type == "fused_allreduce"
+                   and op.attrs["replica"] == 0]
+        assert all(len(segments) == 1 for segments in buckets)
+        assert sorted(segments[0][0] for segments in buckets) \
+            == sorted(dense)
 
     def test_fused_ops_present_only_when_fusion_on(self):
-        fused = make_runner("hybrid", fusion=True)
-        unfused = make_runner("hybrid", fusion=False)
-        def op_types(runner):
-            return {op.op_type
-                    for op in runner.transformed.graph.operations}
-        assert "fused_allreduce" in op_types(fused)
-        assert "fused_allreduce" not in op_types(unfused)
+        """There is no unfused AllReduce: every plan with a dense
+        variable reduces it in a ``fused_allreduce`` bucket."""
+        for arch in sorted(PLAN_BUILDERS):
+            runner = make_runner(arch)
+            types = {op.op_type
+                     for op in runner.transformed.graph.operations}
+            assert "allreduce" not in types, arch
+            has_dense = SyncMethod.ALLREDUCE in runner.plan.methods.values()
+            assert ("fused_allreduce" in types) == has_dense, arch
 
     @pytest.mark.parametrize("arch", ["hybrid", "ar"])
     def test_odd_replica_count_bit_identical(self, arch):
@@ -222,17 +239,16 @@ class TestFusedTraining:
         fused and per-variable reduction order would show here."""
         cluster = ClusterSpec(num_machines=3, gpus_per_machine=1)
         runners = []
-        for fusion in (True, False):
+        for cap in ({}, {"fusion_buffer_mb": PER_VARIABLE_MB}):
             model = make_model()
             runners.append(DistributedRunner(
-                model, cluster, PLAN_BUILDERS[arch](model.graph,
-                                                    fusion=fusion),
+                model, cluster, PLAN_BUILDERS[arch](model.graph, **cap),
                 seed=1))
-        fused, unfused = runners
+        fused, per_var = runners
         for i in range(3):
             assert (fused.step(i).replica_losses
-                    == unfused.step(i).replica_losses)
-        state_a, state_b = fused.logical_state(), unfused.logical_state()
+                    == per_var.step(i).replica_losses)
+        state_a, state_b = fused.logical_state(), per_var.logical_state()
         assert set(state_a) == set(state_b)
         for name in state_a:
             np.testing.assert_array_equal(state_a[name], state_b[name])
@@ -240,8 +256,7 @@ class TestFusedTraining:
     def test_plan_rejects_nonpositive_buffer(self):
         model = make_model()
         with pytest.raises(ValueError, match="fusion_buffer_mb"):
-            hybrid_graph_plan(model.graph, fusion=True,
-                              fusion_buffer_mb=0.0)
+            hybrid_graph_plan(model.graph, fusion_buffer_mb=0.0)
         with pytest.raises(ValueError):
             GraphSyncPlan("p", {}, fusion_buffer_mb=-1.0)
 
@@ -257,7 +272,7 @@ class TestFusedTransformIsSmall:
             gvs = gradients(model.loss)
             GradientDescentOptimizer(0.1).update(gvs)
         return transform_graph(model.graph, model.loss, CLUSTER,
-                               ar_graph_plan(model.graph, fusion=True))
+                               ar_graph_plan(model.graph))
 
     def test_no_collective_op_carries_an_array_attr(self, transformed):
         collectives = [op for op in transformed.graph.operations
@@ -368,7 +383,7 @@ class TestOverlapSchedule:
         of the buckets still to come remains (the overlap window), and
         once the first collective finishes nothing but collectives and
         their consumers is left."""
-        runner = make_runner("hybrid", fusion=True, fusion_buffer_mb=1e-4)
+        runner = make_runner("hybrid", fusion_buffer_mb=1e-4)
         ops = [entry[0] for entry in runner.step_plans[0].schedule]
         packs = [i for i, op in enumerate(ops)
                  if op.op_type == "concat"
@@ -388,3 +403,22 @@ class TestOverlapSchedule:
                 and op.op_type in ("fused_allreduce", "bucket_slice")]
         assert tail[0].op_type == "fused_allreduce"
         assert tail[1].op_type == "bucket_slice"
+
+
+def test_one_dense_allreduce_and_one_entry_point():
+    """Fused buckets are the only dense AllReduce and ``get_runner`` the
+    only entry point: no per-variable ``allreduce`` op type in any
+    registry, no switch selecting it, and no facade over the runner."""
+    for registry in (FORWARD, DIRECT, COLLECTIVE_OP_TYPES,
+                     bufferplan.FOLD_OUT, accounting._DENSE_RING,
+                     accounting._KNOWN, congruence.COLLECTIVE_TYPES,
+                     alias._FOLDS):
+        assert "allreduce" not in registry
+    assert "fusion" not in {f.name for f in dataclasses.fields(GraphSyncPlan)}
+    assert "fusion" not in inspect.signature(graph_plan).parameters
+    for name in ("Runner", "auto_parallelize"):
+        assert not hasattr(repro, name) and name not in repro.__all__
+    model = make_model()
+    for build in (hybrid_graph_plan, ar_graph_plan):
+        with pytest.raises(ValueError, match="fusion"):
+            build(model.graph, fusion=False)

@@ -389,7 +389,7 @@ def test_bench_lm_step_schedule_is_1165_entries_with_no_slice_vjp():
         GradientDescentOptimizer(0.5).update(gradients(model.loss))
     transformed = transform_graph(
         model.graph, model.loss, ClusterSpec(2, 1),
-        hybrid_graph_plan(model.graph, fusion=True))
+        hybrid_graph_plan(model.graph))
     plan = DistributedSession(transformed, seed=0).compile(
         list(transformed.replica_losses) + [transformed.train_op])
     # The test id keeps the per-timestep graph's count; see README.

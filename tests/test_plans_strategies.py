@@ -307,6 +307,18 @@ class TestOneArchitectureTable:
                    for n in shards)
         assert not simulator.ps_assignments
 
+    @pytest.mark.parametrize("alpha", [None, 0.0, 1.5])
+    def test_sparse_variable_without_measured_alpha_is_refused(self, alpha):
+        # A guessed alpha of 1.0 would reach the hybrid's near-dense
+        # threshold: the simulator would AllReduce the embedding the
+        # engine keeps on PS.
+        model = _matrix_models()["lm"]()
+        alphas = ({} if alpha is None else
+                  {n: alpha for n, s in
+                   classify_variables(model.graph).items() if s})
+        with pytest.raises(ValueError, match="'embedding'"):
+            derive_profile(model, alphas)
+
 
 def test_each_architecture_is_defined_once():
     """The per-architecture builders, their name maps and the unread

@@ -31,9 +31,9 @@ def make_model():
     return model
 
 
-def make_elastic(cluster=C4, fused=True, **kwargs):
+def make_elastic(cluster=C4, **kwargs):
     model = make_model()
-    plan = hybrid_graph_plan(model.graph, fusion=fused)
+    plan = hybrid_graph_plan(model.graph)
     return ElasticRunner(model, cluster, plan, seed=SEED, **kwargs)
 
 
@@ -100,7 +100,7 @@ class TestFusedRecoveryEventSequence:
         event order -- kill first, recovery next -- on the same timeline
         as the fused collective's transfers."""
         fault_plan = FaultPlan(failures=(WorkerFailure(2, worker=1),))
-        runner = make_elastic(fused=True, fault_plan=fault_plan,
+        runner = make_elastic(fault_plan=fault_plan,
                               checkpoint_every=1)
         results = runner.run_elastic(4)
         assert len(results) == 4
@@ -121,7 +121,7 @@ class TestFusedRecoveryEventSequence:
 
     def test_shrink_recovery_emits_rescale_between_kill_and_recovery(self):
         fault_plan = FaultPlan(failures=(WorkerFailure(1, worker=0),))
-        runner = make_elastic(fused=True, fault_plan=fault_plan,
+        runner = make_elastic(fault_plan=fault_plan,
                               checkpoint_every=1)
         runner.run_elastic(3, shrink_on_failure=True)
         tags = [e.tag for e in runner.transcript.events()]
@@ -131,7 +131,7 @@ class TestFusedRecoveryEventSequence:
             "action") == "shrink"
 
     def test_fault_free_fused_run_has_no_events(self):
-        runner = make_elastic(fused=True)
+        runner = make_elastic()
         runner.run_elastic(3)
         assert runner.transcript.events() == []
 
@@ -160,7 +160,7 @@ class TestPerWorkerMerge:
         def one_run():
             model = make_model()
             runner = DistributedRunner(
-                model, C2x1, hybrid_graph_plan(model.graph, fusion=True),
+                model, C2x1, hybrid_graph_plan(model.graph),
                 seed=SEED, backend="multiproc")
             try:
                 runner.step(0)
@@ -173,12 +173,12 @@ class TestPerWorkerMerge:
     def test_multiproc_merge_matches_inproc_aggregates(self):
         model = make_model()
         inproc = DistributedRunner(
-            model, C2x1, hybrid_graph_plan(model.graph, fusion=True),
+            model, C2x1, hybrid_graph_plan(model.graph),
             seed=SEED)
         inproc.step(0)
         model2 = make_model()
         multiproc = DistributedRunner(
-            model2, C2x1, hybrid_graph_plan(model2.graph, fusion=True),
+            model2, C2x1, hybrid_graph_plan(model2.graph),
             seed=SEED, backend="multiproc")
         try:
             multiproc.step(0)

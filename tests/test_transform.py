@@ -99,13 +99,19 @@ class TestHybridStructure:
         assert all(op.device.is_gpu for op in stitches)
 
     def test_allreduce_per_dense_var_per_replica(self, transformed):
+        """Each dense variable is a segment of exactly one bucket, and
+        each bucket has one fused op per replica."""
         ar_ops = [op for op in transformed.graph.operations
-                  if op.op_type == "allreduce"]
-        dense_vars = len(transformed.replica_variables)
-        assert len(ar_ops) == dense_vars * 4
+                  if op.op_type == "fused_allreduce"]
+        groups = {op.attrs["group"] for op in ar_ops}
+        assert groups and len(ar_ops) == len(groups) * 4
         for op in ar_ops:
-            assert len(op.inputs) == 4  # every replica's gradient
+            assert len(op.inputs) == 4  # every replica's bucket
             assert op.device.is_gpu
+        for r in range(4):
+            segments = [name for op in ar_ops if op.attrs["replica"] == r
+                        for name, _size in op.attrs["segments"]]
+            assert sorted(segments) == sorted(transformed.replica_variables)
 
     def test_global_agg_on_variable_server(self, transformed):
         g = transformed.graph
@@ -149,7 +155,7 @@ class TestRuleVariants:
         plan = graph_plan(model.graph, "ps")
         tg = transform_graph(model.graph, model.loss, CLUSTER, plan)
         kinds = {op.op_type for op in tg.graph.operations}
-        assert "allreduce" not in kinds and "allgatherv" not in kinds
+        assert "fused_allreduce" not in kinds and "allgatherv" not in kinds
         assert not tg.replica_variables
 
     def test_naive_ps_has_no_local_agg_and_chief_agg(self):
@@ -167,7 +173,7 @@ class TestRuleVariants:
         plan = ar_graph_plan(model.graph)
         tg = transform_graph(model.graph, model.loss, CLUSTER, plan)
         kinds = {op.op_type for op in tg.graph.operations}
-        assert "allgatherv" in kinds and "allreduce" in kinds
+        assert "allgatherv" in kinds and "fused_allreduce" in kinds
         assert "shard_lookup" not in kinds  # embeddings stay replicated
         assert not tg.ps_placement
 
@@ -177,7 +183,7 @@ class TestRuleVariants:
         tg = transform_graph(model.graph, model.loss, CLUSTER, plan)
         assert not tg.ps_placement
         kinds = {op.op_type for op in tg.graph.operations}
-        assert "allreduce" in kinds
+        assert "fused_allreduce" in kinds
         assert "global_agg" not in kinds
 
     def test_sparse_as_dense_override_densifies(self):
@@ -261,7 +267,7 @@ class TestTransformedGraphSerialization:
         from repro.core.runner import DistributedRunner, DistributedSession
 
         model = lm_model()
-        plan = hybrid_graph_plan(model.graph, fusion=True)
+        plan = hybrid_graph_plan(model.graph)
         runner = DistributedRunner(model, CLUSTER, plan, seed=1)
         want = [runner.step(i).replica_losses for i in range(2)]
 
