@@ -37,7 +37,8 @@ old one down).  After that:
 * :meth:`read_variables` / :meth:`load_state` are the authoritative
   variable plane -- the runner's checkpoint, inspection, and elastic
   migration paths all route through them, because under ``multiproc``
-  the driving process' own stores are stale copies;
+  each value lives only in the worker that owns it (the driving
+  process' own stores never materialize one);
 * :meth:`shutdown` releases workers and transport resources.
 """
 
@@ -272,13 +273,13 @@ def compile_rank_plan(session, fetch_ops: Sequence[Operation],
                         order=order)
 
 
-def _read_graph_variable(session, name: str) -> np.ndarray:
+def _graph_variable_store(session, name: str):
     from repro.graph.session import split_replica_prefix
 
     replica, _ = split_replica_prefix(name)
     if replica is not None:
-        return session.replica_stores[replica].read(name)
-    return session.ps_store.read(name)
+        return session.replica_stores[replica]
+    return session.ps_store
 
 
 def _run_worker(spec: dict, transport: Transport, rank: int) -> None:
@@ -290,8 +291,6 @@ def _run_worker(spec: dict, transport: Transport, rank: int) -> None:
     command is only issued after every worker acknowledged the previous
     one, so dataflow value keys never collide across iterations).
     """
-    from repro.core.runner import apply_logical_state
-
     try:
         transformed = spec["transformed"]
         session = _make_worker_session(transformed, spec["seed"], rank,
@@ -332,12 +331,14 @@ def _run_worker(spec: dict, transport: Transport, rank: int) -> None:
                 transport.send(rank, CONTROLLER, ("res",),
                                ("ok", losses, delta))
             elif cmd[0] == "read":
-                out = {name: _read_graph_variable(session, name)
+                out = {name: _graph_variable_store(session, name).read(name)
                        for name in cmd[1]}
                 transport.send(rank, CONTROLLER, ("res",),
                                ("ok", out, None))
             elif cmd[0] == "load":
-                apply_logical_state(session, transformed.graph, cmd[1])
+                for name, value in cmd[1].items():
+                    _graph_variable_store(session, name).write(
+                        name, np.asarray(value).copy())
                 transport.send(rank, CONTROLLER, ("res",),
                                ("ok", None, None))
             elif cmd[0] == "shutdown":
@@ -433,7 +434,8 @@ class InprocBackend(ExecutionBackend):
                        ) -> Dict[str, np.ndarray]:
         # Copies, as multiproc's pickled replies are: updates write the
         # stores' arrays in place, so a live array is no snapshot.
-        return {name: _read_graph_variable(self.runner.session, name).copy()
+        session = self.runner.session
+        return {name: _graph_variable_store(session, name).read(name).copy()
                 for name in names}
 
     def load_state(self, values: Dict[str, np.ndarray]) -> None:
@@ -671,29 +673,35 @@ class MultiprocBackend(ExecutionBackend):
         return [losses_by_name[t.op.name]
                 for t in runner.transformed.replica_losses]
 
+    def _owner_command(self, kind: str, by_rank: Dict[int, object],
+                       ) -> List[object]:
+        """Send each rank in *by_rank* its payload; replies, rank order."""
+        for rank, payload in by_rank.items():
+            self.transport.send(CONTROLLER, rank, ("cmd",), (kind, payload))
+        return [self._result(rank, self.step_timeout)[1]
+                for rank in sorted(by_rank)]
+
     def read_variables(self, names: Sequence[str],
                        ) -> Dict[str, np.ndarray]:
         by_rank: Dict[int, List[str]] = {}
         for name in names:
             by_rank.setdefault(self._var_owner.get(name, 0),
                                []).append(name)
-        for rank, wanted in by_rank.items():
-            self.transport.send(CONTROLLER, rank, ("cmd",),
-                                ("read", wanted))
         out: Dict[str, np.ndarray] = {}
-        for rank in sorted(by_rank):
-            _, values, _ = self._result(rank, self.step_timeout)
+        for values in self._owner_command("read", by_rank):
             out.update(values)
         return out
 
     def load_state(self, values: Dict[str, np.ndarray]) -> None:
-        from repro.core.runner import apply_logical_state
+        """Send each rank only the values of the variables it owns."""
+        from repro.graph.session import split_replica_prefix
 
-        self._command(("load", values))
-        # Mirror into the controller's own (otherwise stale) stores so
-        # direct session inspection stays coherent with the workers.
-        apply_logical_state(self.runner.session,
-                            self.runner.transformed.graph, values)
+        by_rank: Dict[int, Dict[str, np.ndarray]] = {}
+        for name, rank in self._var_owner.items():
+            base = split_replica_prefix(name)[1]
+            if base in values:
+                by_rank.setdefault(rank, {})[name] = values[base]
+        self._owner_command("load", by_rank)
 
     def shutdown(self, force: bool = False) -> None:
         if self.transport is None:

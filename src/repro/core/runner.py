@@ -38,10 +38,11 @@ def apply_logical_state(session: "DistributedSession", graph: Graph,
                         values: Dict[str, np.ndarray]) -> None:
     """Write logical (base-named) values into every matching store.
 
-    The migration primitive behind ``restore``, the elastic rescale, and
-    the multiprocess workers' ``load`` command: a base name loads into
-    the PS store or into *all* replica copies; names absent from
-    *values* keep their current state.
+    The in-process half of ``restore`` and the elastic rescale: a base
+    name loads into the PS store or into *all* replica copies; names
+    absent from *values* keep their current state.  Multiprocess
+    workers instead receive graph-named values for the variables they
+    own (:meth:`~repro.core.backend.MultiprocBackend.load_state`).
     """
     for name in graph.variables:
         # Match the true rep<k>/ replica prefix, not any name that
@@ -66,7 +67,7 @@ class DistributedSession(Session):
         self.cluster = transformed.cluster
         self.transcript = transcript if transcript is not None else Transcript()
         # One store per replica (its ``rep<r>/`` variables) plus one for
-        # the servers (the rest); per-name seeding makes the split exact.
+        # the servers (the rest); each seeds a variable at its first read.
         routed: Dict[Optional[int], List[str]] = {}
         for name in transformed.graph.variables:
             routed.setdefault(split_replica_prefix(name)[0], []).append(name)
@@ -168,6 +169,12 @@ class DistributedRunner:
                                            plan, verify=verify_plans)
         self.session = DistributedSession(self.transformed, seed=seed,
                                           transcript=transcript)
+        if self.backend_name == "inproc":
+            # This process runs every replica: seed them all here, where
+            # eager stores did; seeded inside step 1 its steps ran slower.
+            for store in (self.session.ps_store, *self.session.replica_stores):
+                for name in store.names():
+                    store.read(name)
         n = self.transformed.num_replicas
         self.shards = [model.dataset.shard(n, r) for r in range(n)]
         # Placeholder routing is static: replica r's k-th dataset array
@@ -308,7 +315,7 @@ class DistributedRunner:
         return path if path.endswith(".npz") else path + ".npz"
 
     def restore(self, path: str, strict: bool = True) -> None:
-        """Load a checkpoint into every store (servers and all replicas).
+        """Load a checkpoint into the servers and every replica's copy.
 
         By default the checkpoint must cover exactly the graph's logical
         variable set (the names :meth:`logical_state` writes); name
@@ -337,7 +344,7 @@ class DistributedRunner:
 
         The migration primitive behind both ``restore`` and the elastic
         rescale: a base name loads into the PS store or into *all*
-        replica copies (on every worker process under ``multiproc``),
+        replica copies (under ``multiproc``, on the worker owning each),
         names absent from *values* keep their current state.
         """
         self.backend.load_state(values)

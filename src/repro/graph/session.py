@@ -50,29 +50,45 @@ def variable_rng(name: str, seed: int) -> np.random.Generator:
 
 
 class VariableStore:
-    """Mutable mapping of variable name -> ndarray, with seeded init."""
+    """Mutable mapping of variable name -> ndarray, seeded on first read.
+
+    The store records the names routed to it and materializes nothing:
+    :meth:`read` seeds a missing variable from
+    :func:`variable_rng` ``(name, seed)``.  Each variable draws from its
+    own generator, so the order of first reads cannot change a bit, and
+    a store that never reads a variable never holds it -- a multiprocess
+    worker seeds only its own replica and the shards it serves, and
+    the controller nothing.
+    :meth:`write` to a variable not yet read checks the shape against
+    the graph's spec instead.
+    """
 
     def __init__(self, graph: Graph, seed: int = 0,
                  names: Optional[Iterable[str]] = None):
         self.graph = graph
         self.seed = seed
-        self._values: Dict[str, np.ndarray] = {}
         wanted = set(names) if names is not None else None
-        for name, var in graph.variables.items():
-            if wanted is not None and name not in wanted:
-                continue
-            self._values[name] = var.initial_value(variable_rng(name, seed))
+        # Ordered like the graph's variables, as names() lists them.
+        self._routed = dict.fromkeys(name for name in graph.variables
+                                     if wanted is None or name in wanted)
+        self._values: Dict[str, np.ndarray] = {}
 
     def read(self, name: str) -> np.ndarray:
         try:
             return self._values[name]
         except KeyError:
-            raise KeyError(f"variable {name!r} has no value in this store") from None
+            if name not in self._routed:
+                raise KeyError(
+                    f"variable {name!r} has no value in this store") from None
+        value = self.graph.variables[name].initial_value(
+            variable_rng(name, self.seed))
+        self._values[name] = value
+        return value
 
     def write(self, name: str, value: np.ndarray) -> None:
-        if name not in self._values:
-            raise KeyError(f"variable {name!r} was never initialized")
-        expected = self._values[name].shape
+        if name not in self._routed:
+            raise KeyError(f"variable {name!r} is not routed to this store")
+        expected = self.graph.variables[name].shape
         value = np.asarray(value)
         if value.shape != expected:
             raise ValueError(
@@ -82,10 +98,10 @@ class VariableStore:
         self._values[name] = value
 
     def names(self) -> List[str]:
-        return list(self._values)
+        return list(self._routed)
 
     def snapshot(self) -> Dict[str, np.ndarray]:
-        return {name: value.copy() for name, value in self._values.items()}
+        return {name: self.read(name).copy() for name in self._routed}
 
     def load(self, snapshot: Dict[str, np.ndarray]) -> None:
         for name, value in snapshot.items():

@@ -381,38 +381,102 @@ class TestWorkerLoopOverInMemoryTransport:
                 thread.join(timeout=10.0)
         assert not any(t.is_alive() for t in threads)
 
-    def test_threaded_worker_read_and_load_commands(self):
+    def _capture_sessions(self, monkeypatch) -> dict:
+        """Rank -> the worker session ``_run_worker`` builds, so a test
+        can see which variables each rank's stores materialized."""
+        import repro.core.backend as backend_mod
+
+        sessions = {}
+        make = backend_mod._make_worker_session
+
+        def capture(transformed, seed, rank, *args):
+            sessions[rank] = make(transformed, seed, rank, *args)
+            return sessions[rank]
+
+        monkeypatch.setattr(backend_mod, "_make_worker_session", capture)
+        return sessions
+
+    @staticmethod
+    def _controller(driver, transport) -> MultiprocBackend:
+        """The multiproc controller protocol, bound to threaded workers."""
+        controller = MultiprocBackend()
+        controller._bind(driver)
+        controller.transport = transport
+        return controller
+
+    @staticmethod
+    def _held(session) -> list:
+        return sorted(name for store in (session.ps_store,
+                                         *session.replica_stores)
+                      for name in store._values)
+
+    def test_threaded_worker_read_and_load_commands(self, monkeypatch):
+        sessions = self._capture_sessions(monkeypatch)
         driver = make_runner("hybrid")
         n = driver.num_replicas
         transport = InMemoryTransport(n)
         threads = self._spawn_threaded_workers(driver, transport)
+        controller = self._controller(driver, transport)
         try:
-            # A freshly seeded worker agrees with the driver's own store.
-            base, name = next(iter(
-                driver.transformed.logical_variable_names.items()))
-            transport.send(CONTROLLER, 0, ("cmd",), ("read", [name]))
-            tag, values, _ = transport.recv(CONTROLLER, 0, ("res",),
-                                            timeout=60.0)
-            assert tag == "ok"
-            np.testing.assert_array_equal(
-                values[name],
-                driver.backend.read_variables([name])[name])
-            # A broadcast load lands in every worker.
-            replacement = np.full_like(values[name], 0.125)
-            for rank in range(n):
-                transport.send(CONTROLLER, rank, ("cmd",),
-                               ("load", {base: replacement}))
-            for rank in range(n):
-                tag, *_ = transport.recv(CONTROLLER, rank, ("res",),
-                                         timeout=60.0)
-                assert tag == "ok"
-            transport.send(CONTROLLER, 1 % n, ("cmd",), ("read", [name]))
-            _, values, _ = transport.recv(CONTROLLER, 1 % n, ("res",),
-                                          timeout=60.0)
-            np.testing.assert_array_equal(values[name], replacement)
+            owners = controller._var_owner
+            base = next(iter(driver.transformed.replica_variables))
+            shard = next(iter(driver.transformed.ps_placement))
+            names = list(driver.transformed.replica_variables[base])
+            # Freshly seeded owners agree with the driver's own stores.
+            before = controller.read_variables(names + [shard])
+            for name, value in before.items():
+                np.testing.assert_array_equal(
+                    value, driver.backend.read_variables([name])[name])
+            # A load lands in each variable's owner and reads back there.
+            replacement = np.full_like(before[names[0]], 0.125)
+            served = np.full_like(before[shard], -0.5)
+            controller.load_state({base: replacement, shard: served})
+            after = controller.read_variables(names + [shard])
+            for name in names:
+                np.testing.assert_array_equal(after[name], replacement)
+            np.testing.assert_array_equal(after[shard], served)
+            # No rank materialized a variable it does not own.
+            assert sorted(sessions) == list(range(n))
+            for rank, session in sessions.items():
+                held = self._held(session)
+                for name in names + [shard]:
+                    assert (name in held) == (owners[name] == rank), name
         finally:
+            controller.shutdown()
+            for thread in threads:
+                thread.join(timeout=10.0)
+
+    def test_each_rank_materializes_only_what_it_owns(self, monkeypatch):
+        """N=4 hybrid LM: after two steps and an owner-routed load, every
+        rank holds exactly the variables the owner map gives it (its
+        replica, plus the PS shards on ranks 0 and 2)."""
+        sessions = self._capture_sessions(monkeypatch)
+        cluster = ClusterSpec(num_machines=2, gpus_per_machine=2)
+        reference = make_runner("hybrid", cluster=cluster)
+        driver = make_runner("hybrid", cluster=cluster)
+        n = driver.num_replicas
+        transport = InMemoryTransport(n)
+        threads = self._spawn_threaded_workers(driver, transport)
+        controller = self._controller(driver, transport)
+        try:
+            for iteration in range(2):
+                assert (controller.run_step(iteration)
+                        == reference.step(iteration).replica_losses)
+            state = {base: value + 1.0
+                     for base, value in reference.logical_state().items()}
+            controller.load_state(state)
+            owners = controller._var_owner
+            assert {owners[shard]
+                    for shard in driver.transformed.ps_placement} == {0, 2}
             for rank in range(n):
-                transport.send(CONTROLLER, rank, ("cmd",), ("shutdown",))
+                assert self._held(sessions[rank]) == sorted(
+                    name for name, own in owners.items() if own == rank)
+            logical = driver.transformed.logical_variable_names
+            got = controller.read_variables(sorted(set(logical.values())))
+            for base, name in logical.items():
+                np.testing.assert_array_equal(got[name], state[base])
+        finally:
+            controller.shutdown()
             for thread in threads:
                 thread.join(timeout=10.0)
 
@@ -587,6 +651,22 @@ class TestMultiprocSmoke:
         finally:
             multiproc.close()
         assert got == want
+
+    def test_controller_session_materializes_nothing(self, tmp_path):
+        """Every value lives in its owning worker: stepping, saving and
+        restoring a tcp fleet seeds none of the controller's stores."""
+        multiproc = make_runner("hybrid",
+                                backend=MultiprocBackend(transport="tcp"))
+        try:
+            for i in range(2):
+                multiproc.step(i)
+            multiproc.restore(multiproc.save(str(tmp_path / "ckpt.npz")))
+            multiproc.step(2)
+            session = multiproc.session
+            for store in (session.ps_store, *session.replica_stores):
+                assert store.names() and not store._values
+        finally:
+            multiproc.close()
 
     def test_worker_error_surfaces_in_controller(self):
         multiproc = make_runner("hybrid", backend="multiproc")

@@ -7,7 +7,11 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.runner import DistributedRunner, DistributedSession
 from repro.core.transform.plan import graph_plan, hybrid_graph_plan
 from repro.graph import gradients
-from repro.graph.session import VariableStore, split_replica_prefix
+from repro.graph.session import (
+    VariableStore,
+    split_replica_prefix,
+    variable_rng,
+)
 from repro.nn.models import build_lm
 from repro.nn.optimizers import GradientDescentOptimizer
 
@@ -77,6 +81,53 @@ class TestStoreRouting:
             runner.replica_variable(0, "embedding/part_0")  # PS variable
         with pytest.raises(KeyError):
             runner.server_variable("lstm/kernel")  # AR variable
+
+
+class TestLazyStore:
+    """A store seeds each variable at its first read, per name."""
+
+    def graph_and_names(self):
+        runner = make_runner()
+        graph = runner.transformed.graph
+        return graph, [name for name in graph.variables
+                       if split_replica_prefix(name)[0] == 1]
+
+    def test_reverse_reads_give_the_eager_values(self):
+        graph, names = self.graph_and_names()
+        store = VariableStore(graph, seed=1, names=names)
+        assert not store._values
+        got = {name: store.read(name) for name in reversed(names)}
+        for name in names:
+            want = graph.variables[name].initial_value(
+                variable_rng(name, 1))
+            np.testing.assert_array_equal(got[name], want, err_msg=name)
+            assert got[name].dtype == want.dtype
+
+    def test_write_before_read_checks_shape_and_name(self):
+        graph, names = self.graph_and_names()
+        store = VariableStore(graph, seed=1, names=names)
+        name = names[0]
+        shape = graph.variables[name].shape
+        with pytest.raises(ValueError):
+            store.write(name, np.zeros(tuple(d + 1 for d in shape)))
+        with pytest.raises(KeyError):
+            store.write("rep0/" + name[len("rep1/"):], np.zeros(shape))
+        value = np.full(shape, 0.5, dtype=np.float32)
+        store.write(name, value)
+        np.testing.assert_array_equal(store.read(name), value)
+        assert list(store._values) == [name]
+
+    def test_names_and_snapshot_cover_every_routed_name(self):
+        graph, names = self.graph_and_names()
+        store = VariableStore(graph, seed=1, names=names)
+        assert store.names() == names
+        eager = {name: graph.variables[name].initial_value(
+            variable_rng(name, 1)) for name in names}
+        snapshot = store.snapshot()
+        assert list(snapshot) == names
+        for name in names:
+            np.testing.assert_array_equal(snapshot[name], eager[name])
+        assert store.names() == names
 
 
 class TestEdgeAccounting:
