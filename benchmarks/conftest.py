@@ -1,10 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Every file in this directory regenerates one table or figure from the
-paper's evaluation (section 6).  Benches print the reproduced rows next to
-the published numbers and assert the *shape* claims (who wins, where
-crossovers fall); pytest-benchmark times the underlying simulation or
-functional iteration.
+Every file in this directory checks one table or figure from the
+paper's evaluation (section 6).  The simulated tables are the numbers
+``repro.cli`` prints (each experiment there returns them); benches print
+them next to the published numbers and assert the *shape* claims (who
+wins, where crossovers fall); pytest-benchmark times the underlying
+simulation or functional iteration.
 
 Run with::
 
@@ -15,9 +16,6 @@ from typing import Iterable, Sequence
 
 import pytest
 
-# The architectures are defined once, in repro.cluster.plan.ARCHITECTURES;
-# the paper's partition counts are shared with the CLI that prints them.
-from repro.cli import PAPER_PARTITIONS  # noqa: F401
 from repro.cluster.spec import PAPER_CLUSTER
 from repro.nn.profiles import PAPER_PROFILES
 
@@ -29,12 +27,6 @@ def print_table(title: str, header: Sequence[str],
     print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
     for row in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-
-
-def fmt(value: float) -> str:
-    if value >= 10_000:
-        return f"{value / 1000:,.1f}k"
-    return f"{value:,.1f}"
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import _mark_benchmark, fmt, print_table
+from conftest import _mark_benchmark, print_table
+from repro.cli import PAPER_PARTITIONS, _fmt
 from repro.cluster.plan import profile_plan
 from repro.cluster.simulator import simulate_iteration, throughput
 from repro.cluster.spec import ClusterSpec
@@ -26,7 +27,7 @@ class TestLocalAggregationAblation:
         gains = []
         for gpus in (2, 6):
             cluster = ClusterSpec(8, gpus)
-            opt = profile_plan(profile, "hybrid", 128)
+            opt = profile_plan(profile, "hybrid", PAPER_PARTITIONS["lm"])
             base = replace(opt, local_aggregation=False)
             t_base = throughput(profile, base, cluster)
             t_opt = throughput(profile, opt, cluster)
@@ -46,12 +47,13 @@ class TestSmartPlacementAblation:
         results = {}
         for local in (False, True):
             for smart in (False, True):
-                plan = replace(profile_plan(profile, "hybrid", 64),
+                plan = replace(profile_plan(profile, "hybrid",
+                                            PAPER_PARTITIONS["nmt"]),
                                local_aggregation=local,
                                smart_placement=smart)
                 tp = throughput(profile, plan, paper_cluster)
                 results[(local, smart)] = tp
-                rows.append([local, smart, fmt(tp)])
+                rows.append([local, smart, _fmt(tp)])
         print_table("NMT hybrid: local_agg x smart_placement",
                     ["local_agg", "smart", "words/s"], rows)
         assert results[(True, True)] >= results[(False, False)]
@@ -83,7 +85,7 @@ class TestSparseAsDenseThreshold:
             ps = throughput(profile, ps_plan, paper_cluster)
             ar = throughput(profile, ar_plan, paper_cluster)
             wins[alpha] = "AR" if ar > ps else "PS"
-            rows.append([alpha, fmt(ps), fmt(ar), wins[alpha]])
+            rows.append([alpha, _fmt(ps), _fmt(ar), wins[alpha]])
         print_table("sparse-as-dense crossover",
                     ["alpha", "as PS", "as AR (dense)", "winner"], rows)
         assert wins[0.01] == "PS"
@@ -147,7 +149,8 @@ def test_bench_ablation_grid(benchmark, profiles, paper_cluster):
     def grid():
         out = []
         for local in (False, True):
-            plan = replace(profile_plan(profile, "hybrid", 64),
+            plan = replace(profile_plan(profile, "hybrid",
+                                        PAPER_PARTITIONS["nmt"]),
                            local_aggregation=local)
             out.append(throughput(profile, plan, paper_cluster))
         return out
@@ -177,8 +180,8 @@ class TestFusionBufferAblation:
             b = simulate_iteration(profile, plan, paper_cluster, cost)
             results.append((b.num_ar_buckets, b.iteration_time))
             rows.append([cap_mb, b.num_ar_buckets,
-                         fmt(b.allreduce_time * 1e3),
-                         fmt(b.iteration_time * 1e3)])
+                         _fmt(b.allreduce_time * 1e3),
+                         _fmt(b.iteration_time * 1e3)])
         print_table("ResNet-50 AllReduce fusion-buffer sweep",
                     ["buffer MB", "buckets", "AR ms", "iter ms"], rows)
         buckets = [r[0] for r in results]

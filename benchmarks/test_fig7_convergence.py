@@ -14,7 +14,8 @@ iteration counts to wall-clock with the paper-scale performance plane.
 import numpy as np
 import pytest
 
-from conftest import _mark_benchmark, PAPER_PARTITIONS, print_table
+from conftest import _mark_benchmark, print_table
+from repro.cli import PAPER_PARTITIONS
 from repro.cluster.plan import ARCHITECTURES, profile_plan
 from repro.cluster.simulator import simulate_iteration
 from repro.cluster.spec import ClusterSpec

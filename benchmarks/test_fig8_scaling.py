@@ -15,13 +15,8 @@ words/s for LM and NMT):
 
 import pytest
 
-from conftest import _mark_benchmark, PAPER_PARTITIONS, fmt, print_table
-from repro.cluster.plan import ARCHITECTURES, profile_plan
-from repro.cluster.simulator import throughput
-from repro.cluster.spec import ClusterSpec
-
-MACHINES = (1, 2, 4, 8)
-ARCHS = ("ps", "ar", "hybrid")
+from conftest import _mark_benchmark, print_table
+from repro.cli import MACHINES, _fmt, fig8
 
 PAPER = {
     "resnet50": {"tf_ps": [900, 1800, 3400, 5800],
@@ -39,24 +34,9 @@ PAPER = {
 }
 
 
-def scaling_curve(profile, arch, partitions):
-    return [
-        throughput(profile, profile_plan(profile, arch, partitions),
-                   ClusterSpec(n, 6))
-        for n in MACHINES
-    ]
-
-
 @pytest.fixture(scope="module")
-def curves(profiles):
-    out = {}
-    for name, profile in profiles.items():
-        partitions = PAPER_PARTITIONS.get(name, 1)
-        out[name] = {
-            ARCHITECTURES[arch].label: scaling_curve(profile, arch, partitions)
-            for arch in ARCHS
-        }
-    return out
+def curves(paper_cluster):
+    return fig8(paper_cluster)
 
 
 def test_fig8_rows(benchmark, curves):
@@ -64,8 +44,8 @@ def test_fig8_rows(benchmark, curves):
     rows = []
     for name, by_arch in curves.items():
         for arch in by_arch:
-            sim = "/".join(fmt(v) for v in by_arch[arch])
-            paper = "/".join(fmt(v) for v in PAPER[name][arch])
+            sim = "/".join(_fmt(v) for v in by_arch[arch])
+            paper = "/".join(_fmt(v) for v in PAPER[name][arch])
             rows.append([name, arch, sim, paper])
     print_table("Figure 8: throughput at 1/2/4/8 machines",
                 ["model", "framework", "simulated", "paper"], rows)
@@ -115,11 +95,8 @@ def test_parallax_scales_monotonically(benchmark, curves):
         assert values == sorted(values), name
 
 
-def test_bench_scaling_sweep(benchmark, profiles):
-    profile = profiles["lm"]
-
-    def sweep():
-        return scaling_curve(profile, "hybrid", 128)
-
-    values = benchmark(sweep)
+def test_bench_scaling_sweep(benchmark, paper_cluster):
+    """Time regenerating the whole figure (one round: it takes ~1 s)."""
+    values = benchmark.pedantic(fig8, args=(paper_cluster,), rounds=1,
+                                iterations=1)["lm"]["parallax"]
     assert len(values) == len(MACHINES)

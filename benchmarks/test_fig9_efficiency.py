@@ -14,10 +14,8 @@ Horovod 39.8/44.4/1.6/6.1.
 
 import pytest
 
-from conftest import _mark_benchmark, PAPER_PARTITIONS, print_table
-from repro.cluster.plan import ARCHITECTURES, profile_plan
-from repro.cluster.simulator import throughput
-from repro.cluster.spec import ClusterSpec
+from conftest import _mark_benchmark, print_table
+from repro.cli import fig9
 
 PAPER_PARALLAX = {
     "resnet50": {6: 5.4, 12: 10.5, 24: 20.5, 48: 39.8},
@@ -30,27 +28,16 @@ PAPER_48 = {
     "horovod": {"resnet50": 39.8, "inception_v3": 44.4, "lm": 1.6,
                 "nmt": 6.1},
 }
-GPU_COUNTS = {6: (1, 6), 12: (2, 6), 24: (4, 6), 48: (8, 6)}
-
-
-def normalized(profile, arch, partitions):
-    base = throughput(profile, profile_plan(profile, arch, partitions),
-                      ClusterSpec(1, 1))
-    out = {}
-    for gpus, (machines, per) in GPU_COUNTS.items():
-        t = throughput(profile, profile_plan(profile, arch, partitions),
-                       ClusterSpec(machines, per))
-        out[gpus] = t / base
-    return out
 
 
 @pytest.fixture(scope="module")
-def parallax_eff(profiles):
-    return {
-        name: normalized(profile, "hybrid",
-                         PAPER_PARTITIONS.get(name, 1))
-        for name, profile in profiles.items()
-    }
+def speedups(paper_cluster):
+    return fig9(paper_cluster)
+
+
+@pytest.fixture(scope="module")
+def parallax_eff(speedups):
+    return {name: by_arch["parallax"] for name, by_arch in speedups.items()}
 
 
 def test_fig9_rows(benchmark, parallax_eff):
@@ -91,23 +78,19 @@ def test_efficiency_monotone_in_gpus(benchmark, parallax_eff):
         assert ordered == sorted(ordered), name
 
 
-def test_parallax_beats_others_at_48(benchmark, profiles):
+def test_parallax_beats_others_at_48(benchmark, speedups):
     _mark_benchmark(benchmark)
     """Fig 9 caption: Parallax 48-GPU normalized throughput beats TF-PS
     and Horovod on the sparse models and ties Horovod on dense ones."""
     for name in ("lm", "nmt"):
-        profile = profiles[name]
-        partitions = PAPER_PARTITIONS[name]
-        values = {
-            ARCHITECTURES[arch].label: normalized(profile, arch,
-                                                  partitions)[48]
-            for arch in ("hybrid", "ps", "ar")
-        }
+        values = {label: curve[48]
+                  for label, curve in speedups[name].items()}
         assert values["parallax"] > values["tf_ps"]
         assert values["parallax"] > values["horovod"]
 
 
-def test_bench_normalized_throughput(benchmark, profiles):
-    profile = profiles["nmt"]
-    result = benchmark(normalized, profile, "hybrid", 64)
+def test_bench_normalized_throughput(benchmark, paper_cluster):
+    """Time regenerating the whole figure (one round: it takes ~1 s)."""
+    result = benchmark.pedantic(fig9, args=(paper_cluster,), rounds=1,
+                                iterations=1)["nmt"]["parallax"]
     assert result[48] > 0

@@ -14,9 +14,10 @@ NMT alpha comment in ``repro/nn/profiles.py``.)
 
 import pytest
 
-from conftest import _mark_benchmark, PAPER_PARTITIONS, fmt, print_table
+from conftest import _mark_benchmark, print_table
+from repro.cli import PAPER_PARTITIONS, _fmt, table1
 from repro.cluster.plan import profile_plan
-from repro.cluster.simulator import simulate_iteration, throughput
+from repro.cluster.simulator import simulate_iteration
 
 PAPER = {
     "resnet50": {"ps": 5_800, "ar": 7_600, "alpha": 1.0},
@@ -29,20 +30,17 @@ PAPER = {
 def test_table1_rows(benchmark, profiles, paper_cluster):
     _mark_benchmark(benchmark)
     rows = []
-    results = {}
+    results = {name: (row["tf_ps"], row["horovod"])
+               for name, row in table1(paper_cluster).items()}
     for name, profile in profiles.items():
-        partitions = PAPER_PARTITIONS.get(name, 1)
-        ps = throughput(profile, profile_plan(profile, "ps", partitions),
-                        paper_cluster)
-        ar = throughput(profile, profile_plan(profile, "ar"), paper_cluster)
-        results[name] = (ps, ar)
+        ps, ar = results[name]
         rows.append([
             name,
             f"{profile.dense_elements / 1e6:.1f}M",
             f"{profile.sparse_elements / 1e6:.1f}M",
             f"{profile.alpha_model:.2f}",
-            f"{fmt(ps)} (paper {fmt(PAPER[name]['ps'])})",
-            f"{fmt(ar)} (paper {fmt(PAPER[name]['ar'])})",
+            f"{_fmt(ps)} (paper {_fmt(PAPER[name]['ps'])})",
+            f"{_fmt(ar)} (paper {_fmt(PAPER[name]['ar'])})",
         ])
     print_table("Table 1: variables, alpha, PS vs AR throughput @48 GPUs",
                 ["model", "# dense", "# sparse", "alpha", "PS", "AR"], rows)

@@ -8,11 +8,10 @@ Paper values (words/sec, 48 GPUs, PS architecture):
 """
 
 
-from conftest import _mark_benchmark, fmt, print_table
+from conftest import _mark_benchmark, print_table
+from repro.cli import PAPER_PARTITIONS, _fmt, table2
 from repro.cluster.plan import profile_plan
 from repro.cluster.simulator import throughput
-
-PARTITIONS = (8, 16, 32, 64, 128, 256)
 
 PAPER = {
     "lm": {8: 50_500, 16: 78_600, 32: 96_500, 64: 96_100, 128: 98_900,
@@ -22,26 +21,15 @@ PAPER = {
 }
 
 
-def sweep(profile, cluster):
-    return {
-        p: throughput(profile, profile_plan(profile, "ps", p), cluster)
-        for p in PARTITIONS
-    }
-
-
-def test_table2_rows(benchmark, profiles, paper_cluster):
+def test_table2_rows(benchmark, paper_cluster):
     _mark_benchmark(benchmark)
-    rows = []
-    sweeps = {}
-    for name in ("lm", "nmt"):
-        values = sweep(profiles[name], paper_cluster)
-        sweeps[name] = values
-        rows.append([name] + [
-            f"{fmt(values[p])} ({fmt(PAPER[name][p])})" for p in PARTITIONS
-        ])
+    sweeps = table2(paper_cluster)
+    rows = [[name] + [f"{_fmt(v)} ({_fmt(PAPER[name][p])})"
+                      for p, v in values.items()]
+            for name, values in sweeps.items()]
     print_table(
         "Table 2: words/sec vs partition count (simulated (paper))",
-        ["model"] + [f"P={p}" for p in PARTITIONS], rows,
+        ["model"] + [f"P={p}" for p in sweeps["lm"]], rows,
     )
 
     lm = sweeps["lm"]
@@ -62,6 +50,7 @@ def test_table2_rows(benchmark, profiles, paper_cluster):
 def test_bench_partition_sweep_point(benchmark, profiles, paper_cluster):
     profile = profiles["lm"]
     result = benchmark(
-        throughput, profile, profile_plan(profile, "ps", 128), paper_cluster
+        throughput, profile,
+        profile_plan(profile, "ps", PAPER_PARTITIONS["lm"]), paper_cluster
     )
     assert result > 0

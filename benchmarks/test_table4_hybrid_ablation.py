@@ -8,8 +8,9 @@ Paper values (words/sec):
 """
 
 
-from conftest import _mark_benchmark, PAPER_PARTITIONS, fmt, print_table
-from repro.cluster.plan import ARCHITECTURES, profile_plan
+from conftest import _mark_benchmark, print_table
+from repro.cli import PAPER_PARTITIONS, _fmt, table4
+from repro.cluster.plan import profile_plan
 from repro.cluster.simulator import throughput
 
 PAPER = {
@@ -18,31 +19,19 @@ PAPER = {
     "nmt": {"horovod": 68_300, "tf_ps": 102_000, "opt_ps": 116_000,
             "parallax": 204_000},
 }
-ARCHS = ("ar", "ps", "opt_ps", "hybrid")
 LABELS = {"horovod": "AR", "tf_ps": "NaivePS", "opt_ps": "OptPS",
           "parallax": "HYB"}
 
 
-def test_table4_rows(benchmark, profiles, paper_cluster):
+def test_table4_rows(benchmark, paper_cluster):
     _mark_benchmark(benchmark)
-    rows = []
-    results = {}
-    for name in ("lm", "nmt"):
-        profile = profiles[name]
-        partitions = PAPER_PARTITIONS[name]
-        values = {
-            ARCHITECTURES[arch].label: throughput(
-                profile, profile_plan(profile, arch, partitions),
-                paper_cluster)
-            for arch in ARCHS
-        }
-        results[name] = values
-        rows.append([name] + [
-            f"{fmt(values[a])} ({fmt(PAPER[name][a])})" for a in values
-        ])
+    results = table4(paper_cluster)
+    rows = [[name] + [f"{_fmt(v)} ({_fmt(PAPER[name][a])})"
+                      for a, v in values.items()]
+            for name, values in results.items()]
     print_table("Table 4: architecture ablation, words/sec @48 GPUs "
                 "(simulated (paper))",
-                ["model"] + [LABELS[a] for a in values], rows)
+                ["model"] + [LABELS[a] for a in results["lm"]], rows)
 
     for name in ("lm", "nmt"):
         v = results[name]
@@ -63,20 +52,20 @@ def test_optimization_attribution(benchmark, profiles, paper_cluster):
     from dataclasses import replace
 
     profile = profiles["lm"]
-    base = profile_plan(profile, "ps", 128)
+    base = profile_plan(profile, "ps", PAPER_PARTITIONS["lm"])
     with_local = replace(base, local_aggregation=True)
     with_both = replace(base, local_aggregation=True, smart_placement=True)
     t_base = throughput(profile, base, paper_cluster)
     t_local = throughput(profile, with_local, paper_cluster)
     t_both = throughput(profile, with_both, paper_cluster)
-    print(f"\nLM OptPS attribution: naive={fmt(t_base)} "
-          f"+local_agg={fmt(t_local)} +smart={fmt(t_both)}")
+    print(f"\nLM OptPS attribution: naive={_fmt(t_base)} "
+          f"+local_agg={_fmt(t_local)} +smart={_fmt(t_both)}")
     assert t_local > t_base
     assert t_both >= t_local
 
 
 def test_bench_hybrid_iteration(benchmark, profiles, paper_cluster):
     profile = profiles["nmt"]
-    plan = profile_plan(profile, "hybrid", 64)
+    plan = profile_plan(profile, "hybrid", PAPER_PARTITIONS["nmt"])
     result = benchmark(throughput, profile, plan, paper_cluster)
     assert result > 0

@@ -11,7 +11,8 @@ counts where brute force needs 50+ runs.
 """
 
 
-from conftest import _mark_benchmark, fmt, print_table
+from conftest import _mark_benchmark, print_table
+from repro.cli import _fmt
 from repro.cluster.plan import profile_plan
 from repro.cluster.simulator import simulate_iteration
 from repro.core.partitioner import PartitionSearch, brute_force_search
@@ -54,11 +55,11 @@ def test_table5_rows(benchmark, profiles, paper_cluster):
 
         rows.append([
             name,
-            f"{fmt(parallax_tp)} P={result.best_partitions} "
-            f"({fmt(PAPER[name]['parallax'])})",
-            f"{fmt(min_tp)} ({fmt(PAPER[name]['min'])})",
-            f"{fmt(optimal_tp)} P={brute.best_partitions} "
-            f"({fmt(PAPER[name]['optimal'])})",
+            f"{_fmt(parallax_tp)} P={result.best_partitions} "
+            f"({_fmt(PAPER[name]['parallax'])})",
+            f"{_fmt(min_tp)} ({_fmt(PAPER[name]['min'])})",
+            f"{_fmt(optimal_tp)} P={brute.best_partitions} "
+            f"({_fmt(PAPER[name]['optimal'])})",
             f"{result.num_samples} vs {brute.num_samples} samples",
         ])
 

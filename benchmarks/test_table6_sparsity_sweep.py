@@ -15,7 +15,8 @@ number of words per data instance (length), and reports (words/sec):
 
 import pytest
 
-from conftest import _mark_benchmark, fmt, print_table
+from conftest import _mark_benchmark, print_table
+from repro.cli import TABLE6_PARTITIONS, _fmt, table6
 from repro.cluster.plan import profile_plan
 from repro.cluster.simulator import throughput
 from repro.nn.profiles import TABLE6_ALPHA, constructed_lm_profile
@@ -25,28 +26,22 @@ PAPER = {
     15: (557_000, 193_000), 8: (480_000, 159_000), 4: (285_000, 94_000),
     1: (82_000, 24_000),
 }
-PARTITIONS = 64
 
 
 def test_table6_rows(benchmark, paper_cluster):
     _mark_benchmark(benchmark)
     rows = []
     speedups = {}
-    for length in sorted(TABLE6_ALPHA, reverse=True):
-        profile = constructed_lm_profile(length)
-        parallax = throughput(
-            profile, profile_plan(profile, "hybrid", PARTITIONS),
-            paper_cluster)
-        tf_ps = throughput(
-            profile, profile_plan(profile, "ps", PARTITIONS), paper_cluster)
+    for length, row in table6(paper_cluster).items():
+        parallax, tf_ps = row["parallax"], row["tf_ps"]
         speedup = parallax / tf_ps
         speedups[length] = speedup
         paper_px, paper_ps = PAPER[length]
         rows.append([
             length,
             f"{TABLE6_ALPHA[length]:.2f}",
-            f"{fmt(parallax)} ({fmt(paper_px)})",
-            f"{fmt(tf_ps)} ({fmt(paper_ps)})",
+            f"{_fmt(parallax)} ({_fmt(paper_px)})",
+            f"{_fmt(tf_ps)} ({_fmt(paper_ps)})",
             f"{speedup:.2f}x ({paper_px / paper_ps:.2f}x)",
         ])
         assert speedup > 1.0, f"length={length}"
@@ -77,18 +72,14 @@ def test_absolute_throughput_rises_with_length(benchmark, paper_cluster):
     _mark_benchmark(benchmark)
     """More words per instance = more words per iteration; both systems'
     absolute words/sec peak at medium-to-long lengths, as in the paper."""
-    profile_1 = constructed_lm_profile(1)
-    profile_60 = constructed_lm_profile(60)
-    t1 = throughput(profile_1, profile_plan(profile_1, "hybrid", PARTITIONS),
-                    paper_cluster)
-    t60 = throughput(profile_60,
-                     profile_plan(profile_60, "hybrid", PARTITIONS),
-                     paper_cluster)
+    rows = table6(paper_cluster)
+    t1 = rows[1]["parallax"]
+    t60 = rows[60]["parallax"]
     assert t60 > 3 * t1
 
 
 def test_bench_constructed_lm(benchmark, paper_cluster):
     profile = constructed_lm_profile(30)
-    plan = profile_plan(profile, "hybrid", PARTITIONS)
+    plan = profile_plan(profile, "hybrid", TABLE6_PARTITIONS)
     result = benchmark(throughput, profile, plan, paper_cluster)
     assert result > 0

@@ -12,6 +12,9 @@ Usage::
 
 from __future__ import annotations
 
+import math
+
+from repro.cli import PAPER_PARTITIONS
 from repro.cluster.costmodel import DEFAULT_COST_MODEL
 from repro.cluster.plan import ARCHITECTURES, profile_plan
 from repro.cluster.simulator import simulate_iteration, throughput
@@ -36,9 +39,6 @@ TARGETS = [
     ("nmt", "hybrid", 204_000, "words/s"),
 ]
 
-# Partition counts the paper uses at 48 GPUs (Table 2 optima).
-PARTITIONS = {"lm": 128, "nmt": 64}
-
 
 def main(cost=DEFAULT_COST_MODEL, verbose: bool = True) -> float:
     profiles = PAPER_PROFILES()
@@ -46,12 +46,10 @@ def main(cost=DEFAULT_COST_MODEL, verbose: bool = True) -> float:
     rows = []
     for model, kind, paper_value, units in TARGETS:
         profile = profiles[model]
-        partitions = PARTITIONS.get(model, 1)
+        partitions = PAPER_PARTITIONS.get(model, 1)
         plan = profile_plan(profile, kind, partitions)
         simulated = throughput(profile, plan, PAPER_CLUSTER, cost)
         ratio = simulated / paper_value
-        import math
-
         total_log_err += abs(math.log(ratio))
         rows.append((model, kind, paper_value, simulated, ratio))
     if verbose:
@@ -67,7 +65,8 @@ def main(cost=DEFAULT_COST_MODEL, verbose: bool = True) -> float:
 
 def show_breakdown(model: str, kind: str, partitions=None):
     profile = PAPER_PROFILES()[model]
-    p = partitions if partitions is not None else PARTITIONS.get(model, 1)
+    p = (partitions if partitions is not None
+         else PAPER_PARTITIONS.get(model, 1))
     plan = profile_plan(profile, kind, p)
     b = simulate_iteration(profile, plan, PAPER_CLUSTER)
     print(f"--- {model} / {ARCHITECTURES[kind].label} (P={p}) "

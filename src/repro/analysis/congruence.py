@@ -38,7 +38,6 @@ def _signature(op) -> Dict[str, object]:
         "group": attrs.get("group"),
         "shape": tuple(op.output.spec.shape),
         "dtype": str(op.output.spec.dtype),
-        "average": attrs.get("average"),
         "is_sparse": attrs.get("is_sparse"),
         "machines": tuple(int(m) for m in attrs.get("machines", ())),
         "num_payloads": len(op.inputs),

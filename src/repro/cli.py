@@ -34,98 +34,126 @@ from repro.nn.profiles import (
     constructed_lm_profile,
 )
 
-# Partition counts the paper uses for the sparse models at 48 GPUs.
+# The experiment grid: the partition counts the paper uses for the
+# sparse models at 48 GPUs, Table 6's count and Figures 8/9's machine
+# axis.  Each experiment prints its table and returns the numbers it
+# printed, keyed by model (Table 6: length), then architecture label
+# (Table 2: partition count).
 PAPER_PARTITIONS = {"lm": 128, "nmt": 64}
+TABLE6_PARTITIONS = 64
+MACHINES = (1, 2, 4, 8)
 
 
 def _fmt(value: float) -> str:
     return f"{value / 1000:,.1f}k" if value >= 10_000 else f"{value:,.0f}"
 
 
-def table1(cluster: ClusterSpec) -> None:
+def _throughputs(profile, archs, partitions, cluster) -> Dict[str, float]:
+    return {ARCHITECTURES[arch].label: throughput(
+        profile, profile_plan(profile, arch, partitions), cluster)
+        for arch in archs}
+
+
+def _scaling(clusters) -> Dict[str, Dict[str, list]]:
+    """Per model and architecture label, the throughput on each of
+    *clusters*."""
+    return {name: {ARCHITECTURES[arch].label: [
+        throughput(profile, profile_plan(
+            profile, arch, PAPER_PARTITIONS.get(name, 1)), c)
+        for c in clusters] for arch in ("ps", "ar", "hybrid")}
+        for name, profile in PAPER_PROFILES().items()}
+
+
+def table1(cluster: ClusterSpec) -> dict:
     print(f"\nTable 1 — PS vs AR throughput "
           f"({cluster.total_gpus} simulated GPUs)")
     print(f"{'model':<14}{'dense':>9}{'sparse':>9}{'alpha':>7}"
           f"{'PS':>10}{'AR':>10}")
+    rows = {}
     for name, profile in PAPER_PROFILES().items():
-        p = PAPER_PARTITIONS.get(name, 1)
-        ps = throughput(profile, profile_plan(profile, "ps", p), cluster)
-        ar = throughput(profile, profile_plan(profile, "ar", p), cluster)
+        rows[name] = _throughputs(profile, ("ps", "ar"),
+                                  PAPER_PARTITIONS.get(name, 1), cluster)
         print(f"{name:<14}{profile.dense_elements / 1e6:>8.1f}M"
               f"{profile.sparse_elements / 1e6:>8.1f}M"
-              f"{profile.alpha_model:>7.2f}{_fmt(ps):>10}{_fmt(ar):>10}")
+              f"{profile.alpha_model:>7.2f}"
+              + "".join(f"{_fmt(v):>10}" for v in rows[name].values()))
+    return rows
 
 
-def table2(cluster: ClusterSpec) -> None:
+def table2(cluster: ClusterSpec) -> dict:
     partitions = (8, 16, 32, 64, 128, 256)
     print("\nTable 2 — TF-PS throughput vs partition count")
     print(f"{'model':<8}" + "".join(f"P={p:<9}" for p in partitions))
+    rows = {}
     for name in ("lm", "nmt"):
         profile = PAPER_PROFILES()[name]
-        row = [
-            _fmt(throughput(profile, profile_plan(profile, "ps", p), cluster))
+        rows[name] = {
+            p: throughput(profile, profile_plan(profile, "ps", p), cluster)
             for p in partitions
-        ]
-        print(f"{name:<8}" + "".join(f"{v:<11}" for v in row))
+        }
+        print(f"{name:<8}"
+              + "".join(f"{_fmt(v):<11}" for v in rows[name].values()))
+    return rows
 
 
-def table4(cluster: ClusterSpec) -> None:
-    archs = ("ar", "ps", "opt_ps", "hybrid")
+def table4(cluster: ClusterSpec) -> dict:
     labels = ("AR", "NaivePS", "OptPS", "HYB")
     print("\nTable 4 — architecture ablation")
     print(f"{'model':<8}" + "".join(f"{label:<12}" for label in labels))
+    rows = {}
     for name in ("lm", "nmt"):
-        profile = PAPER_PROFILES()[name]
-        p = PAPER_PARTITIONS[name]
-        row = [
-            _fmt(throughput(profile, profile_plan(profile, a, p), cluster))
-            for a in archs
-        ]
-        print(f"{name:<8}" + "".join(f"{v:<12}" for v in row))
+        rows[name] = _throughputs(PAPER_PROFILES()[name],
+                                  ("ar", "ps", "opt_ps", "hybrid"),
+                                  PAPER_PARTITIONS[name], cluster)
+        print(f"{name:<8}"
+              + "".join(f"{_fmt(v):<12}" for v in rows[name].values()))
+    return rows
 
 
-def table6(cluster: ClusterSpec) -> None:
+def table6(cluster: ClusterSpec) -> dict:
     print("\nTable 6 — sparsity-degree sweep (constructed LM)")
     print(f"{'length':>7}{'alpha':>7}{ARCHITECTURES['hybrid'].label:>12}"
           f"{ARCHITECTURES['ps'].label:>12}{'speedup':>9}")
+    rows = {}
     for length in sorted(TABLE6_ALPHA, reverse=True):
-        profile = constructed_lm_profile(length)
-        px = throughput(profile, profile_plan(profile, "hybrid", 64), cluster)
-        ps = throughput(profile, profile_plan(profile, "ps", 64), cluster)
+        rows[length] = _throughputs(constructed_lm_profile(length),
+                                    ("hybrid", "ps"), TABLE6_PARTITIONS,
+                                    cluster)
+        px, ps = rows[length].values()
         print(f"{length:>7}{TABLE6_ALPHA[length]:>7.2f}{_fmt(px):>12}"
               f"{_fmt(ps):>12}{px / ps:>8.2f}x")
+    return rows
 
 
-def fig8(cluster: ClusterSpec) -> None:
+def fig8(cluster: ClusterSpec) -> dict:
     print(f"\nFigure 8 — throughput vs machines (1/2/4/8, "
           f"{cluster.gpus_per_machine} GPUs each)")
-    for name, profile in PAPER_PROFILES().items():
-        p = PAPER_PARTITIONS.get(name, 1)
-        for arch in ("ps", "ar", "hybrid"):
-            values = [
-                _fmt(throughput(
-                    profile, profile_plan(profile, arch, p),
-                    ClusterSpec(n, cluster.gpus_per_machine)))
-                for n in (1, 2, 4, 8)
-            ]
-            print(f"{name:<14}{ARCHITECTURES[arch].label:<10}"
-                  + " / ".join(values))
+    curves = _scaling([ClusterSpec(n, cluster.gpus_per_machine)
+                       for n in MACHINES])
+    for name, by_label in curves.items():
+        for label, curve in by_label.items():
+            print(f"{name:<14}{label:<10}"
+                  + " / ".join(_fmt(v) for v in curve))
+    return curves
 
 
-def fig9(cluster: ClusterSpec) -> None:
+def fig9(cluster: ClusterSpec) -> dict:
+    """Also returns TF-PS and Horovod, keyed by GPU count: each curve
+    over the same plan's throughput on one GPU."""
+    gpus = [n * cluster.gpus_per_machine for n in MACHINES]
+    curves = _scaling([ClusterSpec(1, 1)]
+                      + [ClusterSpec(n, cluster.gpus_per_machine)
+                         for n in MACHINES])
+    speedups = {name: {label: {g: t / base for g, t in zip(gpus, rest)}
+                       for label, (base, *rest) in by_label.items()}
+                for name, by_label in curves.items()}
     print("\nFigure 9 — Parallax normalized throughput (vs 1 GPU)")
-    profiles = PAPER_PROFILES()
-    print(f"{'GPUs':<6}" + "".join(f"{n:<14}" for n in profiles))
-    for machines in (1, 2, 4, 8):
-        row = [machines * cluster.gpus_per_machine]
-        for name, profile in profiles.items():
-            p = PAPER_PARTITIONS.get(name, 1)
-            base = throughput(profile, profile_plan(profile, "hybrid", p),
-                              ClusterSpec(1, 1))
-            t = throughput(profile, profile_plan(profile, "hybrid", p),
-                           ClusterSpec(machines, cluster.gpus_per_machine))
-            row.append(f"{t / base:.1f}x")
-        print(f"{row[0]:<6}" + "".join(f"{v:<14}" for v in row[1:]))
+    print(f"{'GPUs':<6}" + "".join(f"{n:<14}" for n in speedups))
+    for g in gpus:
+        row = [f"{by_label['parallax'][g]:.1f}x"
+               for by_label in speedups.values()]
+        print(f"{g:<6}" + "".join(f"{v:<14}" for v in row))
+    return speedups
 
 
 def _quickstart_model():
@@ -350,7 +378,7 @@ def cli_verify(cluster: ClusterSpec) -> int:
     return 1 if findings_total else 0
 
 
-COMMANDS: Dict[str, Callable[[ClusterSpec], None]] = {
+COMMANDS: Dict[str, Callable[[ClusterSpec], dict]] = {
     "table1": table1, "table2": table2, "table4": table4, "table6": table6,
     "fig8": fig8, "fig9": fig9,
 }

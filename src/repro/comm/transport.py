@@ -32,9 +32,8 @@ built with).  Four framings ship (see :func:`transport_registry`):
   threaded workers).  Messages are deep-frozen through pickle exactly
   like the real thing, so a value mutated after ``send`` cannot corrupt
   the receiver.
-* :class:`MultiprocTransport` (``multiproc``; the backend calls it
-  ``queue``) -- the same framing over :class:`multiprocessing.Queue`
-  (OS pipe + feeder thread).
+* :class:`MultiprocTransport` (``queue``) -- the same framing over
+  :class:`multiprocessing.Queue` (OS pipe + feeder thread).
 * :class:`ShmTransport` (``shm``) -- bulk arrays ride shared-memory
   rings and only a header tuple is queued; everything else falls back
   to the queue framing, which it composes.
@@ -406,7 +405,7 @@ class MultiprocTransport(_QueueTransport):
     """One ``multiprocessing.Queue`` per destination rank (plus one for
     the controller); the backend's ``queue`` plane."""
 
-    name = "multiproc"
+    name = "queue"
 
     def __init__(self, num_workers: int, context=None):
         if context is None:

@@ -44,6 +44,9 @@ __all__ = ["shard", "partitioner",
 # after discarding the warmup ones.
 SAMPLE_ITERATIONS = 2
 SAMPLE_WARMUP = 1
+# Batches the sparse-as-dense rule measures each sparse variable's
+# alpha over (section 3.1).
+ALPHA_MEASURE_BATCHES = 2
 
 
 def shard(dataset: Dataset) -> Dataset:
@@ -222,11 +225,9 @@ def get_runner(
     # Sparse-as-dense refinement from measured alpha (section 3.1).
     sparse_as_dense: Dict[str, bool] = {}
     architecture = ARCHITECTURES[cfg.architecture]
-    if (cfg.alpha_measure_batches > 0
-            and cfg.sparse_as_dense_threshold <= 1.0
+    if (cfg.sparse_as_dense_threshold <= 1.0
             and architecture.near_dense_as_dense):
-        alphas = measure_alpha(probe, cfg.alpha_measure_batches,
-                               seed=cfg.seed)
+        alphas = measure_alpha(probe, ALPHA_MEASURE_BATCHES, seed=cfg.seed)
         sparse_as_dense = {
             name: alpha >= cfg.sparse_as_dense_threshold
             for name, alpha in alphas.items()

@@ -499,13 +499,10 @@ class MultiprocBackend(ExecutionBackend):
         mappings (no attach/name-lookup path) and the bound tcp
         listeners (every address exists before any process connects).
         """
-        # The registry files the mp.Queue plane under its class' name.
-        kind = ("multiproc" if self.transport_kind == "queue"
-                else self.transport_kind)
         # Queues and ring locks come from the workers' fork context;
         # sockets take none.
-        kwargs = {} if kind == "tcp" else {"context": context}
-        return make_transport(kind, num_workers, **kwargs)
+        kwargs = {} if self.transport_kind == "tcp" else {"context": context}
+        return make_transport(self.transport_kind, num_workers, **kwargs)
 
     # -- lifecycle -------------------------------------------------------
     def start(self, runner) -> None:

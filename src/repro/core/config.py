@@ -158,9 +158,7 @@ class ParallaxConfig:
         sparse_as_dense_threshold: sparse variables whose *measured*
             alpha reaches this are synchronized as dense via AllReduce
             (section 3.1's near-1 refinement; only "hybrid" applies
-            it).  Set > 1 to disable.
-        alpha_measure_batches: batches used to measure per-variable alpha
-            (0 disables measurement and the threshold rule).
+            it).  Set > 1 to disable (alpha is then not measured).
         verify_plans: run the static plan verifier on the transformed
             graph and refuse to train on a plan with a finding.
         seed: variable-initialization seed.
@@ -170,7 +168,6 @@ class ParallaxConfig:
     search_partitions: bool = True
     max_partitions: int = 512
     sparse_as_dense_threshold: float = DEFAULT_SPARSE_AS_DENSE_THRESHOLD
-    alpha_measure_batches: int = 2
     verify_plans: bool = False
     seed: int = 0
     comm: CommConfig = field(default_factory=CommConfig)
@@ -191,8 +188,6 @@ class ParallaxConfig:
             )
         if self.max_partitions < 1:
             raise ValueError("max_partitions must be >= 1")
-        if self.alpha_measure_batches < 0:
-            raise ValueError("alpha_measure_batches must be >= 0")
 
 
 def graph_plan_builder(

@@ -91,7 +91,7 @@ def reshard_logical_state(
     state: Dict[str, np.ndarray],
     old_layout: Dict[str, List[int]],
     new_layout: Dict[str, List[int]],
-    replicated: Optional[Dict[str, set]] = None,
+    replicated: Dict[str, set],
 ) -> Dict[str, np.ndarray]:
     """Re-shard a logical state dict from one partition layout to another.
 
@@ -103,12 +103,9 @@ def reshard_logical_state(
     counter) must agree across shards and are replicated into the new
     layout.  Unpartitioned variables pass through untouched.
 
-    ``replicated`` optionally names, per parent, the slot suffixes to
-    replicate rather than split (:func:`replicated_slot_suffixes` derives
-    it structurally from the owning graph, which the elastic rescale
-    does); without it, a shape heuristic decides -- row counts matching
-    the old shard layout mean row-sharded, anything else must be
-    shard-invariant.
+    ``replicated`` names, per parent, the slot suffixes to replicate
+    rather than split; :func:`replicated_slot_suffixes` derives it
+    structurally from the graph that owns the old shards.
     """
     if set(old_layout) != set(new_layout):
         raise ValueError(
@@ -125,7 +122,6 @@ def reshard_logical_state(
                 f"{parent!r}: old layout has {old_offsets[-1]} rows but "
                 f"new layout has {new_offsets[-1]}"
             )
-        old_rows = [hi - lo for lo, hi in zip(old_offsets, old_offsets[1:])]
 
         # Discover slot suffixes riding on the shards (velocity, adam_m,
         # adam_step, ...); None stands for the shard value itself.
@@ -143,15 +139,7 @@ def reshard_logical_state(
                     f"state is missing shards of {parent!r}: {missing}"
                 )
             pieces = [np.asarray(state[n]) for n in old_names]
-            if replicated is not None:
-                row_sharded = suffix not in replicated.get(parent, set())
-            else:
-                row_sharded = (
-                    suffix != "adam_step"
-                    and all(p.ndim >= 1 for p in pieces)
-                    and [p.shape[0] for p in pieces] == old_rows
-                )
-            if row_sharded:
+            if suffix not in replicated.get(parent, ()):
                 new_pieces = split_rows(merge_shards(pieces), new_offsets)
             else:
                 # Replicated per-shard bookkeeping: every shard must hold

@@ -66,7 +66,7 @@ def _allreduce_fwd(op, inputs, runtime):
             transcript=getattr(runtime, "transcript", None),
             tag=f"allreduce/{op.attrs['group']}",
             segments=[size for _name, size in op.attrs["segments"]],
-            average=op.attrs.get("average", False),
+            average=True,
             out=runtime.run_cache.get("out", {}).get(op.name),
         )
     return cache[key][op.attrs["replica"]]
@@ -85,10 +85,7 @@ def _allgatherv_fwd(op, inputs, runtime):
             transcript=transcript,
             tag=f"allgatherv/{op.attrs['group']}",
         )
-        if op.attrs.get("average", False):
-            gathered = ([gathered[0].scale(1.0 / len(inputs))]
-                        * len(inputs))
-        cache[key] = gathered
+        cache[key] = [gathered[0].scale(1.0 / len(inputs))] * len(inputs)
     return cache[key][op.attrs["replica"]]
 
 
@@ -140,21 +137,16 @@ def _local_agg_direct(op):
 def _global_agg_direct(op):
     """Server-side accumulator: aggregates per-machine (or per-worker)
     contributions for one variable/shard."""
-    average = bool(op.attrs.get("average", False))
-    num_workers = op.attrs.get("num_workers")
+    num_workers = op.attrs["num_workers"]
 
     def global_agg_direct(*values):
         if isinstance(values[0], IndexedSlices):
-            combined = concat_slices(list(values)).combine()
-            if average:
-                combined = combined.scale(1.0 / num_workers)
-            return combined
+            return concat_slices(list(values)).combine().scale(
+                1.0 / num_workers)
         total = np.array(values[0], copy=True)
         for value in values[1:]:
             total = total + value
-        if average:
-            total = total / np.float32(num_workers)
-        return total
+        return total / np.float32(num_workers)
 
     return global_agg_direct
 

@@ -498,7 +498,6 @@ def _build_ps_update(
         name=f"global_agg/{var.name}",
         attrs={
             "is_sparse": sparse,
-            "average": True,
             "num_workers": num_workers,
         },
         device=DeviceSpec.cpu(agg_machine),
@@ -590,7 +589,6 @@ def _build_fused_collective_updates(
                     "group": group,
                     "replica": r,
                     "machines": machines,
-                    "average": True,
                     "is_sparse": False,
                     "segments": list(zip(names, seg_sizes)),
                     "bounds": bounds,
@@ -636,7 +634,6 @@ def _build_allgatherv_updates(
                 "group": var_name,
                 "replica": r,
                 "machines": machines,
-                "average": True,
                 "is_sparse": sparse,
             },
             device=builders[r].device,

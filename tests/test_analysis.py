@@ -280,13 +280,6 @@ class TestCongruenceMutations:
         assert "at collective position" in skew.message
         assert any("segments" in line for line in skew.trace)
 
-    def test_skewed_average_flag_is_detected(self):
-        transformed, fetch_ops = make_transformed()
-        op = self._replica_collective(transformed, fetch_ops)
-        op.attrs["average"] = not op.attrs.get("average", False)
-        findings, _ = analyze_congruence(transformed, fetch_ops)
-        assert any("mismatched average" in f.message for f in findings)
-
     def test_replica_missing_from_group_is_detected(self):
         transformed, fetch_ops = make_transformed()
         op = self._replica_collective(transformed, fetch_ops, replica=3)
@@ -544,7 +537,7 @@ class TestVerifyPlanMatrix:
         from repro.core.api import ParallaxConfig, get_runner
 
         cfg = ParallaxConfig(search_partitions=False,
-                             alpha_measure_batches=0, verify_plans=True)
+                             sparse_as_dense_threshold=2.0, verify_plans=True)
         runner = get_runner(make_model, C2x1, cfg)
         assert runner.verify_plans is True
 

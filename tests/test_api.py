@@ -217,8 +217,7 @@ class TestGetRunner:
         """With a tiny vocabulary, alpha ~ 1 and the hybrid plan should
         AllReduce the embedding rather than PS it."""
         cfg = ParallaxConfig(search_partitions=False,
-                             sparse_as_dense_threshold=0.5,
-                             alpha_measure_batches=2)
+                             sparse_as_dense_threshold=0.5)
         runner = get_runner(lm_builder(vocab=8, use_partitioner=False),
                             SMALL, cfg)
         assert "emb" in runner.transformed.replica_variables
@@ -226,21 +225,18 @@ class TestGetRunner:
 
     def test_large_vocab_stays_ps(self):
         cfg = ParallaxConfig(search_partitions=False,
-                             sparse_as_dense_threshold=0.5,
-                             alpha_measure_batches=2)
+                             sparse_as_dense_threshold=0.5)
         runner = get_runner(lm_builder(vocab=500), SMALL, cfg)
         assert any(name.startswith("emb")
                    for name in runner.transformed.ps_placement)
 
     def test_ps_architecture_override(self):
-        cfg = ParallaxConfig(architecture="ps", search_partitions=False,
-                             alpha_measure_batches=0)
+        cfg = ParallaxConfig(architecture="ps", search_partitions=False)
         runner = get_runner(lm_builder(), SMALL, cfg)
         assert not runner.transformed.replica_variables
 
     def test_ar_architecture_override(self):
-        cfg = ParallaxConfig(architecture="ar", search_partitions=False,
-                             alpha_measure_batches=0)
+        cfg = ParallaxConfig(architecture="ar", search_partitions=False)
         runner = get_runner(lm_builder(), SMALL, cfg)
         assert not runner.transformed.ps_placement
 
@@ -271,10 +267,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_partitions"):
             ParallaxConfig(max_partitions=0)
 
-    def test_negative_alpha_measure_batches_rejected(self):
-        with pytest.raises(ValueError, match="alpha_measure_batches"):
-            ParallaxConfig(alpha_measure_batches=-2)
-
     def test_nonpositive_fusion_buffer_rejected(self):
         with pytest.raises(ValueError, match="fusion_buffer_mb"):
             CommConfig(fusion_buffer_mb=0.0)
@@ -283,7 +275,6 @@ class TestConfigValidation:
 
     def test_boundary_values_accepted(self):
         ParallaxConfig(max_partitions=1,
-                       alpha_measure_batches=0,
                        comm=CommConfig(fusion_buffer_mb=0.5))
 
     def test_unknown_architecture_message_lists_options(self):
@@ -363,7 +354,7 @@ class TestRestoreBestEffort:
     def make_runner(self, seed=0):
         return get_runner(lm_builder(), SMALL,
                           ParallaxConfig(search_partitions=False,
-                                         alpha_measure_batches=0,
+                                         sparse_as_dense_threshold=2.0,
                                          seed=seed))
 
     def test_disjoint_checkpoint_leaves_state_untouched(self, tmp_path):
@@ -416,7 +407,7 @@ class TestElasticConfig:
         runner = get_runner(lm_builder(), SMALL,
                             ParallaxConfig(
                                 search_partitions=False,
-                                alpha_measure_batches=0,
+                                sparse_as_dense_threshold=2.0,
                                 elastic=ElasticConfig(enabled=True,
                                                       checkpoint_every=2)))
         assert isinstance(runner, ElasticRunner)
@@ -430,7 +421,7 @@ class TestElasticConfig:
         runner = get_runner(lm_builder(), SMALL,
                             ParallaxConfig(
                                 search_partitions=False,
-                                alpha_measure_batches=0,
+                                sparse_as_dense_threshold=2.0,
                                 elastic=ElasticConfig(enabled=True)))
         runner.step(0)
         old = runner.num_partitions
@@ -448,8 +439,7 @@ class TestElasticConfig:
             lm_builder(), SMALL,
             ParallaxConfig(search_partitions=False,
                            elastic=ElasticConfig(enabled=True),
-                           sparse_as_dense_threshold=0.0,
-                           alpha_measure_batches=1))
+                           sparse_as_dense_threshold=0.0))
         emb_methods = {name: m for name, m in runner.plan.methods.items()
                        if name.startswith("emb")}
         assert emb_methods
@@ -526,7 +516,7 @@ class TestBackendConfig:
     def test_get_runner_threads_backend_through(self):
         cfg = ParallaxConfig(comm=CommConfig(backend="multiproc"),
                              search_partitions=False,
-                             alpha_measure_batches=0)
+                             sparse_as_dense_threshold=2.0)
         runner = get_runner(lm_builder(), {"machines": 2,
                                            "gpus_per_machine": 1}, cfg)
         try:
@@ -538,7 +528,7 @@ class TestBackendConfig:
 
     def test_get_runner_multiproc_matches_inproc(self):
         resources = {"machines": 2, "gpus_per_machine": 1}
-        base = dict(search_partitions=False, alpha_measure_batches=0,
+        base = dict(search_partitions=False, sparse_as_dense_threshold=2.0,
                     seed=4)
         inproc = get_runner(lm_builder(), resources,
                             ParallaxConfig(**base))

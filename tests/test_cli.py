@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, _fmt, main
+from repro.cluster.spec import ClusterSpec
 
 
 @pytest.mark.parametrize("experiment", ["table1", "table4", "table6"])
@@ -15,6 +16,47 @@ def test_cli_runs_each_table(experiment, capsys):
 def test_cli_fig9_small_cluster(capsys):
     assert main(["fig9", "--machines", "2", "--gpus", "2"]) == 0
     assert "normalized" in capsys.readouterr().out
+
+
+# Per experiment: the printed cells of each row, keyed by the row's
+# leading token(s), and the same cells made from the returned numbers.
+PRINTED_CELLS = {
+    "table1": lambda t: (t[0], t[4:]),
+    "table2": lambda t: (t[0], t[1:]),
+    "table4": lambda t: (t[0], t[1:]),
+    "table6": lambda t: (t[0], t[2:4]),
+    "fig8": lambda t: ((t[0], t[1]), t[2:]),
+    "fig9": lambda t: (t[0], t[1:]),
+}
+
+
+def _table_cells(numbers):
+    return {str(key): [_fmt(v) for v in row.values()]
+            for key, row in numbers.items()}
+
+
+RETURNED_CELLS = {
+    "table1": _table_cells, "table2": _table_cells,
+    "table4": _table_cells, "table6": _table_cells,
+    "fig8": lambda n: {(m, label): [_fmt(v) for v in curve]
+                       for m, by_label in n.items()
+                       for label, curve in by_label.items()},
+    "fig9": lambda n: {str(g): [f"{n[m]['parallax'][g]:.1f}x" for m in n]
+                       for g in next(iter(n.values()))["parallax"]},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(COMMANDS))
+def test_printed_cells_are_the_returned_numbers(experiment, capsys):
+    """``benchmarks/`` asserts on what each experiment returns: every
+    cell the CLI prints is the CLI formatter applied to that number."""
+    numbers = COMMANDS[experiment](ClusterSpec(2, 2))
+    printed = dict(
+        PRINTED_CELLS[experiment]([t for t in line.split() if t != "/"])
+        for line in capsys.readouterr().out.splitlines() if line.strip())
+    expected = RETURNED_CELLS[experiment](numbers)
+    assert expected
+    assert {key: printed.get(key) for key in expected} == expected
 
 
 def test_cli_rejects_unknown():

@@ -123,13 +123,13 @@ class TestAggregations:
                                       [1.0, 2.0, 0.0, 0.0])
 
     def test_global_agg_average(self):
-        op = FakeOp("global_agg", {"average": True, "num_workers": 4})
+        op = FakeOp("global_agg", {"num_workers": 4})
         out = kernel("global_agg")(op, [np.full(2, 8.0), np.zeros(2)],
                                    FakeRuntime())
         np.testing.assert_array_equal(out, np.full(2, 2.0))
 
     def test_global_agg_sparse_average(self):
         a = IndexedSlices(np.full((1, 1), 8.0, np.float32), [0], (2, 1))
-        op = FakeOp("global_agg", {"average": True, "num_workers": 4})
+        op = FakeOp("global_agg", {"num_workers": 4})
         out = kernel("global_agg")(op, [a], FakeRuntime())
         np.testing.assert_array_equal(out.values, [[2.0]])

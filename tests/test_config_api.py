@@ -73,7 +73,7 @@ class TestLegacyKwargParity:
         assert dataclasses.asdict(ParallaxConfig()) == {
             "architecture": "hybrid", "search_partitions": True,
             "max_partitions": 512, "sparse_as_dense_threshold": 0.95,
-            "alpha_measure_batches": 2, "verify_plans": False, "seed": 0,
+            "verify_plans": False, "seed": 0,
             "comm": {"fusion_buffer_mb": 4.0, "backend": "inproc",
                      "transport": None},
             "elastic": dataclasses.asdict(ElasticConfig()),
@@ -88,9 +88,10 @@ class TestLegacyKwargParity:
 # online replanner, the gradient codecs and the NIC-degradation sleep,
 # which no workload ran; the cost constants and fault schedule that
 # only the deleted recovery, rescale and goodput prices read; the
-# partition search's sample counts, now constants of ``core/api.py``;
-# and the unfused AllReduce switch, now that every dense AllReduce is a
-# fused bucket.
+# partition search's sample counts and the alpha-measurement batches,
+# now constants of ``core/api.py`` (``sparse_as_dense_threshold > 1``
+# turns the measurement off); and the unfused AllReduce switch, now that
+# every dense AllReduce is a fused bucket.
 REMOVED_FIELDS = {
     "local_aggregation": (ParallaxConfig, False),
     "smart_placement": (ParallaxConfig, False),
@@ -112,6 +113,7 @@ REMOVED_FIELDS = {
     "sample_iterations": (ParallaxConfig, 2),
     "sample_warmup": (ParallaxConfig, 1),
     "fusion": (CommConfig, False),
+    "alpha_measure_batches": (ParallaxConfig, 0),
 }
 
 

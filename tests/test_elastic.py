@@ -225,6 +225,7 @@ class TestRescaleDifferential:
             snapshot = {k: v.copy()
                         for k, v in runner.logical_state().items()}
             layout = partition_layout(runner.model.graph)
+            replicated = replicated_slot_suffixes(runner.model.graph, layout)
             runner.rescale(c2, num_partitions=2)
             got = [runner.step(i).replica_losses for i in range(3, 6)]
             notes = runner.transcript.events("elastic/rescale")
@@ -237,7 +238,7 @@ class TestRescaleDifferential:
                                  hybrid_graph_plan(cold_model.graph),
                                  seed=SEED + 9)
         cold._load_state(reshard_logical_state(
-            snapshot, layout, partition_layout(cold_model.graph)))
+            snapshot, layout, partition_layout(cold_model.graph), replicated))
         assert got == [cold.step(i).replica_losses for i in range(3, 6)]
         assert [(n.get("new_replicas"), n.get("num_partitions"))
                 for n in notes] == [(3, 3), (2, 2)]
@@ -298,7 +299,8 @@ class TestReshardingRescale:
                                   seed=SEED + 3)
         fresh._load_state(
             reshard_logical_state(state, {"embedding": [0, 14, 27, 40]},
-                                  partition_layout(model.graph)))
+                                  partition_layout(model.graph),
+                                  {"embedding": set()}))
         for i in range(2, 5):
             assert (runner.step(i).replica_losses
                     == fresh.step(i).replica_losses), i
@@ -559,16 +561,17 @@ class TestFaultPlanValidation:
 class TestReshardLogicalState:
     def test_mismatched_parents_rejected(self):
         with pytest.raises(ValueError, match="differ"):
-            reshard_logical_state({}, {"a": [0, 2]}, {"b": [0, 2]})
+            reshard_logical_state({}, {"a": [0, 2]}, {"b": [0, 2]}, {})
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
-            reshard_logical_state({}, {"a": [0, 4]}, {"a": [0, 2]})
+            reshard_logical_state({}, {"a": [0, 4]}, {"a": [0, 2]}, {})
 
     def test_missing_shard_rejected(self):
         state = {"a/part_0": np.zeros((2, 3), np.float32)}
         with pytest.raises(ValueError, match="missing"):
-            reshard_logical_state(state, {"a": [0, 2, 4]}, {"a": [0, 4]})
+            reshard_logical_state(state, {"a": [0, 2, 4]}, {"a": [0, 4]},
+                                  {"a": set()})
 
     def test_disagreeing_non_row_slot_rejected(self):
         state = {
@@ -578,7 +581,8 @@ class TestReshardLogicalState:
             "a/part_1/adam_step": np.array([2.0], np.float32),
         }
         with pytest.raises(ValueError, match="disagree"):
-            reshard_logical_state(state, {"a": [0, 2, 4]}, {"a": [0, 4]})
+            reshard_logical_state(state, {"a": [0, 2, 4]}, {"a": [0, 4]},
+                                  {"a": {"adam_step"}})
 
     def test_replicated_suffixes_derived_structurally_from_graph(self):
         builder = lm_builder(optimizer=lambda: AdamOptimizer(0.01))
@@ -588,9 +592,9 @@ class TestReshardLogicalState:
         assert suffixes == {"embedding": {"adam_step"}}
 
     def test_explicit_replicated_map_overrides_shape_heuristic(self):
-        # A 1-row-per-shard layout where a (1,)-shaped slot is shape-
-        # ambiguous: the structural map says "replicate", so it must not
-        # be split even though its leading dim matches the shard rows.
+        # A 1-row-per-shard layout where a (1,)-shaped slot looks like a
+        # row slice: the map says "replicate", so it must not be split
+        # even though its leading dim matches the shard rows.
         state = {
             "a/part_0": np.array([1.0], np.float32),
             "a/part_1": np.array([2.0], np.float32),
@@ -603,13 +607,16 @@ class TestReshardLogicalState:
         np.testing.assert_array_equal(out["a/part_0/counter"], [7.0])
 
     def test_scalar_slot_survives_heuristic_path(self):
+        # The id predates the shape heuristic's removal: a 0-d slot the
+        # map names as replicated is copied to every new shard.
         state = {
             "a/part_0": np.zeros((2, 3), np.float32),
             "a/part_1": np.zeros((2, 3), np.float32),
             "a/part_0/beta": np.float32(0.5),
             "a/part_1/beta": np.float32(0.5),
         }
-        out = reshard_logical_state(state, {"a": [0, 2, 4]}, {"a": [0, 4]})
+        out = reshard_logical_state(state, {"a": [0, 2, 4]}, {"a": [0, 4]},
+                                    {"a": {"beta"}})
         np.testing.assert_array_equal(out["a/part_0/beta"], 0.5)
 
     def test_unpartitioned_names_pass_through_untouched(self):
@@ -620,7 +627,7 @@ class TestReshardLogicalState:
             "a/part_1": np.ones((2, 3), np.float32),
         }
         out = reshard_logical_state(state, {"a": [0, 2, 4]},
-                                    {"a": [0, 1, 2, 3, 4]})
+                                    {"a": [0, 1, 2, 3, 4]}, {"a": set()})
         assert out["w"] is dense
         assert sorted(k for k in out if k.startswith("a/")) == [
             f"a/part_{p}" for p in range(4)

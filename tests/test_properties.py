@@ -337,7 +337,7 @@ def test_reshard_logical_state_conserves_parent(rows, dim, old_parts,
     state["dense"] = rng.standard_normal(4).astype(np.float32)
 
     out = reshard_logical_state(state, {"emb": old_offsets},
-                                {"emb": new_offsets})
+                                {"emb": new_offsets}, {"emb": {"adam_step"}})
     merged = np.concatenate([out[f"emb/part_{p}"]
                              for p in range(new_parts)])
     merged_vel = np.concatenate([out[f"emb/part_{p}/velocity"]

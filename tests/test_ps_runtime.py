@@ -28,8 +28,7 @@ def aggregate(op_type, values, **attrs):
 
 
 def server_mean(values, num_workers):
-    return aggregate("global_agg", values, average=True,
-                     num_workers=num_workers)
+    return aggregate("global_agg", values, num_workers=num_workers)
 
 
 class TestDenseAccumulator:
@@ -49,7 +48,7 @@ class TestDenseAccumulator:
     def test_take_resets(self):
         """Each step aggregates from zero: nothing carries over."""
         kernel = DIRECT["global_agg"](
-            _Op("global_agg", {"average": True, "num_workers": 1}))
+            _Op("global_agg", {"num_workers": 1}))
         kernel(np.ones(2, dtype=np.float32))
         np.testing.assert_array_equal(kernel(np.full(2, 7.0, np.float32)),
                                       np.full(2, 7.0))
@@ -85,7 +84,7 @@ class TestSparseAccumulator:
         grad = self.slices([0])
         for op_type in ("local_agg", "global_agg"):
             result = aggregate(op_type, [grad, self.slices([1])],
-                               average=True, num_workers=2)
+                               num_workers=2)
             before = result.values.copy()
             grad.values[0, 0] = 99.0
             np.testing.assert_array_equal(result.values, before)
